@@ -2,18 +2,15 @@
 
 Exit codes: 0 all checks pass, 1 a check failed or a computation error,
 2 usage error.  Machine output is JSON on stdout with stable field order;
-human-readable summaries go to stderr.  GERBEKIT_THREADS caps the number
-of suites run concurrently under `verify --suite all`.
+human-readable summaries go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -117,17 +114,8 @@ def emit(obj: Dict) -> None:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    threads = max(int(os.environ.get("GERBEKIT_THREADS", "1")), 1)
-
-    def one(name: str) -> SuiteReport:
-        trials = args.trials if args.trials else DEFAULT_TRIALS[name]
-        return run_suite(name, trials, args.seed, args.tol)
-
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(one, names))
-    else:
-        reports = [one(n) for n in names]
+    reports = [run_suite(n, args.trials or DEFAULT_TRIALS[n], args.seed,
+                         args.tol) for n in names]
     payload = [r.to_json() for r in reports]
     emit(payload[0] if len(payload) == 1 else {"suites": payload})
     ok = True
@@ -200,16 +188,25 @@ def cmd_holonomy(args) -> int:
     return 0
 
 
+def usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_pushforward(args) -> int:
     omega = serialize.load_cochain(args.cochain)
-    dec = serialize.decomposition_from_id(args.decomposition)
     if not hasattr(omega.cover, "factor_covers"):
-        raise ValueError("push-forward needs a cochain over a product cover")
-    _, e_cover = omega.cover.factor_covers
+        return usage_error("push-forward needs a cochain over a product "
+                           "cover (product:X|E or torus:N:M:OVERLAP)")
+    x_cover, e_cover = omega.cover.factor_covers
+    base_id = x_cover.cover_id
+    if args.output_cover_id and args.output_cover_id != base_id:
+        return usage_error(f"--output-cover-id {args.output_cover_id} is not "
+                           f"the input's base cover {base_id}")
+    dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, e_cover)
     out = pushforward(omega, dec, rho)
     defect = pushforward_commutes_defect(omega, dec, rho)
-    base_id = args.output_cover_id
     if args.output:
         serialize.save_cochain(args.output, out, base_id)
     emit({"output": args.output, "degree": out.degree,
@@ -278,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--cochain", required=True, metavar="FILE")
     pf.add_argument("--decomposition", required=True, metavar="ID")
     pf.add_argument("--output", default=None, metavar="FILE")
-    pf.add_argument("--output-cover-id", default="", metavar="ID")
+    pf.add_argument("--output-cover-id", default="", metavar="ID",
+                    help="optional; must equal X of the input's product:X|E")
     pf.set_defaults(func=cmd_pushforward)
 
     la = sub.add_parser("lattice", help="enumerate lattice shells")

@@ -23,7 +23,7 @@ import math
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .covers import Cover, Subordination
-from .trigform import TrigForm
+from .trigform import TrigForm, nan_max
 
 Idx = Tuple[int, ...]
 
@@ -174,11 +174,11 @@ class DiffCochain:
         mat = self.materialize()
         worst = 0.0
         if include_field_strength and self.field_strength is not None:
-            worst = max(worst, self.field_strength.max_abs())
+            worst = nan_max(worst, self.field_strength.max_abs())
         for f in mat.components.values():
-            worst = max(worst, f.max_abs())
+            worst = nan_max(worst, f.max_abs())
         for m in mat.int_components.values():
-            worst = max(worst, 2 * math.pi * abs(m))
+            worst = nan_max(worst, 2 * math.pi * abs(m))
         return worst
 
 

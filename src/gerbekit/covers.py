@@ -128,6 +128,7 @@ class Cover:
         self.factors = factors
         self.pieces = [tuple(tuple(arc) for arc in p) for p in pieces]
         self.label = label
+        self.cover_id = ""      # set by serialize.cover_from_id
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._adjacency = None

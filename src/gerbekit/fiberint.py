@@ -100,6 +100,9 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
     fiber axes are moved to the end (collecting the sign) and integrated in
     closed form; the result is a form on X.
     """
+    deg = form.degree - cell.dim
+    if not 0 <= n_base <= form.ambient_dim or deg > n_base:
+        raise ValueError("fiber integration leaves no form on the base")
     out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], complex] = {}
     for (freq, axes), c in form.terms.items():
         fib = tuple(a for a in axes if a >= n_base)
@@ -113,8 +116,7 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
         base_axes = tuple(a for a in axes if a < n_base)
         key = (tuple(freq[:n_base]), base_axes)
         out[key] = out.get(key, 0.0) + sign * c * val
-    deg = form.degree - cell.dim
-    return TrigForm(n_base, max(deg, 0), out)
+    return TrigForm._trusted(n_base, max(deg, 0), out)
 
 
 # ---------------------------------------------------------------------------

@@ -61,5 +61,10 @@ def invariance_defect(omega: DiffCochain, dec: DualCellDecomposition,
 
 
 def nearest_2pi_multiple_defect(value: float) -> float:
-    """Distance from value to the nearest integer multiple of 2*pi."""
+    """Distance from value to the nearest integer multiple of 2*pi.
+
+    NaN for a NaN or infinite value, which has no nearest multiple.
+    """
+    if not math.isfinite(value):
+        return math.nan
     return abs(value - 2 * math.pi * round(value / (2 * math.pi)))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .trigform import TrigForm, _axes_sign
+from .trigform import TrigForm, _axes_sign, nan_max
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -39,13 +40,18 @@ class LieValuedForm:
                 if np.max(np.abs(X)) <= drop_tol:
                     continue
                 key = (tuple(int(f) for f in freq), tuple(int(a) for a in axes))
+                if len(key[0]) != ambient_dim:
+                    raise ValueError("frequency length != ambient_dim")
                 if len(key[1]) != degree:
                     raise ValueError("axes length != degree")
+                if any(not (0 <= a < ambient_dim) for a in key[1]):
+                    raise ValueError("axis out of range")
                 if key in clean:
                     clean[key] = clean[key] + X
                 else:
                     clean[key] = X
-        self.terms = {k: v for k, v in clean.items() if np.max(np.abs(v)) > 0.0}
+        # np.any keeps a NaN entry, which a magnitude test would drop
+        self.terms = {k: v for k, v in clean.items() if np.any(v)}
 
     @staticmethod
     def zero(ambient_dim: int, degree: int, matrix_dim: int) -> "LieValuedForm":
@@ -69,8 +75,8 @@ class LieValuedForm:
     __mul__ = __rmul__
 
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(v))) for v in self.terms.values()),
-                   default=0.0)
+        return reduce(nan_max, (float(np.max(np.abs(v)))
+                                for v in self.terms.values()), 0.0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
@@ -165,8 +171,10 @@ def pairing(a: LieValuedForm, b: LieValuedForm, kappa: float = 1.0) -> TrigForm:
                 continue
             axes, sign = ss
             key = (tuple(x + y for x, y in zip(f1, f2)), axes)
-            out[key] = out.get(key, 0.0) - kappa * sign * complex(np.trace(X @ Y))
-    return TrigForm(a.ambient_dim, deg, out)
+            # the outer complex() keeps a numpy kappa out of the terms
+            out[key] = out.get(key, 0.0) - complex(
+                kappa * sign * complex(np.trace(X @ Y)))
+    return TrigForm._trusted(a.ambient_dim, deg, out)
 
 
 def curvature(A: LieValuedForm) -> LieValuedForm:

@@ -71,7 +71,11 @@ def eta_multiplier(m: Sequence[int], tol: float = 1e-9) -> complex:
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     vals = []
-    for tau0 in (1.3j, 0.2 + 1.1j):
+    for w in (1.3j, 0.2 + 1.1j):
+        # tau0 = w, or -d/c + w/|c| so that c tau0 + d = +-w: then
+        # Im tau0 = Im w / |c| and Im m(tau0) = Im w / (|c| |w|^2), both
+        # above TAU_MIN for |c| <= 15
+        tau0 = w if c == 0 else -d / c + w / abs(c)
         chi = eta(_mobius((a, b, c, d), tau0)) / (
             cmath.sqrt(c * tau0 + d) * eta(tau0))
         vals.append(chi)

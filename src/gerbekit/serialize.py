@@ -21,16 +21,24 @@ from .trigform import TrigForm
 
 
 def cover_from_id(cover_id: str) -> Cover:
+    """The cover an id names; the id is kept as its `cover_id`."""
     if cover_id.startswith("product:"):
         body = cover_id[len("product:"):]
         left, right = body.split("|")
-        return product_cover(cover_from_id(left), cover_from_id(right))
-    parts = cover_id.split(":")
-    if parts[0] == "circle" and len(parts) == 3:
-        return make_circle_cover(int(parts[1]), float(parts[2]))
-    if parts[0] == "torus" and len(parts) == 4:
-        return make_torus_cover(int(parts[1]), int(parts[2]), float(parts[3]))
-    raise ValueError(f"unknown cover id: {cover_id}")
+        cover = product_cover(cover_from_id(left), cover_from_id(right))
+    else:
+        parts = cover_id.split(":")
+        if parts[0] == "circle" and len(parts) == 3:
+            cover = make_circle_cover(int(parts[1]), float(parts[2]))
+        elif parts[0] == "torus" and len(parts) == 4:
+            cover = make_torus_cover(int(parts[1]), int(parts[2]),
+                                     float(parts[3]))
+            for factor, n in zip(cover.factor_covers, parts[1:3]):
+                factor.cover_id = f"circle:{n}:{parts[3]}"
+        else:
+            raise ValueError(f"unknown cover id: {cover_id}")
+    cover.cover_id = cover_id
+    return cover
 
 
 def decomposition_from_id(dec_id: str) -> DualCellDecomposition:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -16,6 +17,15 @@ import numpy as np
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (frequency, axes)
 
 _DROP = 0.0  # coefficients exactly equal to zero are dropped
+
+
+def nan_max(a: float, b: float) -> float:
+    """max(a, b), except that a NaN in either argument is returned.
+
+    The builtin keeps its first argument unless the second compares
+    greater, so max(0.0, nan) == 0.0 would let a NaN defect pass.
+    """
+    return b if b > a or b != b else a
 
 
 def _axes_sign(axes: Sequence[int]):
@@ -64,6 +74,22 @@ class TrigForm:
                 clean[(freq, axes)] = clean.get((freq, axes), 0.0) + c
         self.terms = {k: v for k, v in clean.items() if v != _DROP}
 
+    @staticmethod
+    def _trusted(ambient_dim: int, degree: int,
+                 terms: Mapping[Key, complex]) -> "TrigForm":
+        """Build from terms already in normal form; only exact zeros drop.
+
+        For the library's own kernels, which must guarantee what __init__
+        would check: keys are (freq, axes) int tuples with
+        len(freq) == ambient_dim, axes strictly increasing in
+        [0, ambient_dim) with len(axes) == degree, and values Python complex.
+        """
+        self = object.__new__(TrigForm)
+        self.ambient_dim = ambient_dim
+        self.degree = degree
+        self.terms = {k: v for k, v in terms.items() if v != _DROP}
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -87,7 +113,7 @@ class TrigForm:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0.0) + c
-        return TrigForm(self.ambient_dim, self.degree, out)
+        return TrigForm._trusted(self.ambient_dim, self.degree, out)
 
     def __sub__(self, other: "TrigForm") -> "TrigForm":
         return self + (-1.0) * other
@@ -96,8 +122,10 @@ class TrigForm:
         return (-1.0) * self
 
     def __rmul__(self, scalar: complex) -> "TrigForm":
-        return TrigForm(self.ambient_dim, self.degree,
-                        {k: scalar * c for k, c in self.terms.items()})
+        if type(scalar) not in (int, float, complex):
+            scalar = complex(scalar)    # keep numpy scalars out of the terms
+        return TrigForm._trusted(self.ambient_dim, self.degree,
+                                 {k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, scalar: complex) -> "TrigForm":
         return self.__rmul__(scalar)
@@ -127,7 +155,7 @@ class TrigForm:
                 new_axes, sign = sorted_sign
                 key = (freq, new_axes)
                 out[key] = out.get(key, 0.0) + 1j * kj * sign * c
-        return TrigForm(n, self.degree + 1, out)
+        return TrigForm._trusted(n, self.degree + 1, out)
 
     def wedge(self, other: "TrigForm") -> "TrigForm":
         if self.ambient_dim != other.ambient_dim:
@@ -145,7 +173,7 @@ class TrigForm:
                 freq = tuple(x + y for x, y in zip(f1, f2))
                 key = (freq, axes)
                 out[key] = out.get(key, 0.0) + sign * c1 * c2
-        return TrigForm(self.ambient_dim, p + q, out)
+        return TrigForm._trusted(self.ambient_dim, p + q, out)
 
     def pullback(self, m: "AffineTorusMap") -> "TrigForm":
         """Pullback along x -> A x + b from T^{target} to T^{source}.
@@ -218,7 +246,7 @@ class TrigForm:
             new_freq = tuple(freq[a] for a in base)
             key = (new_freq, new_axes)
             out[key] = out.get(key, 0.0) + sign * vol * c
-        return TrigForm(len(base), self.degree - d, out)
+        return TrigForm._trusted(len(base), self.degree - d, out)
 
     def integrate_cell(self, cell) -> complex:
         """Integrate over an oriented point/segment/polygon in the torus."""
@@ -254,7 +282,7 @@ class TrigForm:
         return total
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return reduce(nan_max, (abs(c) for c in self.terms.values()), 0.0)
 
     def prune(self, tol: float = 0.0) -> "TrigForm":
         return TrigForm(self.ambient_dim, self.degree,
@@ -361,13 +389,16 @@ def _simplex_exp(alpha: float, beta: float) -> complex:
 
 
 def _integrate_monomial(freq: np.ndarray, axes: Tuple[int, ...], cell) -> complex:
+    # cell coordinates are numpy floats; converting them keeps the result a
+    # Python complex, which fiber integration stores as a term unchecked
     if cell.dim == 0:
         return cell.sign * cmath.exp(1j * float(np.dot(freq, cell.point)))
     if cell.dim == 1:
         P, Q = cell.start, cell.end
         j = axes[0]
         mu = float(np.dot(freq, Q - P))
-        return (Q[j] - P[j]) * cmath.exp(1j * float(np.dot(freq, P))) * _phi(mu)
+        return (float(Q[j] - P[j]) * cmath.exp(1j * float(np.dot(freq, P)))
+                * _phi(mu))
     if cell.dim == 2:
         j1, j2 = axes
         total = 0.0 + 0.0j
@@ -376,7 +407,7 @@ def _integrate_monomial(freq: np.ndarray, axes: Tuple[int, ...], cell) -> comple
         for i in range(1, len(verts) - 1):
             E1 = verts[i] - P0
             E2 = verts[i + 1] - P0
-            jac = E1[j1] * E2[j2] - E1[j2] * E2[j1]
+            jac = float(E1[j1] * E2[j2] - E1[j2] * E2[j1])
             if jac == 0.0:
                 continue
             a = float(np.dot(freq, E1))

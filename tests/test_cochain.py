@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
                               restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover, refine,
                              two_subordinations)
-from gerbekit.suites import (random_alternating_cochain, random_cocycle,
-                             torus_setup)
+from gerbekit.suites import (perm_sign, random_alternating_cochain,
+                             random_cocycle, torus_setup)
 from gerbekit.trigform import TrigForm
 
 
@@ -28,6 +29,37 @@ def test_alternating_data_is_alternating():
     a = om.component((0, 1, 2))
     b = om.component((1, 0, 2))
     assert (a + b).max_abs() < 1e-14
+
+
+def test_alternating_components_follow_permutation_signs():
+    # one form per sorted support; every ordering carries it with the sign
+    # of its permutation, exactly
+    cover = make_torus_cover(3, 3, 0.55)
+    om = random_alternating_cochain(np.random.default_rng(3), cover, 2, 2)
+    nonzero = {1: 0, 2: 0, 3: 0}
+    for r in (1, 2, 3):
+        for base in cover.supports(r):
+            f = om.component(base)
+            nonzero[r] += bool(f.terms)
+            for perm in itertools.permutations(base):
+                assert om.component(perm).terms == (perm_sign(perm) * f).terms
+    assert all(nonzero.values())
+    ints = 0
+    for base in cover.supports(4):
+        m = om.int_component(base)
+        ints += bool(m)
+        for perm in itertools.permutations(base):
+            assert om.int_component(perm) == perm_sign(perm) * m
+    assert ints
+
+
+def test_max_defect_propagates_nan():
+    cover = make_circle_cover(4, 0.55)
+    bad = TrigForm(1, 0, {((1,), ()): 1.0, ((2,), ()): math.nan})
+    om = DiffCochain(1, cover, components={(0, 1): bad}, ambient_dim=1)
+    assert math.isnan(om.max_defect())
+    H = TrigForm(1, 1, {((0,), (0,)): 1.0, ((1,), (0,)): math.nan})
+    assert math.isnan(DiffCochain(0, cover, field_strength=H).max_defect())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

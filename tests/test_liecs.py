@@ -90,3 +90,23 @@ def test_gauge_transform_curvature_is_conjugated():
 def test_cs_of_zero_connection_is_zero():
     Z = liecs.LieValuedForm.zero(3, 1, 2)
     assert liecs.cs_form(Z).is_zero()
+
+
+def test_nan_coefficient_is_kept_and_propagates():
+    X = liecs.su2_basis()[0].copy()
+    X[0, 1] = np.nan
+    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (0,)): liecs.su2_basis()[1],
+                                      ((0, 1, 0), (2,)): X})
+    assert len(f.terms) == 2
+    assert np.isnan(f.max_abs())
+    assert not f.is_zero(1.0)
+
+
+@pytest.mark.parametrize("freq, axes, message", [
+    ((1, 0), (0,), "frequency length"),
+    ((1, 0, 0), (3,), "axis out of range"),
+    ((1, 0, 0), (0, 1), "axes length"),
+])
+def test_lie_form_rejects_malformed_keys(freq, axes, message):
+    with pytest.raises(ValueError, match=message):
+        liecs.LieValuedForm(3, 1, 2, {(freq, axes): liecs.su2_basis()[0]})

@@ -1,9 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gerbekit import cli
 from gerbekit.lattice import builtin, roots
 from gerbekit.modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                               act, character, cocycle_defect, det_section,
@@ -71,6 +73,41 @@ def test_eta_multiplier_is_24th_root_on_random_words():
                 m = m @ np.array([[0, -1], [1, 0]])
         chi = eta_multiplier((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
         assert abs(chi ** 24 - 1) < 1e-9
+
+
+@pytest.mark.parametrize("m, twelfths", [
+    # S T^5: eta(-1/(tau+5)) = sqrt(-i(tau+5)) e^{5 pi i/12} eta(tau)
+    ((0, -1, 1, 5), 2),
+    # Dedekind sum: eps = e^{pi i (2/72 - s(1, 6))} = e^{-pi i/4}
+    ((1, 0, 6, 1), -6),
+])
+def test_eta_multiplier_of_words_that_sampled_below_tau_min(m, twelfths):
+    # tau0 = 1.3i maps below TAU_MIN under both (Im 0.049 and 0.021)
+    chi = eta_multiplier(m)
+    assert abs(chi - cmath.exp(1j * math.pi * twelfths / 12)) < 1e-9
+
+
+def test_eta_multiplier_of_every_suite_word():
+    # the modular suite draws words of 1..4 generators T^k (|k| <= 2) and S
+    gens = [((1, k), (0, 1)) for k in range(-2, 3)] + [((0, -1), (1, 0))]
+    words = {((1, 0), (0, 1))}
+    frontier = set(words)
+    for _ in range(4):
+        frontier = {tuple(map(tuple, np.array(w) @ np.array(g)))
+                    for w in frontier for g in gens}
+        words |= frontier
+    for w in words:
+        chi = eta_multiplier((w[0][0], w[0][1], w[1][0], w[1][1]))
+        assert abs(chi ** 24 - 1) < 1e-9
+
+
+def test_verify_modular_seed_that_drew_a_low_sample_point(capsys):
+    rc = cli.main(["verify", "--suite", "modular", "--trials", "20",
+                   "--seed", "750606606"])
+    report = json.loads(capsys.readouterr().out)
+    chi = next(c for c in report["checks"] if c["name"] == "chi_24th_root")
+    assert chi["pass"] and chi["max_defect"] < 1e-12
+    assert rc == 0 and report["all_pass"]
 
 
 def test_theta1_vanishes_at_origin():

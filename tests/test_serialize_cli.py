@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gerbekit import cli, serialize
+from gerbekit import cli, liecs, serialize, suites
+from gerbekit.cochain import DiffCochain, from_global_form
 from gerbekit.covers import make_circle_cover, product_cover
+from gerbekit.holonomy import nearest_2pi_multiple_defect
 from gerbekit.suites import random_alternating_cochain, random_cocycle
+from gerbekit.trigform import TrigForm
 
 
 def test_cover_ids_roundtrip():
@@ -145,3 +149,87 @@ def test_cli_bad_flags_usage_error(capsys):
     assert exc.value.code == 2
     rc = cli.main(["theta", "--lattice", "nope", "--tau", "0,2"])
     assert rc == 1
+
+
+def _pushforward_input(tmp_path, cover_id, degree=2):
+    cover = serialize.cover_from_id(cover_id)
+    om = random_cocycle(np.random.default_rng(2), cover, degree, 2)
+    src = tmp_path / "om.json"
+    serialize.save_cochain(str(src), om, cover_id)
+    return src
+
+
+@pytest.mark.parametrize("cover_id, base_id", [
+    ("product:circle:3:0.6|circle:4:0.7", "circle:3:0.6"),
+    ("torus:3:4:0.6", "circle:3:0.6"),
+])
+def test_cli_pushforward_output_cover_id_is_derived(tmp_path, capsys,
+                                                     cover_id, base_id):
+    src = _pushforward_input(tmp_path, cover_id)
+    dst = tmp_path / "out.json"
+    rc = cli.main(["pushforward", "--cochain", str(src),
+                   "--decomposition", "circle:20", "--output", str(dst)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 1
+    assert json.loads(dst.read_text())["cover_id"] == base_id
+    pushed = serialize.load_cochain(str(dst))
+    assert pushed.degree == 1
+    assert len(pushed.cover.pieces) == 3
+
+
+def test_cli_pushforward_usage_errors(tmp_path, capsys):
+    src = _pushforward_input(tmp_path, "product:circle:3:0.6|circle:4:0.7")
+    dst = tmp_path / "out.json"
+    rc = cli.main(["pushforward", "--cochain", str(src),
+                   "--decomposition", "circle:20", "--output", str(dst),
+                   "--output-cover-id", "circle:4:0.7"])
+    assert rc == 2
+    assert "circle:3:0.6" in capsys.readouterr().err
+    assert not dst.exists()
+    flat = tmp_path / "flat.json"
+    cover = serialize.cover_from_id("circle:4:0.7")
+    om = from_global_form(TrigForm.monomial(1, (0,), (0,), 0.5), cover)
+    serialize.save_cochain(str(flat), om, "circle:4:0.7")
+    rc = cli.main(["pushforward", "--cochain", str(flat),
+                   "--decomposition", "circle:20", "--output", str(dst)])
+    assert rc == 2
+    assert "product cover" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+# Each patch makes one suite's defects NaN at their source; the builtin
+# max(worst, nan) would keep `worst` and report a pass.
+NAN_SOURCES = {
+    "cochain": [(DiffCochain, "max_defect")],
+    "pushforward": [(DiffCochain, "max_defect"),
+                    (suites, "pushforward_commutes_defect"),
+                    (suites, "homotopy_residual")],
+    "holonomy": [(suites, "holonomy"),
+                 (suites, "nearest_2pi_multiple_defect")],
+    "chernsimons": [(TrigForm, "max_abs"), (liecs.LieValuedForm, "max_abs"),
+                    (liecs, "gauge_variation_defect"),
+                    (liecs, "bracket_oracle_value")],
+    "crossmodule": [(suites, "classify_flat_2cocycle")],
+    "modular": [(suites, name) for name in (
+        "eta", "eta_multiplier", "theta1", "transform_defect", "theta_lattice",
+        "theta_lattice_enum", "cocycle_defect", "factor",
+        "measure_extra_multiplier")],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NAN_SOURCES))
+def test_nan_defect_fails_every_check(monkeypatch, suite):
+    for owner, name in NAN_SOURCES[suite]:
+        monkeypatch.setattr(owner, name, lambda *args, **kw: math.nan)
+    report = cli.run_suite(suite, 2, 0, 1e-8)
+    assert report.checks
+    for check in report.checks:
+        assert math.isnan(check["max_defect"]), check
+        assert check["pass"] is False
+    assert not report.all_pass
+
+
+def test_nearest_2pi_multiple_defect_of_non_finite_is_nan():
+    assert math.isnan(nearest_2pi_multiple_defect(math.nan))
+    assert math.isnan(nearest_2pi_multiple_defect(math.inf))
+    assert nearest_2pi_multiple_defect(2 * math.pi + 0.25) == pytest.approx(0.25)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gerbekit.trigform import AffineTorusMap, TrigForm
+from gerbekit.trigform import AffineTorusMap, TrigForm, nan_max
 
 
 def rand_form(rng, amb, deg, terms=3):
@@ -86,3 +86,38 @@ def test_records_roundtrip():
     f = rand_form(rng, 2, 1)
     g = TrigForm.from_records(2, 1, f.to_records())
     assert (f - g).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("amb, deg, terms, message", [
+    (2, 1, {((1,), (0,)): 1.0}, "frequency length"),
+    (2, 1, {((1, 2, 3), (0,)): 1.0}, "frequency length"),
+    (3, 2, {((0, 1, 0), (2, 1)): 1.0}, "strictly increasing"),
+    (3, 2, {((0, 1, 0), (1, 1)): 1.0}, "strictly increasing"),
+    (2, 1, {((0, 1), (2,)): 1.0}, "axis out of range"),
+    (2, 1, {((0, 1), (-1,)): 1.0}, "axis out of range"),
+    (2, 1, {((0, 1), (0, 1)): 1.0}, "axes length"),
+    (2, 3, None, "out of range"),
+    (2, -1, None, "out of range"),
+])
+def test_public_constructor_rejects_malformed_terms(amb, deg, terms, message):
+    with pytest.raises(ValueError, match=message):
+        TrigForm(amb, deg, terms)
+
+
+def test_public_constructor_normalizes_terms():
+    f = TrigForm(2, 1, {((np.int64(1), 0), (np.int64(1),)): np.float64(2.0),
+                        ((0, 0), (0,)): 0.0})
+    assert f.terms == {((1, 0), (1,)): 2.0 + 0j}
+    (freq, axes), c = next(iter(f.terms.items()))
+    assert all(type(x) is int for x in freq + axes)
+    assert type(c) is complex
+
+
+def test_max_abs_propagates_nan():
+    # the builtin max keeps its running value against a later NaN
+    f = TrigForm(1, 0, {((1,), ()): 1.0, ((2,), ()): math.nan})
+    assert math.isnan(f.max_abs())
+    assert not f.is_zero(1.0)
+    assert math.isnan(nan_max(0.0, math.nan))
+    assert math.isnan(nan_max(math.nan, 0.0))
+    assert nan_max(1.0, 2.0) == 2.0 and nan_max(2.0, 1.0) == 2.0
