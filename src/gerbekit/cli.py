@@ -162,8 +162,7 @@ def cmd_factor(args) -> int:
     g = parse_element(args.element)
     x = parse_point(args.point)
     val = factor(fam, g, x)
-    emit({"value_re": val.real, "value_im": val.imag,
-          "tol_used": args.tol, "terms_summed": 0})
+    emit({"value_re": val.real, "value_im": val.imag})
     return 0
 
 
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--lattice", default=None)
     f.add_argument("--element", required=True, metavar="JSON")
     f.add_argument("--point", required=True, metavar="JSON")
-    f.add_argument("--tol", type=float, default=1e-12)
     f.set_defaults(func=cmd_factor)
 
     a = sub.add_parser("act", help="apply a group element to a point")

@@ -200,24 +200,20 @@ def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
                        int_component_fn=lambda idx: 0)
 
 
-def cech_delta_form(omega: DiffCochain, idx: Idx) -> TrigForm:
-    """delta(omega) at a multi-index one longer than omega's stored level."""
-    deg = omega.degree - (len(idx) - 2)
-    total = TrigForm.zero(omega.ambient_dim, deg)
-    for j in range(len(idx)):
-        sub = idx[:j] + idx[j + 1:]
-        term = omega.component(sub)
-        total = total + term if j % 2 == 0 else total - term
+def signed_sum(total, terms):
+    """total + sum of (-1)^odd * term over (odd, term) pairs, in order.
+
+    Serves the form rows (TrigForm) and the integer row (int) alike.
+    """
+    for odd, term in terms:
+        total = total - term if odd else total + term
     return total
 
 
-def cech_delta_int(omega: DiffCochain, idx: Idx) -> int:
-    total = 0
-    for j in range(len(idx)):
-        sub = idx[:j] + idx[j + 1:]
-        m = omega.int_component(sub)
-        total += m if j % 2 == 0 else -m
-    return total
+def cech_delta(lookup: Callable[[Idx], object], idx: Idx, zero):
+    """(delta c)_{i0..ir} = sum_j (-1)^j c_{i0..^ij..ir}, c read by lookup."""
+    return signed_sum(zero, ((j % 2, lookup(idx[:j] + idx[j + 1:]))
+                             for j in range(len(idx))))
 
 
 def total_d(omega: DiffCochain) -> DiffCochain:
@@ -236,7 +232,8 @@ def total_d(omega: DiffCochain) -> DiffCochain:
         r_out = len(idx) - 1           # output slot (r_out, n+1-r_out)
         if len(idx) == 1:
             return H - omega.component(idx).d()
-        total = cech_delta_form(omega, idx)
+        total = cech_delta(omega.component, idx,
+                           TrigForm.zero(amb, n - (len(idx) - 2)))
         if len(idx) <= n + 1:
             # d-part from the input slot with the same index length, r = r_out
             sign = -1 if r_out % 2 == 0 else 1   # (-1)^{r+1}
@@ -250,7 +247,7 @@ def total_d(omega: DiffCochain) -> DiffCochain:
         return total
 
     def icomp(idx: Idx) -> int:
-        return cech_delta_int(omega, idx)
+        return cech_delta(omega.int_component, idx, 0)
 
     return DiffCochain(n + 1, omega.cover,
                        field_strength=H.d(),
@@ -294,20 +291,17 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
     def mixed(idx: Idx, t: int) -> Idx:
         return tuple(sig[j] for j in idx[:t]) + tuple(sig2[j] for j in idx[t - 1:])
 
+    def alternating(lookup, idx: Idx, zero):
+        return signed_sum(zero, ((t % 2, lookup(mixed(idx, t)))
+                                 for t in range(1, len(idx) + 1)))
+
     def comp(idx: Idx) -> TrigForm:
         deg = (n - 1) - (len(idx) - 1)
-        total = TrigForm.zero(omega.ambient_dim, deg)
-        for t in range(1, len(idx) + 1):
-            term = omega.component(mixed(idx, t))
-            total = total - term if t % 2 == 1 else total + term
-        return total
+        return alternating(omega.component, idx,
+                           TrigForm.zero(omega.ambient_dim, deg))
 
     def icomp(idx: Idx) -> int:
-        total = 0
-        for t in range(1, len(idx) + 1):
-            m = omega.int_component(mixed(idx, t))
-            total += -m if t % 2 == 1 else m
-        return total
+        return alternating(omega.int_component, idx, 0)
 
     return DiffCochain(n - 1, s1.source,
                        field_strength=TrigForm.zero(

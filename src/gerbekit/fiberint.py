@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cochain import DiffCochain, total_d
+from .cochain import DiffCochain, signed_sum, total_d
 from .covers import Cover, DualCellDecomposition, product_index
 from .trigform import TrigForm, _integrate_monomial, _move_axes_to_end_sign
 
@@ -61,32 +61,27 @@ def path_count(r: int, k: int) -> int:
 # path-sum symbols
 
 
+def _path_sum(lookup, cover, a_idx: Sequence[int], b_idx: Sequence[int],
+              zero):
+    """Sum of (-1)^{A(gamma)} lookup(node sequence of gamma) over all paths."""
+    return signed_sum(zero, (
+        (area % 2, lookup(tuple(product_index(cover, a_idx[p - 1], b_idx[q - 1])
+                                for p, q in nodes)))
+        for nodes, area in monotone_paths(len(a_idx), len(b_idx))))
+
+
 def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
                   b_idx: Sequence[int]) -> TrigForm:
     """The signed path sum as a mixed form on the product torus."""
-    cover = omega.cover
-    r, k = len(a_idx), len(b_idx)
-    deg = omega.degree + 2 - r - k
-    total = TrigForm.zero(omega.ambient_dim, max(deg, 0))
-    for nodes, area in monotone_paths(r, k):
-        idx = tuple(product_index(cover, a_idx[p - 1], b_idx[q - 1])
-                    for p, q in nodes)
-        term = omega.component(idx)
-        total = total + term if area % 2 == 0 else total - term
-    return total
+    deg = omega.degree + 2 - len(a_idx) - len(b_idx)
+    return _path_sum(omega.component, omega.cover, a_idx, b_idx,
+                     TrigForm.zero(omega.ambient_dim, max(deg, 0)))
 
 
 def t_symbol_int(omega: DiffCochain, a_idx: Sequence[int],
                  b_idx: Sequence[int]) -> int:
-    cover = omega.cover
-    r, k = len(a_idx), len(b_idx)
-    total = 0
-    for nodes, area in monotone_paths(r, k):
-        idx = tuple(product_index(cover, a_idx[p - 1], b_idx[q - 1])
-                    for p, q in nodes)
-        m = omega.int_component(idx)
-        total += m if area % 2 == 0 else -m
-    return total
+    """The signed path sum on the integer row."""
+    return _path_sum(omega.int_component, omega.cover, a_idx, b_idx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +202,10 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
             sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
             layer = TrigForm.zero(n_base, max(deg, 0))
             for cell_idx, cell in dec.faces.get(k, {}).items():
-                inner = TrigForm.zero(omega.ambient_dim,
-                                      max(n + 1 - r - k, 0))
-                for t in range(1, k + 1):
-                    term = t_symbol_form(omega, a_idx, mixed_b(cell_idx, t))
-                    inner = inner - term if t % 2 == 1 else inner + term
+                inner = signed_sum(
+                    TrigForm.zero(omega.ambient_dim, max(n + 1 - r - k, 0)),
+                    ((t % 2, t_symbol_form(omega, a_idx, mixed_b(cell_idx, t)))
+                     for t in range(1, k + 1)))
                 if inner.is_zero():
                     continue
                 layer = layer + integrate_fiber_cell(inner, cell, n_base)
@@ -223,10 +217,9 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
         sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
         total = 0
         for cell_idx, cell in dec.faces.get(k, {}).items():
-            inner = 0
-            for t in range(1, k + 1):
-                v = t_symbol_int(omega, a_idx, mixed_b(cell_idx, t))
-                inner += -v if t % 2 == 1 else v
+            inner = signed_sum(
+                0, ((t % 2, t_symbol_int(omega, a_idx, mixed_b(cell_idx, t)))
+                    for t in range(1, k + 1)))
             total += cell.sign * inner
         return sgn * total
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .trigform import TrigForm, _axes_sign, nan_max
+from .trigform import TrigForm, _d_terms, _wedge_terms, nan_max
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -87,20 +87,8 @@ class LieValuedForm:
         if self.degree >= self.ambient_dim:
             return LieValuedForm.zero(self.ambient_dim, self.degree,
                                       self.matrix_dim)
-        out: Dict[Key, np.ndarray] = {}
-        for (freq, axes), X in self.terms.items():
-            for j, kj in enumerate(freq):
-                if kj == 0 or j in axes:
-                    continue
-                ss = _axes_sign((j,) + axes)
-                if ss is None:
-                    continue
-                new_axes, sign = ss
-                key = (freq, new_axes)
-                add = (1j * kj * sign) * X
-                out[key] = out[key] + add if key in out else add
         return LieValuedForm(self.ambient_dim, self.degree + 1,
-                             self.matrix_dim, out)
+                             self.matrix_dim, _d_terms(self.terms))
 
     def evaluate(self, x: Sequence[float],
                  vectors: Sequence[Sequence[float]]) -> np.ndarray:
@@ -143,17 +131,9 @@ def graded_bracket(a: LieValuedForm, b: LieValuedForm) -> LieValuedForm:
     deg = a.degree + b.degree
     if deg > a.ambient_dim:      # forced repeated axes: identically zero
         return LieValuedForm.zero(a.ambient_dim, a.ambient_dim, a.matrix_dim)
-    out: Dict[Key, np.ndarray] = {}
-    for (f1, a1), X in a.terms.items():
-        for (f2, a2), Y in b.terms.items():
-            ss = _axes_sign(a1 + a2)
-            if ss is None:
-                continue
-            axes, sign = ss
-            key = (tuple(x + y for x, y in zip(f1, f2)), axes)
-            add = sign * (X @ Y - Y @ X)
-            out[key] = out[key] + add if key in out else add
-    return LieValuedForm(a.ambient_dim, deg, a.matrix_dim, out)
+    return LieValuedForm(a.ambient_dim, deg, a.matrix_dim,
+                         _wedge_terms(a.terms, b.terms,
+                                      lambda X, Y: X @ Y - Y @ X))
 
 
 def pairing(a: LieValuedForm, b: LieValuedForm, kappa: float = 1.0) -> TrigForm:
@@ -163,18 +143,10 @@ def pairing(a: LieValuedForm, b: LieValuedForm, kappa: float = 1.0) -> TrigForm:
     deg = a.degree + b.degree
     if deg > a.ambient_dim:
         return TrigForm.zero(a.ambient_dim, a.ambient_dim)
-    out: Dict[Key, complex] = {}
-    for (f1, a1), X in a.terms.items():
-        for (f2, a2), Y in b.terms.items():
-            ss = _axes_sign(a1 + a2)
-            if ss is None:
-                continue
-            axes, sign = ss
-            key = (tuple(x + y for x, y in zip(f1, f2)), axes)
-            # the outer complex() keeps a numpy kappa out of the terms
-            out[key] = out.get(key, 0.0) - complex(
-                kappa * sign * complex(np.trace(X @ Y)))
-    return TrigForm._trusted(a.ambient_dim, deg, out)
+    # the outer complex() keeps a numpy kappa out of the terms
+    return TrigForm._trusted(a.ambient_dim, deg, _wedge_terms(
+        a.terms, b.terms,
+        lambda X, Y: -complex(kappa * complex(np.trace(X @ Y)))))
 
 
 def curvature(A: LieValuedForm) -> LieValuedForm:
@@ -331,6 +303,7 @@ def bracket_oracle_value(a: LieValuedForm, b: LieValuedForm,
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
+    # counts cycles on purpose: the oracle must not share the kernel's sign
     sign = 1
     seen = [False] * len(perm)
     for i in range(len(perm)):

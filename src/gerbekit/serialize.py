@@ -1,5 +1,4 @@
-"""Stable on-disk formats: cochain files, cover / decomposition ids, and
-lattice definition files.
+"""Stable on-disk formats: cochain files and cover / decomposition ids.
 
 Cover ids: "circle:N:OVERLAP", "torus:N:M:OVERLAP", or
 "product:ID|ID" for a product of two of the former.
@@ -16,7 +15,6 @@ from .cochain import DiffCochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,
                      make_circle_decomposition, make_torus_cover,
                      make_torus_hex_decomposition, product_cover)
-from .lattice import IntegralLattice, builtin, from_gram
 from .trigform import TrigForm
 
 
@@ -98,16 +96,3 @@ def load_cochain(path: str) -> DiffCochain:
     with open(path) as fh:
         return cochain_from_dict(json.load(fh))
 
-
-def lattice_to_dict(L: IntegralLattice) -> Dict:
-    if any(x.denominator != 1 for row in L.gram_exact for x in row):
-        raise ValueError("only integral Gram matrices serialize")
-    return {"name": L.name, "rank": L.rank,
-            "gram": [[int(x) for x in row] for row in L.gram_exact]}
-
-
-def lattice_from_dict(data: Dict) -> IntegralLattice:
-    try:
-        return builtin(data["name"])
-    except ValueError:
-        return from_gram(data["name"], data["gram"])

@@ -13,7 +13,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
                       eta_multiplier, factor, measure_extra_multiplier,
                       reflection_element, theta1, theta_lattice,
                       theta_lattice_enum, transform_defect)
-from .trigform import TrigForm, nan_max
+from .trigform import TrigForm, _axes_sign, nan_max
 
 Check = Tuple[str, float]
 
@@ -44,16 +44,10 @@ Check = Tuple[str, float]
 # random instances
 
 
-def perm_sign(idx: Sequence[int]) -> int:
-    inv = sum(1 for i, j in combinations(range(len(idx)), 2)
-              if idx[i] > idx[j])
-    return -1 if inv % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def _permutation_signs(r: int) -> Tuple[int, ...]:
     """The signs of the permutations of range(r), in itertools order."""
-    return tuple(perm_sign(p) for p in permutations(range(r)))
+    return tuple(_axes_sign(p)[1] for p in permutations(range(r)))
 
 
 def random_real_form(rng, ambient_dim: int, degree: int,

@@ -8,9 +8,11 @@ along integer-affine maps, and integration over cells all have closed forms.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from functools import reduce
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,44 @@ def _axes_sign(axes: Sequence[int]):
             sign = -sign
             j -= 1
     return tuple(axes), sign
+
+
+def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
+    """Terms of the exterior derivative of sum c e^{i k.x} dx_I.
+
+    The coefficients c may be Python complex numbers or numpy matrices.
+    """
+    out: Dict[Key, object] = {}
+    for (freq, axes), c in terms.items():
+        for j, kj in enumerate(freq):
+            if kj == 0 or j in axes:
+                continue
+            ss = _axes_sign((j,) + axes)
+            if ss is None:
+                continue
+            new_axes, sign = ss
+            key = (freq, new_axes)
+            out[key] = out.get(key, 0.0) + 1j * kj * sign * c
+    return out
+
+
+def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
+                 times: Callable[[object, object], object]) -> Dict[Key, object]:
+    """Terms of the wedge of two term sets, coefficients combined by `times`.
+
+    Each pair of terms contributes times(sign * c1, c2) at the summed
+    frequency and the sorted union of the axes; pairs sharing an axis drop.
+    """
+    out: Dict[Key, object] = {}
+    for (f1, a1), c1 in left.items():
+        for (f2, a2), c2 in right.items():
+            ss = _axes_sign(a1 + a2)
+            if ss is None:
+                continue
+            axes, sign = ss
+            key = (tuple(x + y for x, y in zip(f1, f2)), axes)
+            out[key] = out.get(key, 0.0) + times(sign * c1, c2)
+    return out
 
 
 class TrigForm:
@@ -144,18 +184,7 @@ class TrigForm:
         if self.degree == n:
             # top forms are closed; keep degree at n so callers may still add
             return TrigForm(n, n)
-        out: Dict[Key, complex] = {}
-        for (freq, axes), c in self.terms.items():
-            for j, kj in enumerate(freq):
-                if kj == 0 or j in axes:
-                    continue
-                sorted_sign = _axes_sign((j,) + axes)
-                if sorted_sign is None:
-                    continue
-                new_axes, sign = sorted_sign
-                key = (freq, new_axes)
-                out[key] = out.get(key, 0.0) + 1j * kj * sign * c
-        return TrigForm._trusted(n, self.degree + 1, out)
+        return TrigForm._trusted(n, self.degree + 1, _d_terms(self.terms))
 
     def wedge(self, other: "TrigForm") -> "TrigForm":
         if self.ambient_dim != other.ambient_dim:
@@ -163,17 +192,9 @@ class TrigForm:
         p, q = self.degree, other.degree
         if p + q > self.ambient_dim:
             raise ValueError("wedge degree exceeds ambient dimension")
-        out: Dict[Key, complex] = {}
-        for (f1, a1), c1 in self.terms.items():
-            for (f2, a2), c2 in other.terms.items():
-                ss = _axes_sign(a1 + a2)
-                if ss is None:
-                    continue
-                axes, sign = ss
-                freq = tuple(x + y for x, y in zip(f1, f2))
-                key = (freq, axes)
-                out[key] = out.get(key, 0.0) + sign * c1 * c2
-        return TrigForm._trusted(self.ambient_dim, p + q, out)
+        return TrigForm._trusted(self.ambient_dim, p + q,
+                                 _wedge_terms(self.terms, other.terms,
+                                              operator.mul))
 
     def pullback(self, m: "AffineTorusMap") -> "TrigForm":
         """Pullback along x -> A x + b from T^{target} to T^{source}.
@@ -184,32 +205,26 @@ class TrigForm:
             raise ValueError("map target dim != form ambient dim")
         A = m.linear_part  # target_dim x source_dim
         b = m.shift
-        ns = m.source_dim
+        # dx_a pulls back to sum_s A[a,s] dy_s over the nonzero entries
+        columns = [[(s, entry) for s, entry in enumerate(row) if entry != 0]
+                   for row in A]
         out: Dict[Key, complex] = {}
         for (freq, axes), c in self.terms.items():
             # e^{i k.(Ax+b)} = e^{i k.b} e^{i (A^T k).x}
             new_freq = tuple(int(v) for v in (A.T @ np.array(freq)))
             phase = cmath.exp(1j * float(np.dot(freq, b)))
-            # dx_a pulls back to sum_s A[a,s] dy_s; expand the wedge product
-            self._pullback_expand(out, new_freq, axes, A, phase * c, (), 0, 1)
-        return TrigForm(ns, self.degree, out)
-
-    def _pullback_expand(self, out, freq, axes, A, coeff, chosen, pos, sign_unused):
-        if pos == len(axes):
-            ss = _axes_sign(chosen)
-            if ss is None:
-                return
-            new_axes, sign = ss
-            key = (freq, new_axes)
-            out[key] = out.get(key, 0.0) + sign * coeff
-            return
-        a = axes[pos]
-        for s in range(A.shape[1]):
-            entry = A[a, s]
-            if entry == 0:
-                continue
-            self._pullback_expand(out, freq, axes, A, coeff * entry,
-                                  chosen + (s,), pos + 1, 1)
+            # expand the wedge of the pulled-back dx_a, one column per axis
+            for choice in itertools.product(*(columns[a] for a in axes)):
+                ss = _axes_sign([s for s, _ in choice])
+                if ss is None:
+                    continue
+                new_axes, sign = ss
+                coeff = phase * c
+                for _, entry in choice:
+                    coeff = coeff * entry
+                key = (new_freq, new_axes)
+                out[key] = out.get(key, 0.0) + sign * coeff
+        return TrigForm(m.source_dim, self.degree, out)
 
     # -- integration -------------------------------------------------------
 
@@ -321,18 +336,10 @@ class TrigForm:
 
 
 def _move_axes_to_end_sign(axes: Tuple[int, ...], which: Sequence[int]) -> int:
-    """Parity sign of moving the listed axes (in order) to the end of the tuple."""
-    perm = [a for a in axes if a not in which] + [a for a in axes if a in which]
-    # count inversions of perm relative to axes (both are sequences over the
-    # same underlying set; axes is sorted ascending)
-    order = {a: i for i, a in enumerate(axes)}
-    seq = [order[a] for a in perm]
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    """Parity sign of moving the listed axes (in order) to the end of the
+    sorted, repeat-free tuple `axes`."""
+    return _axes_sign(tuple(a for a in axes if a not in which)
+                      + tuple(a for a in axes if a in which))[1]
 
 
 class AffineTorusMap:

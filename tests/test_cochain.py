@@ -9,9 +9,15 @@ from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
                               restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover, refine,
                              two_subordinations)
-from gerbekit.suites import (perm_sign, random_alternating_cochain,
-                             random_cocycle, torus_setup)
+from gerbekit.suites import (random_alternating_cochain, random_cocycle,
+                             torus_setup)
 from gerbekit.trigform import TrigForm
+
+
+def det_sign(seq):
+    """Parity of the permutation sorting seq, as the determinant of its
+    permutation matrix; independent of the library's sign helpers."""
+    return round(np.linalg.det(np.eye(len(seq))[np.argsort(seq)]))
 
 
 def test_repeated_indices_vanish():
@@ -26,8 +32,9 @@ def test_alternating_data_is_alternating():
     cover = make_circle_cover(4, 0.55)
     rng = np.random.default_rng(1)
     om = random_alternating_cochain(rng, cover, 2, 1)
-    a = om.component((0, 1, 2))
-    b = om.component((1, 0, 2))
+    a = om.component((0, 1))
+    b = om.component((1, 0))
+    assert not a.is_zero()
     assert (a + b).max_abs() < 1e-14
 
 
@@ -42,14 +49,14 @@ def test_alternating_components_follow_permutation_signs():
             f = om.component(base)
             nonzero[r] += bool(f.terms)
             for perm in itertools.permutations(base):
-                assert om.component(perm).terms == (perm_sign(perm) * f).terms
+                assert om.component(perm).terms == (det_sign(perm) * f).terms
     assert all(nonzero.values())
     ints = 0
     for base in cover.supports(4):
         m = om.int_component(base)
         ints += bool(m)
         for perm in itertools.permutations(base):
-            assert om.int_component(perm) == perm_sign(perm) * m
+            assert om.int_component(perm) == det_sign(perm) * m
     assert ints
 
 

@@ -97,6 +97,18 @@ def test_cli_factor_weyl_is_one(capsys):
     assert abs(complex(out["value_re"], out["value_im"]) - 1) < 1e-12
 
 
+def test_cli_factor_reports_only_the_value(capsys):
+    # factor evaluates closed forms: no tolerance, no series terms
+    point = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]] * 16})
+    args = ["factor", "--family", "char", "--lattice", "e8e8",
+            "--element", json.dumps({"S": [1, 1, 0, 1]}), "--point", point]
+    assert cli.main(args) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"value_re", "value_im"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--tol", "1e-12"])
+    assert exc.value.code == 2
+
+
 def test_cli_holonomy_subcommand(tmp_path, capsys):
     import math
     from gerbekit.cochain import from_global_form

@@ -1,9 +1,18 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gerbekit.trigform import AffineTorusMap, TrigForm, nan_max
+from gerbekit.trigform import (AffineTorusMap, TrigForm, _axes_sign,
+                               _move_axes_to_end_sign, nan_max)
+
+
+def det_sign(seq):
+    """Parity of the permutation sorting seq, as the determinant of its
+    permutation matrix; independent of the library's sign helpers."""
+    return round(np.linalg.det(np.eye(len(seq))[np.argsort(seq)]))
 
 
 def rand_form(rng, amb, deg, terms=3):
@@ -121,3 +130,47 @@ def test_max_abs_propagates_nan():
     assert math.isnan(nan_max(0.0, math.nan))
     assert math.isnan(nan_max(math.nan, 0.0))
     assert nan_max(1.0, 2.0) == 2.0 and nan_max(2.0, 1.0) == 2.0
+
+
+def test_axes_sign_matches_permutation_matrix_determinant():
+    values = (1, 4, 5, 9, 12)
+    for n in range(len(values) + 1):
+        for perm in itertools.permutations(values[:n]):
+            assert _axes_sign(perm) == (values[:n], det_sign(perm))
+
+
+def test_axes_sign_rejects_repeats():
+    for axes in [(3, 3), (0, 2, 0), (4, 1, 2, 1), (5, 2, 7, 9, 7)]:
+        for perm in itertools.permutations(axes):
+            assert _axes_sign(perm) is None
+
+
+def test_move_axes_to_end_sign_matches_adjacent_swaps():
+    for n in range(6):
+        for axes in itertools.combinations((0, 2, 3, 6, 8, 9), n):
+            for k in range(n + 1):
+                for which in itertools.combinations(axes, k):
+                    # move each listed axis to the end by adjacent swaps
+                    seq, sign = list(axes), 1
+                    for a in which:
+                        i = seq.index(a)
+                        while i < len(seq) - 1:
+                            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                            sign, i = -sign, i + 1
+                    assert _move_axes_to_end_sign(axes, which) == sign
+
+
+@pytest.mark.parametrize("A", [[[2, 1], [1, 3]], [[0, 1], [1, 0]],
+                               [[1, -2], [3, 1]], [[1, 2], [2, 4]]])
+def test_pullback_of_area_form_is_determinant(A):
+    k, b = (2, -1), (0.3, 1.1)
+    f = TrigForm.monomial(2, k, (0, 1), 1.0)
+    pulled = f.pullback(AffineTorusMap(A, b))
+    det = round(np.linalg.det(np.array(A, dtype=float)))
+    want = det * cmath.exp(1j * (k[0] * b[0] + k[1] * b[1]))
+    new_k = tuple(int(v) for v in np.array(A).T @ np.array(k))
+    if det == 0:
+        assert pulled.terms == {}
+    else:
+        assert set(pulled.terms) == {(new_k, (0, 1))}
+        assert abs(pulled.terms[(new_k, (0, 1))] - want) < 1e-14
