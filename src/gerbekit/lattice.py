@@ -11,6 +11,7 @@ scale 2, which reproduces the identity 2 sum_i x_i(a) x_i(b) = <a, b>.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -28,32 +29,54 @@ class IntegralLattice:
         self.rank = len(self.basis)
         self.ambient = len(self.basis[0])
         self.scale = scale
-        g = [[scale * sum(a * b for a, b in zip(u, v)) for v in self.basis]
-             for u in self.basis]
-        self.gram_exact = g
-        if all(x.denominator == 1 for row in g for x in row):
-            self.gram = np.array([[int(x) for x in row] for row in g],
-                                 dtype=np.int64)
+        # basis = basis_num / den with integer entries, so the Gram is an
+        # integer matrix over den^2, summed with Python integers
+        self._den = math.lcm(*(x.denominator for row in self.basis for x in row))
+        self._basis_num = [[int(x * self._den) for x in row] for row in self.basis]
+        self._set_gram([[scale * sum(a * b for a, b in zip(u, v))
+                         for v in self._basis_num] for u in self._basis_num],
+                       self._den ** 2)
+
+    def _set_gram(self, num: List[List[int]], den: int) -> None:
+        """Gram = num / den for an integer matrix num."""
+        self.gram_exact = [[Fraction(x, den) for x in row] for row in num]
+        if all(x % den == 0 for row in num for x in row):
+            num, den = [[x // den for x in row] for row in num], 1
+        self._gram_num, self._gram_den = num, den
+        if den == 1:
+            self.gram = np.array(num, dtype=np.int64)
         else:
-            self.gram = np.array([[float(x) for x in row] for row in g])
+            self.gram = np.array([[float(x) for x in row]
+                                  for row in self.gram_exact])
+
+    @property
+    def integral(self) -> bool:
+        return self._gram_den == 1
 
     # -- pairing ----------------------------------------------------------
 
-    def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction:
-        g = self.gram_exact
-        return sum(int(u[i]) * g[i][j] * int(v[j])
-                   for i in range(self.rank) for j in range(self.rank))
+    def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction | int:
+        """<u, v>: a Python int for an integral Gram, else a Fraction."""
+        g = self._gram_num
+        total = sum(int(u[i]) * g[i][j] * int(v[j])
+                    for i in range(self.rank) for j in range(self.rank))
+        return total if self.integral else Fraction(total, self._gram_den)
 
-    def norm(self, v: Sequence[int]) -> Fraction:
+    def norm(self, v: Sequence[int]) -> Fraction | int:
         return self.inner(v, v)
 
     def coordinates(self, v: Sequence[int]) -> List[Fraction]:
         """Ambient coordinates of the lattice vector with basis coefficients v."""
-        out = [Fraction(0)] * self.ambient
-        for c, row in zip(v, self.basis):
+        return [Fraction(x, self._den) for x in self._numerators(v)]
+
+    def _numerators(self, v: Sequence[int]) -> List[int]:
+        """den * coordinates(v), in integers."""
+        num = [0] * self.ambient
+        for c, row in zip(v, self._basis_num):
+            c = int(c)
             for a in range(self.ambient):
-                out[a] += int(c) * row[a]
-        return out
+                num[a] += c * row[a]
+        return num
 
     # -- structural checks ------------------------------------------------
 
@@ -149,65 +172,114 @@ def builtin(name: str) -> IntegralLattice:
     raise ValueError(f"unknown lattice name: {name}")
 
 
+@functools.lru_cache(maxsize=None)
+def shared_builtin(name: str) -> IntegralLattice:
+    """builtin(name), built once per process and shared: do not modify it."""
+    return builtin(name)
+
+
 def from_gram(name: str, gram: Sequence[Sequence[int]]) -> IntegralLattice:
     """Lattice from an integer Gram matrix (basis = Cholesky factor rows)."""
     g = np.array(gram, dtype=float)
     L = np.linalg.cholesky(g)
     rows = [[Fraction(x).limit_denominator(10 ** 12) for x in row] for row in L]
     lat = IntegralLattice(name, rows)
-    lat.gram_exact = [[Fraction(int(x)) for x in row] for row in gram]
-    lat.gram = np.array(gram, dtype=np.int64)
+    lat._set_gram([[int(x) for x in row] for row in gram], 1)
     return lat
 
 
 # ---------------------------------------------------------------------------
-# enumeration (Fincke-Pohst: bounded recursive search on the Cholesky factor)
+# enumeration (Fincke-Pohst, Math. Comp. 44 (1985), on the Cholesky factor)
+
+# frontier rows expanded at a time; bounds the enumeration's working memory
+BLOCK_ROWS = 1 << 14
 
 
-def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int, ...]]]:
-    """All lattice vectors with <v,v> <= max_norm, grouped by exact norm.
+def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray]:
+    """(norms, rows) of every lattice vector with <v,v> <= max_norm.
 
-    Returns {norm: [coefficient tuples]} with norms ascending; closed under
-    negation; the zero vector sits at norm 0.
+    rows holds basis coefficients, one vector per row, sorted by exact
+    norm (the int64 array norms) and then lexicographically, so the zero
+    vector comes first.  A breadth-first frontier of partial vectors
+    (coordinates n-1 .. i fixed) is expanded one coordinate at a time, at
+    most BLOCK_ROWS children at a time.
     """
     g = np.array([[float(x) for x in row] for row in L.gram_exact])
     n = L.rank
     R = np.linalg.cholesky(g).T          # upper triangular, g = R^T R
     bound = float(max_norm) + 1e-9
-    out: Dict[int, List[Tuple[int, ...]]] = {}
-    x = [0] * n
-    integral = L.gram.dtype == np.int64
-    gi = L.gram if integral else None
-
-    def rec(i: int, partial: np.ndarray, remaining: float):
-        # partial: accumulated R @ x contributions for coords > i
+    # |x_i| <= sqrt(bound (g^-1)_ii) on the ellipsoid
+    reach = np.sqrt(bound * np.diag(np.linalg.inv(g))).max() + 2
+    dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
+    # a block: (coordinate i, rows, partial R @ x over coordinates <= i,
+    # remaining norm budget)
+    stack = [(n - 1, np.zeros((1, n), dtype), np.zeros((1, n)),
+              np.array([bound]))]
+    leaves = []
+    while stack:
+        i, X, P, rem = stack.pop()
         if i < 0:
-            v = tuple(x)
-            if integral:
-                xv = np.array(v, dtype=np.int64)
-                nrm = Fraction(int(xv @ gi @ xv))
+            if L.integral:
+                X64 = X.astype(np.int64)
+                norms = np.einsum("ij,ij->i", X64 @ L.gram, X64)
+                keep = norms <= max_norm
             else:
-                nrm = L.norm(v)
-            if nrm <= max_norm and nrm.denominator == 1:
-                out.setdefault(int(nrm), []).append(v)
-            return
+                exact = [L.norm(v) for v in X.tolist()]
+                norms = np.array([int(q) for q in exact], dtype=np.int64)
+                keep = np.array([q.denominator == 1 and q <= max_norm
+                                 for q in exact], dtype=bool)
+            leaves.append((X[keep], norms[keep]))
+            continue
         rii = R[i, i]
-        center = -partial[i] / rii
-        radius = math.sqrt(max(remaining, 0.0)) / rii
-        lo = math.ceil(center - radius - 1e-9)
-        hi = math.floor(center + radius + 1e-9)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            t = rii * (xi - center)
-            rec(i - 1, partial + xi * R[:, i], remaining - t * t)
-        x[i] = 0
+        center = -P[:, i] / rii
+        radius = np.sqrt(np.maximum(rem, 0.0)) / rii
+        lo = np.ceil(center - radius - 1e-9)
+        hi = np.floor(center + radius + 1e-9)
+        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        total = int(counts.sum())
+        if total > BLOCK_ROWS and len(X) > 1:
+            h = len(X) // 2
+            stack.append((i, X[h:], P[h:], rem[h:]))
+            stack.append((i, X[:h], P[:h], rem[:h]))
+            continue
+        parent = np.repeat(np.arange(len(X)), counts)
+        first = np.cumsum(counts) - counts
+        xi = lo[parent] + (np.arange(total) - first[parent])
+        t = rii * (xi - center[parent])
+        X = X[parent]
+        X[:, i] = xi
+        # only the partial sums of the coordinates still open are kept
+        stack.append((i - 1, X, P[parent, :i] + xi[:, None] * R[:i, i],
+                      rem[parent] - t * t))
+    X = np.concatenate([x for x, _ in leaves])
+    norms = np.concatenate([nrm for _, nrm in leaves])
+    del leaves                           # free the blocks before sorting
+    order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
+    return norms[order], X[order]
 
-    rec(n - 1, np.zeros(n), bound)
-    return {k: sorted(out[k]) for k in sorted(out)}
+
+def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int, ...]]]:
+    """All lattice vectors with <v,v> <= max_norm, grouped by exact norm.
+
+    Returns {norm: [coefficient tuples]} with norms ascending and the
+    tuples in lexicographic order; closed under negation; the zero vector
+    sits at norm 0.
+    """
+    norms, X = _sorted_shells(L, max_norm)
+    keys, first = np.unique(norms, return_index=True)
+    rows = [tuple(r) for r in X.tolist()]
+    first = first.tolist()
+    return {k: rows[a:b]
+            for k, a, b in zip(keys.tolist(), first, first[1:] + [len(rows)])}
+
+
+def _root_rows(L: IntegralLattice) -> np.ndarray:
+    norms, X = _sorted_shells(L, 2)
+    return X[norms == 2]
 
 
 def roots(L: IntegralLattice) -> List[Tuple[int, ...]]:
-    return enumerate_by_norm(L, 2).get(2, [])
+    return [tuple(r) for r in _root_rows(L).tolist()]
 
 
 def reflect(L: IntegralLattice, root: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
@@ -226,7 +298,7 @@ def coxeter_from_roots(L: IntegralLattice):
 
     Raises if the ratios disagree (reducible lattice).
     """
-    rs = np.array(roots(L), dtype=np.int64)
+    rs = _root_rows(L).astype(np.int64)
     G = L.gram.astype(np.int64)
     gr = rs @ G                       # rows <r, e_j>
     M = gr.T @ gr                     # sum_r <r,e_i><r,e_j>
@@ -255,28 +327,24 @@ def spin16_embedding(v: Sequence[int]) -> Tuple[int, ...]:
     Input in spin16_coroot basis coefficients; output in e8 basis
     coefficients.  Raises if the image is not an e8 vector.
     """
-    src = builtin("spin16_coroot")
-    tgt = builtin("e8")
-    x = src.coordinates(v)
-    image = [2 * c for c in x]
-    return _in_basis(tgt, image)
+    image = [2 * c for c in shared_builtin("spin16_coroot").coordinates(v)]
+    return _in_basis(shared_builtin("e8"), image)
 
 
 def _in_basis(L: IntegralLattice, ambient_coords: Sequence[Fraction]) -> Tuple[int, ...]:
     """Solve integer basis coefficients for a point in the ambient space."""
-    B = np.array([[float(x) for x in row] for row in L.basis]).T
-    y = np.array([float(c) for c in ambient_coords])
-    sol = np.linalg.solve(B, y)
+    target = [Fraction(c) * L._den for c in ambient_coords]
+    sol = np.linalg.solve(np.array(L._basis_num, dtype=float).T,
+                          np.array([float(t) for t in target]))
     coeffs = tuple(int(round(s)) for s in sol)
-    back = L.coordinates(coeffs)
-    if any(b != c for b, c in zip(back, ambient_coords)):
+    if L._numerators(coeffs) != target:
         raise ValueError("vector is not in the target lattice")
     return coeffs
 
 
 def spin16_first_series() -> List[Tuple[int, ...]]:
     """The 112 coroots (1/2)(+-x_i+-x_j), i<j, in basis coefficients."""
-    src = builtin("spin16_coroot")
+    src = shared_builtin("spin16_coroot")
     out = []
     for i in range(8):
         for j in range(i + 1, 8):
@@ -338,4 +406,5 @@ def anomaly_exponents(case: str) -> Tuple[int, int, int, int]:
 
 def theta_counts(L: IntegralLattice, max_norm: int) -> Dict[int, int]:
     """Vector counts per norm (the theta-series coefficients)."""
-    return {k: len(v) for k, v in enumerate_by_norm(L, max_norm).items()}
+    keys, counts = np.unique(_sorted_shells(L, max_norm)[0], return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))

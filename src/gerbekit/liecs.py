@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .trigform import TrigForm, _d_terms, _wedge_terms, nan_max
+from .trigform import TrigForm, _axes_sign, _d_terms, _wedge_terms, nan_max
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -46,6 +46,15 @@ class LieValuedForm:
                     raise ValueError("axes length != degree")
                 if any(not (0 <= a < ambient_dim) for a in key[1]):
                     raise ValueError("axis out of range")
+                # X dx_I in normal form: sorted axes, the sort's sign on X,
+                # and a repeated axis makes the term zero
+                ss = _axes_sign(key[1])
+                if ss is None:
+                    continue
+                axes, sign = ss
+                key = (key[0], axes)
+                if sign < 0:
+                    X = -X
                 if key in clean:
                     clean[key] = clean[key] + X
                 else:

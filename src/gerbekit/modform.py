@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import IntegralLattice, builtin, enumerate_by_norm
+from .lattice import (BLOCK_ROWS, IntegralLattice, _sorted_shells, builtin,
+                      shared_builtin)
 
 TAU_MIN = 0.05
 TWO_PI_I = 2j * math.pi
@@ -168,28 +169,46 @@ def _ambient_z(L: IntegralLattice, z: Sequence[complex]) -> List[complex]:
     return out
 
 
+# built-in lattices whose theta series factors over cosets, by rank
+_COSET_BUILTINS = {"e8": 8, "d16plus": 16, "e8e8": 16}
+
+
+def _coset_builtin(L: IntegralLattice) -> Optional[IntegralLattice]:
+    """The coset-factorizable built-in with L's Gram matrix, if any."""
+    for name, rank in _COSET_BUILTINS.items():
+        if rank == L.rank:
+            ref = shared_builtin(name)
+            if np.array_equal(ref.gram, L.gram):
+                return ref
+    return None
+
+
 def _theta_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex],
                       tol: float = 1e-12) -> Tuple[complex, int]:
     _check_tau(tau)
     z = list(z)
     if len(z) != L.rank:
         raise ValueError(f"z needs {L.rank} coordinates, got {len(z)}")
-    if L.name in ("e8", "d16plus"):
-        return _theta_dn_plus(tau, _ambient_z(L, z), tol)
-    if L.name == "e8e8":
-        w = _ambient_z(L, z)
+    ref = _coset_builtin(L)
+    if ref is None:
+        return _theta_enum(L, tau, z, tol)
+    # equal Grams: the sums over basis coefficients agree term by term, so
+    # z maps to ambient coordinates through the built-in's basis
+    w = _ambient_z(ref, z)
+    if ref.name == "e8e8":
         t1, n1 = _theta_dn_plus(tau, w[:8], tol)
         t2, n2 = _theta_dn_plus(tau, w[8:], tol)
         return t1 * t2, n1 + n2
-    return _theta_enum(L, tau, z, tol)
+    return _theta_dn_plus(tau, w, tol)
 
 
 def theta_lattice(L: IntegralLattice, tau: complex, z: Sequence[complex],
                   tol: float = 1e-12) -> complex:
     """Theta_Lambda(tau, z) = sum_gamma e^{pi i (2 (z, gamma) + tau (gamma, gamma))}.
 
-    z in lattice-basis coordinates; built-in even unimodular lattices use a
-    per-coordinate coset factorization, others a bounded enumeration.
+    z in lattice-basis coordinates; a lattice with the Gram matrix of a
+    built-in even unimodular lattice uses a per-coordinate coset
+    factorization, others a bounded enumeration.
     """
     return _theta_with_terms(L, tau, z, tol)[0]
 
@@ -221,16 +240,20 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
                 f"enumeration cutoff {R} exceeds budget {ENUM_NORM_BUDGET}; "
                 "reduce |Im z| or increase Im tau")
         max_norm = R
-    shells = enumerate_by_norm(L, max_norm)
+    norms, X = _sorted_shells(L, max_norm)
     total = 0j
-    terms = 0
-    for nrm, vecs in shells.items():
-        for g in vecs:
-            gv = np.array(g, dtype=float)
-            pair = complex(zv @ (G @ gv))
-            total += cmath.exp(PI_I * (2 * pair + tau * nrm))
-            terms += 1
-    return total, terms
+    for start in range(0, len(X), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        Gg = (X[block] @ G).astype(complex)
+        # a stack of (1 x n) @ (n x 1) products runs numpy's vector dot per
+        # row, bit for bit zv @ (G @ g); a matrix-vector product sums the
+        # n products in another order and moves the last digits
+        pair = np.matmul(zv, Gg[:, :, None])[:, 0]
+        terms = np.exp(PI_I * (2 * pair + tau * norms[block]))
+        # cumsum adds strictly left to right (np.sum would add pairwise), so
+        # the terms are summed in shell order one at a time
+        total = np.cumsum(np.concatenate(([total], terms)))[-1]
+    return complex(total), len(X)
 
 
 def theta_lattice_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],

@@ -1,13 +1,18 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gerbekit import modform
 from gerbekit.lattice import (IntegralLattice, anomaly_exponents, builtin,
-                              coxeter_from_roots, enumerate_by_norm, reflect,
-                              roots, spin16_embedding, spin16_first_series,
-                              theta_counts, weight_identity_check,
-                              weyl_index_arithmetic)
+                              coxeter_from_roots, enumerate_by_norm, from_gram,
+                              reflect, roots, spin16_embedding,
+                              spin16_first_series, theta_counts,
+                              weight_identity_check, weyl_index_arithmetic)
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +121,87 @@ def test_from_gram_roundtrip():
     L = from_gram("a2", [[2, -1], [-1, 2]])
     assert L.determinant() == 3
     assert len(roots(L)) == 6
+
+
+def test_e8_shells_are_240_sigma3(e8):
+    # Theta_E8 = E4 = 1 + 240 sum_m sigma_3(m) q^m, and norm 2m sits at q^m
+    counts = theta_counts(e8, 14)
+    for m in range(1, 8):
+        sigma3 = sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+        assert counts[2 * m] == 240 * sigma3
+    assert sorted(counts) == list(range(0, 15, 2))
+
+
+def brute_force_shells(gram, max_norm):
+    """Every x in the bounding box of the ellipsoid x G x <= max_norm."""
+    g = np.array(gram, dtype=float)
+    box = [int(math.sqrt(max_norm * c)) + 1 for c in np.diag(np.linalg.inv(g))]
+    out = {}
+    for x in itertools.product(*(range(-b, b + 1) for b in box)):
+        nrm = sum(x[i] * gram[i][j] * x[j]
+                  for i in range(len(x)) for j in range(len(x)))
+        if nrm <= max_norm:
+            out.setdefault(nrm, []).append(x)
+    return {k: sorted(out[k]) for k in sorted(out)}
+
+
+@st.composite
+def small_grams(draw):
+    """G = M M^T + D for M lower triangular with a nonzero diagonal."""
+    n = draw(st.integers(1, 4))
+    M = [[draw(st.integers(-2, 2)) if j < i
+          else draw(st.sampled_from([-2, -1, 1, 2])) if j == i else 0
+          for j in range(n)] for i in range(n)]
+    D = [draw(st.integers(0, 2)) for _ in range(n)]
+    return [[sum(M[i][k] * M[j][k] for k in range(n)) + (D[i] if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_grams(), st.integers(0, 9))
+def test_enumeration_matches_brute_force(gram, max_norm):
+    g = np.array(gram, dtype=float)
+    box = np.prod([2 * int(math.sqrt(max_norm * c)) + 3
+                   for c in np.diag(np.linalg.inv(g))])
+    assume(box <= 20000)
+    shells = enumerate_by_norm(from_gram("g", gram), max_norm)
+    assert shells == brute_force_shells(gram, max_norm)
+    assert list(shells) == sorted(shells)
+    for vecs in shells.values():
+        s = set(vecs)
+        assert all(tuple(-x for x in v) in s for v in vecs)
+
+
+def test_enumeration_keeps_coefficients_beyond_int16():
+    # x G x = (x0 + 1000 x1)^2 + x1^2: a unimodular copy of Z^2 whose short
+    # vectors have first coefficients past 2^15
+    L = from_gram("skew", [[1, 1000], [1000, 1000001]])
+    shells = enumerate_by_norm(L, 1200)
+    square = enumerate_by_norm(from_gram("z2", [[1, 0], [0, 1]]), 1200)
+    assert {k: len(v) for k, v in shells.items()} == {
+        k: len(v) for k, v in square.items()}
+    assert max(abs(v[0]) for vecs in shells.values() for v in vecs) > 2 ** 15
+    assert all(L.norm(v) == k for k, vecs in shells.items() for v in vecs)
+
+
+@pytest.mark.parametrize("name", ["e8e8", "d16plus"])
+def test_modform_constants_follow_from_the_roots(name):
+    L = builtin(name)
+    n_roots = len(roots(L))
+    assert modform.ADJOINT_DIMENSION == n_roots + L.rank
+    assert modform.COXETER_EXPONENT * L.rank == n_roots
+
+
+def test_integer_gram_pairing_matches_the_exact_gram(e8, d16):
+    rng = np.random.default_rng(4)
+    for L in (e8, d16, builtin("spin16_coroot")):
+        for _ in range(10):
+            u, v = (tuple(int(x) for x in rng.integers(-3, 4, size=L.rank))
+                    for _ in range(2))
+            ref = sum(u[i] * L.gram_exact[i][j] * v[j]
+                      for i in range(L.rank) for j in range(L.rank))
+            assert L.inner(u, v) == ref
+            x = L.coordinates(u)
+            assert all(isinstance(c, Fraction) for c in x)
+            assert x == [sum(c * row[a] for c, row in zip(u, L.basis))
+                         for a in range(L.ambient)]

@@ -110,3 +110,37 @@ def test_nan_coefficient_is_kept_and_propagates():
 def test_lie_form_rejects_malformed_keys(freq, axes, message):
     with pytest.raises(ValueError, match=message):
         liecs.LieValuedForm(3, 1, 2, {(freq, axes): liecs.su2_basis()[0]})
+
+
+def _x():
+    return liecs.su2_basis()[0]
+
+
+def test_lie_form_axes_in_either_order_cancel():
+    X = _x()
+    f = liecs.LieValuedForm(2, 2, 2, {((0, 0), (0, 1)): X,
+                                      ((0, 0), (1, 0)): X})
+    assert f.terms == {}
+    assert f.max_abs() == 0.0
+    assert f.is_zero()
+
+
+def test_lie_form_repeated_axis_is_zero():
+    f = liecs.LieValuedForm(2, 2, 2, {((1, 0), (0, 0)): _x()})
+    assert f.terms == {}
+
+
+def test_lie_form_sorts_axes_with_their_sign():
+    X = _x()
+    f = liecs.LieValuedForm(3, 3, 2, {((1, 0, 2), (2, 0, 1)): X,
+                                      ((0, 1, 0), (1, 0, 2)): X})
+    assert set(f.terms) == {((1, 0, 2), (0, 1, 2)), ((0, 1, 0), (0, 1, 2))}
+    assert np.array_equal(f.terms[((1, 0, 2), (0, 1, 2))], X)    # even
+    assert np.array_equal(f.terms[((0, 1, 0), (0, 1, 2))], -X)   # odd
+    rng = np.random.default_rng(0)
+    x, vecs = rng.random(3), rng.normal(size=(3, 3))
+    ref = sum(np.exp(1j * np.dot(k, x))
+              * np.linalg.det(np.array([[v[a] for a in axes] for v in vecs]))
+              * X for k, axes in (((1, 0, 2), (2, 0, 1)),
+                                  ((0, 1, 0), (1, 0, 2))))
+    assert np.allclose(f.evaluate(x, vecs), ref, atol=1e-14)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gerbekit import cli
-from gerbekit.lattice import builtin, roots
-from gerbekit.modform import (AutomorphyFamily, GroupElement, ModuliPoint,
-                              act, character, cocycle_defect, det_section,
-                              eta, eta_multiplier, factor,
+from gerbekit.lattice import builtin, enumerate_by_norm, from_gram, roots
+from gerbekit.modform import (PI_I, AutomorphyFamily, GroupElement,
+                              ModuliPoint, _theta_with_terms, act, character,
+                              cocycle_defect, det_section, eta,
+                              eta_multiplier, factor,
                               measure_extra_multiplier, reflection_element,
                               theta1, theta_lattice, theta_lattice_enum,
                               transform_defect)
@@ -178,6 +179,46 @@ def test_theta_d16_against_enumeration():
     got = theta_lattice(d16, 1.9j, z)
     ref = theta_lattice_enum(d16, 1.9j, z, max_norm=4)
     assert abs(got - ref) < 1e-8
+
+
+def theta_enum_term_by_term(L, tau, z, max_norm):
+    """The enumeration sum one vector at a time, in shell order."""
+    G = np.array([[float(x) for x in row] for row in L.gram_exact])
+    zv = np.array(z, dtype=complex)
+    zv = zv - np.round(zv.real)
+    total = 0j
+    for nrm, vecs in enumerate_by_norm(L, max_norm).items():
+        for g in vecs:
+            pair = complex(zv @ (G @ np.array(g, dtype=float)))
+            total += cmath.exp(PI_I * (2 * pair + tau * nrm))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_theta_enum_is_bit_identical_to_the_term_by_term_sum(e8, seed):
+    # real z, as in the modular suite's theta_vs_enumeration check
+    z = list(0.3 * np.random.default_rng(seed).random(8))
+    assert (theta_lattice_enum(e8, 1.5j, z, max_norm=8)
+            == theta_enum_term_by_term(e8, 1.5j, z, 8))
+
+
+def test_theta_fast_path_needs_the_builtin_gram():
+    # an A2 lattice named "e8" is summed, not factored over E8's cosets
+    a2 = from_gram("e8", [[2, -1], [-1, 2]])
+    got = theta_lattice(a2, 1.2j, [0, 0])
+    assert abs(got - 1.0032) < 1e-4
+    assert got == theta_lattice_enum(a2, 1.2j, [0, 0])
+
+
+@pytest.mark.parametrize("name", ["e8", "d16plus", "e8e8"])
+def test_theta_fast_path_follows_the_gram_not_the_name(name):
+    ref = builtin(name)
+    copy = from_gram("renamed", ref.gram.tolist())
+    rng = np.random.default_rng(5)
+    z = list(0.2 * rng.random(ref.rank) + 0.1j * rng.random(ref.rank))
+    assert _theta_with_terms(copy, 1.3j, z) == _theta_with_terms(ref, 1.3j, z)
+    if name == "e8":
+        assert _theta_with_terms(copy, 1.3j, z)[1] == 144
 
 
 def test_character_e8_quotient_has_dimension_coefficient(e8):

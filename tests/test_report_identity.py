@@ -1,11 +1,13 @@
-"""Pinned digests of the verify reports of the double-complex suites.
+"""Pinned digests of the verify reports of the double-complex suites and of
+the lattice and modular suites.
 
-A refactor of the term kernels or the cochain operators must leave every
-reported defect bit for bit the same; these SHA-256 digests of
-`json.dumps(report.to_json(), indent=1)` fail on any change in a check's
-name, defect or verdict.  They were recorded with CPython 3.11 and numpy 2
-on x86-64; a different floating-point library may legitimately move a last
-digit, in which case re-record them from the unchanged code first.
+A refactor of the term kernels, the cochain operators or the lattice
+enumeration must leave every reported defect bit for bit the same; these
+SHA-256 digests of `json.dumps(report.to_json(), indent=1)` fail on any
+change in a check's name, defect or verdict.  They were recorded with
+CPython 3.11 and numpy 2 on x86-64; a different floating-point library may
+legitimately move a last digit, in which case re-record them from the
+unchanged code first.
 """
 
 import hashlib
@@ -26,6 +28,10 @@ PINNED = [
     ("holonomy", 3, 1, "faf5219ffd6f97e4fac0cc1d8692a160c58f52618524233969a1d5057775d786"),
     ("crossmodule", 3, 1, "d6e5d551864d192a3f76871835ccf15a1cf97415ddac2dc1e19670747bd3dba7"),
     ("pushforward", 1, 1, "6b78ba9cb59f1ce167bbbdd49b257e87669b58f6242ef97b5da8df8c6675f057"),
+    ("lattice", 1, 0, "b9323ca76ead1cace9bbd87219d3dad9c603807c35a740af81ca70cc3d159526"),
+    ("modular", 20, 0, "02bab57a418ce0745dd55eeebda98b9da66056983fb075faa773ae522a8c7910"),
+    ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
+    ("modular", 20, 1, "3a9f16b508bc0549ef3a3ff705ae38df26f96aa987916eadc2c82afc6c9d47bf"),
 ]
 
 
