@@ -20,8 +20,7 @@ from .fiberint import pushforward, pushforward_commutes_defect
 from .holonomy import holonomy, holonomy_phase
 from .lattice import builtin, enumerate_by_norm
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
-                      character, factor, _eta_with_terms, _theta1_with_terms,
-                      _theta_with_terms)
+                      factor, _character_with_terms, _theta_with_terms)
 from .suites import SUITES
 
 DEFAULT_TRIALS = {"cochain": 50, "holonomy": 20, "pushforward": 20,
@@ -61,6 +60,13 @@ def run_suite(name: str, trials: int, seed: int, tol: float) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers
+
+
+def non_negative_int(s: str) -> int:
+    value = int(s)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def parse_complex(s: str) -> complex:
@@ -148,11 +154,9 @@ def cmd_character(args) -> int:
     L = builtin(args.lattice)
     tau = parse_complex(args.tau)
     z = parse_z(args.z, L.rank)
-    val = character(L, tau, z, args.tol)
-    _, terms = _theta_with_terms(L, tau, z, args.tol)
-    _, eterms = _eta_with_terms(tau, args.tol)
+    val, terms = _character_with_terms(L, tau, z, args.tol)
     emit({"value_re": val.real, "value_im": val.imag,
-          "tol_used": args.tol, "terms_summed": terms + eterms})
+          "tol_used": args.tol, "terms_summed": terms})
     return 0
 
 
@@ -231,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True,
                    choices=sorted(SUITES) + ["all"])
-    v.add_argument("--trials", type=int, default=0,
+    v.add_argument("--trials", type=non_negative_int, default=0,
                    help="0 = per-suite default")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-8)
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     la = sub.add_parser("lattice", help="enumerate lattice shells")
     la.add_argument("--name", required=True)
-    la.add_argument("--enumerate-norm", type=int, default=4)
+    la.add_argument("--enumerate-norm", type=non_negative_int, default=4)
     la.set_defaults(func=cmd_lattice)
     return p
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class Cover:
         self.cover_id = ""      # set by serialize.cover_from_id
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
-        self._adjacency = None
+        self._meets: Dict[FrozenSet[int], bool] = {}
 
     def __len__(self):
         return len(self.pieces)
@@ -141,12 +141,25 @@ class Cover:
         return range(len(self.pieces))
 
     def intersection_nonempty(self, idx: Sequence[int]) -> bool:
-        idx = tuple(idx)
-        for axis in range(self.factors):
-            arcs = [self.pieces[i][axis] for i in set(idx)]
-            if not _arcs_intersection(arcs):
-                return False
-        return True
+        """Do the pieces named by idx have a common point?
+
+        A product cover asks its factor covers about the projected index
+        sets, since boxes meet exactly when every factor of them does; the
+        factors' answers repeat, so the circle covers memoise theirs per
+        index set (a product's own questions do not repeat in `supports`).
+        """
+        if hasattr(self, "factor_covers"):
+            a, b = self.factor_covers
+            nb = self.block_sizes[1]
+            return (a.intersection_nonempty({i // nb for i in idx})
+                    and b.intersection_nonempty({i % nb for i in idx}))
+        key = frozenset(idx)
+        got = self._meets.get(key)
+        if got is None:
+            got = self._meets[key] = all(
+                _arcs_intersection([self.pieces[i][axis] for i in key])
+                for axis in range(self.factors))
+        return got
 
     def supports(self, size: int) -> List[Tuple[int, ...]]:
         """Sorted index sets of the given size with a common point.
@@ -157,22 +170,13 @@ class Cover:
         if size in self._support_cache:
             return self._support_cache[size]
         n = len(self.pieces)
-        if self._adjacency is None:
-            adj = [[False] * n for _ in range(n)]
-            for i in range(n):
-                adj[i][i] = True
-                for j in range(i + 1, n):
-                    adj[i][j] = adj[j][i] = self.intersection_nonempty((i, j))
-            self._adjacency = adj
-        adj = self._adjacency
         if size == 1:
             out = [(i,) for i in range(n)]
         else:
             out = []
             for s in self.supports(size - 1):
                 for j in range(s[-1] + 1, n):
-                    if all(adj[i][j] for i in s) and \
-                            self.intersection_nonempty(s + (j,)):
+                    if self.intersection_nonempty(s + (j,)):
                         out.append(s + (j,))
         self._support_cache[size] = out
         return out
@@ -218,9 +222,6 @@ class Subordination:
             for j, i in enumerate(self.index_map):
                 if not target.piece_contains_box(i, source.pieces[j]):
                     raise ValueError(f"V_{j} not contained in U_{i}")
-
-    def __call__(self, j: int) -> int:
-        return self.index_map[j]
 
 
 def make_circle_cover(N: int, overlap: float) -> Cover:
@@ -335,12 +336,6 @@ class DualCellDecomposition:
         self.dim = dim
         self.top_cells = list(top_cells)
         self.faces = faces  # faces[1][(i,)] = top_cells[i]
-
-    def face(self, idx: Tuple[int, ...]):
-        return self.faces[len(idx)].get(tuple(idx))
-
-    def multi_indices(self, k: int):
-        return self.faces.get(k, {}).keys()
 
 
 def make_circle_decomposition(N: int) -> DualCellDecomposition:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cochain import DiffCochain, signed_sum, total_d
+from .cochain import DiffCochain, Level, signed_sum, total_d
 from .covers import Cover, DualCellDecomposition, product_index
 from .trigform import TrigForm, _integrate_monomial, _move_axes_to_end_sign
 
@@ -72,16 +72,10 @@ def _path_sum(lookup, cover, a_idx: Sequence[int], b_idx: Sequence[int],
 
 def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
                   b_idx: Sequence[int]) -> TrigForm:
-    """The signed path sum as a mixed form on the product torus."""
+    """The signed path sum as a mixed form on the product torus (form rows)."""
     deg = omega.degree + 2 - len(a_idx) - len(b_idx)
     return _path_sum(omega.component, omega.cover, a_idx, b_idx,
                      TrigForm.zero(omega.ambient_dim, max(deg, 0)))
-
-
-def t_symbol_int(omega: DiffCochain, a_idx: Sequence[int],
-                 b_idx: Sequence[int]) -> int:
-    """The signed path sum on the integer row."""
-    return _path_sum(omega.int_component, omega.cover, a_idx, b_idx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,16 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
     T = H.fiber_integrate_global(fiber_axes)
     m = n - d
 
-    def comp(a_idx: Idx) -> TrigForm:
+    def comp(a_idx: Idx) -> Level:
+        if len(a_idx) == m + 2:
+            # integer row: only the point layer k = d+1 contributes
+            sgn = 1 if ((m + 1) * d) % 2 == 0 else -1
+            total = 0
+            for cell_idx, cell in dec.faces.get(d + 1, {}).items():
+                b_idx = tuple(rho[i] for i in cell_idx)
+                total += cell.sign * _path_sum(omega.component, cover,
+                                               a_idx, b_idx, 0)
+            return sgn * total
         deg = m - (len(a_idx) - 1)
         total = TrigForm.zero(n_base, max(deg, 0))
         for k in range(1, d + 2):
@@ -150,17 +153,8 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
             total = total + sgn * layer
         return total
 
-    def icomp(a_idx: Idx) -> int:
-        # bottom row: only the point layer k = d+1 contributes
-        sgn = 1 if ((m + 1) * d) % 2 == 0 else -1
-        total = 0
-        for cell_idx, cell in dec.faces.get(d + 1, {}).items():
-            b_idx = tuple(rho[i] for i in cell_idx)
-            total += cell.sign * t_symbol_int(omega, a_idx, b_idx)
-        return sgn * total
-
     return DiffCochain(m, x_cover, field_strength=T, ambient_dim=n_base,
-                       component_fn=comp, int_component_fn=icomp)
+                       component_fn=comp)
 
 
 def pushforward_commutes_defect(omega: DiffCochain, dec: DualCellDecomposition,
@@ -193,12 +187,23 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
         return (tuple(rho[i] for i in cell_idx[:t]) +
                 tuple(rho2[i] for i in cell_idx[t - 1:]))
 
-    def comp(a_idx: Idx) -> TrigForm:
+    def comp(a_idx: Idx) -> Level:
         r = len(a_idx)
+        if r == m + 1:
+            # integer row: only the point layer k = d+1 contributes
+            k = d + 1
+            sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
+            total = 0
+            for cell_idx, cell in dec.faces.get(k, {}).items():
+                inner = signed_sum(
+                    0, ((t % 2, _path_sum(omega.component, cover, a_idx,
+                                          mixed_b(cell_idx, t), 0))
+                        for t in range(1, k + 1)))
+                total += cell.sign * inner
+            return sgn * total
         deg = (m - 1) - (r - 1)
         total = TrigForm.zero(n_base, max(deg, 0))
-        ks = range(1, d + 2) if r <= m else (d + 1,)
-        for k in ks:
+        for k in range(1, d + 2):
             sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
             layer = TrigForm.zero(n_base, max(deg, 0))
             for cell_idx, cell in dec.faces.get(k, {}).items():
@@ -212,21 +217,9 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
             total = total + sgn * layer
         return total
 
-    def icomp(a_idx: Idx) -> int:
-        k = d + 1
-        sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
-        total = 0
-        for cell_idx, cell in dec.faces.get(k, {}).items():
-            inner = signed_sum(
-                0, ((t % 2, t_symbol_int(omega, a_idx, mixed_b(cell_idx, t)))
-                    for t in range(1, k + 1)))
-            total += cell.sign * inner
-        return sgn * total
-
     return DiffCochain(m - 1, x_cover,
                        field_strength=TrigForm.zero(n_base, min(m, n_base)),
-                       ambient_dim=n_base,
-                       component_fn=comp, int_component_fn=icomp)
+                       ambient_dim=n_base, component_fn=comp)
 
 
 def homotopy_residual(omega: DiffCochain, dec: DualCellDecomposition,

@@ -262,12 +262,19 @@ def theta_lattice_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
     return _theta_enum(L, tau, z, tol, max_norm)[0]
 
 
+def _character_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex],
+                          tol: float = 1e-12) -> Tuple[complex, int]:
+    if L.rank != 16:
+        raise ValueError("character needs a rank-16 lattice")
+    theta, terms = _theta_with_terms(L, tau, z, tol)
+    e, eterms = _eta_with_terms(tau, tol)
+    return theta / e ** 16, terms + eterms
+
+
 def character(L: IntegralLattice, tau: complex, z: Sequence[complex],
               tol: float = 1e-12) -> complex:
     """The rank-16 character B = Theta_Lambda / eta^16."""
-    if L.rank != 16:
-        raise ValueError("character needs a rank-16 lattice")
-    return theta_lattice(L, tau, z, tol) / eta(tau, tol) ** 16
+    return _character_with_terms(L, tau, z, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,22 +48,42 @@ def decomposition_from_id(dec_id: str) -> DualCellDecomposition:
     raise ValueError(f"unknown decomposition id: {dec_id}")
 
 
+def _field(rec, key: str, kind, where: str):
+    """rec[key], which must exist and be of type `kind` (a bool is no int)."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in rec:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = rec[key]
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} has the wrong type "
+                         f"({type(value).__name__})")
+    return value
+
+
 def _form_record(f: TrigForm) -> Dict:
     return {"ambient_dim": f.ambient_dim, "degree": f.degree,
             "terms": f.to_records()}
 
 
-def _form_from_record(rec: Dict) -> TrigForm:
-    return TrigForm.from_records(rec["ambient_dim"], rec["degree"],
-                                 rec["terms"])
+def _form_from_record(rec, where: str) -> TrigForm:
+    ambient_dim = _field(rec, "ambient_dim", int, where)
+    degree = _field(rec, "degree", int, where)
+    terms = _field(rec, "terms", list, where)
+    try:
+        return TrigForm.from_records(ambient_dim, degree, terms)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{where}: malformed term ({exc!r})") from exc
 
 
 def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
-    mat = omega.materialize()
+    # the integer row (index length n+2) is listed apart from the forms
+    levels = sorted(omega.materialize().components.items())
+    top = omega.degree + 2
     comps = [{"indices": list(idx), "form": _form_record(f)}
-             for idx, f in sorted(mat.components.items())]
-    ints = [{"indices": list(idx), "m": m}
-            for idx, m in sorted(mat.int_components.items())]
+             for idx, f in levels if len(idx) < top]
+    ints = [{"indices": list(idx), "m": m} for idx, m in levels
+            if len(idx) == top]
     fs = None
     if omega.field_strength is not None:
         fs = _form_record(omega.field_strength)
@@ -72,18 +92,33 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
             "integer_components": ints}
 
 
-def cochain_from_dict(data: Dict) -> DiffCochain:
-    cover = cover_from_id(data["cover_id"])
-    fs = (None if data.get("field_strength") is None
-          else _form_from_record(data["field_strength"]))
-    comps = {tuple(rec["indices"]): _form_from_record(rec["form"])
-             for rec in data.get("components", [])}
-    ints = {tuple(rec["indices"]): int(rec["m"])
-            for rec in data.get("integer_components", [])}
-    amb = fs.ambient_dim if fs is not None else (
-        next(iter(comps.values())).ambient_dim if comps else cover.factors)
-    return DiffCochain(data["degree"], cover, field_strength=fs,
-                       components=comps, int_components=ints, ambient_dim=amb)
+def cochain_from_dict(data) -> DiffCochain:
+    """Load a file record; any malformed field raises ValueError."""
+    degree = _field(data, "degree", int, "cochain file")
+    cover = cover_from_id(_field(data, "cover_id", str, "cochain file"))
+    fs = data.get("field_strength")
+    if fs is not None:
+        fs = _form_from_record(fs, "field_strength")
+    comps: Dict = {}
+    for key in ("components", "integer_components"):
+        records = _field(data, key, list, "cochain file") if key in data else []
+        where = f"a record of {key!r}"
+        for rec in records:
+            idx = tuple(_field(rec, "indices", list, where))
+            # else an entry the cochain could never read back
+            if not idx or any(type(i) is not int for i in idx) \
+                    or len(set(idx)) != len(idx) or min(idx) < 0 \
+                    or max(idx) >= len(cover.pieces):
+                raise ValueError(f"index {list(idx)} is not a list of distinct "
+                                 f"pieces of the cover's {len(cover.pieces)}")
+            if idx in comps:
+                raise ValueError(f"index {list(idx)} is given twice")
+            if key == "integer_components":
+                comps[idx] = _field(rec, "m", int, where)
+            else:
+                comps[idx] = _form_from_record(_field(rec, "form", dict, where),
+                                               where)
+    return DiffCochain(degree, cover, field_strength=fs, components=comps)
 
 
 def save_cochain(path: str, omega: DiffCochain, cover_id: str) -> None:

@@ -18,8 +18,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import liecs
-from .cochain import (DiffCochain, classify_flat_2cocycle, from_global_form,
-                      homotopy_k, restrict, total_d)
+from .cochain import (DiffCochain, Level, classify_flat_2cocycle,
+                      from_global_form, homotopy_k, restrict, total_d)
 from .covers import (Cover, make_circle_cover, make_circle_decomposition,
                      make_torus_cover, make_torus_hex_decomposition,
                      product_cover, refine, two_subordinations)
@@ -73,7 +73,7 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
                                with_field_strength: bool = True,
                                with_ints: bool = True) -> DiffCochain:
     """Random cochain with alternating components over sorted multi-indices."""
-    comps: Dict[Tuple[int, ...], TrigForm] = {}
+    comps: Dict[Tuple[int, ...], Level] = {}
     for r in range(1, degree + 2):
         deg = degree - (r - 1)
         if deg > ambient_dim:
@@ -89,7 +89,6 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             signed = {1: f, -1: -1 * f} if r > 1 else {1: f}
             for perm, sign in zip(permutations(base), signs):
                 comps[perm] = signed[sign]
-    ints: Dict[Tuple[int, ...], int] = {}
     if with_ints and degree + 2 <= len(cover.pieces):
         signs = _permutation_signs(degree + 2)
         for base in cover.supports(degree + 2):
@@ -97,12 +96,12 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             if m == 0:
                 continue
             for perm, sign in zip(permutations(base), signs):
-                ints[perm] = sign * m
+                comps[perm] = sign * m
     H = None
     if with_field_strength and degree + 1 <= ambient_dim:
         H = random_real_form(rng, ambient_dim, degree + 1)
     return DiffCochain(degree, cover, field_strength=H, components=comps,
-                       int_components=ints, ambient_dim=ambient_dim)
+                       ambient_dim=ambient_dim)
 
 
 def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int,

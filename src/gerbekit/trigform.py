@@ -101,8 +101,10 @@ class TrigForm:
                 c = complex(c)
                 if c == _DROP:
                     continue
-                freq = tuple(int(f) for f in freq)
-                axes = tuple(int(a) for a in axes)
+                key = (tuple(map(int, freq)), tuple(map(int, axes)))
+                if key != (freq, axes):
+                    raise ValueError("frequencies and axes must be integers")
+                freq, axes = key
                 if len(freq) != ambient_dim:
                     raise ValueError("frequency length != ambient_dim")
                 if len(axes) != degree:
@@ -134,7 +136,9 @@ class TrigForm:
 
     @staticmethod
     def zero(ambient_dim: int, degree: int) -> "TrigForm":
-        return TrigForm(ambient_dim, degree)
+        if not (0 <= degree <= ambient_dim):
+            raise ValueError(f"degree {degree} out of range for T^{ambient_dim}")
+        return TrigForm._trusted(ambient_dim, degree, {})
 
     @staticmethod
     def constant(ambient_dim: int, value: complex) -> "TrigForm":
@@ -299,20 +303,8 @@ class TrigForm:
     def max_abs(self) -> float:
         return reduce(nan_max, (abs(c) for c in self.terms.values()), 0.0)
 
-    def prune(self, tol: float = 0.0) -> "TrigForm":
-        return TrigForm(self.ambient_dim, self.degree,
-                        {k: c for k, c in self.terms.items() if abs(c) > tol})
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Check Hermitian symmetry of the term set (real-valued form)."""
-        for (freq, axes), c in self.terms.items():
-            neg = tuple(-f for f in freq)
-            if abs(self.terms.get((neg, axes), 0.0) - c.conjugate()) > tol:
-                return False
-        return True
 
     def __repr__(self):
         return (f"TrigForm(T^{self.ambient_dim}, deg {self.degree}, "

@@ -25,7 +25,7 @@ def test_repeated_indices_vanish():
     rng = np.random.default_rng(0)
     om = random_alternating_cochain(rng, cover, 2, 1)
     assert om.component((1, 1, 2)).is_zero()
-    assert om.int_component((0, 1, 0, 2)) == 0
+    assert om.component((0, 1, 0, 2)) == 0
 
 
 def test_alternating_data_is_alternating():
@@ -53,10 +53,10 @@ def test_alternating_components_follow_permutation_signs():
     assert all(nonzero.values())
     ints = 0
     for base in cover.supports(4):
-        m = om.int_component(base)
+        m = om.component(base)
         ints += bool(m)
         for perm in itertools.permutations(base):
-            assert om.int_component(perm) == det_sign(perm) * m
+            assert om.component(perm) == det_sign(perm) * m
     assert ints
 
 
@@ -107,9 +107,9 @@ def test_integer_row_inclusion_sign():
     # degree 0: the integer level enters the function row as +2 pi m
     cover = make_circle_cover(4, 0.55)
     om = DiffCochain(0, cover,
-                     components={(a,): TrigForm.zero(1, 0)
-                                 for a in cover.indices},
-                     int_components={(0, 1): 3, (1, 0): -3},
+                     components={**{(a,): TrigForm.zero(1, 0)
+                                    for a in cover.indices},
+                                 (0, 1): 3, (1, 0): -3},
                      ambient_dim=1)
     out = total_d(om)
     comp = out.component((0, 1))
@@ -165,3 +165,60 @@ def test_classify_rejects_non_cocycle():
     rho, _ = two_subordinations(dec, cover, rng)
     with pytest.raises(ValueError):
         classify_flat_2cocycle(om, dec, rho)
+
+
+def test_integer_row_is_read_through_component():
+    # degree 1 on a torus cover: forms at lengths 1 and 2, integers at 3
+    cover = make_torus_cover(3, 3, 0.55)
+    om = random_alternating_cochain(np.random.default_rng(3), cover, 1, 2)
+    ints = {idx: m for idx, m in om.components.items() if len(idx) == 3}
+    assert ints and all(type(m) is int for m in ints.values())
+    for idx, m in ints.items():
+        assert om.component(idx) == m
+    missing = next(idx for idx in itertools.permutations(range(9), 3)
+                   if idx not in ints)
+    assert om.component(missing) == 0 and type(om.component(missing)) is int
+    assert om.component((0, 1, 0)) == 0
+    mat = om.materialize()
+    assert {idx: m for idx, m in mat.components.items() if len(idx) == 3} \
+        == {idx: m for idx, m in ints.items() if m}
+
+
+def test_negation_negates_every_level():
+    cover = make_torus_cover(3, 3, 0.55)
+    om = random_alternating_cochain(np.random.default_rng(4), cover, 1, 2)
+    neg = -om
+    assert (neg.field_strength + om.field_strength).is_zero()
+    for r in (1, 2):
+        for idx in cover.nonempty_tuples(r):
+            assert (neg.component(idx) + om.component(idx)).is_zero()
+    ints = [idx for idx in cover.nonempty_tuples(3) if om.component(idx)]
+    assert ints
+    for idx in ints:
+        assert neg.component(idx) == -om.component(idx)
+    assert (om - om).max_defect() == 0.0
+
+
+@pytest.mark.parametrize("components, message", [
+    ({(0, 1, 2): TrigForm.zero(1, 0)}, "must be an integer"),
+    ({(0, 1, 2): 2.0}, "must be an integer"),
+    ({(0, 1): 3}, "must be a form of degree 0"),
+    ({(0,): TrigForm.zero(1, 0)}, "must be a form of degree 1"),
+    ({(0,): TrigForm.zero(2, 1)}, "must be a form of degree 1 on T\\^1"),
+    ({(0, 1, 2, 3): TrigForm.zero(1, 0)}, "must be a form of degree -2"),
+])
+def test_constructor_rejects_misplaced_levels(components, message):
+    cover = make_circle_cover(4, 0.55)
+    with pytest.raises(ValueError, match=message):
+        DiffCochain(1, cover, components=components, ambient_dim=1)
+
+
+def test_constructor_rejects_a_field_strength_of_the_wrong_degree():
+    cover = make_circle_cover(4, 0.55)
+    DiffCochain(0, cover, field_strength=TrigForm.zero(1, 1))
+    DiffCochain(1, cover, field_strength=TrigForm.zero(1, 1))
+    with pytest.raises(ValueError, match="field strength"):
+        DiffCochain(0, cover, field_strength=TrigForm.zero(1, 0))
+    with pytest.raises(ValueError, match="field strength"):
+        DiffCochain(1, cover, field_strength=TrigForm.zero(2, 2),
+                    ambient_dim=1)

@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gerbekit.covers import (admissible_pieces, make_circle_cover,
-                             make_circle_decomposition, make_torus_cover,
-                             make_torus_hex_decomposition, product_cover,
-                             refine, subordinate, two_subordinations)
+from gerbekit.covers import (_arcs_intersection, admissible_pieces,
+                             make_circle_cover, make_circle_decomposition,
+                             make_torus_cover, make_torus_hex_decomposition,
+                             product_cover, refine, subordinate,
+                             two_subordinations)
 
 
 def test_circle_cover_shapes():
@@ -50,7 +54,7 @@ def test_refine_gives_valid_subordinations():
     for j, piece in enumerate(fine.pieces):
         for s in (s1, s2):
             # the fine piece must sit inside its assigned coarse piece
-            assert c.piece_contains_box(s(j), piece)
+            assert c.piece_contains_box(s.index_map[j], piece)
 
 
 def test_circle_decomposition_counts():
@@ -95,3 +99,27 @@ def test_subordinate_raises_without_containment():
     dec = make_circle_decomposition(4)    # segments wider than any piece
     with pytest.raises(ValueError):
         subordinate(dec, cover)
+
+
+def _brute_supports(cover, size):
+    """Every index set of the size whose boxes meet on every axis."""
+    return [combo
+            for combo in itertools.combinations(range(len(cover.pieces)), size)
+            if all(_arcs_intersection([cover.pieces[i][axis] for i in combo])
+                   for axis in range(cover.factors))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, 4), st.integers(3, 4), st.floats(0.05, 0.95),
+       st.integers(2, 3))
+def test_product_supports_match_brute_force_box_intersection(n, m, frac,
+                                                             factor):
+    # product covers answer from their factor covers; the reference
+    # intersects the product boxes axis by axis
+    overlap = frac * math.pi / max(n, m)
+    torus = make_torus_cover(n, m, overlap)
+    fine, _, _ = refine(make_torus_cover(3, 3, overlap), factor)
+    triple = product_cover(make_circle_cover(3, overlap), torus)
+    for cover, top in ((torus, 4), (fine, 3), (triple, 3)):
+        for size in range(1, top + 1):
+            assert cover.supports(size) == _brute_supports(cover, size)

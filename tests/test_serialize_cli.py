@@ -1,11 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbekit import cli, liecs, serialize, suites
-from gerbekit.cochain import DiffCochain, from_global_form
+from gerbekit.cochain import DiffCochain, from_global_form, total_d
 from gerbekit.covers import make_circle_cover, product_cover
 from gerbekit.holonomy import nearest_2pi_multiple_defect
 from gerbekit.suites import random_alternating_cochain, random_cocycle
@@ -42,7 +45,7 @@ def test_cochain_file_roundtrip(tmp_path):
         diff = max(diff, (om.component(idx) - om2.component(idx)).max_abs())
     assert diff < 1e-14
     for idx in cover.nonempty_tuples(3):
-        assert om.int_component(idx) == om2.int_component(idx)
+        assert om.component(idx) == om2.component(idx)
 
 
 def test_cochain_files_are_deterministic(tmp_path):
@@ -245,3 +248,129 @@ def test_nearest_2pi_multiple_defect_of_non_finite_is_nan():
     assert math.isnan(nearest_2pi_multiple_defect(math.nan))
     assert math.isnan(nearest_2pi_multiple_defect(math.inf))
     assert nearest_2pi_multiple_defect(2 * math.pi + 0.25) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "cochain", "--trials", "-3"],
+    ["lattice", "--name", "e8", "--enumerate-norm", "-2"],
+])
+def test_cli_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "is negative" in capsys.readouterr().err
+
+
+def _good_record():
+    """A degree-0 cochain file record with both form and integer rows."""
+    cover = serialize.cover_from_id("circle:4:0.55")
+    om = random_alternating_cochain(np.random.default_rng(0), cover, 0, 1)
+    rec = serialize.cochain_to_dict(om, "circle:4:0.55")
+    assert rec["components"] and rec["integer_components"]
+    return rec
+
+
+GOOD_RECORD = _good_record()
+
+
+def _set(rec, path, value):
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return rec
+
+
+def _drop(rec, path):
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return rec
+
+
+MALFORMED = [
+    (lambda r: [r], "must be a JSON object"),
+    (lambda r: _drop(r, ["degree"]), "no 'degree' field"),
+    (lambda r: _set(r, ["degree"], "0"), "'degree' has the wrong type"),
+    (lambda r: _drop(r, ["integer_components", 0, "m"]), "no 'm' field"),
+    (lambda r: _set(r, ["integer_components", 0, "m"], 2.4),
+     "'m' has the wrong type"),
+    (lambda r: _set(r, ["integer_components", 0, "indices"], [0, 99]),
+     "not a list of distinct pieces"),
+    (lambda r: _set(r, ["components", 0, "indices"], [99]),
+     "not a list of distinct pieces"),
+    (lambda r: _set(r, ["integer_components", 0, "indices"], [1, 1]),
+     "not a list of distinct pieces"),
+    (lambda r: _set(r, ["components", 0, "indices"], [0.0]),
+     "not a list of distinct pieces"),
+    (lambda r: _set(r, ["integer_components", 1, "indices"],
+                    r["integer_components"][0]["indices"]), "given twice"),
+    (lambda r: _set(r, ["components", 0, "form", "terms", 0, "freq"], [1.5]),
+     "must be integers"),
+    (lambda r: _drop(r, ["components", 0, "form", "terms", 0, "re"]),
+     "malformed term"),
+    (lambda r: _set(r, ["components"], {}), "'components' has the wrong type"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED)
+def test_malformed_cochain_files_raise_value_error(mutate, message):
+    with pytest.raises(ValueError, match=message):
+        serialize.cochain_from_dict(mutate(copy.deepcopy(GOOD_RECORD)))
+
+
+@pytest.mark.parametrize("mutate", [MALFORMED[0][0], MALFORMED[3][0]])
+def test_cli_reports_a_malformed_cochain_file(tmp_path, capsys, mutate):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(copy.deepcopy(GOOD_RECORD))))
+    rc = cli.main(["holonomy", "--cochain", str(path),
+                   "--decomposition", "circle:20"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(child, prefix + (key,)))
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 99) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_cochain_files_load_or_raise_value_error(data):
+    # one value replaced or deleted anywhere in a valid record: loading
+    # raises ValueError, or the cochain computes and saves a file that
+    # loads back unchanged
+    rec = copy.deepcopy(GOOD_RECORD)
+    path = data.draw(st.sampled_from(_paths(rec)))
+    if data.draw(st.booleans()):
+        _drop(rec, path)
+    else:
+        _set(rec, path, data.draw(json_values))
+    try:
+        om = serialize.cochain_from_dict(rec)
+    except ValueError:
+        return
+    total_d(om).max_defect()
+    saved = json.dumps(serialize.cochain_to_dict(om, om.cover.cover_id))
+    again = serialize.cochain_from_dict(json.loads(saved))
+    assert json.dumps(serialize.cochain_to_dict(again,
+                                                om.cover.cover_id)) == saved

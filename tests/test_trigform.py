@@ -105,6 +105,8 @@ def test_records_roundtrip():
     (2, 1, {((0, 1), (2,)): 1.0}, "axis out of range"),
     (2, 1, {((0, 1), (-1,)): 1.0}, "axis out of range"),
     (2, 1, {((0, 1), (0, 1)): 1.0}, "axes length"),
+    (2, 1, {((0, 1.5), (0,)): 1.0}, "must be integers"),
+    (2, 1, {((0, 1), ("0",)): 1.0}, "must be integers"),
     (2, 3, None, "out of range"),
     (2, -1, None, "out of range"),
 ])
@@ -174,3 +176,9 @@ def test_pullback_of_area_form_is_determinant(A):
     else:
         assert set(pulled.terms) == {(new_k, (0, 1))}
         assert abs(pulled.terms[(new_k, (0, 1))] - want) < 1e-14
+
+
+@pytest.mark.parametrize("amb, deg", [(2, 3), (2, -1), (0, 1)])
+def test_zero_rejects_a_degree_out_of_range(amb, deg):
+    with pytest.raises(ValueError, match="out of range"):
+        TrigForm.zero(amb, deg)
