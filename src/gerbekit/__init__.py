@@ -15,7 +15,7 @@ from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect, pushforward_homotopy)
 from .liecs import (GaugeFactor, GaugeMap, LieValuedForm, cs_form, curvature,
                     gauge_transform, gauge_variation_defect, graded_bracket,
-                    pairing, su2_basis, su3_basis)
+                    pairing, su2_basis)
 from .lattice import (IntegralLattice, anomaly_exponents, builtin,
                       coxeter_from_roots, enumerate_by_norm, roots,
                       spin16_embedding, spin16_first_series, theta_counts,

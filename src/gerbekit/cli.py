@@ -209,7 +209,7 @@ def cmd_pushforward(args) -> int:
     dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, e_cover)
     out = pushforward(omega, dec, rho)
-    defect = pushforward_commutes_defect(omega, dec, rho)
+    defect = pushforward_commutes_defect(omega, dec, rho, out)
     if args.output:
         serialize.save_cochain(args.output, out, base_id)
     emit({"output": args.output, "degree": out.degree,

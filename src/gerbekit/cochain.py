@@ -55,8 +55,10 @@ class DiffCochain:
     Every level, integer row included, is read through `component`.  Values
     are held in the `components` dict, keyed by multi-index (lengths 1..n+1
     hold TrigForms, length n+2 Python ints), or computed on demand by
-    `component_fn` and memoised there (used for differentials of large
-    product-cover cochains, where only finitely many lookups occur).
+    `component_fn` and memoised there.  The operators below build their
+    results that way, and a random alternating cochain stores one value per
+    sorted support and derives every other ordering through its
+    `component_fn`, so only the lookups that occur are ever held.
     """
 
     def __init__(self, degree: int, cover: Cover,

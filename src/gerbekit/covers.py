@@ -19,6 +19,10 @@ TWO_PI = 2 * math.pi
 
 # ---------------------------------------------------------------------------
 # oriented cells
+#
+# A cell is not changed once built: its `integrals` dict memoises the
+# closed-form integrals of the monomials e^{i k.x} dx_I over it, keyed by
+# (k, I) (see trigform.cell_integral).
 
 
 class PointCell:
@@ -27,6 +31,7 @@ class PointCell:
     def __init__(self, point, sign: int):
         self.point = np.asarray(point, dtype=float)
         self.sign = int(sign)
+        self.integrals: Dict[tuple, complex] = {}
 
     def __repr__(self):
         return f"PointCell({self.point}, sign={self.sign})"
@@ -38,6 +43,7 @@ class SegmentCell:
     def __init__(self, start, end):
         self.start = np.asarray(start, dtype=float)
         self.end = np.asarray(end, dtype=float)
+        self.integrals: Dict[tuple, complex] = {}
 
     def reversed(self) -> "SegmentCell":
         return SegmentCell(self.end, self.start)
@@ -51,6 +57,7 @@ class PolygonCell:
 
     def __init__(self, vertices):
         self.vertices = [np.asarray(v, dtype=float) for v in vertices]
+        self.integrals: Dict[tuple, complex] = {}
 
     def area(self) -> float:
         s = 0.0
@@ -132,9 +139,6 @@ class Cover:
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._meets: Dict[FrozenSet[int], bool] = {}
-
-    def __len__(self):
-        return len(self.pieces)
 
     @property
     def indices(self):

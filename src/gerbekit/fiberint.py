@@ -19,11 +19,9 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cochain import DiffCochain, Level, signed_sum, total_d
 from .covers import Cover, DualCellDecomposition, product_index
-from .trigform import TrigForm, _integrate_monomial, _move_axes_to_end_sign
+from .trigform import TrigForm, _move_axes_to_end_sign, cell_integral
 
 Idx = Tuple[int, ...]
 
@@ -98,8 +96,7 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
         if len(fib) != cell.dim:
             continue
         sign = _move_axes_to_end_sign(axes, fib)
-        kf = np.array(freq[n_base:], dtype=float)
-        val = _integrate_monomial(kf, tuple(a - n_base for a in fib), cell)
+        val = cell_integral(cell, freq[n_base:], tuple(a - n_base for a in fib))
         if val == 0.0:
             continue
         base_axes = tuple(a for a in axes if a < n_base)
@@ -158,11 +155,17 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
 
 
 def pushforward_commutes_defect(omega: DiffCochain, dec: DualCellDecomposition,
-                                rho: Sequence[int]) -> float:
-    """Max coefficient magnitude of int_E(d_total omega) - d_total(int_E omega)."""
+                                rho: Sequence[int],
+                                pushed: Optional[DiffCochain] = None) -> float:
+    """Max coefficient magnitude of int_E(d_total omega) - d_total(int_E omega).
+
+    `pushed` is int_E omega = pushforward(omega, dec, rho) when the caller
+    has built it already; its memoised components are then reused.
+    """
+    if pushed is None:
+        pushed = pushforward(omega, dec, rho)
     lhs = pushforward(total_d(omega), dec, rho)
-    rhs = total_d(pushforward(omega, dec, rho))
-    return (lhs - rhs).max_defect()
+    return (lhs - total_d(pushed)).max_defect()
 
 
 def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,

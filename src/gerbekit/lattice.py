@@ -40,14 +40,27 @@ class IntegralLattice:
     def _set_gram(self, num: List[List[int]], den: int) -> None:
         """Gram = num / den for an integer matrix num."""
         self.gram_exact = [[Fraction(x, den) for x in row] for row in num]
+        self.__dict__.pop("gram_float", None)     # converted from this Gram
         if all(x % den == 0 for row in num for x in row):
             num, den = [[x // den for x in row] for row in num], 1
         self._gram_num, self._gram_den = num, den
         if den == 1:
             self.gram = np.array(num, dtype=np.int64)
         else:
-            self.gram = np.array([[float(x) for x in row]
-                                  for row in self.gram_exact])
+            self.gram = self.gram_float
+
+    @functools.cached_property
+    def basis_float(self) -> List[List[float]]:
+        """The basis in floats, converted on first use."""
+        return [[float(x) for x in row] for row in self.basis]
+
+    @functools.cached_property
+    def gram_float(self) -> np.ndarray:
+        """The Gram matrix in floats, converted on first use; read-only, as
+        every caller shares it."""
+        g = np.array([[float(x) for x in row] for row in self.gram_exact])
+        g.flags.writeable = False
+        return g
 
     @property
     def integral(self) -> bool:
@@ -204,7 +217,7 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     (coordinates n-1 .. i fixed) is expanded one coordinate at a time, at
     most BLOCK_ROWS children at a time.
     """
-    g = np.array([[float(x) for x in row] for row in L.gram_exact])
+    g = L.gram_float
     n = L.rank
     R = np.linalg.cholesky(g).T          # upper triangular, g = R^T R
     bound = float(max_norm) + 1e-9

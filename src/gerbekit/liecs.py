@@ -2,8 +2,9 @@
 invariant pairing, curvature, Maurer-Cartan forms of closed-form gauge maps,
 and the Chern-Simons 3-form with its gauge-variation identity.
 
-Matrix coefficients live in a fixed matrix algebra (su(2), su(3) in tests);
-the invariant pairing is -kappa * trace in the defining representation.
+Matrix coefficients live in a fixed matrix algebra (su(2) in the suites and
+tests); the invariant pairing is -kappa * trace in the defining
+representation.
 """
 
 from __future__ import annotations
@@ -63,8 +64,27 @@ class LieValuedForm:
         self.terms = {k: v for k, v in clean.items() if np.any(v)}
 
     @staticmethod
+    def _trusted(ambient_dim: int, degree: int, matrix_dim: int,
+                 terms: Mapping[Key, np.ndarray]) -> "LieValuedForm":
+        """Build from terms already in normal form; only all-zero matrices
+        drop (a NaN entry is kept, as in __init__).
+
+        For the library's own kernels, which must guarantee what __init__
+        would check: keys are (freq, axes) int tuples with
+        len(freq) == ambient_dim, axes strictly increasing in
+        [0, ambient_dim) with len(axes) == degree, and values complex
+        (matrix_dim, matrix_dim) arrays.
+        """
+        self = object.__new__(LieValuedForm)
+        self.ambient_dim = ambient_dim
+        self.degree = degree
+        self.matrix_dim = matrix_dim
+        self.terms = {k: v for k, v in terms.items() if np.any(v)}
+        return self
+
+    @staticmethod
     def zero(ambient_dim: int, degree: int, matrix_dim: int) -> "LieValuedForm":
-        return LieValuedForm(ambient_dim, degree, matrix_dim)
+        return LieValuedForm._trusted(ambient_dim, degree, matrix_dim, {})
 
     # -- linear structure --------------------------------------------------
 
@@ -72,14 +92,16 @@ class LieValuedForm:
         out = {k: v.copy() for k, v in self.terms.items()}
         for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
-        return LieValuedForm(self.ambient_dim, self.degree, self.matrix_dim, out)
+        return LieValuedForm._trusted(self.ambient_dim, self.degree,
+                                      self.matrix_dim, out)
 
     def __sub__(self, other: "LieValuedForm") -> "LieValuedForm":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "LieValuedForm":
-        return LieValuedForm(self.ambient_dim, self.degree, self.matrix_dim,
-                             {k: scalar * v for k, v in self.terms.items()})
+        return LieValuedForm._trusted(
+            self.ambient_dim, self.degree, self.matrix_dim,
+            {k: scalar * v for k, v in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -96,8 +118,8 @@ class LieValuedForm:
         if self.degree >= self.ambient_dim:
             return LieValuedForm.zero(self.ambient_dim, self.degree,
                                       self.matrix_dim)
-        return LieValuedForm(self.ambient_dim, self.degree + 1,
-                             self.matrix_dim, _d_terms(self.terms))
+        return LieValuedForm._trusted(self.ambient_dim, self.degree + 1,
+                                      self.matrix_dim, _d_terms(self.terms))
 
     def evaluate(self, x: Sequence[float],
                  vectors: Sequence[Sequence[float]]) -> np.ndarray:
@@ -140,9 +162,9 @@ def graded_bracket(a: LieValuedForm, b: LieValuedForm) -> LieValuedForm:
     deg = a.degree + b.degree
     if deg > a.ambient_dim:      # forced repeated axes: identically zero
         return LieValuedForm.zero(a.ambient_dim, a.ambient_dim, a.matrix_dim)
-    return LieValuedForm(a.ambient_dim, deg, a.matrix_dim,
-                         _wedge_terms(a.terms, b.terms,
-                                      lambda X, Y: X @ Y - Y @ X))
+    return LieValuedForm._trusted(a.ambient_dim, deg, a.matrix_dim,
+                                  _wedge_terms(a.terms, b.terms,
+                                               lambda X, Y: X @ Y - Y @ X))
 
 
 def pairing(a: LieValuedForm, b: LieValuedForm, kappa: float = 1.0) -> TrigForm:
@@ -337,22 +359,3 @@ def su2_basis() -> List[np.ndarray]:
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
     return [0.5j * s1, 0.5j * s2, 0.5j * s3]
 
-
-def su3_basis() -> List[np.ndarray]:
-    """i/2 times the Gell-Mann matrices."""
-    l = []
-    def M(rows):
-        return np.array(rows, dtype=complex)
-    g = [
-        M([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        M([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
-        M([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-        M([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-        M([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]]),
-        M([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        M([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
-        (1 / math.sqrt(3)) * M([[1, 0, 0], [0, 1, 0], [0, 0, -2]]),
-    ]
-    for m in g:
-        l.append(0.5j * m)
-    return l

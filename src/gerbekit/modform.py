@@ -163,9 +163,9 @@ def _theta_dn_plus(tau: complex, w: Sequence[complex],
 
 def _ambient_z(L: IntegralLattice, z: Sequence[complex]) -> List[complex]:
     out = [0j] * L.ambient
-    for zi, row in zip(z, L.basis):
+    for zi, row in zip(z, L.basis_float):
         for a in range(L.ambient):
-            out[a] += zi * float(row[a])
+            out[a] += zi * row[a]
     return out
 
 
@@ -223,7 +223,7 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
     Recenters the real part of z modulo the lattice (a symmetry of the sum)
     and bounds the tail by the Gaussian decay of e^{-pi Im(tau) (g,g)}.
     """
-    G = np.array([[float(x) for x in row] for row in L.gram_exact])
+    G = L.gram_float
     zv = np.array(z, dtype=complex)
     zv = zv - np.round(zv.real)
     y = tau.imag
@@ -411,7 +411,7 @@ _CHI_POWER = {"char": 0, "ad": ADJOINT_DIMENSION, "rho": RHO_CHI_POWER,
 
 
 def _pair(L: IntegralLattice, u, v) -> complex:
-    G = np.array([[float(x) for x in row] for row in L.gram_exact])
+    G = L.gram_float
     return complex(np.asarray(u, dtype=complex) @ G @ np.asarray(v, dtype=complex))
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import liecs
 from .cochain import (DiffCochain, Level, classify_flat_2cocycle,
-                      from_global_form, homotopy_k, restrict, total_d)
+                      from_global_form, homotopy_k, level_zero, restrict,
+                      total_d)
 from .covers import (Cover, make_circle_cover, make_circle_decomposition,
                      make_torus_cover, make_torus_hex_decomposition,
                      product_cover, refine, two_subordinations)
@@ -35,7 +35,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
                       eta_multiplier, factor, measure_extra_multiplier,
                       reflection_element, theta1, theta_lattice,
                       theta_lattice_enum, transform_defect)
-from .trigform import TrigForm, _axes_sign, nan_max
+from .trigform import Key, TrigForm, _axes_sign, nan_max
 
 Check = Tuple[str, float]
 
@@ -44,64 +44,73 @@ Check = Tuple[str, float]
 # random instances
 
 
-@lru_cache(maxsize=None)
-def _permutation_signs(r: int) -> Tuple[int, ...]:
-    """The signs of the permutations of range(r), in itertools order."""
-    return tuple(_axes_sign(p)[1] for p in permutations(range(r)))
-
-
 def random_real_form(rng, ambient_dim: int, degree: int,
                      n_terms: int = 2, max_freq: int = 2) -> TrigForm:
-    """A real-valued form: each term paired with its conjugate at -freq."""
+    """A real-valued form: each term paired with its conjugate at -freq.
+
+    Terms accumulate in draw order and a sum that cancels exactly drops at
+    once, as adding the monomials one by one as TrigForms would; the form
+    is built once, trusted.
+    """
     if degree > ambient_dim or degree < 0:
         return TrigForm.zero(ambient_dim, min(max(degree, 0), ambient_dim))
-    f = TrigForm.zero(ambient_dim, degree)
+    terms: Dict[Key, complex] = {}
     axes_pool = list(combinations(range(ambient_dim), degree))
     for _ in range(n_terms):
         freq = tuple(int(rng.integers(-max_freq, max_freq + 1))
                      for _ in range(ambient_dim))
         axes = axes_pool[int(rng.integers(len(axes_pool)))]
         c = complex(rng.normal(), rng.normal())
-        f = f + TrigForm.monomial(ambient_dim, freq, axes, c)
-        f = f + TrigForm.monomial(ambient_dim,
-                                  tuple(-k for k in freq), axes, c.conjugate())
-    return f
+        for key, coeff in (((freq, axes), c),
+                           ((tuple(-k for k in freq), axes), c.conjugate())):
+            if coeff == 0:
+                continue
+            total = terms.get(key, 0.0) + coeff
+            if total != 0:
+                terms[key] = total
+            else:
+                del terms[key]
+    return TrigForm._trusted(ambient_dim, degree, terms)
 
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
                                ambient_dim: int,
                                with_field_strength: bool = True,
                                with_ints: bool = True) -> DiffCochain:
-    """Random cochain with alternating components over sorted multi-indices."""
+    """Random cochain, alternating by construction.
+
+    One random value is drawn per sorted support (forms at index lengths
+    1..degree+1, an integer in [-2, 2] at degree+2) and stored in
+    `components`; any other ordering of a support is read through
+    `component_fn` as the sorted value times the sign of the permutation.
+    """
     comps: Dict[Tuple[int, ...], Level] = {}
     for r in range(1, degree + 2):
         deg = degree - (r - 1)
         if deg > ambient_dim:
             continue
-        signs = _permutation_signs(r)
         for base in cover.supports(r):
             f = random_real_form(rng, ambient_dim, deg)
-            if f.is_zero():
-                continue
-            # supports are sorted, so the k-th permutation of base has the
-            # sign of the k-th permutation of range(r); all permutations of
-            # one sign share one form
-            signed = {1: f, -1: -1 * f} if r > 1 else {1: f}
-            for perm, sign in zip(permutations(base), signs):
-                comps[perm] = signed[sign]
+            if not f.is_zero():
+                comps[base] = f
     if with_ints and degree + 2 <= len(cover.pieces):
-        signs = _permutation_signs(degree + 2)
         for base in cover.supports(degree + 2):
             m = int(rng.integers(-2, 3))
-            if m == 0:
-                continue
-            for perm, sign in zip(permutations(base), signs):
-                comps[perm] = sign * m
+            if m != 0:
+                comps[base] = m
+
+    def permuted(idx: Tuple[int, ...]) -> Level:
+        base, sign = _axes_sign(idx)
+        value = comps.get(base)
+        if value is None:
+            return level_zero(degree, ambient_dim, len(idx))
+        return value if sign == 1 else -1 * value
+
     H = None
     if with_field_strength and degree + 1 <= ambient_dim:
         H = random_real_form(rng, ambient_dim, degree + 1)
     return DiffCochain(degree, cover, field_strength=H, components=comps,
-                       ambient_dim=ambient_dim)
+                       ambient_dim=ambient_dim, component_fn=permuted)
 
 
 def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int,

@@ -11,7 +11,7 @@ import cmath
 import itertools
 import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -52,11 +52,14 @@ def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
     The coefficients c may be Python complex numbers or numpy matrices.
     """
     out: Dict[Key, object] = {}
+    signs: Dict[Tuple[int, Tuple[int, ...]], object] = {}    # (j, axes) -> sort
     for (freq, axes), c in terms.items():
         for j, kj in enumerate(freq):
             if kj == 0 or j in axes:
                 continue
-            ss = _axes_sign((j,) + axes)
+            if (j, axes) not in signs:
+                signs[j, axes] = _axes_sign((j,) + axes)
+            ss = signs[j, axes]
             if ss is None:
                 continue
             new_axes, sign = ss
@@ -73,9 +76,11 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     frequency and the sorted union of the axes; pairs sharing an axis drop.
     """
     out: Dict[Key, object] = {}
+    signs = {(a1, a2): _axes_sign(a1 + a2)
+             for a1 in {a for _, a in left} for a2 in {a for _, a in right}}
     for (f1, a1), c1 in left.items():
         for (f2, a2), c2 in right.items():
-            ss = _axes_sign(a1 + a2)
+            ss = signs[a1, a2]
             if ss is None:
                 continue
             axes, sign = ss
@@ -247,7 +252,7 @@ class TrigForm:
         axes; moves those axes to the last slots (collecting the sign),
         strips them, and multiplies by (2 pi)^d.
         """
-        fiber = sorted(set(int(a) for a in fiber_axes))
+        fiber = tuple(sorted(set(int(a) for a in fiber_axes)))
         d = len(fiber)
         base = [a for a in range(self.ambient_dim) if a not in fiber]
         reindex = {a: i for i, a in enumerate(base)}
@@ -273,7 +278,7 @@ class TrigForm:
             raise ValueError("form degree must equal cell dimension")
         total = 0.0 + 0.0j
         for (freq, axes), c in self.terms.items():
-            total += c * _integrate_monomial(np.array(freq, dtype=float), axes, cell)
+            total += c * cell_integral(cell, freq, axes)
         return total
 
     # -- evaluation & misc -------------------------------------------------
@@ -327,9 +332,10 @@ class TrigForm:
         return TrigForm(ambient_dim, degree, terms)
 
 
-def _move_axes_to_end_sign(axes: Tuple[int, ...], which: Sequence[int]) -> int:
+@lru_cache(maxsize=None)
+def _move_axes_to_end_sign(axes: Tuple[int, ...], which: Tuple[int, ...]) -> int:
     """Parity sign of moving the listed axes (in order) to the end of the
-    sorted, repeat-free tuple `axes`."""
+    sorted, repeat-free tuple `axes`; a table, as few (axes, which) occur."""
     return _axes_sign(tuple(a for a in axes if a not in which)
                       + tuple(a for a in axes if a in which))[1]
 
@@ -385,6 +391,15 @@ def _simplex_exp(alpha: float, beta: float) -> complex:
     if abs(alpha - beta) < 1e-9:
         return _psi(0.5 * (alpha + beta))
     return (_phi(alpha) - _phi(beta)) / (1j * (alpha - beta))
+
+
+def cell_integral(cell, freq: Tuple[int, ...], axes: Tuple[int, ...]) -> complex:
+    """The integral of e^{i freq.x} dx_axes over cell, memoised on the cell."""
+    got = cell.integrals.get((freq, axes))
+    if got is None:
+        got = cell.integrals[freq, axes] = _integrate_monomial(
+            np.array(freq, dtype=float), axes, cell)
+    return got
 
 
 def _integrate_monomial(freq: np.ndarray, axes: Tuple[int, ...], cell) -> complex:

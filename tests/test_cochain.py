@@ -7,8 +7,8 @@ import pytest
 from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
                               from_global_form, homotopy_k, is_cocycle,
                               restrict, total_d)
-from gerbekit.covers import (make_circle_cover, make_torus_cover, refine,
-                             two_subordinations)
+from gerbekit.covers import (make_circle_cover, make_torus_cover,
+                             product_cover, refine, two_subordinations)
 from gerbekit.suites import (random_alternating_cochain, random_cocycle,
                              torus_setup)
 from gerbekit.trigform import TrigForm
@@ -171,10 +171,8 @@ def test_integer_row_is_read_through_component():
     # degree 1 on a torus cover: forms at lengths 1 and 2, integers at 3
     cover = make_torus_cover(3, 3, 0.55)
     om = random_alternating_cochain(np.random.default_rng(3), cover, 1, 2)
-    ints = {idx: m for idx, m in om.components.items() if len(idx) == 3}
-    assert ints and all(type(m) is int for m in ints.values())
-    for idx, m in ints.items():
-        assert om.component(idx) == m
+    ints = {idx: om.component(idx) for idx in cover.nonempty_tuples(3)}
+    assert any(ints.values()) and all(type(m) is int for m in ints.values())
     missing = next(idx for idx in itertools.permutations(range(9), 3)
                    if idx not in ints)
     assert om.component(missing) == 0 and type(om.component(missing)) is int
@@ -182,6 +180,19 @@ def test_integer_row_is_read_through_component():
     mat = om.materialize()
     assert {idx: m for idx, m in mat.components.items() if len(idx) == 3} \
         == {idx: m for idx, m in ints.items() if m}
+
+
+def test_random_cochain_stores_one_value_per_sorted_support():
+    # the pushforward suite's largest instance: degree 3 over
+    # circle:3 x torus:3:3, 4,887 sorted supports of lengths 1..5 against
+    # 198,153 ordered multi-indices
+    base = make_circle_cover(3, 0.6)
+    cover = product_cover(base, torus_setup()[0])
+    om = random_alternating_cochain(np.random.default_rng(1), cover, 3, 3)
+    supports = sum(len(cover.supports(r)) for r in range(1, 6))
+    assert supports == 4887
+    assert 0 < len(om.components) <= supports
+    assert all(list(idx) == sorted(idx) for idx in om.components)
 
 
 def test_negation_negates_every_level():

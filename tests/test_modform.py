@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,3 +362,23 @@ def test_extra_multiplier_trivial_on_translations(e8e8):
     rts = roots(e8e8)
     m = measure_extra_multiplier(GroupElement.T(rts[2], rts[8]), e8e8)
     assert abs(m - 1) < 1e-9
+
+
+def test_float_gram_and_basis_are_converted_once(e8e8, monkeypatch):
+    # the pairings and the theta fast path read floats cached on the
+    # lattice: no Fraction is converted per call
+    assert np.array_equal(e8e8.gram_float,
+                          [[float(x) for x in row] for row in e8e8.gram_exact])
+    assert e8e8.basis_float == [[float(x) for x in row] for row in e8e8.basis]
+    rts = roots(e8e8)
+    x = ModuliPoint(0.1 + 1.2j, tuple([0.1 + 0.05j] * 16))
+    fam = AutomorphyFamily("char", e8e8)
+    theta = theta_lattice(e8e8, 1.1j, x.z)    # builds the shared built-in
+    calls = []
+    to_float = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__",
+                        lambda self: calls.append(1) or to_float(self))
+    factor(fam, GroupElement.T(rts[3], rts[90]), x)
+    factor(fam, GroupElement.S(0, -1, 1, 0), x)
+    assert theta_lattice(e8e8, 1.1j, x.z) == theta
+    assert calls == []

@@ -1,5 +1,6 @@
 """Pinned digests of the verify reports of the double-complex suites and of
-the lattice and modular suites.
+the lattice and modular suites, and of the `holonomy` and `pushforward`
+evaluators' output.
 
 A refactor of the term kernels, the cochain operators or the lattice
 enumeration must leave every reported defect bit for bit the same; these
@@ -13,9 +14,12 @@ unchanged code first.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from gerbekit import cli, serialize
 from gerbekit.cli import run_suite
+from gerbekit.suites import random_alternating_cochain, random_cocycle
 
 PINNED = [
     ("cochain", 3, 0, "e4bfc87ee7dd7b39e124e43f4575814d68d61f6326bb6b07d0479c892aff7466"),
@@ -41,3 +45,57 @@ def test_report_is_byte_identical(suite, trials, seed, digest):
     report = run_suite(suite, trials, seed, 1e-8).to_json()
     text = json.dumps(report, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The single-shot evaluators: `holonomy` on seeded cocycle files over a
+# circle and a torus cover, and `pushforward` with and without `--output` on
+# a seeded product-cover cochain.  Each case writes its input `in.json` from
+# a recipe (kind, cover id, degree, seed) and pins the SHA-256 of that file,
+# of stdout and of any `--output` file.  Paths are relative to a fresh
+# working directory, so stdout, which echoes `--output`, does not depend on
+# where the test runs.
+PF_INPUT = ("alternating", "product:circle:3:0.6|circle:4:0.7", 2, 7)
+CLI_PINNED = [
+    ("holonomy-circle:20", ["holonomy", "--decomposition", "circle:20"],
+     ("cocycle", "circle:4:0.7", 1, 5), {
+         "in.json": "d46bb70afb2653cb369ead4fb981fc50fb99a64cbb7e62d7e586cc6de18f81a9",
+         "stdout": "0f1a2a02eefba8a89159b76b49963a01b5a7b667fcc4596a41d09858099c495d"}),
+    ("holonomy-hex:6", ["holonomy", "--decomposition", "hex:6"],
+     ("cocycle", "torus:3:3:0.75", 2, 6), {
+         "in.json": "0bdbb80a7aff55fb2ee5bc033c47ac725d3265e06ca2bc9c85fe57c5d683461f",
+         "stdout": "8ec3a68e3954bd298fbcf7a067652b25305cb90829b679188df6b0079153e9d1"}),
+    ("pushforward", ["pushforward", "--decomposition", "circle:20"],
+     PF_INPUT, {
+         "in.json": "7d8a2065e589423392b179de1e3f1e2a875677ca0f7812be4bfe7cbfd8542da4",
+         "stdout": "2c59784b8d0b2ecf59330ca4ef0c95a244d42905299d6d2ec40667bd05873f7c"}),
+    ("pushforward-output", ["pushforward", "--decomposition", "circle:20",
+                            "--output", "out.json"],
+     PF_INPUT, {
+         "in.json": "7d8a2065e589423392b179de1e3f1e2a875677ca0f7812be4bfe7cbfd8542da4",
+         "stdout": "55bdbbbf61964413baeee90212e5da44f3bc5443e0629f2f8d76e3e14d52e778",
+         "out.json": "b10152bc3a1b3bb5610a899631982bd4664bd66653e0cdcf4333c0d4c6e8e074"}),
+]
+
+
+def _write_input(path, kind, cover_id, degree, seed):
+    cover = serialize.cover_from_id(cover_id)
+    rng = np.random.default_rng(seed)
+    if kind == "cocycle":
+        om = random_cocycle(rng, cover, degree, cover.factors)
+    else:
+        om = random_alternating_cochain(rng, cover, degree, cover.factors)
+    serialize.save_cochain(path, om, cover_id)
+
+
+@pytest.mark.parametrize("argv,recipe,digests", [p[1:] for p in CLI_PINNED],
+                         ids=[p[0] for p in CLI_PINNED])
+def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys, argv,
+                                      recipe, digests):
+    monkeypatch.chdir(tmp_path)
+    _write_input("in.json", *recipe)
+    assert cli.main(argv + ["--cochain", "in.json"]) == 0
+    got = {"stdout": capsys.readouterr().out.encode()}
+    got.update((name, (tmp_path / name).read_bytes())
+               for name in digests if name != "stdout")
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in got.items()} == digests

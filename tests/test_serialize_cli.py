@@ -212,6 +212,32 @@ def test_cli_pushforward_usage_errors(tmp_path, capsys):
     assert not dst.exists()
 
 
+
+def test_cli_pushforward_pushes_the_input_forward_once(tmp_path, monkeypatch,
+                                                        capsys):
+    # the Stokes defect reuses the push-forward written by --output: one
+    # push-forward of omega and one of D(omega)
+    from gerbekit import fiberint
+    cover_id = "product:circle:3:0.6|circle:4:0.7"
+    src, dst = tmp_path / "om.json", tmp_path / "out.json"
+    om = random_alternating_cochain(np.random.default_rng(2),
+                                    serialize.cover_from_id(cover_id), 2, 2)
+    serialize.save_cochain(str(src), om, cover_id)
+    degrees = []
+    push = fiberint.pushforward
+
+    def counting(omega, *args):
+        degrees.append(omega.degree)
+        return push(omega, *args)
+
+    monkeypatch.setattr(fiberint, "pushforward", counting)
+    monkeypatch.setattr(cli, "pushforward", counting)
+    rc = cli.main(["pushforward", "--cochain", str(src), "--decomposition",
+                   "circle:20", "--output", str(dst)])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["degree"] == 1
+    assert sorted(degrees) == [2, 3]
+
+
 # Each patch makes one suite's defects NaN at their source; the builtin
 # max(worst, nan) would keep `worst` and report a pass.
 NAN_SOURCES = {

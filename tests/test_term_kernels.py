@@ -3,18 +3,18 @@ output must already be in the normal form the public constructor produces:
 int-tuple keys of the right shape, Python complex values, no exact zeros.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbekit import liecs
+from gerbekit import liecs, trigform
 from gerbekit.covers import (make_circle_decomposition,
                              make_torus_hex_decomposition)
 from gerbekit.fiberint import integrate_fiber_cell
-from gerbekit.trigform import TrigForm
+from gerbekit.trigform import TrigForm, _integrate_monomial, cell_integral
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -168,3 +168,88 @@ def test_fiber_cell_integral_rejects_a_base_too_small_for_the_result():
         integrate_fiber_cell(f, POINTS[0], 2)
     with pytest.raises(ValueError, match="no form on the base"):
         integrate_fiber_cell(f, SEGMENTS[0], 4)
+
+
+def assert_lie_normal_form(out: liecs.LieValuedForm):
+    ref = liecs.LieValuedForm(out.ambient_dim, out.degree, out.matrix_dim,
+                              out.terms)
+    assert list(out.terms) == list(ref.terms)
+    for k, X in out.terms.items():
+        assert X.dtype == complex and X.shape == (out.matrix_dim,) * 2
+        assert np.array_equal(X, ref.terms[k], equal_nan=True)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_lie_kernels_are_normal(data):
+    p = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(0, 3 - p))
+    a, a2 = data.draw(lie_forms(p)), data.draw(lie_forms(p))
+    b = data.draw(lie_forms(q))
+    s = data.draw(st.one_of(st.floats(-2, 2), st.floats(-2, 2).map(np.float64),
+                            st.integers(-2, 2)))
+    for out in (a.d(), liecs.graded_bracket(a, b), a + a2, a - a, s * a,
+                a * s):
+        assert_lie_normal_form(out)
+    assert (a - a).terms == {}
+
+
+def test_lie_kernels_keep_a_nan_coefficient():
+    X = liecs.su2_basis()[0].copy()
+    X[0, 1] = np.nan
+    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): X})
+    g = liecs.LieValuedForm(3, 1, 2, {((0, 1, 0), (2,)): liecs.su2_basis()[1]})
+    for out in (f.d(), f + g, 0.5 * f, liecs.graded_bracket(f, g)):
+        assert np.isnan(out.max_abs())
+
+
+def test_lie_kernels_skip_the_validating_constructor(monkeypatch):
+    # d, the bracket, + and * build trusted results: no __init__ calls
+    a = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): liecs.su2_basis()[0],
+                                      ((0, 1, 1), (0,)): liecs.su2_basis()[2]})
+    calls = []
+    init = liecs.LieValuedForm.__init__
+    monkeypatch.setattr(liecs.LieValuedForm, "__init__",
+                        lambda self, *args, **kw: calls.append(1)
+                        or init(self, *args, **kw))
+    out = a.d() + 0.5 * liecs.graded_bracket(a, a) - a.d() * 2.0
+    assert out.terms and calls == []
+
+
+def test_d_and_wedge_sort_each_axis_combination_once(monkeypatch):
+    # 3 axis sets on each side of a 1-form ^ 1-form on T^3: 9 sorts for the
+    # wedge, however many terms share an axis set; for d, one per (j, axes)
+    terms = {((k1, k2, k3), (a,)): 1.0 + k1 for k1 in (-1, 1) for k2 in (0, 2)
+             for k3 in (-1, 1) for a in range(3)}
+    f = TrigForm(3, 1, terms)
+    g = TrigForm(3, 1, {k: 1j * sum(k[0]) + k[1][0] for k in terms})
+    calls = []
+    sign = trigform._axes_sign
+    monkeypatch.setattr(trigform, "_axes_sign",
+                        lambda axes: calls.append(tuple(axes)) or sign(axes))
+    wedge = f.wedge(g)
+    assert len(calls) == 9 and len(set(calls)) == 9
+    del calls[:]
+    d = f.d()
+    assert len(calls) == len(set(calls)) == 6    # j not in axes: 3 x 2
+    assert wedge.terms and d.terms
+
+
+CIRCLE_CELLS = [c for faces in make_circle_decomposition(20).faces.values()
+                for c in faces.values()]
+HEX_CELLS = [c for faces in make_torus_hex_decomposition(6).faces.values()
+             for c in faces.values()]
+
+
+@pytest.mark.parametrize("cells,amb", [(CIRCLE_CELLS, 1), (HEX_CELLS, 2)],
+                         ids=["circle:20", "hex:6"])
+def test_memoised_cell_integrals_equal_the_closed_form(cells, amb):
+    box = list(product(range(-3, 4), repeat=amb))
+    for cell in cells:
+        for axes in combinations(range(amb), cell.dim):
+            for freq in box:
+                direct = _integrate_monomial(np.array(freq, dtype=float),
+                                             axes, cell)
+                assert cell_integral(cell, freq, axes) == direct
+                assert cell.integrals[freq, axes] == direct
+                assert cell_integral(cell, freq, axes) == direct
