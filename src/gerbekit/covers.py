@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -341,6 +341,33 @@ class DualCellDecomposition:
         self.top_cells = list(top_cells)
         self.faces = faces  # faces[1][(i,)] = top_cells[i]
 
+    def layer_sum(self, p: int,
+                  value: Callable[[Tuple[int, ...], object], object], zero):
+        """The signed sum over the layers of a degree-p output,
+
+            sum_{k=1}^{dim+1} (-1)^{(p+1)(k+1)}
+                sum_{i1 > ... > ik} value((i), Delta_(i)),
+
+        each layer summed on its own before it is signed into the total.
+        value returns None for a cell that contributes nothing.  Holonomy
+        is the case p = 0; the push-forward and its homotopy use the output
+        degree on the base.
+        """
+        total = zero
+        for k in range(1, self.dim + 2):
+            layer = zero
+            for idx, cell in self.faces.get(k, {}).items():
+                v = value(idx, cell)
+                if v is not None:
+                    layer = layer + v
+            total = total + layer_sign(p, k) * layer
+        return total
+
+
+def layer_sign(p: int, k: int) -> int:
+    """(-1)^{(p+1)(k+1)}: the sign of layer k in a degree-p layer sum."""
+    return -1 if (p + 1) * (k + 1) % 2 else 1
+
 
 def make_circle_decomposition(N: int) -> DualCellDecomposition:
     if N < 3:
@@ -425,9 +452,7 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
                 break
         else:
             raise RuntimeError("triple vertex not an endpoint of the shared edge")
-    dec = DualCellDecomposition(2, hexes, faces)
-    dec.grid_n = N
-    return dec
+    return DualCellDecomposition(2, hexes, faces)
 
 
 # ---------------------------------------------------------------------------

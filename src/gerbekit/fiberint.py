@@ -10,17 +10,19 @@ with A(gamma) the number of unit squares enclosed between the path and the
 b-axis (each up-step at column p contributes p - 1); this is the unique
 parity choice for which the push-forward commutes with the total
 differential.  The push-forward then integrates these mixed forms over the
-cells of a dual decomposition of E in the fiber directions only.
+cells of a dual decomposition of E in the fiber directions only, and adds
+the cells up with DualCellDecomposition.layer_sum at the output degree.
+Its homotopy is the same sum over a different signed family of E-side
+indices per cell.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cochain import DiffCochain, Level, signed_sum, total_d
-from .covers import Cover, DualCellDecomposition, product_index
+from .cochain import DiffCochain, Level, level_zero, signed_sum, total_d
+from .covers import DualCellDecomposition, product_index
 from .trigform import TrigForm, _move_axes_to_end_sign, cell_integral
 
 Idx = Tuple[int, ...]
@@ -49,10 +51,6 @@ def monotone_paths(r: int, k: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], i
 
     walk(1, 1, [(1, 1)], 0)
     return tuple(out)
-
-
-def path_count(r: int, k: int) -> int:
-    return math.comb(r + k - 2, r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,49 +107,76 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
 # push-forward
 
 
+def _family_sum(symbol: Callable[[Idx], Level],
+                family: Sequence[Tuple[int, Idx]]) -> Level:
+    """sum of (-1)^odd symbol(b) over the (odd, b) of a nonempty family.
+
+    The sum starts from the first term, not from a zero, so the
+    push-forward's one-term family is its symbol itself, with no addition
+    to copy it.
+    """
+    total = None
+    for odd, b_idx in family:
+        term = symbol(b_idx)
+        if odd:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
+                    e_indices: Callable[[Idx], Sequence[Tuple[int, Idx]]],
+                    field_strength: TrigForm) -> DiffCochain:
+    """The degree-p cochain on X whose component at (a) is the layer sum
+    over dec of int_{Delta_(i)} sum_{(odd, b) in e_indices(i)} (-1)^odd
+    T^(a)_(b) omega, the integral taken in the fiber directions only.
+
+    On the integer row (length p+2) only the point layer contributes: each
+    oriented point weighs the integer path sums with its sign.
+    """
+    cover = omega.cover
+    x_cover = cover.factor_covers[0]
+    n_base = x_cover.factors
+
+    def comp(a_idx: Idx) -> Level:
+        if len(a_idx) == p + 2:
+            def symbol(b_idx):
+                return _path_sum(omega.component, cover, a_idx, b_idx, 0)
+
+            def value(cell_idx, cell):
+                if cell.dim:
+                    return None
+                return cell.sign * _family_sum(symbol, e_indices(cell_idx))
+        else:
+            def symbol(b_idx):
+                return t_symbol_form(omega, a_idx, b_idx)
+
+            def value(cell_idx, cell):
+                sym = _family_sum(symbol, e_indices(cell_idx))
+                if sym.is_zero():
+                    return None
+                return integrate_fiber_cell(sym, cell, n_base)
+        return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))
+
+    return DiffCochain(p, x_cover, field_strength=field_strength,
+                       ambient_dim=n_base, component_fn=comp)
+
+
 def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
                 rho: Sequence[int]) -> DiffCochain:
     """Push a degree-n cochain on X x E down to a degree-(n-d) cochain on X."""
     cover = omega.cover
     if not hasattr(cover, "factor_covers"):
         raise ValueError("push-forward needs a product cover")
-    x_cover, e_cover = cover.factor_covers
-    n = omega.degree
-    d = dec.dim
-    if n < d:
+    if omega.degree < dec.dim:
         raise ValueError("cochain degree must be at least dim E")
+    x_cover, e_cover = cover.factor_covers
     n_base = x_cover.factors
     fiber_axes = list(range(n_base, n_base + e_cover.factors))
-    H = omega.get_field_strength()
-    T = H.fiber_integrate_global(fiber_axes)
-    m = n - d
-
-    def comp(a_idx: Idx) -> Level:
-        if len(a_idx) == m + 2:
-            # integer row: only the point layer k = d+1 contributes
-            sgn = 1 if ((m + 1) * d) % 2 == 0 else -1
-            total = 0
-            for cell_idx, cell in dec.faces.get(d + 1, {}).items():
-                b_idx = tuple(rho[i] for i in cell_idx)
-                total += cell.sign * _path_sum(omega.component, cover,
-                                               a_idx, b_idx, 0)
-            return sgn * total
-        deg = m - (len(a_idx) - 1)
-        total = TrigForm.zero(n_base, max(deg, 0))
-        for k in range(1, d + 2):
-            sgn = 1 if ((m + 1) * (k + 1)) % 2 == 0 else -1
-            layer = TrigForm.zero(n_base, max(deg, 0))
-            for cell_idx, cell in dec.faces.get(k, {}).items():
-                b_idx = tuple(rho[i] for i in cell_idx)
-                sym = t_symbol_form(omega, a_idx, b_idx)
-                if sym.is_zero():
-                    continue
-                layer = layer + integrate_fiber_cell(sym, cell, n_base)
-            total = total + sgn * layer
-        return total
-
-    return DiffCochain(m, x_cover, field_strength=T, ambient_dim=n_base,
-                       component_fn=comp)
+    T = omega.get_field_strength().fiber_integrate_global(fiber_axes)
+    return _fiber_integral(
+        omega, dec, omega.degree - dec.dim,
+        lambda cell_idx: ((0, tuple(rho[i] for i in cell_idx)),), T)
 
 
 def pushforward_commutes_defect(omega: DiffCochain, dec: DualCellDecomposition,
@@ -173,65 +198,30 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
     """The homotopy comparing the push-forwards for two subordinations.
 
     Output degree n-d-1 on X; for cocycles omega,
-    pushforward(rho) - pushforward(rho2) = d_total(homotopy); the inner
-    alternation (-1)^t matches the subordination-homotopy convention of the
-    double complex and is pinned by this identity.
+    pushforward(rho) - pushforward(rho2) = d_total(homotopy).  On the cell
+    Delta_(i1...ik) it integrates sum_{t=1}^{k} (-1)^t T^(a)_(b_t) omega with
+    b_t = (rho(i1..it), rho2(it..ik)); the alternation (-1)^t matches the
+    subordination-homotopy convention of the double complex and is pinned
+    by this identity.
     """
-    cover = omega.cover
-    x_cover, e_cover = cover.factor_covers
-    n = omega.degree
-    d = dec.dim
-    n_base = x_cover.factors
-    m = n - d
+    m = omega.degree - dec.dim
     if m < 1:
         raise ValueError("homotopy needs output degree n - d >= 1")
+    n_base = omega.cover.factor_covers[0].factors
 
-    def mixed_b(cell_idx: Idx, t: int) -> Idx:
-        return (tuple(rho[i] for i in cell_idx[:t]) +
-                tuple(rho2[i] for i in cell_idx[t - 1:]))
+    def e_indices(cell_idx: Idx):
+        return tuple((t % 2, tuple(rho[i] for i in cell_idx[:t]) +
+                      tuple(rho2[i] for i in cell_idx[t - 1:]))
+                     for t in range(1, len(cell_idx) + 1))
 
-    def comp(a_idx: Idx) -> Level:
-        r = len(a_idx)
-        if r == m + 1:
-            # integer row: only the point layer k = d+1 contributes
-            k = d + 1
-            sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
-            total = 0
-            for cell_idx, cell in dec.faces.get(k, {}).items():
-                inner = signed_sum(
-                    0, ((t % 2, _path_sum(omega.component, cover, a_idx,
-                                          mixed_b(cell_idx, t), 0))
-                        for t in range(1, k + 1)))
-                total += cell.sign * inner
-            return sgn * total
-        deg = (m - 1) - (r - 1)
-        total = TrigForm.zero(n_base, max(deg, 0))
-        for k in range(1, d + 2):
-            sgn = 1 if (m * (k + 1)) % 2 == 0 else -1
-            layer = TrigForm.zero(n_base, max(deg, 0))
-            for cell_idx, cell in dec.faces.get(k, {}).items():
-                inner = signed_sum(
-                    TrigForm.zero(omega.ambient_dim, max(n + 1 - r - k, 0)),
-                    ((t % 2, t_symbol_form(omega, a_idx, mixed_b(cell_idx, t)))
-                     for t in range(1, k + 1)))
-                if inner.is_zero():
-                    continue
-                layer = layer + integrate_fiber_cell(inner, cell, n_base)
-            total = total + sgn * layer
-        return total
-
-    return DiffCochain(m - 1, x_cover,
-                       field_strength=TrigForm.zero(n_base, min(m, n_base)),
-                       ambient_dim=n_base, component_fn=comp)
+    return _fiber_integral(omega, dec, m - 1, e_indices,
+                           TrigForm.zero(n_base, min(m, n_base)))
 
 
 def homotopy_residual(omega: DiffCochain, dec: DualCellDecomposition,
-                      rho: Sequence[int], rho2: Sequence[int],
-                      omega_is_cocycle: bool = True) -> float:
-    """Residual of: pushforward(rho) - pushforward(rho2) = d(homotopy(omega))
-    [+ homotopy(d omega) when omega is not a cocycle]."""
+                      rho: Sequence[int], rho2: Sequence[int]) -> float:
+    """Residual of pushforward(rho) - pushforward(rho2) = d(homotopy(omega)),
+    which holds for cocycles omega."""
     lhs = pushforward(omega, dec, rho) - pushforward(omega, dec, rho2)
     rhs = total_d(pushforward_homotopy(omega, dec, rho, rho2))
-    if not omega_is_cocycle:
-        rhs = rhs + pushforward_homotopy(total_d(omega), dec, rho, rho2)
     return (lhs - rhs).max_defect()

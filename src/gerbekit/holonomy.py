@@ -8,8 +8,10 @@ Delta_i and a subordination rho,
                  sum_{i1 > ... > ik} int_{Delta_(i)} omega^{n+1-k}_{rho(i1)...rho(ik)}
 
 where the k = n+1 layer integrates 0-forms over oriented points (evaluation
-with the boundary-induced sign).  The value is well defined modulo 2*pi
-under changes of rho and refinement of the decomposition.
+with the boundary-induced sign).  This is DualCellDecomposition.layer_sum
+with output degree p = 0: the holonomy is the push-forward of omega along
+T^n -> point.  The value is well defined modulo 2*pi under changes of rho
+and refinement of the decomposition.
 """
 
 from __future__ import annotations
@@ -24,20 +26,16 @@ from .covers import DualCellDecomposition
 
 def holonomy_raw(omega: DiffCochain, dec: DualCellDecomposition,
                  rho: Sequence[int]) -> complex:
-    """The signed cell-integral sum, without the reality check."""
-    n = omega.degree
-    if dec.dim != n:
+    """The signed cell-integral sum, without the reality check: the layer
+    sum of a degree-0 output, i.e. the push-forward to a point."""
+    if dec.dim != omega.degree:
         raise ValueError("decomposition dimension must equal cochain degree")
-    total = 0.0 + 0.0j
-    for k in range(1, n + 2):
-        layer = 0.0 + 0.0j
-        for idx, cell in dec.faces.get(k, {}).items():
-            comp = omega.component(tuple(rho[i] for i in idx))
-            if comp.is_zero():
-                continue
-            layer += comp.integrate_cell(cell)
-        total += layer if k % 2 == 1 else -layer
-    return total
+
+    def value(idx, cell):
+        comp = omega.component(tuple(rho[i] for i in idx))
+        return None if comp.is_zero() else comp.integrate_cell(cell)
+
+    return dec.layer_sum(0, value, 0.0 + 0.0j)
 
 
 def holonomy(omega: DiffCochain, dec: DualCellDecomposition,

@@ -27,8 +27,7 @@ class LieValuedForm:
     __slots__ = ("ambient_dim", "degree", "matrix_dim", "terms")
 
     def __init__(self, ambient_dim: int, degree: int, matrix_dim: int,
-                 terms: Mapping[Key, np.ndarray] | None = None,
-                 drop_tol: float = 0.0):
+                 terms: Mapping[Key, np.ndarray] | None = None):
         self.ambient_dim = ambient_dim
         self.degree = degree
         self.matrix_dim = matrix_dim
@@ -38,7 +37,7 @@ class LieValuedForm:
                 X = np.asarray(X, dtype=complex)
                 if X.shape != (matrix_dim, matrix_dim):
                     raise ValueError("matrix coefficient shape mismatch")
-                if np.max(np.abs(X)) <= drop_tol:
+                if not np.any(X):
                     continue
                 key = (tuple(int(f) for f in freq), tuple(int(a) for a in axes))
                 if len(key[0]) != ambient_dim:

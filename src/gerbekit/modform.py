@@ -93,25 +93,10 @@ def eta_multiplier(m: Sequence[int], tol: float = 1e-9) -> complex:
 # the twisted theta function
 
 
-def _theta1_with_terms(tau: complex, u: complex,
-                       tol: float = 1e-12) -> Tuple[complex, int]:
+def theta1(tau: complex, u: complex, tol: float = 1e-12) -> complex:
     """sum_n e^{2 pi i (u - 1/2)(n + 1/2) + pi i tau (n + 1/2)^2}."""
     _check_tau(tau)
-    y = tau.imag
-    # magnitude e^{-pi y (n + 1/2 + Im(u)/y)^2 + pi Im(u)^2 / y}
-    shift = u.imag / y
-    extra = math.pi * u.imag ** 2 / y
-    N = int(math.sqrt((math.log(1 / tol) + extra + 1) / (math.pi * y))) + 3
-    c0 = int(round(-0.5 - shift))
-    total = 0j
-    for n in range(c0 - N, c0 + N + 1):
-        h = n + 0.5
-        total += cmath.exp(TWO_PI_I * (u - 0.5) * h + PI_I * tau * h * h)
-    return total, 2 * N + 1
-
-
-def theta1(tau: complex, u: complex, tol: float = 1e-12) -> complex:
-    return _theta1_with_terms(tau, u, tol)[0]
+    return _coset_factor_sums(tau, u - 0.5, 0.5, tol)[0]
 
 
 def det_section(tau: complex, u: complex, tol: float = 1e-12) -> complex:

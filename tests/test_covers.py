@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerbekit.covers import (_arcs_intersection, admissible_pieces,
-                             make_circle_cover, make_circle_decomposition,
-                             make_torus_cover, make_torus_hex_decomposition,
-                             product_cover, refine, subordinate,
-                             two_subordinations)
+                             layer_sign, make_circle_cover,
+                             make_circle_decomposition, make_torus_cover,
+                             make_torus_hex_decomposition, product_cover,
+                             refine, subordinate, two_subordinations)
 
 
 def test_circle_cover_shapes():
@@ -77,6 +77,23 @@ def test_hex_areas_tile_torus():
     dec = make_torus_hex_decomposition(4)
     total = sum(cell.area() for cell in dec.top_cells)
     assert abs(total - (2 * math.pi) ** 2) < 1e-9
+
+
+def test_layer_sign_table():
+    # (-1)^{(p+1)(k+1)} for the layers k = 1, 2, 3 at output degrees p = 0, 1, 2
+    assert [[layer_sign(p, k) for k in (1, 2, 3)] for p in (0, 1, 2)] == [
+        [1, -1, 1], [1, 1, 1], [1, -1, 1]]
+
+
+@pytest.mark.parametrize("dec", [make_circle_decomposition(5),
+                                 make_torus_hex_decomposition(4)],
+                         ids=["circle:5", "hex:4"])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_layer_sum_weighs_each_layer_by_its_sign(dec, p):
+    # one unit per cell of layer k, and None (no contribution) on the rest
+    for k in dec.faces:
+        got = dec.layer_sum(p, lambda idx, cell: 1 if len(idx) == k else None, 0)
+        assert got == layer_sign(p, k) * len(dec.faces[k])
 
 
 def test_subordinate_is_admissible():

@@ -6,7 +6,7 @@ import pytest
 from gerbekit.cochain import from_global_form, total_d
 from gerbekit.covers import (make_circle_cover, product_cover,
                              two_subordinations)
-from gerbekit.fiberint import (homotopy_residual, monotone_paths, path_count,
+from gerbekit.fiberint import (homotopy_residual, monotone_paths,
                                pushforward, pushforward_commutes_defect,
                                pushforward_homotopy)
 from gerbekit.suites import (circle_setup, random_alternating_cochain,
@@ -17,8 +17,7 @@ from gerbekit.trigform import TrigForm
 def test_path_counts_are_binomial():
     for r in range(1, 5):
         for k in range(1, 5):
-            assert len(monotone_paths(r, k)) == path_count(r, k)
-            assert path_count(r, k) == math.comb(r + k - 2, r - 1)
+            assert len(monotone_paths(r, k)) == math.comb(r + k - 2, r - 1)
 
 
 def test_path_endpoints_and_monotonicity():
@@ -103,9 +102,25 @@ def test_homotopy_residual_cocycle(degree):
 
 
 def test_homotopy_residual_with_correction_term():
+    # for a non-cocycle: pf(rho) - pf(rho2) = D h(omega) + h(D omega)
     om, dec, rho, rho2, _ = _s1_instance(20, 2)
-    assert homotopy_residual(om, dec, rho, rho2,
-                             omega_is_cocycle=False) < 1e-11
+    lhs = pushforward(om, dec, rho) - pushforward(om, dec, rho2)
+    rhs = (total_d(pushforward_homotopy(om, dec, rho, rho2))
+           + pushforward_homotopy(total_d(om), dec, rho, rho2))
+    assert (lhs - rhs).max_defect() < 1e-11
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_homotopy_residual_torus_fiber(seed):
+    # a 2-dimensional fibre: the homotopy sums three layers of hexagon cells
+    rng = np.random.default_rng(seed)
+    base = make_circle_cover(3, 0.6)
+    fiber, dec = torus_setup()
+    cover = product_cover(base, fiber)
+    oc = random_cocycle(rng, cover, 3, 3)
+    rho, rho2 = two_subordinations(dec, fiber, rng)
+    assert rho != rho2
+    assert homotopy_residual(oc, dec, rho, rho2) < 1e-12
 
 
 def test_homotopy_requires_positive_output_degree():

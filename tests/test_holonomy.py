@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
-from gerbekit.covers import two_subordinations
+from gerbekit.covers import subordinate, two_subordinations
 from gerbekit.holonomy import (holonomy, holonomy_phase, invariance_defect,
                                nearest_2pi_multiple_defect)
-from gerbekit.suites import circle_setup, random_cocycle, torus_setup
+from gerbekit.serialize import cover_from_id, decomposition_from_id
+from gerbekit.suites import (circle_setup, random_cocycle, random_real_form,
+                             torus_setup)
 from gerbekit.trigform import TrigForm
 
 
@@ -84,3 +88,24 @@ def test_decomposition_dimension_mismatch_raises():
     rho, _ = two_subordinations(dec, cover, rng)
     with pytest.raises(ValueError):
         holonomy(om, dec, rho)
+
+
+# decomposition sizes for which every cell sits inside a cover piece
+_SIZES = st.one_of(
+    st.tuples(st.just("circle:4:0.7"), st.builds("circle:{}".format,
+                                                  st.integers(4, 48))),
+    st.tuples(st.just("torus:3:3:0.75"), st.builds("hex:{}".format,
+                                                    st.integers(6, 12))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_SIZES, st.integers(0, 2 ** 32 - 1), st.floats(-2.0, 2.0))
+def test_global_form_holonomy_is_its_integral_at_every_size(ids, seed, c):
+    # hol(from_global_form(T)) = int T, whatever the decomposition's size
+    cover, dec = cover_from_id(ids[0]), decomposition_from_id(ids[1])
+    n = dec.dim
+    T = random_real_form(np.random.default_rng(seed), n, n) \
+        + TrigForm.monomial(n, (0,) * n, tuple(range(n)), c)
+    expect = T.fiber_integrate_global(range(n)).terms.get(((), ()), 0.0)
+    got = holonomy(from_global_form(T, cover), dec, subordinate(dec, cover))
+    assert abs(got - expect) < 1e-12

@@ -74,6 +74,13 @@ CLI_PINNED = [
          "in.json": "7d8a2065e589423392b179de1e3f1e2a875677ca0f7812be4bfe7cbfd8542da4",
          "stdout": "55bdbbbf61964413baeee90212e5da44f3bc5443e0629f2f8d76e3e14d52e778",
          "out.json": "b10152bc3a1b3bb5610a899631982bd4664bd66653e0cdcf4333c0d4c6e8e074"}),
+    # a 2-dimensional fibre: the output holds 5 nonzero integer components
+    ("pushforward-hex:6-output", ["pushforward", "--decomposition", "hex:6",
+                                  "--output", "out.json"],
+     ("alternating", "product:circle:3:0.6|torus:3:3:0.75", 2, 7), {
+         "in.json": "a4a21812978c6b5a0ad6a2c013a76c9efd9e88c1d3061742494fd50c470ab412",
+         "stdout": "772a10b660d673ca81d12e5b48e248137c4c519a6cffb2b99c639190b67323d7",
+         "out.json": "1874b11b03cb25432cb5a942d846477523841a03688dd624003ff4891768ec3a"}),
 ]
 
 
