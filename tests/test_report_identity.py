@@ -106,3 +106,170 @@ def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys, argv,
                for name in digests if name != "stdout")
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in got.items()} == digests
+
+
+# The modular evaluators: `theta` on every built-in at z = 0 and at a fixed
+# z file, `character` on the two rank-16 lattices, `factor` for each family
+# with an S, a T, a W and a word element, `act`, and `lattice` shells up to
+# norm 4.  Each case pins the SHA-256 of stdout; inputs are literals, and a
+# `--z` file is written into a fresh working directory as `z.json`.
+def _z(rank):
+    return [[0.01 * (j + 1), 0.02 * (j % 3) - 0.015] for j in range(rank)]
+
+
+def _point(rank):
+    return json.dumps({"tau": [0.15, 1.2], "z": _z(rank)})
+
+
+def _unit(rank, i, sign=1):
+    return [sign if j == i else 0 for j in range(rank)]
+
+
+_RANKS = {"e8": 8, "e8e8": 16, "d16plus": 16, "spin16_coroot": 8}
+# lattice isometries in basis coordinates: the two E8 blocks swapped, and -1
+_W = {"e8e8": [_unit(16, (i + 8) % 16) for i in range(16)],
+      "d16plus": [_unit(16, i, -1) for i in range(16)]}
+_FAMILY_LATTICE = {"char": "e8e8", "ad": "d16plus", "rho": "e8e8",
+                   "anomaly_ad": "e8e8", "anomaly_rho": "d16plus",
+                   "det_u1": None}
+
+
+def _factor_elements(lat):
+    rank = _RANKS[lat] if lat else 1
+    return {"S": {"S": [0, -1, 1, 0]},
+            "T": {"T": [_unit(rank, min(3, rank - 1)),
+                        _unit(rank, rank - 1, -1)]},
+            "W": {"W": _W[lat] if lat else [[1]]},
+            "word": [{"S": [1, 1, 0, 1]},
+                     {"T": [_unit(rank, 0), _unit(rank, rank - 1)]}]}
+
+
+def _modular_cases():
+    cases = []
+    for name, rank in _RANKS.items():
+        for z in ("zeros", "z.json"):
+            cases.append((f"theta-{name}-{z}", ["theta", "--lattice", name,
+                                                "--tau", "0.1,1.3", "--z", z],
+                          rank))
+    for name in ("e8e8", "d16plus"):
+        cases.append((f"character-{name}", ["character", "--lattice", name,
+                                            "--tau", "0.2,1.1", "--z",
+                                            "z.json"], _RANKS[name]))
+    for family, lat in _FAMILY_LATTICE.items():
+        for kind, element in _factor_elements(lat).items():
+            argv = ["factor", "--family", family, "--element",
+                    json.dumps(element), "--point", _point(_RANKS[lat]
+                                                           if lat else 1)]
+            cases.append((f"factor-{family}-{kind}",
+                          argv + (["--lattice", lat] if lat else []), None))
+    for kind, element in (("S", {"S": [1, 2, 1, 3]}),
+                          ("T", {"T": [_unit(8, 2), _unit(8, 5, -1)]}),
+                          ("W", {"W": [_unit(8, 7 - i) for i in range(8)]}),
+                          ("word", [{"S": [0, -1, 1, 0]},
+                                    {"T": [[0] * 8, _unit(8, 1)]}])):
+        cases.append((f"act-{kind}", ["act", "--element", json.dumps(element),
+                                      "--point", _point(8)], None))
+    for name in _RANKS:
+        cases.append((f"lattice-{name}", ["lattice", "--name", name,
+                                          "--enumerate-norm", "4"], None))
+    return cases
+
+
+MODULAR_PINNED = {
+    "theta-e8-zeros":
+        "51e9604dc2bf61407353921296743825f3e5d138f6aa34ceb07f33044effc683",
+    "theta-e8-z.json":
+        "27e3af778a25bc78f63986a0f98ff81731f2e9b827c5df00791c7e65085cdccd",
+    "theta-e8e8-zeros":
+        "11baefb0c0ca945e7a7402371f4e6ff849705d6af3f06c586d8a402f281cd903",
+    "theta-e8e8-z.json":
+        "8d4299a7daa05e994ecb5a36d006aa23c5282ebaf86e67f55a725738d6c01a0d",
+    "theta-d16plus-zeros":
+        "4f2158647a00be9ff928730ebe2dfe9a5ba86accf7dd9d62764120dd2cdb09e2",
+    "theta-d16plus-z.json":
+        "5c1ec26e985511ba19f9738782c06b94031c892a022c24ea8cafe07b0cfcc8bd",
+    "theta-spin16_coroot-zeros":
+        "94e1854412c67e721e0d2e7e9f61afb25aafe40b4706964b909afa9666f6c454",
+    "theta-spin16_coroot-z.json":
+        "473655367091dc8367c8b865a79bec91f170478927edade66b818c93fe239af4",
+    "character-e8e8":
+        "93bb363a1911897f8d7e849d33074dcb000b2237521bae9ca5b70e03fa022a2b",
+    "character-d16plus":
+        "97ffaeb7fe6a61577fb8527fd38f4925574d9e7358961347a0590e8e009a20b7",
+    "factor-char-S":
+        "dfc5da13eaa5fcf3f4f09571ca5403044f8871630362a986d3b5b918a710a663",
+    "factor-char-T":
+        "7c42bbca8fff640c6de90061963961d1e42cbe4fbbb337c04e8206cb14ddfcd6",
+    "factor-char-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-char-word":
+        "1fbcbf1bbb3a5a502f68e65eebb33b6e707472f79b180e8090158d4deb847d19",
+    "factor-ad-S":
+        "996a04534b4f19fa071b00ce47fae90583b9b5c7209e2ebc26a66702506fb4b9",
+    "factor-ad-T":
+        "1ae2e0daca1a9d22ebe9299a30ec9eb732cb05c2776c428a057a82eb5cdfb980",
+    "factor-ad-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-ad-word":
+        "7673ad62014d7eaef9900724d3c3c34386d5dce71e50b2a6ecaf95545402fe74",
+    "factor-rho-S":
+        "ec118ed99ab6481cd8cc56d89f508a3d124f23ff8d00c33c5cf70fcf1d84270b",
+    "factor-rho-T":
+        "7c42bbca8fff640c6de90061963961d1e42cbe4fbbb337c04e8206cb14ddfcd6",
+    "factor-rho-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-rho-word":
+        "98cdb06d685f7a1d1c1efe571535de8f7fef7139dde928c4929870541440d3d5",
+    "factor-anomaly_ad-S":
+        "c4ccff2cdd639c5ba940b04746ce1a9a44db694b32d7e82c3b63a85783feeebb",
+    "factor-anomaly_ad-T":
+        "9f8ad1e855180cf5e155016d76992e13315442d90cee5a344c3873146fae6eea",
+    "factor-anomaly_ad-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-anomaly_ad-word":
+        "3c6ebc86987e3b24e951b683eb336bdb77a1555ebf3d90d5865df425616028fb",
+    "factor-anomaly_rho-S":
+        "a5f78478be6355bbbcdfad3d997f75038d621d8d15ddbf5806b4127100ada752",
+    "factor-anomaly_rho-T":
+        "8a0549ec71c15489676c9323d0e9063718a83176f79ef61f71ebb43322dc3e1f",
+    "factor-anomaly_rho-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-anomaly_rho-word":
+        "6bee5ac4172e20a5985e1533739842e50a0b7625630eb819cdd98a1c1b0ffa49",
+    "factor-det_u1-S":
+        "5694a7645a5efdbf72ad277c47095435cdc45911f6253479ccf90d6c7dec8da0",
+    "factor-det_u1-T":
+        "f390dafa3c1200f001de11cc45ad5b9ec687516bae36d6295f0dbc1d5c8ed165",
+    "factor-det_u1-W":
+        "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
+    "factor-det_u1-word":
+        "828e68869f3b0ca5bfa3348db9addc21a18a94c3622cd5a04c74eb51fb9f0ebb",
+    "act-S":
+        "60675ba49bd7c44a8af892383a0e4c4461aed583f4f635baaed16f26c3d646b1",
+    "act-T":
+        "608feb98c63d5cf61f279c4274529a2cc4658640e86821b105db800a57bf2f39",
+    "act-W":
+        "e8f404529a2df754c22d6b7a4037b840ef3cd200a9b0a67ffbb56272e9a7b712",
+    "act-word":
+        "935878909a743a3dd670615806aa5056c13e09dd494593918f35990ebee1f4ce",
+    "lattice-e8":
+        "183c49cb18aa6b8e5d53c3ce24d4b6b1c8302c2be6611d5cd95d6c63cdc75c7c",
+    "lattice-e8e8":
+        "6fd9ce9e6d34c2cf5fae693d5c9818e14d66465521b60f7f1da7127c01ba0980",
+    "lattice-d16plus":
+        "04f0f18020d930eed6a24a7567e797d31c1bcbe217133157310dd10974227433",
+    "lattice-spin16_coroot":
+        "a6b7d7837a61d29634213d5e30cca3a14b3db90f257bf55768c2c9e00db19cbd",
+}
+
+
+@pytest.mark.parametrize("argv,rank", [c[1:] for c in _modular_cases()],
+                         ids=[c[0] for c in _modular_cases()])
+def test_modular_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys,
+                                              request, argv, rank):
+    monkeypatch.chdir(tmp_path)
+    if rank is not None:
+        (tmp_path / "z.json").write_text(json.dumps(_z(rank)))
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MODULAR_PINNED[request.node.callspec.id]
