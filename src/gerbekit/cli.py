@@ -74,13 +74,34 @@ def parse_complex(s: str) -> complex:
     return complex(float(re), float(im))
 
 
+_ITEMS = {(int,): "integers", (int, float): "numbers", (list,): "lists"}
+
+
+def _json_list(x, what: str, kinds: tuple, length: Optional[int] = None) -> list:
+    """x, checked to be a JSON list (of the given length) of items of the
+    given types; a bool is not an int here."""
+    if (not isinstance(x, list) or any(type(a) not in kinds for a in x)
+            or length not in (None, len(x))):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be a list of {count}{_ITEMS[kinds]}, "
+                         f"got {json.dumps(x)}")
+    return x
+
+
+def _complex(p, what: str) -> complex:
+    re, im = _json_list(p, what + " [re, im]", (int, float), 2)
+    return complex(re, im)
+
+
 def parse_z(s: str, rank: int) -> Tuple[complex, ...]:
     """'zeros', or a file holding a JSON list of [re, im] pairs."""
     if s == "zeros":
         return (0j,) * rank
     with open(s) as fh:
         pairs = json.load(fh)
-    z = tuple(complex(float(p[0]), float(p[1])) for p in pairs)
+    if not isinstance(pairs, list):
+        raise ValueError("z file must hold a list of [re, im] pairs")
+    z = tuple(_complex(p, "z coordinate") for p in pairs)
     if len(z) != rank:
         raise ValueError(f"z file has {len(z)} coordinates, expected {rank}")
     return z
@@ -94,20 +115,28 @@ def parse_element(s: str) -> GroupElement:
 def _element_from_obj(data) -> GroupElement:
     if isinstance(data, list):
         return GroupElement.word([_element_from_obj(e) for e in data])
-    if "S" in data:
-        return GroupElement.S(*data["S"])
-    if "T" in data:
-        return GroupElement.T(data["T"][0], data["T"][1])
-    if "W" in data:
-        return GroupElement.W(data["W"])
-    raise ValueError("element must contain S, T, or W")
+    if isinstance(data, dict):
+        if "S" in data:
+            return GroupElement.S(*_json_list(data["S"], "S", (int,), 4))
+        if "T" in data:
+            q1, q2 = _json_list(data["T"], "T", (list,), 2)
+            return GroupElement.T(_json_list(q1, "T's q1", (int,)),
+                                  _json_list(q2, "T's q2", (int,)))
+        if "W" in data:
+            return GroupElement.W([_json_list(row, "a W row", (int,))
+                                   for row in _json_list(data["W"], "W",
+                                                         (list,))])
+    raise ValueError("element must be an object with S, T or W, or a list "
+                     "of elements")
 
 
 def parse_point(s: str) -> ModuliPoint:
     data = json.loads(s)
-    tau = complex(data["tau"][0], data["tau"][1])
-    z = tuple(complex(p[0], p[1]) for p in data["z"])
-    return ModuliPoint(tau, z)
+    if not isinstance(data, dict) or not {"tau", "z"} <= data.keys():
+        raise ValueError('point must be {"tau": [re, im], "z": [[re, im], ...]}')
+    z = tuple(_complex(p, "z coordinate")
+              for p in _json_list(data["z"], "z", (list,)))
+    return ModuliPoint(_complex(data["tau"], "tau"), z)
 
 
 def emit(obj: Dict) -> None:

@@ -278,17 +278,23 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
                        ambient_dim=omega.ambient_dim, component_fn=comp)
 
 
-def is_cocycle(omega: DiffCochain, tol: float = 1e-10) -> bool:
-    return total_d(omega).max_defect() <= tol
+# a defect of D omega, or a field-strength coefficient, at most this large
+# counts as zero in is_cocycle and classify_flat_2cocycle
+COCYCLE_TOL = 1e-10
 
 
-def classify_flat_2cocycle(omega: DiffCochain, dec, rho, tol: float = 1e-10) -> float:
+def is_cocycle(omega: DiffCochain) -> bool:
+    return total_d(omega).max_defect() <= COCYCLE_TOL
+
+
+def classify_flat_2cocycle(omega: DiffCochain, dec, rho) -> float:
     """Holonomy class in R/2piZ of a flat 2-cocycle on T^2."""
     from .holonomy import holonomy
     if omega.degree != 2:
         raise ValueError("need a degree-2 cochain")
-    if omega.field_strength is not None and not omega.field_strength.is_zero(tol):
+    if (omega.field_strength is not None
+            and not omega.field_strength.is_zero(COCYCLE_TOL)):
         raise ValueError("cochain is not flat")
-    if not is_cocycle(omega, tol):
+    if not is_cocycle(omega):
         raise ValueError("input is not a cocycle")
     return holonomy(omega, dec, rho) % (2 * math.pi)

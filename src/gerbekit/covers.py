@@ -130,11 +130,9 @@ class Cover:
     pieces[i] is a tuple of per-factor arcs (lo, hi) in lifted coordinates.
     """
 
-    def __init__(self, factors: int, pieces: Sequence[Tuple[Tuple[float, float], ...]],
-                 label: str = ""):
+    def __init__(self, factors: int, pieces: Sequence[Tuple[Tuple[float, float], ...]]):
         self.factors = factors
         self.pieces = [tuple(tuple(arc) for arc in p) for p in pieces]
-        self.label = label
         self.cover_id = ""      # set by serialize.cover_from_id
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
@@ -215,17 +213,15 @@ class Cover:
 class Subordination:
     """sigma: refinement index -> coarse index with V_j contained in U_{sigma(j)}."""
 
-    def __init__(self, source: Cover, target: Cover, index_map: Sequence[int],
-                 check: bool = True):
+    def __init__(self, source: Cover, target: Cover, index_map: Sequence[int]):
         self.source = source
         self.target = target
         self.index_map = tuple(int(i) for i in index_map)
         if len(self.index_map) != len(source.pieces):
             raise ValueError("index map length mismatch")
-        if check:
-            for j, i in enumerate(self.index_map):
-                if not target.piece_contains_box(i, source.pieces[j]):
-                    raise ValueError(f"V_{j} not contained in U_{i}")
+        for j, i in enumerate(self.index_map):
+            if not target.piece_contains_box(i, source.pieces[j]):
+                raise ValueError(f"V_{j} not contained in U_{i}")
 
 
 def make_circle_cover(N: int, overlap: float) -> Cover:
@@ -235,7 +231,7 @@ def make_circle_cover(N: int, overlap: float) -> Cover:
         raise ValueError("overlap must lie in (0, pi/N)")
     h = TWO_PI / N
     pieces = [((j * h - overlap, (j + 1) * h + overlap),) for j in range(N)]
-    return Cover(1, pieces, label=f"circle(N={N},ov={overlap:g})")
+    return Cover(1, pieces)
 
 
 def make_torus_cover(N: int, M: int, overlap: float) -> Cover:
@@ -249,8 +245,7 @@ def product_cover(a: Cover, b: Cover) -> Cover:
     for pa in a.pieces:
         for pb in b.pieces:
             pieces.append(pa + pb)
-    c = Cover(a.factors + b.factors, pieces,
-              label=f"product({a.label},{b.label})")
+    c = Cover(a.factors + b.factors, pieces)
     c.factor_covers = (a, b)
     c.block_sizes = (len(a.pieces), len(b.pieces))
     return c
@@ -297,7 +292,7 @@ def _refine_circle(c: Cover, factor: int):
             pieces.append(((a - m, a + L + m),))
             sig.append(i)
             sig2.append(i)
-    fine = Cover(1, pieces, label=f"refined({c.label},x{factor})")
+    fine = Cover(1, pieces)
     return fine, sig, sig2
 
 
@@ -480,20 +475,15 @@ def admissible_pieces(dec: DualCellDecomposition, cover: Cover) -> List[List[int
     return out
 
 
-def subordinate(dec: DualCellDecomposition, cover: Cover,
-                choice: Sequence[int] | None = None) -> List[int]:
-    """A subordination rho: top cell -> cover piece containing it."""
-    adm = admissible_pieces(dec, cover)
+def subordinate(dec: DualCellDecomposition, cover: Cover) -> List[int]:
+    """A subordination rho: top cell -> the first cover piece containing it."""
     rho = []
-    for i, options in enumerate(adm):
+    for i, options in enumerate(admissible_pieces(dec, cover)):
         if not options:
             raise ValueError(
                 f"top cell {i} is not contained in any cover piece; "
                 "increase the cover overlap")
-        if choice is not None and choice[i] in options:
-            rho.append(choice[i])
-        else:
-            rho.append(options[0])
+        rho.append(options[0])
     return rho
 
 

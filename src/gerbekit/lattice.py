@@ -2,203 +2,185 @@
 reflections, bounded-norm vector enumeration, and the root/weight/index
 arithmetic used by the modular-form checks.
 
-Lattices are stored through an explicit basis (rows, exact rational
-entries) in an ambient coordinate space, together with a pairing scale:
-<u, v> = scale * (x(u) . x(v)).  The three built-in unimodular lattices
-use scale 1; the Spin(16) coroot lattice uses half-coordinates with
-scale 2, which reproduces the identity 2 sum_i x_i(a) x_i(b) = <a, b>.
+A lattice is its Gram matrix, held once and exactly as integer numerators
+over one denominator: <u, v> = u^T gram v / gram_den.  A built-in lattice
+also holds a basis in an ambient coordinate space, again as integer
+numerators over one denominator.  E8, E8+E8 and D16+ derive their Gram
+from that basis; the Spin(16) coroot lattice is given by its own Gram,
+half the D8 Cartan matrix, next to the basis (1/2)(x_i - x_{i+1}),
+(1/2)(x_6 + x_7), so that the identity 2 sum_i x_i(a) x_i(b) = <a, b>
+compares two independent descriptions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
+def _frozen(rows) -> np.ndarray:
+    """A read-only int64 array of integer entries (a Fraction or a float is
+    refused, not truncated)."""
+    a = np.array([[operator.index(x) for x in row] for row in rows],
+                 dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
 class IntegralLattice:
-    """A positive-definite lattice given by a rational basis and pairing scale."""
+    """A positive-definite lattice with Gram matrix gram / gram_den and an
+    optional basis basis / basis_den (integer numerators, read-only)."""
 
-    def __init__(self, name: str, basis: Sequence[Sequence[Fraction]],
-                 scale: int = 1):
+    def __init__(self, name: str, gram: Sequence[Sequence[int]],
+                 gram_den: int = 1, basis: Optional[Sequence[Sequence[int]]] = None,
+                 basis_den: int = 1):
         self.name = name
-        self.basis = [[Fraction(x) for x in row] for row in basis]
-        self.rank = len(self.basis)
-        self.ambient = len(self.basis[0])
-        self.scale = scale
-        # basis = basis_num / den with integer entries, so the Gram is an
-        # integer matrix over den^2, summed with Python integers
-        self._den = math.lcm(*(x.denominator for row in self.basis for x in row))
-        self._basis_num = [[int(x * self._den) for x in row] for row in self.basis]
-        self._set_gram([[scale * sum(a * b for a, b in zip(u, v))
-                         for v in self._basis_num] for u in self._basis_num],
-                       self._den ** 2)
-
-    def _set_gram(self, num: List[List[int]], den: int) -> None:
-        """Gram = num / den for an integer matrix num."""
-        self.gram_exact = [[Fraction(x, den) for x in row] for row in num]
-        self.__dict__.pop("gram_float", None)     # converted from this Gram
-        if all(x % den == 0 for row in num for x in row):
-            num, den = [[x // den for x in row] for row in num], 1
-        self._gram_num, self._gram_den = num, den
-        if den == 1:
-            self.gram = np.array(num, dtype=np.int64)
-        else:
-            self.gram = self.gram_float
-
-    @functools.cached_property
-    def basis_float(self) -> List[List[float]]:
-        """The basis in floats, converted on first use."""
-        return [[float(x) for x in row] for row in self.basis]
+        g = _frozen(gram)
+        common = math.gcd(gram_den, *g.ravel().tolist())
+        self.gram = _frozen(g // common)
+        self.gram_den = gram_den // common
+        self.rank = len(g)
+        # the norm form u^T gram u / gram_den takes integer values: the
+        # enumeration's exact norms are integers
+        if (np.any(np.diag(self.gram) % self.gram_den)
+                or np.any(2 * self.gram % self.gram_den)):
+            raise ValueError(f"lattice {name}: the norm form of the Gram "
+                             f"over {self.gram_den} is not integer-valued")
+        self.basis = None if basis is None else _frozen(basis)
+        self.basis_den = basis_den
 
     @functools.cached_property
     def gram_float(self) -> np.ndarray:
         """The Gram matrix in floats, converted on first use; read-only, as
         every caller shares it."""
-        g = np.array([[float(x) for x in row] for row in self.gram_exact])
+        g = self.gram / self.gram_den
         g.flags.writeable = False
         return g
 
-    @property
-    def integral(self) -> bool:
-        return self._gram_den == 1
+    @functools.cached_property
+    def basis_float(self) -> np.ndarray:
+        """The basis in floats, converted on first use; read-only."""
+        b = self._basis() / self.basis_den
+        b.flags.writeable = False
+        return b
+
+    def _basis(self) -> np.ndarray:
+        if self.basis is None:
+            raise ValueError(f"lattice {self.name} is given by its Gram alone "
+                             "and has no basis")
+        return self.basis
 
     # -- pairing ----------------------------------------------------------
 
     def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction | int:
         """<u, v>: a Python int for an integral Gram, else a Fraction."""
-        g = self._gram_num
+        g = self.gram.tolist()
         total = sum(int(u[i]) * g[i][j] * int(v[j])
                     for i in range(self.rank) for j in range(self.rank))
-        return total if self.integral else Fraction(total, self._gram_den)
+        return total if self.gram_den == 1 else Fraction(total, self.gram_den)
 
     def norm(self, v: Sequence[int]) -> Fraction | int:
         return self.inner(v, v)
 
     def coordinates(self, v: Sequence[int]) -> List[Fraction]:
         """Ambient coordinates of the lattice vector with basis coefficients v."""
-        return [Fraction(x, self._den) for x in self._numerators(v)]
+        return [Fraction(x, self.basis_den) for x in self._numerators(v)]
 
     def _numerators(self, v: Sequence[int]) -> List[int]:
-        """den * coordinates(v), in integers."""
-        num = [0] * self.ambient
-        for c, row in zip(v, self._basis_num):
-            c = int(c)
-            for a in range(self.ambient):
-                num[a] += c * row[a]
-        return num
+        """basis_den * coordinates(v), in integers."""
+        rows = self._basis().tolist()
+        return [sum(int(c) * row[a] for c, row in zip(v, rows))
+                for a in range(len(rows[0]))]
 
     # -- structural checks ------------------------------------------------
 
     def determinant(self) -> Fraction:
-        return _exact_det(self.gram_exact)
+        return Fraction(_int_det(self.gram.tolist()), self.gram_den ** self.rank)
 
     def is_even(self) -> bool:
-        # evenness of the quadratic form is equivalent to even Gram diagonal
-        # (integer Gram assumed)
-        return all(self.gram_exact[i][i] % 2 == 0 for i in range(self.rank))
+        # <v,v> = sum_i g_ii v_i^2 + 2 sum_{i<j} g_ij v_i v_j is even for
+        # every v iff each g_ii is even and each g_ij an integer
+        return bool(np.all(self.gram % self.gram_den == 0)
+                    and np.all(np.diag(self.gram) % (2 * self.gram_den) == 0))
 
     def is_unimodular(self) -> bool:
         return self.determinant() == 1
 
 
-def _exact_det(g: List[List[Fraction]]) -> Fraction:
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _int_det(m: List[List[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
 # built-in lattices
 
 
-def _half(n: int) -> List[Fraction]:
-    return [Fraction(1, 2)] * n
-
-
-def _unit_diff(n: int, i: int) -> List[Fraction]:
-    """e_i - e_{i+1} in an ambient of dimension n (0-based i)."""
-    row = [Fraction(0)] * n
-    row[i] = Fraction(1)
-    row[i + 1] = Fraction(-1)
-    return row
-
-
-def _dn_plus_basis(n: int) -> List[List[Fraction]]:
-    """Basis of D_n^+ = D_n + Z s with s = (1/2, ..., 1/2).
+def _dn_plus_basis(n: int) -> List[List[int]]:
+    """Basis of D_n^+ = D_n + Z s with s = (1/2, ..., 1/2), as numerators
+    over 2.
 
     The glue vector s replaces the generator e_1 - e_2 of D_n (whose
     coefficient in the expansion of 2s is odd, so the span is the full
-    union of D_n and D_n + s).
+    union of D_n and D_n + s); then e_i - e_{i+1} for i = 2..n-1 and
+    e_{n-1} + e_n.
     """
-    rows = [_half(n)]
+    rows = [[1] * n]
     for i in range(1, n - 1):
-        rows.append(_unit_diff(n, i))
-    last = [Fraction(0)] * n
-    last[n - 2] = Fraction(1)
-    last[n - 1] = Fraction(1)
-    rows.append(last)
+        rows.append([2 if a == i else -2 if a == i + 1 else 0 for a in range(n)])
+    rows.append([2 if a >= n - 2 else 0 for a in range(n)])
     return rows
 
 
-def builtin(name: str) -> IntegralLattice:
-    if name == "e8":
-        return IntegralLattice("e8", _dn_plus_basis(8))
-    if name == "d16plus":
-        return IntegralLattice("d16plus", _dn_plus_basis(16))
-    if name == "e8e8":
-        b8 = _dn_plus_basis(8)
-        rows = []
-        for row in b8:
-            rows.append(list(row) + [Fraction(0)] * 8)
-        for row in b8:
-            rows.append([Fraction(0)] * 8 + list(row))
-        return IntegralLattice("e8e8", rows)
-    if name == "spin16_coroot":
-        # coroots (1/2)(+-x_i +- x_j) with pairing <a,b> = 2 x(a).x(b)
-        rows = []
-        for i in range(7):
-            rows.append([x / 2 for x in _unit_diff(8, i)])
-        last = [Fraction(0)] * 8
-        last[6] = Fraction(1, 2)
-        last[7] = Fraction(1, 2)
-        rows.append(last)
-        return IntegralLattice("spin16_coroot", rows, scale=2)
-    raise ValueError(f"unknown lattice name: {name}")
+def _from_basis(name: str, basis: Sequence[Sequence[int]], den: int) -> IntegralLattice:
+    """The lattice spanned by basis / den, with the Gram of the dot product."""
+    b = np.array(basis, dtype=np.int64)
+    return IntegralLattice(name, b @ b.T, den * den, b, den)
 
 
 @functools.lru_cache(maxsize=None)
-def shared_builtin(name: str) -> IntegralLattice:
-    """builtin(name), built once per process and shared: do not modify it."""
-    return builtin(name)
+def builtin(name: str) -> IntegralLattice:
+    """A built-in lattice, built once per process and shared."""
+    if name in ("e8", "d16plus"):
+        return _from_basis(name, _dn_plus_basis(8 if name == "e8" else 16), 2)
+    if name == "e8e8":
+        b8 = np.array(_dn_plus_basis(8))
+        zero = np.zeros_like(b8)
+        return _from_basis("e8e8", np.block([[b8, zero], [zero, b8]]), 2)
+    if name == "spin16_coroot":
+        # half the D8 Cartan matrix: a chain 0-6 with node 7 joined to node 5
+        cartan = 2 * np.eye(8, dtype=np.int64)
+        for i, j in [(i, i + 1) for i in range(6)] + [(5, 7)]:
+            cartan[i, j] = cartan[j, i] = -1
+        # the coroots (1/2)(x_i - x_{i+1}), i < 7, and (1/2)(x_6 + x_7)
+        basis = [[1 if a == i else -1 if a == i + 1 else 0 for a in range(8)]
+                 for i in range(7)]
+        basis.append([1 if a >= 6 else 0 for a in range(8)])
+        return IntegralLattice(name, cartan, 2, basis, 2)
+    raise ValueError(f"unknown lattice name: {name}")
 
 
 def from_gram(name: str, gram: Sequence[Sequence[int]]) -> IntegralLattice:
-    """Lattice from an integer Gram matrix (basis = Cholesky factor rows)."""
-    g = np.array(gram, dtype=float)
-    L = np.linalg.cholesky(g)
-    rows = [[Fraction(x).limit_denominator(10 ** 12) for x in row] for row in L]
-    lat = IntegralLattice(name, rows)
-    lat._set_gram([[int(x) for x in row] for row in gram], 1)
-    return lat
+    """The lattice of an integer Gram matrix, given by its Gram alone."""
+    return IntegralLattice(name, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +214,10 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     while stack:
         i, X, P, rem = stack.pop()
         if i < 0:
-            if L.integral:
-                X64 = X.astype(np.int64)
-                norms = np.einsum("ij,ij->i", X64 @ L.gram, X64)
-                keep = norms <= max_norm
-            else:
-                exact = [L.norm(v) for v in X.tolist()]
-                norms = np.array([int(q) for q in exact], dtype=np.int64)
-                keep = np.array([q.denominator == 1 and q <= max_norm
-                                 for q in exact], dtype=bool)
+            X64 = X.astype(np.int64)
+            # exact: the norm form is integer-valued, so gram_den divides
+            norms = np.einsum("ij,ij->i", X64 @ L.gram, X64) // L.gram_den
+            keep = norms <= max_norm
             leaves.append((X[keep], norms[keep]))
             continue
         rii = R[i, i]
@@ -295,26 +272,14 @@ def roots(L: IntegralLattice) -> List[Tuple[int, ...]]:
     return [tuple(r) for r in _root_rows(L).tolist()]
 
 
-def reflect(L: IntegralLattice, root: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    """Weyl reflection v -> v - <v,r> r for a norm-2 root."""
-    if L.norm(root) != 2:
-        raise ValueError("reflection vector must have norm 2")
-    c = L.inner(v, root)
-    if c.denominator != 1:
-        raise ValueError("reflection does not preserve the lattice")
-    c = int(c)
-    return tuple(int(v[i]) - c * int(root[i]) for i in range(L.rank))
-
-
 def coxeter_from_roots(L: IntegralLattice):
     """c with sum_r <r,e_i><r,e_j> = 2 c <e_i,e_j>, from the norm-2 vectors.
 
     Raises if the ratios disagree (reducible lattice).
     """
-    rs = _root_rows(L).astype(np.int64)
-    G = L.gram.astype(np.int64)
-    gr = rs @ G                       # rows <r, e_j>
-    M = gr.T @ gr                     # sum_r <r,e_i><r,e_j>
+    G = L.gram
+    gr = _root_rows(L).astype(np.int64) @ G   # rows gram_den <r, e_j>
+    M = gr.T @ gr                     # gram_den^2 sum_r <r,e_i><r,e_j>
     vals = set()
     for i in range(L.rank):
         for j in range(L.rank):
@@ -323,7 +288,7 @@ def coxeter_from_roots(L: IntegralLattice):
                 if M[i, j] != 0:
                     raise ValueError("inconsistent Coxeter ratios")
                 continue
-            vals.add(Fraction(int(M[i, j]), 2 * gij))
+            vals.add(Fraction(int(M[i, j]), 2 * gij * L.gram_den))
     if len(vals) != 1:
         raise ValueError(f"inconsistent Coxeter ratios: {sorted(vals)}")
     c = vals.pop()
@@ -340,14 +305,14 @@ def spin16_embedding(v: Sequence[int]) -> Tuple[int, ...]:
     Input in spin16_coroot basis coefficients; output in e8 basis
     coefficients.  Raises if the image is not an e8 vector.
     """
-    image = [2 * c for c in shared_builtin("spin16_coroot").coordinates(v)]
-    return _in_basis(shared_builtin("e8"), image)
+    image = [2 * c for c in builtin("spin16_coroot").coordinates(v)]
+    return _in_basis(builtin("e8"), image)
 
 
 def _in_basis(L: IntegralLattice, ambient_coords: Sequence[Fraction]) -> Tuple[int, ...]:
     """Solve integer basis coefficients for a point in the ambient space."""
-    target = [Fraction(c) * L._den for c in ambient_coords]
-    sol = np.linalg.solve(np.array(L._basis_num, dtype=float).T,
+    target = [Fraction(c) * L.basis_den for c in ambient_coords]
+    sol = np.linalg.solve(L.basis.T.astype(float),
                           np.array([float(t) for t in target]))
     coeffs = tuple(int(round(s)) for s in sol)
     if L._numerators(coeffs) != target:
@@ -356,18 +321,9 @@ def _in_basis(L: IntegralLattice, ambient_coords: Sequence[Fraction]) -> Tuple[i
 
 
 def spin16_first_series() -> List[Tuple[int, ...]]:
-    """The 112 coroots (1/2)(+-x_i+-x_j), i<j, in basis coefficients."""
-    src = shared_builtin("spin16_coroot")
-    out = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    amb = [Fraction(0)] * 8
-                    amb[i] = Fraction(si, 2)
-                    amb[j] = Fraction(sj, 2)
-                    out.append(_in_basis(src, amb))
-    return out
+    """The norm-1 shell of the coroot lattice: the 112 coroots
+    (1/2)(+-x_i+-x_j), i<j, in basis coefficients."""
+    return enumerate_by_norm(builtin("spin16_coroot"), 1).get(1, [])
 
 
 def weight_identity_check() -> Fraction:

@@ -19,8 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import (BLOCK_ROWS, IntegralLattice, _sorted_shells, builtin,
-                      shared_builtin)
+from .lattice import BLOCK_ROWS, IntegralLattice, _sorted_shells, builtin
 
 TAU_MIN = 0.05
 TWO_PI_I = 2j * math.pi
@@ -62,7 +61,11 @@ def _mobius(m: Sequence[int], tau: complex) -> complex:
     return (a * tau + b) / (c * tau + d)
 
 
-def eta_multiplier(m: Sequence[int], tol: float = 1e-9) -> complex:
+MULTIPLIER_TOL = 1e-9        # spread and |chi^24 - 1| of an eta multiplier
+EXTRA_MULTIPLIER_TOL = 1e-8  # spread of the measured extra multiplier
+
+
+def eta_multiplier(m: Sequence[int]) -> complex:
     """The unit constant chi(m) in eta(m tau) = chi(m) sqrt(c tau + d) eta(tau).
 
     Measured numerically with the principal square root; asserted to be a
@@ -80,10 +83,10 @@ def eta_multiplier(m: Sequence[int], tol: float = 1e-9) -> complex:
         chi = eta(_mobius((a, b, c, d), tau0)) / (
             cmath.sqrt(c * tau0 + d) * eta(tau0))
         vals.append(chi)
-    if abs(vals[0] - vals[1]) > tol:
+    if abs(vals[0] - vals[1]) > MULTIPLIER_TOL:
         raise ValueError("eta multiplier not constant across sample points")
     chi = vals[0]
-    if abs(chi ** 24 - 1) > tol:
+    if abs(chi ** 24 - 1) > MULTIPLIER_TOL:
         raise ValueError("eta multiplier is not a 24th root of unity "
                          "(branch inconsistency)")
     return chi
@@ -147,10 +150,11 @@ def _theta_dn_plus(tau: complex, w: Sequence[complex],
 
 
 def _ambient_z(L: IntegralLattice, z: Sequence[complex]) -> List[complex]:
-    out = [0j] * L.ambient
-    for zi, row in zip(z, L.basis_float):
-        for a in range(L.ambient):
-            out[a] += zi * row[a]
+    rows = L.basis_float.tolist()
+    out = [0j] * len(rows[0])
+    for zi, row in zip(z, rows):
+        for a, x in enumerate(row):
+            out[a] += zi * x
     return out
 
 
@@ -162,8 +166,8 @@ def _coset_builtin(L: IntegralLattice) -> Optional[IntegralLattice]:
     """The coset-factorizable built-in with L's Gram matrix, if any."""
     for name, rank in _COSET_BUILTINS.items():
         if rank == L.rank:
-            ref = shared_builtin(name)
-            if np.array_equal(ref.gram, L.gram):
+            ref = builtin(name)
+            if ref.gram_den == L.gram_den and np.array_equal(ref.gram, L.gram):
                 return ref
     return None
 
@@ -319,17 +323,17 @@ def reflection_element(L: IntegralLattice, root: Sequence[int]) -> GroupElement:
     if L.norm(root) != 2:
         raise ValueError("reflection needs a norm-2 root")
     r = np.array(root, dtype=np.int64)
-    G = L.gram.astype(np.int64)
-    M = np.eye(L.rank, dtype=np.int64) - np.outer(r, G @ r)
-    if not np.array_equal(M.T @ G @ M, G):
-        raise ValueError("reflection does not preserve the pairing")
-    return GroupElement.W(M.tolist())
+    Gr = L.gram @ r                   # gram_den <e_i, r>
+    if np.any(Gr % L.gram_den):
+        raise ValueError("reflection does not preserve the lattice")
+    M = np.eye(L.rank, dtype=np.int64) - np.outer(r, Gr // L.gram_den)
+    return GroupElement.W(_check_isometry(L, M).tolist())
 
 
 def _check_isometry(L: IntegralLattice, mat) -> np.ndarray:
     M = np.array(mat, dtype=np.int64)
-    G = L.gram.astype(np.int64)
-    if not np.array_equal(M.T @ G @ M, G):
+    G = L.gram
+    if M.shape != G.shape or not np.array_equal(M.T @ G @ M, G):
         raise ValueError("W matrix does not preserve the Gram matrix")
     return M
 
@@ -497,8 +501,7 @@ def transform_defect(func: str, family: AutomorphyFamily, g: GroupElement,
 
 
 def measure_extra_multiplier(g: GroupElement,
-                             L: Optional[IntegralLattice] = None,
-                             tol: float = 1e-8) -> complex:
+                             L: Optional[IntegralLattice] = None) -> complex:
     """The constant F(gx) / (phi^ch_g(x) F(x)) for the rank-16 character,
     measured at 10 sample points and asserted constant."""
     if L is None:
@@ -515,6 +518,6 @@ def measure_extra_multiplier(g: GroupElement,
         Fg = _eval_func("character", fam, act(g, x))
         vals.append(Fg / (factor(fam, g, x) * F))
     spread = max(abs(v - vals[0]) for v in vals)
-    if spread > tol:
+    if spread > EXTRA_MULTIPLIER_TOL:
         raise ValueError(f"extra multiplier is not constant (spread {spread})")
     return vals[0]

@@ -44,8 +44,13 @@ Check = Tuple[str, float]
 # random instances
 
 
-def random_real_form(rng, ambient_dim: int, degree: int,
-                     n_terms: int = 2, max_freq: int = 2) -> TrigForm:
+FORM_TERMS = 2          # terms of a random real form, each with its conjugate
+FORM_MAX_FREQ = 2       # the largest |frequency| in a random real form
+CONNECTION_TERMS = 2    # terms of a random connection
+LIE_DIM = 3             # random connections and gauge maps live on T^3
+
+
+def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     """A real-valued form: each term paired with its conjugate at -freq.
 
     Terms accumulate in draw order and a sum that cancels exactly drops at
@@ -56,8 +61,8 @@ def random_real_form(rng, ambient_dim: int, degree: int,
         return TrigForm.zero(ambient_dim, min(max(degree, 0), ambient_dim))
     terms: Dict[Key, complex] = {}
     axes_pool = list(combinations(range(ambient_dim), degree))
-    for _ in range(n_terms):
-        freq = tuple(int(rng.integers(-max_freq, max_freq + 1))
+    for _ in range(FORM_TERMS):
+        freq = tuple(int(rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
                      for _ in range(ambient_dim))
         axes = axes_pool[int(rng.integers(len(axes_pool)))]
         c = complex(rng.normal(), rng.normal())
@@ -75,8 +80,7 @@ def random_real_form(rng, ambient_dim: int, degree: int,
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
                                ambient_dim: int,
-                               with_field_strength: bool = True,
-                               with_ints: bool = True) -> DiffCochain:
+                               with_field_strength: bool = True) -> DiffCochain:
     """Random cochain, alternating by construction.
 
     One random value is drawn per sorted support (forms at index lengths
@@ -93,7 +97,7 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             f = random_real_form(rng, ambient_dim, deg)
             if not f.is_zero():
                 comps[base] = f
-    if with_ints and degree + 2 <= len(cover.pieces):
+    if degree + 2 <= len(cover.pieces):
         for base in cover.supports(degree + 2):
             m = int(rng.integers(-2, 3))
             if m != 0:
@@ -113,10 +117,9 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
                        ambient_dim=ambient_dim, component_fn=permuted)
 
 
-def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int,
-                   flat: bool = False) -> DiffCochain:
+def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int) -> DiffCochain:
     """from_global_form(T) + d(random flat cochain): a real cocycle."""
-    if flat or degree > ambient_dim:
+    if degree > ambient_dim:
         base = None
     else:
         T = random_real_form(rng, ambient_dim, degree)
@@ -231,34 +234,33 @@ def suite_pushforward(trials: int, seed: int, tol: float) -> List[Check]:
     return sorted(results.items())
 
 
-def random_connection(rng, ambient_dim: int = 3,
-                      n_terms: int = 2) -> liecs.LieValuedForm:
+def random_connection(rng) -> liecs.LieValuedForm:
     """A random su(2)-valued real 1-form on T^3."""
     basis = liecs.su2_basis()
     terms = {}
-    for _ in range(n_terms):
-        freq = tuple(int(rng.integers(-1, 2)) for _ in range(ambient_dim))
-        axis = (int(rng.integers(ambient_dim)),)
+    for _ in range(CONNECTION_TERMS):
+        freq = tuple(int(rng.integers(-1, 2)) for _ in range(LIE_DIM))
+        axis = (int(rng.integers(LIE_DIM)),)
         X = sum(rng.normal() * b for b in basis)
         key = (freq, axis)
         kc = (tuple(-f for f in freq), axis)
         terms[key] = terms.get(key, 0) + X
         terms[kc] = terms.get(kc, 0) + X.conj().T * (-1)
     # make each coefficient pair Hermitian-conjugate so A is real and su(2)
-    return liecs.LieValuedForm(ambient_dim, 1, 2, terms)
+    return liecs.LieValuedForm(LIE_DIM, 1, 2, terms)
 
 
-def random_gauge_map(rng, ambient_dim: int = 3) -> liecs.GaugeMap:
+def random_gauge_map(rng) -> liecs.GaugeMap:
     factors = []
     for _ in range(2):
         theta = rng.normal(size=3)
         U = _su2_exp(theta)
         w = int(rng.integers(1, 3))
-        freq = tuple(int(rng.integers(-1, 2)) for _ in range(ambient_dim))
+        freq = tuple(int(rng.integers(-1, 2)) for _ in range(LIE_DIM))
         if all(f == 0 for f in freq):
-            freq = (1,) + (0,) * (ambient_dim - 1)
+            freq = (1,) + (0,) * (LIE_DIM - 1)
         factors.append(liecs.GaugeFactor(U, (w, -w), freq))
-    return liecs.GaugeMap(factors, ambient_dim)
+    return liecs.GaugeMap(factors, LIE_DIM)
 
 
 def _su2_exp(theta) -> np.ndarray:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from gerbekit import modform
 from gerbekit.lattice import (IntegralLattice, anomaly_exponents, builtin,
                               coxeter_from_roots, enumerate_by_norm, from_gram,
-                              reflect, roots, spin16_embedding,
-                              spin16_first_series, theta_counts,
-                              weight_identity_check, weyl_index_arithmetic)
+                              roots, spin16_embedding, spin16_first_series,
+                              theta_counts, weight_identity_check,
+                              weyl_index_arithmetic)
+from gerbekit.modform import reflection_element
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,8 @@ def test_d16plus_is_even_unimodular(d16):
 
 def test_e8e8_gram_is_block_diagonal():
     L = builtin("e8e8")
-    g = np.array([[int(x) for x in row] for row in L.gram_exact])
+    assert L.gram_den == 1
+    g = L.gram
     assert np.all(g[:8, 8:] == 0)
     assert np.all(g[8:, :8] == 0)
 
@@ -74,14 +76,15 @@ def test_reflection_preserves_norm(e8):
     for _ in range(20):
         r = rs[int(rng.integers(len(rs)))]
         v = tuple(int(x) for x in rng.integers(-3, 4, size=8))
-        w = reflect(e8, r, v)
+        M = np.array(reflection_element(e8, r).data)
+        w = tuple(M @ v)
         assert e8.norm(w) == e8.norm(v)
-        assert reflect(e8, r, w) == v
+        assert tuple(M @ w) == v
 
 
 def test_reflect_rejects_non_roots(e8):
     with pytest.raises(ValueError):
-        reflect(e8, (0,) * 8, (1,) + (0,) * 7)
+        reflection_element(e8, (0,) * 8)
 
 
 def test_spin16_coroot_lattice_shape():
@@ -133,7 +136,8 @@ def test_e8_shells_are_240_sigma3(e8):
 
 
 def brute_force_shells(gram, max_norm):
-    """Every x in the bounding box of the ellipsoid x G x <= max_norm."""
+    """Every x in the bounding box of the ellipsoid x G x <= max_norm, with
+    the norms summed in the Gram's own entries (ints or Fractions)."""
     g = np.array(gram, dtype=float)
     box = [int(math.sqrt(max_norm * c)) + 1 for c in np.diag(np.linalg.inv(g))]
     out = {}
@@ -157,16 +161,36 @@ def small_grams(draw):
              for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def small_grams_over(draw):
+    """(num, den) with den 1 or 2: small_grams' G over 1, or over 2 the
+    numerators 2 G, plus +-1 off the diagonal and an even boost on it that
+    keeps them positive definite (Gershgorin): half-integral off-diagonal
+    entries and an integer-valued norm form."""
+    g = draw(small_grams())
+    if not draw(st.booleans()):
+        return g, 1
+    n = len(g)
+    odd = {(i, j): draw(st.sampled_from([-1, 1]))
+           for i in range(n) for j in range(i + 1, n)}
+    boost = n - 1 + (n - 1) % 2
+    return [[2 * g[i][j] + (boost if i == j else odd[min(i, j), max(i, j)])
+             for j in range(n)] for i in range(n)], 2
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_grams(), st.integers(0, 9))
-def test_enumeration_matches_brute_force(gram, max_norm):
+@given(small_grams_over(), st.integers(0, 9))
+def test_enumeration_matches_brute_force(gram_over, max_norm):
+    num, den = gram_over
+    gram = [[Fraction(x, den) for x in row] for row in num]
     g = np.array(gram, dtype=float)
     box = np.prod([2 * int(math.sqrt(max_norm * c)) + 3
                    for c in np.diag(np.linalg.inv(g))])
     assume(box <= 20000)
-    shells = enumerate_by_norm(from_gram("g", gram), max_norm)
+    shells = enumerate_by_norm(IntegralLattice("g", num, den), max_norm)
     assert shells == brute_force_shells(gram, max_norm)
     assert list(shells) == sorted(shells)
+    assert all(type(k) is int for k in shells)
     for vecs in shells.values():
         s = set(vecs)
         assert all(tuple(-x for x in v) in s for v in vecs)
@@ -198,10 +222,42 @@ def test_integer_gram_pairing_matches_the_exact_gram(e8, d16):
         for _ in range(10):
             u, v = (tuple(int(x) for x in rng.integers(-3, 4, size=L.rank))
                     for _ in range(2))
-            ref = sum(u[i] * L.gram_exact[i][j] * v[j]
+            ref = sum(u[i] * Fraction(int(L.gram[i][j]), L.gram_den) * v[j]
                       for i in range(L.rank) for j in range(L.rank))
             assert L.inner(u, v) == ref
             x = L.coordinates(u)
             assert all(isinstance(c, Fraction) for c in x)
-            assert x == [sum(c * row[a] for c, row in zip(u, L.basis))
-                         for a in range(L.ambient)]
+            rows = [[Fraction(int(a), L.basis_den) for a in row]
+                    for row in L.basis]
+            assert x == [sum(c * row[a] for c, row in zip(u, rows))
+                         for a in range(len(x))]
+
+
+def test_theta_enum_over_a_half_integral_gram():
+    # the hexagonal lattice x^2 + xy + y^2, summed by brute force in Fractions
+    L = IntegralLattice("hex", [[2, 1], [1, 2]], 2)
+    gram = [[Fraction(x, 2) for x in row] for row in L.gram.tolist()]
+    z = [0.1 + 0.05j, -0.2 + 0.02j]
+    ref = 0j
+    for x in itertools.product(range(-12, 13), repeat=2):
+        nrm = sum(x[i] * gram[i][j] * x[j] for i in range(2) for j in range(2))
+        pair = sum(z[i] * float(gram[i][j]) * x[j]
+                   for i in range(2) for j in range(2))
+        ref += np.exp(1j * math.pi * (2 * pair + 1.1j * float(nrm)))
+    got = modform.theta_lattice_enum(L, 1.1j, z, max_norm=60)
+    assert abs(got - ref) < 1e-12
+
+
+def test_a_norm_form_with_fractional_values_is_refused():
+    with pytest.raises(ValueError, match="integer-valued"):
+        IntegralLattice("quarter", [[1]], 4)
+    with pytest.raises(ValueError, match="integer-valued"):
+        IntegralLattice("half", [[2, 1], [1, 1]], 2)
+
+
+def test_a_gram_alone_has_no_basis():
+    L = from_gram("a2", [[2, -1], [-1, 2]])
+    with pytest.raises(ValueError, match="no basis"):
+        L.coordinates((1, 0))
+    with pytest.raises(ValueError, match="no basis"):
+        L.basis_float

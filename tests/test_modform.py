@@ -184,7 +184,8 @@ def test_theta_d16_against_enumeration():
 
 def theta_enum_term_by_term(L, tau, z, max_norm):
     """The enumeration sum one vector at a time, in shell order."""
-    G = np.array([[float(x) for x in row] for row in L.gram_exact])
+    G = np.array([[float(Fraction(int(x), L.gram_den)) for x in row]
+                  for row in L.gram])
     zv = np.array(z, dtype=complex)
     zv = zv - np.round(zv.real)
     total = 0j
@@ -367,9 +368,14 @@ def test_extra_multiplier_trivial_on_translations(e8e8):
 def test_float_gram_and_basis_are_converted_once(e8e8, monkeypatch):
     # the pairings and the theta fast path read floats cached on the
     # lattice: no Fraction is converted per call
-    assert np.array_equal(e8e8.gram_float,
-                          [[float(x) for x in row] for row in e8e8.gram_exact])
-    assert e8e8.basis_float == [[float(x) for x in row] for row in e8e8.basis]
+    assert np.array_equal(
+        e8e8.gram_float,
+        [[float(Fraction(int(x), e8e8.gram_den)) for x in row]
+         for row in e8e8.gram])
+    assert np.array_equal(
+        e8e8.basis_float,
+        [[float(Fraction(int(x), e8e8.basis_den)) for x in row]
+         for row in e8e8.basis])
     rts = roots(e8e8)
     x = ModuliPoint(0.1 + 1.2j, tuple([0.1 + 0.05j] * 16))
     fam = AutomorphyFamily("char", e8e8)

@@ -400,3 +400,57 @@ def test_mutated_cochain_files_load_or_raise_value_error(data):
     again = serialize.cochain_from_dict(json.loads(saved))
     assert json.dumps(serialize.cochain_to_dict(again,
                                                 om.cover.cover_id)) == saved
+
+
+GOOD_POINT = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]] * 8})
+MALFORMED_MODULAR = [
+    ("z-file-of-numbers", ["theta", "--lattice", "e8", "--tau", "0,1",
+                           "--z", "z.json"]),
+    ("element-number", ["act", "--element", "5", "--point", GOOD_POINT]),
+    ("element-word-of-number", ["act", "--element", "[5]",
+                                "--point", GOOD_POINT]),
+    ("S-short", ["act", "--element", '{"S": [1, 2]}', "--point", GOOD_POINT]),
+    ("S-string", ["act", "--element", '{"S": ["a", 1, 0, 1]}',
+                  "--point", GOOD_POINT]),
+    ("T-numbers", ["act", "--element", '{"T": [1, 2]}', "--point", GOOD_POINT]),
+    ("W-number", ["factor", "--family", "char", "--lattice", "e8e8",
+                  "--element", '{"W": 5}', "--point", GOOD_POINT]),
+    ("point-list", ["act", "--element", '{"S": [1, 1, 0, 1]}',
+                    "--point", "[1]"]),
+    ("tau-short", ["act", "--element", '{"S": [1, 1, 0, 1]}',
+                   "--point", '{"tau": [0]}']),
+    ("z-missing", ["act", "--element", '{"S": [1, 1, 0, 1]}',
+                   "--point", '{"tau": [0, 1]}']),
+    ("z-of-numbers", ["act", "--element", '{"S": [1, 1, 0, 1]}',
+                      "--point", '{"tau": [0, 1], "z": [0]}']),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in MALFORMED_MODULAR],
+                         ids=[c[0] for c in MALFORMED_MODULAR])
+def test_cli_reports_malformed_modular_inputs(tmp_path, monkeypatch, capsys,
+                                              argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.json").write_text(json.dumps(list(range(8))))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("swap,rc", [((0, 2), 1), ((6, 7), 0)],
+                         ids=["end-and-inner-node", "diagram-flip"])
+def test_cli_factor_checks_coroot_isometries(capsys, swap, rc):
+    # basis 6 <-> 7 flips the D8 diagram (an isometry); 0 <-> 2 swaps an
+    # end node with an inner one (not an isometry)
+    perm = list(range(8))
+    perm[swap[0]], perm[swap[1]] = swap[1], swap[0]
+    elem = json.dumps({"W": [[int(j == perm[i]) for j in range(8)]
+                             for i in range(8)]})
+    point = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]] * 8})
+    assert cli.main(["factor", "--family", "char", "--lattice",
+                     "spin16_coroot", "--element", elem,
+                     "--point", point]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert err.startswith("error: ")
+    else:
+        assert json.loads(out) == {"value_re": 1.0, "value_im": 0.0}
