@@ -2,11 +2,11 @@
 integration, Chern-Simons form calculus, and the lattice / modular-form
 machinery for the rank-16 even unimodular lattices."""
 
-from .trigform import AffineTorusMap, TrigForm
+from .trigform import TrigForm
 from .covers import (Cover, DualCellDecomposition, Subordination,
                      make_circle_cover, make_circle_decomposition,
                      make_torus_cover, make_torus_hex_decomposition,
-                     product_cover, refine, subordinate, two_subordinations)
+                     product_cover, refine, two_subordinations)
 from .cochain import (DiffCochain, classify_flat_2cocycle, from_global_form,
                       homotopy_k, is_cocycle, restrict, total_d)
 from .holonomy import (holonomy, holonomy_phase, invariance_defect,

@@ -8,6 +8,7 @@ human-readable summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -89,8 +90,10 @@ def _json_list(x, what: str, kinds: tuple, length: Optional[int] = None) -> list
 
 
 def _complex(p, what: str) -> complex:
-    re, im = _json_list(p, what + " [re, im]", (int, float), 2)
-    return complex(re, im)
+    value = complex(*_json_list(p, what + " [re, im]", (int, float), 2))
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {json.dumps(p)}")
+    return value
 
 
 def parse_z(s: str, rank: int) -> Tuple[complex, ...]:
@@ -231,16 +234,12 @@ def cmd_pushforward(args) -> int:
         return usage_error("push-forward needs a cochain over a product "
                            "cover (product:X|E or torus:N:M:OVERLAP)")
     x_cover, e_cover = omega.cover.factor_covers
-    base_id = x_cover.cover_id
-    if args.output_cover_id and args.output_cover_id != base_id:
-        return usage_error(f"--output-cover-id {args.output_cover_id} is not "
-                           f"the input's base cover {base_id}")
     dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, e_cover)
     out = pushforward(omega, dec, rho)
     defect = pushforward_commutes_defect(omega, dec, rho, out)
     if args.output:
-        serialize.save_cochain(args.output, out, base_id)
+        serialize.save_cochain(args.output, out, x_cover.cover_id)
     emit({"output": args.output, "degree": out.degree,
           "stokes_defect": defect})
     return 0
@@ -306,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--cochain", required=True, metavar="FILE")
     pf.add_argument("--decomposition", required=True, metavar="ID")
     pf.add_argument("--output", default=None, metavar="FILE")
-    pf.add_argument("--output-cover-id", default="", metavar="ID",
-                    help="optional; must equal X of the input's product:X|E")
     pf.set_defaults(func=cmd_pushforward)
 
     la = sub.add_parser("lattice", help="enumerate lattice shells")
@@ -322,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

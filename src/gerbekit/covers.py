@@ -45,9 +45,6 @@ class SegmentCell:
         self.end = np.asarray(end, dtype=float)
         self.integrals: Dict[tuple, complex] = {}
 
-    def reversed(self) -> "SegmentCell":
-        return SegmentCell(self.end, self.start)
-
     def __repr__(self):
         return f"SegmentCell({self.start} -> {self.end})"
 
@@ -253,11 +250,6 @@ def product_cover(a: Cover, b: Cover) -> Cover:
 
 def product_index(cover: Cover, ia: int, ib: int) -> int:
     return ia * cover.block_sizes[1] + ib
-
-
-def split_index(cover: Cover, i: int) -> Tuple[int, int]:
-    nb = cover.block_sizes[1]
-    return divmod(i, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +465,6 @@ def admissible_pieces(dec: DualCellDecomposition, cover: Cover) -> List[List[int
         box = _cell_bounding_box(cell)
         out.append([i for i in cover.indices if cover.piece_contains_box(i, box)])
     return out
-
-
-def subordinate(dec: DualCellDecomposition, cover: Cover) -> List[int]:
-    """A subordination rho: top cell -> the first cover piece containing it."""
-    rho = []
-    for i, options in enumerate(admissible_pieces(dec, cover)):
-        if not options:
-            raise ValueError(
-                f"top cell {i} is not contained in any cover piece; "
-                "increase the cover overlap")
-        rho.append(options[0])
-    return rho
 
 
 def two_subordinations(dec: DualCellDecomposition, cover: Cover,

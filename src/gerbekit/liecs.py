@@ -3,8 +3,7 @@ invariant pairing, curvature, Maurer-Cartan forms of closed-form gauge maps,
 and the Chern-Simons 3-form with its gauge-variation identity.
 
 Matrix coefficients live in a fixed matrix algebra (su(2) in the suites and
-tests); the invariant pairing is -kappa * trace in the defining
-representation.
+tests); the invariant pairing is -trace in the defining representation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .trigform import TrigForm, _axes_sign, _d_terms, _wedge_terms, nan_max
+from .trigform import (TrigForm, _d_terms, _normal_key, _wedge_terms,
+                       nan_max)
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -39,26 +39,8 @@ class LieValuedForm:
                     raise ValueError("matrix coefficient shape mismatch")
                 if not np.any(X):
                     continue
-                key = (tuple(int(f) for f in freq), tuple(int(a) for a in axes))
-                if len(key[0]) != ambient_dim:
-                    raise ValueError("frequency length != ambient_dim")
-                if len(key[1]) != degree:
-                    raise ValueError("axes length != degree")
-                if any(not (0 <= a < ambient_dim) for a in key[1]):
-                    raise ValueError("axis out of range")
-                # X dx_I in normal form: sorted axes, the sort's sign on X,
-                # and a repeated axis makes the term zero
-                ss = _axes_sign(key[1])
-                if ss is None:
-                    continue
-                axes, sign = ss
-                key = (key[0], axes)
-                if sign < 0:
-                    X = -X
-                if key in clean:
-                    clean[key] = clean[key] + X
-                else:
-                    clean[key] = X
+                key = _normal_key(ambient_dim, degree, freq, axes)
+                clean[key] = clean[key] + X if key in clean else X
         # np.any keeps a NaN entry, which a magnitude test would drop
         self.terms = {k: v for k, v in clean.items() if np.any(v)}
 
@@ -107,9 +89,6 @@ class LieValuedForm:
     def max_abs(self) -> float:
         return reduce(nan_max, (float(np.max(np.abs(v)))
                                 for v in self.terms.values()), 0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
 
     # -- calculus ----------------------------------------------------------
 
@@ -166,17 +145,15 @@ def graded_bracket(a: LieValuedForm, b: LieValuedForm) -> LieValuedForm:
                                                lambda X, Y: X @ Y - Y @ X))
 
 
-def pairing(a: LieValuedForm, b: LieValuedForm, kappa: float = 1.0) -> TrigForm:
-    """<X alpha, Y beta> = -kappa tr(XY) (alpha ^ beta)."""
+def pairing(a: LieValuedForm, b: LieValuedForm) -> TrigForm:
+    """<X alpha, Y beta> = -tr(XY) (alpha ^ beta)."""
     if a.ambient_dim != b.ambient_dim or a.matrix_dim != b.matrix_dim:
         raise ValueError("mismatched forms")
     deg = a.degree + b.degree
     if deg > a.ambient_dim:
         return TrigForm.zero(a.ambient_dim, a.ambient_dim)
-    # the outer complex() keeps a numpy kappa out of the terms
     return TrigForm._trusted(a.ambient_dim, deg, _wedge_terms(
-        a.terms, b.terms,
-        lambda X, Y: -complex(kappa * complex(np.trace(X @ Y)))))
+        a.terms, b.terms, lambda X, Y: -complex(np.trace(X @ Y))))
 
 
 def curvature(A: LieValuedForm) -> LieValuedForm:
@@ -186,12 +163,12 @@ def curvature(A: LieValuedForm) -> LieValuedForm:
     return A.d() + 0.5 * graded_bracket(A, A)
 
 
-def cs_form(A: LieValuedForm, kappa: float = 1.0) -> TrigForm:
+def cs_form(A: LieValuedForm) -> TrigForm:
     """CS_A = <A, dA + (1/3)[A, A]>."""
     if A.degree != 1:
         raise ValueError("connection must be a 1-form")
     inner = A.d() + (1.0 / 3.0) * graded_bracket(A, A)
-    return pairing(A, inner, kappa)
+    return pairing(A, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +269,17 @@ def gauge_transform(A: LieValuedForm, t: GaugeMap) -> LieValuedForm:
     return t.conjugate(A) + t.maurer_cartan()
 
 
-def pulled_back_wg(t: GaugeMap, kappa: float = 1.0) -> TrigForm:
+def pulled_back_wg(t: GaugeMap) -> TrigForm:
     """t* W_G = -(1/6) <theta, [theta, theta]> with theta = t^{-1}dt."""
     theta = t.maurer_cartan()
-    return (-1.0 / 6.0) * pairing(theta, graded_bracket(theta, theta), kappa)
+    return (-1.0 / 6.0) * pairing(theta, graded_bracket(theta, theta))
 
 
-def gauge_variation_defect(A: LieValuedForm, t: GaugeMap,
-                           kappa: float = 1.0) -> float:
+def gauge_variation_defect(A: LieValuedForm, t: GaugeMap) -> float:
     """Residual of CS(psi*A) - CS(A) = d<t^{-1}At, t^{-1}dt> + t*W_G."""
-    lhs = cs_form(gauge_transform(A, t), kappa) - cs_form(A, kappa)
-    cross = pairing(t.conjugate(A), t.maurer_cartan(), kappa)
-    rhs = cross.d() + pulled_back_wg(t, kappa)
+    lhs = cs_form(gauge_transform(A, t)) - cs_form(A)
+    cross = pairing(t.conjugate(A), t.maurer_cartan())
+    rhs = cross.d() + pulled_back_wg(t)
     return (lhs - rhs).max_abs()
 
 

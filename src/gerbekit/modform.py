@@ -27,6 +27,8 @@ PI_I = 1j * math.pi
 
 
 def _check_tau(tau: complex) -> None:
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau = {tau} is not finite")
     if tau.imag < TAU_MIN:
         raise ValueError(f"Im tau = {tau.imag} below the admissible minimum {TAU_MIN}")
 
@@ -480,32 +482,30 @@ def cocycle_defect(family: AutomorphyFamily, g: GroupElement,
 # transformation checks
 
 
-def _eval_func(func: str, family: AutomorphyFamily, x: ModuliPoint) -> complex:
-    if func == "character":
-        return character(family.lattice, x.tau, x.z)
-    if func == "det_section":
+def _section(family: AutomorphyFamily, x: ModuliPoint) -> complex:
+    """The section the family's factor transforms: det_section for det_u1,
+    the character for every lattice family."""
+    if family.name == "det_u1":
         if len(x.z) != 1:
             raise ValueError("det_section expects the scalar model")
         return det_section(x.tau, x.z[0])
-    raise ValueError(f"unknown function {func}")
+    return character(family.lattice, x.tau, x.z)
 
 
-def transform_defect(func: str, family: AutomorphyFamily, g: GroupElement,
+def transform_defect(family: AutomorphyFamily, g: GroupElement,
                      x: ModuliPoint) -> float:
     """Relative defect |F(gx) - phi_g(x) F(x)| / |F(x)|."""
-    F = _eval_func(func, family, x)
+    F = _section(family, x)
     if abs(F) < 1e-12:
         raise ValueError("sample point too close to a zero of the section")
-    Fg = _eval_func(func, family, act(g, x))
+    Fg = _section(family, act(g, x))
     return abs(Fg - factor(family, g, x) * F) / abs(F)
 
 
-def measure_extra_multiplier(g: GroupElement,
-                             L: Optional[IntegralLattice] = None) -> complex:
-    """The constant F(gx) / (phi^ch_g(x) F(x)) for the rank-16 character,
+def measure_extra_multiplier(g: GroupElement) -> complex:
+    """The constant F(gx) / (phi^ch_g(x) F(x)) for the E8 x E8 character,
     measured at 10 sample points and asserted constant."""
-    if L is None:
-        L = builtin("e8e8")
+    L = builtin("e8e8")
     fam = AutomorphyFamily("char", L)
     rng = np.random.default_rng(20260824)
     vals = []
@@ -515,7 +515,7 @@ def measure_extra_multiplier(g: GroupElement,
                   + 0.3j * (rng.random(L.rank) - 0.5))
         x = ModuliPoint(tau, z)
         F = character(L, tau, z)
-        Fg = _eval_func("character", fam, act(g, x))
+        Fg = _section(fam, act(g, x))
         vals.append(Fg / (factor(fam, g, x) * F))
     spread = max(abs(v - vals[0]) for v in vals)
     if spread > EXTRA_MULTIPLIER_TOL:

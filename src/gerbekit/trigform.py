@@ -1,14 +1,13 @@
 """Differential forms on tori with finite trigonometric-polynomial coefficients.
 
 Every coefficient is a finite sum of complex exponentials c * e^{i k.x} with
-integer frequency vector k, so exterior derivative, wedge product, pullback
-along integer-affine maps, and integration over cells all have closed forms.
+integer frequency vector k, so exterior derivative, wedge product and
+integration over cells all have closed forms.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 from functools import lru_cache, reduce
@@ -44,6 +43,25 @@ def _axes_sign(axes: Sequence[int]):
             sign = -sign
             j -= 1
     return tuple(axes), sign
+
+
+def _normal_key(ambient_dim: int, degree: int, freq, axes) -> Key:
+    """The term key (freq, axes) as int tuples, checked for a degree-p form
+    on T^n: integer entries, n frequencies, p axes strictly increasing in
+    [0, n).  Both form classes check their public terms here."""
+    key = (tuple(map(int, freq)), tuple(map(int, axes)))
+    if key != (freq, axes):
+        raise ValueError("frequencies and axes must be integers")
+    freq, axes = key
+    if len(freq) != ambient_dim:
+        raise ValueError("frequency length != ambient_dim")
+    if len(axes) != degree:
+        raise ValueError("axes length != degree")
+    if any(not (0 <= a < ambient_dim) for a in axes):
+        raise ValueError("axis out of range")
+    if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
+        raise ValueError("axes must be strictly increasing")
+    return key
 
 
 def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
@@ -106,19 +124,8 @@ class TrigForm:
                 c = complex(c)
                 if c == _DROP:
                     continue
-                key = (tuple(map(int, freq)), tuple(map(int, axes)))
-                if key != (freq, axes):
-                    raise ValueError("frequencies and axes must be integers")
-                freq, axes = key
-                if len(freq) != ambient_dim:
-                    raise ValueError("frequency length != ambient_dim")
-                if len(axes) != degree:
-                    raise ValueError("axes length != degree")
-                if any(not (0 <= a < ambient_dim) for a in axes):
-                    raise ValueError("axis out of range")
-                if any(axes[i] >= axes[i + 1] for i in range(len(axes) - 1)):
-                    raise ValueError("axes must be strictly increasing")
-                clean[(freq, axes)] = clean.get((freq, axes), 0.0) + c
+                key = _normal_key(ambient_dim, degree, freq, axes)
+                clean[key] = clean.get(key, 0.0) + c
         self.terms = {k: v for k, v in clean.items() if v != _DROP}
 
     @staticmethod
@@ -205,45 +212,7 @@ class TrigForm:
                                  _wedge_terms(self.terms, other.terms,
                                               operator.mul))
 
-    def pullback(self, m: "AffineTorusMap") -> "TrigForm":
-        """Pullback along x -> A x + b from T^{target} to T^{source}.
-
-        The form lives on the target torus; the result lives on the source.
-        """
-        if m.target_dim != self.ambient_dim:
-            raise ValueError("map target dim != form ambient dim")
-        A = m.linear_part  # target_dim x source_dim
-        b = m.shift
-        # dx_a pulls back to sum_s A[a,s] dy_s over the nonzero entries
-        columns = [[(s, entry) for s, entry in enumerate(row) if entry != 0]
-                   for row in A]
-        out: Dict[Key, complex] = {}
-        for (freq, axes), c in self.terms.items():
-            # e^{i k.(Ax+b)} = e^{i k.b} e^{i (A^T k).x}
-            new_freq = tuple(int(v) for v in (A.T @ np.array(freq)))
-            phase = cmath.exp(1j * float(np.dot(freq, b)))
-            # expand the wedge of the pulled-back dx_a, one column per axis
-            for choice in itertools.product(*(columns[a] for a in axes)):
-                ss = _axes_sign([s for s, _ in choice])
-                if ss is None:
-                    continue
-                new_axes, sign = ss
-                coeff = phase * c
-                for _, entry in choice:
-                    coeff = coeff * entry
-                key = (new_freq, new_axes)
-                out[key] = out.get(key, 0.0) + sign * coeff
-        return TrigForm(m.source_dim, self.degree, out)
-
     # -- integration -------------------------------------------------------
-
-    def integrate_torus(self) -> complex:
-        if self.degree != self.ambient_dim:
-            raise ValueError("integrate_torus needs a top-degree form")
-        zero = (0,) * self.ambient_dim
-        top = tuple(range(self.ambient_dim))
-        c = self.terms.get((zero, top), 0.0)
-        return c * (2 * math.pi) ** self.ambient_dim
 
     def fiber_integrate_global(self, fiber_axes: Sequence[int]) -> "TrigForm":
         """Integrate over the full subtorus spanned by fiber_axes.
@@ -281,29 +250,7 @@ class TrigForm:
             total += c * cell_integral(cell, freq, axes)
         return total
 
-    # -- evaluation & misc -------------------------------------------------
-
-    def coefficient_at(self, x: Sequence[float]) -> Dict[Tuple[int, ...], complex]:
-        """Evaluate the coefficient functions at a point, keyed by axes."""
-        x = np.asarray(x, dtype=float)
-        out: Dict[Tuple[int, ...], complex] = {}
-        for (freq, axes), c in self.terms.items():
-            out[axes] = out.get(axes, 0.0) + c * cmath.exp(1j * float(np.dot(freq, x)))
-        return out
-
-    def evaluate(self, x: Sequence[float], vectors: Sequence[Sequence[float]]) -> complex:
-        """Evaluate the p-form on p tangent vectors at x."""
-        if len(vectors) != self.degree:
-            raise ValueError("need exactly degree-many vectors")
-        vs = [np.asarray(v, dtype=float) for v in vectors]
-        total = 0.0 + 0.0j
-        for axes, coeff in self.coefficient_at(x).items():
-            if self.degree == 0:
-                total += coeff
-            else:
-                mat = np.array([[v[a] for a in axes] for v in vs])
-                total += coeff * np.linalg.det(mat)
-        return total
+    # -- misc ----------------------------------------------------------------
 
     def max_abs(self) -> float:
         return reduce(nan_max, (abs(c) for c in self.terms.values()), 0.0)
@@ -338,33 +285,6 @@ def _move_axes_to_end_sign(axes: Tuple[int, ...], which: Tuple[int, ...]) -> int
     sorted, repeat-free tuple `axes`; a table, as few (axes, which) occur."""
     return _axes_sign(tuple(a for a in axes if a not in which)
                       + tuple(a for a in axes if a in which))[1]
-
-
-class AffineTorusMap:
-    """x -> A x + b with integer A, mapping T^{source} -> T^{target}."""
-
-    def __init__(self, linear_part, shift=None):
-        A = np.asarray(linear_part)
-        if not np.allclose(A, np.round(A)):
-            raise ValueError("linear part must be integer")
-        self.linear_part = np.round(A).astype(int)
-        self.target_dim, self.source_dim = self.linear_part.shape
-        if shift is None:
-            shift = np.zeros(self.target_dim)
-        self.shift = np.asarray(shift, dtype=float)
-        if self.shift.shape != (self.target_dim,):
-            raise ValueError("shift length mismatch")
-
-    @staticmethod
-    def identity(n: int) -> "AffineTorusMap":
-        return AffineTorusMap(np.eye(n, dtype=int))
-
-    def compose(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        """self o other (apply other first)."""
-        if other.target_dim != self.source_dim:
-            raise ValueError("composition dimension mismatch")
-        return AffineTorusMap(self.linear_part @ other.linear_part,
-                              self.linear_part @ other.shift + self.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from gerbekit.covers import (_arcs_intersection, admissible_pieces,
                              layer_sign, make_circle_cover,
                              make_circle_decomposition, make_torus_cover,
                              make_torus_hex_decomposition, product_cover,
-                             refine, subordinate, two_subordinations)
+                             refine, two_subordinations)
 
 
 def test_circle_cover_shapes():
@@ -36,14 +36,15 @@ def test_torus_cover_product_structure():
 
 
 def test_product_cover_indexing():
-    from gerbekit.covers import product_index, split_index
+    from gerbekit.covers import product_index
     a = make_circle_cover(3, 0.5)
     b = make_circle_cover(4, 0.5)
     c = product_cover(a, b)
     assert len(c.pieces) == 12
     for ia in range(3):
         for ib in range(4):
-            assert split_index(c, product_index(c, ia, ib)) == (ia, ib)
+            assert (c.pieces[product_index(c, ia, ib)]
+                    == a.pieces[ia] + b.pieces[ib])
 
 
 def test_refine_gives_valid_subordinations():
@@ -100,7 +101,7 @@ def test_subordinate_is_admissible():
     cover = make_circle_cover(4, 0.7)
     dec = make_circle_decomposition(20)
     adm = admissible_pieces(dec, cover)
-    rho = subordinate(dec, cover)
+    rho = two_subordinations(dec, cover)[0]
     assert all(rho[i] in adm[i] for i in range(len(rho)))
 
 
@@ -115,7 +116,7 @@ def test_subordinate_raises_without_containment():
     cover = make_circle_cover(8, 0.05)
     dec = make_circle_decomposition(4)    # segments wider than any piece
     with pytest.raises(ValueError):
-        subordinate(dec, cover)
+        two_subordinations(dec, cover)
 
 
 def _brute_supports(cover, size):

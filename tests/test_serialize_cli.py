@@ -138,7 +138,7 @@ def test_cli_pushforward_subcommand(tmp_path, capsys):
     serialize.save_cochain(str(src), om, cover_id)
     rc = cli.main(["pushforward", "--cochain", str(src),
                    "--decomposition", "circle:20",
-                   "--output", str(dst), "--output-cover-id", "circle:3:0.6"])
+                   "--output", str(dst)])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["degree"] == 1
@@ -193,14 +193,7 @@ def test_cli_pushforward_output_cover_id_is_derived(tmp_path, capsys,
 
 
 def test_cli_pushforward_usage_errors(tmp_path, capsys):
-    src = _pushforward_input(tmp_path, "product:circle:3:0.6|circle:4:0.7")
     dst = tmp_path / "out.json"
-    rc = cli.main(["pushforward", "--cochain", str(src),
-                   "--decomposition", "circle:20", "--output", str(dst),
-                   "--output-cover-id", "circle:4:0.7"])
-    assert rc == 2
-    assert "circle:3:0.6" in capsys.readouterr().err
-    assert not dst.exists()
     flat = tmp_path / "flat.json"
     cover = serialize.cover_from_id("circle:4:0.7")
     om = from_global_form(TrigForm.monomial(1, (0,), (0,), 0.5), cover)
@@ -423,6 +416,11 @@ MALFORMED_MODULAR = [
                    "--point", '{"tau": [0, 1]}']),
     ("z-of-numbers", ["act", "--element", '{"S": [1, 1, 0, 1]}',
                       "--point", '{"tau": [0, 1], "z": [0]}']),
+    ("S-past-float", ["act", "--element", '{"S": [1, %d, 0, 1]}' % 10 ** 400,
+                      "--point", GOOD_POINT]),
+    ("W-past-int64", ["act", "--element", json.dumps(
+        {"W": [[2 ** 70 * (i == j == 0) + (i == j) for j in range(8)]
+               for i in range(8)]}), "--point", GOOD_POINT]),
 ]
 
 
@@ -434,6 +432,34 @@ def test_cli_reports_malformed_modular_inputs(tmp_path, monkeypatch, capsys,
     (tmp_path / "z.json").write_text(json.dumps(list(range(8))))
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _non_finite_argv(where: str, number: str) -> list:
+    bad = f"[0, {number}]"
+    if where == "z-file":
+        with open("z.json", "w") as fh:
+            fh.write("[" + ", ".join([bad] + ["[0, 0]"] * 7) + "]")
+        return ["theta", "--lattice", "e8", "--tau", "0,1", "--z", "z.json"]
+    if where == "factor-tau":
+        return ["factor", "--family", "det_u1", "--element",
+                '{"S": [1, 1, 0, 1]}', "--point",
+                f'{{"tau": {bad}, "z": [[0.1, 0]]}}']
+    tau, z = (bad, "[0.1, 0]") if where == "act-tau" else ("[0, 2]", bad)
+    return ["act", "--element", '{"S": [1, 1, 0, 1]}', "--point",
+            f'{{"tau": {tau}, "z": [{z}]}}']
+
+
+@pytest.mark.parametrize("where", ["act-tau", "act-z", "factor-tau",
+                                   "z-file"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_cli_refuses_non_finite_numbers(tmp_path, monkeypatch, capsys,
+                                        where, number):
+    # json.loads reads NaN and Infinity, and 1e999 as inf
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(_non_finite_argv(where, number)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 @pytest.mark.parametrize("swap,rc", [((0, 2), 1), ((6, 7), 0)],

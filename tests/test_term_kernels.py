@@ -157,9 +157,7 @@ def test_pairing_is_normal(data):
     q = data.draw(st.integers(0, 3 - p))
     a = data.draw(lie_forms(p))
     b = data.draw(lie_forms(q))
-    kappa = data.draw(st.one_of(st.floats(0.5, 2),
-                                st.floats(0.5, 2).map(np.float64)))
-    assert_normal_form(liecs.pairing(a, b, kappa))
+    assert_normal_form(liecs.pairing(a, b))
 
 
 def test_fiber_cell_integral_rejects_a_base_too_small_for_the_result():

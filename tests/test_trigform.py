@@ -1,12 +1,11 @@
-import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gerbekit.trigform import (AffineTorusMap, TrigForm, _axes_sign,
-                               _move_axes_to_end_sign, nan_max)
+from gerbekit.trigform import (TrigForm, _axes_sign, _move_axes_to_end_sign,
+                               nan_max)
 
 
 def det_sign(seq):
@@ -55,30 +54,6 @@ def test_wedge_graded_commutativity():
     b = rand_form(rng, 3, 2)
     # a ^ b = (-1)^{1*2} b ^ a
     assert (a.wedge(b) - b.wedge(a)).max_abs() < 1e-12
-
-
-def test_integrate_torus_picks_zero_frequency():
-    f = TrigForm.monomial(2, (0, 0), (0, 1), 2.5) \
-        + TrigForm.monomial(2, (1, 0), (0, 1), 7.0)
-    # only the constant term survives; the torus has volume (2 pi)^2
-    assert abs(f.integrate_torus() - 2.5 * (2 * math.pi) ** 2) < 1e-12
-
-
-def test_pullback_composition():
-    rng = np.random.default_rng(3)
-    f = rand_form(rng, 2, 1)
-    m1 = AffineTorusMap([[1, 1], [0, 1]], [0.3, 0.1])
-    m2 = AffineTorusMap([[2, 0], [1, 1]], [0.0, 0.5])
-    lhs = f.pullback(m1.compose(m2))
-    rhs = f.pullback(m1).pullback(m2)
-    assert (lhs - rhs).max_abs() < 1e-12
-
-
-def test_pullback_respects_d():
-    rng = np.random.default_rng(4)
-    f = rand_form(rng, 2, 1)
-    m = AffineTorusMap([[1, 2], [0, 1]], [0.2, 0.7])
-    assert (f.d().pullback(m) - f.pullback(m).d()).max_abs() < 1e-12
 
 
 def test_fiber_integrate_global_stokes():
@@ -160,22 +135,6 @@ def test_move_axes_to_end_sign_matches_adjacent_swaps():
                             seq[i], seq[i + 1] = seq[i + 1], seq[i]
                             sign, i = -sign, i + 1
                     assert _move_axes_to_end_sign(axes, which) == sign
-
-
-@pytest.mark.parametrize("A", [[[2, 1], [1, 3]], [[0, 1], [1, 0]],
-                               [[1, -2], [3, 1]], [[1, 2], [2, 4]]])
-def test_pullback_of_area_form_is_determinant(A):
-    k, b = (2, -1), (0.3, 1.1)
-    f = TrigForm.monomial(2, k, (0, 1), 1.0)
-    pulled = f.pullback(AffineTorusMap(A, b))
-    det = round(np.linalg.det(np.array(A, dtype=float)))
-    want = det * cmath.exp(1j * (k[0] * b[0] + k[1] * b[1]))
-    new_k = tuple(int(v) for v in np.array(A).T @ np.array(k))
-    if det == 0:
-        assert pulled.terms == {}
-    else:
-        assert set(pulled.terms) == {(new_k, (0, 1))}
-        assert abs(pulled.terms[(new_k, (0, 1))] - want) < 1e-14
 
 
 @pytest.mark.parametrize("amb, deg", [(2, 3), (2, -1), (0, 1)])
