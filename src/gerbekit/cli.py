@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from . import serialize
 from .covers import two_subordinations
 from .fiberint import pushforward, pushforward_commutes_defect
-from .holonomy import holonomy, holonomy_phase
+from .holonomy import holonomy
 from .lattice import builtin, enumerate_by_norm
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
                       factor, _character_with_terms, _theta_with_terms)
@@ -216,7 +216,7 @@ def cmd_holonomy(args) -> int:
     dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, omega.cover)
     val = holonomy(omega, dec, rho)
-    ph = holonomy_phase(omega, dec, rho)
+    ph = cmath.exp(1j * val)
     cells = sum(len(v) for v in dec.faces.values())
     emit({"value": val, "phase_re": ph.real, "phase_im": ph.imag,
           "cells_used": cells})

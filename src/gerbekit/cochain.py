@@ -22,7 +22,6 @@ H - d(omega^n_a).
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .covers import Cover, Subordination
@@ -52,6 +51,7 @@ def _magnitude(value: Level) -> float:
 class DiffCochain:
     """A (possibly non-flat) differential n-cochain over a cover.
 
+    Its forms live on the torus of its cover, T^(cover.factors).
     Every level, integer row included, is read through `component`.  Values
     are held in the `components` dict, keyed by multi-index (lengths 1..n+1
     hold TrigForms, length n+2 Python ints), or computed on demand by
@@ -64,33 +64,29 @@ class DiffCochain:
     def __init__(self, degree: int, cover: Cover,
                  field_strength: Optional[TrigForm] = None,
                  components: Optional[Dict[Idx, Level]] = None,
-                 ambient_dim: Optional[int] = None,
                  component_fn: Optional[Callable[[Idx], Level]] = None):
         self.degree = degree
         self.cover = cover
         self.field_strength = field_strength
         self.components = components or {}
         self.component_fn = component_fn
-        if ambient_dim is None:
-            first = next((v for v in chain([field_strength],
-                                           self.components.values())
-                          if isinstance(v, TrigForm)), None)
-            ambient_dim = cover.factors if first is None else first.ambient_dim
-        self.ambient_dim = ambient_dim
+        self.ambient_dim = amb = cover.factors
         if field_strength is not None and (
-                field_strength.ambient_dim != ambient_dim
-                or field_strength.degree != min(degree + 1, ambient_dim)):
+                field_strength.ambient_dim != amb
+                or field_strength.degree != min(degree + 1, amb)):
             raise ValueError(f"the field strength must be a form of degree "
-                             f"{min(degree + 1, ambient_dim)} on T^{ambient_dim}")
+                             f"{min(degree + 1, amb)} on T^{amb}, the torus of "
+                             f"its cover")
         for idx, value in self.components.items():
             want = degree - (len(idx) - 1)
             if want == -1:
                 if type(value) is not int:
                     raise ValueError(f"component at {idx} must be an integer")
             elif type(value) is not TrigForm or value.degree != want \
-                    or value.ambient_dim != ambient_dim:
+                    or value.ambient_dim != amb:
                 raise ValueError(f"component at {idx} must be a form of "
-                                 f"degree {want} on T^{ambient_dim}")
+                                 f"degree {want} on T^{amb}, the torus of its "
+                                 f"cover")
 
     # -- lookups -----------------------------------------------------------
 
@@ -129,7 +125,7 @@ class DiffCochain:
         if a.field_strength is not None or b.field_strength is not None:
             H = a.get_field_strength() + b.get_field_strength()
         return DiffCochain(self.degree, self.cover, field_strength=H,
-                           ambient_dim=self.ambient_dim, component_fn=comp)
+                           component_fn=comp)
 
     def __neg__(self) -> "DiffCochain":
         a = self
@@ -139,7 +135,7 @@ class DiffCochain:
 
         H = None if a.field_strength is None else -a.field_strength
         return DiffCochain(self.degree, self.cover, field_strength=H,
-                           ambient_dim=self.ambient_dim, component_fn=comp)
+                           component_fn=comp)
 
     def __sub__(self, other: "DiffCochain") -> "DiffCochain":
         return self + (-other)
@@ -158,7 +154,7 @@ class DiffCochain:
                     comps[idx] = value
         return DiffCochain(self.degree, self.cover,
                            field_strength=self.field_strength,
-                           components=comps, ambient_dim=self.ambient_dim)
+                           components=comps)
 
     def max_defect(self) -> float:
         """Largest coefficient magnitude over all levels (integers scaled by 2*pi)."""
@@ -184,8 +180,7 @@ def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
             return T
         return level_zero(n, T.ambient_dim, len(idx))
 
-    return DiffCochain(n, cover, field_strength=T.d(),
-                       ambient_dim=T.ambient_dim, component_fn=comp)
+    return DiffCochain(n, cover, field_strength=T.d(), component_fn=comp)
 
 
 def signed_sum(total, terms):
@@ -233,7 +228,7 @@ def total_d(omega: DiffCochain) -> DiffCochain:
         return total
 
     return DiffCochain(n + 1, omega.cover, field_strength=H.d(),
-                       ambient_dim=amb, component_fn=comp)
+                       component_fn=comp)
 
 
 def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
@@ -245,8 +240,7 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
         return omega.component(tuple(sig[j] for j in idx))
 
     return DiffCochain(omega.degree, s.source,
-                       field_strength=omega.field_strength,
-                       ambient_dim=omega.ambient_dim, component_fn=comp)
+                       field_strength=omega.field_strength, component_fn=comp)
 
 
 def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> DiffCochain:
@@ -275,7 +269,7 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
 
     return DiffCochain(n - 1, s1.source,
                        field_strength=level_zero(n - 1, omega.ambient_dim, 0),
-                       ambient_dim=omega.ambient_dim, component_fn=comp)
+                       component_fn=comp)
 
 
 # a defect of D omega, or a field-strength coefficient, at most this large

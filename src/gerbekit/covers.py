@@ -124,12 +124,13 @@ def _arc_contains_interval(arc: Tuple[float, float], lo: float, hi: float,
 class Cover:
     """A finite open cover of a product of circles by boxes.
 
-    pieces[i] is a tuple of per-factor arcs (lo, hi) in lifted coordinates.
+    pieces[i] is a tuple of per-factor arcs (lo, hi) in lifted coordinates;
+    the number of arcs per piece is the number of circle factors.
     """
 
-    def __init__(self, factors: int, pieces: Sequence[Tuple[Tuple[float, float], ...]]):
-        self.factors = factors
+    def __init__(self, pieces: Sequence[Tuple[Tuple[float, float], ...]]):
         self.pieces = [tuple(tuple(arc) for arc in p) for p in pieces]
+        self.factors = len(self.pieces[0])
         self.cover_id = ""      # set by serialize.cover_from_id
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
@@ -228,7 +229,7 @@ def make_circle_cover(N: int, overlap: float) -> Cover:
         raise ValueError("overlap must lie in (0, pi/N)")
     h = TWO_PI / N
     pieces = [((j * h - overlap, (j + 1) * h + overlap),) for j in range(N)]
-    return Cover(1, pieces)
+    return Cover(pieces)
 
 
 def make_torus_cover(N: int, M: int, overlap: float) -> Cover:
@@ -242,7 +243,7 @@ def product_cover(a: Cover, b: Cover) -> Cover:
     for pa in a.pieces:
         for pb in b.pieces:
             pieces.append(pa + pb)
-    c = Cover(a.factors + b.factors, pieces)
+    c = Cover(pieces)
     c.factor_covers = (a, b)
     c.block_sizes = (len(a.pieces), len(b.pieces))
     return c
@@ -284,7 +285,7 @@ def _refine_circle(c: Cover, factor: int):
             pieces.append(((a - m, a + L + m),))
             sig.append(i)
             sig2.append(i)
-    fine = Cover(1, pieces)
+    fine = Cover(pieces)
     return fine, sig, sig2
 
 
@@ -323,9 +324,9 @@ class DualCellDecomposition:
     orientation induced as a boundary component of Delta_(i1...ik-1).
     """
 
-    def __init__(self, dim: int, top_cells: Sequence, faces: Dict[int, Dict[Tuple[int, ...], object]]):
-        self.dim = dim
+    def __init__(self, top_cells: Sequence, faces: Dict[int, Dict[Tuple[int, ...], object]]):
         self.top_cells = list(top_cells)
+        self.dim = self.top_cells[0].dim
         self.faces = faces  # faces[1][(i,)] = top_cells[i]
 
     def layer_sum(self, p: int,
@@ -376,7 +377,7 @@ def make_circle_decomposition(N: int) -> DualCellDecomposition:
         else:
             sign = -1
         faces[2][(i1, i2)] = PointCell(v, sign)
-    return DualCellDecomposition(1, segs, faces)
+    return DualCellDecomposition(segs, faces)
 
 
 _HEX_OFFSETS = np.array([
@@ -439,7 +440,7 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
                 break
         else:
             raise RuntimeError("triple vertex not an endpoint of the shared edge")
-    return DualCellDecomposition(2, hexes, faces)
+    return DualCellDecomposition(hexes, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +471,9 @@ def admissible_pieces(dec: DualCellDecomposition, cover: Cover) -> List[List[int
 def two_subordinations(dec: DualCellDecomposition, cover: Cover,
                        rng=None) -> Tuple[List[int], List[int]]:
     """Two valid subordinations differing wherever a cell admits a choice."""
+    if dec.dim != cover.factors:
+        raise ValueError(f"a {dec.dim}-dimensional decomposition does not fit "
+                         f"a cover of T^{cover.factors}")
     adm = admissible_pieces(dec, cover)
     rho, rho2 = [], []
     for i, options in enumerate(adm):

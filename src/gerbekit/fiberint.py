@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cochain import DiffCochain, Level, level_zero, signed_sum, total_d
 from .covers import DualCellDecomposition, product_index
-from .trigform import TrigForm, _move_axes_to_end_sign, cell_integral
+from .trigform import TrigForm, cell_integral
 
 Idx = Tuple[int, ...]
 
@@ -81,9 +81,10 @@ def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
 def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
     """Integrate the fiber part of a form on X x E over a cell of E.
 
-    Terms whose fiber-axis count differs from the cell dimension drop; the
-    fiber axes are moved to the end (collecting the sign) and integrated in
-    closed form; the result is a form on X.
+    The fiber is the trailing axes n_base..: terms whose fiber-axis count
+    differs from the cell dimension drop, and the rest integrate in closed
+    form, their fiber axes already last in the sorted axes (sign +1); the
+    result is a form on X.
     """
     deg = form.degree - cell.dim
     if not 0 <= n_base <= form.ambient_dim or deg > n_base:
@@ -93,13 +94,12 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
         fib = tuple(a for a in axes if a >= n_base)
         if len(fib) != cell.dim:
             continue
-        sign = _move_axes_to_end_sign(axes, fib)
         val = cell_integral(cell, freq[n_base:], tuple(a - n_base for a in fib))
         if val == 0.0:
             continue
         base_axes = tuple(a for a in axes if a < n_base)
         key = (tuple(freq[:n_base]), base_axes)
-        out[key] = out.get(key, 0.0) + sign * c * val
+        out[key] = out.get(key, 0.0) + c * val
     return TrigForm._trusted(n_base, max(deg, 0), out)
 
 
@@ -159,7 +159,7 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
         return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))
 
     return DiffCochain(p, x_cover, field_strength=field_strength,
-                       ambient_dim=n_base, component_fn=comp)
+                       component_fn=comp)
 
 
 def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
@@ -170,10 +170,8 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError("push-forward needs a product cover")
     if omega.degree < dec.dim:
         raise ValueError("cochain degree must be at least dim E")
-    x_cover, e_cover = cover.factor_covers
-    n_base = x_cover.factors
-    fiber_axes = list(range(n_base, n_base + e_cover.factors))
-    T = omega.get_field_strength().fiber_integrate_global(fiber_axes)
+    T = omega.get_field_strength().fiber_integrate_global(
+        cover.factor_covers[0].factors)
     return _fiber_integral(
         omega, dec, omega.degree - dec.dim,
         lambda cell_idx: ((0, tuple(rho[i] for i in cell_idx)),), T)

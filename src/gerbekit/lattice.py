@@ -305,17 +305,19 @@ def spin16_embedding(v: Sequence[int]) -> Tuple[int, ...]:
     Input in spin16_coroot basis coefficients; output in e8 basis
     coefficients.  Raises if the image is not an e8 vector.
     """
-    image = [2 * c for c in builtin("spin16_coroot").coordinates(v)]
-    return _in_basis(builtin("e8"), image)
+    coroot = builtin("spin16_coroot")
+    return _in_basis(builtin("e8"), [2 * x for x in coroot._numerators(v)],
+                     coroot.basis_den)
 
 
-def _in_basis(L: IntegralLattice, ambient_coords: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Solve integer basis coefficients for a point in the ambient space."""
-    target = [Fraction(c) * L.basis_den for c in ambient_coords]
-    sol = np.linalg.solve(L.basis.T.astype(float),
-                          np.array([float(t) for t in target]))
+def _in_basis(L: IntegralLattice, numerators: Sequence[int],
+              den: int) -> Tuple[int, ...]:
+    """Integer basis coefficients of the ambient point numerators / den:
+    solved in floats, then confirmed in integers."""
+    sol = np.linalg.solve(L.basis_float.T, np.array(numerators) / den)
     coeffs = tuple(int(round(s)) for s in sol)
-    if L._numerators(coeffs) != target:
+    if [x * den for x in L._numerators(coeffs)] \
+            != [x * L.basis_den for x in numerators]:
         raise ValueError("vector is not in the target lattice")
     return coeffs
 

@@ -192,18 +192,17 @@ class GaugeFactor:
 
 
 class GaugeMap:
-    """An ordered product of gauge factors t = f1 f2 ... fm."""
+    """An ordered product of gauge factors t = f1 f2 ... fm on T^n, n the
+    length of the factors' frequency vectors."""
 
-    def __init__(self, factors: Sequence[GaugeFactor], ambient_dim: int):
+    def __init__(self, factors: Sequence[GaugeFactor]):
         self.factors = list(factors)
-        self.ambient_dim = ambient_dim
-        if factors:
-            self.matrix_dim = factors[0].U.shape[0]
-        else:
+        if not factors:
             raise ValueError("need at least one factor")
-        for f in factors:
-            if len(f.freq) != ambient_dim:
-                raise ValueError("factor frequency length mismatch")
+        self.matrix_dim = factors[0].U.shape[0]
+        self.ambient_dim = len(factors[0].freq)
+        if any(len(f.freq) != self.ambient_dim for f in factors):
+            raise ValueError("factor frequency length mismatch")
 
     def value(self, x: Sequence[float]) -> np.ndarray:
         out = np.eye(self.matrix_dim, dtype=complex)
@@ -269,17 +268,14 @@ def gauge_transform(A: LieValuedForm, t: GaugeMap) -> LieValuedForm:
     return t.conjugate(A) + t.maurer_cartan()
 
 
-def pulled_back_wg(t: GaugeMap) -> TrigForm:
-    """t* W_G = -(1/6) <theta, [theta, theta]> with theta = t^{-1}dt."""
-    theta = t.maurer_cartan()
-    return (-1.0 / 6.0) * pairing(theta, graded_bracket(theta, theta))
-
-
 def gauge_variation_defect(A: LieValuedForm, t: GaugeMap) -> float:
-    """Residual of CS(psi*A) - CS(A) = d<t^{-1}At, t^{-1}dt> + t*W_G."""
-    lhs = cs_form(gauge_transform(A, t)) - cs_form(A)
-    cross = pairing(t.conjugate(A), t.maurer_cartan())
-    rhs = cross.d() + pulled_back_wg(t)
+    """Residual of CS(psi*A) - CS(A) = d<t^{-1}At, theta> + t*W_G, with
+    theta = t^{-1}dt and t*W_G = -(1/6) <theta, [theta, theta]>."""
+    theta = t.maurer_cartan()
+    conj = t.conjugate(A)
+    lhs = cs_form(conj + theta) - cs_form(A)
+    wg = (-1.0 / 6.0) * pairing(theta, graded_bracket(theta, theta))
+    rhs = pairing(conj, theta).d() + wg
     return (lhs - rhs).max_abs()
 
 

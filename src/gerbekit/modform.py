@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,6 +279,9 @@ class ModuliPoint:
 
     def __post_init__(self):
         _check_tau(self.tau)
+        for c in self.z:
+            if not cmath.isfinite(c):
+                raise ValueError(f"z coordinate {c} is not finite")
 
 
 class GroupElement:
@@ -348,24 +351,27 @@ def act(g: GroupElement, x: ModuliPoint,
             x = act(e, x, L)
         return x
     tau, z = x.tau, np.array(x.z, dtype=complex)
-    if g.kind == "S":
-        a, b, c, d = g.data
-        denom = c * tau + d
-        new_tau = (a * tau + b) / denom
-        if new_tau.imag < TAU_MIN:
-            raise ValueError(
-                f"image Im tau = {new_tau.imag} leaves the admissible domain")
-        return ModuliPoint(new_tau, tuple(z / denom))
-    if g.kind == "T":
-        q1, q2 = g.data
-        if len(q1) != len(z) or len(q2) != len(z):
-            raise ValueError("translation rank mismatch")
-        new_z = z + np.array(q1, dtype=float) + tau * np.array(q2, dtype=float)
-        return ModuliPoint(tau, tuple(new_z))
-    if g.kind == "W":
-        M = (np.array(g.data, dtype=np.int64) if L is None
-             else _check_isometry(L, g.data))
-        return ModuliPoint(tau, tuple(M @ z))
+    # an image past the float range is refused by ModuliPoint, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.kind == "S":
+            a, b, c, d = g.data
+            denom = c * tau + d
+            new_tau = (a * tau + b) / denom
+            if new_tau.imag < TAU_MIN:
+                raise ValueError(f"image Im tau = {new_tau.imag} leaves the "
+                                 "admissible domain")
+            return ModuliPoint(new_tau, tuple(z / denom))
+        if g.kind == "T":
+            q1, q2 = g.data
+            if len(q1) != len(z) or len(q2) != len(z):
+                raise ValueError("translation rank mismatch")
+            new_z = (z + np.array(q1, dtype=float)
+                     + tau * np.array(q2, dtype=float))
+            return ModuliPoint(tau, tuple(new_z))
+        if g.kind == "W":
+            M = (np.array(g.data, dtype=np.int64) if L is None
+                 else _check_isometry(L, g.data))
+            return ModuliPoint(tau, tuple(M @ z))
     raise ValueError(f"unknown group element kind {g.kind}")
 
 

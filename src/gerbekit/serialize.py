@@ -9,7 +9,7 @@ Decomposition ids: "circle:N" (dual segments on S^1) or "hex:N"
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from .cochain import DiffCochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,

@@ -26,15 +26,13 @@ from .covers import (Cover, make_circle_cover, make_circle_decomposition,
 from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect)
 from .holonomy import holonomy, invariance_defect, nearest_2pi_multiple_defect
-from .lattice import (anomaly_exponents, builtin, coxeter_from_roots,
-                      enumerate_by_norm, roots, spin16_embedding,
-                      spin16_first_series, theta_counts, weight_identity_check,
-                      weyl_index_arithmetic)
-from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
-                      cocycle_defect, character, det_section, eta,
-                      eta_multiplier, factor, measure_extra_multiplier,
-                      reflection_element, theta1, theta_lattice,
-                      theta_lattice_enum, transform_defect)
+from .lattice import (anomaly_exponents, builtin, coxeter_from_roots, roots,
+                      spin16_embedding, spin16_first_series, theta_counts,
+                      weight_identity_check, weyl_index_arithmetic)
+from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
+                      cocycle_defect, eta, eta_multiplier, factor,
+                      measure_extra_multiplier, reflection_element, theta1,
+                      theta_lattice, theta_lattice_enum, transform_defect)
 from .trigform import Key, TrigForm, _axes_sign, nan_max
 
 Check = Tuple[str, float]
@@ -87,6 +85,8 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
     1..degree+1, an integer in [-2, 2] at degree+2) and stored in
     `components`; any other ordering of a support is read through
     `component_fn` as the sorted value times the sign of the permutation.
+    ambient_dim must be cover.factors: the cochain refuses forms on another
+    torus.
     """
     comps: Dict[Tuple[int, ...], Level] = {}
     for r in range(1, degree + 2):
@@ -114,7 +114,7 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
     if with_field_strength and degree + 1 <= ambient_dim:
         H = random_real_form(rng, ambient_dim, degree + 1)
     return DiffCochain(degree, cover, field_strength=H, components=comps,
-                       ambient_dim=ambient_dim, component_fn=permuted)
+                       component_fn=permuted)
 
 
 def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int) -> DiffCochain:
@@ -263,7 +263,7 @@ def random_gauge_map(rng) -> liecs.GaugeMap:
         if all(f == 0 for f in freq):
             freq = (1,) + (0,) * (LIE_DIM - 1)
         factors.append(liecs.GaugeFactor(U, (w, -w), freq))
-    return liecs.GaugeMap(factors, LIE_DIM)
+    return liecs.GaugeMap(factors)
 
 
 def _su2_exp(theta) -> np.ndarray:
@@ -428,8 +428,7 @@ def suite_crossmodule(trials: int, seed: int, tol: float) -> List[Check]:
         h = float(rng.uniform(0.3, 5.5))
         T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
         om = DiffCochain(2, cover,
-                         components={(a,): T for a in cover.indices},
-                         ambient_dim=2)
+                         components={(a,): T for a in cover.indices})
         cls = classify_flat_2cocycle(om, dec, rho)
         xi = random_alternating_cochain(rng, cover, 1, 2,
                                         with_field_strength=False)

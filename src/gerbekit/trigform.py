@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -214,32 +214,26 @@ class TrigForm:
 
     # -- integration -------------------------------------------------------
 
-    def fiber_integrate_global(self, fiber_axes: Sequence[int]) -> "TrigForm":
-        """Integrate over the full subtorus spanned by fiber_axes.
+    def fiber_integrate_global(self, n_base: int) -> "TrigForm":
+        """Integrate over the fiber torus of the trailing axes n_base..n-1.
 
-        Keeps terms with zero frequency on and full presence of the fiber
-        axes; moves those axes to the last slots (collecting the sign),
-        strips them, and multiplies by (2 pi)^d.
+        Keeps the terms with zero frequency on, and presence of, every fiber
+        axis; sorted axes put those last, so they strip with sign +1.  The
+        coefficients are multiplied by (2 pi)^d, d the fiber dimension.
         """
-        fiber = tuple(sorted(set(int(a) for a in fiber_axes)))
-        d = len(fiber)
-        base = [a for a in range(self.ambient_dim) if a not in fiber]
-        reindex = {a: i for i, a in enumerate(base)}
+        d = self.ambient_dim - n_base
         if self.degree < d:
-            return TrigForm(len(base), 0)
+            return TrigForm(n_base, 0)
+        fiber = tuple(range(n_base, self.ambient_dim))
+        p = self.degree - d
         out: Dict[Key, complex] = {}
         vol = (2 * math.pi) ** d
         for (freq, axes), c in self.terms.items():
-            if any(freq[a] != 0 for a in fiber):
+            if any(freq[n_base:]) or axes[p:] != fiber:
                 continue
-            if not all(a in axes for a in fiber):
-                continue
-            sign = _move_axes_to_end_sign(axes, fiber)
-            new_axes = tuple(reindex[a] for a in axes if a not in fiber)
-            new_freq = tuple(freq[a] for a in base)
-            key = (new_freq, new_axes)
-            out[key] = out.get(key, 0.0) + sign * vol * c
-        return TrigForm._trusted(len(base), self.degree - d, out)
+            key = (freq[:n_base], axes[:p])
+            out[key] = out.get(key, 0.0) + vol * c
+        return TrigForm._trusted(n_base, p, out)
 
     def integrate_cell(self, cell) -> complex:
         """Integrate over an oriented point/segment/polygon in the torus."""
@@ -277,14 +271,6 @@ class TrigForm:
             key = (tuple(r["freq"]), tuple(r["axes"]))
             terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
         return TrigForm(ambient_dim, degree, terms)
-
-
-@lru_cache(maxsize=None)
-def _move_axes_to_end_sign(axes: Tuple[int, ...], which: Tuple[int, ...]) -> int:
-    """Parity sign of moving the listed axes (in order) to the end of the
-    sorted, repeat-free tuple `axes`; a table, as few (axes, which) occur."""
-    return _axes_sign(tuple(a for a in axes if a not in which)
-                      + tuple(a for a in axes if a in which))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,6 @@ single pass/fail line with its worst defect and wall time."""
 
 import time
 
-import pytest
-
-from gerbekit.cli import run_suite
 from gerbekit.suites import SUITES
 
 

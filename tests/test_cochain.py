@@ -9,8 +9,7 @@ from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
                               restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover,
                              product_cover, refine, two_subordinations)
-from gerbekit.suites import (random_alternating_cochain, random_cocycle,
-                             torus_setup)
+from gerbekit.suites import random_alternating_cochain, torus_setup
 from gerbekit.trigform import TrigForm
 
 
@@ -63,7 +62,7 @@ def test_alternating_components_follow_permutation_signs():
 def test_max_defect_propagates_nan():
     cover = make_circle_cover(4, 0.55)
     bad = TrigForm(1, 0, {((1,), ()): 1.0, ((2,), ()): math.nan})
-    om = DiffCochain(1, cover, components={(0, 1): bad}, ambient_dim=1)
+    om = DiffCochain(1, cover, components={(0, 1): bad})
     assert math.isnan(om.max_defect())
     H = TrigForm(1, 1, {((0,), (0,)): 1.0, ((1,), (0,)): math.nan})
     assert math.isnan(DiffCochain(0, cover, field_strength=H).max_defect())
@@ -109,8 +108,7 @@ def test_integer_row_inclusion_sign():
     om = DiffCochain(0, cover,
                      components={**{(a,): TrigForm.zero(1, 0)
                                     for a in cover.indices},
-                                 (0, 1): 3, (1, 0): -3},
-                     ambient_dim=1)
+                                 (0, 1): 3, (1, 0): -3})
     out = total_d(om)
     comp = out.component((0, 1))
     assert abs(comp.terms.get(((0,), ()), 0.0) - 2 * math.pi * 3) < 1e-12
@@ -152,8 +150,7 @@ def test_classify_flat_2cocycle_value():
     rho, _ = two_subordinations(dec, cover, rng)
     h = 2.2
     T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
-    om = DiffCochain(2, cover, components={(a,): T for a in cover.indices},
-                     ambient_dim=2)
+    om = DiffCochain(2, cover, components={(a,): T for a in cover.indices})
     assert abs(classify_flat_2cocycle(om, dec, rho) - h) < 1e-10
 
 
@@ -221,7 +218,7 @@ def test_negation_negates_every_level():
 def test_constructor_rejects_misplaced_levels(components, message):
     cover = make_circle_cover(4, 0.55)
     with pytest.raises(ValueError, match=message):
-        DiffCochain(1, cover, components=components, ambient_dim=1)
+        DiffCochain(1, cover, components=components)
 
 
 def test_constructor_rejects_a_field_strength_of_the_wrong_degree():
@@ -231,5 +228,15 @@ def test_constructor_rejects_a_field_strength_of_the_wrong_degree():
     with pytest.raises(ValueError, match="field strength"):
         DiffCochain(0, cover, field_strength=TrigForm.zero(1, 0))
     with pytest.raises(ValueError, match="field strength"):
-        DiffCochain(1, cover, field_strength=TrigForm.zero(2, 2),
-                    ambient_dim=1)
+        DiffCochain(1, cover, field_strength=TrigForm.zero(2, 2))
+
+
+def test_a_cochain_lives_on_its_covers_torus():
+    circle = make_circle_cover(4, 0.55)
+    rng = np.random.default_rng(5)
+    assert DiffCochain(1, circle).ambient_dim == 1
+    assert DiffCochain(1, make_torus_cover(3, 3, 0.55)).ambient_dim == 2
+    with pytest.raises(ValueError, match="on T\\^1, the torus of its cover"):
+        random_alternating_cochain(rng, circle, 1, 2)
+    with pytest.raises(ValueError, match="on T\\^1, the torus of its cover"):
+        from_global_form(TrigForm.monomial(2, (0, 0), (0,), 1.0), circle)

@@ -75,7 +75,7 @@ def test_pushforward_of_global_form_is_fiber_integral():
     om = from_global_form(T, cover)
     rho, _ = two_subordinations(dec, fiber, rng)
     out = pushforward(om, dec, rho)
-    expect = T.fiber_integrate_global([1])
+    expect = T.fiber_integrate_global(1)
     assert (out.component((0,)) - expect).max_abs() < 1e-10
 
 

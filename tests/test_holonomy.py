@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbekit.cochain import DiffCochain, from_global_form, total_d
+from gerbekit.cochain import from_global_form
 from gerbekit.covers import two_subordinations
 from gerbekit.holonomy import (holonomy, holonomy_phase, invariance_defect,
                                nearest_2pi_multiple_defect)
@@ -106,7 +106,7 @@ def test_global_form_holonomy_is_its_integral_at_every_size(ids, seed, c):
     n = dec.dim
     T = random_real_form(np.random.default_rng(seed), n, n) \
         + TrigForm.monomial(n, (0,) * n, tuple(range(n)), c)
-    expect = T.fiber_integrate_global(range(n)).terms.get(((), ()), 0.0)
+    expect = T.fiber_integrate_global(0).terms.get(((), ()), 0.0)
     got = holonomy(from_global_form(T, cover), dec,
                    two_subordinations(dec, cover)[0])
     assert abs(got - expect) < 1e-12

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gerbekit import cli, liecs, serialize, suites
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
-from gerbekit.covers import make_circle_cover, product_cover
 from gerbekit.holonomy import nearest_2pi_multiple_defect
 from gerbekit.suites import random_alternating_cochain, random_cocycle
 from gerbekit.trigform import TrigForm
@@ -203,6 +202,45 @@ def test_cli_pushforward_usage_errors(tmp_path, capsys):
     assert rc == 2
     assert "product cover" in capsys.readouterr().err
     assert not dst.exists()
+
+
+def test_cli_refuses_a_file_whose_forms_live_on_another_torus(tmp_path,
+                                                              capsys):
+    # a degree-1 cocycle on T^1, relabelled as living on the T^2 cover
+    om = random_cocycle(np.random.default_rng(3),
+                        serialize.cover_from_id("circle:4:0.7"), 1, 1)
+    rec = serialize.cochain_to_dict(om, "circle:4:0.7")
+    rec["cover_id"] = "torus:3:3:0.6"
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(rec))
+    rc = cli.main(["holonomy", "--cochain", str(path),
+                   "--decomposition", "circle:20"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "on T^2, the torus of its cover" in err
+
+
+@pytest.mark.parametrize("command, cover_id, make", [
+    ("holonomy", "torus:3:3:0.75",
+     lambda rng, cover: random_cocycle(rng, cover, 1, 2)),
+    ("pushforward", "product:circle:3:0.6|torus:3:3:0.75",
+     lambda rng, cover: from_global_form(suites.random_real_form(rng, 3, 1),
+                                         cover)),
+], ids=["holonomy", "pushforward"])
+def test_cli_refuses_a_decomposition_of_another_dimension(
+        tmp_path, capsys, command, cover_id, make):
+    # circle:20 is 1-dimensional; the cover (holonomy) or its fiber
+    # (pushforward) is T^2
+    om = make(np.random.default_rng(4), serialize.cover_from_id(cover_id))
+    path = tmp_path / "om.json"
+    serialize.save_cochain(str(path), om, cover_id)
+    rc = cli.main([command, "--cochain", str(path),
+                   "--decomposition", "circle:20"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == ("error: a 1-dimensional decomposition does not fit a "
+                   "cover of T^2\n")
 
 
 
@@ -421,6 +459,8 @@ MALFORMED_MODULAR = [
     ("W-past-int64", ["act", "--element", json.dumps(
         {"W": [[2 ** 70 * (i == j == 0) + (i == j) for j in range(8)]
                for i in range(8)]}), "--point", GOOD_POINT]),
+    ("infinite-image", ["act", "--element", '{"T": [[1], [1]]}', "--point",
+                        '{"tau": [1.7e308, 1], "z": [[1.7e308, 0]]}']),
 ]
 
 

@@ -111,9 +111,8 @@ def test_wedge_is_normal(pair):
 def test_global_fiber_integral_is_normal(data):
     amb = data.draw(st.integers(1, 3))
     deg = data.draw(st.integers(0, amb))
-    fiber = data.draw(st.lists(st.integers(0, amb - 1), min_size=1,
-                               max_size=amb, unique=True))
-    out = data.draw(forms(amb, deg)).fiber_integrate_global(fiber)
+    n_base = data.draw(st.integers(0, amb - 1))
+    out = data.draw(forms(amb, deg)).fiber_integrate_global(n_base)
     assert_normal_form(out)
 
 

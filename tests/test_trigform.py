@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gerbekit.trigform import (TrigForm, _axes_sign, _move_axes_to_end_sign,
-                               nan_max)
+from gerbekit.trigform import TrigForm, _axes_sign, nan_max
 
 
 def det_sign(seq):
@@ -59,8 +58,8 @@ def test_wedge_graded_commutativity():
 def test_fiber_integrate_global_stokes():
     rng = np.random.default_rng(5)
     f = rand_form(rng, 3, 2)
-    lhs = f.d().fiber_integrate_global([2])
-    rhs = f.fiber_integrate_global([2]).d()
+    lhs = f.d().fiber_integrate_global(2)
+    rhs = f.fiber_integrate_global(2).d()
     # integrating over a closed fiber kills the boundary term
     assert (lhs - rhs).max_abs() < 1e-12
 
@@ -120,21 +119,6 @@ def test_axes_sign_rejects_repeats():
     for axes in [(3, 3), (0, 2, 0), (4, 1, 2, 1), (5, 2, 7, 9, 7)]:
         for perm in itertools.permutations(axes):
             assert _axes_sign(perm) is None
-
-
-def test_move_axes_to_end_sign_matches_adjacent_swaps():
-    for n in range(6):
-        for axes in itertools.combinations((0, 2, 3, 6, 8, 9), n):
-            for k in range(n + 1):
-                for which in itertools.combinations(axes, k):
-                    # move each listed axis to the end by adjacent swaps
-                    seq, sign = list(axes), 1
-                    for a in which:
-                        i = seq.index(a)
-                        while i < len(seq) - 1:
-                            seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                            sign, i = -sign, i + 1
-                    assert _move_axes_to_end_sign(axes, which) == sign
 
 
 @pytest.mark.parametrize("amb, deg", [(2, 3), (2, -1), (0, 1)])
