@@ -53,7 +53,7 @@ def run_suite(name: str, trials: int, seed: int, tol: float) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
     t0 = time.time()
-    raw = SUITES[name](trials, seed, tol)
+    raw = SUITES[name](trials, seed)
     checks = [{"name": n, "max_defect": float(d), "pass": bool(float(d) <= tol)}
               for n, d in raw]
     return SuiteReport(name, trials, seed, tol, checks, time.time() - t0)

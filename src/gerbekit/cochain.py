@@ -25,7 +25,7 @@ import math
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .covers import Cover, Subordination
-from .trigform import TrigForm, nan_max
+from .trigform import TrigForm, nan_max, signed_sum
 
 Idx = Tuple[int, ...]
 Level = Union[TrigForm, int]    # a form row, or the integer row
@@ -114,16 +114,24 @@ class DiffCochain:
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "DiffCochain") -> "DiffCochain":
+        return self._plus(0, other)
+
+    def __sub__(self, other: "DiffCochain") -> "DiffCochain":
+        return self._plus(1, other)
+
+    def _plus(self, odd: int, other: "DiffCochain") -> "DiffCochain":
+        """self + (-1)^odd * other, each level one signed_sum."""
         if self.degree != other.degree or self.cover is not other.cover:
             raise ValueError("cochain addition needs matching degree and cover")
         a, b = self, other
 
         def comp(idx):
-            return a.component(idx) + b.component(idx)
+            return signed_sum(a.component(idx), ((odd, b.component(idx)),))
 
         H = None
         if a.field_strength is not None or b.field_strength is not None:
-            H = a.get_field_strength() + b.get_field_strength()
+            H = signed_sum(a.get_field_strength(),
+                           ((odd, b.get_field_strength()),))
         return DiffCochain(self.degree, self.cover, field_strength=H,
                            component_fn=comp)
 
@@ -136,9 +144,6 @@ class DiffCochain:
         H = None if a.field_strength is None else -a.field_strength
         return DiffCochain(self.degree, self.cover, field_strength=H,
                            component_fn=comp)
-
-    def __sub__(self, other: "DiffCochain") -> "DiffCochain":
-        return self + (-other)
 
     # -- materialization ---------------------------------------------------
 
@@ -183,22 +188,6 @@ def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
     return DiffCochain(n, cover, field_strength=T.d(), component_fn=comp)
 
 
-def signed_sum(total, terms):
-    """total + sum of (-1)^odd * term over (odd, term) pairs, in order.
-
-    Serves the form rows (TrigForm) and the integer row (int) alike.
-    """
-    for odd, term in terms:
-        total = total - term if odd else total + term
-    return total
-
-
-def cech_delta(lookup: Callable[[Idx], Level], idx: Idx, zero: Level) -> Level:
-    """(delta c)_{i0..ir} = sum_j (-1)^j c_{i0..^ij..ir}, c read by lookup."""
-    return signed_sum(zero, ((j % 2, lookup(idx[:j] + idx[j + 1:]))
-                             for j in range(len(idx))))
-
-
 def total_d(omega: DiffCochain) -> DiffCochain:
     """The total differential: delta + (-1)^{r+1} d on the (r, s) slot.
 
@@ -214,18 +203,20 @@ def total_d(omega: DiffCochain) -> DiffCochain:
     def comp(idx: Idx) -> Level:
         if len(idx) == 1:
             return H - omega.component(idx).d()
-        total = cech_delta(omega.component, idx,
-                           level_zero(n + 1, amb, len(idx)))
+        # (delta omega)_{i0..ir} = sum_j (-1)^j omega_{i0..^ij..ir}
+        terms = [(j % 2, omega.component(idx[:j] + idx[j + 1:]))
+                 for j in range(len(idx))]
         # the input slot with the same index length has r = len(idx) - 1;
         # (-1)^{r+1} is the sign of d there, and of the inclusion 2*pi*m
         sign = 1 if len(idx) % 2 == 0 else -1
         if len(idx) <= n + 1:
-            total = total + sign * omega.component(idx).d()
+            terms.append((0, sign * omega.component(idx).d()))
         elif len(idx) == n + 2:
             m = omega.component(idx)
             if m:
-                total = total + TrigForm.constant(amb, sign * 2 * math.pi * m)
-        return total
+                terms.append(
+                    (0, TrigForm.constant(amb, sign * 2 * math.pi * m)))
+        return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
 
     return DiffCochain(n + 1, omega.cover, field_strength=H.d(),
                        component_fn=comp)

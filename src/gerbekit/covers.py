@@ -14,6 +14,8 @@ from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
+from .trigform import signed_sum
+
 TWO_PI = 2 * math.pi
 
 
@@ -336,20 +338,19 @@ class DualCellDecomposition:
             sum_{k=1}^{dim+1} (-1)^{(p+1)(k+1)}
                 sum_{i1 > ... > ik} value((i), Delta_(i)),
 
-        each layer summed on its own before it is signed into the total.
-        value returns None for a cell that contributes nothing.  Holonomy
-        is the case p = 0; the push-forward and its homotopy use the output
-        degree on the base.
+        each layer summed on its own by signed_sum, then multiplied by its
+        int sign and added into the total by a second signed_sum.  value
+        returns None for a cell that contributes nothing.  Holonomy is the
+        case p = 0; the push-forward and its homotopy use the output degree
+        on the base.
         """
-        total = zero
-        for k in range(1, self.dim + 2):
-            layer = zero
-            for idx, cell in self.faces.get(k, {}).items():
-                v = value(idx, cell)
-                if v is not None:
-                    layer = layer + v
-            total = total + layer_sign(p, k) * layer
-        return total
+        def layer(k: int):
+            values = (value(idx, cell)
+                      for idx, cell in self.faces.get(k, {}).items())
+            return signed_sum(zero, ((0, v) for v in values if v is not None))
+
+        return signed_sum(zero, ((0, layer_sign(p, k) * layer(k))
+                                 for k in range(1, self.dim + 2)))
 
 
 def layer_sign(p: int, k: int) -> int:
@@ -368,15 +369,11 @@ def make_circle_decomposition(N: int) -> DualCellDecomposition:
     for j in range(N):
         jn = (j + 1) % N
         i1, i2 = (jn, j) if jn > j else (j, jn)
-        v = segs[j].end  # shared vertex between segments j and j+1
-        # boundary of the oriented segment Delta_{i1}: + at its end, - at start
-        top = segs[i1]
-        if np.allclose(v % TWO_PI, top.end % TWO_PI) or np.allclose(
-                (v - top.end) % TWO_PI, 0.0):
-            sign = +1
-        else:
-            sign = -1
-        faces[2][(i1, i2)] = PointCell(v, sign)
+        # the vertex shared by segments j and j+1, in the boundary of the
+        # oriented segment Delta_{i1}: its end (+1) only at the wrap vertex
+        # (N-1, 0), where i1 = j; else its start (-1), where i1 = j + 1
+        sign = +1 if jn == 0 else -1
+        faces[2][(i1, i2)] = PointCell(segs[j].end, sign)
     return DualCellDecomposition(segs, faces)
 
 
@@ -424,9 +421,8 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
     for key, owners in edge_map.items():
         if len(owners) != 2:
             raise RuntimeError("each hexagon edge must be shared by exactly 2 cells")
-        (ia, sa), (ib, sb) = owners
         (i1, seg) = max(owners, key=lambda t: t[0])
-        i2 = min(ia, ib)
+        i2 = min(i for i, _ in owners)
         faces[2][(i1, i2)] = seg  # oriented as traversed by the larger-index cell
     for vkey, owners in vert_map.items():
         if len(owners) != 3:

@@ -21,9 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cochain import DiffCochain, Level, level_zero, signed_sum, total_d
+from .cochain import DiffCochain, Level, level_zero, total_d
 from .covers import DualCellDecomposition, product_index
-from .trigform import TrigForm, cell_integral
+from .trigform import TrigForm, cell_integral, signed_sum
 
 Idx = Tuple[int, ...]
 
@@ -107,23 +107,6 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
 # push-forward
 
 
-def _family_sum(symbol: Callable[[Idx], Level],
-                family: Sequence[Tuple[int, Idx]]) -> Level:
-    """sum of (-1)^odd symbol(b) over the (odd, b) of a nonempty family.
-
-    The sum starts from the first term, not from a zero, so the
-    push-forward's one-term family is its symbol itself, with no addition
-    to copy it.
-    """
-    total = None
-    for odd, b_idx in family:
-        term = symbol(b_idx)
-        if odd:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                     e_indices: Callable[[Idx], Sequence[Tuple[int, Idx]]],
                     field_strength: TrigForm) -> DiffCochain:
@@ -140,19 +123,19 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
 
     def comp(a_idx: Idx) -> Level:
         if len(a_idx) == p + 2:
-            def symbol(b_idx):
-                return _path_sum(omega.component, cover, a_idx, b_idx, 0)
-
             def value(cell_idx, cell):
                 if cell.dim:
                     return None
-                return cell.sign * _family_sum(symbol, e_indices(cell_idx))
+                return cell.sign * signed_sum(0, (
+                    (odd, _path_sum(omega.component, cover, a_idx, b_idx, 0))
+                    for odd, b_idx in e_indices(cell_idx)))
         else:
-            def symbol(b_idx):
-                return t_symbol_form(omega, a_idx, b_idx)
-
             def value(cell_idx, cell):
-                sym = _family_sum(symbol, e_indices(cell_idx))
+                family = [(odd, t_symbol_form(omega, a_idx, b_idx))
+                          for odd, b_idx in e_indices(cell_idx)]
+                first = family[0][1]
+                sym = signed_sum(TrigForm.zero(first.ambient_dim,
+                                               first.degree), family)
                 if sym.is_zero():
                     return None
                 return integrate_fiber_cell(sym, cell, n_base)

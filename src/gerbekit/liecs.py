@@ -70,7 +70,10 @@ class LieValuedForm:
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "LieValuedForm") -> "LieValuedForm":
-        out = {k: v.copy() for k, v in self.terms.items()}
+        if (self.ambient_dim, self.degree, self.matrix_dim) != (
+                other.ambient_dim, other.degree, other.matrix_dim):
+            raise ValueError("ambient dimension, degree or size mismatch")
+        out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
         return LieValuedForm._trusted(self.ambient_dim, self.degree,

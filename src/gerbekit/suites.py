@@ -33,7 +33,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       cocycle_defect, eta, eta_multiplier, factor,
                       measure_extra_multiplier, reflection_element, theta1,
                       theta_lattice, theta_lattice_enum, transform_defect)
-from .trigform import Key, TrigForm, _axes_sign, nan_max
+from .trigform import TrigForm, _axes_sign, nan_max, signed_sum
 
 Check = Tuple[str, float]
 
@@ -51,13 +51,11 @@ LIE_DIM = 3             # random connections and gauge maps live on T^3
 def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     """A real-valued form: each term paired with its conjugate at -freq.
 
-    Terms accumulate in draw order and a sum that cancels exactly drops at
-    once, as adding the monomials one by one as TrigForms would; the form
-    is built once, trusted.
+    The monomials are summed in draw order by one signed_sum.
     """
     if degree > ambient_dim or degree < 0:
         return TrigForm.zero(ambient_dim, min(max(degree, 0), ambient_dim))
-    terms: Dict[Key, complex] = {}
+    monomials = []
     axes_pool = list(combinations(range(ambient_dim), degree))
     for _ in range(FORM_TERMS):
         freq = tuple(int(rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
@@ -66,14 +64,9 @@ def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
         c = complex(rng.normal(), rng.normal())
         for key, coeff in (((freq, axes), c),
                            ((tuple(-k for k in freq), axes), c.conjugate())):
-            if coeff == 0:
-                continue
-            total = terms.get(key, 0.0) + coeff
-            if total != 0:
-                terms[key] = total
-            else:
-                del terms[key]
-    return TrigForm._trusted(ambient_dim, degree, terms)
+            monomials.append(
+                (0, TrigForm._trusted(ambient_dim, degree, {key: coeff})))
+    return signed_sum(TrigForm.zero(ambient_dim, degree), monomials)
 
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
@@ -134,7 +127,7 @@ def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int) -> DiffCoch
 # suites
 
 
-def suite_cochain(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_cochain(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     covers = [("s1", make_circle_cover(4, 0.55), 1),
               ("t2", make_torus_cover(3, 3, 0.55), 2)]
@@ -173,7 +166,7 @@ def torus_setup():
     return cover, dec
 
 
-def suite_holonomy(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_holonomy(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     cover, dec = circle_setup()
     # (a) the global 1-form alpha dx has holonomy 2 pi alpha
@@ -204,7 +197,7 @@ def suite_holonomy(trials: int, seed: int, tol: float) -> List[Check]:
             ("subordination_shift_t2", worst_t2)]
 
 
-def suite_pushforward(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_pushforward(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     base = make_circle_cover(3, 0.6)
     fiber_s1, dec_s1 = circle_setup()
@@ -272,7 +265,7 @@ def _su2_exp(theta) -> np.ndarray:
     return V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
 
 
-def suite_chernsimons(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_chernsimons(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     results = {"d_cs_equals_ff": 0.0, "gauge_variation": 0.0,
                "bianchi": 0.0, "bracket_oracle": 0.0, "mc_flat": 0.0}
@@ -305,7 +298,7 @@ def suite_chernsimons(trials: int, seed: int, tol: float) -> List[Check]:
     return sorted(results.items())
 
 
-def suite_lattice(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_lattice(trials: int, seed: int) -> List[Check]:
     e8 = builtin("e8")
     d16 = builtin("d16plus")
     checks = []
@@ -341,7 +334,7 @@ def modular_sample_points(L, rng):
     return pts
 
 
-def suite_modular(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_modular(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     checks: List[Check] = []
     # eta laws
@@ -418,7 +411,7 @@ def suite_modular(trials: int, seed: int, tol: float) -> List[Check]:
     return checks
 
 
-def suite_crossmodule(trials: int, seed: int, tol: float) -> List[Check]:
+def suite_crossmodule(trials: int, seed: int) -> List[Check]:
     """Flat degree-2 holonomy classes on T^2: coboundary invariance."""
     rng = np.random.default_rng(seed)
     cover, dec = torus_setup()

@@ -165,14 +165,10 @@ class TrigForm:
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "TrigForm") -> "TrigForm":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return TrigForm._trusted(self.ambient_dim, self.degree, out)
+        return signed_sum(self, ((0, other),))
 
     def __sub__(self, other: "TrigForm") -> "TrigForm":
-        return self + (-1.0) * other
+        return signed_sum(self, ((1, other),))
 
     def __neg__(self) -> "TrigForm":
         return (-1.0) * self
@@ -185,12 +181,6 @@ class TrigForm:
 
     def __mul__(self, scalar: complex) -> "TrigForm":
         return self.__rmul__(scalar)
-
-    def _check_compat(self, other: "TrigForm"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
 
     # -- calculus ----------------------------------------------------------
 
@@ -271,6 +261,40 @@ class TrigForm:
             key = (tuple(r["freq"]), tuple(r["axes"]))
             terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
         return TrigForm(ambient_dim, degree, terms)
+
+
+def signed_sum(total, pairs):
+    """total + sum of (-1)^odd * term over the (odd, term) pairs, in order.
+
+    The one kernel behind every sum of forms: a TrigForm total adds each
+    term's coefficients into one dict.  A key whose running sum is exactly
+    zero drops at once (a NaN stays), so a key that cancels and comes back
+    is appended anew: keys, values and order are those of the chain
+    total + t1 - t2 + ... of binary sums, each dropping its zeros.  An odd
+    term adds -1.0 * c, as adding (-1.0) * term would.  Any other total
+    (the integer row's ints, a holonomy's complex number) folds with plain
+    + and -.
+    """
+    if type(total) is not TrigForm:
+        for odd, term in pairs:
+            total = total - term if odd else total + term
+        return total
+    out = dict(total.terms)
+    for odd, term in pairs:
+        if (term.ambient_dim, term.degree) != (total.ambient_dim,
+                                               total.degree):
+            raise ValueError("ambient dimension or degree mismatch")
+        for k, c in term.terms.items():
+            v = out.get(k, 0.0) + (-1.0 * c if odd else c)
+            if v != _DROP:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    # out holds no exact zero, so _trusted's filtering pass is skipped
+    form = object.__new__(TrigForm)
+    form.ambient_dim, form.degree, form.terms = (total.ambient_dim,
+                                                 total.degree, out)
+    return form
 
 
 # ---------------------------------------------------------------------------

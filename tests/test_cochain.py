@@ -135,6 +135,27 @@ def test_homotopy_identity_torus():
     assert (lhs - rhs).max_defect() < 1e-12
 
 
+def test_homotopy_is_not_alternating_so_the_defect_walks_every_ordering():
+    # K omega reads omega at mixed indices, so its value at a permuted index
+    # is not the permutation sign times its value at the sorted one; the
+    # homotopy identity holds only because max_defect reads every ordering
+    om = random_alternating_cochain(np.random.default_rng(0),
+                                    make_torus_cover(3, 3, 0.55), 2, 2)
+    fine, s1, s2 = refine(om.cover, 2)
+    K = homotopy_k(om, s1, s2)
+    unsorted = [idx for idx in fine.nonempty_tuples(2)
+                if list(idx) != sorted(idx)]
+    worst = max((K.component(idx)
+                 - det_sign(idx) * K.component(tuple(sorted(idx)))).max_abs()
+                for idx in unsorted)
+    assert worst > 1.0
+    # a defect planted at one unsorted index alone is found
+    planted = DiffCochain(1, fine,
+                          components={unsorted[0]: TrigForm.constant(2, 0.75)})
+    assert planted.component(tuple(sorted(unsorted[0]))).is_zero()
+    assert planted.max_defect() == 0.75
+
+
 def test_homotopy_vanishes_for_equal_subordinations():
     cover = make_circle_cover(4, 0.55)
     rng = np.random.default_rng(40)

@@ -102,6 +102,17 @@ def test_nan_coefficient_is_kept_and_propagates():
     assert not f.max_abs() <= 1.0
 
 
+def test_lie_sum_rejects_mismatched_forms():
+    A = random_connection(np.random.default_rng(0))
+    F = liecs.curvature(A)
+    with pytest.raises(ValueError, match="mismatch"):
+        A + F
+    with pytest.raises(ValueError, match="mismatch"):
+        A + liecs.LieValuedForm.zero(3, 1, 3)
+    with pytest.raises(ValueError, match="mismatch"):
+        A + liecs.LieValuedForm.zero(2, 1, 2)
+
+
 @pytest.mark.parametrize("freq, axes, message", [
     ((1, 0), (0,), "frequency length"),
     ((1, 0, 0), (3,), "axis out of range"),

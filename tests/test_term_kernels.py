@@ -3,6 +3,7 @@ output must already be in the normal form the public constructor produces:
 int-tuple keys of the right shape, Python complex values, no exact zeros.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -70,6 +71,48 @@ def assert_normal_form(out: TrigForm):
     for (freq, axes), c in out.terms.items():
         assert all(type(x) is int for x in freq + axes)
         assert type(c) is complex and c != 0
+
+
+
+def binary_chain(total, pairs):
+    """total + t1 - t2 + ... as a chain of binary sums, a difference taken as
+    the sum with (-1.0) * term."""
+    for odd, term in pairs:
+        total = total + ((-1.0) * term if odd else term)
+    return total
+
+
+def bits(form):
+    """The terms in order, each value by its repr: a NaN equals itself and
+    the sign of a zero part counts."""
+    return [(k, repr(c)) for k, c in form.terms.items()]
+
+
+def test_signed_sum_is_the_chain_of_binary_sums():
+    A, B, C, D = (((f,), ()) for f in (1, 0, -1, 2))
+    pairs = [(0, TrigForm(1, 0, {A: 1.5, B: 2.0})),
+             # A cancels to exactly 0; C, odd and infinite, reads -1.0 * c
+             (1, TrigForm(1, 0, {A: 1.5, C: complex(math.inf, 1.0)})),
+             (0, TrigForm(1, 0, {B: 0.25, D: complex(math.nan, 0.0)})),
+             # A comes back, after the keys that stayed
+             (0, TrigForm(1, 0, {A: 3.0}))]
+    got = trigform.signed_sum(TrigForm.zero(1, 0), pairs)
+    assert bits(got) == bits(binary_chain(TrigForm.zero(1, 0), pairs))
+    assert list(got.terms) == [B, C, D, A]
+    assert repr(got.terms[C]) == repr(complex(-math.inf, math.nan))
+    a, b = pairs[0][1], pairs[1][1]
+    assert bits(a - b) == bits(a + (-1.0) * b)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(1, 3).flatmap(lambda amb: st.integers(0, amb).flatmap(
+    lambda deg: st.lists(st.tuples(st.integers(0, 1), forms(amb, deg)),
+                         max_size=5).map(lambda ps: (amb, deg, ps)))))
+def test_random_signed_sums_are_chains_of_binary_sums(data):
+    amb, deg, pairs = data
+    zero = TrigForm.zero(amb, deg)
+    assert bits(trigform.signed_sum(zero, pairs)) == bits(
+        binary_chain(zero, pairs))
 
 
 @KERNEL_SETTINGS
