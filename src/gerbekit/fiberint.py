@@ -14,12 +14,18 @@ cells of a dual decomposition of E in the fiber directions only, and adds
 the cells up with DualCellDecomposition.layer_sum at the output degree.
 Its homotopy is the same sum over a different signed family of E-side
 indices per cell.
+
+Each symbol is built once per cochain and per (a, b): the symbols live in
+a memo that lives as long as the cochain, shared by every push-forward and
+homotopy of it.  Each term's axes are split into fiber and base parts
+once per (axes, n_base), not once per cell.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from .cochain import DiffCochain, Level, level_zero, total_d
 from .covers import DualCellDecomposition, product_index
@@ -78,6 +84,13 @@ def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
 # fiber-cell integration of mixed forms
 
 
+@lru_cache(maxsize=None)
+def _split_axes(axes: Idx, n_base: int) -> Tuple[Idx, Idx]:
+    """(fiber axes shifted to E's coordinates, base axes) of sorted axes."""
+    return (tuple(a - n_base for a in axes if a >= n_base),
+            tuple(a for a in axes if a < n_base))
+
+
 def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
     """Integrate the fiber part of a form on X x E over a cell of E.
 
@@ -89,22 +102,30 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
     deg = form.degree - cell.dim
     if not 0 <= n_base <= form.ambient_dim or deg > n_base:
         raise ValueError("fiber integration leaves no form on the base")
-    out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], complex] = {}
+    out: Dict[Tuple[Idx, Idx], complex] = {}
+    integrals = cell.integrals
     for (freq, axes), c in form.terms.items():
-        fib = tuple(a for a in axes if a >= n_base)
+        fib, base_axes = _split_axes(axes, n_base)
         if len(fib) != cell.dim:
             continue
-        val = cell_integral(cell, freq[n_base:], tuple(a - n_base for a in fib))
+        fib_freq = freq[n_base:]
+        val = integrals.get((fib_freq, fib))
+        if val is None:
+            val = cell_integral(cell, fib_freq, fib)
         if val == 0.0:
             continue
-        base_axes = tuple(a for a in axes if a < n_base)
-        key = (tuple(freq[:n_base]), base_axes)
+        key = (freq[:n_base], base_axes)
         out[key] = out.get(key, 0.0) + c * val
     return TrigForm._trusted(n_base, max(deg, 0), out)
 
 
 # ---------------------------------------------------------------------------
 # push-forward
+
+
+# cochain -> {(a, b): T^(a)_(b) cochain}; an entry lives as long as its
+# cochain, so a new cochain never reads another's symbols
+_SYMBOLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
@@ -120,6 +141,13 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
     cover = omega.cover
     x_cover = cover.factor_covers[0]
     n_base = x_cover.factors
+    symbols = _SYMBOLS.setdefault(omega, {})
+
+    def symbol(a_idx: Idx, b_idx: Idx) -> TrigForm:
+        got = symbols.get((a_idx, b_idx))
+        if got is None:
+            got = symbols[a_idx, b_idx] = t_symbol_form(omega, a_idx, b_idx)
+        return got
 
     def comp(a_idx: Idx) -> Level:
         if len(a_idx) == p + 2:
@@ -131,12 +159,17 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                     for odd, b_idx in e_indices(cell_idx)))
         else:
             def value(cell_idx, cell):
-                family = [(odd, t_symbol_form(omega, a_idx, b_idx))
-                          for odd, b_idx in e_indices(cell_idx)]
-                first = family[0][1]
-                sym = signed_sum(TrigForm.zero(first.ambient_dim,
-                                               first.degree), family)
-                if sym.is_zero():
+                family = e_indices(cell_idx)
+                if len(family) == 1 and not family[0][0]:
+                    # a symbol is a signed_sum result, with no exact zero
+                    # and no -0.0 part, so its sum from zero would equal it
+                    sym = symbol(a_idx, family[0][1])
+                else:
+                    syms = [(odd, symbol(a_idx, b_idx)) for odd, b_idx in family]
+                    first = syms[0][1]
+                    sym = signed_sum(TrigForm.zero(first.ambient_dim,
+                                                   first.degree), syms)
+                if not sym.terms:
                     return None
                 return integrate_fiber_cell(sym, cell, n_base)
         return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))

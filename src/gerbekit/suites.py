@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Tuple
 
@@ -33,7 +34,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       cocycle_defect, eta, eta_multiplier, factor,
                       measure_extra_multiplier, reflection_element, theta1,
                       theta_lattice, theta_lattice_enum, transform_defect)
-from .trigform import TrigForm, _axes_sign, nan_max, signed_sum
+from .trigform import Key, TrigForm, _axes_sign, nan_max
 
 Check = Tuple[str, float]
 
@@ -48,15 +49,21 @@ CONNECTION_TERMS = 2    # terms of a random connection
 LIE_DIM = 3             # random connections and gauge maps live on T^3
 
 
+@lru_cache(maxsize=None)
+def _axes_pool(ambient_dim: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(combinations(range(ambient_dim), degree))
+
+
 def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     """A real-valued form: each term paired with its conjugate at -freq.
 
-    The monomials are summed in draw order by one signed_sum.
+    The monomials add into one dict in draw order, a key whose running sum
+    is exactly zero dropping at once, as in signed_sum.
     """
     if degree > ambient_dim or degree < 0:
         return TrigForm.zero(ambient_dim, min(max(degree, 0), ambient_dim))
-    monomials = []
-    axes_pool = list(combinations(range(ambient_dim), degree))
+    terms: Dict[Key, complex] = {}
+    axes_pool = _axes_pool(ambient_dim, degree)
     for _ in range(FORM_TERMS):
         freq = tuple(int(rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
                      for _ in range(ambient_dim))
@@ -64,9 +71,12 @@ def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
         c = complex(rng.normal(), rng.normal())
         for key, coeff in (((freq, axes), c),
                            ((tuple(-k for k in freq), axes), c.conjugate())):
-            monomials.append(
-                (0, TrigForm._trusted(ambient_dim, degree, {key: coeff})))
-    return signed_sum(TrigForm.zero(ambient_dim, degree), monomials)
+            v = terms.get(key, 0.0) + coeff
+            if v != 0.0:
+                terms[key] = v
+            else:
+                terms.pop(key, None)
+    return TrigForm._trusted(ambient_dim, degree, terms)
 
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
@@ -88,7 +98,7 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             continue
         for base in cover.supports(r):
             f = random_real_form(rng, ambient_dim, deg)
-            if not f.is_zero():
+            if f.terms:
                 comps[base] = f
     if degree + 2 <= len(cover.pieces):
         for base in cover.supports(degree + 2):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gerbekit
+from gerbekit import cli, fiberint
 from gerbekit.cochain import from_global_form, total_d
 from gerbekit.covers import (make_circle_cover, product_cover,
                              two_subordinations)
@@ -140,3 +146,69 @@ def test_pushforward_needs_product_cover():
     om = random_alternating_cochain(rng, cover, 1, 1)
     with pytest.raises(ValueError):
         pushforward(om, dec, [0] * len(dec.top_cells))
+
+
+def test_symbols_are_built_once_per_cochain_and_index_pair(monkeypatch):
+    # the Stokes defect pushes omega and D omega; the homotopy residual
+    # pushes omega along rho and rho2 and builds the homotopy: one memo per
+    # cochain serves them all
+    built, cochains = [], []
+    build = fiberint.t_symbol_form
+
+    def counting(omega, a_idx, b_idx):
+        cochains.append(omega)      # held, so no two cochains share an id
+        built.append((id(omega), tuple(a_idx), tuple(b_idx)))
+        return build(omega, a_idx, b_idx)
+
+    monkeypatch.setattr(fiberint, "t_symbol_form", counting)
+    om, dec, rho, rho2, _ = _s1_instance(30, 2)
+    pushforward_commutes_defect(om, dec, rho)
+    homotopy_residual(om, dec, rho, rho2)
+    assert built and len(built) == len(set(built))
+
+
+def _two_cochains():
+    """omega and omega': degree 2 on one cover, with the same supports and
+    different values, plus the decomposition and rho they are pushed along."""
+    om, dec, rho, _, cover = _s1_instance(31, 2)
+    om2 = random_alternating_cochain(np.random.default_rng(32), cover, 2, 2)
+    return om, om2, dec, rho
+
+
+def _pushed(omega, dec, rho) -> str:
+    mat = pushforward(omega, dec, rho).materialize()
+    return repr([(idx, v.terms if isinstance(v, TrigForm) else v)
+                 for idx, v in mat.components.items()])
+
+
+def test_a_cochain_never_reads_the_symbols_of_another():
+    om, om2, dec, rho = _two_cochains()
+    first = _pushed(om, dec, rho)
+    second = _pushed(om2, dec, rho)
+    # omega' pushed in a fresh interpreter, where no symbol was ever built
+    paths = [str(Path(gerbekit.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from test_fiberint import _two_cochains, _pushed\n"
+         "_, om2, dec, rho = _two_cochains()\n"
+         "print(_pushed(om2, dec, rho))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert second == fresh.stdout.strip()
+    assert second != first
+
+
+def test_a_nan_coefficient_fails_the_pushforward_check(monkeypatch):
+    # no form holds an exact zero, so the push-forward skips a symbol with
+    # no terms; a NaN coefficient is a term, and must reach the defect
+    om, dec, rho, _, _ = _s1_instance(33, 1)
+    idx = next(i for i, v in om.components.items() if len(i) == 1)
+    form = om.components[idx]
+    key = next(iter(form.terms))
+    om.components[idx] = TrigForm(form.ambient_dim, form.degree,
+                                  {**form.terms, key: complex(math.nan, 0.0)})
+    defect = pushforward_commutes_defect(om, dec, rho)
+    assert math.isnan(defect)
+    monkeypatch.setitem(cli.SUITES, "pushforward",
+                        lambda trials, seed: [("stokes_s1", defect)])
+    report = cli.run_suite("pushforward", 1, 0, 1e-9)
+    assert [c["pass"] for c in report.checks] == [False]

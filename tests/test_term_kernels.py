@@ -163,6 +163,7 @@ SEGMENTS = list(make_circle_decomposition(5).faces[1].values())
 POINTS = list(make_circle_decomposition(5).faces[2].values())
 HEXES = list(make_torus_hex_decomposition(3).faces[1].values())
 HEX_EDGES = list(make_torus_hex_decomposition(3).faces[2].values())
+HEX_POINTS = list(make_torus_hex_decomposition(3).faces[3].values())
 
 
 @KERNEL_SETTINGS
@@ -177,6 +178,39 @@ def test_fiber_cell_integral_is_normal(data):
     out = integrate_fiber_cell(data.draw(forms(amb, deg)), cell, n_base)
     assert out.ambient_dim == n_base
     assert_normal_form(out)
+
+
+def fiber_cell_reference(form: TrigForm, cell, n_base: int) -> TrigForm:
+    """integrate_fiber_cell term by term, each term's axes split inline."""
+    out = {}
+    for (freq, axes), c in form.terms.items():
+        fib = tuple(a - n_base for a in axes if a >= n_base)
+        if len(fib) != cell.dim:
+            continue
+        val = cell_integral(cell, freq[n_base:], fib)
+        if val == 0.0:
+            continue
+        key = (freq[:n_base], tuple(a for a in axes if a < n_base))
+        out[key] = out.get(key, 0.0) + c * val
+    return TrigForm._trusted(n_base, max(form.degree - cell.dim, 0), out)
+
+
+@KERNEL_SETTINGS
+@given(st.data())
+def test_fiber_cell_integral_matches_the_per_term_reference(data):
+    # degrees below the cell's dimension give forms with no term to integrate
+    fiber_dim = data.draw(st.integers(1, 2))
+    cells = ((SEGMENTS + POINTS) if fiber_dim == 1
+             else (HEXES + HEX_EDGES + HEX_POINTS))
+    cell = data.draw(st.sampled_from(cells))
+    n_base = data.draw(st.integers(1, 2))
+    amb = n_base + fiber_dim
+    form = data.draw(forms(amb, data.draw(
+        st.integers(0, min(amb, n_base + cell.dim)))))
+    got = integrate_fiber_cell(form, cell, n_base)
+    want = fiber_cell_reference(form, cell, n_base)
+    assert (got.ambient_dim, got.degree) == (want.ambient_dim, want.degree)
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
 
 
 @st.composite
