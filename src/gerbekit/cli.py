@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 import time
@@ -256,7 +257,9 @@ def cmd_lattice(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="gerbekit")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,7 @@ H - d(omega^n_a).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -31,10 +32,12 @@ Idx = Tuple[int, ...]
 Level = Union[TrigForm, int]    # a form row, or the integer row
 
 
+@functools.lru_cache(maxsize=None)
 def level_zero(degree: int, ambient_dim: int, idx_len: int) -> Level:
     """The zero of a degree-`degree` cochain's level at multi-index length
     idx_len: the int 0 on the integer row (length degree+2), else the zero
-    form of the level's degree clamped into [0, ambient_dim]."""
+    form of the level's degree clamped into [0, ambient_dim].  One zero is
+    shared per argument triple, as no form is changed after it is built."""
     if idx_len == degree + 2:
         return 0
     deg = degree - (idx_len - 1)

@@ -198,17 +198,6 @@ class Cover:
         return all(_arc_contains_interval(self.pieces[i][axis], lo, hi)
                    for axis, (lo, hi) in enumerate(box))
 
-    def covers_point(self, x: Sequence[float]) -> bool:
-        for piece in self.pieces:
-            ok = True
-            for axis, (lo, hi) in enumerate(piece):
-                if not _arc_contains_interval((lo, hi), x[axis], x[axis]):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
 
 class Subordination:
     """sigma: refinement index -> coarse index with V_j contained in U_{sigma(j)}."""

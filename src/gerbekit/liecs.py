@@ -117,24 +117,6 @@ class LieValuedForm:
                 total += phase * np.linalg.det(mat) * X
         return total
 
-    def in_algebra(self, tol: float = 1e-12) -> bool:
-        """Anti-Hermitian and traceless coefficient check (su(m) data).
-
-        A real-valued form with su(m) coefficients has Hermitian-conjugate
-        terms at opposite frequencies; we check the pointwise condition at
-        a few sample points instead of term-by-term.
-        """
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            x = rng.uniform(0, 2 * math.pi, self.ambient_dim)
-            vs = rng.standard_normal((max(self.degree, 1), self.ambient_dim))
-            val = self.evaluate(x, vs[: self.degree])
-            if abs(np.trace(val)) > tol * max(1.0, self.max_abs()):
-                return False
-            if np.max(np.abs(val + val.conj().T)) > 1e-6 * max(1.0, self.max_abs()):
-                return False
-        return True
-
 
 def graded_bracket(a: LieValuedForm, b: LieValuedForm) -> LieValuedForm:
     """[X alpha, Y beta] = [X, Y] (alpha ^ beta), extended bilinearly."""
@@ -212,9 +194,6 @@ class GaugeMap:
         for f in self.factors:
             out = out @ f.value(x)
         return out
-
-    def inverse_value(self, x: Sequence[float]) -> np.ndarray:
-        return self.value(x).conj().T
 
     def maurer_cartan(self) -> LieValuedForm:
         """t^{-1} dt as a trig-polynomial 1-form."""

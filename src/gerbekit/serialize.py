@@ -8,16 +8,25 @@ Decomposition ids: "circle:N" (dual segments on S^1) or "hex:N"
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
-from typing import Dict
+from typing import Callable, Dict
 
 from .cochain import DiffCochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,
                      make_circle_decomposition, make_torus_cover,
                      make_torus_hex_decomposition, product_cover)
-from .trigform import TrigForm
+from .trigform import TrigForm, _normal_key, form_from_records
+
+# Covers and decompositions named by an id are built once per process and
+# shared: nothing changes them after they are built, only their memos fill
+# (a cover's supports and meets, a cell's monomial integrals).  An id that
+# raises is not cached, so it raises on every call.
+_ID_CACHE_SIZE = 64
 
 
+@functools.lru_cache(maxsize=_ID_CACHE_SIZE)
 def cover_from_id(cover_id: str) -> Cover:
     """The cover an id names; the id is kept as its `cover_id`."""
     if cover_id.startswith("product:"):
@@ -39,6 +48,7 @@ def cover_from_id(cover_id: str) -> Cover:
     return cover
 
 
+@functools.lru_cache(maxsize=_ID_CACHE_SIZE)
 def decomposition_from_id(dec_id: str) -> DualCellDecomposition:
     parts = dec_id.split(":")
     if parts[0] == "circle" and len(parts) == 2:
@@ -66,14 +76,40 @@ def _form_record(f: TrigForm) -> Dict:
             "terms": f.to_records()}
 
 
-def _form_from_record(rec, where: str) -> TrigForm:
+def _key_memo() -> Callable:
+    """_normal_key memoised on the raw (ambient_dim, degree, freq, axes)
+    key, for the forms of one file, which repeat a few hundred distinct
+    keys over thousands of terms.  Equal raw keys normalise to equal keys,
+    and a failure is not stored, so a bad key raises wherever it occurs."""
+    memo: Dict = {}
+
+    def normal_key(ambient_dim: int, degree: int, freq, axes):
+        raw = (ambient_dim, degree, freq, axes)
+        key = memo.get(raw)
+        if key is None:
+            key = memo[raw] = _normal_key(ambient_dim, degree, freq, axes)
+        return key
+
+    return normal_key
+
+
+def _form_from_record(rec, where: str, normal_key: Callable,
+                      name: str) -> TrigForm:
+    """The form of a file record; `where` names the record in the messages
+    on malformed fields, `name` in the one on a non-finite coefficient."""
     ambient_dim = _field(rec, "ambient_dim", int, where)
     degree = _field(rec, "degree", int, where)
     terms = _field(rec, "terms", list, where)
     try:
-        return TrigForm.from_records(ambient_dim, degree, terms)
+        form = form_from_records(ambient_dim, degree, terms, normal_key)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: malformed term ({exc!r})") from exc
+    if not all(map(cmath.isfinite, form.terms.values())):
+        (freq, axes), c = next(t for t in form.terms.items()
+                               if not cmath.isfinite(t[1]))
+        raise ValueError(f"{name} has a non-finite coefficient {c} at "
+                         f"frequency {list(freq)}, axes {list(axes)}")
+    return form
 
 
 def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
@@ -96,9 +132,11 @@ def cochain_from_dict(data) -> DiffCochain:
     """Load a file record; any malformed field raises ValueError."""
     degree = _field(data, "degree", int, "cochain file")
     cover = cover_from_id(_field(data, "cover_id", str, "cochain file"))
+    normal_key = _key_memo()
     fs = data.get("field_strength")
     if fs is not None:
-        fs = _form_from_record(fs, "field_strength")
+        fs = _form_from_record(fs, "field_strength", normal_key,
+                               "the field strength")
     comps: Dict = {}
     for key in ("components", "integer_components"):
         records = _field(data, key, list, "cochain file") if key in data else []
@@ -116,8 +154,9 @@ def cochain_from_dict(data) -> DiffCochain:
             if key == "integer_components":
                 comps[idx] = _field(rec, "m", int, where)
             else:
-                comps[idx] = _form_from_record(_field(rec, "form", dict, where),
-                                               where)
+                comps[idx] = _form_from_record(
+                    _field(rec, "form", dict, where), where, normal_key,
+                    f"the component at index {list(idx)}")
     return DiffCochain(degree, cover, field_strength=fs, components=comps)
 
 

@@ -118,15 +118,8 @@ class TrigForm:
             raise ValueError(f"degree {degree} out of range for T^{ambient_dim}")
         self.ambient_dim = ambient_dim
         self.degree = degree
-        clean: Dict[Key, complex] = {}
-        if terms:
-            for (freq, axes), c in terms.items():
-                c = complex(c)
-                if c == _DROP:
-                    continue
-                key = _normal_key(ambient_dim, degree, freq, axes)
-                clean[key] = clean.get(key, 0.0) + c
-        self.terms = {k: v for k, v in clean.items() if v != _DROP}
+        self.terms = _checked_terms(ambient_dim, degree, terms or {},
+                                    _normal_key)
 
     @staticmethod
     def _trusted(ambient_dim: int, degree: int,
@@ -256,11 +249,37 @@ class TrigForm:
 
     @staticmethod
     def from_records(ambient_dim: int, degree: int, records: Iterable[Mapping]) -> "TrigForm":
-        terms = {}
-        for r in records:
-            key = (tuple(r["freq"]), tuple(r["axes"]))
-            terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
-        return TrigForm(ambient_dim, degree, terms)
+        return form_from_records(ambient_dim, degree, records, _normal_key)
+
+
+def _checked_terms(ambient_dim: int, degree: int, terms: Mapping,
+                   normal_key: Callable) -> Dict[Key, complex]:
+    """The public constructor's terms: each coefficient as a Python complex,
+    an exact zero dropped before its key is checked, the rest summed in
+    order under normal_key(ambient_dim, degree, freq, axes), and the sums
+    that are exactly zero dropped."""
+    clean: Dict[Key, complex] = {}
+    for (freq, axes), c in terms.items():
+        c = complex(c)
+        if c == _DROP:
+            continue
+        key = normal_key(ambient_dim, degree, freq, axes)
+        clean[key] = clean.get(key, 0.0) + c
+    return {k: v for k, v in clean.items() if v != _DROP}
+
+
+def form_from_records(ambient_dim: int, degree: int, records: Iterable[Mapping],
+                      normal_key: Callable) -> TrigForm:
+    """TrigForm.from_records with the key rule `normal_key`, which must
+    return what _normal_key returns or raise as it does; a file loader
+    passes one memo of _normal_key to all the forms of one file."""
+    terms: Dict = {}
+    for r in records:
+        key = (tuple(r["freq"]), tuple(r["axes"]))
+        terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
+    form = TrigForm.zero(ambient_dim, degree)     # checks the degree
+    form.terms = _checked_terms(ambient_dim, degree, terms, normal_key)
+    return form
 
 
 def signed_sum(total, pairs):

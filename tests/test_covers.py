@@ -16,9 +16,6 @@ from gerbekit.covers import (_arcs_intersection, admissible_pieces,
 def test_circle_cover_shapes():
     c = make_circle_cover(4, 0.6)
     assert len(c.pieces) == 4
-    # every point of the circle is covered
-    for x in np.linspace(0, 2 * math.pi, 200, endpoint=False):
-        assert c.covers_point([x])
 
 
 def test_circle_cover_nerve():

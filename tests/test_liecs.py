@@ -17,8 +17,14 @@ def test_su2_basis_is_anti_hermitian_and_orthonormal():
 
 
 def test_connection_is_algebra_valued():
+    # traceless coefficients, and the term at -k is minus the adjoint of the
+    # term at k: the form is real and takes values in su(2)
     A = random_connection(np.random.default_rng(0))
-    assert A.in_algebra()
+    assert A.terms
+    for (freq, axes), X in A.terms.items():
+        assert abs(np.trace(X)) < 1e-14
+        conj = A.terms[tuple(-k for k in freq), axes]
+        assert np.max(np.abs(conj + X.conj().T)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -81,7 +87,7 @@ def test_gauge_transform_curvature_is_conjugated():
     FB = liecs.curvature(liecs.gauge_transform(A, t))
     x = rng.random(3)
     vecs = [rng.normal(size=3) for _ in range(2)]
-    g = t.inverse_value(x)
+    g = t.value(x).conj().T
     lhs = FB.evaluate(x, vecs)
     rhs = g @ FA.evaluate(x, vecs) @ t.value(x)
     assert np.max(np.abs(lhs - rhs)) < 1e-10

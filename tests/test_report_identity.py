@@ -108,6 +108,28 @@ def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys, argv,
             for name, data in got.items()} == digests
 
 
+# Decompositions named by an id are shared within a process, so a second
+# run reads the cell integrals the first one memoised: both must print the
+# pinned bytes, the first from cold cells.
+WARM_PINNED = [p for p in CLI_PINNED if p[0] in ("holonomy-hex:6",
+                                                  "pushforward")]
+
+
+@pytest.mark.parametrize("argv,recipe,digests", [p[1:] for p in WARM_PINNED],
+                         ids=[p[0] for p in WARM_PINNED])
+def test_cli_output_is_the_same_from_cold_and_warm_cells(
+        tmp_path, monkeypatch, capsys, argv, recipe, digests):
+    monkeypatch.chdir(tmp_path)
+    _write_input("in.json", *recipe)
+    serialize.decomposition_from_id.cache_clear()
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv + ["--cochain", "in.json"]) == 0
+        outs.append(capsys.readouterr().out.encode())
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == digests["stdout"]
+
+
 # The modular evaluators: `theta` on every built-in at z = 0 and at a fixed
 # z file, `character` on the two rank-16 lattices, `factor` for each family
 # with an S, a T, a W and a word element, `act`, and `lattice` shells up to

@@ -30,6 +30,29 @@ def test_decomposition_ids():
         serialize.decomposition_from_id("simplex:3")
 
 
+def test_an_id_names_one_shared_object():
+    for from_id, ident in ((serialize.cover_from_id, "torus:3:3:0.6"),
+                           (serialize.cover_from_id,
+                            "product:circle:3:0.6|circle:4:0.7"),
+                           (serialize.decomposition_from_id, "hex:6"),
+                           (serialize.decomposition_from_id, "circle:20")):
+        assert from_id(ident) is from_id(ident)
+    product = serialize.cover_from_id("product:circle:3:0.6|circle:4:0.7")
+    assert product.factor_covers[0] is serialize.cover_from_id("circle:3:0.6")
+
+
+@pytest.mark.parametrize("from_id, ident, message", [
+    (serialize.cover_from_id, "circle:2:0.5", "at least 3 arcs"),
+    (serialize.cover_from_id, "sphere:3", "unknown cover id"),
+    (serialize.decomposition_from_id, "hex:2", "must be >= 3"),
+    (serialize.decomposition_from_id, "simplex:3", "unknown decomposition"),
+])
+def test_a_bad_id_raises_on_every_call(from_id, ident, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            from_id(ident)
+
+
 def test_cochain_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     cover_id = "circle:4:0.55"
@@ -385,6 +408,92 @@ def test_cli_reports_a_malformed_cochain_file(tmp_path, capsys, mutate):
                    "--decomposition", "circle:20"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _degree1_record(*forms):
+    """A degree-1 cochain file over circle:4:0.55 with one component per
+    (indices, ambient_dim, degree, [(freq, axes), ...]) entry."""
+    comps = [{"indices": indices,
+              "form": {"ambient_dim": amb, "degree": deg,
+                       "terms": [{"freq": f, "axes": a, "re": 1.0, "im": 0.0}
+                                 for f, a in keys]}}
+             for indices, amb, deg, keys in forms]
+    return {"degree": 1, "cover_id": "circle:4:0.55", "field_strength": None,
+            "components": comps, "integer_components": []}
+
+
+@pytest.mark.parametrize("later, message", [
+    (([1], 1, 1, [([1.5], [0])]), "must be integers"),
+    (([1], 1, 1, [([1], [1])]), "axis out of range"),
+    # the key ([1], []) is valid at degree 0, not in a degree-1 form
+    (([1], 1, 1, [([1], [])]), "axes length != degree"),
+    # nor in a form that claims to live on T^2
+    (([0, 1], 2, 0, [([1], [])]), "frequency length != ambient_dim"),
+], ids=["fractional-freq", "axis-out-of-range", "other-degree",
+        "other-ambient-dim"])
+def test_a_key_is_checked_in_every_form_of_a_file(later, message):
+    # the first records' keys are valid; the later record's raw key equals
+    # one of theirs, or differs only in a checked way, and is still refused
+    first = [([0], 1, 1, [([1], [0]), ([-1], [0])]),
+             ([1, 2], 1, 0, [([1], []), ([1.0], [])])]
+    good = serialize.cochain_from_dict(_degree1_record(*first))
+    assert good.component((1, 2)).terms == {((1,), ()): 2.0}
+    assert all(type(k) is int for (freq, _), _ in
+               good.component((0,)).terms.items() for k in freq)
+    with pytest.raises(ValueError, match=message):
+        serialize.cochain_from_dict(_degree1_record(*first, later))
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+_SENTINEL = 12345.678
+
+
+def _planted(rec, target: str) -> dict:
+    """rec with one coefficient of `target` set to _SENTINEL."""
+    if target == "field_strength":
+        fs = rec["field_strength"]
+        fs["terms"].append({"freq": [1] * fs["ambient_dim"],
+                            "axes": list(range(fs["degree"])),
+                            "re": 0.5, "im": _SENTINEL})
+    else:
+        rec["components"][0]["form"]["terms"][0]["re"] = _SENTINEL
+    return rec
+
+
+NON_FINITE_CASES = {
+    # (argv, cover id, cochain, the record named)
+    "holonomy": (["holonomy", "--decomposition", "circle:20"], "circle:4:0.7",
+                 lambda rng, cover: random_cocycle(rng, cover, 1, 1),
+                 "components", "the component at index"),
+    "pushforward": (["pushforward", "--decomposition", "circle:20",
+                     "--output", "out.json"],
+                    "product:circle:3:0.6|circle:4:0.7",
+                    lambda rng, cover: random_alternating_cochain(rng, cover,
+                                                                  2, 2),
+                    "components", "the component at index"),
+    "holonomy-t2-field-strength": (
+        ["holonomy", "--decomposition", "hex:6"], "torus:3:3:0.75",
+        lambda rng, cover: random_cocycle(rng, cover, 2, 2),
+        "field_strength", "the field strength"),
+}
+
+
+@pytest.mark.parametrize("spelling", NON_FINITE)
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_a_non_finite_coefficient_in_a_file_exits_1(tmp_path, monkeypatch,
+                                                     capsys, case, spelling):
+    argv, cover_id, make, target, named = NON_FINITE_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    om = make(np.random.default_rng(5), serialize.cover_from_id(cover_id))
+    rec = _planted(serialize.cochain_to_dict(om, cover_id), target)
+    text = json.dumps(rec).replace(repr(_SENTINEL), spelling)
+    assert spelling in text
+    (tmp_path / "in.json").write_text(text)
+    rc = cli.main(argv + ["--cochain", "in.json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {named}") and "non-finite" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def _paths(node, prefix=()):
