@@ -461,7 +461,7 @@ def _planted(rec, target: str) -> dict:
 
 
 NON_FINITE_CASES = {
-    # (argv, cover id, cochain, the record named)
+    # (argv, cover id, cochain maker, planted record, how the error names it)
     "holonomy": (["holonomy", "--decomposition", "circle:20"], "circle:4:0.7",
                  lambda rng, cover: random_cocycle(rng, cover, 1, 1),
                  "components", "the component at index"),
