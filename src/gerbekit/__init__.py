@@ -9,7 +9,7 @@ from .covers import (Cover, DualCellDecomposition, Subordination,
                      product_cover, refine, two_subordinations)
 from .cochain import (DiffCochain, classify_flat_2cocycle, from_global_form,
                       homotopy_k, is_cocycle, restrict, total_d)
-from .holonomy import (holonomy, holonomy_phase, invariance_defect,
+from .holonomy import (holonomy, invariance_defect,
                        nearest_2pi_multiple_defect)
 from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect, pushforward_homotopy)

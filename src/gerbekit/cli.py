@@ -71,6 +71,17 @@ def non_negative_int(s: str) -> int:
     return value
 
 
+def series_tol(s: str) -> float:
+    """A series tolerance: a float below 1 and no smaller than the least
+    normal float, as the truncation bounds take the logarithm of it, of
+    its reciprocal and of its product with a number below 1."""
+    value = float(s)
+    if not sys.float_info.min <= value < 1:
+        raise argparse.ArgumentTypeError(
+            f"{s} is not in [{sys.float_info.min!r}, 1)")
+    return value
+
+
 def parse_complex(s: str) -> complex:
     re, im = s.split(",")
     return complex(float(re), float(im))
@@ -277,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lattice", required=True)
     t.add_argument("--tau", required=True, metavar="RE,IM")
     t.add_argument("--z", default="zeros")
-    t.add_argument("--tol", type=float, default=1e-12)
+    t.add_argument("--tol", type=series_tol, default=1e-12)
     t.set_defaults(func=cmd_theta)
 
     c = sub.add_parser("character", help="evaluate the rank-16 character")
     c.add_argument("--lattice", required=True)
     c.add_argument("--tau", required=True, metavar="RE,IM")
     c.add_argument("--z", default="zeros")
-    c.add_argument("--tol", type=float, default=1e-12)
+    c.add_argument("--tol", type=series_tol, default=1e-12)
     c.set_defaults(func=cmd_character)
 
     f = sub.add_parser("factor", help="evaluate an automorphy factor")

@@ -211,14 +211,13 @@ def total_d(omega: DiffCochain) -> DiffCochain:
                  for j in range(len(idx))]
         # the input slot with the same index length has r = len(idx) - 1;
         # (-1)^{r+1} is the sign of d there, and of the inclusion 2*pi*m
-        sign = 1 if len(idx) % 2 == 0 else -1
+        odd = len(idx) % 2
         if len(idx) <= n + 1:
-            terms.append((0, sign * omega.component(idx).d()))
+            terms.append((odd, omega.component(idx).d()))
         elif len(idx) == n + 2:
             m = omega.component(idx)
             if m:
-                terms.append(
-                    (0, TrigForm.constant(amb, sign * 2 * math.pi * m)))
+                terms.append((odd, TrigForm.constant(amb, 2 * math.pi * m)))
         return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
 
     return DiffCochain(n + 1, omega.cover, field_strength=H.d(),

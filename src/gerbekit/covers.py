@@ -106,10 +106,11 @@ def _arcs_intersection(arcs: Sequence[Tuple[float, float]]):
     return cur
 
 
-def _arc_contains_interval(arc: Tuple[float, float], lo: float, hi: float,
-                           tol: float = 1e-9) -> bool:
+def _arc_contains_interval(arc: Tuple[float, float], lo: float,
+                           hi: float) -> bool:
     """Does the circle arc contain the (lifted) interval [lo, hi]?"""
     alo, ahi = arc
+    tol = 1e-9
     if hi - lo > (ahi - alo) + tol:
         return False
     shift = math.floor((lo - alo) / TWO_PI) * TWO_PI
@@ -327,8 +328,8 @@ class DualCellDecomposition:
             sum_{k=1}^{dim+1} (-1)^{(p+1)(k+1)}
                 sum_{i1 > ... > ik} value((i), Delta_(i)),
 
-        each layer summed on its own by signed_sum, then multiplied by its
-        int sign and added into the total by a second signed_sum.  value
+        each layer summed on its own by signed_sum, then added into the
+        total by a second signed_sum with its sign as the odd flag.  value
         returns None for a cell that contributes nothing.  Holonomy is the
         case p = 0; the push-forward and its homotopy use the output degree
         on the base.
@@ -338,7 +339,7 @@ class DualCellDecomposition:
                       for idx, cell in self.faces.get(k, {}).items())
             return signed_sum(zero, ((0, v) for v in values if v is not None))
 
-        return signed_sum(zero, ((0, layer_sign(p, k) * layer(k))
+        return signed_sum(zero, ((layer_sign(p, k) < 0, layer(k))
                                  for k in range(1, self.dim + 2)))
 
 

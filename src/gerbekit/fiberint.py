@@ -63,12 +63,13 @@ def monotone_paths(r: int, k: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], i
 # path-sum symbols
 
 
-def _path_sum(lookup, cover, a_idx: Sequence[int], b_idx: Sequence[int],
+def _path_sum(omega: DiffCochain, a_idx: Sequence[int], b_idx: Sequence[int],
               zero):
-    """Sum of (-1)^{A(gamma)} lookup(node sequence of gamma) over all paths."""
+    """Sum of (-1)^{A(gamma)} omega_{node sequence of gamma} over all paths."""
     return signed_sum(zero, (
-        (area % 2, lookup(tuple(product_index(cover, a_idx[p - 1], b_idx[q - 1])
-                                for p, q in nodes)))
+        (area % 2, omega.component(tuple(
+            product_index(omega.cover, a_idx[p - 1], b_idx[q - 1])
+            for p, q in nodes)))
         for nodes, area in monotone_paths(len(a_idx), len(b_idx))))
 
 
@@ -76,7 +77,7 @@ def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
                   b_idx: Sequence[int]) -> TrigForm:
     """The signed path sum as a mixed form on the product torus (form rows)."""
     deg = omega.degree + 2 - len(a_idx) - len(b_idx)
-    return _path_sum(omega.component, omega.cover, a_idx, b_idx,
+    return _path_sum(omega, a_idx, b_idx,
                      TrigForm.zero(omega.ambient_dim, max(deg, 0)))
 
 
@@ -138,8 +139,7 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
     On the integer row (length p+2) only the point layer contributes: each
     oriented point weighs the integer path sums with its sign.
     """
-    cover = omega.cover
-    x_cover = cover.factor_covers[0]
+    x_cover = omega.cover.factor_covers[0]
     n_base = x_cover.factors
     symbols = _SYMBOLS.setdefault(omega, {})
 
@@ -155,7 +155,7 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                 if cell.dim:
                     return None
                 return cell.sign * signed_sum(0, (
-                    (odd, _path_sum(omega.component, cover, a_idx, b_idx, 0))
+                    (odd, _path_sum(omega, a_idx, b_idx, 0))
                     for odd, b_idx in e_indices(cell_idx)))
         else:
             def value(cell_idx, cell):

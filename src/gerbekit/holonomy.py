@@ -16,7 +16,6 @@ and refinement of the decomposition.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
@@ -45,11 +44,6 @@ def holonomy(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError(f"holonomy came out non-real ({total}); "
                          "cochain data is not real-valued")
     return total.real
-
-
-def holonomy_phase(omega: DiffCochain, dec: DualCellDecomposition,
-                   rho: Sequence[int]) -> complex:
-    return cmath.exp(1j * holonomy(omega, dec, rho))
 
 
 def invariance_defect(omega: DiffCochain, dec: DualCellDecomposition,

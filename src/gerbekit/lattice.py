@@ -178,11 +178,6 @@ def builtin(name: str) -> IntegralLattice:
     raise ValueError(f"unknown lattice name: {name}")
 
 
-def from_gram(name: str, gram: Sequence[Sequence[int]]) -> IntegralLattice:
-    """The lattice of an integer Gram matrix, given by its Gram alone."""
-    return IntegralLattice(name, gram)
-
-
 # ---------------------------------------------------------------------------
 # enumeration (Fincke-Pohst, Math. Comp. 44 (1985), on the Cholesky factor)
 

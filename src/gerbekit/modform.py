@@ -53,9 +53,9 @@ def _eta_with_terms(tau: complex, tol: float = 1e-12) -> Tuple[complex, int]:
     return cmath.exp(PI_I * tau / 12) * prod, M
 
 
-def eta(tau: complex, tol: float = 1e-12) -> complex:
+def eta(tau: complex) -> complex:
     """Dedekind eta, e^{pi i tau/12} prod_{m>=1} (1 - e^{2 pi i m tau})."""
-    return _eta_with_terms(tau, tol)[0]
+    return _eta_with_terms(tau)[0]
 
 
 def _mobius(m: Sequence[int], tau: complex) -> complex:
@@ -98,15 +98,15 @@ def eta_multiplier(m: Sequence[int]) -> complex:
 # the twisted theta function
 
 
-def theta1(tau: complex, u: complex, tol: float = 1e-12) -> complex:
+def theta1(tau: complex, u: complex) -> complex:
     """sum_n e^{2 pi i (u - 1/2)(n + 1/2) + pi i tau (n + 1/2)^2}."""
     _check_tau(tau)
-    return _coset_factor_sums(tau, u - 0.5, 0.5, tol)[0]
+    return _coset_factor_sums(tau, u - 0.5, 0.5, 1e-12)[0]
 
 
-def det_section(tau: complex, u: complex, tol: float = 1e-12) -> complex:
+def det_section(tau: complex, u: complex) -> complex:
     """The flat-determinant section f = theta1 / eta."""
-    return theta1(tau, u, tol) / eta(tau, tol)
+    return theta1(tau, u) / eta(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +193,15 @@ def _theta_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex],
     return _theta_dn_plus(tau, w, tol)
 
 
-def theta_lattice(L: IntegralLattice, tau: complex, z: Sequence[complex],
-                  tol: float = 1e-12) -> complex:
+def theta_lattice(L: IntegralLattice, tau: complex,
+                  z: Sequence[complex]) -> complex:
     """Theta_Lambda(tau, z) = sum_gamma e^{pi i (2 (z, gamma) + tau (gamma, gamma))}.
 
     z in lattice-basis coordinates; a lattice with the Gram matrix of a
     built-in even unimodular lattice uses a per-coordinate coset
     factorization, others a bounded enumeration.
     """
-    return _theta_with_terms(L, tau, z, tol)[0]
+    return _theta_with_terms(L, tau, z)[0]
 
 
 ENUM_NORM_BUDGET = 60
@@ -248,9 +248,8 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
 
 
 def theta_lattice_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
-                       tol: float = 1e-12,
                        max_norm: Optional[int] = None) -> complex:
-    return _theta_enum(L, tau, z, tol, max_norm)[0]
+    return _theta_enum(L, tau, z, max_norm=max_norm)[0]
 
 
 def _character_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex],
@@ -262,10 +261,9 @@ def _character_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex]
     return theta / e ** 16, terms + eterms
 
 
-def character(L: IntegralLattice, tau: complex, z: Sequence[complex],
-              tol: float = 1e-12) -> complex:
+def character(L: IntegralLattice, tau: complex, z: Sequence[complex]) -> complex:
     """The rank-16 character B = Theta_Lambda / eta^16."""
-    return _character_with_terms(L, tau, z, tol)[0]
+    return _character_with_terms(L, tau, z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +313,6 @@ class GroupElement:
     def word(elems: Sequence["GroupElement"]) -> "GroupElement":
         return GroupElement("word", tuple(elems))
 
-    @staticmethod
-    def identity() -> "GroupElement":
-        return GroupElement.S(1, 0, 0, 1)
-
     def __repr__(self):
         return f"GroupElement({self.kind}, {self.data})"
 
@@ -343,12 +337,11 @@ def _check_isometry(L: IntegralLattice, mat) -> np.ndarray:
     return M
 
 
-def act(g: GroupElement, x: ModuliPoint,
-        L: Optional[IntegralLattice] = None) -> ModuliPoint:
+def act(g: GroupElement, x: ModuliPoint) -> ModuliPoint:
     """The group action on (tau, z); words act right-to-left."""
     if g.kind == "word":
         for e in reversed(g.data):
-            x = act(e, x, L)
+            x = act(e, x)
         return x
     tau, z = x.tau, np.array(x.z, dtype=complex)
     # an image past the float range is refused by ModuliPoint, unwarned
@@ -369,8 +362,7 @@ def act(g: GroupElement, x: ModuliPoint,
                      + tau * np.array(q2, dtype=float))
             return ModuliPoint(tau, tuple(new_z))
         if g.kind == "W":
-            M = (np.array(g.data, dtype=np.int64) if L is None
-                 else _check_isometry(L, g.data))
+            M = np.array(g.data, dtype=np.int64)
             return ModuliPoint(tau, tuple(M @ z))
     raise ValueError(f"unknown group element kind {g.kind}")
 
@@ -415,10 +407,11 @@ def _pair(L: IntegralLattice, u, v) -> complex:
 def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex:
     """phi_g(x) for the family; words via phi_{gh}(x) = phi_g(hx) phi_h(x)."""
     if g.kind == "word":
-        if not g.data:
-            return 1.0 + 0j
-        head, rest = g.data[0], GroupElement.word(g.data[1:])
-        return factor(family, head, act(rest, x)) * factor(family, rest, x)
+        val = 1.0 + 0j
+        for e in reversed(g.data):
+            val = factor(family, e, x) * val
+            x = act(e, x)
+        return val
     tau, z = x.tau, x.z
     if family.name == "det_u1":
         if len(z) != 1:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import cmath
 import functools
 import json
-from typing import Callable, Dict
+from typing import Dict
 
 from .cochain import DiffCochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,
                      make_circle_decomposition, make_torus_cover,
                      make_torus_hex_decomposition, product_cover)
-from .trigform import TrigForm, _normal_key, form_from_records
+from .trigform import TrigForm
 
 # Covers and decompositions named by an id are built once per process and
 # shared: nothing changes them after they are built, only their memos fill
@@ -30,9 +30,11 @@ _ID_CACHE_SIZE = 64
 def cover_from_id(cover_id: str) -> Cover:
     """The cover an id names; the id is kept as its `cover_id`."""
     if cover_id.startswith("product:"):
-        body = cover_id[len("product:"):]
-        left, right = body.split("|")
-        cover = product_cover(cover_from_id(left), cover_from_id(right))
+        sides = cover_id[len("product:"):].split("|")
+        if len(sides) != 2 or not all(sides):
+            raise ValueError(f"cover id {cover_id} is not product:ID|ID, "
+                             f"the product of two cover ids")
+        cover = product_cover(cover_from_id(sides[0]), cover_from_id(sides[1]))
     else:
         parts = cover_id.split(":")
         if parts[0] == "circle" and len(parts) == 3:
@@ -76,32 +78,14 @@ def _form_record(f: TrigForm) -> Dict:
             "terms": f.to_records()}
 
 
-def _key_memo() -> Callable:
-    """_normal_key memoised on the raw (ambient_dim, degree, freq, axes)
-    key, for the forms of one file, which repeat a few hundred distinct
-    keys over thousands of terms.  Equal raw keys normalise to equal keys,
-    and a failure is not stored, so a bad key raises wherever it occurs."""
-    memo: Dict = {}
-
-    def normal_key(ambient_dim: int, degree: int, freq, axes):
-        raw = (ambient_dim, degree, freq, axes)
-        key = memo.get(raw)
-        if key is None:
-            key = memo[raw] = _normal_key(ambient_dim, degree, freq, axes)
-        return key
-
-    return normal_key
-
-
-def _form_from_record(rec, where: str, normal_key: Callable,
-                      name: str) -> TrigForm:
+def _form_from_record(rec, where: str, name: str) -> TrigForm:
     """The form of a file record; `where` names the record in the messages
     on malformed fields, `name` in the one on a non-finite coefficient."""
     ambient_dim = _field(rec, "ambient_dim", int, where)
     degree = _field(rec, "degree", int, where)
     terms = _field(rec, "terms", list, where)
     try:
-        form = form_from_records(ambient_dim, degree, terms, normal_key)
+        form = TrigForm.from_records(ambient_dim, degree, terms)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: malformed term ({exc!r})") from exc
     if not all(map(cmath.isfinite, form.terms.values())):
@@ -113,6 +97,11 @@ def _form_from_record(rec, where: str, normal_key: Callable,
 
 
 def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
+    """The file record of omega under cover_id, which must name its cover:
+    under another id the file would load as another cochain."""
+    if cover_from_id(cover_id).pieces != omega.cover.pieces:
+        raise ValueError(f"cover id {cover_id} names another cover than the "
+                         f"cochain's")
     # the integer row (index length n+2) is listed apart from the forms
     levels = sorted(omega.materialize().components.items())
     top = omega.degree + 2
@@ -132,11 +121,9 @@ def cochain_from_dict(data) -> DiffCochain:
     """Load a file record; any malformed field raises ValueError."""
     degree = _field(data, "degree", int, "cochain file")
     cover = cover_from_id(_field(data, "cover_id", str, "cochain file"))
-    normal_key = _key_memo()
     fs = data.get("field_strength")
     if fs is not None:
-        fs = _form_from_record(fs, "field_strength", normal_key,
-                               "the field strength")
+        fs = _form_from_record(fs, "field_strength", "the field strength")
     comps: Dict = {}
     for key in ("components", "integer_components"):
         records = _field(data, key, list, "cochain file") if key in data else []
@@ -155,15 +142,15 @@ def cochain_from_dict(data) -> DiffCochain:
                 comps[idx] = _field(rec, "m", int, where)
             else:
                 comps[idx] = _form_from_record(
-                    _field(rec, "form", dict, where), where, normal_key,
+                    _field(rec, "form", dict, where), where,
                     f"the component at index {list(idx)}")
     return DiffCochain(degree, cover, field_strength=fs, components=comps)
 
 
 def save_cochain(path: str, omega: DiffCochain, cover_id: str) -> None:
+    data = cochain_to_dict(omega, cover_id)     # refused before path opens
     with open(path, "w") as fh:
-        json.dump(cochain_to_dict(omega, cover_id), fh, indent=1,
-                  sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True)
 
 
 def load_cochain(path: str) -> DiffCochain:

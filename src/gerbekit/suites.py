@@ -120,8 +120,9 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
                        component_fn=permuted)
 
 
-def random_cocycle(rng, cover: Cover, degree: int, ambient_dim: int) -> DiffCochain:
+def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:
     """from_global_form(T) + d(random flat cochain): a real cocycle."""
+    ambient_dim = cover.factors
     if degree > ambient_dim:
         base = None
     else:
@@ -190,7 +191,7 @@ def suite_holonomy(trials: int, seed: int) -> List[Check]:
     # (b) subordination change shifts holonomy by 2 pi Z
     worst_shift = 0.0
     for _ in range(trials):
-        om = random_cocycle(rng, cover, 1, 1)
+        om = random_cocycle(rng, cover, 1)
         rho, rho2 = two_subordinations(dec, cover, rng)
         d = invariance_defect(om, dec, rho, rho2)
         worst_shift = nan_max(worst_shift, nearest_2pi_multiple_defect(d))
@@ -198,7 +199,7 @@ def suite_holonomy(trials: int, seed: int) -> List[Check]:
     cover2, dec2 = torus_setup()
     worst_t2 = 0.0
     for _ in range(max(trials // 4, 2)):
-        om = random_cocycle(rng, cover2, 2, 2)
+        om = random_cocycle(rng, cover2, 2)
         rho, rho2 = two_subordinations(dec2, cover2, rng)
         d = invariance_defect(om, dec2, rho, rho2)
         worst_t2 = nan_max(worst_t2, nearest_2pi_multiple_defect(d))
@@ -225,7 +226,7 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
         results["stokes_s1"] = nan_max(
             results["stokes_s1"], pushforward_commutes_defect(om, dec_s1, rho))
         if degree >= 2:
-            oc = random_cocycle(rng, cover_s1, degree, 2)
+            oc = random_cocycle(rng, cover_s1, degree)
             pushed = pushforward(oc, dec_s1, rho)
             results["cocycle_closed"] = nan_max(results["cocycle_closed"],
                                                 total_d(pushed).max_defect())

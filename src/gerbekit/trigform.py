@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -45,10 +45,13 @@ def _axes_sign(axes: Sequence[int]):
     return tuple(axes), sign
 
 
+@lru_cache(maxsize=4096)
 def _normal_key(ambient_dim: int, degree: int, freq, axes) -> Key:
     """The term key (freq, axes) as int tuples, checked for a degree-p form
     on T^n: integer entries, n frequencies, p axes strictly increasing in
-    [0, n).  Both form classes check their public terms here."""
+    [0, n).  Both form classes check their terms here, memoised on the raw
+    key: equal raw keys (1, 1.0, True) normalise alike, and a key that
+    raises is not stored, so it raises wherever it occurs."""
     key = (tuple(map(int, freq)), tuple(map(int, axes)))
     if key != (freq, axes):
         raise ValueError("frequencies and axes must be integers")
@@ -118,8 +121,7 @@ class TrigForm:
             raise ValueError(f"degree {degree} out of range for T^{ambient_dim}")
         self.ambient_dim = ambient_dim
         self.degree = degree
-        self.terms = _checked_terms(ambient_dim, degree, terms or {},
-                                    _normal_key)
+        self.terms = _checked_terms(ambient_dim, degree, terms or {})
 
     @staticmethod
     def _trusted(ambient_dim: int, degree: int,
@@ -249,37 +251,29 @@ class TrigForm:
 
     @staticmethod
     def from_records(ambient_dim: int, degree: int, records: Iterable[Mapping]) -> "TrigForm":
-        return form_from_records(ambient_dim, degree, records, _normal_key)
+        """The inverse of to_records, checking its terms as __init__ does."""
+        terms: Dict = {}
+        for r in records:
+            key = (tuple(r["freq"]), tuple(r["axes"]))
+            terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
+        form = TrigForm.zero(ambient_dim, degree)     # checks the degree
+        form.terms = _checked_terms(ambient_dim, degree, terms)
+        return form
 
 
-def _checked_terms(ambient_dim: int, degree: int, terms: Mapping,
-                   normal_key: Callable) -> Dict[Key, complex]:
+def _checked_terms(ambient_dim: int, degree: int,
+                   terms: Mapping) -> Dict[Key, complex]:
     """The public constructor's terms: each coefficient as a Python complex,
     an exact zero dropped before its key is checked, the rest summed in
-    order under normal_key(ambient_dim, degree, freq, axes), and the sums
-    that are exactly zero dropped."""
+    order under _normal_key, and the sums that are exactly zero dropped."""
     clean: Dict[Key, complex] = {}
     for (freq, axes), c in terms.items():
         c = complex(c)
         if c == _DROP:
             continue
-        key = normal_key(ambient_dim, degree, freq, axes)
+        key = _normal_key(ambient_dim, degree, freq, axes)
         clean[key] = clean.get(key, 0.0) + c
     return {k: v for k, v in clean.items() if v != _DROP}
-
-
-def form_from_records(ambient_dim: int, degree: int, records: Iterable[Mapping],
-                      normal_key: Callable) -> TrigForm:
-    """TrigForm.from_records with the key rule `normal_key`, which must
-    return what _normal_key returns or raise as it does; a file loader
-    passes one memo of _normal_key to all the forms of one file."""
-    terms: Dict = {}
-    for r in records:
-        key = (tuple(r["freq"]), tuple(r["axes"]))
-        terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
-    form = TrigForm.zero(ambient_dim, degree)     # checks the degree
-    form.terms = _checked_terms(ambient_dim, degree, terms, normal_key)
-    return form
 
 
 def signed_sum(total, pairs):

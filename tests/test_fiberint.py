@@ -90,7 +90,7 @@ def test_cocycle_pushes_to_cocycle():
     base = make_circle_cover(3, 0.6)
     fiber, dec = circle_setup()
     cover = product_cover(base, fiber)
-    oc = random_cocycle(rng, cover, 2, 2)
+    oc = random_cocycle(rng, cover, 2)
     rho, _ = two_subordinations(dec, fiber, rng)
     assert total_d(pushforward(oc, dec, rho)).max_defect() < 1e-12
 
@@ -101,7 +101,7 @@ def test_homotopy_residual_cocycle(degree):
     base = make_circle_cover(3, 0.6)
     fiber, dec = circle_setup()
     cover = product_cover(base, fiber)
-    oc = random_cocycle(rng, cover, degree, 2)
+    oc = random_cocycle(rng, cover, degree)
     rho, rho2 = two_subordinations(dec, fiber, rng)
     assert rho != rho2
     assert homotopy_residual(oc, dec, rho, rho2) < 1e-10
@@ -123,7 +123,7 @@ def test_homotopy_residual_torus_fiber(seed):
     base = make_circle_cover(3, 0.6)
     fiber, dec = torus_setup()
     cover = product_cover(base, fiber)
-    oc = random_cocycle(rng, cover, 3, 3)
+    oc = random_cocycle(rng, cover, 3)
     rho, rho2 = two_subordinations(dec, fiber, rng)
     assert rho != rho2
     assert homotopy_residual(oc, dec, rho, rho2) < 1e-12

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gerbekit.cochain import from_global_form
 from gerbekit.covers import two_subordinations
-from gerbekit.holonomy import (holonomy, holonomy_phase, invariance_defect,
+from gerbekit.holonomy import (holonomy, invariance_defect,
                                nearest_2pi_multiple_defect)
 from gerbekit.serialize import cover_from_id, decomposition_from_id
 from gerbekit.suites import (circle_setup, random_cocycle, random_real_form,
@@ -48,7 +48,7 @@ def test_exact_frequency_terms_do_not_contribute():
 def test_subordination_change_shifts_by_2pi_circle(seed):
     cover, dec = circle_setup()
     rng = np.random.default_rng(seed)
-    om = random_cocycle(rng, cover, 1, 1)
+    om = random_cocycle(rng, cover, 1)
     rho, rho2 = two_subordinations(dec, cover, rng)
     d = invariance_defect(om, dec, rho, rho2)
     assert nearest_2pi_multiple_defect(d) < 1e-8
@@ -58,18 +58,10 @@ def test_subordination_change_shifts_by_2pi_circle(seed):
 def test_subordination_change_shifts_by_2pi_torus(seed):
     cover, dec = torus_setup()
     rng = np.random.default_rng(100 + seed)
-    om = random_cocycle(rng, cover, 2, 2)
+    om = random_cocycle(rng, cover, 2)
     rho, rho2 = two_subordinations(dec, cover, rng)
     d = invariance_defect(om, dec, rho, rho2)
     assert nearest_2pi_multiple_defect(d) < 1e-8
-
-
-def test_holonomy_phase_is_unit():
-    cover, dec = circle_setup()
-    rng = np.random.default_rng(7)
-    om = random_cocycle(rng, cover, 1, 1)
-    rho, _ = two_subordinations(dec, cover, rng)
-    assert abs(abs(holonomy_phase(om, dec, rho)) - 1) < 1e-12
 
 
 def test_non_real_data_raises():
@@ -84,7 +76,7 @@ def test_non_real_data_raises():
 def test_decomposition_dimension_mismatch_raises():
     cover, dec = torus_setup()
     rng = np.random.default_rng(9)
-    om = random_cocycle(rng, cover, 1, 2)
+    om = random_cocycle(rng, cover, 1)
     rho, _ = two_subordinations(dec, cover, rng)
     with pytest.raises(ValueError):
         holonomy(om, dec, rho)

@@ -1,10 +1,12 @@
-"""No module imports a name it never reads, and no private function,
-class or method of the package is left without a caller.
+"""No module imports a name it never reads, no private function, class
+or method of the package is left without a caller, and no parameter
+default of the package is one that every caller leaves as it is.
 
 No linter ships with the project, so this test is the check: it parses
 every module of the package (except `__init__.py`, whose imports are its
-exports) and every test module for unused imports, and every module of
-the package for unreferenced private definitions.
+exports) and every test module for unused imports, every module of the
+package for unreferenced private definitions, and the package, the tests
+and the benchmark driver for the calls that override each default.
 """
 
 import ast
@@ -14,6 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "gerbekit").glob("*.py"))
+CALLERS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
     (ROOT / "tests").glob("*.py"))
 
@@ -93,3 +97,83 @@ def test_the_scan_finds_an_unreferenced_private_definition():
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_private(p.read_text() for p in PACKAGE) == []
+
+
+def _defaulted(d, method: bool):
+    """(position, name) of each parameter of d that has a default, the
+    position counting the arguments a call passes (a method's self is not
+    passed) and None for a keyword-only parameter."""
+    a = d.args
+    positional = a.posonlyargs + a.args
+    static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                 for x in d.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(a.defaults)
+    return ([(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, v in zip(a.kwonlyargs, a.kw_defaults)
+               if v is not None])
+
+
+def _called_name(call):
+    f = call.func
+    return (f.id if isinstance(f, ast.Name)
+            else f.attr if isinstance(f, ast.Attribute) else None)
+
+
+def unoverridden_defaults(package, others):
+    """(function, parameter) of each parameter default of a function in
+    the package sources that no call in the package or the other sources
+    overrides.
+
+    A call names the function (or, for `__init__`, its class) and
+    overrides a default it passes by position or by keyword; a `*` or
+    `**` argument overrides every default.  A call from inside the
+    function's own definition does not count.  Calls are matched by name,
+    so a call of any function of that name counts.
+    """
+    trees = [ast.parse(source) for source in list(package) + list(others)]
+    defs = []
+    for i, tree in enumerate(trees[:len(package)]):
+        owner = {id(d): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for d in c.body}
+        for d in ast.walk(tree):
+            if isinstance(d, ast.FunctionDef):
+                params = _defaulted(d, id(d) in owner)
+                if params:
+                    defs.append((i, d, owner.get(id(d)), params))
+    calls = [(j, c) for j, tree in enumerate(trees) for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+    out = []
+    for i, d, cls, params in defs:
+        name = cls if d.name == "__init__" else d.name
+        left = list(params)
+        for j, c in calls:
+            if _called_name(c) != name or (
+                    j == i and d.lineno <= c.lineno <= d.end_lineno):
+                continue
+            if any(isinstance(a, ast.Starred) for a in c.args) or any(
+                    k.arg is None for k in c.keywords):
+                left = []
+            named = {k.arg for k in c.keywords}
+            left = [(pos, p) for pos, p in left if p not in named
+                    and (pos is None or pos >= len(c.args))]
+        out += [(d.name if cls is None else f"{cls}.{d.name}", p)
+                for _, p in left]
+    return out
+
+
+def test_the_scan_finds_a_default_no_call_overrides():
+    assert unoverridden_defaults(
+        ["def f(a, b=1, c=2, *, d=3):\n    return f(a, 0, 0, d=0)\n"
+         "def g(x=1):\n    pass\n"
+         "def h(y=1, z=2):\n    pass\n"
+         "class K:\n    def __init__(self, v=0, w=0):\n        pass\n"
+         "    def m(self, u=0):\n        pass\n"
+         "    @staticmethod\n    def s(t=0):\n        pass\n"],
+        ["f(1, c=5)\nh(*args)\nK(1)\nK().m(u=2)\nK.s(1)\n"]) == [
+            ("f", "b"), ("f", "d"), ("g", "x"), ("K.__init__", "w")]
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    assert unoverridden_defaults([p.read_text() for p in PACKAGE],
+                                 [p.read_text() for p in CALLERS]) == []

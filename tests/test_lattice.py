@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from gerbekit import modform
 from gerbekit.lattice import (IntegralLattice, anomaly_exponents, builtin,
-                              coxeter_from_roots, enumerate_by_norm, from_gram,
-                              roots, spin16_embedding, spin16_first_series,
+                              coxeter_from_roots, enumerate_by_norm, roots,
+                              spin16_embedding, spin16_first_series,
                               theta_counts, weight_identity_check,
                               weyl_index_arithmetic)
 from gerbekit.modform import reflection_element
@@ -120,8 +120,7 @@ def test_anomaly_exponent_relations():
 
 
 def test_from_gram_roundtrip():
-    from gerbekit.lattice import from_gram
-    L = from_gram("a2", [[2, -1], [-1, 2]])
+    L = IntegralLattice("a2", [[2, -1], [-1, 2]])
     assert L.determinant() == 3
     assert len(roots(L)) == 6
 
@@ -199,9 +198,9 @@ def test_enumeration_matches_brute_force(gram_over, max_norm):
 def test_enumeration_keeps_coefficients_beyond_int16():
     # x G x = (x0 + 1000 x1)^2 + x1^2: a unimodular copy of Z^2 whose short
     # vectors have first coefficients past 2^15
-    L = from_gram("skew", [[1, 1000], [1000, 1000001]])
+    L = IntegralLattice("skew", [[1, 1000], [1000, 1000001]])
     shells = enumerate_by_norm(L, 1200)
-    square = enumerate_by_norm(from_gram("z2", [[1, 0], [0, 1]]), 1200)
+    square = enumerate_by_norm(IntegralLattice("z2", [[1, 0], [0, 1]]), 1200)
     assert {k: len(v) for k, v in shells.items()} == {
         k: len(v) for k, v in square.items()}
     assert max(abs(v[0]) for vecs in shells.values() for v in vecs) > 2 ** 15
@@ -256,7 +255,7 @@ def test_a_norm_form_with_fractional_values_is_refused():
 
 
 def test_a_gram_alone_has_no_basis():
-    L = from_gram("a2", [[2, -1], [-1, 2]])
+    L = IntegralLattice("a2", [[2, -1], [-1, 2]])
     with pytest.raises(ValueError, match="no basis"):
         L.coordinates((1, 0))
     with pytest.raises(ValueError, match="no basis"):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gerbekit import cli
-from gerbekit.lattice import builtin, enumerate_by_norm, from_gram, roots
+from gerbekit.lattice import (IntegralLattice, builtin, enumerate_by_norm,
+                              roots)
 from gerbekit.modform import (PI_I, AutomorphyFamily, GroupElement,
                               ModuliPoint, _theta_with_terms, act, character,
                               cocycle_defect, det_section, eta,
@@ -206,7 +207,7 @@ def test_theta_enum_is_bit_identical_to_the_term_by_term_sum(e8, seed):
 
 def test_theta_fast_path_needs_the_builtin_gram():
     # an A2 lattice named "e8" is summed, not factored over E8's cosets
-    a2 = from_gram("e8", [[2, -1], [-1, 2]])
+    a2 = IntegralLattice("e8", [[2, -1], [-1, 2]])
     got = theta_lattice(a2, 1.2j, [0, 0])
     assert abs(got - 1.0032) < 1e-4
     assert got == theta_lattice_enum(a2, 1.2j, [0, 0])
@@ -215,7 +216,7 @@ def test_theta_fast_path_needs_the_builtin_gram():
 @pytest.mark.parametrize("name", ["e8", "d16plus", "e8e8"])
 def test_theta_fast_path_follows_the_gram_not_the_name(name):
     ref = builtin(name)
-    copy = from_gram("renamed", ref.gram.tolist())
+    copy = IntegralLattice("renamed", ref.gram.tolist())
     rng = np.random.default_rng(5)
     z = list(0.2 * rng.random(ref.rank) + 0.1j * rng.random(ref.rank))
     assert _theta_with_terms(copy, 1.3j, z) == _theta_with_terms(ref, 1.3j, z)
@@ -323,6 +324,49 @@ def test_word_factor_follows_cocycle_rule(e8e8):
     lhs = factor(fam, word, x)
     rhs = factor(fam, g, act(h, x)) * factor(fam, h, x)
     assert abs(lhs - rhs) < 1e-12
+
+
+def _nested_factor(family, g, x):
+    """The factor of a word as a recursion on its head and its tail,
+    phi_{gh}(x) = phi_g(hx) phi_h(x): the reference that factor's single
+    loop over a word must equal exactly."""
+    if g.kind != "word":
+        return factor(family, g, x)
+    if not g.data:
+        return 1.0 + 0j
+    head, rest = g.data[0], GroupElement.word(g.data[1:])
+    return (_nested_factor(family, head, act(rest, x))
+            * _nested_factor(family, rest, x))
+
+
+@pytest.mark.parametrize("name", ["char", "ad", "det_u1"])
+def test_word_factor_equals_the_nested_recursion(e8, name):
+    rng = np.random.default_rng(31)
+    gens = [GroupElement.S(1, 1, 0, 1), GroupElement.S(0, -1, 1, 0)]
+    if name == "det_u1":
+        fam = AutomorphyFamily(name)
+        gens += [GroupElement.T([1], [0]), GroupElement.T([0], [1]),
+                 GroupElement.W([[-1]])]
+        z = (0.1 + 0.05j,)
+    else:
+        fam = AutomorphyFamily(name, e8)
+        rts = roots(e8)
+        gens.append(reflection_element(e8, rts[100]))
+        if name == "char":
+            # ad's exponent is 30 times char's: its translations overflow
+            gens += [GroupElement.T(rts[3], [0] * 8),
+                     GroupElement.T(rts[40], rts[7])]
+        z = tuple(0.1 * (rng.random(8) - 0.5) + 0.05j * (rng.random(8) - 0.5))
+    pool = gens + [GroupElement.word([]), GroupElement.word(gens[:2]),
+                   GroupElement.word([gens[-1], GroupElement.word(gens[1:])])]
+    x = ModuliPoint(0.1 + 1.1j, z)
+    for n in range(6):
+        for _ in range(8):
+            g = GroupElement.word([pool[i]
+                                   for i in rng.integers(len(pool), size=n)])
+            want = _nested_factor(fam, g, x)
+            assert cmath.isfinite(want)
+            assert factor(fam, g, x) == want
 
 
 def test_act_group_law(e8e8):

@@ -88,7 +88,7 @@ def _write_input(path, kind, cover_id, degree, seed):
     cover = serialize.cover_from_id(cover_id)
     rng = np.random.default_rng(seed)
     if kind == "cocycle":
-        om = random_cocycle(rng, cover, degree, cover.factors)
+        om = random_cocycle(rng, cover, degree)
     else:
         om = random_alternating_cochain(rng, cover, degree, cover.factors)
     serialize.save_cochain(path, om, cover_id)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,11 +47,35 @@ def test_an_id_names_one_shared_object():
     (serialize.cover_from_id, "sphere:3", "unknown cover id"),
     (serialize.decomposition_from_id, "hex:2", "must be >= 3"),
     (serialize.decomposition_from_id, "simplex:3", "unknown decomposition"),
+    # a product id with no "|", with two, or with an empty side is named
+    (serialize.cover_from_id, "product:circle:3:0.6",
+     re.escape("cover id product:circle:3:0.6 is not product:ID|ID")),
+    (serialize.cover_from_id, "product:A|B|C",
+     re.escape("cover id product:A|B|C is not product:ID|ID")),
+    (serialize.cover_from_id, "product:circle:3:0.6|",
+     re.escape("cover id product:circle:3:0.6| is not product:ID|ID")),
 ])
 def test_a_bad_id_raises_on_every_call(from_id, ident, message):
     for _ in range(3):
         with pytest.raises(ValueError, match=message):
             from_id(ident)
+
+
+@pytest.mark.parametrize("other", ["circle:5:0.6", "circle:4:0.3",
+                                   "torus:4:4:0.7"],
+                         ids=["other-N", "other-overlap", "other-factors"])
+def test_a_cochain_is_saved_only_under_an_id_of_its_cover(tmp_path, other):
+    # under another id the file would load as another cochain: on
+    # circle:5:0.3 this one's holonomy read 28.23 instead of 37.70
+    om = random_cocycle(np.random.default_rng(5),
+                        serialize.cover_from_id("circle:4:0.7"), 1)
+    path = tmp_path / "om.json"
+    with pytest.raises(ValueError, match=re.escape(
+            f"cover id {other} names another cover")):
+        serialize.save_cochain(str(path), om, other)
+    assert not path.exists()
+    serialize.save_cochain(str(path), om, "circle:4:0.7")
+    assert serialize.load_cochain(str(path)).cover is om.cover
 
 
 def test_cochain_file_roundtrip(tmp_path):
@@ -154,7 +179,7 @@ def test_cli_pushforward_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(2)
     cover_id = "product:circle:3:0.6|circle:4:0.7"
     cover = serialize.cover_from_id(cover_id)
-    om = random_cocycle(rng, cover, 2, 2)
+    om = random_cocycle(rng, cover, 2)
     src = tmp_path / "om.json"
     dst = tmp_path / "out.json"
     serialize.save_cochain(str(src), om, cover_id)
@@ -190,7 +215,7 @@ def test_cli_bad_flags_usage_error(capsys):
 
 def _pushforward_input(tmp_path, cover_id, degree=2):
     cover = serialize.cover_from_id(cover_id)
-    om = random_cocycle(np.random.default_rng(2), cover, degree, 2)
+    om = random_cocycle(np.random.default_rng(2), cover, degree)
     src = tmp_path / "om.json"
     serialize.save_cochain(str(src), om, cover_id)
     return src
@@ -231,7 +256,7 @@ def test_cli_refuses_a_file_whose_forms_live_on_another_torus(tmp_path,
                                                               capsys):
     # a degree-1 cocycle on T^1, relabelled as living on the T^2 cover
     om = random_cocycle(np.random.default_rng(3),
-                        serialize.cover_from_id("circle:4:0.7"), 1, 1)
+                        serialize.cover_from_id("circle:4:0.7"), 1)
     rec = serialize.cochain_to_dict(om, "circle:4:0.7")
     rec["cover_id"] = "torus:3:3:0.6"
     path = tmp_path / "relabelled.json"
@@ -246,7 +271,7 @@ def test_cli_refuses_a_file_whose_forms_live_on_another_torus(tmp_path,
 
 @pytest.mark.parametrize("command, cover_id, make", [
     ("holonomy", "torus:3:3:0.75",
-     lambda rng, cover: random_cocycle(rng, cover, 1, 2)),
+     lambda rng, cover: random_cocycle(rng, cover, 1)),
     ("pushforward", "product:circle:3:0.6|torus:3:3:0.75",
      lambda rng, cover: from_global_form(suites.random_real_form(rng, 3, 1),
                                          cover)),
@@ -339,6 +364,18 @@ def test_cli_negative_counts_are_usage_errors(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["theta", "character"])
+@pytest.mark.parametrize("tol", ["0", "-0.0", "1e-400", "-1", "nan", "inf",
+                                 "1e300", "1", "1e-310"])
+def test_cli_series_tol_outside_its_range_is_a_usage_error(capsys, command,
+                                                           tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--lattice", "e8e8", "--tau", "0.3,0.06",
+                  f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"argument --tol: {tol} is not in" in capsys.readouterr().err
 
 
 def _good_record():
@@ -463,7 +500,7 @@ def _planted(rec, target: str) -> dict:
 NON_FINITE_CASES = {
     # (argv, cover id, cochain maker, planted record, how the error names it)
     "holonomy": (["holonomy", "--decomposition", "circle:20"], "circle:4:0.7",
-                 lambda rng, cover: random_cocycle(rng, cover, 1, 1),
+                 lambda rng, cover: random_cocycle(rng, cover, 1),
                  "components", "the component at index"),
     "pushforward": (["pushforward", "--decomposition", "circle:20",
                      "--output", "out.json"],
@@ -473,7 +510,7 @@ NON_FINITE_CASES = {
                     "components", "the component at index"),
     "holonomy-t2-field-strength": (
         ["holonomy", "--decomposition", "hex:6"], "torus:3:3:0.75",
-        lambda rng, cover: random_cocycle(rng, cover, 2, 2),
+        lambda rng, cover: random_cocycle(rng, cover, 2),
         "field_strength", "the field strength"),
 }
 
