@@ -83,8 +83,13 @@ def series_tol(s: str) -> float:
 
 
 def parse_complex(s: str) -> complex:
-    re, im = s.split(",")
-    return complex(float(re), float(im))
+    """RE,IM: the real and the imaginary part."""
+    try:
+        re, im = map(float, s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{s} is not RE,IM, two numbers") from None
+    return complex(re, im)
 
 
 _ITEMS = {(int,): "integers", (int, float): "numbers", (list,): "lists"}
@@ -184,21 +189,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_theta(args) -> int:
+def cmd_series(args) -> int:
+    """theta or character, as the command names."""
     L = builtin(args.lattice)
-    tau = parse_complex(args.tau)
     z = parse_z(args.z, L.rank)
-    val, terms = _theta_with_terms(L, tau, z, args.tol)
-    emit({"value_re": val.real, "value_im": val.imag,
-          "tol_used": args.tol, "terms_summed": terms})
-    return 0
-
-
-def cmd_character(args) -> int:
-    L = builtin(args.lattice)
-    tau = parse_complex(args.tau)
-    z = parse_z(args.z, L.rank)
-    val, terms = _character_with_terms(L, tau, z, args.tol)
+    if args.command == "theta":
+        val, terms = _theta_with_terms(L, args.tau, z, args.tol)
+    else:
+        val, terms = _character_with_terms(L, args.tau, z, args.tol)
     emit({"value_re": val.real, "value_im": val.imag,
           "tol_used": args.tol, "terms_summed": terms})
     return 0
@@ -242,7 +240,7 @@ def usage_error(message: str) -> int:
 
 def cmd_pushforward(args) -> int:
     omega = serialize.load_cochain(args.cochain)
-    if not hasattr(omega.cover, "factor_covers"):
+    if not omega.cover.factor_covers:
         return usage_error("push-forward needs a cochain over a product "
                            "cover (product:X|E or torus:N:M:OVERLAP)")
     x_cover, e_cover = omega.cover.factor_covers
@@ -284,19 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--report", default=None, metavar="FILE")
     v.set_defaults(func=cmd_verify)
 
-    t = sub.add_parser("theta", help="evaluate a lattice theta series")
-    t.add_argument("--lattice", required=True)
-    t.add_argument("--tau", required=True, metavar="RE,IM")
-    t.add_argument("--z", default="zeros")
-    t.add_argument("--tol", type=series_tol, default=1e-12)
-    t.set_defaults(func=cmd_theta)
-
-    c = sub.add_parser("character", help="evaluate the rank-16 character")
-    c.add_argument("--lattice", required=True)
-    c.add_argument("--tau", required=True, metavar="RE,IM")
-    c.add_argument("--z", default="zeros")
-    c.add_argument("--tol", type=series_tol, default=1e-12)
-    c.set_defaults(func=cmd_character)
+    for name, what in (("theta", "evaluate a lattice theta series"),
+                       ("character", "evaluate the rank-16 character")):
+        t = sub.add_parser(name, help=what)
+        t.add_argument("--lattice", required=True)
+        t.add_argument("--tau", required=True, type=parse_complex,
+                       metavar="RE,IM")
+        t.add_argument("--z", default="zeros")
+        t.add_argument("--tol", type=series_tol, default=1e-12)
+        t.set_defaults(func=cmd_series)
 
     f = sub.add_parser("factor", help="evaluate an automorphy factor")
     f.add_argument("--family", required=True)

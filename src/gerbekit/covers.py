@@ -27,35 +27,15 @@ TWO_PI = 2 * math.pi
 # (k, I) (see trigform.cell_integral).
 
 
-class PointCell:
-    dim = 0
+class Cell:
+    """An oriented cell, given by its vertices: a point, a segment from
+    vertices[0] to vertices[1], or a polygon with its vertices in
+    boundary order.  sign is a point's boundary-induced orientation."""
 
-    def __init__(self, point, sign: int):
-        self.point = np.asarray(point, dtype=float)
-        self.sign = int(sign)
-        self.integrals: Dict[tuple, complex] = {}
-
-    def __repr__(self):
-        return f"PointCell({self.point}, sign={self.sign})"
-
-
-class SegmentCell:
-    dim = 1
-
-    def __init__(self, start, end):
-        self.start = np.asarray(start, dtype=float)
-        self.end = np.asarray(end, dtype=float)
-        self.integrals: Dict[tuple, complex] = {}
-
-    def __repr__(self):
-        return f"SegmentCell({self.start} -> {self.end})"
-
-
-class PolygonCell:
-    dim = 2
-
-    def __init__(self, vertices):
+    def __init__(self, vertices, sign: int = 1):
         self.vertices = [np.asarray(v, dtype=float) for v in vertices]
+        self.dim = min(len(self.vertices) - 1, 2)
+        self.sign = sign
         self.integrals: Dict[tuple, complex] = {}
 
     def area(self) -> float:
@@ -66,9 +46,6 @@ class PolygonCell:
             x1, y1 = vs[(i + 1) % len(vs)]
             s += x0 * y1 - x1 * y0
         return 0.5 * s
-
-    def __repr__(self):
-        return f"PolygonCell({len(self.vertices)} vertices)"
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +105,16 @@ class Cover:
     """A finite open cover of a product of circles by boxes.
 
     pieces[i] is a tuple of per-factor arcs (lo, hi) in lifted coordinates;
-    the number of arcs per piece is the number of circle factors.
+    the number of arcs per piece is the number of circle factors.  A
+    product cover X x E keeps its factor covers (X, E); any other cover
+    has none.
     """
 
     def __init__(self, pieces: Sequence[Tuple[Tuple[float, float], ...]]):
         self.pieces = [tuple(tuple(arc) for arc in p) for p in pieces]
         self.factors = len(self.pieces[0])
         self.cover_id = ""      # set by serialize.cover_from_id
+        self.factor_covers: Tuple[Cover, ...] = ()   # set by product_cover
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._meets: Dict[FrozenSet[int], bool] = {}
@@ -151,9 +131,9 @@ class Cover:
         factors' answers repeat, so the circle covers memoise theirs per
         index set (a product's own questions do not repeat in `supports`).
         """
-        if hasattr(self, "factor_covers"):
+        if self.factor_covers:
             a, b = self.factor_covers
-            nb = self.block_sizes[1]
+            nb = len(b.pieces)
             return (a.intersection_nonempty({i // nb for i in idx})
                     and b.intersection_nonempty({i % nb for i in idx}))
         key = frozenset(idx)
@@ -231,18 +211,13 @@ def make_torus_cover(N: int, M: int, overlap: float) -> Cover:
 
 
 def product_cover(a: Cover, b: Cover) -> Cover:
-    pieces = []
-    for pa in a.pieces:
-        for pb in b.pieces:
-            pieces.append(pa + pb)
-    c = Cover(pieces)
+    c = Cover([pa + pb for pa in a.pieces for pb in b.pieces])
     c.factor_covers = (a, b)
-    c.block_sizes = (len(a.pieces), len(b.pieces))
     return c
 
 
 def product_index(cover: Cover, ia: int, ib: int) -> int:
-    return ia * cover.block_sizes[1] + ib
+    return ia * len(cover.factor_covers[1].pieces) + ib
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +291,10 @@ class DualCellDecomposition:
     orientation induced as a boundary component of Delta_(i1...ik-1).
     """
 
-    def __init__(self, top_cells: Sequence, faces: Dict[int, Dict[Tuple[int, ...], object]]):
-        self.top_cells = list(top_cells)
+    def __init__(self, faces: Dict[int, Dict[Tuple[int, ...], Cell]]):
+        self.faces = faces
+        self.top_cells = list(faces[1].values())   # faces[1][(i,)], i in order
         self.dim = self.top_cells[0].dim
-        self.faces = faces  # faces[1][(i,)] = top_cells[i]
 
     def layer_sum(self, p: int,
                   value: Callable[[Tuple[int, ...], object], object], zero):
@@ -352,10 +327,8 @@ def make_circle_decomposition(N: int) -> DualCellDecomposition:
     if N < 3:
         raise ValueError("N must be >= 3")
     h = TWO_PI / N
-    segs = [SegmentCell([j * h], [(j + 1) * h]) for j in range(N)]
-    faces: Dict[int, Dict[Tuple[int, ...], object]] = {1: {}, 2: {}}
-    for j, s in enumerate(segs):
-        faces[1][(j,)] = s
+    segs = [Cell([[j * h], [(j + 1) * h]]) for j in range(N)]
+    faces = {1: {(j,): s for j, s in enumerate(segs)}, 2: {}}
     for j in range(N):
         jn = (j + 1) % N
         i1, i2 = (jn, j) if jn > j else (j, jn)
@@ -363,8 +336,8 @@ def make_circle_decomposition(N: int) -> DualCellDecomposition:
         # oriented segment Delta_{i1}: its end (+1) only at the wrap vertex
         # (N-1, 0), where i1 = j; else its start (-1), where i1 = j + 1
         sign = +1 if jn == 0 else -1
-        faces[2][(i1, i2)] = PointCell(segs[j].end, sign)
-    return DualCellDecomposition(segs, faces)
+        faces[2][(i1, i2)] = Cell([segs[j].vertices[1]], sign)
+    return DualCellDecomposition(faces)
 
 
 _HEX_OFFSETS = np.array([
@@ -386,28 +359,26 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
     for p in range(N):
         for q in range(N):
             center = np.array([p * h, q * h])
-            hexes.append(PolygonCell([center + h * off for off in _HEX_OFFSETS]))
+            hexes.append(Cell([center + h * off for off in _HEX_OFFSETS]))
 
     def canon(pt):
         return (round((pt[0] % TWO_PI) / h * 3) % (3 * N),
                 round((pt[1] % TWO_PI) / h * 3) % (3 * N))
 
     # collect edges: edge key -> list of (hexagon index, oriented segment)
-    edge_map: Dict[tuple, List[Tuple[int, SegmentCell]]] = {}
+    edge_map: Dict[tuple, List[Tuple[int, Cell]]] = {}
     vert_map: Dict[tuple, List[int]] = {}
     for i, hexa in enumerate(hexes):
         vs = hexa.vertices
         for t in range(6):
             a, b = vs[t], vs[(t + 1) % 6]
             key = tuple(sorted((canon(a), canon(b))))
-            edge_map.setdefault(key, []).append((i, SegmentCell(a, b)))
+            edge_map.setdefault(key, []).append((i, Cell([a, b])))
             vkey = canon(a)
             if i not in vert_map.setdefault(vkey, []):
                 vert_map[vkey].append(i)
 
-    faces: Dict[int, Dict[Tuple[int, ...], object]] = {1: {}, 2: {}, 3: {}}
-    for i, hexa in enumerate(hexes):
-        faces[1][(i,)] = hexa
+    faces = {1: {(i,): hexa for i, hexa in enumerate(hexes)}, 2: {}, 3: {}}
     for key, owners in edge_map.items():
         if len(owners) != 2:
             raise RuntimeError("each hexagon edge must be shared by exactly 2 cells")
@@ -420,29 +391,23 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
         i1, i2, i3 = sorted(owners, reverse=True)
         seg = faces[2][(i1, i2)]
         # locate the vertex on the oriented edge Delta_(i1,i2)
-        for pt, sign in ((seg.end, +1), (seg.start, -1)):
+        for pt, sign in ((seg.vertices[1], +1), (seg.vertices[0], -1)):
             if canon(pt) == vkey:
-                faces[3][(i1, i2, i3)] = PointCell(pt, sign)
+                faces[3][(i1, i2, i3)] = Cell([pt], sign)
                 break
         else:
             raise RuntimeError("triple vertex not an endpoint of the shared edge")
-    return DualCellDecomposition(hexes, faces)
+    return DualCellDecomposition(faces)
 
 
 # ---------------------------------------------------------------------------
 # subordinations of decompositions to covers
 
 
-def _cell_bounding_box(cell) -> List[Tuple[float, float]]:
-    if cell.dim == 0:
-        pts = [cell.point]
-    elif cell.dim == 1:
-        pts = [cell.start, cell.end]
-    else:
-        pts = cell.vertices
-    arr = np.array(pts)
-    return [(float(arr[:, a].min()), float(arr[:, a].max()))
-            for a in range(arr.shape[1])]
+def _cell_bounding_box(cell: Cell) -> List[Tuple[float, float]]:
+    arr = np.array(cell.vertices)
+    return [(float(lo), float(hi))
+            for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
 
 
 def admissible_pieces(dec: DualCellDecomposition, cover: Cover) -> List[List[int]]:

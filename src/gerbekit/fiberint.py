@@ -182,7 +182,7 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
                 rho: Sequence[int]) -> DiffCochain:
     """Push a degree-n cochain on X x E down to a degree-(n-d) cochain on X."""
     cover = omega.cover
-    if not hasattr(cover, "factor_covers"):
+    if not cover.factor_covers:
         raise ValueError("push-forward needs a product cover")
     if omega.degree < dec.dim:
         raise ValueError("cochain degree must be at least dim E")

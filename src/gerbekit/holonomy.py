@@ -23,10 +23,8 @@ from .cochain import DiffCochain
 from .covers import DualCellDecomposition
 
 
-def holonomy_raw(omega: DiffCochain, dec: DualCellDecomposition,
-                 rho: Sequence[int]) -> complex:
-    """The signed cell-integral sum, without the reality check: the layer
-    sum of a degree-0 output, i.e. the push-forward to a point."""
+def holonomy(omega: DiffCochain, dec: DualCellDecomposition,
+             rho: Sequence[int]) -> float:
     if dec.dim != omega.degree:
         raise ValueError("decomposition dimension must equal cochain degree")
 
@@ -34,12 +32,7 @@ def holonomy_raw(omega: DiffCochain, dec: DualCellDecomposition,
         comp = omega.component(tuple(rho[i] for i in idx))
         return None if comp.is_zero() else comp.integrate_cell(cell)
 
-    return dec.layer_sum(0, value, 0.0 + 0.0j)
-
-
-def holonomy(omega: DiffCochain, dec: DualCellDecomposition,
-             rho: Sequence[int]) -> float:
-    total = holonomy_raw(omega, dec, rho)
+    total = dec.layer_sum(0, value, 0.0 + 0.0j)
     if abs(total.imag) > 1e-8:
         raise ValueError(f"holonomy came out non-real ({total}); "
                          "cochain data is not real-valued")

@@ -1,7 +1,8 @@
 """Stable on-disk formats: cochain files and cover / decomposition ids.
 
-Cover ids: "circle:N:OVERLAP", "torus:N:M:OVERLAP", or
-"product:ID|ID" for a product of two of the former.
+Cover ids: "circle:N:OVERLAP", "torus:N:M:OVERLAP" (the product of
+"circle:N:OVERLAP" and "circle:M:OVERLAP"), or "product:ID|ID" for a
+product of two of the former.
 Decomposition ids: "circle:N" (dual segments on S^1) or "hex:N"
 (hexagonal dual cells on T^2).
 """
@@ -9,14 +10,15 @@ Decomposition ids: "circle:N" (dual segments on S^1) or "hex:N"
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import json
 from typing import Dict
 
 from .cochain import DiffCochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,
-                     make_circle_decomposition, make_torus_cover,
-                     make_torus_hex_decomposition, product_cover)
+                     make_circle_decomposition, make_torus_hex_decomposition,
+                     product_cover)
 from .trigform import TrigForm
 
 # Covers and decompositions named by an id are built once per process and
@@ -24,6 +26,16 @@ from .trigform import TrigForm
 # (a cover's supports and meets, a cell's monomial integrals).  An id that
 # raises is not cached, so it raises on every call.
 _ID_CACHE_SIZE = 64
+
+
+@contextlib.contextmanager
+def _naming(kind: str, ident: str):
+    """Re-raise a ValueError from parsing or building an id with the whole
+    id in its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{kind} id {ident}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=_ID_CACHE_SIZE)
@@ -34,30 +46,30 @@ def cover_from_id(cover_id: str) -> Cover:
         if len(sides) != 2 or not all(sides):
             raise ValueError(f"cover id {cover_id} is not product:ID|ID, "
                              f"the product of two cover ids")
-        cover = product_cover(cover_from_id(sides[0]), cover_from_id(sides[1]))
+        with _naming("cover", cover_id):
+            cover = product_cover(*map(cover_from_id, sides))
     else:
-        parts = cover_id.split(":")
-        if parts[0] == "circle" and len(parts) == 3:
-            cover = make_circle_cover(int(parts[1]), float(parts[2]))
-        elif parts[0] == "torus" and len(parts) == 4:
-            cover = make_torus_cover(int(parts[1]), int(parts[2]),
-                                     float(parts[3]))
-            for factor, n in zip(cover.factor_covers, parts[1:3]):
-                factor.cover_id = f"circle:{n}:{parts[3]}"
-        else:
+        kind, *args = cover_id.split(":")
+        if (kind, len(args)) not in (("circle", 2), ("torus", 3)):
             raise ValueError(f"unknown cover id: {cover_id}")
+        with _naming("cover", cover_id):
+            if kind == "circle":
+                cover = make_circle_cover(int(args[0]), float(args[1]))
+            else:
+                cover = product_cover(*(cover_from_id(f"circle:{n}:{args[2]}")
+                                        for n in args[:2]))
     cover.cover_id = cover_id
     return cover
 
 
 @functools.lru_cache(maxsize=_ID_CACHE_SIZE)
 def decomposition_from_id(dec_id: str) -> DualCellDecomposition:
-    parts = dec_id.split(":")
-    if parts[0] == "circle" and len(parts) == 2:
-        return make_circle_decomposition(int(parts[1]))
-    if parts[0] == "hex" and len(parts) == 2:
-        return make_torus_hex_decomposition(int(parts[1]))
-    raise ValueError(f"unknown decomposition id: {dec_id}")
+    kind, *args = dec_id.split(":")
+    if kind not in ("circle", "hex") or len(args) != 1:
+        raise ValueError(f"unknown decomposition id: {dec_id}")
+    with _naming("decomposition", dec_id):
+        return (make_circle_decomposition if kind == "circle"
+                else make_torus_hex_decomposition)(int(args[0]))
 
 
 def _field(rec, key: str, kind, where: str):

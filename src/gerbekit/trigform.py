@@ -348,27 +348,25 @@ def cell_integral(cell, freq: Tuple[int, ...], axes: Tuple[int, ...]) -> complex
 def _integrate_monomial(freq: np.ndarray, axes: Tuple[int, ...], cell) -> complex:
     # cell coordinates are numpy floats; converting them keeps the result a
     # Python complex, which fiber integration stores as a term unchecked
+    verts = cell.vertices
     if cell.dim == 0:
-        return cell.sign * cmath.exp(1j * float(np.dot(freq, cell.point)))
+        return cell.sign * cmath.exp(1j * float(np.dot(freq, verts[0])))
     if cell.dim == 1:
-        P, Q = cell.start, cell.end
+        P, Q = verts
         j = axes[0]
         mu = float(np.dot(freq, Q - P))
         return (float(Q[j] - P[j]) * cmath.exp(1j * float(np.dot(freq, P)))
                 * _phi(mu))
-    if cell.dim == 2:
-        j1, j2 = axes
-        total = 0.0 + 0.0j
-        verts = cell.vertices
-        P0 = verts[0]
-        for i in range(1, len(verts) - 1):
-            E1 = verts[i] - P0
-            E2 = verts[i + 1] - P0
-            jac = float(E1[j1] * E2[j2] - E1[j2] * E2[j1])
-            if jac == 0.0:
-                continue
-            a = float(np.dot(freq, E1))
-            b = float(np.dot(freq, E2))
-            total += jac * cmath.exp(1j * float(np.dot(freq, P0))) * _simplex_exp(a, b)
-        return total
-    raise ValueError("cells of dimension > 2 are not supported")
+    j1, j2 = axes
+    total = 0.0 + 0.0j
+    P0 = verts[0]
+    for i in range(1, len(verts) - 1):
+        E1 = verts[i] - P0
+        E2 = verts[i + 1] - P0
+        jac = float(E1[j1] * E2[j2] - E1[j2] * E2[j1])
+        if jac == 0.0:
+            continue
+        a = float(np.dot(freq, E1))
+        b = float(np.dot(freq, E2))
+        total += jac * cmath.exp(1j * float(np.dot(freq, P0))) * _simplex_exp(a, b)
+    return total

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbekit.covers import (_arcs_intersection, admissible_pieces,
-                             layer_sign, make_circle_cover,
+from gerbekit.covers import (_arcs_intersection, _cell_bounding_box,
+                             admissible_pieces, layer_sign, make_circle_cover,
                              make_circle_decomposition, make_torus_cover,
                              make_torus_hex_decomposition, product_cover,
                              refine, two_subordinations)
@@ -16,6 +16,13 @@ from gerbekit.covers import (_arcs_intersection, admissible_pieces,
 def test_circle_cover_shapes():
     c = make_circle_cover(4, 0.6)
     assert len(c.pieces) == 4
+
+
+def test_only_a_product_cover_has_factor_covers():
+    c = make_circle_cover(4, 0.6)
+    assert c.factor_covers == ()
+    t = product_cover(c, make_circle_cover(3, 0.5))
+    assert t.factor_covers[0] is c and len(t.factor_covers) == 2
 
 
 def test_circle_cover_nerve():
@@ -69,6 +76,21 @@ def test_hex_decomposition_counts():
     assert len(dec.faces[1]) == N * N          # hexagons
     assert len(dec.faces[2]) == 3 * N * N      # edges
     assert len(dec.faces[3]) == 2 * N * N      # vertices
+
+
+@pytest.mark.parametrize("dec", [make_circle_decomposition(8),
+                                 make_torus_hex_decomposition(4)],
+                         ids=["circle:8", "hex:4"])
+def test_a_cell_is_its_vertices(dec):
+    # faces[k] holds the (dim + 1 - k)-cells, faces[1] top cell i at (i,)
+    # in index order; a cell's box spans its vertices
+    assert list(dec.faces[1]) == [(i,) for i in range(len(dec.top_cells))]
+    for k, cells in dec.faces.items():
+        for cell in cells.values():
+            assert cell.dim == dec.dim + 1 - k
+            coords = list(zip(*cell.vertices))
+            assert _cell_bounding_box(cell) == [(min(c), max(c))
+                                                for c in coords]
 
 
 def test_hex_areas_tile_torus():

@@ -1,6 +1,7 @@
 """No module imports a name it never reads, no private function, class
-or method of the package is left without a caller, and no parameter
-default of the package is one that every caller leaves as it is.
+or method of the package is left without a caller, no parameter
+default of the package is one that every caller leaves as it is, and
+no module of the package asks an object with `hasattr` what it is.
 
 No linter ships with the project, so this test is the check: it parses
 every module of the package (except `__init__.py`, whose imports are its
@@ -177,3 +178,23 @@ def test_the_scan_finds_a_default_no_call_overrides():
 def test_every_parameter_default_is_overridden_by_some_call():
     assert unoverridden_defaults([p.read_text() for p in PACKAGE],
                                  [p.read_text() for p in CALLERS]) == []
+
+
+def hasattr_calls(source: str):
+    """Lines of the source's calls of hasattr."""
+    return [c.lineno for c in ast.walk(ast.parse(source))
+            if isinstance(c, ast.Call) and _called_name(c) == "hasattr"]
+
+
+def test_the_scan_finds_a_hasattr_call():
+    assert hasattr_calls("x = 1\nif hasattr(x, 'real'):\n"
+                         "    y = [hasattr(x, a) for a in 'ab']\n"
+                         "has = getattr(x, 'hasattr', None)\n") == [2, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_module_of_the_package_calls_hasattr(path):
+    # an object says what it is by its type and attributes, not by which
+    # attributes it happens to have
+    assert hasattr_calls(path.read_text()) == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gerbekit import cli, liecs, serialize, suites
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
+from gerbekit.covers import make_torus_cover
 from gerbekit.holonomy import nearest_2pi_multiple_defect
 from gerbekit.suites import random_alternating_cochain, random_cocycle
 from gerbekit.trigform import TrigForm
@@ -42,6 +43,14 @@ def test_an_id_names_one_shared_object():
     assert product.factor_covers[0] is serialize.cover_from_id("circle:3:0.6")
 
 
+def test_a_torus_id_is_the_product_of_its_cached_circle_covers():
+    torus = serialize.cover_from_id("torus:3:3:0.75")
+    circle = serialize.cover_from_id("circle:3:0.75")
+    assert all(f is circle for f in torus.factor_covers)
+    assert torus.pieces == make_torus_cover(3, 3, 0.75).pieces
+    assert circle.cover_id == "circle:3:0.75"
+
+
 @pytest.mark.parametrize("from_id, ident, message", [
     (serialize.cover_from_id, "circle:2:0.5", "at least 3 arcs"),
     (serialize.cover_from_id, "sphere:3", "unknown cover id"),
@@ -54,6 +63,22 @@ def test_an_id_names_one_shared_object():
      re.escape("cover id product:A|B|C is not product:ID|ID")),
     (serialize.cover_from_id, "product:circle:3:0.6|",
      re.escape("cover id product:circle:3:0.6| is not product:ID|ID")),
+    # an id that fails to parse or to build is named whole, also when the
+    # failure arises in a circle cover of a torus id or a side of a product
+    (serialize.cover_from_id, "circle:x:0.7",
+     re.escape("cover id circle:x:0.7: invalid literal for int()")),
+    (serialize.cover_from_id, "torus:3:3:abc",
+     re.escape("cover id torus:3:3:abc: ") + ".*could not convert"),
+    (serialize.cover_from_id, "circle:4:9",
+     re.escape("cover id circle:4:9: overlap must lie in (0, pi/N)")),
+    (serialize.cover_from_id, "torus:3:3:1.2",
+     re.escape("cover id torus:3:3:1.2: ") + ".*overlap must lie in"),
+    (serialize.decomposition_from_id, "hex:x",
+     re.escape("decomposition id hex:x: invalid literal for int()")),
+    (serialize.decomposition_from_id, "circle:1e3",
+     re.escape("decomposition id circle:1e3: invalid literal for int()")),
+    (serialize.cover_from_id, "product:foo|circle:3:0.6",
+     re.escape("cover id product:foo|circle:3:0.6: unknown cover id: foo")),
 ])
 def test_a_bad_id_raises_on_every_call(from_id, ident, message):
     for _ in range(3):
@@ -224,6 +249,7 @@ def _pushforward_input(tmp_path, cover_id, degree=2):
 @pytest.mark.parametrize("cover_id, base_id", [
     ("product:circle:3:0.6|circle:4:0.7", "circle:3:0.6"),
     ("torus:3:4:0.6", "circle:3:0.6"),
+    ("torus:3:3:0.6", "circle:3:0.6"),
 ])
 def test_cli_pushforward_output_cover_id_is_derived(tmp_path, capsys,
                                                      cover_id, base_id):
@@ -378,6 +404,22 @@ def test_cli_series_tol_outside_its_range_is_a_usage_error(capsys, command,
     assert f"argument --tol: {tol} is not in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["theta", "character"])
+@pytest.mark.parametrize("tau", ["1", "1,2,3", "a,b"])
+def test_cli_malformed_tau_is_a_usage_error(capsys, command, tau):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--lattice", "e8e8", f"--tau={tau}"])
+    assert exc.value.code == 2
+    assert f"argument --tau: {tau} is not RE,IM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["theta", "character"])
+def test_cli_non_finite_tau_is_refused_by_the_evaluator(capsys, command):
+    assert cli.main([command, "--lattice", "e8e8", "--tau=0,nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: tau = nanj is not finite\n"
+
+
 def _good_record():
     """A degree-0 cochain file record with both form and integer rows."""
     cover = serialize.cover_from_id("circle:4:0.55")
@@ -445,6 +487,18 @@ def test_cli_reports_a_malformed_cochain_file(tmp_path, capsys, mutate):
                    "--decomposition", "circle:20"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_names_a_malformed_cover_id_of_a_file(tmp_path, capsys):
+    rec = copy.deepcopy(GOOD_RECORD)
+    rec["cover_id"] = "circle:x:0.7"
+    path = tmp_path / "bad-id.json"
+    path.write_text(json.dumps(rec))
+    rc = cli.main(["holonomy", "--cochain", str(path),
+                   "--decomposition", "circle:20"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cover id circle:x:0.7: ")
 
 
 def _degree1_record(*forms):
