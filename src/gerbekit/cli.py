@@ -171,8 +171,9 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(n, args.trials or DEFAULT_TRIALS[n], args.seed,
                          args.tol) for n in names]
-    payload = [r.to_json() for r in reports]
-    emit(payload[0] if len(payload) == 1 else {"suites": payload})
+    jsons = [r.to_json() for r in reports]
+    payload = jsons[0] if len(jsons) == 1 else {"suites": jsons}
+    emit(payload)
     ok = True
     for r in reports:
         for c in r.checks:
@@ -184,8 +185,7 @@ def cmd_verify(args) -> int:
         ok = ok and r.all_pass
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(payload[0] if len(payload) == 1
-                      else {"suites": payload}, fh, indent=1)
+            json.dump(payload, fh, indent=1)
     return 0 if ok else 1
 
 

@@ -262,21 +262,17 @@ def refine(c: Cover, factor: int):
         raise ValueError("factor must be >= 2")
     if c.factors == 1:
         fine, sig, sig2 = _refine_circle(c, factor)
-        return (fine, Subordination(fine, c, sig), Subordination(fine, c, sig2))
-    if c.factors == 2:
+    elif c.factors == 2:
         ax, ay = c.factor_covers
         fx, sx, sx2 = _refine_circle(ax, factor)
-        fy, sy, sy2 = _refine_circle(ay, factor)
+        fy, sy, _ = _refine_circle(ay, factor)
         fine = product_cover(fx, fy)
-        nb = len(ay.pieces)
-        sig, sig2 = [], []
-        for ja in range(len(fx.pieces)):
-            for jb in range(len(fy.pieces)):
-                sig.append(sx[ja] * nb + sy[jb])
-                # the second map differs along the first factor only
-                sig2.append(sx2[ja] * nb + sy[jb])
-        return (fine, Subordination(fine, c, sig), Subordination(fine, c, sig2))
-    raise ValueError("only 1- and 2-factor covers are supported")
+        sig = [product_index(c, a, b) for a in sx for b in sy]
+        # the second map differs along the first factor only
+        sig2 = [product_index(c, a, b) for a in sx2 for b in sy]
+    else:
+        raise ValueError("only 1- and 2-factor covers are supported")
+    return (fine, Subordination(fine, c, sig), Subordination(fine, c, sig2))
 
 
 # ---------------------------------------------------------------------------

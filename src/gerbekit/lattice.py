@@ -357,7 +357,6 @@ def weyl_index_arithmetic() -> int:
 _ANOMALY = {
     "e8e8_adjoint": (30, 464, 496, 10),
     "spin16_rho": (1, 0, 32, 10),
-    "spin32_rho": (1, 0, 32, 10),
 }
 
 

@@ -379,8 +379,7 @@ class AutomorphyFamily:
     lattice: Optional[IntegralLattice] = None
 
     def __post_init__(self):
-        if self.name not in ("char", "det_u1", "ad", "rho",
-                             "anomaly_ad", "anomaly_rho"):
+        if self.name != "det_u1" and self.name not in _LATTICE_FAMILIES:
             raise ValueError(f"unknown family {self.name}")
         if self.name == "det_u1":
             if self.lattice is not None:
@@ -393,10 +392,11 @@ COXETER_EXPONENT = 30          # the common Coxeter number c_G
 ADJOINT_DIMENSION = 496        # dim of either rank-16 gauge group
 RHO_CHI_POWER = 16
 
-_CG = {"char": 1, "ad": COXETER_EXPONENT, "rho": 1,
-       "anomaly_ad": COXETER_EXPONENT, "anomaly_rho": 1}
-_CHI_POWER = {"char": 0, "ad": ADJOINT_DIMENSION, "rho": RHO_CHI_POWER,
-              "anomaly_ad": 0, "anomaly_rho": 0}
+# each lattice family's (c_G, power of the eta multiplier under S)
+_LATTICE_FAMILIES = {
+    "char": (1, 0), "ad": (COXETER_EXPONENT, ADJOINT_DIMENSION),
+    "rho": (1, RHO_CHI_POWER), "anomaly_ad": (COXETER_EXPONENT, 0),
+    "anomaly_rho": (1, 0)}
 
 
 def _pair(L: IntegralLattice, u, v) -> complex:
@@ -426,14 +426,20 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
             return eta_multiplier(g.data) ** 2 * cmath.exp(
                 PI_I * c * u * u / (c * tau + d))
         if g.kind == "W":
-            return 1.0 + 0j
+            # the isometries of the scalar model are u -> u and u -> -u; the
+            # det section is odd in u
+            if g.data not in (((1,),), ((-1,),)):
+                raise ValueError("W matrix does not preserve the Gram matrix")
+            return complex(g.data[0][0])
         raise ValueError(f"unknown kind {g.kind}")
     L = family.lattice
-    cg = _CG[family.name]
-    chi_pow = _CHI_POWER[family.name]
+    if len(z) != L.rank:
+        raise ValueError(f"family {family.name} on lattice {L.name} needs a "
+                         f"point of rank {L.rank}, got rank {len(z)}")
+    cg, chi_pow = _LATTICE_FAMILIES[family.name]
     if g.kind == "T":
         q1, q2 = g.data
-        if len(q2) != L.rank:
+        if len(q1) != L.rank or len(q2) != L.rank:
             raise ValueError("family/lattice rank mismatch")
         return cmath.exp(cg * PI_I * (-2 * _pair(L, z, q2)
                                       - tau * _pair(L, q2, q2)))

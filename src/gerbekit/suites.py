@@ -39,6 +39,18 @@ from .trigform import Key, TrigForm, _axes_sign, nan_max
 Check = Tuple[str, float]
 
 
+class Worst(dict):
+    """The worst defect of each declared check, in report order: each starts
+    at 0.0 and folds its defects through nan_max, so a NaN or inf defect is
+    kept and never passes.  An undeclared name raises KeyError."""
+
+    def __init__(self, *names: str):
+        super().__init__(dict.fromkeys(names, 0.0))
+
+    def add(self, name: str, defect: float) -> None:
+        self[name] = nan_max(self[name], defect)
+
+
 # ---------------------------------------------------------------------------
 # random instances
 
@@ -60,8 +72,6 @@ def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     The monomials add into one dict in draw order, a key whose running sum
     is exactly zero dropping at once, as in signed_sum.
     """
-    if degree > ambient_dim or degree < 0:
-        return TrigForm.zero(ambient_dim, min(max(degree, 0), ambient_dim))
     terms: Dict[Key, complex] = {}
     axes_pool = _axes_pool(ambient_dim, degree)
     for _ in range(FORM_TERMS):
@@ -140,29 +150,22 @@ def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:
 
 def suite_cochain(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    covers = [("s1", make_circle_cover(4, 0.55), 1),
-              ("t2", make_torus_cover(3, 3, 0.55), 2)]
+    covers = [("s1", make_circle_cover(4, 0.55)),
+              ("t2", make_torus_cover(3, 3, 0.55))]
     # refine draws no random numbers: one refinement per cover serves all
     # trials
-    refinements = [refine(cover, 2) for _, cover, _ in covers]
-    dd_worst = {}
-    hk_worst = {}
+    refinements = [refine(cover, 2) for _, cover in covers]
+    worst = Worst("dd_zero_s1", "homotopy_identity_s1",
+                  "dd_zero_t2", "homotopy_identity_t2")
     for t in range(trials):
-        cname, cover, amb = covers[t % 2]
-        degree = 1 + t % 3
-        omega = random_alternating_cochain(rng, cover, degree, amb)
-        dd = total_d(total_d(omega)).max_defect()
-        dd_worst[cname] = nan_max(dd_worst.get(cname, 0.0), dd)
+        cname, cover = covers[t % 2]
+        omega = random_alternating_cochain(rng, cover, 1 + t % 3, cover.factors)
+        worst.add(f"dd_zero_{cname}", total_d(total_d(omega)).max_defect())
         _, s1, s2 = refinements[t % 2]
         lhs = total_d(homotopy_k(omega, s1, s2)) + homotopy_k(total_d(omega), s1, s2)
         rhs = restrict(omega, s1) - restrict(omega, s2)
-        hk = (lhs - rhs).max_defect()
-        hk_worst[cname] = nan_max(hk_worst.get(cname, 0.0), hk)
-    out = []
-    for cname in ("s1", "t2"):
-        out.append((f"dd_zero_{cname}", dd_worst.get(cname, 0.0)))
-        out.append((f"homotopy_identity_{cname}", hk_worst.get(cname, 0.0)))
-    return out
+        worst.add(f"homotopy_identity_{cname}", (lhs - rhs).max_defect())
+    return list(worst.items())
 
 
 def circle_setup():
@@ -180,32 +183,26 @@ def torus_setup():
 def suite_holonomy(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     cover, dec = circle_setup()
+    worst = Worst("global_form_holonomy", "subordination_shift_s1",
+                  "subordination_shift_t2")
     # (a) the global 1-form alpha dx has holonomy 2 pi alpha
-    worst_global = 0.0
     for alpha in (1.0, -0.7, 0.32):
         T = alpha * TrigForm.monomial(1, (0,), (0,), 1.0)
         om = from_global_form(T, cover)
         rho, _ = two_subordinations(dec, cover, rng)
-        worst_global = nan_max(
-            worst_global, abs(holonomy(om, dec, rho) - 2 * math.pi * alpha))
-    # (b) subordination change shifts holonomy by 2 pi Z
-    worst_shift = 0.0
-    for _ in range(trials):
-        om = random_cocycle(rng, cover, 1)
-        rho, rho2 = two_subordinations(dec, cover, rng)
-        d = invariance_defect(om, dec, rho, rho2)
-        worst_shift = nan_max(worst_shift, nearest_2pi_multiple_defect(d))
-    # same on the torus with degree-2 cocycles
-    cover2, dec2 = torus_setup()
-    worst_t2 = 0.0
-    for _ in range(max(trials // 4, 2)):
-        om = random_cocycle(rng, cover2, 2)
-        rho, rho2 = two_subordinations(dec2, cover2, rng)
-        d = invariance_defect(om, dec2, rho, rho2)
-        worst_t2 = nan_max(worst_t2, nearest_2pi_multiple_defect(d))
-    return [("global_form_holonomy", worst_global),
-            ("subordination_shift_s1", worst_shift),
-            ("subordination_shift_t2", worst_t2)]
+        worst.add("global_form_holonomy",
+                  abs(holonomy(om, dec, rho) - 2 * math.pi * alpha))
+    # (b) a subordination change shifts holonomy by 2 pi Z: on the circle
+    # with degree-1 cocycles, then on the torus with degree-2 ones
+    for name, (cov, dc), count in (
+            ("subordination_shift_s1", (cover, dec), trials),
+            ("subordination_shift_t2", torus_setup(), max(trials // 4, 2))):
+        for _ in range(count):
+            om = random_cocycle(rng, cov, cov.factors)
+            rho, rho2 = two_subordinations(dc, cov, rng)
+            worst.add(name, nearest_2pi_multiple_defect(
+                invariance_defect(om, dc, rho, rho2)))
+    return list(worst.items())
 
 
 def suite_pushforward(trials: int, seed: int) -> List[Check]:
@@ -213,8 +210,8 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
     base = make_circle_cover(3, 0.6)
     fiber_s1, dec_s1 = circle_setup()
     fiber_t2, dec_t2 = torus_setup()
-    results = {"stokes_s1": 0.0, "stokes_t2": 0.0,
-               "cocycle_closed": 0.0, "homotopy_residual": 0.0}
+    worst = Worst("cocycle_closed", "homotopy_residual", "stokes_s1",
+                  "stokes_t2")
     # built once, so their nerves are enumerated once for all trials
     cover_s1 = product_cover(base, fiber_s1)
     cover_t2 = product_cover(base, fiber_t2)
@@ -223,22 +220,18 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
         degree = 1 + t % 2
         om = random_alternating_cochain(rng, cover_s1, degree, 2)
         rho, rho2 = two_subordinations(dec_s1, fiber_s1, rng)
-        results["stokes_s1"] = nan_max(
-            results["stokes_s1"], pushforward_commutes_defect(om, dec_s1, rho))
+        worst.add("stokes_s1", pushforward_commutes_defect(om, dec_s1, rho))
         if degree >= 2:
             oc = random_cocycle(rng, cover_s1, degree)
-            pushed = pushforward(oc, dec_s1, rho)
-            results["cocycle_closed"] = nan_max(results["cocycle_closed"],
-                                                total_d(pushed).max_defect())
-            results["homotopy_residual"] = nan_max(
-                results["homotopy_residual"],
-                homotopy_residual(oc, dec_s1, rho, rho2))
+            worst.add("cocycle_closed",
+                      total_d(pushforward(oc, dec_s1, rho)).max_defect())
+            worst.add("homotopy_residual",
+                      homotopy_residual(oc, dec_s1, rho, rho2))
     for t in range(max(trials // 2, 2)):
         om = random_alternating_cochain(rng, cover_t2, 2 + t % 2, 3)
         rho, _ = two_subordinations(dec_t2, fiber_t2, rng)
-        results["stokes_t2"] = nan_max(
-            results["stokes_t2"], pushforward_commutes_defect(om, dec_t2, rho))
-    return sorted(results.items())
+        worst.add("stokes_t2", pushforward_commutes_defect(om, dec_t2, rho))
+    return list(worst.items())
 
 
 def random_connection(rng) -> liecs.LieValuedForm:
@@ -278,35 +271,28 @@ def _su2_exp(theta) -> np.ndarray:
 
 def suite_chernsimons(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    results = {"d_cs_equals_ff": 0.0, "gauge_variation": 0.0,
-               "bianchi": 0.0, "bracket_oracle": 0.0, "mc_flat": 0.0}
+    worst = Worst("bianchi", "bracket_oracle", "d_cs_equals_ff",
+                  "gauge_variation", "mc_flat")
     for _ in range(trials):
         A = random_connection(rng)
         F = liecs.curvature(A)
-        results["d_cs_equals_ff"] = nan_max(
-            results["d_cs_equals_ff"],
-            (liecs.cs_form(A).d() - liecs.pairing(F, F)).max_abs())
-        results["bianchi"] = nan_max(
-            results["bianchi"],
-            (F.d() - liecs.graded_bracket(F, A)).max_abs())
+        worst.add("d_cs_equals_ff",
+                  (liecs.cs_form(A).d() - liecs.pairing(F, F)).max_abs())
+        worst.add("bianchi", (F.d() - liecs.graded_bracket(F, A)).max_abs())
         t = random_gauge_map(rng)
-        results["gauge_variation"] = nan_max(
-            results["gauge_variation"], liecs.gauge_variation_defect(A, t))
+        worst.add("gauge_variation", liecs.gauge_variation_defect(A, t))
         theta = t.maurer_cartan()
-        results["mc_flat"] = nan_max(
-            results["mc_flat"],
-            (theta.d() + 0.5 * liecs.graded_bracket(theta, theta)).max_abs())
+        worst.add("mc_flat", (theta.d() + 0.5 * liecs.graded_bracket(
+            theta, theta)).max_abs())
         B = random_connection(rng)
         br = liecs.graded_bracket(A, B)
-        key = next(iter(br.terms)) if br.terms else None
-        if key is not None:
+        if br.terms:
             x = rng.random(3)
             vecs = [rng.normal(size=3) for _ in range(2)]
             lhs = br.evaluate(x, vecs)
             rhs = liecs.bracket_oracle_value(A, B, x, vecs)
-            results["bracket_oracle"] = nan_max(
-                results["bracket_oracle"], float(np.max(np.abs(lhs - rhs))))
-    return sorted(results.items())
+            worst.add("bracket_oracle", float(np.max(np.abs(lhs - rhs))))
+    return list(worst.items())
 
 
 def suite_lattice(trials: int, seed: int) -> List[Check]:
@@ -347,15 +333,18 @@ def modular_sample_points(L, rng):
 
 def suite_modular(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    checks: List[Check] = []
+    worst = Worst("eta_shift", "eta_inversion", "chi_24th_root", "theta1_odd",
+                  "det_section_q1_law", "det_section_q2_law",
+                  "theta_e8e8_square", "theta_vs_enumeration",
+                  "character_T_law", "character_W_law", "char_cocycle_TT",
+                  "ad_is_char_pow30", "extra_multiplier_eta16")
     # eta laws
-    checks.append(("eta_shift", abs(eta(2j + 1)
-                                    - cmath.exp(1j * math.pi / 12) * eta(2j))))
+    worst.add("eta_shift",
+              abs(eta(2j + 1) - cmath.exp(1j * math.pi / 12) * eta(2j)))
     t = 1 + 3j
-    checks.append(("eta_inversion",
-                   abs(eta(-1 / t) / (cmath.sqrt(-1j * t) * eta(t)) - 1)))
+    worst.add("eta_inversion",
+              abs(eta(-1 / t) / (cmath.sqrt(-1j * t) * eta(t)) - 1))
     # chi closure
-    worst = 0.0
     for _ in range(max(trials, 20)):
         m = np.eye(2, dtype=np.int64)
         for _ in range(int(rng.integers(1, 5))):
@@ -366,60 +355,50 @@ def suite_modular(trials: int, seed: int) -> List[Check]:
             m = m @ g
         try:
             chi = eta_multiplier((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
-            worst = nan_max(worst, abs(chi ** 24 - 1))
+            worst.add("chi_24th_root", abs(chi ** 24 - 1))
         except ValueError:
-            worst = nan_max(worst, 1.0)
-    checks.append(("chi_24th_root", worst))
+            worst.add("chi_24th_root", 1.0)
     # twisted theta
-    checks.append(("theta1_odd", abs(theta1(2j, 0))))
-    worst1 = worst2 = 0.0
+    worst.add("theta1_odd", abs(theta1(2j, 0)))
     df = AutomorphyFamily("det_u1")
     for _ in range(5):
         tau = complex(0.4 * (rng.random() - 0.5), 1.0 + rng.random())
         u = complex(0.4 * (rng.random() - 0.5), 0.3 * (rng.random() - 0.5))
         x = ModuliPoint(tau, (u,))
-        worst1 = nan_max(worst1, transform_defect(
-            df, GroupElement.T([1], [0]), x))
-        worst2 = nan_max(worst2, transform_defect(
-            df, GroupElement.T([0], [1]), x))
-    checks.append(("det_section_q1_law", worst1))
-    checks.append(("det_section_q2_law", worst2))
+        worst.add("det_section_q1_law",
+                  transform_defect(df, GroupElement.T([1], [0]), x))
+        worst.add("det_section_q2_law",
+                  transform_defect(df, GroupElement.T([0], [1]), x))
     # theta series
     e8 = builtin("e8")
     e8e8 = builtin("e8e8")
     v = theta_lattice(e8, 1.7j, [0] * 8)
-    checks.append(("theta_e8e8_square",
-                   abs(theta_lattice(e8e8, 1.7j, [0] * 16) - v * v)))
+    worst.add("theta_e8e8_square",
+              abs(theta_lattice(e8e8, 1.7j, [0] * 16) - v * v))
     z8 = list(0.3 * rng.random(8))
-    checks.append(("theta_vs_enumeration",
-                   abs(theta_lattice(e8, 1.5j, z8)
-                       - theta_lattice_enum(e8, 1.5j, z8, max_norm=14))))
+    worst.add("theta_vs_enumeration",
+              abs(theta_lattice(e8, 1.5j, z8)
+                  - theta_lattice_enum(e8, 1.5j, z8, max_norm=14)))
     # character transformation under T and W generators
     rts = roots(e8e8)
     fam = AutomorphyFamily("char", e8e8)
-    worst_t = worst_w = worst_ratio = worst_coc = 0.0
     adf = AutomorphyFamily("anomaly_ad", e8e8)
     for x in modular_sample_points(e8e8, rng):
         q1 = rts[int(rng.integers(len(rts)))]
         q2 = rts[int(rng.integers(len(rts)))]
         g = GroupElement.T(q1, q2)
         w = reflection_element(e8e8, rts[int(rng.integers(len(rts)))])
-        worst_t = nan_max(worst_t, transform_defect(fam, g, x))
-        worst_w = nan_max(worst_w, transform_defect(fam, w, x))
+        worst.add("character_T_law", transform_defect(fam, g, x))
+        worst.add("character_W_law", transform_defect(fam, w, x))
         h = GroupElement.T(rts[int(rng.integers(len(rts)))],
                            rts[int(rng.integers(len(rts)))])
-        worst_coc = nan_max(worst_coc, cocycle_defect(fam, g, h, x))
+        worst.add("char_cocycle_TT", cocycle_defect(fam, g, h, x))
         ref = factor(adf, g, x) / factor(fam, g, x) ** 30
-        worst_ratio = nan_max(worst_ratio, abs(ref - 1))
-    checks.append(("character_T_law", worst_t))
-    checks.append(("character_W_law", worst_w))
-    checks.append(("char_cocycle_TT", worst_coc))
-    checks.append(("ad_is_char_pow30", worst_ratio))
+        worst.add("ad_is_char_pow30", abs(ref - 1))
     # the measured extra multiplier under tau -> tau + 1
     m = measure_extra_multiplier(GroupElement.S(1, 1, 0, 1))
-    checks.append(("extra_multiplier_eta16",
-                   abs(m - cmath.exp(-4j * math.pi / 3))))
-    return checks
+    worst.add("extra_multiplier_eta16", abs(m - cmath.exp(-4j * math.pi / 3)))
+    return list(worst.items())
 
 
 def suite_crossmodule(trials: int, seed: int) -> List[Check]:
@@ -427,7 +406,7 @@ def suite_crossmodule(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     cover, dec = torus_setup()
     rho, _ = two_subordinations(dec, cover, rng)
-    worst = 0.0
+    worst = Worst("flat_class_coboundary_invariance")
     for _ in range(trials):
         h = float(rng.uniform(0.3, 5.5))
         T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
@@ -438,8 +417,9 @@ def suite_crossmodule(trials: int, seed: int) -> List[Check]:
                                         with_field_strength=False)
         cls2 = classify_flat_2cocycle(om + total_d(xi), dec, rho)
         delta = abs(cls - cls2)
-        worst = nan_max(worst, min(delta, abs(delta - 2 * math.pi)))
-    return [("flat_class_coboundary_invariance", worst)]
+        worst.add("flat_class_coboundary_invariance",
+                  min(delta, abs(delta - 2 * math.pi)))
+    return list(worst.items())
 
 
 SUITES = {

@@ -256,9 +256,7 @@ class TrigForm:
         for r in records:
             key = (tuple(r["freq"]), tuple(r["axes"]))
             terms[key] = terms.get(key, 0.0) + complex(r["re"], r["im"])
-        form = TrigForm.zero(ambient_dim, degree)     # checks the degree
-        form.terms = _checked_terms(ambient_dim, degree, terms)
-        return form
+        return TrigForm(ambient_dim, degree, terms)
 
 
 def _checked_terms(ambient_dim: int, degree: int,

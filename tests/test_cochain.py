@@ -169,10 +169,12 @@ def test_classify_flat_2cocycle_value():
     rng = np.random.default_rng(50)
     from gerbekit.covers import two_subordinations
     rho, _ = two_subordinations(dec, cover, rng)
-    h = 2.2
-    T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
-    om = DiffCochain(2, cover, components={(a,): T for a in cover.indices})
-    assert abs(classify_flat_2cocycle(om, dec, rho) - h) < 1e-10
+    # the class of (h / 4 pi^2) dx0 dx1 is h itself; a class taken mod pi
+    # instead of mod 2 pi is off by pi at h = 4.0 and 5.5
+    for h in (2.2, 4.0, 5.5):
+        T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
+        om = DiffCochain(2, cover, components={(a,): T for a in cover.indices})
+        assert abs(classify_flat_2cocycle(om, dec, rho) - h) < 1e-10, h
 
 
 def test_classify_rejects_non_cocycle():

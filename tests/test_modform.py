@@ -135,6 +135,15 @@ def test_det_section_s_transformations():
     assert transform_defect(df, GroupElement.S(0, -1, 1, 0), x) < 1e-9
 
 
+def test_det_section_is_odd_under_the_reflection():
+    # W = [[-1]] sends u to -u, and the det section is odd in u
+    df = AutomorphyFamily("det_u1")
+    x = ModuliPoint(1.3j, (0.2 + 0.1j,))
+    assert factor(df, GroupElement.W([[-1]]), x) == -1
+    assert transform_defect(df, GroupElement.W([[-1]]), x) < 1e-12
+    assert factor(df, GroupElement.W([[1]]), x) == 1
+
+
 @pytest.fixture(scope="module")
 def e8():
     return builtin("e8")

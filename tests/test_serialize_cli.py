@@ -381,6 +381,15 @@ def test_nearest_2pi_multiple_defect_of_non_finite_is_nan():
     assert nearest_2pi_multiple_defect(2 * math.pi + 0.25) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("k", [-1, 1, 3, 5, 2, 4])
+def test_nearest_2pi_multiple_defect_tells_2pi_from_pi(k):
+    # an odd multiple of pi is pi away from 2 pi Z; a check that reduced
+    # mod pi would read 0 there
+    expected = math.pi if k % 2 else 0.0
+    assert nearest_2pi_multiple_defect(k * math.pi) == pytest.approx(
+        expected, abs=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "cochain", "--trials", "-3"],
     ["lattice", "--name", "e8", "--enumerate-norm", "-2"],
@@ -720,3 +729,32 @@ def test_cli_factor_checks_coroot_isometries(capsys, swap, rc):
         assert err.startswith("error: ")
     else:
         assert json.loads(out) == {"value_re": 1.0, "value_im": 0.0}
+
+
+_ONE_COORDINATE = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]]})
+_MALFORMED_FACTOR = [
+    ("det_u1-W-not-an-isometry", "det_u1", None, {"W": [[1, 0], [0, 5]]},
+     _ONE_COORDINATE, "W matrix does not preserve the Gram matrix"),
+    ("char-W-one-coordinate", "char", "e8e8",
+     {"W": [[int(i == j) for j in range(16)] for i in range(16)]},
+     _ONE_COORDINATE,
+     "family char on lattice e8e8 needs a point of rank 16, got rank 1"),
+    ("char-T-short-q1", "char", "e8e8", {"T": [[1, 0, 0], [0] * 16]},
+     json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]] * 16}),
+     "family/lattice rank mismatch"),
+    ("char-S-rank-8-point", "char", "e8e8", {"S": [0, -1, 1, 0]}, GOOD_POINT,
+     "family char on lattice e8e8 needs a point of rank 16, got rank 8"),
+]
+
+
+@pytest.mark.parametrize("family,lattice,element,point,message",
+                         [c[1:] for c in _MALFORMED_FACTOR],
+                         ids=[c[0] for c in _MALFORMED_FACTOR])
+def test_cli_factor_refuses_an_element_or_point_of_the_wrong_rank(
+        capsys, family, lattice, element, point, message):
+    argv = ["factor", "--family", family, "--element", json.dumps(element),
+            "--point", point]
+    assert cli.main(argv + (["--lattice", lattice] if lattice else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
