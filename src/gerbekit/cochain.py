@@ -4,18 +4,19 @@ A degree-n cochain over a cover U is the multiplet
 
     omega = (H, omega^n_a, omega^{n-1}_{ab}, ..., omega^{-1}_{a0...a_{n+1}})
 
-where H is an optional global field strength (degree n+1), the level-r
-component attached to a multi-index of length r+1 <= n+1 is a form of
-degree n-r, and the bottom level, at length n+2, consists of integers m
-standing for the constants 2*pi*m.  One lookup, DiffCochain.component,
-serves every level: a TrigForm up to length n+1 and a Python int at length
-n+2.  Components indexed by a multi-index with a repeated entry are zero by
-convention.
+where H, the global field strength (degree n+1), is the slot at the empty
+multi-index (), the level-r component attached to a multi-index of length
+r+1 <= n+1 is a form of degree n-r, and the bottom level, at length n+2,
+consists of integers m standing for the constants 2*pi*m.  One lookup,
+DiffCochain.component, serves every level: a TrigForm up to length n+1 and
+a Python int at length n+2.  Components indexed by a multi-index with a
+repeated entry are zero by convention.
 
 The total differential acts on the (r, s) bigraded slot as
 delta + (-1)^{r+1} d, with d on the integer row the inclusion of 2*pi*m as
 a constant function; this is the unique sign choice compatible with d**2 = 0
-at every level, and the top output slot of a non-flat input carries
+at every level.  The same formula gives every slot, H included: the output's
+H is dH, as delta has no term at length 0, and its top slot is
 H - d(omega^n_a).
 """
 
@@ -55,9 +56,10 @@ class DiffCochain:
     """A (possibly non-flat) differential n-cochain over a cover.
 
     Its forms live on the torus of its cover, T^(cover.factors).
-    Every level, integer row included, is read through `component`.  Values
-    are held in the `components` dict, keyed by multi-index (lengths 1..n+1
-    hold TrigForms, length n+2 Python ints), or computed on demand by
+    Every level, field strength and integer row included, is read through
+    `component`.  Values are held in the `components` dict, keyed by
+    multi-index (the empty index holds H, lengths 1..n+1 hold TrigForms,
+    length n+2 Python ints), or computed on demand by
     `component_fn` and memoised there.  The operators below build their
     results that way, and a random alternating cochain stores one value per
     sorted support and derives every other ordering through its
@@ -70,16 +72,9 @@ class DiffCochain:
                  component_fn: Optional[Callable[[Idx], Level]] = None):
         self.degree = degree
         self.cover = cover
-        self.field_strength = field_strength
         self.components = components or {}
         self.component_fn = component_fn
         self.ambient_dim = amb = cover.factors
-        if field_strength is not None and (
-                field_strength.ambient_dim != amb
-                or field_strength.degree != min(degree + 1, amb)):
-            raise ValueError(f"the field strength must be a form of degree "
-                             f"{min(degree + 1, amb)} on T^{amb}, the torus of "
-                             f"its cover")
         for idx, value in self.components.items():
             want = degree - (len(idx) - 1)
             if want == -1:
@@ -90,6 +85,17 @@ class DiffCochain:
                 raise ValueError(f"component at {idx} must be a form of "
                                  f"degree {want} on T^{amb}, the torus of its "
                                  f"cover")
+        if field_strength is not None:
+            if (field_strength.ambient_dim != amb
+                    or field_strength.degree != min(degree + 1, amb)):
+                raise ValueError(f"the field strength must be a form of "
+                                 f"degree {min(degree + 1, amb)} on T^{amb}, "
+                                 f"the torus of its cover")
+            if degree + 1 > amb and field_strength.terms:
+                raise ValueError(f"a degree-{degree} cochain on T^{amb} has "
+                                 f"no field strength: T^{amb} has no "
+                                 f"{degree + 1}-form")
+            self.components[()] = field_strength
 
     # -- lookups -----------------------------------------------------------
 
@@ -97,7 +103,8 @@ class DiffCochain:
         return self.degree - (idx_len - 1)
 
     def component(self, idx: Sequence[int]) -> Level:
-        """The value at idx: a TrigForm up to length n+1, an int at n+2."""
+        """The value at idx: a TrigForm up to length n+1 (H at length 0),
+        an int at n+2."""
         idx = tuple(idx)
         deg = self.level_degree(len(idx))
         if deg < -1 or deg > self.ambient_dim or len(set(idx)) != len(idx):
@@ -109,10 +116,10 @@ class DiffCochain:
             got = self.components[idx] = self.component_fn(idx)
         return got
 
-    def get_field_strength(self) -> TrigForm:
-        if self.field_strength is None:
-            return level_zero(self.degree, self.ambient_dim, 0)
-        return self.field_strength
+    @property
+    def field_strength(self) -> TrigForm:
+        """H, the slot at the empty multi-index."""
+        return self.component(())
 
     # -- linear structure --------------------------------------------------
 
@@ -131,12 +138,7 @@ class DiffCochain:
         def comp(idx):
             return signed_sum(a.component(idx), ((odd, b.component(idx)),))
 
-        H = None
-        if a.field_strength is not None or b.field_strength is not None:
-            H = signed_sum(a.get_field_strength(),
-                           ((odd, b.get_field_strength()),))
-        return DiffCochain(self.degree, self.cover, field_strength=H,
-                           component_fn=comp)
+        return DiffCochain(self.degree, self.cover, component_fn=comp)
 
     def __neg__(self) -> "DiffCochain":
         a = self
@@ -144,9 +146,7 @@ class DiffCochain:
         def comp(idx):
             return -a.component(idx)
 
-        H = None if a.field_strength is None else -a.field_strength
-        return DiffCochain(self.degree, self.cover, field_strength=H,
-                           component_fn=comp)
+        return DiffCochain(self.degree, self.cover, component_fn=comp)
 
     # -- materialization ---------------------------------------------------
 
@@ -166,11 +166,8 @@ class DiffCochain:
 
     def max_defect(self) -> float:
         """Largest coefficient magnitude over all levels (integers scaled by 2*pi)."""
-        mat = self.materialize()
         worst = 0.0
-        if self.field_strength is not None:
-            worst = nan_max(worst, self.field_strength.max_abs())
-        for value in mat.components.values():
+        for value in self.materialize().components.values():
             worst = nan_max(worst, _magnitude(value))
         return worst
 
@@ -201,11 +198,8 @@ def total_d(omega: DiffCochain) -> DiffCochain:
     """
     n = omega.degree
     amb = omega.ambient_dim
-    H = omega.get_field_strength()
 
     def comp(idx: Idx) -> Level:
-        if len(idx) == 1:
-            return H - omega.component(idx).d()
         # (delta omega)_{i0..ir} = sum_j (-1)^j omega_{i0..^ij..ir}
         terms = [(j % 2, omega.component(idx[:j] + idx[j + 1:]))
                  for j in range(len(idx))]
@@ -220,8 +214,7 @@ def total_d(omega: DiffCochain) -> DiffCochain:
                 terms.append((odd, TrigForm.constant(amb, 2 * math.pi * m)))
         return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
 
-    return DiffCochain(n + 1, omega.cover, field_strength=H.d(),
-                       component_fn=comp)
+    return DiffCochain(n + 1, omega.cover, component_fn=comp)
 
 
 def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
@@ -232,8 +225,7 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
     def comp(idx):
         return omega.component(tuple(sig[j] for j in idx))
 
-    return DiffCochain(omega.degree, s.source,
-                       field_strength=omega.field_strength, component_fn=comp)
+    return DiffCochain(omega.degree, s.source, component_fn=comp)
 
 
 def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> DiffCochain:
@@ -243,7 +235,7 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
     omega_{s1(j1)...s1(jt) s2(jt)...s2(jr)}; with the delta convention
     (delta c)_{i0...ir} = sum_j (-1)^j c_{...no ij...} this is the unique
     overall sign making d_total(k omega) + k(d_total omega) = s1* - s2*.
-    Output field strength 0.
+    Output field strength 0, the empty sum.
     """
     if s1.source is not s2.source or s1.target is not s2.target:
         raise ValueError("subordinations must share source and target")
@@ -260,9 +252,7 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
                           ((t % 2, omega.component(mixed(idx, t)))
                            for t in range(1, len(idx) + 1)))
 
-    return DiffCochain(n - 1, s1.source,
-                       field_strength=level_zero(n - 1, omega.ambient_dim, 0),
-                       component_fn=comp)
+    return DiffCochain(n - 1, s1.source, component_fn=comp)
 
 
 # a defect of D omega, or a field-strength coefficient, at most this large
@@ -279,8 +269,7 @@ def classify_flat_2cocycle(omega: DiffCochain, dec, rho) -> float:
     from .holonomy import holonomy
     if omega.degree != 2:
         raise ValueError("need a degree-2 cochain")
-    if (omega.field_strength is not None
-            and not omega.field_strength.is_zero(COCYCLE_TOL)):
+    if not omega.field_strength.is_zero(COCYCLE_TOL):
         raise ValueError("cochain is not flat")
     if not is_cocycle(omega):
         raise ValueError("input is not a cocycle")

@@ -186,7 +186,7 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError("push-forward needs a product cover")
     if omega.degree < dec.dim:
         raise ValueError("cochain degree must be at least dim E")
-    T = omega.get_field_strength().fiber_integrate_global(
+    T = omega.field_strength.fiber_integrate_global(
         cover.factor_covers[0].factors)
     return _fiber_integral(
         omega, dec, omega.degree - dec.dim,

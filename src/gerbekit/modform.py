@@ -306,6 +306,9 @@ class GroupElement:
 
     @staticmethod
     def W(matrix: Sequence[Sequence[int]]) -> "GroupElement":
+        if any(len(row) != len(matrix) for row in matrix):
+            raise ValueError(f"W must be a square matrix, got rows of "
+                             f"lengths {[len(row) for row in matrix]}")
         return GroupElement("W", tuple(tuple(int(x) for x in row)
                                        for row in matrix))
 
@@ -362,6 +365,10 @@ def act(g: GroupElement, x: ModuliPoint) -> ModuliPoint:
                      + tau * np.array(q2, dtype=float))
             return ModuliPoint(tau, tuple(new_z))
         if g.kind == "W":
+            if len(g.data) != len(z):
+                raise ValueError(f"a {len(g.data)}x{len(g.data)} W matrix "
+                                 f"acts on points of rank {len(g.data)}, got "
+                                 f"a point of rank {len(z)}")
             M = np.array(g.data, dtype=np.int64)
             return ModuliPoint(tau, tuple(M @ z))
     raise ValueError(f"unknown group element kind {g.kind}")
@@ -418,6 +425,10 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
             raise ValueError("det_u1 expects a single coordinate u")
         u = z[0]
         if g.kind == "T":
+            if any(len(q) != 1 for q in g.data):
+                raise ValueError(f"family det_u1 has rank 1: T needs q1 and "
+                                 f"q2 of length 1, got lengths "
+                                 f"{[len(q) for q in g.data]}")
             (q1,), (q2,) = g.data
             return ((-1) ** (q1 + q2)) * cmath.exp(
                 PI_I * (-2 * u * q2 - tau * q2 * q2))

@@ -114,18 +114,18 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     if cover_from_id(cover_id).pieces != omega.cover.pieces:
         raise ValueError(f"cover id {cover_id} names another cover than the "
                          f"cochain's")
-    # the integer row (index length n+2) is listed apart from the forms
-    levels = sorted(omega.materialize().components.items())
+    # the field strength (index ()) and the integer row (index length n+2)
+    # are listed apart from the forms
+    mat = omega.materialize().components
+    fs = mat.pop(())
+    levels = sorted(mat.items())
     top = omega.degree + 2
     comps = [{"indices": list(idx), "form": _form_record(f)}
              for idx, f in levels if len(idx) < top]
     ints = [{"indices": list(idx), "m": m} for idx, m in levels
             if len(idx) == top]
-    fs = None
-    if omega.field_strength is not None:
-        fs = _form_record(omega.field_strength)
     return {"degree": omega.degree, "cover_id": cover_id,
-            "field_strength": fs, "components": comps,
+            "field_strength": _form_record(fs), "components": comps,
             "integer_components": ints}
 
 

@@ -21,9 +21,7 @@ from . import liecs
 from .cochain import (DiffCochain, Level, classify_flat_2cocycle,
                       from_global_form, homotopy_k, level_zero, restrict,
                       total_d)
-from .covers import (Cover, make_circle_cover, make_circle_decomposition,
-                     make_torus_cover, make_torus_hex_decomposition,
-                     product_cover, refine, two_subordinations)
+from .covers import Cover, refine, two_subordinations
 from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect)
 from .holonomy import holonomy, invariance_defect, nearest_2pi_multiple_defect
@@ -34,6 +32,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       cocycle_defect, eta, eta_multiplier, factor,
                       measure_extra_multiplier, reflection_element, theta1,
                       theta_lattice, theta_lattice_enum, transform_defect)
+from .serialize import cover_from_id, decomposition_from_id
 from .trigform import Key, TrigForm, _axes_sign, nan_max
 
 Check = Tuple[str, float]
@@ -150,8 +149,8 @@ def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:
 
 def suite_cochain(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    covers = [("s1", make_circle_cover(4, 0.55)),
-              ("t2", make_torus_cover(3, 3, 0.55))]
+    covers = [("s1", cover_from_id("circle:4:0.55")),
+              ("t2", cover_from_id("torus:3:3:0.55"))]
     # refine draws no random numbers: one refinement per cover serves all
     # trials
     refinements = [refine(cover, 2) for _, cover in covers]
@@ -169,15 +168,11 @@ def suite_cochain(trials: int, seed: int) -> List[Check]:
 
 
 def circle_setup():
-    cover = make_circle_cover(4, 0.7)
-    dec = make_circle_decomposition(20)
-    return cover, dec
+    return cover_from_id("circle:4:0.7"), decomposition_from_id("circle:20")
 
 
 def torus_setup():
-    cover = make_torus_cover(3, 3, 0.75)
-    dec = make_torus_hex_decomposition(6)
-    return cover, dec
+    return cover_from_id("torus:3:3:0.75"), decomposition_from_id("hex:6")
 
 
 def suite_holonomy(trials: int, seed: int) -> List[Check]:
@@ -207,14 +202,12 @@ def suite_holonomy(trials: int, seed: int) -> List[Check]:
 
 def suite_pushforward(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    base = make_circle_cover(3, 0.6)
     fiber_s1, dec_s1 = circle_setup()
     fiber_t2, dec_t2 = torus_setup()
     worst = Worst("cocycle_closed", "homotopy_residual", "stokes_s1",
                   "stokes_t2")
-    # built once, so their nerves are enumerated once for all trials
-    cover_s1 = product_cover(base, fiber_s1)
-    cover_t2 = product_cover(base, fiber_t2)
+    cover_s1 = cover_from_id("product:circle:3:0.6|circle:4:0.7")
+    cover_t2 = cover_from_id("product:circle:3:0.6|torus:3:3:0.75")
     for t in range(trials):
         # E = S^1
         degree = 1 + t % 2

@@ -9,7 +9,9 @@ from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
                               restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover,
                              product_cover, refine, two_subordinations)
-from gerbekit.suites import random_alternating_cochain, torus_setup
+from gerbekit.serialize import cover_from_id
+from gerbekit.suites import (random_alternating_cochain, random_cocycle,
+                             random_real_form, torus_setup)
 from gerbekit.trigform import TrigForm
 
 
@@ -98,7 +100,7 @@ def test_top_slot_of_d_is_field_strength_minus_d():
     rng = np.random.default_rng(3)
     om = random_alternating_cochain(rng, cover, 1, 1)
     out = total_d(om)
-    expect = om.get_field_strength() - om.component((2,)).d()
+    expect = om.field_strength - om.component((2,)).d()
     assert (out.component((2,)) - expect).max_abs() < 1e-14
 
 
@@ -263,3 +265,62 @@ def test_a_cochain_lives_on_its_covers_torus():
         random_alternating_cochain(rng, circle, 1, 2)
     with pytest.raises(ValueError, match="on T\\^1, the torus of its cover"):
         from_global_form(TrigForm.monomial(2, (0, 0), (0,), 1.0), circle)
+
+
+def test_total_d_of_a_degree_minus_one_cochain():
+    # at degree -1 the single-index level is the integer row: m enters the
+    # output's top slot as -2 pi m, and delta m fills its integer row
+    cover = make_circle_cover(4, 0.55)
+    out = total_d(DiffCochain(-1, cover, components={(0,): 2}))
+    assert out.component((0,)).terms == {((0,), ()): -4 * math.pi}
+    assert (out.component((0, 1)), out.component((1, 0))) == (-2, 2)
+    om = random_alternating_cochain(np.random.default_rng(6), cover, -1, 1)
+    assert om.field_strength.terms
+    assert total_d(total_d(om)).max_defect() < 1e-12
+
+
+@pytest.mark.parametrize("cover_id", ["circle:4:0.55", "torus:3:3:0.55"])
+def test_homotopy_identity_in_degree_zero(cover_id):
+    # K omega has degree -1, so d_total(K omega) reads its integer row at
+    # single indices
+    cover = cover_from_id(cover_id)
+    om = random_alternating_cochain(np.random.default_rng(2), cover, 0,
+                                    cover.factors)
+    fine, s1, s2 = refine(cover, 2)
+    lhs = total_d(homotopy_k(om, s1, s2)) + homotopy_k(total_d(om), s1, s2)
+    rhs = restrict(om, s1) - restrict(om, s2)
+    assert (lhs - rhs).max_defect() < 1e-12
+
+
+def test_restriction_of_a_cocycle_with_a_field_strength_is_a_cocycle():
+    cover = make_torus_cover(3, 3, 0.55)
+    om = random_cocycle(np.random.default_rng(3), cover, 1)
+    assert om.field_strength.max_abs() > 1.0 and is_cocycle(om)
+    fine, s1, _ = refine(cover, 2)
+    assert total_d(restrict(om, s1)).max_defect() < 1e-12
+
+
+def test_every_operator_gives_the_field_strength_slot_by_its_rule():
+    cover = make_torus_cover(3, 3, 0.55)
+    rng = np.random.default_rng(7)
+    a, b = (random_alternating_cochain(rng, cover, 0, 2) for _ in range(2))
+    Ha, Hb = a.field_strength, b.field_strength
+    assert Ha.terms and Hb.terms and a.component(()) is Ha
+    fine, s1, s2 = refine(cover, 2)
+    T = random_real_form(rng, 2, 1)
+    for got, want in [(a + b, Ha + Hb), (a - b, Ha - Hb), (-a, -Ha),
+                      (total_d(a), Ha.d()), (restrict(a, s1), Ha),
+                      (homotopy_k(a, s1, s2), TrigForm.zero(2, 0)),
+                      (from_global_form(T, cover), T.d())]:
+        H = got.component(())
+        assert (H.degree, H.terms) == (want.degree, want.terms)
+    assert Ha.d().terms and T.d().terms
+
+
+def test_a_top_degree_cochain_refuses_a_field_strength_with_terms():
+    cover = make_circle_cover(4, 0.55)
+    DiffCochain(1, cover, field_strength=TrigForm.zero(1, 1))
+    with pytest.raises(ValueError, match="a degree-1 cochain on T\\^1 has no "
+                       "field strength: T\\^1 has no 2-form"):
+        DiffCochain(1, cover,
+                    field_strength=TrigForm.monomial(1, (0,), (0,), 5.0))

@@ -9,7 +9,7 @@ import pytest
 
 import gerbekit
 from gerbekit import cli, fiberint
-from gerbekit.cochain import from_global_form, total_d
+from gerbekit.cochain import DiffCochain, from_global_form, total_d
 from gerbekit.covers import (make_circle_cover, product_cover,
                              two_subordinations)
 from gerbekit.fiberint import (homotopy_residual, monotone_paths,
@@ -83,6 +83,24 @@ def test_pushforward_of_global_form_is_fiber_integral():
     out = pushforward(om, dec, rho)
     expect = T.fiber_integrate_global(1)
     assert (out.component((0,)) - expect).max_abs() < 1e-10
+
+
+def test_pushforward_integrates_the_field_strength_slot():
+    # int_E H for the push-forward, the empty sum 0 for its homotopy
+    rng = np.random.default_rng(8)
+    fiber, dec = circle_setup()
+    cover = product_cover(make_circle_cover(3, 0.6), fiber)
+    rho, rho2 = two_subordinations(dec, fiber, rng)
+    # an exact form integrates to 0 over the fiber circle; this H is not
+    H = TrigForm.monomial(2, (1, 0), (0, 1), 5.0)
+    om = (random_alternating_cochain(rng, cover, 1, 2)
+          + DiffCochain(1, cover, field_strength=H))
+    H = pushforward(om, dec, rho).component(())
+    want = om.field_strength.fiber_integrate_global(1)
+    assert want.terms and (H.degree, H.terms) == (want.degree, want.terms)
+    om = random_alternating_cochain(rng, cover, 2, 2)
+    H = pushforward_homotopy(om, dec, rho, rho2).component(())
+    assert (H.degree, H.terms) == (1, {})
 
 
 def test_cocycle_pushes_to_cocycle():

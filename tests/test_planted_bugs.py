@@ -1,0 +1,76 @@
+"""Planted bugs that the verify battery must catch.
+
+Each bug is a one-line edit of the package in a copy of `src/`.  A fresh
+interpreter runs the suite that should catch it at one trial and seed 0,
+and every check the bug names must print `[FAIL]`.  A crash is no catch:
+the check must have run and reported its defect.  A control run of each
+suite on the unedited copy passes every check, so a failure comes from the
+edit alone.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gerbekit"
+
+# (id, module, text as it stands, text with the bug, suite, checks that fail)
+BUGS = [
+    ("B-hex-point-sign", "covers.py", "Cell([pt], sign)", "Cell([pt], -sign)",
+     "holonomy", ("subordination_shift_t2",)),
+    ("C-path-area-parity", "fiberint.py", "area + (p - 1)", "area + p",
+     "pushforward", ("stokes_s1",)),
+    ("D-homotopy-sign", "cochain.py",
+     "(t % 2, omega.component(mixed(idx, t)))",
+     "((t + 1) % 2, omega.component(mixed(idx, t)))",
+     "cochain", ("homotopy_identity_s1",)),
+    ("G-integer-row-without-point-signs", "fiberint.py",
+     "cell.sign * signed_sum(0, (", "signed_sum(0, (",
+     "pushforward", ("stokes_s1", "stokes_t2")),
+    ("H-point-evaluation-without-sign", "trigform.py",
+     "cell.sign * cmath.exp(", "cmath.exp(",
+     "holonomy", ("subordination_shift_s1", "subordination_shift_t2")),
+    ("M-coxeter-exponent", "modform.py", "COXETER_EXPONENT = 30",
+     "COXETER_EXPONENT = 31", "modular", ("ad_is_char_pow30",)),
+]
+
+
+def _verify(root: Path, suite: str, module=None, old="", new=""):
+    """`verify --suite SUITE --trials 1 --seed 0` on a copy of the package
+    under root, with `old` replaced by `new` in `module` if one is given."""
+    shutil.copytree(PACKAGE, root / "gerbekit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if module:
+        path = root / "gerbekit" / module
+        text = path.read_text()
+        assert text.count(old) == 1, f"{old!r} is not one place in {module}"
+        path.write_text(text.replace(old, new))
+    return subprocess.run(
+        [sys.executable, "-B", "-m", "gerbekit.cli", "verify", "--suite",
+         suite, "--trials", "1", "--seed", "0"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+        capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module,old,new,suite,checks",
+                         [b[1:] for b in BUGS], ids=[b[0] for b in BUGS])
+def test_a_planted_bug_fails_its_check(tmp_path, module, old, new, suite,
+                                       checks):
+    proc = _verify(tmp_path, suite, module, old, new)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    for check in checks:
+        assert any(line.startswith(f"[FAIL] {suite}/{check}: ")
+                   for line in lines), proc.stderr
+
+
+@pytest.mark.parametrize("suite", sorted({b[4] for b in BUGS}))
+def test_the_unedited_copy_passes_every_check(tmp_path, suite):
+    proc = _verify(tmp_path, suite)
+    assert proc.returncode == 0, proc.stderr
+    assert "[FAIL]" not in proc.stderr
+    assert f"suite {suite}: PASS" in proc.stderr

@@ -66,12 +66,12 @@ CLI_PINNED = [
          "stdout": "8ec3a68e3954bd298fbcf7a067652b25305cb90829b679188df6b0079153e9d1"}),
     ("pushforward", ["pushforward", "--decomposition", "circle:20"],
      PF_INPUT, {
-         "in.json": "7d8a2065e589423392b179de1e3f1e2a875677ca0f7812be4bfe7cbfd8542da4",
+         "in.json": "955e750435233582bee66f69d3d8bbbf87a506926057d340c70d78bce043fa8c",
          "stdout": "2c59784b8d0b2ecf59330ca4ef0c95a244d42905299d6d2ec40667bd05873f7c"}),
     ("pushforward-output", ["pushforward", "--decomposition", "circle:20",
                             "--output", "out.json"],
      PF_INPUT, {
-         "in.json": "7d8a2065e589423392b179de1e3f1e2a875677ca0f7812be4bfe7cbfd8542da4",
+         "in.json": "955e750435233582bee66f69d3d8bbbf87a506926057d340c70d78bce043fa8c",
          "stdout": "55bdbbbf61964413baeee90212e5da44f3bc5443e0629f2f8d76e3e14d52e778",
          "out.json": "b10152bc3a1b3bb5610a899631982bd4664bd66653e0cdcf4333c0d4c6e8e074"}),
     # a 2-dimensional fibre: the output holds 5 nonzero integer components

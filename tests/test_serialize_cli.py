@@ -295,6 +295,51 @@ def test_cli_refuses_a_file_whose_forms_live_on_another_torus(tmp_path,
     assert "on T^2, the torus of its cover" in err
 
 
+def test_cli_refuses_a_field_strength_on_a_top_degree_file(tmp_path,
+                                                          capsys):
+    # T^2 has no 3-form, so a degree-2 cochain on it has no field strength
+    cover_id = "product:circle:3:0.6|circle:4:0.7"
+    om = random_alternating_cochain(np.random.default_rng(7),
+                                    serialize.cover_from_id(cover_id), 2, 2)
+    rec = serialize.cochain_to_dict(om, cover_id)
+    rec["field_strength"]["terms"] = [{"freq": [0, 0], "axes": [0, 1],
+                                       "re": 5.0, "im": 0.0}]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(rec))
+    rc = cli.main(["pushforward", "--cochain", str(path), "--decomposition",
+                   "circle:20", "--output", str(tmp_path / "out.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == ("error: a degree-2 cochain on T^2 has no field strength: "
+                   "T^2 has no 3-form\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv, cover_id, degree", [
+    (["holonomy", "--decomposition", "circle:20"], "circle:4:0.7", 1),
+    (["pushforward", "--decomposition", "circle:20"],
+     "product:circle:3:0.6|circle:4:0.7", 2),
+], ids=["holonomy", "pushforward"])
+def test_a_cochain_without_a_field_strength_writes_an_empty_record(
+        tmp_path, monkeypatch, capsys, argv, cover_id, degree):
+    # the record is always written; a file with "field_strength": null
+    # still loads, as the same cochain
+    monkeypatch.chdir(tmp_path)
+    cover = serialize.cover_from_id(cover_id)
+    om = random_alternating_cochain(np.random.default_rng(8), cover, degree,
+                                    cover.factors)
+    rec = serialize.cochain_to_dict(om, cover_id)
+    assert rec["field_strength"] == {"ambient_dim": cover.factors,
+                                     "degree": cover.factors, "terms": []}
+    outs = []
+    for fs in (rec["field_strength"], None):
+        rec["field_strength"] = fs
+        (tmp_path / "in.json").write_text(json.dumps(rec))
+        assert cli.main(argv + ["--cochain", "in.json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command, cover_id, make", [
     ("holonomy", "torus:3:3:0.75",
      lambda rng, cover: random_cocycle(rng, cover, 1)),
@@ -744,6 +789,11 @@ _MALFORMED_FACTOR = [
      "family/lattice rank mismatch"),
     ("char-S-rank-8-point", "char", "e8e8", {"S": [0, -1, 1, 0]}, GOOD_POINT,
      "family char on lattice e8e8 needs a point of rank 16, got rank 8"),
+    ("det_u1-T-rank-2", "det_u1", None, {"T": [[1, 0], [1]]},
+     _ONE_COORDINATE, "family det_u1 has rank 1: T needs q1 and q2 of "
+     "length 1, got lengths [2, 1]"),
+    ("char-W-ragged", "char", "e8e8", {"W": [[1, 0], [1]]}, GOOD_POINT,
+     "W must be a square matrix, got rows of lengths [2, 1]"),
 ]
 
 
@@ -755,6 +805,26 @@ def test_cli_factor_refuses_an_element_or_point_of_the_wrong_rank(
     argv = ["factor", "--family", family, "--element", json.dumps(element),
             "--point", point]
     assert cli.main(argv + (["--lattice", lattice] if lattice else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_TWO_COORDINATES = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0], [0.2, 0.0]]})
+
+
+@pytest.mark.parametrize("element,point,message", [
+    ([[1, 0]], _TWO_COORDINATES,
+     "W must be a square matrix, got rows of lengths [2]"),
+    ([[1, 0], [0, 5]], _ONE_COORDINATE,
+     "a 2x2 W matrix acts on points of rank 2, got a point of rank 1"),
+    ([[1, 0], [1]], _TWO_COORDINATES,
+     "W must be a square matrix, got rows of lengths [2, 1]"),
+], ids=["non-square", "other-rank", "ragged"])
+def test_cli_act_refuses_a_W_of_the_wrong_shape(capsys, element, point,
+                                                message):
+    argv = ["act", "--element", json.dumps({"W": element}), "--point", point]
+    assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
