@@ -27,7 +27,7 @@ import math
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .covers import Cover, Subordination
-from .trigform import TrigForm, nan_max, signed_sum
+from .trigform import TrigForm, _axes_sign, nan_max, signed_sum
 
 Idx = Tuple[int, ...]
 Level = Union[TrigForm, int]    # a form row, or the integer row
@@ -61,19 +61,29 @@ class DiffCochain:
     multi-index (the empty index holds H, lengths 1..n+1 hold TrigForms,
     length n+2 Python ints), or computed on demand by
     `component_fn` and memoised there.  The operators below build their
-    results that way, and a random alternating cochain stores one value per
-    sorted support and derives every other ordering through its
-    `component_fn`, so only the lookups that occur are ever held.
+    results that way, so only the lookups that occur are ever held.
+
+    `alternating` flags a cochain whose value on any ordering of a support
+    is its sorted value times the sign of the permutation.
+    `alternating_cochain` builds such a cochain from its sorted-support
+    values and flags it, as does `from_global_form`; `+`, `-`, negation,
+    `total_d` and `restrict` keep the flag of flagged operands.  A cochain
+    built by hand is unflagged, and so are the results of `homotopy_k` and
+    of the push-forwards, which read their input at mixed indices and are
+    not alternating.  Only a flagged cochain may be saved by its sorted
+    supports alone.
     """
 
     def __init__(self, degree: int, cover: Cover,
                  field_strength: Optional[TrigForm] = None,
                  components: Optional[Dict[Idx, Level]] = None,
-                 component_fn: Optional[Callable[[Idx], Level]] = None):
+                 component_fn: Optional[Callable[[Idx], Level]] = None,
+                 alternating: bool = False):
         self.degree = degree
         self.cover = cover
         self.components = components or {}
         self.component_fn = component_fn
+        self.alternating = alternating
         self.ambient_dim = amb = cover.factors
         for idx, value in self.components.items():
             want = degree - (len(idx) - 1)
@@ -138,7 +148,8 @@ class DiffCochain:
         def comp(idx):
             return signed_sum(a.component(idx), ((odd, b.component(idx)),))
 
-        return DiffCochain(self.degree, self.cover, component_fn=comp)
+        return DiffCochain(self.degree, self.cover, component_fn=comp,
+                           alternating=a.alternating and b.alternating)
 
     def __neg__(self) -> "DiffCochain":
         a = self
@@ -146,23 +157,34 @@ class DiffCochain:
         def comp(idx):
             return -a.component(idx)
 
-        return DiffCochain(self.degree, self.cover, component_fn=comp)
+        return DiffCochain(self.degree, self.cover, component_fn=comp,
+                           alternating=a.alternating)
 
     # -- materialization ---------------------------------------------------
 
-    def materialize(self) -> "DiffCochain":
-        """Evaluate every level over the cover's nonempty index tuples."""
+    def materialize(self, sorted_only: bool = False) -> "DiffCochain":
+        """Evaluate every level, the slot at () included, over the cover's
+        nonempty index tuples, keeping the nonzero values.
+
+        With sorted_only, a flagged cochain is evaluated on its sorted
+        supports alone and given back as the alternating cochain of those
+        values, which is the same cochain.
+        """
+        if sorted_only and not self.alternating:
+            raise ValueError("only an alternating cochain is given by its "
+                             "values on sorted supports")
+        walk = self.cover.supports if sorted_only else self.cover.nonempty_tuples
         comps: Dict[Idx, Level] = {}
-        for r in range(1, self.degree + 3):
+        for r in range(self.degree + 3):
             if self.level_degree(r) > self.ambient_dim:
                 continue
-            for idx in self.cover.nonempty_tuples(r):
+            for idx in walk(r) if r else [()]:
                 value = self.component(idx)
                 if not _magnitude(value) <= 0.0:     # a NaN entry is kept
                     comps[idx] = value
-        return DiffCochain(self.degree, self.cover,
-                           field_strength=self.field_strength,
-                           components=comps)
+        if sorted_only:
+            return alternating_cochain(self.degree, self.cover, comps)
+        return DiffCochain(self.degree, self.cover, components=comps)
 
     def max_defect(self) -> float:
         """Largest coefficient magnitude over all levels (integers scaled by 2*pi)."""
@@ -176,6 +198,27 @@ class DiffCochain:
 # operations
 
 
+def alternating_cochain(degree: int, cover: Cover,
+                        sorted_values: Dict[Idx, Level],
+                        field_strength: Optional[TrigForm] = None
+                        ) -> DiffCochain:
+    """The flagged alternating cochain with the given values on sorted
+    supports (a missing support is zero): any other ordering of a support
+    reads as the sorted value times the sign of the permutation."""
+    amb = cover.factors
+
+    def permuted(idx: Idx) -> Level:
+        base, sign = _axes_sign(idx)
+        value = sorted_values.get(base)
+        if value is None:
+            return level_zero(degree, amb, len(idx))
+        return value if sign == 1 else -1 * value
+
+    return DiffCochain(degree, cover, field_strength=field_strength,
+                       components=sorted_values, component_fn=permuted,
+                       alternating=True)
+
+
 def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
     """The non-flat cocycle (dT, T|_{U_a}, 0, ..., 0)."""
     n = T.degree
@@ -185,7 +228,8 @@ def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
             return T
         return level_zero(n, T.ambient_dim, len(idx))
 
-    return DiffCochain(n, cover, field_strength=T.d(), component_fn=comp)
+    return DiffCochain(n, cover, field_strength=T.d(), component_fn=comp,
+                       alternating=True)
 
 
 def total_d(omega: DiffCochain) -> DiffCochain:
@@ -214,7 +258,8 @@ def total_d(omega: DiffCochain) -> DiffCochain:
                 terms.append((odd, TrigForm.constant(amb, 2 * math.pi * m)))
         return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
 
-    return DiffCochain(n + 1, omega.cover, component_fn=comp)
+    return DiffCochain(n + 1, omega.cover, component_fn=comp,
+                       alternating=omega.alternating)
 
 
 def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
@@ -225,7 +270,8 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
     def comp(idx):
         return omega.component(tuple(sig[j] for j in idx))
 
-    return DiffCochain(omega.degree, s.source, component_fn=comp)
+    return DiffCochain(omega.degree, s.source, component_fn=comp,
+                       alternating=omega.alternating)
 
 
 def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> DiffCochain:

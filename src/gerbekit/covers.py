@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
@@ -291,6 +292,8 @@ class DualCellDecomposition:
         self.faces = faces
         self.top_cells = list(faces[1].values())   # faces[1][(i,)], i in order
         self.dim = self.top_cells[0].dim
+        # admissible_pieces per cover, dropped with the cover
+        self._admissible = weakref.WeakKeyDictionary()
 
     def layer_sum(self, p: int,
                   value: Callable[[Tuple[int, ...], object], object], zero):
@@ -406,13 +409,17 @@ def _cell_bounding_box(cell: Cell) -> List[Tuple[float, float]]:
             for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
 
 
-def admissible_pieces(dec: DualCellDecomposition, cover: Cover) -> List[List[int]]:
-    """For each top cell, the cover pieces fully containing it."""
-    out = []
-    for cell in dec.top_cells:
-        box = _cell_bounding_box(cell)
-        out.append([i for i in cover.indices if cover.piece_contains_box(i, box)])
-    return out
+def admissible_pieces(dec: DualCellDecomposition,
+                      cover: Cover) -> Tuple[Tuple[int, ...], ...]:
+    """For each top cell, the cover pieces fully containing it; computed
+    once per (decomposition, cover) pair, as neither changes."""
+    got = dec._admissible.get(cover)
+    if got is None:
+        boxes = map(_cell_bounding_box, dec.top_cells)
+        got = dec._admissible[cover] = tuple(
+            tuple(i for i in cover.indices if cover.piece_contains_box(i, box))
+            for box in boxes)
+    return got
 
 
 def two_subordinations(dec: DualCellDecomposition, cover: Cover,

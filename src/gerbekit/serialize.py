@@ -1,5 +1,12 @@
 """Stable on-disk formats: cochain files and cover / decomposition ids.
 
+A cochain file lists the cochain's nonzero values by multi-index.  The file
+of a flagged alternating cochain says `"alternating": true` and holds one
+record per sorted support, strictly increasing; it loads back as the
+alternating cochain of those values, any other ordering reading as the
+sorted value times the sign of the permutation.  A file without the key
+(such as a push-forward's, which is not alternating) lists every ordering.
+
 Cover ids: "circle:N:OVERLAP", "torus:N:M:OVERLAP" (the product of
 "circle:N:OVERLAP" and "circle:M:OVERLAP"), or "product:ID|ID" for a
 product of two of the former.
@@ -15,7 +22,7 @@ import functools
 import json
 from typing import Dict
 
-from .cochain import DiffCochain
+from .cochain import DiffCochain, alternating_cochain
 from .covers import (Cover, DualCellDecomposition, make_circle_cover,
                      make_circle_decomposition, make_torus_hex_decomposition,
                      product_cover)
@@ -73,13 +80,14 @@ def decomposition_from_id(dec_id: str) -> DualCellDecomposition:
 
 
 def _field(rec, key: str, kind, where: str):
-    """rec[key], which must exist and be of type `kind` (a bool is no int)."""
+    """rec[key], which must exist and be of type `kind` (a bool is an int
+    only where `kind` is bool)."""
     if not isinstance(rec, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in rec:
         raise ValueError(f"{where} has no {key!r} field")
     value = rec[key]
-    if type(value) is bool or not isinstance(value, kind):
+    if (type(value) is bool) != (kind is bool) or not isinstance(value, kind):
         raise ValueError(f"{where}: {key!r} has the wrong type "
                          f"({type(value).__name__})")
     return value
@@ -110,29 +118,37 @@ def _form_from_record(rec, where: str, name: str) -> TrigForm:
 
 def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     """The file record of omega under cover_id, which must name its cover:
-    under another id the file would load as another cochain."""
+    under another id the file would load as another cochain.  A flagged
+    cochain is written on its sorted supports with `"alternating": true`;
+    any other with every ordering of every support, and no such key."""
     if cover_from_id(cover_id).pieces != omega.cover.pieces:
         raise ValueError(f"cover id {cover_id} names another cover than the "
                          f"cochain's")
     # the field strength (index ()) and the integer row (index length n+2)
     # are listed apart from the forms
-    mat = omega.materialize().components
-    fs = mat.pop(())
+    mat = omega.materialize(sorted_only=omega.alternating).components
+    mat.pop((), None)
     levels = sorted(mat.items())
     top = omega.degree + 2
     comps = [{"indices": list(idx), "form": _form_record(f)}
              for idx, f in levels if len(idx) < top]
     ints = [{"indices": list(idx), "m": m} for idx, m in levels
             if len(idx) == top]
-    return {"degree": omega.degree, "cover_id": cover_id,
-            "field_strength": _form_record(fs), "components": comps,
-            "integer_components": ints}
+    rec = {"degree": omega.degree, "cover_id": cover_id,
+           "field_strength": _form_record(omega.field_strength),
+           "components": comps, "integer_components": ints}
+    if omega.alternating:
+        rec["alternating"] = True
+    return rec
 
 
 def cochain_from_dict(data) -> DiffCochain:
-    """Load a file record; any malformed field raises ValueError."""
+    """Load a file record; any malformed field raises ValueError.  An
+    alternating file must give each support once, in increasing order."""
     degree = _field(data, "degree", int, "cochain file")
     cover = cover_from_id(_field(data, "cover_id", str, "cochain file"))
+    alternating = ("alternating" in data
+                   and _field(data, "alternating", bool, "cochain file"))
     fs = data.get("field_strength")
     if fs is not None:
         fs = _form_from_record(fs, "field_strength", "the field strength")
@@ -148,6 +164,9 @@ def cochain_from_dict(data) -> DiffCochain:
                     or max(idx) >= len(cover.pieces):
                 raise ValueError(f"index {list(idx)} is not a list of distinct "
                                  f"pieces of the cover's {len(cover.pieces)}")
+            if alternating and list(idx) != sorted(idx):
+                raise ValueError(f"index {list(idx)} is not increasing, as "
+                                 f"every index of an alternating file must be")
             if idx in comps:
                 raise ValueError(f"index {list(idx)} is given twice")
             if key == "integer_components":
@@ -156,6 +175,8 @@ def cochain_from_dict(data) -> DiffCochain:
                 comps[idx] = _form_from_record(
                     _field(rec, "form", dict, where), where,
                     f"the component at index {list(idx)}")
+    if alternating:
+        return alternating_cochain(degree, cover, comps, field_strength=fs)
     return DiffCochain(degree, cover, field_strength=fs, components=comps)
 
 

@@ -18,9 +18,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import liecs
-from .cochain import (DiffCochain, Level, classify_flat_2cocycle,
-                      from_global_form, homotopy_k, level_zero, restrict,
-                      total_d)
+from .cochain import (DiffCochain, Level, alternating_cochain,
+                      classify_flat_2cocycle, from_global_form, homotopy_k,
+                      restrict, total_d)
 from .covers import Cover, refine, two_subordinations
 from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect)
@@ -33,7 +33,7 @@ from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       measure_extra_multiplier, reflection_element, theta1,
                       theta_lattice, theta_lattice_enum, transform_defect)
 from .serialize import cover_from_id, decomposition_from_id
-from .trigform import Key, TrigForm, _axes_sign, nan_max
+from .trigform import Key, TrigForm, nan_max
 
 Check = Tuple[str, float]
 
@@ -94,9 +94,9 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
     """Random cochain, alternating by construction.
 
     One random value is drawn per sorted support (forms at index lengths
-    1..degree+1, an integer in [-2, 2] at degree+2) and stored in
-    `components`; any other ordering of a support is read through
-    `component_fn` as the sorted value times the sign of the permutation.
+    1..degree+1, an integer in [-2, 2] at degree+2), and the cochain is
+    `alternating_cochain` of those values: any other ordering of a support
+    reads as the sorted value times the sign of the permutation.
     ambient_dim must be cover.factors: the cochain refuses forms on another
     torus.
     """
@@ -114,19 +114,10 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             m = int(rng.integers(-2, 3))
             if m != 0:
                 comps[base] = m
-
-    def permuted(idx: Tuple[int, ...]) -> Level:
-        base, sign = _axes_sign(idx)
-        value = comps.get(base)
-        if value is None:
-            return level_zero(degree, ambient_dim, len(idx))
-        return value if sign == 1 else -1 * value
-
     H = None
     if with_field_strength and degree + 1 <= ambient_dim:
         H = random_real_form(rng, ambient_dim, degree + 1)
-    return DiffCochain(degree, cover, field_strength=H, components=comps,
-                       component_fn=permuted)
+    return alternating_cochain(degree, cover, comps, field_strength=H)
 
 
 def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:

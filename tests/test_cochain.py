@@ -279,6 +279,26 @@ def test_total_d_of_a_degree_minus_one_cochain():
     assert total_d(total_d(om)).max_defect() < 1e-12
 
 
+def test_a_degree_minus_two_cochain_materialises():
+    # at degree -2 the slot at () is the integer row, not a field strength
+    cover = cover_from_id("circle:4:0.55")
+    assert DiffCochain(-2, cover).max_defect() == 0.0
+    om = DiffCochain(-2, cover, components={(): 3})
+    assert om.materialize().components == {(): 3}
+    assert om.max_defect() == 6 * math.pi
+
+
+@pytest.mark.parametrize("cover_id", ["circle:4:0.55", "torus:3:3:0.55"])
+def test_the_homotopy_of_a_degree_minus_one_cochain_materialises(cover_id):
+    cover = cover_from_id(cover_id)
+    om = random_alternating_cochain(np.random.default_rng(6), cover, -1,
+                                    cover.factors)
+    fine, s1, s2 = refine(cover, 2)
+    k = homotopy_k(om, s1, s2)
+    assert k.degree == -2 and k.materialize().components == {}
+    assert k.max_defect() == 0.0
+
+
 @pytest.mark.parametrize("cover_id", ["circle:4:0.55", "torus:3:3:0.55"])
 def test_homotopy_identity_in_degree_zero(cover_id):
     # K omega has degree -1, so d_total(K omega) reads its integer row at

@@ -124,6 +124,23 @@ def test_subordinate_is_admissible():
     assert all(rho[i] in adm[i] for i in range(len(rho)))
 
 
+def test_admissible_pieces_are_computed_once_per_pair():
+    cover = make_circle_cover(4, 0.7)
+    dec = make_circle_decomposition(20)
+    first = admissible_pieces(dec, cover)
+    assert admissible_pieces(dec, cover) is first
+    # a fresh decomposition and cover give equal lists, and the same seeded
+    # second subordination from a cold and a warm memo
+    assert admissible_pieces(make_circle_decomposition(20),
+                             make_circle_cover(4, 0.7)) == first
+    draws = [two_subordinations(d, c, np.random.default_rng(0))
+             for d, c in ((dec, cover), (dec, cover),
+                          (make_circle_decomposition(20),
+                           make_circle_cover(4, 0.7)))]
+    assert draws[0] == draws[1] == draws[2]
+    assert draws[0][0] != draws[0][1]
+
+
 def test_two_subordinations_differ():
     cover = make_circle_cover(4, 0.7)
     dec = make_circle_decomposition(20)

@@ -58,27 +58,27 @@ PF_INPUT = ("alternating", "product:circle:3:0.6|circle:4:0.7", 2, 7)
 CLI_PINNED = [
     ("holonomy-circle:20", ["holonomy", "--decomposition", "circle:20"],
      ("cocycle", "circle:4:0.7", 1, 5), {
-         "in.json": "d46bb70afb2653cb369ead4fb981fc50fb99a64cbb7e62d7e586cc6de18f81a9",
+         "in.json": "a5e1ade8d1052de69c238f0934b842fdf72e04a54154d2d6dabdcca89b4bc178",
          "stdout": "0f1a2a02eefba8a89159b76b49963a01b5a7b667fcc4596a41d09858099c495d"}),
     ("holonomy-hex:6", ["holonomy", "--decomposition", "hex:6"],
      ("cocycle", "torus:3:3:0.75", 2, 6), {
-         "in.json": "0bdbb80a7aff55fb2ee5bc033c47ac725d3265e06ca2bc9c85fe57c5d683461f",
+         "in.json": "50591a577b149ec6c6297da1b58c79451cc7fbbf71b183b359801149d3e1c405",
          "stdout": "8ec3a68e3954bd298fbcf7a067652b25305cb90829b679188df6b0079153e9d1"}),
     ("pushforward", ["pushforward", "--decomposition", "circle:20"],
      PF_INPUT, {
-         "in.json": "955e750435233582bee66f69d3d8bbbf87a506926057d340c70d78bce043fa8c",
+         "in.json": "35c7fec2b930f69243cf21aa22c2bca5f9c75eac4044388a4004549975aaa336",
          "stdout": "2c59784b8d0b2ecf59330ca4ef0c95a244d42905299d6d2ec40667bd05873f7c"}),
     ("pushforward-output", ["pushforward", "--decomposition", "circle:20",
                             "--output", "out.json"],
      PF_INPUT, {
-         "in.json": "955e750435233582bee66f69d3d8bbbf87a506926057d340c70d78bce043fa8c",
+         "in.json": "35c7fec2b930f69243cf21aa22c2bca5f9c75eac4044388a4004549975aaa336",
          "stdout": "55bdbbbf61964413baeee90212e5da44f3bc5443e0629f2f8d76e3e14d52e778",
          "out.json": "b10152bc3a1b3bb5610a899631982bd4664bd66653e0cdcf4333c0d4c6e8e074"}),
     # a 2-dimensional fibre: the output holds 5 nonzero integer components
     ("pushforward-hex:6-output", ["pushforward", "--decomposition", "hex:6",
                                   "--output", "out.json"],
      ("alternating", "product:circle:3:0.6|torus:3:3:0.75", 2, 7), {
-         "in.json": "a4a21812978c6b5a0ad6a2c013a76c9efd9e88c1d3061742494fd50c470ab412",
+         "in.json": "b55507053227854f231e8e1f038347f2d3da29ae9ce9f16af1454a5f2b064fc4",
          "stdout": "772a10b660d673ca81d12e5b48e248137c4c519a6cffb2b99c639190b67323d7",
          "out.json": "1874b11b03cb25432cb5a942d846477523841a03688dd624003ff4891768ec3a"}),
 ]
