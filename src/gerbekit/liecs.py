@@ -37,12 +37,12 @@ class LieValuedForm:
                 X = np.asarray(X, dtype=complex)
                 if X.shape != (matrix_dim, matrix_dim):
                     raise ValueError("matrix coefficient shape mismatch")
-                if not np.any(X):
+                if not X.any():
                     continue
                 key = _normal_key(ambient_dim, degree, freq, axes)
                 clean[key] = clean[key] + X if key in clean else X
-        # np.any keeps a NaN entry, which a magnitude test would drop
-        self.terms = {k: v for k, v in clean.items() if np.any(v)}
+        # any() keeps a NaN entry, which a magnitude test would drop
+        self.terms = {k: v for k, v in clean.items() if v.any()}
 
     @staticmethod
     def _trusted(ambient_dim: int, degree: int, matrix_dim: int,
@@ -60,7 +60,7 @@ class LieValuedForm:
         self.ambient_dim = ambient_dim
         self.degree = degree
         self.matrix_dim = matrix_dim
-        self.terms = {k: v for k, v in terms.items() if np.any(v)}
+        self.terms = {k: v for k, v in terms.items() if v.any()}
         return self
 
     @staticmethod
@@ -138,7 +138,8 @@ def pairing(a: LieValuedForm, b: LieValuedForm) -> TrigForm:
     if deg > a.ambient_dim:
         return TrigForm.zero(a.ambient_dim, a.ambient_dim)
     return TrigForm._trusted(a.ambient_dim, deg, _wedge_terms(
-        a.terms, b.terms, lambda X, Y: -complex(np.trace(X @ Y))))
+        a.terms, b.terms,
+        lambda X, Y: -np.trace(X @ Y, axis1=-2, axis2=-1)))
 
 
 def curvature(A: LieValuedForm) -> LieValuedForm:

@@ -121,6 +121,11 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     under another id the file would load as another cochain.  A flagged
     cochain is written on its sorted supports with `"alternating": true`;
     any other with every ordering of every support, and no such key."""
+    if omega.degree < -1:
+        # below degree -1 the empty index holds no field strength, and the
+        # loader reads every other index as a nonempty one
+        raise ValueError(f"a degree-{omega.degree} cochain cannot be saved: "
+                         f"a cochain file holds degrees -1 and up")
     if cover_from_id(cover_id).pieces != omega.cover.pieces:
         raise ValueError(f"cover id {cover_id} names another cover than the "
                          f"cochain's")

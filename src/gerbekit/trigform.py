@@ -90,24 +90,60 @@ def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
 
 
 def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
-                 times: Callable[[object, object], object]) -> Dict[Key, object]:
+                 times: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                 ) -> Dict[Key, object]:
     """Terms of the wedge of two term sets, coefficients combined by `times`.
 
-    Each pair of terms contributes times(sign * c1, c2) at the summed
-    frequency and the sorted union of the axes; pairs sharing an axis drop.
+    Each pair of terms (left outer, right inner) contributes
+    times(sign * c1, c2) at the summed frequency and the sorted union of
+    the axes; pairs sharing an axis drop.  `times` is called once, on the
+    stacked signed left and right coefficients of every surviving pair, and
+    returns their stacked products.  These are summed in pair order into a
+    zeroed accumulator, so each key reads 0.0 + v1 + v2 + ..., keys in
+    order of first appearance: the bits of a per-pair loop that adds each
+    product to its key's running sum, for scalar and 2 x 2 coefficients
+    NaNs included.  Scalar sums come back as Python complex numbers, matrix
+    sums as views into the accumulator, which is made read-only.
     """
-    out: Dict[Key, object] = {}
     signs = {(a1, a2): _axes_sign(a1 + a2)
              for a1 in {a for _, a in left} for a2 in {a for _, a in right}}
-    for (f1, a1), c1 in left.items():
-        for (f2, a2), c2 in right.items():
+    index: Dict[Key, int] = {}
+    rows, cols, slots = [], [], []
+    for i, (f1, a1) in enumerate(left):
+        for j, (f2, a2) in enumerate(right):
             ss = signs[a1, a2]
             if ss is None:
                 continue
             axes, sign = ss
-            key = (tuple(x + y for x, y in zip(f1, f2)), axes)
-            out[key] = out.get(key, 0.0) + times(sign * c1, c2)
-    return out
+            rows.append(2 * i + (sign < 0))
+            cols.append(j)
+            key = (tuple(map(operator.add, f1, f2)), axes)
+            slots.append(index.setdefault(key, len(index)))
+    if not index:
+        return {}
+    # row 2i holds +1 * c_i and row 2i+1 holds -1 * c_i, each signed as the
+    # pair's own sign * c1 would be
+    signed = np.array([s * c for c in left.values() for s in (1, -1)],
+                      dtype=complex)
+    products = times(signed[rows],
+                     np.array(list(right.values()), dtype=complex)[cols])
+    acc = np.zeros((len(index),) + products.shape[1:], dtype=complex)
+    # summed as float pairs: of two NaNs, numpy's complex add.at keeps the
+    # second in the imaginary part, Python's complex + keeps the first
+    width = 2 * products[0].size
+    flat = (np.array(slots) * width)[:, None] + np.arange(width)
+    np.add.at(acc.reshape(-1).view(float), flat.reshape(-1),
+              products.reshape(-1).view(float))
+    acc.flags.writeable = False
+    return dict(zip(index, acc.tolist() if acc.ndim == 1 else acc))
+
+
+def _python_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The pairwise products of two complex vectors, each a Python complex
+    product: numpy's complex multiply may fuse a multiply-add and differ
+    from Python's in the last bit."""
+    return np.array(list(map(operator.mul, left.tolist(), right.tolist())),
+                    dtype=complex)
 
 
 class TrigForm:
@@ -195,7 +231,7 @@ class TrigForm:
             raise ValueError("wedge degree exceeds ambient dimension")
         return TrigForm._trusted(self.ambient_dim, p + q,
                                  _wedge_terms(self.terms, other.terms,
-                                              operator.mul))
+                                              _python_products))
 
     # -- integration -------------------------------------------------------
 

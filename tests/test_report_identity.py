@@ -36,6 +36,8 @@ PINNED = [
     ("modular", 20, 0, "02bab57a418ce0745dd55eeebda98b9da66056983fb075faa773ae522a8c7910"),
     ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
     ("modular", 20, 1, "3a9f16b508bc0549ef3a3ff705ae38df26f96aa987916eadc2c82afc6c9d47bf"),
+    # the complex benchmark workload's chernsimons shape: 20 trials
+    ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
 ]
 
 

@@ -295,6 +295,31 @@ def test_cli_refuses_a_file_whose_forms_live_on_another_torus(tmp_path,
     assert "on T^2, the torus of its cover" in err
 
 
+@pytest.mark.parametrize("degree, components", [(-2, {(): 1}), (-3, {})])
+def test_a_cochain_below_degree_minus_one_is_refused_by_its_degree(
+        tmp_path, degree, components):
+    # at degree -2 the empty index is the integer row, which no file holds
+    om = DiffCochain(degree, serialize.cover_from_id("circle:4:0.55"),
+                     components=components)
+    with pytest.raises(ValueError, match=f"a degree-{degree} cochain cannot"):
+        serialize.cochain_to_dict(om, "circle:4:0.55")
+    path = tmp_path / "low.json"
+    with pytest.raises(ValueError, match=f"a degree-{degree} cochain cannot"):
+        serialize.save_cochain(str(path), om, "circle:4:0.55")
+    assert not path.exists()
+
+
+def test_a_degree_minus_one_cochain_loads_back():
+    cover = serialize.cover_from_id("circle:4:0.55")
+    om = DiffCochain(-1, cover, components={(0,): 2, (3,): -1},
+                     field_strength=TrigForm.constant(1, 0.5))
+    back = serialize.cochain_from_dict(
+        serialize.cochain_to_dict(om, "circle:4:0.55"))
+    assert back.degree == -1
+    assert [back.component((i,)) for i in range(4)] == [2, 0, 0, -1]
+    assert back.field_strength.terms == om.field_strength.terms
+
+
 def test_cli_refuses_a_field_strength_on_a_top_degree_file(tmp_path,
                                                           capsys):
     # T^2 has no 3-form, so a degree-2 cochain on it has no field strength

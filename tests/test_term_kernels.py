@@ -4,6 +4,7 @@ int-tuple keys of the right shape, Python complex values, no exact zeros.
 """
 
 import math
+import operator
 from itertools import combinations, product
 
 import numpy as np
@@ -288,6 +289,146 @@ def test_lie_kernels_skip_the_validating_constructor(monkeypatch):
                         or init(self, *args, **kw))
     out = a.d() + 0.5 * liecs.graded_bracket(a, a) - a.d() * 2.0
     assert out.terms and calls == []
+
+
+def wedge_reference(left, right, times):
+    """The wedge kernel as a loop over pairs of terms (left outer, right
+    inner), each pair's times(sign * c1, c2) added to its key's running sum
+    from 0.0, keys in order of first appearance."""
+    out = {}
+    for (f1, a1), c1 in left.items():
+        for (f2, a2), c2 in right.items():
+            ss = trigform._axes_sign(a1 + a2)
+            if ss is None:
+                continue
+            axes, sign = ss
+            key = (tuple(x + y for x, y in zip(f1, f2)), axes)
+            out[key] = out.get(key, 0.0) + times(sign * c1, c2)
+    return out
+
+
+def coefficient_bytes(terms, nan_sign=True):
+    """Each term's key, the type and shape of its value and the bytes of
+    its entries: the sign of a zero counts, and with nan_sign so do a
+    NaN's sign and payload; without it every NaN part reads as one NaN."""
+    out = []
+    for k, c in terms.items():
+        x = np.array(c, dtype=complex)
+        if not nan_sign:
+            parts = x.reshape(-1).view(float)
+            parts[np.isnan(parts)] = math.nan
+        out.append((k, type(c).__name__, np.shape(c), x.tobytes()))
+    return out
+
+
+# every part is drawn from finite values and from both NaNs, both
+# infinities, both zeros and a value whose products overflow
+SPECIAL_PARTS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300]
+parts = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL_PARTS))
+special_coefficients = st.builds(complex, parts, parts)
+
+
+def special_matrices(m):
+    return st.lists(special_coefficients, min_size=m * m,
+                    max_size=m * m).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(m, m))
+
+
+@st.composite
+def oracle_pairs(draw, coefficients):
+    """Two term sets on T^n of degrees p + q <= n, each of up to 5 terms
+    (none on an empty side), with frequencies in [-1, 1] so that keys
+    collide; one time in three every term on both sides holds one axis."""
+    amb = draw(st.integers(1, 3))
+    p = draw(st.integers(0, amb))
+    q = draw(st.integers(0, amb - p))
+    pools = [list(combinations(range(amb), deg)) for deg in (p, q)]
+    if p and q and draw(st.integers(0, 2)) == 0:
+        shared = draw(st.integers(0, amb - 1))
+        pools = [[a for a in pool if shared in a] for pool in pools]
+    sides = []
+    for pool in pools:
+        terms = {}
+        for _ in range(draw(st.integers(0, 5)) if pool else 0):
+            freq = tuple(draw(st.integers(-1, 1)) for _ in range(amb))
+            terms[freq, draw(st.sampled_from(pool))] = draw(coefficients)
+        sides.append(terms)
+    return amb, p, q, sides
+
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(oracle_pairs(special_coefficients))
+def test_wedge_matches_the_per_pair_reference_bit_for_bit(data):
+    amb, p, q, (left, right) = data
+    a, b = TrigForm(amb, p, left), TrigForm(amb, q, right)
+    with np.errstate(all="ignore"):
+        got = a.wedge(b)
+        want = TrigForm._trusted(amb, p + q, wedge_reference(
+            a.terms, b.terms, operator.mul))
+    assert coefficient_bytes(got.terms) == coefficient_bytes(want.terms)
+
+
+def check_lie_kernels_against_the_reference(m, data, nan_sign):
+    amb, p, q, (left, right) = data
+    a = liecs.LieValuedForm(amb, p, m, left)
+    b = liecs.LieValuedForm(amb, q, m, right)
+    with np.errstate(all="ignore"):
+        got = [liecs.graded_bracket(a, b), liecs.pairing(a, b)]
+        want = [liecs.LieValuedForm._trusted(amb, p + q, m, wedge_reference(
+                    a.terms, b.terms, lambda X, Y: X @ Y - Y @ X)),
+                TrigForm._trusted(amb, p + q, wedge_reference(
+                    a.terms, b.terms, lambda X, Y: -complex(np.trace(X @ Y))))]
+    for g, w in zip(got, want):
+        assert coefficient_bytes(g.terms, nan_sign) == coefficient_bytes(
+            w.terms, nan_sign)
+
+
+@ORACLE_SETTINGS
+@given(oracle_pairs(special_matrices(2)))
+def test_lie_kernels_match_the_per_pair_reference_bit_for_bit(data):
+    # 2 x 2, the size of su(2)'s defining representation that the suites use
+    check_lie_kernels_against_the_reference(2, data, nan_sign=True)
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda m: oracle_pairs(special_matrices(m)).map(lambda d: (m, d))))
+def test_lie_kernels_of_other_sizes_match_the_reference_up_to_nan_signs(case):
+    # Which of two NaNs a sum keeps depends, in the reference, on the numpy
+    # add loop its matrix size selects: the first for 2 x 2, the second
+    # for 1 x 1 and for the last entry of 3 x 3.  The kernel's sums keep
+    # the first, so at these sizes only a NaN's sign and payload may
+    # differ; every other bit must match.
+    m, data = case
+    check_lie_kernels_against_the_reference(m, data, nan_sign=False)
+
+
+def test_wedge_kernels_of_an_empty_side_or_a_shared_axis_are_empty():
+    X = liecs.su2_basis()[0]
+    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): X,
+                                      ((0, 1, 0), (1,)): 2 * X})
+    g = liecs.LieValuedForm(3, 2, 2, {((0, 0, 1), (0, 1)): X})
+    empty = liecs.LieValuedForm.zero(3, 1, 2)
+    for a, b in ((f, empty), (empty, f), (f, f), (f, g)):
+        assert liecs.graded_bracket(a, b).terms == {}
+        assert liecs.pairing(a, b).terms == {}
+    t = TrigForm(3, 1, {((1, 0, 0), (2,)): 1.0, ((0, 1, 0), (2,)): 1j})
+    for a, b in ((t, TrigForm.zero(3, 1)), (TrigForm.zero(3, 0), t), (t, t)):
+        assert a.wedge(b).terms == {}
+
+
+def test_bracket_terms_are_read_only():
+    basis = liecs.su2_basis()
+    a = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (0,)): basis[0],
+                                      ((0, 1, 0), (1,)): basis[1]})
+    out = liecs.graded_bracket(a, a)
+    assert out.terms
+    for X in out.terms.values():
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 1.0
 
 
 def test_d_and_wedge_sort_each_axis_combination_once(monkeypatch):
