@@ -124,8 +124,8 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     if omega.degree < -1:
         # below degree -1 the empty index holds no field strength, and the
         # loader reads every other index as a nonempty one
-        raise ValueError(f"a degree-{omega.degree} cochain cannot be saved: "
-                         f"a cochain file holds degrees -1 and up")
+        raise ValueError(f"a cochain of degree {omega.degree} cannot be "
+                         f"saved: a cochain file holds degrees -1 and up")
     if cover_from_id(cover_id).pieces != omega.cover.pieces:
         raise ValueError(f"cover id {cover_id} names another cover than the "
                          f"cochain's")

@@ -336,9 +336,9 @@ def special_matrices(m):
 
 @st.composite
 def oracle_pairs(draw, coefficients):
-    """Two term sets on T^n of degrees p + q <= n, each of up to 5 terms
-    (none on an empty side), with frequencies in [-1, 1] so that keys
-    collide; one time in three every term on both sides holds one axis."""
+    """Two term sets on T^n of degrees p + q <= n, each of 0 to 5 terms,
+    with frequencies in [-1, 1] so that keys collide; one time in three
+    every term on both sides holds one shared axis, so no pair survives."""
     amb = draw(st.integers(1, 3))
     p = draw(st.integers(0, amb))
     q = draw(st.integers(0, amb - p))
@@ -349,7 +349,7 @@ def oracle_pairs(draw, coefficients):
     sides = []
     for pool in pools:
         terms = {}
-        for _ in range(draw(st.integers(0, 5)) if pool else 0):
+        for _ in range(draw(st.integers(0, 5))):
             freq = tuple(draw(st.integers(-1, 1)) for _ in range(amb))
             terms[freq, draw(st.sampled_from(pool))] = draw(coefficients)
         sides.append(terms)
