@@ -70,8 +70,9 @@ class DiffCochain:
     `total_d` and `restrict` keep the flag of flagged operands.  A cochain
     built by hand is unflagged, and so are the results of `homotopy_k` and
     of the push-forwards, which read their input at mixed indices and are
-    not alternating.  Only a flagged cochain may be saved by its sorted
-    supports alone.
+    not alternating.  Only a flagged cochain may be saved, or have its
+    defect walked (`max_defect`), by its sorted supports alone; an
+    unflagged one is saved and walked on every ordering.
     """
 
     def __init__(self, degree: int, cover: Cover,
@@ -187,9 +188,17 @@ class DiffCochain:
         return DiffCochain(self.degree, self.cover, components=comps)
 
     def max_defect(self) -> float:
-        """Largest coefficient magnitude over all levels (integers scaled by 2*pi)."""
+        """Largest coefficient magnitude over all levels (integers scaled by
+        2*pi).
+
+        A flagged cochain is walked on the cover's sorted supports: its
+        value on any other ordering is the sorted one times a sign, which
+        has the same magnitude.  An unflagged cochain is walked on every
+        ordering, as nothing ties its permuted values to its sorted ones.
+        """
         worst = 0.0
-        for value in self.materialize().components.values():
+        walked = self.materialize(sorted_only=self.alternating)
+        for value in walked.components.values():
             worst = nan_max(worst, _magnitude(value))
         return worst
 

@@ -394,8 +394,7 @@ def suite_crossmodule(trials: int, seed: int) -> List[Check]:
     for _ in range(trials):
         h = float(rng.uniform(0.3, 5.5))
         T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
-        om = DiffCochain(2, cover,
-                         components={(a,): T for a in cover.indices})
+        om = from_global_form(T, cover)
         cls = classify_flat_2cocycle(om, dec, rho)
         xi = random_alternating_cochain(rng, cover, 1, 2,
                                         with_field_strength=False)

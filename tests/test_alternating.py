@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from gerbekit import cli, cochain, serialize
-from gerbekit.cochain import homotopy_k, restrict, total_d
+from gerbekit.cochain import from_global_form, homotopy_k, restrict, total_d
 from gerbekit.covers import refine, two_subordinations
 from gerbekit.fiberint import pushforward, pushforward_homotopy
 from gerbekit.suites import (circle_setup, random_alternating_cochain,
-                             random_cocycle)
+                             random_cocycle, torus_setup)
 from gerbekit.trigform import TrigForm
 
 COVERS = ["circle:4:0.7", "torus:3:3:0.75",
@@ -95,6 +95,46 @@ def test_the_ordering_walk_sees_a_cochain_that_is_not_alternating():
     om = random_alternating_cochain(np.random.default_rng(0), cover, 2, 2)
     fine, s1, s2 = refine(cover, 2)
     assert ordering_defect(homotopy_k(om, s1, s2)) > 1.0
+
+
+def every_ordering_defect(om) -> float:
+    """max_defect as the fold over every ordering of every support."""
+    return max((magnitude(v) for v in om.materialize().components.values()),
+               default=0.0)
+
+
+def crossmodule_instance(seed):
+    """The flat cocycle of suite_crossmodule plus a coboundary."""
+    cover, _ = torus_setup()
+    rng = np.random.default_rng(seed)
+    h = float(rng.uniform(0.3, 5.5))
+    T = (h / (4 * math.pi ** 2)) * TrigForm.monomial(2, (0, 0), (0, 1), 1.0)
+    xi = random_alternating_cochain(rng, cover, 1, 2,
+                                    with_field_strength=False)
+    return from_global_form(T, cover) + total_d(xi)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cover_id", COVERS)
+def test_the_sorted_walk_agrees_with_the_walk_over_every_ordering(cover_id,
+                                                                  seed):
+    # max_defect walks a flagged cochain on its sorted supports alone
+    oms = flagged_cochains(cover_id, seed)
+    oms["total_d(total_d)"] = total_d(oms["total_d"])
+    oms["crossmodule"] = crossmodule_instance(seed)
+    oms["total_d(crossmodule)"] = total_d(oms["crossmodule"])
+    for name, om in oms.items():
+        assert om.alternating, name
+        assert abs(om.max_defect() - every_ordering_defect(om)) <= TOL, name
+
+
+def test_an_unflagged_cochain_is_walked_on_every_ordering():
+    cover = serialize.cover_from_id("circle:4:0.7")
+    om = cochain.DiffCochain(1, cover,
+                             components={(1, 0): TrigForm.constant(1, 0.5)})
+    assert not om.alternating
+    assert om.component((0, 1)).is_zero()
+    assert om.max_defect() == 0.5
 
 
 def test_operators_that_are_not_alternating_clear_the_flag():

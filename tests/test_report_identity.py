@@ -27,7 +27,10 @@ PINNED = [
     ("holonomy", 3, 0, "08e1b5d8a5e2f2205eb4c8aa0377e76ebec82d37a9238e47299056492765e3b0"),
     ("crossmodule", 3, 0, "85562ba3f7948d5b1d268fca4cc2f0be4f2eecb2078bb5c611caa0f72a6733fd"),
     ("pushforward", 1, 0, "fe7fb7d96e6374b5ac190411e6f02dc489199ece025192333cacbdf57574f904"),
-    ("cochain", 3, 1, "dcaedd3f4229479daf94a134d2312fd72ed579efd7b9fbb0b2065e9176a3eed8"),
+    # re-pinned when max_defect began walking a flagged cochain on its
+    # sorted supports: dd_zero_t2 went from 9.155133597044475e-16 (roundoff
+    # of delta at a non-sorted ordering) to 4.965068306494546e-16
+    ("cochain", 3, 1, "f8d30feaac590042dfbb8b607f865ce6d19dcfca230db8d4095a76f016f09452"),
     ("chernsimons", 6, 1, "c78d47f7e8543f1fb7c008b0e88d769d63e2c3446b390fe02700aeeeef956e3a"),
     ("holonomy", 3, 1, "faf5219ffd6f97e4fac0cc1d8692a160c58f52618524233969a1d5057775d786"),
     ("crossmodule", 3, 1, "d6e5d551864d192a3f76871835ccf15a1cf97415ddac2dc1e19670747bd3dba7"),
@@ -38,6 +41,9 @@ PINNED = [
     ("modular", 20, 1, "3a9f16b508bc0549ef3a3ff705ae38df26f96aa987916eadc2c82afc6c9d47bf"),
     # the complex benchmark workload's chernsimons shape: 20 trials
     ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
+    # ... and its cochain and crossmodule shapes: 6 and 4 trials
+    ("cochain", 6, 2, "8b63edc77931e40a348cea5cbf9afcb5f6c5c7c0b04e85ae1bfd2922f57e596f"),
+    ("crossmodule", 4, 2, "04adad1af4a50147fe38337484854d4f80cd0ddf6b2b73d5664513217ce861d8"),
 ]
 
 

@@ -452,6 +452,13 @@ def test_nearest_2pi_multiple_defect_of_non_finite_is_nan():
     assert nearest_2pi_multiple_defect(2 * math.pi + 0.25) == pytest.approx(0.25)
 
 
+def test_nearest_2pi_multiple_defect_of_pi_is_pi():
+    # pi is the farthest point from 2 pi Z; a version that accepted
+    # multiples of pi would read 0 here
+    assert nearest_2pi_multiple_defect(math.pi) == math.pi
+    assert nearest_2pi_multiple_defect(-math.pi) == math.pi
+
+
 @pytest.mark.parametrize("k", [-1, 1, 3, 5, 2, 4])
 def test_nearest_2pi_multiple_defect_tells_2pi_from_pi(k):
     # an odd multiple of pi is pi away from 2 pi Z; a check that reduced
