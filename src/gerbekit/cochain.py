@@ -57,26 +57,26 @@ class DiffCochain:
 
     Its forms live on the torus of its cover, T^(cover.factors).
     Every level, field strength and integer row included, is read through
-    `component`.  Values are held in the `components` dict, keyed by
-    multi-index (the empty index holds H, lengths 1..n+1 hold TrigForms,
-    length n+2 Python ints), or computed on demand by
-    `component_fn` and memoised there.  The operators below build their
-    results that way, so only the lookups that occur are ever held.
+    `component`.  Values are given in the `components` dict, keyed by
+    multi-index (H at the empty index, TrigForms at lengths 1..n+1, Python
+    ints at length n+2) and each checked for its slot's type and degree, or
+    computed on demand by `component_fn` and memoised there.  The operators
+    below build their results that way, so only the lookups that occur are
+    ever held.  A cochain of degree n on T^m with n + 1 > m has no field
+    strength: its slot at () reads as the zero m-form.
 
     `alternating` flags a cochain whose value on any ordering of a support
     is its sorted value times the sign of the permutation.
     `alternating_cochain` builds such a cochain from its sorted-support
-    values and flags it, as does `from_global_form`; `+`, `-`, negation,
+    values and flags it; `from_global_form` is one.  `+`, `-`, negation,
     `total_d` and `restrict` keep the flag of flagged operands.  A cochain
     built by hand is unflagged, and so are the results of `homotopy_k` and
     of the push-forwards, which read their input at mixed indices and are
-    not alternating.  Only a flagged cochain may be saved, or have its
-    defect walked (`max_defect`), by its sorted supports alone; an
-    unflagged one is saved and walked on every ordering.
+    not alternating.  `materialize` and `max_defect` walk a flagged cochain
+    on its sorted supports alone and an unflagged one on every ordering.
     """
 
     def __init__(self, degree: int, cover: Cover,
-                 field_strength: Optional[TrigForm] = None,
                  components: Optional[Dict[Idx, Level]] = None,
                  component_fn: Optional[Callable[[Idx], Level]] = None,
                  alternating: bool = False):
@@ -91,22 +91,22 @@ class DiffCochain:
             if want == -1:
                 if type(value) is not int:
                     raise ValueError(f"component at {idx} must be an integer")
+            elif not idx:
+                # H: a top-degree cochain keeps a zero amb-form here
+                if type(value) is not TrigForm or value.ambient_dim != amb \
+                        or value.degree != min(want, amb):
+                    raise ValueError(f"the field strength must be a form of "
+                                     f"degree {min(want, amb)} on T^{amb}, "
+                                     f"the torus of its cover")
+                if want > amb and value.terms:
+                    raise ValueError(f"a degree-{degree} cochain on T^{amb} "
+                                     f"has no field strength: T^{amb} has no "
+                                     f"{want}-form")
             elif type(value) is not TrigForm or value.degree != want \
                     or value.ambient_dim != amb:
                 raise ValueError(f"component at {idx} must be a form of "
                                  f"degree {want} on T^{amb}, the torus of its "
                                  f"cover")
-        if field_strength is not None:
-            if (field_strength.ambient_dim != amb
-                    or field_strength.degree != min(degree + 1, amb)):
-                raise ValueError(f"the field strength must be a form of "
-                                 f"degree {min(degree + 1, amb)} on T^{amb}, "
-                                 f"the torus of its cover")
-            if degree + 1 > amb and field_strength.terms:
-                raise ValueError(f"a degree-{degree} cochain on T^{amb} has "
-                                 f"no field strength: T^{amb} has no "
-                                 f"{degree + 1}-form")
-            self.components[()] = field_strength
 
     # -- lookups -----------------------------------------------------------
 
@@ -161,46 +161,38 @@ class DiffCochain:
         return DiffCochain(self.degree, self.cover, component_fn=comp,
                            alternating=a.alternating)
 
-    # -- materialization ---------------------------------------------------
+    # -- walking the slots -------------------------------------------------
 
-    def materialize(self, sorted_only: bool = False) -> "DiffCochain":
-        """Evaluate every level, the slot at () included, over the cover's
-        nonempty index tuples, keeping the nonzero values.
-
-        With sorted_only, a flagged cochain is evaluated on its sorted
-        supports alone and given back as the alternating cochain of those
-        values, which is the same cochain.
-        """
-        if sorted_only and not self.alternating:
-            raise ValueError("only an alternating cochain is given by its "
-                             "values on sorted supports")
-        walk = self.cover.supports if sorted_only else self.cover.nonempty_tuples
-        comps: Dict[Idx, Level] = {}
+    def _nonzero_slots(self):
+        """(idx, value) for each nonzero slot, the one at () included: a
+        flagged cochain on the cover's sorted supports, as its value on any
+        other ordering is the sorted one times a sign, and any other cochain
+        on every ordering, as nothing ties its permuted values to its sorted
+        ones.  A NaN value counts as nonzero."""
+        walk = self.cover.supports if self.alternating \
+            else self.cover.nonempty_tuples
         for r in range(self.degree + 3):
             if self.level_degree(r) > self.ambient_dim:
                 continue
             for idx in walk(r) if r else [()]:
                 value = self.component(idx)
-                if not _magnitude(value) <= 0.0:     # a NaN entry is kept
-                    comps[idx] = value
-        if sorted_only:
+                if not _magnitude(value) <= 0.0:
+                    yield idx, value
+
+    def materialize(self) -> "DiffCochain":
+        """The same cochain with every nonzero slot evaluated and held in
+        `components`: a flagged one as the alternating cochain of its values
+        on sorted supports, any other by its values on every ordering."""
+        comps = dict(self._nonzero_slots())
+        if self.alternating:
             return alternating_cochain(self.degree, self.cover, comps)
         return DiffCochain(self.degree, self.cover, components=comps)
 
     def max_defect(self) -> float:
-        """Largest coefficient magnitude over all levels (integers scaled by
-        2*pi).
-
-        A flagged cochain is walked on the cover's sorted supports: its
-        value on any other ordering is the sorted one times a sign, which
-        has the same magnitude.  An unflagged cochain is walked on every
-        ordering, as nothing ties its permuted values to its sorted ones.
-        """
-        worst = 0.0
-        walked = self.materialize(sorted_only=self.alternating)
-        for value in walked.components.values():
-            worst = nan_max(worst, _magnitude(value))
-        return worst
+        """Largest coefficient magnitude over the slots that
+        `materialize` walks (integers scaled by 2*pi); a NaN is kept."""
+        return functools.reduce(
+            nan_max, (_magnitude(v) for _, v in self._nonzero_slots()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +200,11 @@ class DiffCochain:
 
 
 def alternating_cochain(degree: int, cover: Cover,
-                        sorted_values: Dict[Idx, Level],
-                        field_strength: Optional[TrigForm] = None
-                        ) -> DiffCochain:
+                        sorted_values: Dict[Idx, Level]) -> DiffCochain:
     """The flagged alternating cochain with the given values on sorted
-    supports (a missing support is zero): any other ordering of a support
-    reads as the sorted value times the sign of the permutation."""
+    supports, H at () included (a missing support is zero): any other
+    ordering of a support reads as the sorted value times the sign of the
+    permutation."""
     amb = cover.factors
 
     def permuted(idx: Idx) -> Level:
@@ -223,22 +214,14 @@ def alternating_cochain(degree: int, cover: Cover,
             return level_zero(degree, amb, len(idx))
         return value if sign == 1 else -1 * value
 
-    return DiffCochain(degree, cover, field_strength=field_strength,
-                       components=sorted_values, component_fn=permuted,
-                       alternating=True)
+    return DiffCochain(degree, cover, components=sorted_values,
+                       component_fn=permuted, alternating=True)
 
 
 def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
     """The non-flat cocycle (dT, T|_{U_a}, 0, ..., 0)."""
-    n = T.degree
-
-    def comp(idx):
-        if len(idx) == 1:
-            return T
-        return level_zero(n, T.ambient_dim, len(idx))
-
-    return DiffCochain(n, cover, field_strength=T.d(), component_fn=comp,
-                       alternating=True)
+    return alternating_cochain(T.degree, cover,
+                               {**{(a,): T for a in cover.indices}, (): T.d()})
 
 
 def total_d(omega: DiffCochain) -> DiffCochain:

@@ -174,7 +174,7 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                 return integrate_fiber_cell(sym, cell, n_base)
         return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))
 
-    return DiffCochain(p, x_cover, field_strength=field_strength,
+    return DiffCochain(p, x_cover, components={(): field_strength},
                        component_fn=comp)
 
 

@@ -131,7 +131,7 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
                          f"cochain's")
     # the field strength (index ()) and the integer row (index length n+2)
     # are listed apart from the forms
-    mat = omega.materialize(sorted_only=omega.alternating).components
+    mat = omega.materialize().components
     mat.pop((), None)
     levels = sorted(mat.items())
     top = omega.degree + 2
@@ -180,9 +180,12 @@ def cochain_from_dict(data) -> DiffCochain:
                 comps[idx] = _form_from_record(
                     _field(rec, "form", dict, where), where,
                     f"the component at index {list(idx)}")
+    if fs is not None:
+        # after the component records: a bad one is reported before a bad H
+        comps[()] = fs
     if alternating:
-        return alternating_cochain(degree, cover, comps, field_strength=fs)
-    return DiffCochain(degree, cover, field_strength=fs, components=comps)
+        return alternating_cochain(degree, cover, comps)
+    return DiffCochain(degree, cover, components=comps)
 
 
 def save_cochain(path: str, omega: DiffCochain, cover_id: str) -> None:

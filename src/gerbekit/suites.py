@@ -109,15 +109,13 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             f = random_real_form(rng, ambient_dim, deg)
             if f.terms:
                 comps[base] = f
-    if degree + 2 <= len(cover.pieces):
-        for base in cover.supports(degree + 2):
-            m = int(rng.integers(-2, 3))
-            if m != 0:
-                comps[base] = m
-    H = None
+    for base in cover.supports(degree + 2):
+        m = int(rng.integers(-2, 3))
+        if m != 0:
+            comps[base] = m
     if with_field_strength and degree + 1 <= ambient_dim:
-        H = random_real_form(rng, ambient_dim, degree + 1)
-    return alternating_cochain(degree, cover, comps, field_strength=H)
+        comps[()] = random_real_form(rng, ambient_dim, degree + 1)
+    return alternating_cochain(degree, cover, comps)
 
 
 def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:

@@ -1,18 +1,19 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gerbekit.cochain import (DiffCochain, classify_flat_2cocycle,
-                              from_global_form, homotopy_k, is_cocycle,
-                              restrict, total_d)
+from gerbekit.cochain import (DiffCochain, alternating_cochain,
+                              classify_flat_2cocycle, from_global_form,
+                              homotopy_k, is_cocycle, restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover,
                              product_cover, refine, two_subordinations)
 from gerbekit.serialize import cover_from_id
 from gerbekit.suites import (random_alternating_cochain, random_cocycle,
                              random_real_form, torus_setup)
-from gerbekit.trigform import TrigForm
+from gerbekit.trigform import TrigForm, nan_max
 
 
 def det_sign(seq):
@@ -67,7 +68,41 @@ def test_max_defect_propagates_nan():
     om = DiffCochain(1, cover, components={(0, 1): bad})
     assert math.isnan(om.max_defect())
     H = TrigForm(1, 1, {((0,), (0,)): 1.0, ((1,), (0,)): math.nan})
-    assert math.isnan(DiffCochain(0, cover, field_strength=H).max_defect())
+    assert math.isnan(DiffCochain(0, cover, components={(): H}).max_defect())
+
+
+def test_materialize_and_max_defect_read_the_same_slots():
+    # both fold one walk: sorted supports for a flagged cochain, every
+    # ordering for any other
+    cover = make_torus_cover(3, 3, 0.55)
+    rng = np.random.default_rng(9)
+    om = random_alternating_cochain(rng, cover, 1, 2)
+    T = random_real_form(rng, 2, 1)
+    glob = from_global_form(T, cover)
+    assert set(glob.components) == {()} | {(a,) for a in cover.indices}
+    fine, s1, s2 = refine(cover, 2)
+    nan = TrigForm(2, 0, {((1, 0), ()): math.nan})
+    cases = {"random": om, "total_d": total_d(om), "global form": glob,
+             "homotopy_k": homotopy_k(om, s1, s2),
+             "flagged NaN": alternating_cochain(1, cover, {(0, 1): nan}),
+             "unflagged NaN": om + DiffCochain(1, cover,
+                                               components={(1, 0): nan})}
+    for name, c in cases.items():
+        mat = c.materialize()
+        assert mat.alternating == c.alternating, name
+        if c.alternating:
+            assert all(a < b for idx in mat.components
+                       for a, b in zip(idx, idx[1:])), name
+        else:
+            assert any(list(idx) != sorted(idx) for idx in mat.components), name
+        fold = functools.reduce(nan_max, (
+            v.max_abs() if isinstance(v, TrigForm) else 2 * math.pi * abs(v)
+            for v in mat.components.values()), 0.0)
+        got = c.max_defect()
+        assert got == fold or math.isnan(got) and math.isnan(fold), name
+    assert not cases["homotopy_k"].alternating
+    assert math.isnan(cases["flagged NaN"].max_defect())
+    assert math.isnan(cases["unflagged NaN"].max_defect())
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -199,9 +234,12 @@ def test_integer_row_is_read_through_component():
                    if idx not in ints)
     assert om.component(missing) == 0 and type(om.component(missing)) is int
     assert om.component((0, 1, 0)) == 0
+    # a flagged cochain materialises on its sorted supports, and reads back
+    # every ordering through component
     mat = om.materialize()
     assert {idx: m for idx, m in mat.components.items() if len(idx) == 3} \
-        == {idx: m for idx, m in ints.items() if m}
+        == {idx: m for idx, m in ints.items() if m and list(idx) == sorted(idx)}
+    assert all(mat.component(idx) == m for idx, m in ints.items())
 
 
 def test_random_cochain_stores_one_value_per_sorted_support():
@@ -248,12 +286,12 @@ def test_constructor_rejects_misplaced_levels(components, message):
 
 def test_constructor_rejects_a_field_strength_of_the_wrong_degree():
     cover = make_circle_cover(4, 0.55)
-    DiffCochain(0, cover, field_strength=TrigForm.zero(1, 1))
-    DiffCochain(1, cover, field_strength=TrigForm.zero(1, 1))
+    DiffCochain(0, cover, components={(): TrigForm.zero(1, 1)})
+    DiffCochain(1, cover, components={(): TrigForm.zero(1, 1)})
     with pytest.raises(ValueError, match="field strength"):
-        DiffCochain(0, cover, field_strength=TrigForm.zero(1, 0))
+        DiffCochain(0, cover, components={(): TrigForm.zero(1, 0)})
     with pytest.raises(ValueError, match="field strength"):
-        DiffCochain(1, cover, field_strength=TrigForm.zero(2, 2))
+        DiffCochain(1, cover, components={(): TrigForm.zero(2, 2)})
 
 
 def test_a_cochain_lives_on_its_covers_torus():
@@ -339,8 +377,8 @@ def test_every_operator_gives_the_field_strength_slot_by_its_rule():
 
 def test_a_top_degree_cochain_refuses_a_field_strength_with_terms():
     cover = make_circle_cover(4, 0.55)
-    DiffCochain(1, cover, field_strength=TrigForm.zero(1, 1))
+    DiffCochain(1, cover, components={(): TrigForm.zero(1, 1)})
     with pytest.raises(ValueError, match="a degree-1 cochain on T\\^1 has no "
                        "field strength: T\\^1 has no 2-form"):
         DiffCochain(1, cover,
-                    field_strength=TrigForm.monomial(1, (0,), (0,), 5.0))
+                    components={(): TrigForm.monomial(1, (0,), (0,), 5.0)})

@@ -94,7 +94,7 @@ def test_pushforward_integrates_the_field_strength_slot():
     # an exact form integrates to 0 over the fiber circle; this H is not
     H = TrigForm.monomial(2, (1, 0), (0, 1), 5.0)
     om = (random_alternating_cochain(rng, cover, 1, 2)
-          + DiffCochain(1, cover, field_strength=H))
+          + DiffCochain(1, cover, components={(): H}))
     H = pushforward(om, dec, rho).component(())
     want = om.field_strength.fiber_integrate_global(1)
     assert want.terms and (H.degree, H.terms) == (want.degree, want.terms)

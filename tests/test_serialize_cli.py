@@ -312,8 +312,8 @@ def test_a_cochain_below_degree_minus_one_is_refused_by_its_degree(
 
 def test_a_degree_minus_one_cochain_loads_back():
     cover = serialize.cover_from_id("circle:4:0.55")
-    om = DiffCochain(-1, cover, components={(0,): 2, (3,): -1},
-                     field_strength=TrigForm.constant(1, 0.5))
+    om = DiffCochain(-1, cover, components={(0,): 2, (3,): -1,
+                                            (): TrigForm.constant(1, 0.5)})
     back = serialize.cochain_from_dict(
         serialize.cochain_to_dict(om, "circle:4:0.55"))
     assert back.degree == -1
