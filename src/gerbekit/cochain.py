@@ -266,6 +266,16 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
                        alternating=omega.alternating)
 
 
+def prism_indices(idx: Idx, sig: Sequence[int], sig2: Sequence[int]
+                  ) -> Tuple[Tuple[int, Idx], ...]:
+    """The signed family (t % 2, sig(i1..it) + sig2(it..ir)), t = 1..r, of
+    multi-indices that a homotopy between two subordinations reads at
+    idx = (i1..ir): its value there is sum_t (-1)^t times the read value."""
+    a = tuple(sig[j] for j in idx)
+    b = tuple(sig2[j] for j in idx)
+    return tuple((t % 2, a[:t] + b[t - 1:]) for t in range(1, len(idx) + 1))
+
+
 def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> DiffCochain:
     """The homotopy operator for a pair of subordinations.
 
@@ -282,13 +292,10 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
     sig, sig2 = s1.index_map, s2.index_map
     n = omega.degree
 
-    def mixed(idx: Idx, t: int) -> Idx:
-        return tuple(sig[j] for j in idx[:t]) + tuple(sig2[j] for j in idx[t - 1:])
-
     def comp(idx: Idx) -> Level:
         return signed_sum(level_zero(n - 1, omega.ambient_dim, len(idx)),
-                          ((t % 2, omega.component(mixed(idx, t)))
-                           for t in range(1, len(idx) + 1)))
+                          ((odd, omega.component(b))
+                           for odd, b in prism_indices(idx, sig, sig2)))
 
     return DiffCochain(n - 1, s1.source, component_fn=comp)
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from .cochain import DiffCochain, Level, level_zero, total_d
+from .cochain import DiffCochain, Level, level_zero, prism_indices, total_d
 from .covers import DualCellDecomposition, product_index
 from .trigform import TrigForm, cell_integral, signed_sum
 
@@ -223,12 +223,8 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError("homotopy needs output degree n - d >= 1")
     n_base = omega.cover.factor_covers[0].factors
 
-    def e_indices(cell_idx: Idx):
-        return tuple((t % 2, tuple(rho[i] for i in cell_idx[:t]) +
-                      tuple(rho2[i] for i in cell_idx[t - 1:]))
-                     for t in range(1, len(cell_idx) + 1))
-
-    return _fiber_integral(omega, dec, m - 1, e_indices,
+    return _fiber_integral(omega, dec, m - 1,
+                           lambda cell_idx: prism_indices(cell_idx, rho, rho2),
                            TrigForm.zero(n_base, min(m, n_base)))
 
 

@@ -24,9 +24,9 @@ BUGS = [
      "holonomy", ("subordination_shift_t2",)),
     ("C-path-area-parity", "fiberint.py", "area + (p - 1)", "area + p",
      "pushforward", ("stokes_s1",)),
+    # the prism indices serve homotopy_k and pushforward_homotopy alike
     ("D-homotopy-sign", "cochain.py",
-     "(t % 2, omega.component(mixed(idx, t)))",
-     "((t + 1) % 2, omega.component(mixed(idx, t)))",
+     "(t % 2, a[:t] + b[t - 1:])", "((t + 1) % 2, a[:t] + b[t - 1:])",
      "cochain", ("homotopy_identity_s1",)),
     # dd_zero walks a flagged cochain on its sorted supports alone; the
     # homotopy reads the permuted lookups
