@@ -44,6 +44,12 @@ BUGS = [
      "chernsimons", ("bracket_oracle", "gauge_variation", "mc_flat")),
     ("M-coxeter-exponent", "modform.py", "COXETER_EXPONENT = 30",
      "COXETER_EXPONENT = 31", "modular", ("ad_is_char_pow30",)),
+    # the class is invariant under coboundaries either way; only its value
+    # tells 2pi from pi
+    ("K-class-mod-pi", "cochain.py",
+     "holonomy(omega, dec, rho) % (2 * math.pi)",
+     "holonomy(omega, dec, rho) % math.pi",
+     "crossmodule", ("flat_class_value",)),
 ]
 
 
