@@ -88,6 +88,9 @@ class DiffCochain:
         self.ambient_dim = amb = cover.factors
         for idx, value in self.components.items():
             want = degree - (len(idx) - 1)
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"component at {idx} repeats an index, where "
+                                 f"every component is zero")
             if want == -1:
                 if type(value) is not int:
                     raise ValueError(f"component at {idx} must be an integer")
@@ -115,14 +118,15 @@ class DiffCochain:
 
     def component(self, idx: Sequence[int]) -> Level:
         """The value at idx: a TrigForm up to length n+1 (H at length 0),
-        an int at n+2."""
+        an int at n+2.  The memo is read first, as the constructor refuses
+        a stored index out of range or with a repeated entry: only a miss
+        checks the index before computing it."""
         idx = tuple(idx)
-        deg = self.level_degree(len(idx))
-        if deg < -1 or deg > self.ambient_dim or len(set(idx)) != len(idx):
-            return level_zero(self.degree, self.ambient_dim, len(idx))
         got = self.components.get(idx)
         if got is None:
-            if self.component_fn is None:
+            deg = self.level_degree(len(idx))
+            if self.component_fn is None or deg < -1 \
+                    or deg > self.ambient_dim or len(set(idx)) != len(idx):
                 return level_zero(self.degree, self.ambient_dim, len(idx))
             got = self.components[idx] = self.component_fn(idx)
         return got
@@ -204,7 +208,8 @@ def alternating_cochain(degree: int, cover: Cover,
     """The flagged alternating cochain with the given values on sorted
     supports, H at () included (a missing support is zero): any other
     ordering of a support reads as the sorted value times the sign of the
-    permutation."""
+    permutation.  The cochain memoises into a copy of the dict, so the
+    caller's dict is left as it was."""
     amb = cover.factors
 
     def permuted(idx: Idx) -> Level:
@@ -214,7 +219,7 @@ def alternating_cochain(degree: int, cover: Cover,
             return level_zero(degree, amb, len(idx))
         return value if sign == 1 else -1 * value
 
-    return DiffCochain(degree, cover, components=sorted_values,
+    return DiffCochain(degree, cover, components=dict(sorted_values),
                        component_fn=permuted, alternating=True)
 
 
@@ -276,6 +281,12 @@ def prism_indices(idx: Idx, sig: Sequence[int], sig2: Sequence[int]
     return tuple((t % 2, a[:t] + b[t - 1:]) for t in range(1, len(idx) + 1))
 
 
+# by pair of index maps, then by index: the prism family less its members
+# with a repeated entry, which read zero; shared by every homotopy between
+# the same two subordinations
+_LIVE_PRISMS: Dict[Tuple[Idx, Idx], Dict[Idx, Tuple[Tuple[int, Idx], ...]]] = {}
+
+
 def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> DiffCochain:
     """The homotopy operator for a pair of subordinations.
 
@@ -283,7 +294,9 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
     omega_{s1(j1)...s1(jt) s2(jt)...s2(jr)}; with the delta convention
     (delta c)_{i0...ir} = sum_j (-1)^j c_{...no ij...} this is the unique
     overall sign making d_total(k omega) + k(d_total omega) = s1* - s2*.
-    Output field strength 0, the empty sum.
+    Output field strength 0, the empty sum.  A member of the family with a
+    repeated entry is not read: it would add the level's zero, which leaves
+    every key and bit of the sum as it is.
     """
     if s1.source is not s2.source or s1.target is not s2.target:
         raise ValueError("subordinations must share source and target")
@@ -291,11 +304,16 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
         raise ValueError("subordination target is not the cochain's cover")
     sig, sig2 = s1.index_map, s2.index_map
     n = omega.degree
+    families = _LIVE_PRISMS.setdefault((sig, sig2), {})
 
     def comp(idx: Idx) -> Level:
+        family = families.get(idx)
+        if family is None:
+            family = families[idx] = tuple(
+                (odd, b) for odd, b in prism_indices(idx, sig, sig2)
+                if len(set(b)) == len(b))
         return signed_sum(level_zero(n - 1, omega.ambient_dim, len(idx)),
-                          ((odd, omega.component(b))
-                           for odd, b in prism_indices(idx, sig, sig2)))
+                          ((odd, omega.component(b)) for odd, b in family))
 
     return DiffCochain(n - 1, s1.source, component_fn=comp)
 

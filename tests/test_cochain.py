@@ -7,13 +7,16 @@ import pytest
 
 from gerbekit.cochain import (DiffCochain, alternating_cochain,
                               classify_flat_2cocycle, from_global_form,
-                              homotopy_k, is_cocycle, restrict, total_d)
+                              homotopy_k, is_cocycle, level_zero,
+                              prism_indices, restrict, total_d)
 from gerbekit.covers import (make_circle_cover, make_torus_cover,
                              product_cover, refine, two_subordinations)
 from gerbekit.serialize import cover_from_id
 from gerbekit.suites import (random_alternating_cochain, random_cocycle,
                              random_real_form, torus_setup)
-from gerbekit.trigform import TrigForm, nan_max
+from gerbekit.trigform import TrigForm, nan_max, signed_sum
+
+from test_term_kernels import coefficient_bytes
 
 
 def det_sign(seq):
@@ -382,3 +385,112 @@ def test_a_top_degree_cochain_refuses_a_field_strength_with_terms():
                        "field strength: T\\^1 has no 2-form"):
         DiffCochain(1, cover,
                     components={(): TrigForm.monomial(1, (0,), (0,), 5.0)})
+
+
+def test_the_constructor_refuses_a_component_with_a_repeated_index():
+    cover = make_circle_cover(4, 0.55)
+    with pytest.raises(ValueError, match=r"component at \(1, 1\) repeats"):
+        DiffCochain(1, cover, components={(1, 1): TrigForm.zero(1, 0)})
+    with pytest.raises(ValueError, match=r"component at \(0, 2, 0\) repeats"):
+        DiffCochain(1, cover, components={(0, 2, 0): 1})
+
+
+def test_repeated_and_out_of_range_lookups_read_zero_once_the_memo_is_full():
+    # component reads its memo first; nothing it memoises may make a
+    # repeated or out-of-range index read anything but the level's zero
+    cover = make_circle_cover(4, 0.55)
+    om = random_alternating_cochain(np.random.default_rng(12), cover, 2, 1)
+    fine, s1, s2 = refine(cover, 2)
+    lhs = total_d(homotopy_k(om, s1, s2)) + homotopy_k(total_d(om), s1, s2)
+    assert (lhs - (restrict(om, s1) - restrict(om, s2))).max_defect() < 1e-12
+    assert any(list(idx) != sorted(idx) for idx in om.components)
+    for idx in [(1, 1), (0, 2, 0), (2, 2, 2)]:
+        assert om.component(idx).is_zero()
+    for idx in [(0, 1, 1, 2), (3, 0, 3, 1)]:
+        assert om.component(idx) == 0
+    # a 2-form on T^1 and a length past the integer row do not exist
+    assert om.component((0,)).is_zero()
+    assert om.component((0, 1, 2, 3, 0)).is_zero()
+    assert om.component((0, 1, 2, 3, 4)).is_zero()
+    assert all(len(set(idx)) == len(idx) and 2 <= len(idx) <= 4
+               for idx in om.components if idx)
+
+
+def test_alternating_cochain_leaves_the_callers_dict_as_it_was():
+    cover = make_torus_cover(3, 3, 0.75)
+    base = random_alternating_cochain(np.random.default_rng(0), cover, 2, 2)
+    values = dict(base.components)
+    before = dict(values)
+    om = alternating_cochain(2, cover, values)
+    fine, s1, s2 = refine(cover, 2)
+    lhs = total_d(homotopy_k(om, s1, s2)) + homotopy_k(total_d(om), s1, s2)
+    assert (lhs - (restrict(om, s1) - restrict(om, s2))).max_defect() < 1e-12
+    assert len(om.components) > len(values)
+    assert values.keys() == before.keys()
+    assert all(values[k] is before[k] for k in before)
+
+
+def every_ordering_cochain(rng, cover, degree):
+    """An unflagged cochain built by hand: H and an independent random value
+    at every ordering of every support, integers on the bottom row."""
+    amb = cover.factors
+    comps = {(): random_real_form(rng, amb, degree + 1)} \
+        if degree + 1 <= amb else {}
+    for r in range(1, degree + 3):
+        deg = degree - (r - 1)
+        if deg > amb:
+            continue
+        for idx in cover.nonempty_tuples(r):
+            comps[idx] = int(rng.integers(-2, 3)) if deg == -1 \
+                else random_real_form(rng, amb, deg)
+    return DiffCochain(degree, cover, components=comps)
+
+
+def level_bytes(value):
+    if isinstance(value, TrigForm):
+        return (value.ambient_dim, value.degree,
+                coefficient_bytes(value.terms))
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("cover_id, degree", [
+    ("circle:4:0.55", 0), ("circle:4:0.55", 1), ("circle:4:0.55", 2),
+    ("torus:3:3:0.55", 0), ("torus:3:3:0.55", 1), ("torus:3:3:0.55", 2),
+    ("torus:3:3:0.55", 3)])
+def test_the_homotopy_matches_a_sum_over_every_prism_member(cover_id, degree):
+    # the reference reads omega at every member of the prism family, those
+    # with a repeated entry included, and sums them in order
+    cover = cover_from_id(cover_id)
+    fine, s1, s2 = refine(cover, 2)
+    rng = np.random.default_rng(40 + degree)
+    for om in (random_alternating_cochain(rng, cover, degree, cover.factors),
+               every_ordering_cochain(rng, cover, degree)):
+        K = homotopy_k(om, s1, s2)
+        nonzero = repeated = 0
+        for r in range(degree + 2):
+            for idx in fine.nonempty_tuples(r) if r else [()]:
+                family = prism_indices(idx, s1.index_map, s2.index_map)
+                want = signed_sum(level_zero(degree - 1, cover.factors, r),
+                                  ((odd, om.component(b))
+                                   for odd, b in family))
+                assert level_bytes(K.component(idx)) == level_bytes(want), idx
+                nonzero += bool(want.terms if r < degree + 1 else want)
+                repeated += any(len(set(b)) != len(b) for _, b in family)
+        assert nonzero and repeated
+
+
+def test_the_homotopy_reads_no_index_with_a_repeated_entry():
+    cover = cover_from_id("torus:3:3:0.55")
+    om = random_alternating_cochain(np.random.default_rng(11), cover, 2, 2)
+    asked = []
+    read = om.component
+
+    def component(idx):
+        asked.append(tuple(idx))
+        return read(idx)
+
+    om.component = component
+    fine, s1, s2 = refine(cover, 2)
+    assert homotopy_k(om, s1, s2).max_defect() > 0
+    assert asked
+    assert [idx for idx in asked if len(set(idx)) != len(idx)] == []
