@@ -130,7 +130,7 @@ class Cover:
         A product cover asks its factor covers about the projected index
         sets, since boxes meet exactly when every factor of them does; the
         factors' answers repeat, so the circle covers memoise theirs per
-        index set (a product's own questions do not repeat in `supports`).
+        index set (`supports` asks a product's factors directly).
         """
         if self.factor_covers:
             a, b = self.factor_covers
@@ -150,12 +150,27 @@ class Cover:
 
         Built incrementally: a (k+1)-support extends a k-support, so the
         enumeration never touches the vast majority of index combinations.
+        A product cover extends a support s only by the pieces whose two
+        factor indices each extend s's projection to that factor; each
+        projection's extensions are asked of the factor once per size.
         """
         if size in self._support_cache:
             return self._support_cache[size]
         n = len(self.pieces)
         if size == 1:
             out = [(i,) for i in range(n)]
+        elif self.factor_covers:
+            a, b = self.factor_covers
+            nb = len(b.pieces)
+            ext_a: Dict[FrozenSet[int], List[int]] = {}
+            ext_b: Dict[FrozenSet[int], List[int]] = {}
+            out = []
+            for s in self.supports(size - 1):
+                xs = _extensions(a, ext_a, frozenset(i // nb for i in s))
+                es = _extensions(b, ext_b, frozenset(i % nb for i in s))
+                # x * nb + e rises with (x, e), so the order is that of j
+                out.extend(s + (j,) for j in (x * nb + e for x in xs
+                                              for e in es) if j > s[-1])
         else:
             out = []
             for s in self.supports(size - 1):
@@ -179,6 +194,16 @@ class Cover:
     def piece_contains_box(self, i: int, box: Sequence[Tuple[float, float]]) -> bool:
         return all(_arc_contains_interval(self.pieces[i][axis], lo, hi)
                    for axis, (lo, hi) in enumerate(box))
+
+
+def _extensions(cover: Cover, memo: Dict[FrozenSet[int], List[int]],
+                idx: FrozenSet[int]) -> List[int]:
+    """The pieces i, in order, for which idx with i has a common point."""
+    got = memo.get(idx)
+    if got is None:
+        got = memo[idx] = [i for i in cover.indices
+                           if cover.intersection_nonempty(idx | {i})]
+    return got
 
 
 class Subordination:

@@ -18,7 +18,9 @@ indices per cell.
 Each symbol is built once per cochain and per (a, b): the symbols live in
 a memo that lives as long as the cochain, shared by every push-forward and
 homotopy of it.  Each term's axes are split into fiber and base parts
-once per (axes, n_base), not once per cell.
+once per (axes, n_base), not once per cell.  A path sum walks a plan of
+its grid shape (r, k), built once per process, and a push-forward builds
+each cell's E-side family once, not once per (a).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from .cochain import DiffCochain, Level, level_zero, prism_indices, total_d
-from .covers import DualCellDecomposition, product_index
+from .covers import DualCellDecomposition
 from .trigform import TrigForm, cell_integral, signed_sum
 
 Idx = Tuple[int, ...]
@@ -63,14 +65,26 @@ def monotone_paths(r: int, k: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], i
 # path-sum symbols
 
 
+@lru_cache(maxsize=None)
+def _path_plan(r: int, k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+    """monotone_paths(r, k) as (area parity, 0-indexed nodes) pairs."""
+    return tuple((area % 2, tuple((p - 1, q - 1) for p, q in nodes))
+                 for nodes, area in monotone_paths(r, k))
+
+
 def _path_sum(omega: DiffCochain, a_idx: Sequence[int], b_idx: Sequence[int],
               zero):
-    """Sum of (-1)^{A(gamma)} omega_{node sequence of gamma} over all paths."""
+    """Sum of (-1)^{A(gamma)} omega_{node sequence of gamma} over all paths.
+
+    A node (p, q) reads the product cover's piece a_idx[p] * nb + b_idx[q],
+    product_index's numbering.
+    """
+    nb = len(omega.cover.factor_covers[1].pieces)
+    rows = [i * nb for i in a_idx]
+    component = omega.component
     return signed_sum(zero, (
-        (area % 2, omega.component(tuple(
-            product_index(omega.cover, a_idx[p - 1], b_idx[q - 1])
-            for p, q in nodes)))
-        for nodes, area in monotone_paths(len(a_idx), len(b_idx))))
+        (odd, component(tuple([rows[p] + b_idx[q] for p, q in nodes])))
+        for odd, nodes in _path_plan(len(a_idx), len(b_idx))))
 
 
 def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
@@ -142,6 +156,8 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
     x_cover = omega.cover.factor_covers[0]
     n_base = x_cover.factors
     symbols = _SYMBOLS.setdefault(omega, {})
+    # a cell's family is the same for every (a): built once per cell
+    family = lru_cache(maxsize=None)(e_indices)
 
     def symbol(a_idx: Idx, b_idx: Idx) -> TrigForm:
         got = symbols.get((a_idx, b_idx))
@@ -156,16 +172,17 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                     return None
                 return cell.sign * signed_sum(0, (
                     (odd, _path_sum(omega, a_idx, b_idx, 0))
-                    for odd, b_idx in e_indices(cell_idx)))
+                    for odd, b_idx in family(cell_idx)))
         else:
             def value(cell_idx, cell):
-                family = e_indices(cell_idx)
-                if len(family) == 1 and not family[0][0]:
+                members = family(cell_idx)
+                if len(members) == 1 and not members[0][0]:
                     # a symbol is a signed_sum result, with no exact zero
                     # and no -0.0 part, so its sum from zero would equal it
-                    sym = symbol(a_idx, family[0][1])
+                    sym = symbol(a_idx, members[0][1])
                 else:
-                    syms = [(odd, symbol(a_idx, b_idx)) for odd, b_idx in family]
+                    syms = [(odd, symbol(a_idx, b_idx))
+                            for odd, b_idx in members]
                     first = syms[0][1]
                     sym = signed_sum(TrigForm.zero(first.ambient_dim,
                                                    first.degree), syms)

@@ -69,17 +69,32 @@ def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     """A real-valued form: each term paired with its conjugate at -freq.
 
     The monomials add into one dict in draw order, a key whose running sum
-    is exactly zero dropping at once, as in signed_sum.
+    is exactly zero dropping at once, as in signed_sum.  A term whose two
+    keys are distinct and new and whose coefficient has no zero part would
+    sum to its own coefficients, so it sets them directly.
+
+    Each coefficient part is drawn by standard_normal(), which returns what
+    normal() does, 0.0 + 1.0 * z, from the same draw z, except that a -0.0
+    stays -0.0; such a part takes the running sum, whose 0.0 + turns it
+    into 0.0 as normal() would.  A one-entry axes pool draws nothing, as
+    rng.integers(1) would not.
     """
     terms: Dict[Key, complex] = {}
     axes_pool = _axes_pool(ambient_dim, degree)
+    integers, gauss = rng.integers, rng.standard_normal
     for _ in range(FORM_TERMS):
-        freq = tuple(int(rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
-                     for _ in range(ambient_dim))
-        axes = axes_pool[int(rng.integers(len(axes_pool)))]
-        c = complex(rng.normal(), rng.normal())
-        for key, coeff in (((freq, axes), c),
-                           ((tuple(-k for k in freq), axes), c.conjugate())):
+        freq = [int(integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
+                for _ in range(ambient_dim)]
+        axes = (axes_pool[int(integers(len(axes_pool)))]
+                if len(axes_pool) > 1 else axes_pool[0])
+        c = complex(gauss(), gauss())
+        key, conj_key = (tuple(freq), axes), (tuple([-k for k in freq]), axes)
+        # terms holds each key with its conjugate, so conj_key is new too
+        if c.real and c.imag and any(freq) and key not in terms:
+            terms[key] = c
+            terms[conj_key] = c.conjugate()
+            continue
+        for key, coeff in ((key, c), (conj_key, c.conjugate())):
             v = terms.get(key, 0.0) + coeff
             if v != 0.0:
                 terms[key] = v

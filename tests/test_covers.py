@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbekit.covers import (_arcs_intersection, _cell_bounding_box,
+from gerbekit.covers import (Cover, _arcs_intersection, _cell_bounding_box,
                              admissible_pieces, layer_sign, make_circle_cover,
                              make_circle_decomposition, make_torus_cover,
                              make_torus_hex_decomposition, product_cover,
@@ -177,3 +177,42 @@ def test_product_supports_match_brute_force_box_intersection(n, m, frac,
     for cover, top in ((torus, 4), (fine, 3), (triple, 3)):
         for size in range(1, top + 1):
             assert cover.supports(size) == _brute_supports(cover, size)
+
+
+def _fresh_t2_product():
+    """The pushforward suite's cover with a T^2 fibre, built anew."""
+    return product_cover(make_circle_cover(3, 0.6),
+                         make_torus_cover(3, 3, 0.75))
+
+
+@pytest.mark.parametrize("make,top", [
+    (_fresh_t2_product, 6),
+    (lambda: product_cover(make_circle_cover(3, 0.6),
+                           make_circle_cover(4, 0.7)), 5),
+    (lambda: make_torus_cover(3, 3, 0.55), 5),
+    (lambda: refine(make_torus_cover(3, 3, 0.55), 2)[0], 5),
+], ids=["product:circle:3:0.6|torus:3:3:0.75",
+        "product:circle:3:0.6|circle:4:0.7", "torus:3:3:0.55",
+        "refine(torus:3:3:0.55,2)"])
+def test_supports_are_the_meeting_combinations_in_order(make, top):
+    # compared as lists: the random instances are drawn in this order
+    cover, reference = make(), make()
+    for size in range(1, top + 1):
+        assert cover.supports(size) == [
+            combo for combo in itertools.combinations(reference.indices, size)
+            if reference.intersection_nonempty(combo)]
+
+
+def test_product_supports_ask_few_intersection_questions(monkeypatch):
+    # every call counts, a product's own and those it makes to its factors;
+    # extending each support by every later piece made 74,718
+    calls = []
+    ask = Cover.intersection_nonempty
+
+    def counting(self, idx):
+        calls.append(idx)
+        return ask(self, idx)
+
+    monkeypatch.setattr(Cover, "intersection_nonempty", counting)
+    assert len(_fresh_t2_product().supports(5)) == 1512
+    assert len(calls) <= 74718 // 3

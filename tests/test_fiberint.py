@@ -10,14 +10,16 @@ import pytest
 import gerbekit
 from gerbekit import cli, fiberint
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
-from gerbekit.covers import (make_circle_cover, product_cover,
+from gerbekit.covers import (make_circle_cover, make_torus_cover,
+                             product_cover, product_index,
                              two_subordinations)
-from gerbekit.fiberint import (homotopy_residual, monotone_paths,
+from gerbekit.fiberint import (_path_sum, homotopy_residual, monotone_paths,
                                pushforward, pushforward_commutes_defect,
-                               pushforward_homotopy)
+                               pushforward_homotopy, t_symbol_form)
 from gerbekit.suites import (circle_setup, random_alternating_cochain,
                              random_cocycle, torus_setup)
-from gerbekit.trigform import TrigForm
+from gerbekit.trigform import TrigForm, signed_sum
+from test_term_kernels import coefficient_bytes
 
 
 def test_path_counts_are_binomial():
@@ -41,6 +43,52 @@ def test_path_area_convention_2x2():
     right_first = ((1, 1), (2, 1), (2, 2))
     assert areas[up_first] % 2 == 0
     assert areas[right_first] % 2 == 1
+
+
+def path_sum_reference(omega, a_idx, b_idx, zero):
+    """The path sum as first written: each node's piece by product_index."""
+    return signed_sum(zero, (
+        (area % 2, omega.component(tuple(
+            product_index(omega.cover, a_idx[p - 1], b_idx[q - 1])
+            for p, q in nodes)))
+        for nodes, area in monotone_paths(len(a_idx), len(b_idx))))
+
+
+@pytest.mark.parametrize("fiber", [make_circle_cover(4, 0.7),
+                                   make_torus_cover(3, 3, 0.75)],
+                         ids=["circle:4:0.7", "torus:3:3:0.75"])
+def test_path_sums_are_the_product_index_walk(fiber):
+    # every (r, k) up to 4 whose path has a form row (t_symbol_form) or the
+    # integer row (_path_sum from 0) at some degree
+    cover = product_cover(make_circle_cover(3, 0.6), fiber)
+    na, nb = 3, len(fiber.pieces)
+    rng = np.random.default_rng(40)
+    nonzero = 0
+    for degree in range(1, 6):
+        om = random_alternating_cochain(rng, cover, degree, cover.factors)
+        for r in range(1, 5):
+            for k in range(1, 5):
+                deg = degree + 2 - r - k      # -1 on the integer row
+                if not -1 <= deg <= cover.factors:
+                    continue
+                for _ in range(20):
+                    a_idx = tuple(int(i) for i in rng.integers(na, size=r))
+                    b_idx = tuple(int(i) for i in rng.integers(nb, size=k))
+                    if deg == -1:
+                        got = _path_sum(om, a_idx, b_idx, 0)
+                        want = path_sum_reference(om, a_idx, b_idx, 0)
+                        assert type(got) is int and got == want
+                        nonzero += got != 0
+                        continue
+                    got = t_symbol_form(om, a_idx, b_idx)
+                    want = path_sum_reference(om, a_idx, b_idx, TrigForm.zero(
+                        cover.factors, deg))
+                    assert (got.ambient_dim, got.degree) == (want.ambient_dim,
+                                                             want.degree)
+                    assert coefficient_bytes(got.terms) == coefficient_bytes(
+                        want.terms)
+                    nonzero += bool(got.terms)
+    assert nonzero > 100
 
 
 def _s1_instance(seed, degree):

@@ -47,6 +47,8 @@ PINNED = [
     # ... and its cochain and crossmodule shapes: 6 and 4 trials
     ("cochain", 6, 2, "8b63edc77931e40a348cea5cbf9afcb5f6c5c7c0b04e85ae1bfd2922f57e596f"),
     ("crossmodule", 4, 2, "df0528ee38b9d43d7dc4191d0e08db5bc5f1c084564924907db763192fa73ac6"),
+    # the pushforward benchmark workload's shape: 2 trials
+    ("pushforward", 2, 2, "fee7b6af64acaf62e0ca17cfddbb4b9303b617a6b4f6f7ea8b7abe961f64a40a"),
 ]
 
 
