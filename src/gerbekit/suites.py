@@ -73,11 +73,14 @@ def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
     keys are distinct and new and whose coefficient has no zero part would
     sum to its own coefficients, so it sets them directly.
 
-    Each coefficient part is drawn by standard_normal(), which returns what
-    normal() does, 0.0 + 1.0 * z, from the same draw z, except that a -0.0
-    stays -0.0; such a part takes the running sum, whose 0.0 + turns it
-    into 0.0 as normal() would.  A one-entry axes pool draws nothing, as
-    rng.integers(1) would not.
+    The stream is that of one rng.integers(-FORM_MAX_FREQ,
+    FORM_MAX_FREQ + 1) per frequency entry, one rng.integers(len(pool)) per
+    axes choice and one rng.normal() per coefficient part.  The parts are
+    drawn by standard_normal(): normal() returns 0.0 + 1.0 * z of the same
+    draw z, which differs from z only by turning a -0.0 into 0.0, and a
+    term with a zero part takes the running sum, whose 0.0 + does the
+    same.  A one-entry axes pool is not drawn from, as rng.integers(1)
+    draws nothing.
     """
     terms: Dict[Key, complex] = {}
     axes_pool = _axes_pool(ambient_dim, degree)
