@@ -233,6 +233,23 @@ def test_symbols_are_built_once_per_cochain_and_index_pair(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_a_homotopy_builds_each_cell_family_once(monkeypatch):
+    # every component (a) reads every cell's signed family of E-side
+    # indices; the family depends on the cell alone
+    asked = []
+    build = fiberint.prism_indices
+
+    def counting(idx, sig, sig2):
+        asked.append(idx)
+        return build(idx, sig, sig2)
+
+    monkeypatch.setattr(fiberint, "prism_indices", counting)
+    om, dec, rho, rho2, _ = _s1_instance(34, 2)
+    homotopy = pushforward_homotopy(om, dec, rho, rho2)
+    assert len(homotopy.materialize().components) > 1
+    assert asked and len(asked) == len(set(asked))
+
+
 def _two_cochains():
     """omega and omega': degree 2 on one cover, with the same supports and
     different values, plus the decomposition and rho they are pushed along."""
