@@ -69,6 +69,16 @@ class IntegralLattice:
         b.flags.writeable = False
         return b
 
+    @functools.cached_property
+    def _gram_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The Gram numerators as Python ints, built once."""
+        return tuple(map(tuple, self.gram.tolist()))
+
+    @functools.cached_property
+    def _basis_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The basis numerators as Python ints, built once."""
+        return tuple(map(tuple, self._basis().tolist()))
+
     def _basis(self) -> np.ndarray:
         if self.basis is None:
             raise ValueError(f"lattice {self.name} is given by its Gram alone "
@@ -79,7 +89,7 @@ class IntegralLattice:
 
     def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction | int:
         """<u, v>: a Python int for an integral Gram, else a Fraction."""
-        g = self.gram.tolist()
+        g = self._gram_rows
         total = sum(int(u[i]) * g[i][j] * int(v[j])
                     for i in range(self.rank) for j in range(self.rank))
         return total if self.gram_den == 1 else Fraction(total, self.gram_den)
@@ -93,7 +103,7 @@ class IntegralLattice:
 
     def _numerators(self, v: Sequence[int]) -> List[int]:
         """basis_den * coordinates(v), in integers."""
-        rows = self._basis().tolist()
+        rows = self._basis_rows
         return [sum(int(c) * row[a] for c, row in zip(v, rows))
                 for a in range(len(rows[0]))]
 
@@ -185,29 +195,65 @@ def builtin(name: str) -> IntegralLattice:
 BLOCK_ROWS = 1 << 14
 
 
+def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
+    """One int64 per row that orders the rows as np.lexsort over (norm,
+    x_0, ..., x_{n-1}) does, or None when it would need more than 63 bits.
+
+    The key is the norm followed by n digits of b bits, digit j being
+    x_j + c for c = max |x|, so that 2c fits in b bits.
+    """
+    c = max(int(X.max(initial=0)), -int(X.min(initial=0)))
+    bits = (2 * c).bit_length()
+    if int(norms.max(initial=0)).bit_length() + X.shape[1] * bits > 63:
+        return None
+    key = norms.copy()
+    for col in X.T:
+        key <<= bits
+        key += col
+    # the offsets c of every digit, added once
+    key += sum(c << (bits * j) for j in range(X.shape[1]))
+    return key
+
+
 def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray]:
     """(norms, rows) of every lattice vector with <v,v> <= max_norm.
 
     rows holds basis coefficients, one vector per row, sorted by exact
     norm (the int64 array norms) and then lexicographically, so the zero
-    vector comes first.  A breadth-first frontier of partial vectors
-    (coordinates n-1 .. i fixed) is expanded one coordinate at a time, at
-    most BLOCK_ROWS children at a time.
+    vector comes first; a negative bound gives no rows.  A breadth-first
+    frontier of partial vectors (coordinates n-1 .. i fixed) is expanded
+    one coordinate at a time, at most BLOCK_ROWS children at a time.
+
+    Only half of the ellipsoid is walked.  The one frontier row whose fixed
+    coordinates are all zero takes x_i >= 0 only (x_0 >= 1 at the last
+    step), so of each pair v, -v only the vector whose highest-index
+    nonzero coordinate is positive is expanded and given its exact norm.
+    The float bounds of -v are those of v negated, bit for bit, so these
+    leaves are exactly half of a full walk's.  The zero vector and the
+    mirror image -v of each leaf, of the same norm, are written next to
+    them.  The rows are then ordered by one int64 key each, the norm
+    followed by the coordinates (_packed_key): rows are distinct, so the
+    keys are, and argsort's order is np.lexsort's.  A set whose key would
+    need more than 63 bits is ordered by np.lexsort over the norm and the
+    columns instead.
     """
-    g = L.gram_float
     n = L.rank
+    if max_norm < 0:
+        return np.zeros(0, np.int64), np.zeros((0, n), np.int64)
+    g = L.gram_float
     R = np.linalg.cholesky(g).T          # upper triangular, g = R^T R
     bound = float(max_norm) + 1e-9
     # |x_i| <= sqrt(bound (g^-1)_ii) on the ellipsoid
     reach = np.sqrt(bound * np.diag(np.linalg.inv(g))).max() + 2
     dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
     # a block: (coordinate i, rows, partial R @ x over coordinates <= i,
-    # remaining norm budget)
+    # remaining norm budget, whether its row 0 has all fixed coordinates
+    # zero); that row's first child, x_i = 0, is again row 0
     stack = [(n - 1, np.zeros((1, n), dtype), np.zeros((1, n)),
-              np.array([bound]))]
+              np.array([bound]), True)]
     leaves = []
     while stack:
-        i, X, P, rem = stack.pop()
+        i, X, P, rem, zero_first = stack.pop()
         if i < 0:
             X64 = X.astype(np.int64)
             # exact: the norm form is integer-valued, so gram_den divides
@@ -220,12 +266,15 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
         radius = np.sqrt(np.maximum(rem, 0.0)) / rii
         lo = np.ceil(center - radius - 1e-9)
         hi = np.floor(center + radius + 1e-9)
+        if zero_first:
+            # the half space; at x_0 it also leaves out the zero vector
+            lo[0] = max(lo[0], 0.0 if i else 1.0)
         counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
         total = int(counts.sum())
         if total > BLOCK_ROWS and len(X) > 1:
             h = len(X) // 2
-            stack.append((i, X[h:], P[h:], rem[h:]))
-            stack.append((i, X[:h], P[:h], rem[:h]))
+            stack.append((i, X[h:], P[h:], rem[h:], False))
+            stack.append((i, X[:h], P[:h], rem[:h], zero_first))
             continue
         parent = np.repeat(np.arange(len(X)), counts)
         first = np.cumsum(counts) - counts
@@ -235,12 +284,29 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
         X[:, i] = xi
         # only the partial sums of the coordinates still open are kept
         stack.append((i - 1, X, P[parent, :i] + xi[:, None] * R[:i, i],
-                      rem[parent] - t * t))
-    X = np.concatenate([x for x, _ in leaves])
-    norms = np.concatenate([nrm for _, nrm in leaves])
+                      rem[parent] - t * t, zero_first))
+    # row 0 is the zero vector, then the leaves, then their mirror images
+    m = sum(len(x) for x, _ in leaves)
+    X = np.zeros((2 * m + 1, n), dtype)
+    norms = np.zeros(2 * m + 1, np.int64)
+    a = 1
+    for x, nrm in leaves:
+        b = a + len(x)
+        X[a:b] = x
+        np.negative(x, out=X[m + a:m + b])
+        norms[a:b] = norms[m + a:m + b] = nrm
+        a = b
     del leaves                           # free the blocks before sorting
-    order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
-    return norms[order], X[order]
+    key = _packed_key(norms, X)
+    if key is None:
+        order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
+    else:
+        order = np.argsort(key)
+        del key
+    # one gather at a time, each freeing its source: the peak stays that of
+    # the full walk's sort
+    X = X[order]
+    return norms[order], X
 
 
 def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int, ...]]]:
@@ -326,13 +392,12 @@ def spin16_first_series() -> List[Tuple[int, ...]]:
 def weight_identity_check() -> Fraction:
     """max |2 sum_i x_i(a) x_i(b) - <a,b>| over basis pairs; exact 0."""
     L = builtin("spin16_coroot")
+    units = [tuple(1 if t == i else 0 for t in range(L.rank))
+             for i in range(L.rank)]
+    xs = [L.coordinates(a) for a in units]
     worst = Fraction(0)
-    for i in range(L.rank):
-        a = tuple(1 if t == i else 0 for t in range(L.rank))
-        xa = L.coordinates(a)
-        for j in range(L.rank):
-            b = tuple(1 if t == j else 0 for t in range(L.rank))
-            xb = L.coordinates(b)
+    for a, xa in zip(units, xs):
+        for b, xb in zip(units, xs):
             lhs = 2 * sum(p * q for p, q in zip(xa, xb))
             diff = abs(lhs - L.inner(a, b))
             worst = max(worst, diff)

@@ -216,3 +216,37 @@ def test_product_supports_ask_few_intersection_questions(monkeypatch):
     monkeypatch.setattr(Cover, "intersection_nonempty", counting)
     assert len(_fresh_t2_product().supports(5)) == 1512
     assert len(calls) <= 74718 // 3
+
+
+def _arcs_meet(arcs):
+    """Do the open circle arcs (lo, hi) share a point?  A nonempty
+    intersection of open arcs starts just after one of their left ends."""
+    def inside(t, arc):
+        return (t - arc[0]) % (2 * math.pi) < arc[1] - arc[0]
+    return any(all(inside(lo + 1e-7, arc) for arc in arcs) for lo, _ in arcs)
+
+
+@pytest.mark.parametrize("cover_id", [
+    "torus:3:3:0.55",
+    "product:circle:3:0.6|circle:4:0.7",
+    "product:circle:3:0.6|torus:3:3:0.75"])
+def test_a_product_cover_numbers_its_pieces_by_one_rule(cover_id):
+    # the pieces are numbered x * nb + e by product_cover's loop,
+    # product_index, intersection_nonempty's split of an index into its
+    # factor indices, and (tested against product_index elsewhere) the
+    # product branch of supports and fiberint's path sums
+    from gerbekit.covers import product_index
+    from gerbekit.serialize import cover_from_id
+    cover = cover_from_id(cover_id)
+    X, E = cover.factor_covers
+    assert len(cover.pieces) == len(X.pieces) * len(E.pieces)
+    for x in X.indices:
+        for e in E.indices:
+            assert (cover.pieces[product_index(cover, x, e)]
+                    == X.pieces[x] + E.pieces[e])
+    for k in (1, 2, 3):
+        for idx in itertools.combinations(cover.indices, k):
+            boxes = [cover.pieces[i] for i in idx]
+            direct = all(_arcs_meet([box[axis] for box in boxes])
+                         for axis in range(cover.factors))
+            assert cover.intersection_nonempty(idx) == direct, idx

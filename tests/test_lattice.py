@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gerbekit import modform
-from gerbekit.lattice import (IntegralLattice, anomaly_exponents, builtin,
+from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _packed_key,
+                              _sorted_shells, anomaly_exponents, builtin,
                               coxeter_from_roots, enumerate_by_norm, roots,
                               spin16_embedding, spin16_first_series,
                               theta_counts, weight_identity_check,
@@ -260,3 +262,116 @@ def test_a_gram_alone_has_no_basis():
         L.coordinates((1, 0))
     with pytest.raises(ValueError, match="no basis"):
         L.basis_float
+
+
+def sorted_shells_reference(L, max_norm):
+    """The full-ellipsoid walk, ordered by a 9-key np.lexsort: the oracle
+    for _sorted_shells' half walk, mirror and packed key."""
+    g = L.gram_float
+    n = L.rank
+    R = np.linalg.cholesky(g).T
+    bound = float(max_norm) + 1e-9
+    reach = np.sqrt(bound * np.diag(np.linalg.inv(g))).max() + 2
+    dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
+    stack = [(n - 1, np.zeros((1, n), dtype), np.zeros((1, n)),
+              np.array([bound]))]
+    leaves = []
+    while stack:
+        i, X, P, rem = stack.pop()
+        if i < 0:
+            X64 = X.astype(np.int64)
+            norms = np.einsum("ij,ij->i", X64 @ L.gram, X64) // L.gram_den
+            keep = norms <= max_norm
+            leaves.append((X[keep], norms[keep]))
+            continue
+        rii = R[i, i]
+        center = -P[:, i] / rii
+        radius = np.sqrt(np.maximum(rem, 0.0)) / rii
+        lo = np.ceil(center - radius - 1e-9)
+        hi = np.floor(center + radius + 1e-9)
+        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        total = int(counts.sum())
+        if total > BLOCK_ROWS and len(X) > 1:
+            h = len(X) // 2
+            stack.append((i, X[h:], P[h:], rem[h:]))
+            stack.append((i, X[:h], P[:h], rem[:h]))
+            continue
+        parent = np.repeat(np.arange(len(X)), counts)
+        first = np.cumsum(counts) - counts
+        xi = lo[parent] + (np.arange(total) - first[parent])
+        t = rii * (xi - center[parent])
+        X = X[parent]
+        X[:, i] = xi
+        stack.append((i - 1, X, P[parent, :i] + xi[:, None] * R[:i, i],
+                      rem[parent] - t * t))
+    X = np.concatenate([x for x, _ in leaves])
+    norms = np.concatenate([nrm for _, nrm in leaves])
+    order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
+    return norms[order], X[order]
+
+
+def assert_same_shells(L, max_norm):
+    """_sorted_shells gives the reference's arrays, dtype and bytes; returns
+    whether its rows were ordered by the packed key."""
+    got, ref = _sorted_shells(L, max_norm), sorted_shells_reference(L, max_norm)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return _packed_key(*got) is not None
+
+
+SHELL_CASES = [
+    (builtin("e8"), 0), (builtin("e8"), 4), (builtin("e8"), 14),
+    (builtin("e8"), 20), (builtin("e8e8"), 2), (builtin("e8e8"), 6),
+    (builtin("d16plus"), 2), (builtin("d16plus"), 4),
+    (builtin("spin16_coroot"), 6),
+    # int64 rows: first coefficients past 2^15
+    (IntegralLattice("skew", [[1, 1000], [1000, 1000001]]), 1200),
+    # a half-integral Gram (gram_den 2)
+    (IntegralLattice("hex", [[2, 1], [1, 2]], 2), 0),
+    (IntegralLattice("hex", [[2, 1], [1, 2]], 2), 60),
+]
+
+
+def test_sorted_shells_match_the_full_walk_bit_for_bit():
+    packed = [assert_same_shells(L, max_norm) for L, max_norm in SHELL_CASES]
+    # both orderings are exercised: e8 packs into 63 bits, e8e8 does not
+    assert any(packed) and not all(packed)
+    skew, bound = SHELL_CASES[9]
+    assert _sorted_shells(skew, bound)[1].dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_grams_over(), st.integers(0, 9))
+def test_sorted_shells_match_the_full_walk_on_small_grams(gram_over, max_norm):
+    num, den = gram_over
+    assert_same_shells(IntegralLattice("g", num, den), max_norm)
+
+
+def test_packed_key_orders_as_lexsort_up_to_63_bits():
+    rng = np.random.default_rng(3)
+    X = np.unique(rng.integers(-40, 41, size=(500, 8)), axis=0)
+    rng.shuffle(X)
+    lexsort_order = np.lexsort(tuple(X[:, j] for j in reversed(range(8))))
+    # 7 bits for each coordinate plus 40 (at most 80), and 7 for a norm
+    # below 128: 63 bits, the widest key
+    norms = np.full(len(X), 127)
+    norms[::2] = rng.integers(0, 128, size=len(norms[::2]))
+    key = _packed_key(norms, X)
+    order = np.lexsort(tuple(X[:, j] for j in reversed(range(8))) + (norms,))
+    assert np.array_equal(np.argsort(key), order)
+    assert key.min() >= 0 and int(key.max()).bit_length() == 63
+    assert np.array_equal(np.argsort(_packed_key(0 * norms, X)), lexsort_order)
+    # a norm of 128 needs an 8th bit: 64 do not fit
+    assert _packed_key(norms + 1, X) is None
+
+
+def test_a_negative_bound_gives_no_vectors_and_no_warning(e8):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (-1, -0.5):
+            norms, X = _sorted_shells(e8, bound)
+            assert norms.dtype == np.int64 and norms.shape == (0,)
+            assert X.dtype == np.int64 and X.shape == (0, 8)
+            assert enumerate_by_norm(e8, bound) == {}
+            assert theta_counts(e8, bound) == {}
