@@ -303,8 +303,8 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     else:
         order = np.argsort(key)
         del key
-    # one gather at a time, each freeing its source: the peak stays that of
-    # the full walk's sort
+    # one gather at a time, each freeing its source: the peak stays below
+    # that of sorting the full walk's leaves
     X = X[order]
     return norms[order], X
 

@@ -265,8 +265,9 @@ def test_a_gram_alone_has_no_basis():
 
 
 def sorted_shells_reference(L, max_norm):
-    """The full-ellipsoid walk, ordered by a 9-key np.lexsort: the oracle
-    for _sorted_shells' half walk, mirror and packed key."""
+    """The full-ellipsoid walk, ordered by np.lexsort over the norm and the
+    columns: the oracle for _sorted_shells' half walk, mirror and packed
+    key."""
     g = L.gram_float
     n = L.rank
     R = np.linalg.cholesky(g).T
