@@ -17,9 +17,10 @@ from .liecs import (GaugeFactor, GaugeMap, LieValuedForm, cs_form, curvature,
                     gauge_transform, gauge_variation_defect, graded_bracket,
                     pairing, su2_basis)
 from .lattice import (IntegralLattice, anomaly_exponents, builtin,
-                      coxeter_from_roots, enumerate_by_norm, roots,
-                      spin16_embedding, spin16_first_series, theta_counts,
-                      weight_identity_check, weyl_index_arithmetic)
+                      class_sizes_mod_2, coxeter_from_roots,
+                      enumerate_by_norm, roots, spin16_embedding,
+                      spin16_first_series, theta_counts,
+                      weight_identity_check)
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
                       character, cocycle_defect, det_section, eta,
                       eta_multiplier, factor, measure_extra_multiplier,

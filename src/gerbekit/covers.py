@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -50,38 +51,18 @@ class Cell:
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic on the circle
+# arcs on the circle
 
 
-def _arc_to_intervals(lo: float, hi: float) -> List[Tuple[float, float]]:
-    """Represent the open arc (lo, hi) (length < 2pi) as plain intervals in [0, 2pi)."""
-    length = hi - lo
-    if length >= TWO_PI:
-        return [(0.0, TWO_PI)]
-    lo = lo % TWO_PI
-    hi = lo + length
-    if hi <= TWO_PI:
-        return [(lo, hi)]
-    return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
+def _arcs_meet(arcs: Collection[Tuple[float, float]]) -> bool:
+    """Do the open circle arcs (lo, hi) share an interval longer than 1e-12?
 
-
-def _intersect_interval_lists(a, b):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if hi - lo > 1e-12:
-                out.append((lo, hi))
-    return out
-
-
-def _arcs_intersection(arcs: Sequence[Tuple[float, float]]):
-    cur = _arc_to_intervals(*arcs[0])
-    for arc in arcs[1:]:
-        cur = _intersect_interval_lists(cur, _arc_to_intervals(*arc))
-        if not cur:
-            return []
-    return cur
+    A common interval starts at one of the arcs' left ends, so it is long
+    enough exactly when some left end plus 1e-12 lies inside every arc,
+    taken mod 2pi.
+    """
+    return any(all((lo + 1e-12 - a) % TWO_PI < b - a for a, b in arcs)
+               for lo, _ in arcs)
 
 
 def _arc_contains_interval(arc: Tuple[float, float], lo: float,
@@ -108,7 +89,10 @@ class Cover:
     pieces[i] is a tuple of per-factor arcs (lo, hi) in lifted coordinates;
     the number of arcs per piece is the number of circle factors.  A
     product cover X x E keeps its factor covers (X, E); any other cover
-    has none.
+    has none.  A product numbers the piece of X's piece x and E's piece e
+    as x * nb + e, nb = len(E.pieces): product_cover's loop order writes
+    that numbering, and product_index, Cover.meeting and fiberint._path_sum
+    read it.
     """
 
     def __init__(self, pieces: Sequence[Tuple[Tuple[float, float], ...]]):
@@ -117,93 +101,69 @@ class Cover:
         self.cover_id = ""      # set by serialize.cover_from_id
         self.factor_covers: Tuple[Cover, ...] = ()   # set by product_cover
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
-        self._support_cache: Dict[int, List[Tuple[int, ...]]] = {}
-        self._meets: Dict[FrozenSet[int], bool] = {}
+        self._support_cache = {1: [(i,) for i in self.indices]}
 
     @property
     def indices(self):
         return range(len(self.pieces))
 
-    def intersection_nonempty(self, idx: Sequence[int]) -> bool:
-        """Do the pieces named by idx have a common point?
+    def intersection_nonempty(self, idx: Collection[int]) -> bool:
+        """Do the pieces named by idx have a common point?  Boxes meet when
+        their distinct arcs meet on every axis; a single piece meets."""
+        return len(idx) == 1 or all(
+            _arcs_meet(set(arcs))
+            for arcs in zip(*[self.pieces[i] for i in idx]))
 
-        A product cover asks its factor covers about the projected index
-        sets, since boxes meet exactly when every factor of them does; the
-        factors' answers repeat, so the circle covers memoise theirs per
-        index set (`supports` asks a product's factors directly).
+    def meeting(self, idx: Iterable[int],
+                memo: Optional[Dict] = None) -> List[int]:
+        """The pieces, in order, that have a common point with the pieces
+        named by idx.
+
+        A product cover's are the pieces x * nb + e (product_index's
+        numbering) with x meeting idx's projection to X and e its
+        projection to E.  memo, a dict the caller keeps, holds the factor
+        covers' answers, keyed by (factor cover, projection).
         """
-        if self.factor_covers:
-            a, b = self.factor_covers
-            nb = len(b.pieces)
-            return (a.intersection_nonempty({i // nb for i in idx})
-                    and b.intersection_nonempty({i % nb for i in idx}))
-        key = frozenset(idx)
-        got = self._meets.get(key)
-        if got is None:
-            got = self._meets[key] = all(
-                _arcs_intersection([self.pieces[i][axis] for i in key])
-                for axis in range(self.factors))
-        return got
+        if not self.factor_covers:
+            return [i for i in self.indices
+                    if self.intersection_nonempty({*idx, i})]
+        memo = {} if memo is None else memo
+        X, E = self.factor_covers
+        nb = len(E.pieces)
+        xs, es = [memo[key] if key in memo
+                  else memo.setdefault(key, key[0].meeting(key[1], memo))
+                  for key in ((X, frozenset(i // nb for i in idx)),
+                              (E, frozenset(i % nb for i in idx)))]
+        return [x * nb + e for x in xs for e in es]
 
     def supports(self, size: int) -> List[Tuple[int, ...]]:
         """Sorted index sets of the given size with a common point.
 
-        Built incrementally: a (k+1)-support extends a k-support, so the
-        enumeration never touches the vast majority of index combinations.
-        A product cover extends a support s only by the pieces whose two
-        factor indices each extend s's projection to that factor; each
-        projection's extensions are asked of the factor once per size.
+        A (k+1)-support is a k-support s and a later piece that meets s,
+        so the enumeration never touches the vast majority of index
+        combinations.  meeting lists the pieces in order (on a product,
+        in product_index's numbering x * nb + e), so the supports come in
+        lexicographic order.  The factor covers' answers are kept for the
+        length of one call.
         """
-        if size in self._support_cache:
-            return self._support_cache[size]
-        n = len(self.pieces)
-        if size == 1:
-            out = [(i,) for i in range(n)]
-        elif self.factor_covers:
-            a, b = self.factor_covers
-            nb = len(b.pieces)
-            ext_a: Dict[FrozenSet[int], List[int]] = {}
-            ext_b: Dict[FrozenSet[int], List[int]] = {}
-            out = []
-            for s in self.supports(size - 1):
-                xs = _extensions(a, ext_a, frozenset(i // nb for i in s))
-                es = _extensions(b, ext_b, frozenset(i % nb for i in s))
-                # x * nb + e rises with (x, e), so the order is that of j
-                out.extend(s + (j,) for j in (x * nb + e for x in xs
-                                              for e in es) if j > s[-1])
-        else:
-            out = []
-            for s in self.supports(size - 1):
-                for j in range(s[-1] + 1, n):
-                    if self.intersection_nonempty(s + (j,)):
-                        out.append(s + (j,))
-        self._support_cache[size] = out
-        return out
+        if size not in self._support_cache:
+            memo: Dict = {}
+            self._support_cache[size] = [
+                s + (j,) for s in self.supports(size - 1)
+                for j in self.meeting(s, memo) if j > s[-1]]
+        return self._support_cache[size]
 
     def nonempty_tuples(self, length: int) -> List[Tuple[int, ...]]:
         """All ordered tuples of *distinct* piece indices with a common point."""
-        if length in self._tuple_cache:
-            return self._tuple_cache[length]
-        out: List[Tuple[int, ...]] = []
-        for combo in self.supports(length):
-            out.extend(itertools.permutations(combo))
-        out.sort()
-        self._tuple_cache[length] = out
-        return out
+        if length not in self._tuple_cache:
+            self._tuple_cache[length] = sorted(
+                t for combo in self.supports(length)
+                for t in itertools.permutations(combo))
+        return self._tuple_cache[length]
 
     def piece_contains_box(self, i: int, box: Sequence[Tuple[float, float]]) -> bool:
         return all(_arc_contains_interval(self.pieces[i][axis], lo, hi)
                    for axis, (lo, hi) in enumerate(box))
-
-
-def _extensions(cover: Cover, memo: Dict[FrozenSet[int], List[int]],
-                idx: FrozenSet[int]) -> List[int]:
-    """The pieces i, in order, for which idx with i has a common point."""
-    got = memo.get(idx)
-    if got is None:
-        got = memo[idx] = [i for i in cover.indices
-                           if cover.intersection_nonempty(idx | {i})]
-    return got
 
 
 class Subordination:

@@ -76,8 +76,9 @@ def _path_sum(omega: DiffCochain, a_idx: Sequence[int], b_idx: Sequence[int],
               zero):
     """Sum of (-1)^{A(gamma)} omega_{node sequence of gamma} over all paths.
 
-    A node (p, q) reads the product cover's piece a_idx[p] * nb + b_idx[q],
-    product_index's numbering.
+    A node (p, q) reads the product cover's piece a_idx[p] * nb + b_idx[q]:
+    product_index's numbering, written by product_cover's loop order and
+    read by Cover.meeting as well.
     """
     nb = len(omega.cover.factor_covers[1].pieces)
     rows = [i * nb for i in a_idx]

@@ -405,18 +405,27 @@ def weight_identity_check() -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# closed-form Weyl arithmetic and anomaly exponents
-
-W_E8_ORDER = 696729600                       # 2^14 3^5 5^2 7
-W_D8_ORDER = 2 ** 7 * math.factorial(8)      # 5160960
+# classes mod 2L and anomaly exponents
 
 
-def weyl_index_arithmetic() -> int:
-    """|W(E8)| / |W(D8)| = 135 = 3^3 * 5."""
-    q, r = divmod(W_E8_ORDER, W_D8_ORDER)
-    if r:
-        raise ArithmeticError("Weyl order ratio is not integral")
-    return q
+def class_sizes_mod_2(L: IntegralLattice,
+                      max_norm: int) -> Dict[int, List[int]]:
+    """For each norm up to max_norm, the sizes of the classes mod 2L of
+    the vectors of that norm; so the sizes of a norm sum to its count.
+
+    A class is keyed by its coefficients mod 2, read as the bits of one
+    int64, so the rank is at most 63 (a larger one raises OverflowError).
+
+    The 2160 norm-4 vectors of E8 fall into 135 classes of 16: a class is
+    the 8 orthogonal pairs +-v of a frame.  W(E8) permutes the frames
+    transitively with stabiliser W(D8), so their number is the index
+    |W(E8)| / |W(D8)| = 135.
+    """
+    norms, X = _sorted_shells(L, max_norm)
+    bits = np.array([1 << i for i in range(L.rank)], dtype=np.int64)
+    keys = (X % 2) @ bits
+    return {k: np.unique(keys[norms == k], return_counts=True)[1].tolist()
+            for k in sorted(set(norms.tolist()))}
 
 
 _ANOMALY = {

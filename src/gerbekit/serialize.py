@@ -30,8 +30,8 @@ from .trigform import TrigForm
 
 # Covers and decompositions named by an id are built once per process and
 # shared: nothing changes them after they are built, only their memos fill
-# (a cover's supports and meets, a cell's monomial integrals).  An id that
-# raises is not cached, so it raises on every call.
+# (a cover's supports, a cell's monomial integrals).  An id that raises is
+# not cached, so it raises on every call.
 _ID_CACHE_SIZE = 64
 
 

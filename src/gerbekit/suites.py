@@ -25,9 +25,9 @@ from .covers import Cover, refine, two_subordinations
 from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect)
 from .holonomy import holonomy, invariance_defect, nearest_2pi_multiple_defect
-from .lattice import (anomaly_exponents, builtin, coxeter_from_roots, roots,
-                      spin16_embedding, spin16_first_series, theta_counts,
-                      weight_identity_check, weyl_index_arithmetic)
+from .lattice import (anomaly_exponents, builtin, class_sizes_mod_2,
+                      coxeter_from_roots, roots, spin16_embedding,
+                      spin16_first_series, weight_identity_check)
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       cocycle_defect, eta, eta_multiplier, factor,
                       measure_extra_multiplier, reflection_element, theta1,
@@ -299,9 +299,9 @@ def suite_lattice(trials: int, seed: int) -> List[Check]:
     e8 = builtin("e8")
     d16 = builtin("d16plus")
     checks = []
-    counts = theta_counts(e8, 4)
-    checks.append(("e8_norm2_count", abs(counts.get(2, 0) - 240)))
-    checks.append(("e8_norm4_count", abs(counts.get(4, 0) - 2160)))
+    classes = class_sizes_mod_2(e8, 4)
+    checks.append(("e8_norm2_count", abs(sum(classes.get(2, ())) - 240)))
+    checks.append(("e8_norm4_count", abs(sum(classes.get(4, ())) - 2160)))
     checks.append(("e8_even_unimodular",
                    0.0 if e8.is_even() and e8.is_unimodular() else 1.0))
     checks.append(("d16plus_even_unimodular",
@@ -314,7 +314,7 @@ def suite_lattice(trials: int, seed: int) -> List[Check]:
         e8.norm(w) == 2 for w in images)
     checks.append(("spin16_series_112", 0.0 if ok else 1.0))
     checks.append(("weight_identity", float(abs(weight_identity_check()))))
-    checks.append(("weyl_index_135", abs(weyl_index_arithmetic() - 135)))
+    checks.append(("weyl_index_135", abs(len(classes.get(4, ())) - 135)))
     c, x2, n, d = anomaly_exponents("e8e8_adjoint")
     checks.append(("anomaly_adjoint", abs(c * 32 - (n + x2))))
     c, x2, n, d = anomaly_exponents("spin16_rho")

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbekit.covers import (Cover, _arcs_intersection, _cell_bounding_box,
-                             admissible_pieces, layer_sign, make_circle_cover,
-                             make_circle_decomposition, make_torus_cover,
-                             make_torus_hex_decomposition, product_cover,
-                             refine, two_subordinations)
+import gerbekit.covers
+from gerbekit.covers import (TWO_PI, Cover, _arcs_meet, _cell_bounding_box,
+                             admissible_pieces, layer_sign,
+                             make_circle_cover, make_circle_decomposition,
+                             make_torus_cover, make_torus_hex_decomposition,
+                             product_cover, refine, two_subordinations)
 
 
 def test_circle_cover_shapes():
@@ -31,6 +32,8 @@ def test_circle_cover_nerve():
     assert c.intersection_nonempty((0, 1))
     assert c.intersection_nonempty((3, 0))
     assert not c.intersection_nonempty((0, 2))
+    # a single piece meets, however short its arcs
+    assert Cover([((1.0, 1.0),), ((0.0, 2.0),)]).intersection_nonempty((0,))
 
 
 def test_torus_cover_product_structure():
@@ -155,11 +158,93 @@ def test_subordinate_raises_without_containment():
         two_subordinations(dec, cover)
 
 
+def _arc_to_intervals(lo, hi):
+    """The open arc (lo, hi) as plain intervals in [0, 2pi)."""
+    length = hi - lo
+    if length >= TWO_PI:
+        return [(0.0, TWO_PI)]
+    lo = lo % TWO_PI
+    hi = lo + length
+    if hi <= TWO_PI:
+        return [(lo, hi)]
+    return [(lo, TWO_PI), (0.0, hi - TWO_PI)]
+
+
+def _intersect_interval_lists(a, b):
+    out = []
+    for lo1, hi1 in a:
+        for lo2, hi2 in b:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if hi - lo > 1e-12:
+                out.append((lo, hi))
+    return out
+
+
+def arcs_intersection_reference(arcs):
+    """The arcs' common part as intervals of [0, 2pi) longer than 1e-12,
+    intersected one arc at a time: the rule `_arcs_meet` replaced.  It
+    cuts the circle at 0, so it misses a common arc no longer than 2e-12
+    that straddles 0; and a single arc meets however short it is."""
+    cur = _arc_to_intervals(*arcs[0])
+    for arc in arcs[1:]:
+        cur = _intersect_interval_lists(cur, _arc_to_intervals(*arc))
+        if not cur:
+            return []
+    return cur
+
+
+STEP = TWO_PI / 2 ** 20
+
+
+@st.composite
+def arc_sets(draw):
+    """0-3 arcs whose left ends and lengths (up to 1.5 turns, or exactly
+    one) lie on a grid of STEP, so any overlap of them is 0 or at least a
+    step, each lifted by up to two turns either way; then, when drawn or
+    when there is no other arc, a pair that overlaps by +-5e-13 or
+    +-2e-12 at a grid point t other than 0, where the reference cuts."""
+    def grid_arc(first, steps):
+        lo = STEP * first + TWO_PI * draw(st.integers(-2, 2))
+        return (lo, lo + STEP * steps)
+
+    lengths = st.one_of(st.integers(1, 3 * 2 ** 19), st.just(2 ** 20))
+    arcs = [grid_arc(draw(st.integers(0, 2 ** 20 - 1)), draw(lengths))
+            for _ in range(draw(st.integers(0, 3)))]
+    if not arcs or draw(st.booleans()):
+        t = draw(st.integers(1, 2 ** 20 - 1))
+        delta = draw(st.sampled_from([5e-13, 2e-12, -5e-13, -2e-12]))
+        steps = draw(st.integers(1, 2 ** 20))
+        lo, hi = grid_arc(t - steps, steps)          # ends at t
+        arcs += [(lo, hi + delta), grid_arc(t, draw(st.integers(1, 2 ** 20)))]
+    return draw(st.permutations(arcs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(arc_sets())
+def test_arcs_meet_agrees_with_the_interval_lists(arcs):
+    assert _arcs_meet(arcs) == bool(arcs_intersection_reference(arcs))
+
+
+@pytest.mark.parametrize("arcs,meet", [
+    ([(0.5, 0.5 + TWO_PI)], True),                  # a whole turn
+    ([(5.0, 7.0), (6.5, 8.0)], True),                # both wrap 2pi
+    ([(-1.0, 0.5), (6.0, 6.1)], True),               # lifted one turn apart
+    ([(1.0, 2.0), (2.0 - 5e-13, 3.0)], False),       # overlap 5e-13
+    ([(1.0, 2.0), (2.0 - 2e-12, 3.0)], True),        # overlap 2e-12
+    ([(0.0, 1.0)], True),                            # a single arc
+    ([(0.0, 3.0), (2.0, 5.0), (4.0, 7.0)], False),   # pairwise only
+])
+def test_arcs_meet_cases(arcs, meet):
+    assert _arcs_meet(arcs) is meet
+    assert bool(arcs_intersection_reference(arcs)) is meet
+
+
 def _brute_supports(cover, size):
     """Every index set of the size whose boxes meet on every axis."""
     return [combo
             for combo in itertools.combinations(range(len(cover.pieces)), size)
-            if all(_arcs_intersection([cover.pieces[i][axis] for i in combo])
+            if all(arcs_intersection_reference([cover.pieces[i][axis]
+                                                for i in combo])
                    for axis in range(cover.factors))]
 
 
@@ -203,22 +288,23 @@ def test_supports_are_the_meeting_combinations_in_order(make, top):
             if reference.intersection_nonempty(combo)]
 
 
-def test_product_supports_ask_few_intersection_questions(monkeypatch):
-    # every call counts, a product's own and those it makes to its factors;
-    # extending each support by every later piece made 74,718
+def test_product_supports_ask_few_arc_questions(monkeypatch):
+    # every arc question counts, those asked of the factor covers too;
+    # extending each support by every later piece, each candidate tested
+    # as a whole box, asks 41,175
     calls = []
-    ask = Cover.intersection_nonempty
+    ask = gerbekit.covers._arcs_meet
 
-    def counting(self, idx):
-        calls.append(idx)
-        return ask(self, idx)
+    def counting(arcs):
+        calls.append(arcs)
+        return ask(arcs)
 
-    monkeypatch.setattr(Cover, "intersection_nonempty", counting)
+    monkeypatch.setattr(gerbekit.covers, "_arcs_meet", counting)
     assert len(_fresh_t2_product().supports(5)) == 1512
-    assert len(calls) <= 74718 // 3
+    assert len(calls) <= 41175 // 200
 
 
-def _arcs_meet(arcs):
+def _arcs_share_a_point(arcs):
     """Do the open circle arcs (lo, hi) share a point?  A nonempty
     intersection of open arcs starts just after one of their left ends."""
     def inside(t, arc):
@@ -232,9 +318,8 @@ def _arcs_meet(arcs):
     "product:circle:3:0.6|torus:3:3:0.75"])
 def test_a_product_cover_numbers_its_pieces_by_one_rule(cover_id):
     # the pieces are numbered x * nb + e by product_cover's loop,
-    # product_index, intersection_nonempty's split of an index into its
-    # factor indices, and (tested against product_index elsewhere) the
-    # product branch of supports and fiberint's path sums
+    # product_index, meeting's split of an index into its factor indices,
+    # and (tested against product_index elsewhere) fiberint's path sums
     from gerbekit.covers import product_index
     from gerbekit.serialize import cover_from_id
     cover = cover_from_id(cover_id)
@@ -247,6 +332,11 @@ def test_a_product_cover_numbers_its_pieces_by_one_rule(cover_id):
     for k in (1, 2, 3):
         for idx in itertools.combinations(cover.indices, k):
             boxes = [cover.pieces[i] for i in idx]
-            direct = all(_arcs_meet([box[axis] for box in boxes])
+            direct = all(_arcs_share_a_point([box[axis] for box in boxes])
                          for axis in range(cover.factors))
             assert cover.intersection_nonempty(idx) == direct, idx
+            meeting = cover.meeting(idx)
+            assert meeting == sorted(meeting)
+            for i in cover.indices:
+                assert (i in meeting) == cover.intersection_nonempty(
+                    set(idx) | {i}), (idx, i)

@@ -1,7 +1,8 @@
-"""No module imports a name it never reads, no private function, class
-or method of the package is left without a caller, no parameter
-default of the package is one that every caller leaves as it is, and
-no module of the package asks an object with `hasattr` what it is.
+"""No module imports a name it never reads, no private function, class,
+method, module-level name or instance attribute of the package is left
+unread, no parameter default of the package is one that every caller
+leaves as it is, and no module of the package asks an object with
+`hasattr` what it is.
 
 No linter ships with the project, so this test is the check: it parses
 every module of the package (except `__init__.py`, whose imports are its
@@ -67,9 +68,28 @@ def _references(node):
             yield from (alias.name for alias in sub.names)
 
 
+def _bound_names(node):
+    """Names bound by a module-level assignment statement."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def _self_attributes(tree, ctx):
+    """Attribute names taken in the context (ast.Store, ast.Load); for a
+    store, only those set on self."""
+    return {sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ctx)
+            and (ctx is ast.Load or (isinstance(sub.value, ast.Name)
+                                     and sub.value.id == "self"))}
+
+
 def unreferenced_private(sources):
-    """Names of the private top-level functions and classes, and private
-    methods, that no source references outside their own definition."""
+    """Names of the private top-level functions, classes and assigned
+    names, and private methods, that no source references outside their
+    own definition; and of the private attributes set on self that no
+    source reads."""
     trees = [ast.parse(source) for source in sources]
     defs = []
     for tree in trees:
@@ -78,13 +98,18 @@ def unreferenced_private(sources):
             for d in [node] + members:
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)) \
                         and _is_private(d.name):
-                    defs.append(d)
+                    defs.append((d.name, d))
+            defs += [(name, node) for name in _bound_names(node)
+                     if _is_private(name)]
     counts = {}
     for tree in trees:
         for name in _references(tree):
             counts[name] = counts.get(name, 0) + 1
-    return sorted(d.name for d in defs
-                  if counts.get(d.name, 0) == list(_references(d)).count(d.name))
+    unread = set().union(*(_self_attributes(t, ast.Store) for t in trees)) \
+        - set().union(*(_self_attributes(t, ast.Load) for t in trees))
+    return sorted([name for name, d in defs
+                   if counts.get(name, 0) == list(_references(d)).count(name)]
+                  + [name for name in unread if _is_private(name)])
 
 
 def test_the_scan_finds_an_unreferenced_private_definition():
@@ -94,6 +119,16 @@ def test_the_scan_finds_an_unreferenced_private_definition():
         "class K:\n    def _gone(self):\n        pass\n"
         "    def _kept(self):\n        pass\n",
         "from m import _used\n_used()\nK()._kept()\n"]) == ["_dead", "_gone"]
+
+
+def test_the_scan_finds_an_unread_private_name_or_attribute():
+    assert unreferenced_private([
+        "_DROP = 1\n_KEEP: int = 2\n_A, _B = 1, 2\n__all__ = []\n"
+        "class K:\n    def __init__(self):\n        self._memo = {}\n"
+        "        self._kept = []\n        self.public = 0\n"
+        "        other._elsewhere = 1\n"
+        "    def get(self):\n        self._kept.append(_B)\n",
+        "from m import _KEEP\n"]) == ["_A", "_DROP", "_memo"]
 
 
 def test_every_private_definition_is_referenced():

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from gerbekit import modform
 from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _packed_key,
                               _sorted_shells, anomaly_exponents, builtin,
-                              coxeter_from_roots, enumerate_by_norm, roots,
-                              spin16_embedding, spin16_first_series,
-                              theta_counts, weight_identity_check,
-                              weyl_index_arithmetic)
+                              class_sizes_mod_2, coxeter_from_roots,
+                              enumerate_by_norm, roots, spin16_embedding,
+                              spin16_first_series, theta_counts,
+                              weight_identity_check)
 from gerbekit.modform import reflection_element
 
 
@@ -108,8 +108,21 @@ def test_weight_identity_residual_zero():
     assert weight_identity_check() == Fraction(0)
 
 
-def test_weyl_index():
-    assert weyl_index_arithmetic() == 135
+def test_weyl_index(e8):
+    # the norm-4 vectors fall into 135 frames mod 2E8, 16 vectors in each;
+    # a root is congruent only to itself and its negative
+    classes = class_sizes_mod_2(e8, 4)
+    assert classes == {0: [1], 2: [2] * 120, 4: [16] * 135}
+
+
+def test_class_sizes_mod_2_key_every_coefficient():
+    # the unit vectors +-e_i of Z^63 fall into 63 classes of 2; Z^64's
+    # coefficients do not fit one int64 key
+    def cubic(n):
+        return IntegralLattice(f"z{n}", np.eye(n, dtype=int).tolist())
+    assert class_sizes_mod_2(cubic(63), 1) == {0: [1], 1: [2] * 63}
+    with pytest.raises(OverflowError):
+        class_sizes_mod_2(cubic(64), 1)
 
 
 def test_anomaly_exponent_relations():
