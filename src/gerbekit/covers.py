@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from typing import (Callable, Collection, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Collection, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class Cover:
             _arcs_meet(set(arcs))
             for arcs in zip(*[self.pieces[i] for i in idx]))
 
-    def meeting(self, idx: Iterable[int],
+    def meeting(self, idx: Collection[int],
                 memo: Optional[Dict] = None) -> List[int]:
         """The pieces, in order, that have a common point with the pieces
         named by idx.
