@@ -20,7 +20,7 @@ from . import serialize
 from .covers import two_subordinations
 from .fiberint import pushforward, pushforward_commutes_defect
 from .holonomy import holonomy
-from .lattice import builtin, enumerate_by_norm
+from .lattice import builtin, theta_counts
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint, act,
                       factor, _character_with_terms, _theta_with_terms)
 from .suites import SUITES
@@ -257,9 +257,9 @@ def cmd_pushforward(args) -> int:
 
 def cmd_lattice(args) -> int:
     L = builtin(args.name)
-    shells = enumerate_by_norm(L, args.enumerate_norm)
+    counts = theta_counts(L, args.enumerate_norm)
     emit({"name": L.name, "rank": L.rank,
-          "counts": {str(k): len(v) for k, v in shells.items()}})
+          "counts": {str(k): c for k, c in counts.items()}})
     return 0
 
 

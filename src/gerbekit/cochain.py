@@ -263,9 +263,14 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
     if s.target is not omega.cover:
         raise ValueError("subordination target is not the cochain's cover")
     sig = s.index_map
+    n, amb = omega.degree, omega.ambient_dim
 
     def comp(idx):
-        return omega.component(tuple(sig[j] for j in idx))
+        # an image with a repeated entry reads omega's shared zero, unasked
+        image = tuple(sig[j] for j in idx)
+        if len(set(image)) != len(image):
+            return level_zero(n, amb, len(idx))
+        return omega.component(image)
 
     return DiffCochain(omega.degree, s.source, component_fn=comp,
                        alternating=omega.alternating)

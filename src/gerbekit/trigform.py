@@ -15,6 +15,8 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .lattice import _packed_key
+
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (frequency, axes)
 
 _DROP = 0.0  # coefficients exactly equal to zero are dropped
@@ -96,46 +98,82 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
 
     Each pair of terms (left outer, right inner) contributes
     times(sign * c1, c2) at the summed frequency and the sorted union of
-    the axes; pairs sharing an axis drop.  `times` is called once, on the
-    stacked signed left and right coefficients of every surviving pair, and
-    returns their stacked products.  These are summed in pair order into a
-    zeroed accumulator, so each key reads 0.0 + v1 + v2 + ..., keys in
-    order of first appearance: the bits of a per-pair loop that adds each
-    product to its key's running sum, for scalar and 2 x 2 coefficients
-    NaNs included.  Scalar sums come back as Python complex numbers, matrix
-    sums as views into the accumulator, which is made read-only.
+    the axes; pairs sharing an axis drop.  The pairs are walked as arrays.
+    Each pair of distinct axis sets is sorted once, into a code: -1 for a
+    shared axis, else 2 * (id of the sorted axes) + (sign < 0).  Gathered
+    over the grid of terms, its nonnegative entries are the surviving
+    pairs in pair order.  Their keys are numbered by first appearance
+    (_first_appearance), and `times` is called once, on the stacked signed
+    left and right coefficients of every surviving pair, returning their
+    stacked products.  These are summed in pair order into a zeroed
+    accumulator, so each key reads 0.0 + v1 + v2 + ..., keys in order of
+    first appearance: the bits of a per-pair loop that adds each product to
+    its key's running sum, for scalar and 2 x 2 coefficients NaNs
+    included.  Frequencies are summed in int64 (OverflowError from 2**62
+    on).  Scalar sums come back as Python complex numbers, matrix sums as
+    views into the accumulator, which is made read-only.
     """
-    signs = {(a1, a2): _axes_sign(a1 + a2)
-             for a1 in {a for _, a in left} for a2 in {a for _, a in right}}
-    index: Dict[Key, int] = {}
-    rows, cols, slots = [], [], []
-    for i, (f1, a1) in enumerate(left):
-        for j, (f2, a2) in enumerate(right):
-            ss = signs[a1, a2]
-            if ss is None:
-                continue
-            axes, sign = ss
-            rows.append(2 * i + (sign < 0))
-            cols.append(j)
-            key = (tuple(map(operator.add, f1, f2)), axes)
-            slots.append(index.setdefault(key, len(index)))
-    if not index:
+    left_axes: Dict[Tuple[int, ...], int] = {}
+    right_axes: Dict[Tuple[int, ...], int] = {}
+    li = [left_axes.setdefault(a, len(left_axes)) for _, a in left]
+    ri = [right_axes.setdefault(a, len(right_axes)) for _, a in right]
+    out_axes: Dict[Tuple[int, ...], int] = {}
+    table = np.full((len(left_axes), len(right_axes)), -1)
+    for a1, i in left_axes.items():
+        for a2, j in right_axes.items():
+            ss = _axes_sign(a1 + a2)
+            if ss is not None:
+                axes_id = out_axes.setdefault(ss[0], len(out_axes))
+                table[i, j] = 2 * axes_id + (ss[1] < 0)
+    code = table[li][:, ri]
+    I, J = np.nonzero(code >= 0)
+    if not len(I):
         return {}
-    # row 2i holds +1 * c_i and row 2i+1 holds -1 * c_i, each signed as the
+    code = code[I, J]
+    L = len(left)
+    freqs = np.array([f for f, _ in left] + [f for f, _ in right],
+                     dtype=np.int64).reshape(L + len(right), -1)
+    if int(abs(freqs).max()) >> 62:
+        raise OverflowError("wedge frequencies must lie below 2**62")
+    F = freqs[I] + freqs[L + J]
+    slots, first = _first_appearance(code >> 1, F)
+    # row i holds +1 * c_i and row L + i holds -1 * c_i, each signed as the
     # pair's own sign * c1 would be
-    signed = np.array([s * c for c in left.values() for s in (1, -1)],
-                      dtype=complex)
-    products = times(signed[rows],
-                     np.array(list(right.values()), dtype=complex)[cols])
-    acc = np.zeros((len(index),) + products.shape[1:], dtype=complex)
+    vals = np.array(list(left.values()), dtype=complex)
+    products = times(np.concatenate((1 * vals, -1 * vals))[L * (code & 1) + I],
+                     np.array(list(right.values()), dtype=complex)[J])
+    acc = np.zeros((len(first),) + products.shape[1:], dtype=complex)
     # summed as float pairs: of two NaNs, numpy's complex add.at keeps the
     # second in the imaginary part, Python's complex + keeps the first
     width = 2 * products[0].size
-    flat = (np.array(slots) * width)[:, None] + np.arange(width)
+    flat = (slots * width)[:, None] + np.arange(width)
     np.add.at(acc.reshape(-1).view(float), flat.reshape(-1),
               products.reshape(-1).view(float))
     acc.flags.writeable = False
-    return dict(zip(index, acc.tolist() if acc.ndim == 1 else acc))
+    axes_of = list(out_axes)
+    keys = zip(map(tuple, F[first].tolist()),
+               [axes_of[k] for k in (code[first] >> 1).tolist()])
+    return dict(zip(keys, acc.tolist() if acc.ndim == 1 else acc))
+
+
+def _first_appearance(ids: np.ndarray, F: np.ndarray):
+    """(slot of each row, first row of each slot) for the rows (ids[k],
+    F[k]): equal rows share a slot, numbered in order of first appearance.
+
+    Rows are told apart by one int64 key each (lattice._packed_key), or,
+    when that would need more than 63 bits, compared whole.  np.unique's
+    stable sort makes `first` the first row of each distinct value.
+    """
+    key = _packed_key(ids, F)
+    if key is None:
+        _, first, inverse = np.unique(np.column_stack((ids, F)), axis=0,
+                                      return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], np.sort(first)
 
 
 def _python_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:

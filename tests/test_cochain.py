@@ -175,6 +175,24 @@ def test_homotopy_identity_torus():
     assert (lhs - rhs).max_defect() < 1e-12
 
 
+def test_the_homotopy_identity_never_asks_omega_for_a_repeated_index():
+    # a restriction whose image repeats an index reads omega's shared zero
+    # without a lookup
+    cover = make_torus_cover(3, 3, 0.55)
+    om = random_alternating_cochain(np.random.default_rng(30), cover, 2, 2)
+    fine, s1, s2 = refine(cover, 2)
+    asked = []
+    read = om.component
+    om.component = lambda idx: asked.append(tuple(idx)) or read(idx)
+    lhs = total_d(homotopy_k(om, s1, s2)) + homotopy_k(total_d(om), s1, s2)
+    rhs = restrict(om, s1) - restrict(om, s2)
+    assert (lhs - rhs).max_defect() < 1e-12
+    assert asked and all(len(set(idx)) == len(idx) for idx in asked)
+    # s1 sends the fine pieces 0 and 1 into the coarse piece 0
+    assert s1.index_map[:2] == (0, 0)
+    assert restrict(om, s1).component((0, 1)) is level_zero(2, 2, 2)
+
+
 def test_homotopy_is_not_alternating_so_the_defect_walks_every_ordering():
     # K omega reads omega at mixed indices, so its value at a permuted index
     # is not the permutation sign times its value at the sorted one; the

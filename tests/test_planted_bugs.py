@@ -40,7 +40,7 @@ BUGS = [
      "cell.sign * cmath.exp(", "cmath.exp(",
      "holonomy", ("subordination_shift_s1", "subordination_shift_t2")),
     ("W-wedge-without-axis-sign", "trigform.py",
-     "rows.append(2 * i + (sign < 0))", "rows.append(2 * i)",
+     "table[i, j] = 2 * axes_id + (ss[1] < 0)", "table[i, j] = 2 * axes_id",
      "chernsimons", ("bracket_oracle", "gauge_variation", "mc_flat")),
     ("M-coxeter-exponent", "modform.py", "COXETER_EXPONENT = 30",
      "COXETER_EXPONENT = 31", "modular", ("ad_is_char_pow30",)),

@@ -16,6 +16,7 @@ from gerbekit import liecs, trigform
 from gerbekit.covers import (make_circle_decomposition,
                              make_torus_hex_decomposition)
 from gerbekit.fiberint import integrate_fiber_cell
+from gerbekit.suites import random_connection, random_gauge_map
 from gerbekit.trigform import TrigForm, _integrate_monomial, cell_integral
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
@@ -335,10 +336,11 @@ def special_matrices(m):
 
 
 @st.composite
-def oracle_pairs(draw, coefficients):
+def oracle_pairs(draw, coefficients, frequencies=st.integers(-1, 1)):
     """Two term sets on T^n of degrees p + q <= n, each of 0 to 5 terms,
-    with frequencies in [-1, 1] so that keys collide; one time in three
-    every term on both sides holds one shared axis, so no pair survives."""
+    with frequencies from a small set (by default [-1, 1]) so that keys
+    collide; one time in three every term on both sides holds one shared
+    axis, so no pair survives."""
     amb = draw(st.integers(1, 3))
     p = draw(st.integers(0, amb))
     q = draw(st.integers(0, amb - p))
@@ -350,7 +352,7 @@ def oracle_pairs(draw, coefficients):
     for pool in pools:
         terms = {}
         for _ in range(draw(st.integers(0, 5))):
-            freq = tuple(draw(st.integers(-1, 1)) for _ in range(amb))
+            freq = tuple(draw(frequencies) for _ in range(amb))
             terms[freq, draw(st.sampled_from(pool))] = draw(coefficients)
         sides.append(terms)
     return amb, p, q, sides
@@ -404,6 +406,91 @@ def test_lie_kernels_of_other_sizes_match_the_reference_up_to_nan_signs(case):
     # differ; every other bit must match.
     m, data = case
     check_lie_kernels_against_the_reference(m, data, nan_sign=False)
+
+
+# frequencies whose sums need 42 bits: on T^2 and T^3 a pair's key would
+# need more than 63, so its slots are numbered by comparing whole rows
+WIDE = st.sampled_from([-2 ** 40 - 1, -2 ** 40, 0, 1, 2 ** 40])
+
+
+@KERNEL_SETTINGS
+@given(oracle_pairs(special_coefficients, WIDE))
+def test_wedge_of_wide_frequencies_matches_the_reference_bit_for_bit(data):
+    amb, p, q, (left, right) = data
+    a, b = TrigForm(amb, p, left), TrigForm(amb, q, right)
+    with np.errstate(all="ignore"):
+        got = a.wedge(b)
+        want = TrigForm._trusted(amb, p + q, wedge_reference(
+            a.terms, b.terms, operator.mul))
+    assert coefficient_bytes(got.terms) == coefficient_bytes(want.terms)
+
+
+@KERNEL_SETTINGS
+@given(oracle_pairs(special_matrices(2), WIDE))
+def test_lie_kernels_of_wide_frequencies_match_the_reference(data):
+    check_lie_kernels_against_the_reference(2, data, nan_sign=True)
+
+
+def test_wide_frequencies_number_the_slots_without_a_packed_key(monkeypatch):
+    # 11 pairs survive on 10 keys; a left dx_2 before a right dx_1 gives -1
+    big = 2 ** 40
+    left = {((big, 0, 0), (0,)): 1.0, ((0, 0, 0), (0,)): 2.0,
+            ((0, 0, big), (2,)): 1j}
+    right = {((0, 0, -big), (1,)): 3.0, ((big, 0, -big), (1,)): -1.25,
+             ((big, 0, 0), (1,)): 0.25, ((0, 0, big), (2,)): 1 - 1j}
+    a, b = TrigForm(3, 1, left), TrigForm(3, 1, right)
+    keys = []
+    packed = trigform._packed_key
+    monkeypatch.setattr(trigform, "_packed_key",
+                        lambda *args: keys.append(packed(*args)) or keys[-1])
+    got = a.wedge(b)
+    assert keys == [None]
+    want = wedge_reference(a.terms, b.terms, operator.mul)
+    assert len(got.terms) < sum(not set(a1) & set(a2) for _, a1 in left
+                                for _, a2 in right) == 11
+    assert coefficient_bytes(got.terms) == coefficient_bytes(
+        TrigForm._trusted(3, 2, want).terms)
+
+
+def test_wedge_frequencies_whose_sums_leave_int64_raise():
+    a = TrigForm(1, 0, {((2 ** 62,), ()): 1.0})
+    with pytest.raises(OverflowError):
+        a.wedge(a)
+
+
+def gauge_transformed_connection(seed):
+    """B = t^-1 A t + t^-1 dt for the suite's random A and t at seed."""
+    rng = np.random.default_rng(seed)
+    A = random_connection(rng)
+    return liecs.gauge_transform(A, random_gauge_map(rng))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_the_suites_large_wedges_match_the_reference_bit_for_bit(seed):
+    # cs_form(B) at a gauge-transformed B: [B, B] and <B, dB + 1/3 [B, B]>,
+    # the largest wedges of the chernsimons suite (tens by hundreds of terms)
+    B = gauge_transformed_connection(seed)
+    inner = B.d() + (1.0 / 3.0) * liecs.graded_bracket(B, B)
+    assert len(B.terms) * len(inner.terms) >= 500
+    for right in (B, inner):
+        check_lie_kernels_against_the_reference(
+            2, (3, 1, right.degree, (B.terms, right.terms)), nan_sign=True)
+
+
+def test_a_large_wedge_sorts_each_pair_of_axis_sets_at_most_once(monkeypatch):
+    B = gauge_transformed_connection(0)
+    inner = B.d() + (1.0 / 3.0) * liecs.graded_bracket(B, B)
+    calls = []
+    sign = trigform._axes_sign
+    monkeypatch.setattr(trigform, "_axes_sign",
+                        lambda axes: calls.append(tuple(axes)) or sign(axes))
+    for right in (B, inner):
+        del calls[:]
+        out = liecs.pairing(B, right)
+        axis_sets = [{a for _, a in side} for side in (B.terms, right.terms)]
+        assert out.terms or right is B
+        assert len(calls) <= len(axis_sets[0]) * len(axis_sets[1])
+        assert len(set(calls)) == len(calls)
 
 
 def test_wedge_kernels_of_an_empty_side_or_a_shared_axis_are_empty():
