@@ -125,7 +125,7 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
             if ss is not None:
                 axes_id = out_axes.setdefault(ss[0], len(out_axes))
                 table[i, j] = 2 * axes_id + (ss[1] < 0)
-    code = table[li][:, ri]
+    code = table.take(li, axis=0).take(ri, axis=1)
     I, J = np.nonzero(code >= 0)
     if not len(I):
         return {}
@@ -171,9 +171,10 @@ def _first_appearance(ids: np.ndarray, F: np.ndarray):
     else:
         _, first, inverse = np.unique(key, return_index=True,
                                       return_inverse=True)
+    order = first.argsort()
     rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse], np.sort(first)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
 
 
 def _python_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
