@@ -133,7 +133,7 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     L = len(left)
     freqs = np.array([f for f, _ in left] + [f for f, _ in right],
                      dtype=np.int64).reshape(L + len(right), -1)
-    if int(abs(freqs).max()) >> 62:
+    if int(abs(freqs).max(initial=0)) >> 62:
         raise OverflowError("wedge frequencies must lie below 2**62")
     F = freqs[I] + freqs[L + J]
     slots, first = _first_appearance(code >> 1, F)

@@ -452,6 +452,17 @@ def test_wide_frequencies_number_the_slots_without_a_packed_key(monkeypatch):
         TrigForm._trusted(3, 2, want).terms)
 
 
+def test_wedge_on_the_torus_of_no_dimensions_matches_the_reference():
+    # frequency vectors of length 0: the key is the output axes id alone
+    a = TrigForm(0, 0, {((), ()): 2.0 - 1j})
+    b = TrigForm(0, 0, {((), ()): 0.5j})
+    got = a.wedge(b)
+    want = TrigForm._trusted(0, 0, wedge_reference(a.terms, b.terms,
+                                                   operator.mul))
+    assert got.terms and coefficient_bytes(got.terms) == coefficient_bytes(
+        want.terms)
+
+
 def test_wedge_frequencies_whose_sums_leave_int64_raise():
     a = TrigForm(1, 0, {((2 ** 62,), ()): 1.0})
     with pytest.raises(OverflowError):
