@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from typing import (Callable, Collection, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,15 +38,6 @@ class Cell:
         self.dim = min(len(self.vertices) - 1, 2)
         self.sign = sign
         self.integrals: Dict[tuple, complex] = {}
-
-    def area(self) -> float:
-        s = 0.0
-        vs = self.vertices
-        for i in range(len(vs)):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % len(vs)]
-            s += x0 * y1 - x1 * y0
-        return 0.5 * s
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +92,8 @@ class Cover:
         self.factor_covers: Tuple[Cover, ...] = ()   # set by product_cover
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
         self._support_cache = {1: [(i,) for i in self.indices]}
+        # a factor cover's meeting answers, keyed by the projection asked
+        self._meeting_cache: Dict[frozenset, List[int]] = {}
 
     @property
     def indices(self):
@@ -114,26 +106,24 @@ class Cover:
             _arcs_meet(set(arcs))
             for arcs in zip(*[self.pieces[i] for i in idx]))
 
-    def meeting(self, idx: Collection[int],
-                memo: Optional[Dict] = None) -> List[int]:
+    def meeting(self, idx: Collection[int]) -> List[int]:
         """The pieces, in order, that have a common point with the pieces
         named by idx.
 
         A product cover's are the pieces x * nb + e (product_index's
         numbering) with x meeting idx's projection to X and e its
-        projection to E.  memo, a dict the caller keeps, holds the factor
-        covers' answers, keyed by (factor cover, projection).
+        projection to E.  Each factor cover keeps its answers in its
+        _meeting_cache, keyed by the projection.
         """
         if not self.factor_covers:
             return [i for i in self.indices
                     if self.intersection_nonempty({*idx, i})]
-        memo = {} if memo is None else memo
         X, E = self.factor_covers
         nb = len(E.pieces)
-        xs, es = [memo[key] if key in memo
-                  else memo.setdefault(key, key[0].meeting(key[1], memo))
-                  for key in ((X, frozenset(i // nb for i in idx)),
-                              (E, frozenset(i % nb for i in idx)))]
+        xs, es = [f._meeting_cache[p] if p in f._meeting_cache
+                  else f._meeting_cache.setdefault(p, f.meeting(p))
+                  for f, p in ((X, frozenset(i // nb for i in idx)),
+                               (E, frozenset(i % nb for i in idx)))]
         return [x * nb + e for x in xs for e in es]
 
     def supports(self, size: int) -> List[Tuple[int, ...]]:
@@ -143,14 +133,12 @@ class Cover:
         so the enumeration never touches the vast majority of index
         combinations.  meeting lists the pieces in order (on a product,
         in product_index's numbering x * nb + e), so the supports come in
-        lexicographic order.  The factor covers' answers are kept for the
-        length of one call.
+        lexicographic order.  Factor covers keep their answers for good.
         """
         if size not in self._support_cache:
-            memo: Dict = {}
             self._support_cache[size] = [
                 s + (j,) for s in self.supports(size - 1)
-                for j in self.meeting(s, memo) if j > s[-1]]
+                for j in self.meeting(s) if j > s[-1]]
         return self._support_cache[size]
 
     def nonempty_tuples(self, length: int) -> List[Tuple[int, ...]]:

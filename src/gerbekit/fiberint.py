@@ -243,7 +243,7 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
 
     return _fiber_integral(omega, dec, m - 1,
                            lambda cell_idx: prism_indices(cell_idx, rho, rho2),
-                           TrigForm.zero(n_base, min(m, n_base)))
+                           level_zero(m - 1, n_base, 0))
 
 
 def homotopy_residual(omega: DiffCochain, dec: DualCellDecomposition,

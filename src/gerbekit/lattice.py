@@ -194,6 +194,9 @@ def builtin(name: str) -> IntegralLattice:
 # frontier rows expanded at a time; bounds the enumeration's working memory
 BLOCK_ROWS = 1 << 14
 
+# the most vectors an enumeration may hold, as estimated from its volume
+ENUM_BUDGET = 10 ** 7
+
 
 def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
     """One int64 per row that orders the rows as np.lexsort over (norm,
@@ -222,7 +225,9 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     norm (the int64 array norms) and then lexicographically, so the zero
     vector comes first; a negative bound gives no rows.  A breadth-first
     frontier of partial vectors (coordinates n-1 .. i fixed) is expanded
-    one coordinate at a time, at most BLOCK_ROWS children at a time.
+    one coordinate at a time, at most BLOCK_ROWS children at a time.  A
+    bound whose ellipsoid holds more than about ENUM_BUDGET vectors, by its
+    volume V_n max_norm^{n/2} / sqrt(det G), raises ValueError unwalked.
 
     Only half of the ellipsoid is walked.  The one frontier row whose fixed
     coordinates are all zero takes x_i >= 0 only (x_0 >= 1 at the last
@@ -243,6 +248,14 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     g = L.gram_float
     R = np.linalg.cholesky(g).T          # upper triangular, g = R^T R
     bound = float(max_norm) + 1e-9
+    # log of the volume; sqrt(det G) is the product of R's diagonal
+    log_count = (n / 2 * math.log(math.pi * bound) - math.lgamma(n / 2 + 1)
+                 - float(np.log(np.diag(R)).sum()))
+    if log_count > math.log(ENUM_BUDGET):
+        raise ValueError(
+            f"lattice {L.name}: norms up to {max_norm} hold about "
+            f"10^{log_count / math.log(10):.1f} vectors, more than the "
+            f"enumeration budget of {ENUM_BUDGET}")
     # |x_i| <= sqrt(bound (g^-1)_ii) on the ellipsoid
     reach = np.sqrt(bound * np.diag(np.linalg.inv(g))).max() + 2
     dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64

@@ -206,6 +206,8 @@ class GaugeMap:
 
     def conjugate(self, form: LieValuedForm) -> LieValuedForm:
         """t^{-1} (form) t."""
+        if form.ambient_dim != self.ambient_dim:
+            raise ValueError("form and gauge map ambient dimension mismatch")
         out = form
         for f in self.factors:
             out = _conjugate_by_factor(out, f)
@@ -215,36 +217,38 @@ class GaugeMap:
 def _factor_mc(f: GaugeFactor, ambient_dim: int) -> LieValuedForm:
     """f^{-1} df = U diag(i w_j) U^dagger (m . dx)."""
     K = f.U @ np.diag([1j * w for w in f.weights]) @ f.U.conj().T
-    terms: Dict[Key, np.ndarray] = {}
     zero = (0,) * ambient_dim
-    for a, ma in enumerate(f.freq):
-        if ma:
-            terms[(zero, (a,))] = ma * K
-    return LieValuedForm(ambient_dim, 1, f.U.shape[0], terms)
+    return LieValuedForm._trusted(ambient_dim, 1, f.U.shape[0], {
+        (zero, (a,)): ma * K for a, ma in enumerate(f.freq) if ma})
 
 
 def _conjugate_by_factor(form: LieValuedForm, f: GaugeFactor) -> LieValuedForm:
-    """f^{-1} (form) f; entries pick up phases e^{i (w_j - w_i)(m.x)}."""
+    """f^{-1} (form) f; entries pick up phases e^{i (w_j - w_i)(m.x)}.
+
+    All terms go through each step as one stack: B = U^dagger X U is split
+    by the weight difference s = w_j - w_i of its entries (i, j), the shifts
+    in order of first appearance; a part with an entry that is nonzero or
+    NaN is conjugated back, U part U^dagger, and added at frequency k + s m
+    in (term, shift) order.
+    """
     m = form.matrix_dim
     Ud = f.U.conj().T
+    w = np.array(f.weights)
+    diff = w - w[:, None]
+    shifts = list(dict.fromkeys(diff.ravel().tolist()))
+    masks = diff == np.array(shifts)[:, None, None]
+    B = Ud @ np.array(list(form.terms.values())).reshape(-1, m, m) @ f.U
+    parts = np.where(masks, B[:, None], 0)
+    keep = parts.any(axis=(2, 3))
+    adds = f.U @ parts[keep] @ Ud
+    keys = list(form.terms)
     out: Dict[Key, np.ndarray] = {}
-    shifts = {}
-    for i in range(m):
-        for j in range(m):
-            shifts.setdefault(f.weights[j] - f.weights[i], []).append((i, j))
-    for (freq, axes), X in form.terms.items():
-        B = Ud @ X @ f.U
-        for s, entries in shifts.items():
-            M = np.zeros((m, m), dtype=complex)
-            for (i, j) in entries:
-                M[i, j] = B[i, j]
-            if np.max(np.abs(M)) == 0.0:
-                continue
-            new_freq = tuple(k + s * mf for k, mf in zip(freq, f.freq))
-            add = f.U @ M @ Ud
-            key = (new_freq, axes)
-            out[key] = out[key] + add if key in out else add
-    return LieValuedForm(form.ambient_dim, form.degree, m, out)
+    term_ids, shift_ids = np.nonzero(keep)
+    for t, i, add in zip(term_ids.tolist(), shift_ids.tolist(), adds):
+        freq, axes = keys[t]
+        key = (tuple(k + shifts[i] * mf for k, mf in zip(freq, f.freq)), axes)
+        out[key] = out[key] + add if key in out else add
+    return LieValuedForm._trusted(form.ambient_dim, form.degree, m, out)
 
 
 def gauge_transform(A: LieValuedForm, t: GaugeMap) -> LieValuedForm:

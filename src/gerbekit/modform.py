@@ -204,15 +204,15 @@ def theta_lattice(L: IntegralLattice, tau: complex,
     return _theta_with_terms(L, tau, z)[0]
 
 
-ENUM_NORM_BUDGET = 60
-
-
 def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
                 tol: float = 1e-12, max_norm: Optional[int] = None) -> Tuple[complex, int]:
     """Direct enumeration evaluator (also the oracle for the fast path).
 
     Recenters the real part of z modulo the lattice (a symmetry of the sum)
-    and bounds the tail by the Gaussian decay of e^{-pi Im(tau) (g,g)}.
+    and, unless max_norm is given, sums the shells up to the norm past which
+    the Gaussian decay of e^{-pi Im(tau) (g,g)} leaves a tail below tol.  A
+    cutoff whose ellipsoid holds more than lattice.ENUM_BUDGET vectors
+    raises ValueError before any is enumerated.
     """
     G = L.gram_float
     zv = np.array(z, dtype=complex)
@@ -225,12 +225,7 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
         s = (2 * math.pi * znorm + math.sqrt(
             (2 * math.pi * znorm) ** 2 + 4 * math.pi * y * (math.log(1 / tol) + 5))) / (
             2 * math.pi * y)
-        R = int(math.ceil(s * s)) + 2
-        if R > ENUM_NORM_BUDGET:
-            raise ValueError(
-                f"enumeration cutoff {R} exceeds budget {ENUM_NORM_BUDGET}; "
-                "reduce |Im z| or increase Im tau")
-        max_norm = R
+        max_norm = int(math.ceil(s * s)) + 2
     norms, X = _sorted_shells(L, max_norm)
     total = 0j
     for start in range(0, len(X), BLOCK_ROWS):

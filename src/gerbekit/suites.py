@@ -401,13 +401,6 @@ def suite_modular(trials: int, seed: int) -> List[Check]:
     return list(worst.items())
 
 
-def _circle_gap(a: float, b: float) -> float:
-    """The distance on R/2piZ between a and b, both in [0, 2pi); NaN if
-    either is."""
-    delta = abs(a - b)
-    return min(delta, abs(delta - 2 * math.pi))
-
-
 def suite_crossmodule(trials: int, seed: int) -> List[Check]:
     """Flat degree-2 holonomy classes on T^2: coboundary invariance, and the
     class of (h/4pi^2) dx0 dx1, which is h."""
@@ -423,8 +416,9 @@ def suite_crossmodule(trials: int, seed: int) -> List[Check]:
         xi = random_alternating_cochain(rng, cover, 1, 2,
                                         with_field_strength=False)
         cls2 = classify_flat_2cocycle(om + total_d(xi), dec, rho)
-        worst.add("flat_class_coboundary_invariance", _circle_gap(cls, cls2))
-        worst.add("flat_class_value", _circle_gap(cls, h))
+        worst.add("flat_class_coboundary_invariance",
+                  nearest_2pi_multiple_defect(cls - cls2))
+        worst.add("flat_class_value", nearest_2pi_multiple_defect(cls - h))
     return list(worst.items())
 
 

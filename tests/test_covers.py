@@ -96,9 +96,15 @@ def test_a_cell_is_its_vertices(dec):
                                                 for c in coords]
 
 
+def _shoelace_area(cell):
+    vs = cell.vertices
+    return 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                     in zip(vs, vs[1:] + vs[:1]))
+
+
 def test_hex_areas_tile_torus():
     dec = make_torus_hex_decomposition(4)
-    total = sum(cell.area() for cell in dec.top_cells)
+    total = sum(_shoelace_area(cell) for cell in dec.top_cells)
     assert abs(total - (2 * math.pi) ** 2) < 1e-9
 
 
@@ -302,6 +308,23 @@ def test_product_supports_ask_few_arc_questions(monkeypatch):
     monkeypatch.setattr(gerbekit.covers, "_arcs_meet", counting)
     assert len(_fresh_t2_product().supports(5)) == 1512
     assert len(calls) <= 41175 // 200
+
+
+def test_a_factor_cover_is_asked_each_projection_once():
+    # a factor keeps its meeting answers for all of the product's supports
+    # calls, the nested factors of the T^2 fibre too
+    cover = _fresh_t2_product()
+    asked = []
+    factors = [*cover.factor_covers, *cover.factor_covers[1].factor_covers]
+    for f in factors:
+        def counting(idx, *rest, f=f, meeting=f.meeting):
+            asked.append((id(f), frozenset(idx)))
+            return meeting(idx, *rest)
+        f.meeting = counting
+    for size in range(2, 7):
+        cover.supports(size)
+    assert len(asked) == len(set(asked))
+    assert len({f for f, _ in asked}) == len(factors)
 
 
 def _arcs_share_a_point(arcs):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -260,6 +262,33 @@ def test_theta_enum_over_a_half_integral_gram():
         ref += np.exp(1j * math.pi * (2 * pair + 1.1j * float(nrm)))
     got = modform.theta_lattice_enum(L, 1.1j, z, max_norm=60)
     assert abs(got - ref) < 1e-12
+
+
+def test_theta_past_the_old_norm_cap_matches_a_box_sum():
+    # at Im tau = 0.15 the tolerance asks for norms past 60 on the
+    # hexagonal lattice; a few hundred vectors are well inside the budget
+    L = IntegralLattice("hex", [[2, 1], [1, 2]], 2)
+    tau, z = 0.2 + 0.15j, [0.1 + 0.05j, -0.2 + 0.02j]
+    g = L.gram_float
+    ref = 0j
+    for x in itertools.product(range(-40, 41), repeat=2):
+        x = np.array(x)
+        ref += np.exp(1j * math.pi * (2 * (np.array(z) @ g @ x)
+                                      + tau * (x @ g @ x)))
+    assert abs(modform.theta_lattice(L, tau, z) - ref) < 1e-11
+
+
+def test_a_norm_past_the_enumeration_budget_raises_before_walking():
+    # E8 + E8 holds about 10^23 vectors of norm <= 1000
+    L = builtin("e8e8")
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="enumeration budget"):
+        theta_counts(L, 1000)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20
 
 
 def test_a_norm_form_with_fractional_values_is_refused():

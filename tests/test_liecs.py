@@ -138,3 +138,11 @@ def test_lie_form_rejects_malformed_keys(freq, axes, message):
         liecs.LieValuedForm(3, degree, 2,
                             {(freq, axes): liecs.su2_basis()[0]})
 
+
+def test_conjugation_rejects_a_form_on_another_torus():
+    # the conjugation kernel trusts its keys, so the gauge map checks the
+    # form's torus before any frequency is shifted
+    t = random_gauge_map(np.random.default_rng(0))
+    form = liecs.LieValuedForm(2, 1, 2, {((1, 0), (0,)): liecs.su2_basis()[0]})
+    with pytest.raises(ValueError, match="mismatch"):
+        t.conjugate(form)

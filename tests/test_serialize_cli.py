@@ -468,6 +468,39 @@ def test_nearest_2pi_multiple_defect_tells_2pi_from_pi(k):
         expected, abs=1e-12)
 
 
+def circle_gap_reference(a, b):
+    """The distance on R/2piZ between a and b in [0, 2pi), written out as
+    min(|a - b|, ||a - b| - 2pi|)."""
+    delta = abs(a - b)
+    return min(delta, abs(delta - 2 * math.pi))
+
+
+def test_the_circle_distance_is_the_2pi_multiple_defect_of_the_difference():
+    # bit for bit over [0, 2pi): random pairs, and pairs of the edges 0,
+    # pi, 2pi's predecessor and their neighbours, whose differences hit
+    # +-pi exactly and straddle it
+    pi, top = math.pi, math.nextafter(2 * math.pi, 0)
+    edges = [0.0, 5e-324, math.nextafter(pi, 0), pi, math.nextafter(pi, 4),
+             math.nextafter(top, 0), top, pi / 2, 3 * pi / 2]
+    rng = np.random.default_rng(0)
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += rng.uniform(0, 2 * pi, size=(20000, 2)).tolist()
+    pairs += [(a, a + pi) for a in rng.uniform(0, pi, size=2000).tolist()]
+    for a, b in pairs:
+        got = nearest_2pi_multiple_defect(a - b)
+        want = circle_gap_reference(a, b)
+        assert got.hex() == want.hex(), (a, b)
+    assert math.isnan(nearest_2pi_multiple_defect(math.nan - 1.0))
+
+
+def test_cli_lattice_past_the_enumeration_budget_exits_1(capsys):
+    assert cli.main(["lattice", "--name", "e8e8", "--enumerate-norm",
+                     "12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: lattice e8e8: ")
+    assert "enumeration budget" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "cochain", "--trials", "-3"],
     ["lattice", "--name", "e8", "--enumerate-norm", "-2"],

@@ -292,6 +292,19 @@ def test_lie_kernels_skip_the_validating_constructor(monkeypatch):
     assert out.terms and calls == []
 
 
+def test_gauge_kernels_skip_the_validating_constructor(monkeypatch):
+    # conjugation by a gauge map and its Maurer-Cartan form build trusted
+    # results too: only the connection itself is checked
+    A = random_connection(np.random.default_rng(0))
+    t = random_gauge_map(np.random.default_rng(1))
+    calls = []
+    init = liecs.LieValuedForm.__init__
+    monkeypatch.setattr(liecs.LieValuedForm, "__init__",
+                        lambda self, *args, **kw: calls.append(1)
+                        or init(self, *args, **kw))
+    assert liecs.gauge_transform(A, t).terms and calls == []
+
+
 def wedge_reference(left, right, times):
     """The wedge kernel as a loop over pairs of terms (left outer, right
     inner), each pair's times(sign * c1, c2) added to its key's running sum
@@ -406,6 +419,104 @@ def test_lie_kernels_of_other_sizes_match_the_reference_up_to_nan_signs(case):
     # differ; every other bit must match.
     m, data = case
     check_lie_kernels_against_the_reference(m, data, nan_sign=False)
+
+
+def conjugate_reference(form, f):
+    """f^{-1} (form) f entry by entry: per term, each weight shift's part of
+    U^dagger X U (shifts in order of first appearance), skipped when its
+    largest magnitude is 0.0, conjugated back one matrix at a time and
+    built through the validating constructor."""
+    m = form.matrix_dim
+    Ud = f.U.conj().T
+    out = {}
+    shifts = {}
+    for i in range(m):
+        for j in range(m):
+            shifts.setdefault(f.weights[j] - f.weights[i], []).append((i, j))
+    for (freq, axes), X in form.terms.items():
+        B = Ud @ X @ f.U
+        for s, entries in shifts.items():
+            M = np.zeros((m, m), dtype=complex)
+            for (i, j) in entries:
+                M[i, j] = B[i, j]
+            if np.max(np.abs(M)) == 0.0:
+                continue
+            new_freq = tuple(k + s * mf for k, mf in zip(freq, f.freq))
+            add = f.U @ M @ Ud
+            key = (new_freq, axes)
+            out[key] = out[key] + add if key in out else add
+    return liecs.LieValuedForm(form.ambient_dim, form.degree, m, out)
+
+
+def factor_mc_reference(f, ambient_dim):
+    """f^{-1} df built term by term through the validating constructor."""
+    K = f.U @ np.diag([1j * w for w in f.weights]) @ f.U.conj().T
+    terms = {}
+    zero = (0,) * ambient_dim
+    for a, ma in enumerate(f.freq):
+        if ma:
+            terms[(zero, (a,))] = ma * K
+    return liecs.LieValuedForm(ambient_dim, 1, f.U.shape[0], terms)
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A Lie-valued form on T^n of 0 to 6 terms with special coefficients,
+    and a gauge factor of weights (w, -w), (1, 1) or (1, 0, -2) whose U is
+    the identity or a random unitary."""
+    weights = draw(st.one_of(st.integers(-2, 2).map(lambda w: (w, -w)),
+                             st.sampled_from([(1, 1), (1, 0, -2)])))
+    m = len(weights)
+    amb = draw(st.integers(1, 3))
+    deg = draw(st.integers(0, amb))
+    pool = list(combinations(range(amb), deg))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        freq = tuple(draw(st.integers(-1, 1)) for _ in range(amb))
+        terms[freq, draw(st.sampled_from(pool))] = draw(special_matrices(m))
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    if seed is None:
+        U = np.eye(m, dtype=complex)
+    else:
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.normal(size=(m, m))
+                         + 1j * rng.normal(size=(m, m)))[0]
+    freq = tuple(draw(st.integers(-2, 2)) for _ in range(amb))
+    return (liecs.LieValuedForm(amb, deg, m, terms),
+            liecs.GaugeFactor(U, weights, freq))
+
+
+@ORACLE_SETTINGS
+@given(conjugation_cases())
+def test_gauge_factor_kernels_match_the_per_entry_reference(case):
+    form, f = case
+    with np.errstate(all="ignore"):
+        got = [liecs._conjugate_by_factor(form, f),
+               liecs._factor_mc(f, form.ambient_dim)]
+        want = [conjugate_reference(form, f),
+                factor_mc_reference(f, form.ambient_dim)]
+    for g, w in zip(got, want):
+        assert (g.ambient_dim, g.degree, g.matrix_dim) == (
+            w.ambient_dim, w.degree, w.matrix_dim)
+        assert coefficient_bytes(g.terms) == coefficient_bytes(w.terms)
+
+
+def test_conjugation_keeps_a_nan_part_and_drops_a_zero_one():
+    # U = 1, weights (1, -1): the diagonal part of B = X stays at frequency
+    # k, the off-diagonal entries move to k - 2m and k + 2m.  Off the
+    # diagonal, the first B holds -0.0 alone, so those parts drop; in the
+    # second a NaN spreads through the products, so every part is kept
+    f = liecs.GaugeFactor(np.eye(2), (1, -1), (1,))
+    z = complex(-0.0, -0.0)
+    zeros = np.array([[1, z], [z, -1]])
+    assert np.signbit((f.U.conj().T @ zeros @ f.U)[[0, 1], [1, 0]].real).all()
+    for X, keys in [(zeros, [(0,)]),
+                    (np.array([[np.nan, 0], [0, 1]]), [(0,), (-2,), (2,)])]:
+        form = liecs.LieValuedForm(1, 0, 2, {((0,), ()): X})
+        got = liecs._conjugate_by_factor(form, f)
+        assert list(got.terms) == [(k, ()) for k in keys]
+        assert coefficient_bytes(got.terms) == coefficient_bytes(
+            conjugate_reference(form, f).terms)
 
 
 # frequencies whose sums need 42 bits: on T^2 and T^3 a pair's key would
