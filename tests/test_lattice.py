@@ -264,7 +264,7 @@ def test_theta_enum_over_a_half_integral_gram():
     assert abs(got - ref) < 1e-12
 
 
-def test_theta_past_the_old_norm_cap_matches_a_box_sum():
+def test_theta_with_a_cutoff_past_norm_60_matches_a_box_sum():
     # at Im tau = 0.15 the tolerance asks for norms past 60 on the
     # hexagonal lattice; a few hundred vectors are well inside the budget
     L = IntegralLattice("hex", [[2, 1], [1, 2]], 2)
