@@ -13,10 +13,10 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import serialize
+from .cochain import COCYCLE_TOL, total_d
 from .covers import two_subordinations
 from .fiberint import pushforward, pushforward_commutes_defect
 from .holonomy import holonomy
@@ -30,34 +30,15 @@ DEFAULT_TRIALS = {"cochain": 50, "holonomy": 20, "pushforward": 20,
                   "crossmodule": 10}
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    trials: int
-    seed: int
-    tol: float
-    checks: List[Dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-    def to_json(self) -> Dict:
-        # wall time is excluded so reports are byte-identical per (seed, flags)
-        return {"suite": self.suite, "trials": self.trials, "seed": self.seed,
-                "tol": self.tol, "checks": self.checks,
-                "all_pass": self.all_pass}
-
-
-def run_suite(name: str, trials: int, seed: int, tol: float) -> SuiteReport:
+def run_suite(name: str, trials: int, seed: int, tol: float) -> Dict:
+    """The suite's JSON report: one check per identity, with its largest
+    defect and whether that is at most tol (a NaN is not)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
-    t0 = time.time()
-    raw = SUITES[name](trials, seed)
     checks = [{"name": n, "max_defect": float(d), "pass": bool(float(d) <= tol)}
-              for n, d in raw]
-    return SuiteReport(name, trials, seed, tol, checks, time.time() - t0)
+              for n, d in SUITES[name](trials, seed)]
+    return {"suite": name, "trials": trials, "seed": seed, "tol": tol,
+            "checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +150,27 @@ def emit(obj: Dict) -> None:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [run_suite(n, args.trials or DEFAULT_TRIALS[n], args.seed,
-                         args.tol) for n in names]
-    jsons = [r.to_json() for r in reports]
-    payload = jsons[0] if len(jsons) == 1 else {"suites": jsons}
+    reports, seconds = [], []
+    for n in names:
+        t0 = time.time()
+        reports.append(run_suite(n, args.trials or DEFAULT_TRIALS[n],
+                                 args.seed, args.tol))
+        seconds.append(time.time() - t0)
+    payload = reports[0] if len(reports) == 1 else {"suites": reports}
     emit(payload)
-    ok = True
-    for r in reports:
-        for c in r.checks:
+    # wall times go to stderr only, so reports are byte-identical per
+    # (seed, flags)
+    for r, secs in zip(reports, seconds):
+        for c in r["checks"]:
             mark = "pass" if c["pass"] else "FAIL"
-            print(f"[{mark}] {r.suite}/{c['name']}: "
+            print(f"[{mark}] {r['suite']}/{c['name']}: "
                   f"max_defect={c['max_defect']:.3e}", file=sys.stderr)
-        print(f"suite {r.suite}: {'PASS' if r.all_pass else 'FAIL'} "
-              f"({r.wall_time_s:.1f}s)", file=sys.stderr)
-        ok = ok and r.all_pass
+        print(f"suite {r['suite']}: {'PASS' if r['all_pass'] else 'FAIL'} "
+              f"({secs:.1f}s)", file=sys.stderr)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=1)
-    return 0 if ok else 1
+    return 0 if all(r["all_pass"] for r in reports) else 1
 
 
 def cmd_series(args) -> int:
@@ -230,19 +214,22 @@ def cmd_holonomy(args) -> int:
     cells = sum(len(v) for v in dec.faces.values())
     emit({"value": val, "phase_re": ph.real, "phase_im": ph.imag,
           "cells_used": cells})
+    # the value is a holonomy only for a cocycle; stdout stays the record
+    defect = total_d(omega).max_defect()
+    print(f"cocycle defect: {defect:.3e}", file=sys.stderr)
+    if not defect <= COCYCLE_TOL:
+        print(f"warning: the cochain is not a cocycle (defect above "
+              f"{COCYCLE_TOL:g}), so the value depends on the decomposition "
+              f"and its subordination", file=sys.stderr)
     return 0
-
-
-def usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def cmd_pushforward(args) -> int:
     omega = serialize.load_cochain(args.cochain)
     if not omega.cover.factor_covers:
-        return usage_error("push-forward needs a cochain over a product "
-                           "cover (product:X|E or torus:N:M:OVERLAP)")
+        print("error: push-forward needs a cochain over a product cover "
+              "(product:X|E or torus:N:M:OVERLAP)", file=sys.stderr)
+        return 2
     x_cover, e_cover = omega.cover.factor_covers
     dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, e_cover)

@@ -57,34 +57,35 @@ class DiffCochain:
 
     Its forms live on the torus of its cover, T^(cover.factors).
     Every level, field strength and integer row included, is read through
-    `component`.  Values are given in the `components` dict, keyed by
-    multi-index (H at the empty index, TrigForms at lengths 1..n+1, Python
-    ints at length n+2) and each checked for its slot's type and degree, or
-    computed on demand by `component_fn` and memoised there.  The operators
-    below build their results that way, so only the lookups that occur are
-    ever held.  A cochain of degree n on T^m with n + 1 > m has no field
-    strength: its slot at () reads as the zero m-form.
+    `component`.  The constructor takes stored values: the `components`
+    dict, keyed by multi-index (H at the empty index, TrigForms at lengths
+    1..n+1, Python ints at length n+2), each checked for its slot's type
+    and degree.  The operators below build their results through `_lazy`,
+    the one place that sets `component_fn`: it computes a missing slot on
+    demand and memoises it in `components`, so only the lookups that occur
+    are ever held.  A stored cochain's `component_fn` is None.  A cochain
+    of degree n on T^m with n + 1 > m has no field strength: its slot at
+    () reads as the zero m-form.
 
     `alternating` flags a cochain whose value on any ordering of a support
-    is its sorted value times the sign of the permutation.
-    `alternating_cochain` builds such a cochain from its sorted-support
-    values and flags it; `from_global_form` is one.  `+`, `-`, negation,
-    `total_d` and `restrict` keep the flag of flagged operands.  A cochain
-    built by hand is unflagged, and so are the results of `homotopy_k` and
-    of the push-forwards, which read their input at mixed indices and are
-    not alternating.  `materialize` and `max_defect` walk a flagged cochain
-    on its sorted supports alone and an unflagged one on every ordering.
+    is its sorted value times the sign of the permutation.  Only `_lazy`
+    sets it: `alternating_cochain` builds such a cochain from its
+    sorted-support values and flags it; `from_global_form` is one.  `+`,
+    `-`, negation, `total_d` and `restrict` keep the flag of flagged
+    operands.  A stored cochain is unflagged, and so are the results of
+    `homotopy_k` and of the push-forwards, which read their input at mixed
+    indices and are not alternating.  `materialize` and `max_defect` walk
+    a flagged cochain on its sorted supports alone and an unflagged one on
+    every ordering.
     """
 
     def __init__(self, degree: int, cover: Cover,
-                 components: Optional[Dict[Idx, Level]] = None,
-                 component_fn: Optional[Callable[[Idx], Level]] = None,
-                 alternating: bool = False):
+                 components: Optional[Dict[Idx, Level]] = None):
         self.degree = degree
         self.cover = cover
         self.components = components or {}
-        self.component_fn = component_fn
-        self.alternating = alternating
+        self.component_fn: Optional[Callable[[Idx], Level]] = None
+        self.alternating = False
         self.ambient_dim = amb = cover.factors
         for idx, value in self.components.items():
             want = degree - (len(idx) - 1)
@@ -153,8 +154,8 @@ class DiffCochain:
         def comp(idx):
             return signed_sum(a.component(idx), ((odd, b.component(idx)),))
 
-        return DiffCochain(self.degree, self.cover, component_fn=comp,
-                           alternating=a.alternating and b.alternating)
+        return _lazy(self.degree, self.cover, comp,
+                     a.alternating and b.alternating)
 
     def __neg__(self) -> "DiffCochain":
         a = self
@@ -162,8 +163,7 @@ class DiffCochain:
         def comp(idx):
             return -a.component(idx)
 
-        return DiffCochain(self.degree, self.cover, component_fn=comp,
-                           alternating=a.alternating)
+        return _lazy(self.degree, self.cover, comp, a.alternating)
 
     # -- walking the slots -------------------------------------------------
 
@@ -199,6 +199,18 @@ class DiffCochain:
             nan_max, (_magnitude(v) for _, v in self._nonzero_slots()), 0.0)
 
 
+def _lazy(degree: int, cover: Cover, component_fn: Callable[[Idx], Level],
+          alternating: bool = False,
+          components: Optional[Dict[Idx, Level]] = None) -> DiffCochain:
+    """The cochain with the given stored values whose other slots
+    component_fn computes on demand; flagged alternating only when the
+    caller has built it so."""
+    omega = DiffCochain(degree, cover, components)
+    omega.component_fn = component_fn
+    omega.alternating = alternating
+    return omega
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -219,8 +231,7 @@ def alternating_cochain(degree: int, cover: Cover,
             return level_zero(degree, amb, len(idx))
         return value if sign == 1 else -1 * value
 
-    return DiffCochain(degree, cover, components=dict(sorted_values),
-                       component_fn=permuted, alternating=True)
+    return _lazy(degree, cover, permuted, True, dict(sorted_values))
 
 
 def from_global_form(T: TrigForm, cover: Cover) -> DiffCochain:
@@ -255,8 +266,7 @@ def total_d(omega: DiffCochain) -> DiffCochain:
                 terms.append((odd, TrigForm.constant(amb, 2 * math.pi * m)))
         return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
 
-    return DiffCochain(n + 1, omega.cover, component_fn=comp,
-                       alternating=omega.alternating)
+    return _lazy(n + 1, omega.cover, comp, omega.alternating)
 
 
 def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
@@ -272,8 +282,7 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
             return level_zero(n, amb, len(idx))
         return omega.component(image)
 
-    return DiffCochain(omega.degree, s.source, component_fn=comp,
-                       alternating=omega.alternating)
+    return _lazy(omega.degree, s.source, comp, omega.alternating)
 
 
 def prism_indices(idx: Idx, sig: Sequence[int], sig2: Sequence[int]
@@ -320,7 +329,7 @@ def homotopy_k(omega: DiffCochain, s1: Subordination, s2: Subordination) -> Diff
         return signed_sum(level_zero(n - 1, omega.ambient_dim, len(idx)),
                           ((odd, omega.component(b)) for odd, b in family))
 
-    return DiffCochain(n - 1, s1.source, component_fn=comp)
+    return _lazy(n - 1, s1.source, comp)
 
 
 # a defect of D omega, or a field-strength coefficient, at most this large

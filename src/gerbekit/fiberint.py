@@ -29,7 +29,8 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from .cochain import DiffCochain, Level, level_zero, prism_indices, total_d
+from .cochain import (DiffCochain, Level, _lazy, level_zero, prism_indices,
+                      total_d)
 from .covers import DualCellDecomposition
 from .trigform import TrigForm, cell_integral, signed_sum
 
@@ -40,11 +41,11 @@ Idx = Tuple[int, ...]
 # monotone paths
 
 
-@lru_cache(maxsize=None)
 def monotone_paths(r: int, k: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], int], ...]:
     """All monotone paths (1,1) -> (r,k) as (node list, area) pairs.
 
     Nodes are 1-indexed (p, q); steps increase p (along a) or q (along b).
+    Uncached: its one caller in the package, `_path_plan`, is cached.
     """
     out: List[Tuple[Tuple[Tuple[int, int], ...], int]] = []
 
@@ -192,8 +193,7 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                 return integrate_fiber_cell(sym, cell, n_base)
         return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))
 
-    return DiffCochain(p, x_cover, components={(): field_strength},
-                       component_fn=comp)
+    return _lazy(p, x_cover, comp, components={(): field_strength})
 
 
 def pushforward(omega: DiffCochain, dec: DualCellDecomposition,

@@ -331,7 +331,8 @@ def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int,
     """
     norms, X = _sorted_shells(L, max_norm)
     keys, first = np.unique(norms, return_index=True)
-    rows = [tuple(r) for r in X.tolist()]
+    # one tuple per row, built from the column lists, with no list per row
+    rows = list(zip(*X.T.tolist()))
     first = first.tolist()
     return {k: rows[a:b]
             for k, a, b in zip(keys.tolist(), first, first[1:] + [len(rows)])}

@@ -285,6 +285,8 @@ class GroupElement:
     """
 
     def __init__(self, kind: str, data):
+        if kind not in ("S", "T", "W", "word"):
+            raise ValueError(f"unknown group element kind {kind!r}")
         self.kind = kind
         self.data = data
 
@@ -347,11 +349,7 @@ def act(g: GroupElement, x: ModuliPoint) -> ModuliPoint:
         if g.kind == "S":
             a, b, c, d = g.data
             denom = c * tau + d
-            new_tau = (a * tau + b) / denom
-            if new_tau.imag < TAU_MIN:
-                raise ValueError(f"image Im tau = {new_tau.imag} leaves the "
-                                 "admissible domain")
-            return ModuliPoint(new_tau, tuple(z / denom))
+            return ModuliPoint((a * tau + b) / denom, tuple(z / denom))
         if g.kind == "T":
             q1, q2 = g.data
             if len(q1) != len(z) or len(q2) != len(z):
@@ -359,14 +357,13 @@ def act(g: GroupElement, x: ModuliPoint) -> ModuliPoint:
             new_z = (z + np.array(q1, dtype=float)
                      + tau * np.array(q2, dtype=float))
             return ModuliPoint(tau, tuple(new_z))
-        if g.kind == "W":
-            if len(g.data) != len(z):
-                raise ValueError(f"a {len(g.data)}x{len(g.data)} W matrix "
-                                 f"acts on points of rank {len(g.data)}, got "
-                                 f"a point of rank {len(z)}")
-            M = np.array(g.data, dtype=np.int64)
-            return ModuliPoint(tau, tuple(M @ z))
-    raise ValueError(f"unknown group element kind {g.kind}")
+        # W
+        if len(g.data) != len(z):
+            raise ValueError(f"a {len(g.data)}x{len(g.data)} W matrix acts "
+                             f"on points of rank {len(g.data)}, got a point "
+                             f"of rank {len(z)}")
+        M = np.array(g.data, dtype=np.int64)
+        return ModuliPoint(tau, tuple(M @ z))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +428,11 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
             a, b, c, d = g.data
             return eta_multiplier(g.data) ** 2 * cmath.exp(
                 PI_I * c * u * u / (c * tau + d))
-        if g.kind == "W":
-            # the isometries of the scalar model are u -> u and u -> -u; the
-            # det section is odd in u
-            if g.data not in (((1,),), ((-1,),)):
-                raise ValueError("W matrix does not preserve the Gram matrix")
-            return complex(g.data[0][0])
-        raise ValueError(f"unknown kind {g.kind}")
+        # W: the isometries of the scalar model are u -> u and u -> -u;
+        # the det section is odd in u
+        if g.data not in (((1,),), ((-1,),)):
+            raise ValueError("W matrix does not preserve the Gram matrix")
+        return complex(g.data[0][0])
     L = family.lattice
     if len(z) != L.rank:
         raise ValueError(f"family {family.name} on lattice {L.name} needs a "
@@ -455,10 +450,9 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
         if chi_pow:
             val *= eta_multiplier(g.data) ** chi_pow
         return val
-    if g.kind == "W":
-        _check_isometry(L, g.data)
-        return 1.0 + 0j
-    raise ValueError(f"unknown kind {g.kind}")
+    # W
+    _check_isometry(L, g.data)
+    return 1.0 + 0j
 
 
 def _compose_generators(g: GroupElement, h: GroupElement) -> GroupElement:

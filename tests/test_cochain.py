@@ -315,6 +315,19 @@ def test_constructor_rejects_a_field_strength_of_the_wrong_degree():
         DiffCochain(1, cover, components={(): TrigForm.zero(2, 2)})
 
 
+@pytest.mark.parametrize("knob", [{"alternating": True},
+                                  {"component_fn": lambda idx: 0}],
+                         ids=["alternating", "component_fn"])
+def test_the_constructor_takes_stored_values_only(knob):
+    # a flag set by hand would let max_defect and save_cochain skip the
+    # other orderings of a cochain that is not alternating
+    cover = make_circle_cover(4, 0.55)
+    with pytest.raises(TypeError):
+        DiffCochain(1, cover, **knob)
+    om = DiffCochain(1, cover)
+    assert om.component_fn is None and not om.alternating
+
+
 def test_a_cochain_lives_on_its_covers_torus():
     circle = make_circle_cover(4, 0.55)
     rng = np.random.default_rng(5)

@@ -294,4 +294,4 @@ def test_a_nan_coefficient_fails_the_pushforward_check(monkeypatch):
     monkeypatch.setitem(cli.SUITES, "pushforward",
                         lambda trials, seed: [("stokes_s1", defect)])
     report = cli.run_suite("pushforward", 1, 0, 1e-9)
-    assert [c["pass"] for c in report.checks] == [False]
+    assert [c["pass"] for c in report["checks"]] == [False]

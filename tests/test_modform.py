@@ -451,3 +451,12 @@ def test_float_gram_and_basis_are_converted_once(e8e8, monkeypatch):
     factor(fam, GroupElement.S(0, -1, 1, 0), x)
     assert theta_lattice(e8e8, 1.1j, x.z) == theta
     assert calls == []
+
+
+def test_a_group_element_of_an_unknown_kind_is_refused_when_built():
+    with pytest.raises(ValueError, match="unknown group element kind 'X'"):
+        GroupElement("X", ())
+    x = ModuliPoint(0.1 + 1.3j, (0.2j,))
+    for g in (GroupElement.S(0, -1, 1, 0), GroupElement.T([1], [0]),
+              GroupElement.W([[-1]]), GroupElement.word([])):
+        act(g, x)

@@ -4,7 +4,7 @@ evaluators' output.
 
 A refactor of the term kernels, the cochain operators or the lattice
 enumeration must leave every reported defect bit for bit the same; these
-SHA-256 digests of `json.dumps(report.to_json(), indent=1)` fail on any
+SHA-256 digests of `json.dumps(run_suite(...), indent=1)` fail on any
 change in a check's name, defect or verdict.  They were recorded with
 CPython 3.11 and numpy 2 on x86-64; a different floating-point library may
 legitimately move a last digit, in which case re-record them from the
@@ -55,7 +55,7 @@ PINNED = [
 @pytest.mark.parametrize("suite,trials,seed,digest", PINNED,
                          ids=[f"{s}-{t}-{seed}" for s, t, seed, _ in PINNED])
 def test_report_is_byte_identical(suite, trials, seed, digest):
-    report = run_suite(suite, trials, seed, 1e-8).to_json()
+    report = run_suite(suite, trials, seed, 1e-8)
     text = json.dumps(report, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

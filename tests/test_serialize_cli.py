@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -158,6 +159,16 @@ def test_cli_act_shift(capsys):
     assert out["z"] == [[0.1, 0.0]]
 
 
+def test_cli_act_with_an_image_below_the_tau_minimum_exits_1(capsys):
+    # S maps tau = 30i to i/30, below Im tau = 0.05: ModuliPoint refuses it
+    rc = cli.main(["act", "--element", '{"S": [0, -1, 1, 0]}',
+                   "--point", '{"tau": [0, 30], "z": [[0, 0]]}'])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "below the admissible minimum" in err
+
+
 def test_cli_factor_weyl_is_one(capsys):
     import numpy as np
     from gerbekit.lattice import builtin, roots
@@ -198,6 +209,48 @@ def test_cli_holonomy_subcommand(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - math.pi) < 1e-10
+
+
+@pytest.mark.parametrize("cocycle", [True, False],
+                         ids=["cocycle", "non-cocycle"])
+def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
+        tmp_path, monkeypatch, capsys, cocycle):
+    monkeypatch.chdir(tmp_path)
+    cover_id = "circle:4:0.7"
+    cover = serialize.cover_from_id(cover_id)
+    rng = np.random.default_rng(5)
+    om = random_cocycle(rng, cover, 1) if cocycle \
+        else random_alternating_cochain(rng, cover, 1, cover.factors)
+    serialize.save_cochain("in.json", om, cover_id)
+    argv = ["holonomy", "--cochain", "in.json", "--decomposition", "circle:20"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    json.loads(out)
+    lines = err.splitlines()
+    defect = total_d(serialize.load_cochain("in.json")).max_defect()
+    assert lines[0] == f"cocycle defect: {defect:.3e}"
+    assert (defect <= 1e-10) is cocycle
+    assert len(lines) == (1 if cocycle else 2)
+    if not cocycle:
+        assert lines[1].startswith("warning: the cochain is not a cocycle")
+
+
+# SHA-256 of `verify --suite all --seed 0`'s stdout, and of its stderr with
+# each suite's wall time blanked; the stderr lines are the parent's
+VERIFY_ALL_SEED_0 = {
+    "stdout": "f5489da212e145e12f0de3d49d11cec4f94d30eafe19a00d2a845b4bde77d0f9",
+    "stderr": "f4a48cb487822e829dd726f9799b5474d739d8144cb8e8f612d95e50c6daec9b"}
+
+
+def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):
+    assert cli.main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    summaries = re.findall(r"^suite \w+: PASS \((\d+\.\d)s\)$", err, re.M)
+    assert len(summaries) == len(cli.SUITES)
+    blanked = re.sub(r"\(\d+\.\ds\)$", "(s)", err, flags=re.M)
+    assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(blanked.encode()).hexdigest()} \
+        == VERIFY_ALL_SEED_0
 
 
 def test_cli_pushforward_subcommand(tmp_path, capsys):
@@ -439,11 +492,11 @@ def test_nan_defect_fails_every_check(monkeypatch, suite):
     for owner, name in NAN_SOURCES[suite]:
         monkeypatch.setattr(owner, name, lambda *args, **kw: math.nan)
     report = cli.run_suite(suite, 2, 0, 1e-8)
-    assert report.checks
-    for check in report.checks:
+    assert report["checks"]
+    for check in report["checks"]:
         assert math.isnan(check["max_defect"]), check
         assert check["pass"] is False
-    assert not report.all_pass
+    assert not report["all_pass"]
 
 
 def test_nearest_2pi_multiple_defect_of_non_finite_is_nan():
