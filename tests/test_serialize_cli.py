@@ -236,7 +236,8 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 
 
 # SHA-256 of `verify --suite all --seed 0`'s stdout, and of its stderr with
-# each suite's wall time blanked; the stderr lines are the parent's
+# each suite's wall time blanked: the check and summary lines are pinned,
+# and the wall time appears only there
 VERIFY_ALL_SEED_0 = {
     "stdout": "f5489da212e145e12f0de3d49d11cec4f94d30eafe19a00d2a845b4bde77d0f9",
     "stderr": "f4a48cb487822e829dd726f9799b5474d739d8144cb8e8f612d95e50c6daec9b"}
