@@ -40,11 +40,20 @@ class IntegralLattice:
                  gram_den: int = 1, basis: Optional[Sequence[Sequence[int]]] = None,
                  basis_den: int = 1):
         self.name = name
+        if gram_den < 1:
+            raise ValueError(f"lattice {name}: the Gram denominator "
+                             f"{gram_den} is below 1")
         g = _frozen(gram)
         common = math.gcd(gram_den, *g.ravel().tolist())
         self.gram = _frozen(g // common)
         self.gram_den = gram_den // common
         self.rank = len(g)
+        # Sylvester: positive definite iff every leading principal minor is
+        # positive; the walk's Cholesky factor needs no more
+        if (not np.array_equal(g, g.T)
+                or not all(p > 0 for p in _pivots(g.tolist()))):
+            raise ValueError(f"lattice {name}: the Gram matrix is not "
+                             "symmetric positive definite")
         # the norm form u^T gram u / gram_den takes integer values: the
         # enumeration's exact norms are integers
         if (np.any(np.diag(self.gram) % self.gram_den)
@@ -110,7 +119,9 @@ class IntegralLattice:
     # -- structural checks ------------------------------------------------
 
     def determinant(self) -> Fraction:
-        return Fraction(_int_det(self.gram.tolist()), self.gram_den ** self.rank)
+        # the constructor checked every pivot positive
+        *_, det = _pivots(self.gram.tolist())
+        return Fraction(det, self.gram_den ** self.rank)
 
     def is_even(self) -> bool:
         # <v,v> = sum_i g_ii v_i^2 + 2 sum_{i<j} g_ij v_i v_j is even for
@@ -122,22 +133,19 @@ class IntegralLattice:
         return self.determinant() == 1
 
 
-def _int_det(m: List[List[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+def _pivots(m: List[List[int]]):
+    """The pivots of fraction-free (Bareiss) elimination of an integer
+    matrix, without row swaps: the k-th is its leading principal minor of
+    order k, so the last is the determinant.  Each is yielded before it
+    divides the next step, so a caller that stops at a zero one never
+    divides by it."""
+    n, prev = len(m), 1
+    for k in range(n):
+        yield m[k][k]
         for r in range(k + 1, n):
             for c in range(k + 1, n):
                 m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +211,8 @@ def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
     x_0, ..., x_{n-1}) does, or None when it would need more than 63 bits.
 
     The key is the norm followed by n digits of b bits, digit j being
-    x_j + c for c = max |x|, so that 2c fits in b bits.
+    x_j + c for c = max |x|, so that 2c fits in b bits.  Its one reader is
+    _sorted_shells.
     """
     c = max(int(X.max(initial=0)), -int(X.min(initial=0)))
     bits = (2 * c).bit_length()

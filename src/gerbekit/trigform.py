@@ -15,8 +15,6 @@ from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import _packed_key
-
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (frequency, axes)
 
 _DROP = 0.0  # coefficients exactly equal to zero are dropped
@@ -82,10 +80,7 @@ def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
                 continue
             if (j, axes) not in signs:
                 signs[j, axes] = _axes_sign((j,) + axes)
-            ss = signs[j, axes]
-            if ss is None:
-                continue
-            new_axes, sign = ss
+            new_axes, sign = signs[j, axes]
             key = (freq, new_axes)
             out[key] = out.get(key, 0.0) + 1j * kj * sign * c
     return out
@@ -102,10 +97,11 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     Each pair of distinct axis sets is sorted once, into a code: -1 for a
     shared axis, else 2 * (id of the sorted axes) + (sign < 0).  Gathered
     over the grid of terms, its nonnegative entries are the surviving
-    pairs in pair order.  Their keys are numbered by first appearance
-    (_first_appearance), and `times` is called once, on the stacked signed
-    left and right coefficients of every surviving pair, returning their
-    stacked products.  These are summed in pair order into a zeroed
+    pairs in pair order.  Their keys, (axes id, summed frequency), are
+    numbered by first appearance in one dict, for frequencies of any width
+    below 2**62, and `times` is called once, on the stacked signed left and
+    right coefficients of every surviving pair, returning their stacked
+    products.  These are summed in pair order into a zeroed
     accumulator, so each key reads 0.0 + v1 + v2 + ..., keys in order of
     first appearance: the bits of a per-pair loop that adds each product to
     its key's running sum, for scalar and 2 x 2 coefficients NaNs
@@ -136,13 +132,15 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     if int(abs(freqs).max(initial=0)) >> 62:
         raise OverflowError("wedge frequencies must lie below 2**62")
     F = freqs[I] + freqs[L + J]
-    slots, first = _first_appearance(code >> 1, F)
+    slot_of: Dict[Tuple[int, ...], int] = {}
+    slots = np.array([slot_of.setdefault(k, len(slot_of))
+                      for k in zip((code >> 1).tolist(), *F.T.tolist())])
     # row i holds +1 * c_i and row L + i holds -1 * c_i, each signed as the
     # pair's own sign * c1 would be
     vals = np.array(list(left.values()), dtype=complex)
     products = times(np.concatenate((1 * vals, -1 * vals))[L * (code & 1) + I],
                      np.array(list(right.values()), dtype=complex)[J])
-    acc = np.zeros((len(first),) + products.shape[1:], dtype=complex)
+    acc = np.zeros((len(slot_of),) + products.shape[1:], dtype=complex)
     # summed as float pairs: of two NaNs, numpy's complex add.at keeps the
     # second in the imaginary part, Python's complex + keeps the first
     width = 2 * products[0].size
@@ -151,30 +149,8 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
               products.reshape(-1).view(float))
     acc.flags.writeable = False
     axes_of = list(out_axes)
-    keys = zip(map(tuple, F[first].tolist()),
-               [axes_of[k] for k in (code[first] >> 1).tolist()])
+    keys = [(k[1:], axes_of[k[0]]) for k in slot_of]
     return dict(zip(keys, acc.tolist() if acc.ndim == 1 else acc))
-
-
-def _first_appearance(ids: np.ndarray, F: np.ndarray):
-    """(slot of each row, first row of each slot) for the rows (ids[k],
-    F[k]): equal rows share a slot, numbered in order of first appearance.
-
-    Rows are told apart by one int64 key each (lattice._packed_key), or,
-    when that would need more than 63 bits, compared whole.  np.unique's
-    stable sort makes `first` the first row of each distinct value.
-    """
-    key = _packed_key(ids, F)
-    if key is None:
-        _, first, inverse = np.unique(np.column_stack((ids, F)), axis=0,
-                                      return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(key, return_index=True,
-                                      return_inverse=True)
-    order = first.argsort()
-    rank = np.empty_like(first)
-    rank[order] = np.arange(len(first))
-    return rank[inverse], first[order]
 
 
 def _python_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:

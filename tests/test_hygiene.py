@@ -233,3 +233,40 @@ def test_no_module_of_the_package_calls_hasattr(path):
     # an object says what it is by its type and attributes, not by which
     # attributes it happens to have
     assert hasattr_calls(path.read_text()) == []
+
+
+# the package's two halves: the forms (the double complex, holonomy,
+# fiber integration, Chern-Simons and their files) and the lattices with
+# their modular forms; only the battery, the CLI and the exports join them
+FORMS = {"trigform", "covers", "cochain", "holonomy", "fiberint", "liecs",
+         "serialize"}
+LATTICES = {"lattice", "modform"}
+JOINS = {"suites", "cli", "__init__"}
+
+
+def package_imports(source: str):
+    """The modules of the package that the source imports, by relative
+    import, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module
+                         else [a.name for a in node.names])
+    return found
+
+
+def test_the_scan_finds_the_package_imports():
+    assert package_imports(
+        "import numpy\nfrom . import liecs, serialize\n"
+        "from .lattice import builtin\nfrom typing import Dict\n"
+        "def f():\n    from .holonomy import holonomy\n") == {
+            "liecs", "serialize", "lattice", "holonomy"}
+
+
+def test_only_the_battery_cli_and_exports_join_the_two_halves():
+    imports = {p.stem: package_imports(p.read_text()) for p in PACKAGE}
+    assert set(imports) == FORMS | LATTICES | JOINS
+    assert {m for m in FORMS if imports[m] & LATTICES} == set()
+    assert {m for m in LATTICES if imports[m] & FORMS} == set()
+    assert {m for m, got in imports.items()
+            if got & FORMS and got & LATTICES} <= JOINS

@@ -317,6 +317,50 @@ def test_a_norm_form_with_fractional_values_is_refused():
         IntegralLattice("half", [[2, 1], [1, 1]], 2)
 
 
+@pytest.mark.parametrize("gram", [
+    # A2's norm form, not symmetric: its walk counted 2 vectors of norm 6
+    [[2, 2], [0, 2]],
+    # indefinite: numpy's Cholesky raised LinAlgError in the walk
+    [[0, 1], [1, 0]],
+    [[1, 2], [2, 1]],
+    # semidefinite, and negative in the last pivot only
+    [[1, 1], [1, 1]],
+    [[2, 0, 0], [0, 2, 0], [0, 0, -2]],
+    [[2, 1], [1, 2], [0, 0]],
+])
+def test_a_gram_that_is_not_symmetric_positive_definite_is_refused(gram):
+    with pytest.raises(ValueError, match="lattice bad: the Gram matrix is "
+                       "not symmetric positive definite"):
+        IntegralLattice("bad", gram)
+
+
+@pytest.mark.parametrize("den", [0, -2])
+def test_a_gram_denominator_below_1_is_refused(den):
+    with pytest.raises(ValueError, match=f"lattice bad: the Gram denominator "
+                       f"{den} is below 1"):
+        IntegralLattice("bad", [[2]], den)
+
+
+def leibniz_det(m):
+    """The determinant as a signed sum over permutations, in integers."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_grams_over())
+def test_the_determinant_matches_the_leibniz_sum(gram_over):
+    num, den = gram_over
+    assert IntegralLattice("g", num, den).determinant() == Fraction(
+        leibniz_det(num), den ** len(num))
+
+
 def test_a_gram_alone_has_no_basis():
     L = IntegralLattice("a2", [[2, -1], [-1, 2]])
     with pytest.raises(ValueError, match="no basis"):

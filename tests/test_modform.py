@@ -323,6 +323,24 @@ def test_cocycle_defects(e8e8):
                           GroupElement.S(1, 0, 1, 1), x) < 1e-9
 
 
+def test_cocycle_defect_of_two_weyl_reflections_is_zero(e8e8):
+    # the W . W composite: the product of the reflections, an isometry
+    fam = AutomorphyFamily("char", e8e8)
+    rts = roots(e8e8)
+    x = ModuliPoint(1.1j, tuple([0.1 + 0.05j] * 16))
+    g, h = (reflection_element(e8e8, rts[i]) for i in (3, 100))
+    assert cocycle_defect(fam, g, h, x) == 0.0
+
+
+def test_cocycle_defect_of_unlike_kinds_is_refused(e8e8):
+    fam = AutomorphyFamily("char", e8e8)
+    x = ModuliPoint(1.1j, (0j,) * 16)
+    with pytest.raises(ValueError,
+                       match="no closed-form composite for these kinds"):
+        cocycle_defect(fam, GroupElement.S(0, -1, 1, 0),
+                       GroupElement.T([0] * 16, [0] * 16), x)
+
+
 def test_word_factor_follows_cocycle_rule(e8e8):
     fam = AutomorphyFamily("char", e8e8)
     rts = roots(e8e8)

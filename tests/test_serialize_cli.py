@@ -594,6 +594,20 @@ def test_cli_non_finite_tau_is_refused_by_the_evaluator(capsys, command):
     assert out == "" and err == "error: tau = nanj is not finite\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"z": [[0, 0]]}', "z file must hold a list of [re, im] pairs"),
+    ("[[0, 0], [0.1, 0]]", "z file has 2 coordinates, expected 8"),
+])
+def test_cli_theta_refuses_a_malformed_z_file(tmp_path, capsys, content,
+                                              message):
+    path = tmp_path / "z.json"
+    path.write_text(content)
+    assert cli.main(["theta", "--lattice", "e8", "--tau", "0,1.2",
+                     "--z", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def _good_record():
     """A degree-0 cochain file record with both form and integer rows."""
     cover = serialize.cover_from_id("circle:4:0.55")
