@@ -48,8 +48,9 @@ class IntegralLattice:
         self.gram = _frozen(g // common)
         self.gram_den = gram_den // common
         self.rank = len(g)
-        # Sylvester: positive definite iff every leading principal minor is
-        # positive; the walk's Cholesky factor needs no more
+        # Sylvester: a symmetric matrix is positive definite iff its leading
+        # principal minors are positive; the walk's Cholesky factor and its
+        # half of the ellipsoid need both
         if (not np.array_equal(g, g.T)
                 or not all(p > 0 for p in _pivots(g.tolist()))):
             raise ValueError(f"lattice {name}: the Gram matrix is not "

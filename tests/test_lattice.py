@@ -326,6 +326,7 @@ def test_a_norm_form_with_fractional_values_is_refused():
     # semidefinite, and negative in the last pivot only
     [[1, 1], [1, 1]],
     [[2, 0, 0], [0, 2, 0], [0, 0, -2]],
+    # not square
     [[2, 1], [1, 2], [0, 0]],
 ])
 def test_a_gram_that_is_not_symmetric_positive_definite_is_refused(gram):
