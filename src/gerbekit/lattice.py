@@ -43,6 +43,10 @@ class IntegralLattice:
         if gram_den < 1:
             raise ValueError(f"lattice {name}: the Gram denominator "
                              f"{gram_den} is below 1")
+        widths = {len(row) for row in gram}
+        if widths <= {0} or len(widths) > 1:
+            raise ValueError(f"lattice {name}: the Gram matrix has no entries "
+                             "or rows of unequal lengths")
         g = _frozen(gram)
         common = math.gcd(gram_den, *g.ravel().tolist())
         self.gram = _frozen(g // common)
@@ -207,16 +211,22 @@ BLOCK_ROWS = 1 << 14
 ENUM_BUDGET = 10 ** 7
 
 
+def _key_digits(X: np.ndarray) -> Tuple[int, int]:
+    """(c, b) of _packed_key's layout for the rows X: every digit's offset
+    c = max |x|, and b the bits of 2c."""
+    c = max(int(X.max(initial=0)), -int(X.min(initial=0)))
+    return c, (2 * c).bit_length()
+
+
 def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
     """One int64 per row that orders the rows as np.lexsort over (norm,
     x_0, ..., x_{n-1}) does, or None when it would need more than 63 bits.
 
     The key is the norm followed by n digits of b bits, digit j being
-    x_j + c for c = max |x|, so that 2c fits in b bits.  Its one reader is
-    _sorted_shells.
+    x_j + c (_key_digits), so that 2c fits in b bits.  Its one reader is
+    _key_sorted, which also mirrors and decodes keys of this layout.
     """
-    c = max(int(X.max(initial=0)), -int(X.min(initial=0)))
-    bits = (2 * c).bit_length()
+    c, bits = _key_digits(X)
     if int(norms.max(initial=0)).bit_length() + X.shape[1] * bits > 63:
         return None
     key = norms.copy()
@@ -228,35 +238,72 @@ def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
     return key
 
 
-def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray]:
-    """(norms, rows) of every lattice vector with <v,v> <= max_norm.
+def _key_sorted(norms: np.ndarray, X: np.ndarray
+                ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The rows (norms, X), whose row 0 is the zero vector, and the mirror
+    images (norms, -X) of the others, in the order of their packed keys:
+    np.lexsort's over the norm and the columns, as the rows are distinct.
+    None when the key would need more than 63 bits.
 
-    rows holds basis coefficients, one vector per row, sorted by exact
-    norm (the int64 array norms) and then lexicographically, so the zero
-    vector comes first; a negative bound gives no rows.  A breadth-first
-    frontier of partial vectors (coordinates n-1 .. i fixed) is expanded
-    one coordinate at a time, at most BLOCK_ROWS children at a time.  A
-    bound whose ellipsoid holds more than about ENUM_BUDGET vectors, by its
-    volume V_n max_norm^{n/2} / sqrt(det G), raises ValueError unwalked.
+    The mirror -v of a row v has the digits 2c - d of its digits d, with no
+    borrow, so its key is v's less twice v's digit part, plus twice the
+    offsets.  The keys are sorted in place and decoded, digit by digit
+    from the last and BLOCK_ROWS keys at a time, into new rows: no argsort
+    runs and no row is gathered.
+    """
+    half = _packed_key(norms, X)
+    if half is None:
+        return None
+    c, bits = _key_digits(X)
+    (h, n), low = X.shape, (1 << bits) - 1
+    key = np.empty(2 * h - 1, np.int64)
+    key[:h] = half
+    mirror = key[h:]
+    np.bitwise_and(half[1:], (1 << (n * bits)) - 1, out=mirror)
+    mirror *= -2
+    mirror += half[1:]
+    mirror += 2 * sum(c << (bits * j) for j in range(n))
+    del half
+    key.sort()
+    X = np.empty((len(key), n), X.dtype)
+    for a in range(0, len(key), BLOCK_ROWS):
+        k = key[a:a + BLOCK_ROWS]
+        for col in reversed(X[a:a + BLOCK_ROWS].T):
+            col[:] = (k & low) - c
+            k >>= bits
+    # what is left of each key is its norm
+    return key, X
 
-    Only half of the ellipsoid is walked.  The one frontier row whose fixed
-    coordinates are all zero takes x_i >= 0 only (x_0 >= 1 at the last
-    step), so of each pair v, -v only the vector whose highest-index
-    nonzero coordinate is positive is expanded and given its exact norm.
-    The float bounds of -v are those of v negated, bit for bit, so these
-    leaves are exactly half of a full walk's.  The zero vector and the
-    mirror image -v of each leaf, of the same norm, are written next to
-    them.  The rows are then ordered by one int64 key each, the norm
-    followed by the coordinates (_packed_key): rows are distinct, so the
-    keys are, and argsort's order is np.lexsort's.  A set whose key would
-    need more than 63 bits is ordered by np.lexsort over the norm and the
-    columns instead.
+
+def _half_walk(L: IntegralLattice, max_norm):
+    """The Fincke-Pohst walk over half of the ellipsoid <v,v> <= max_norm:
+    yields, per block of leaves, (norms, rows, links) for the leaves v
+    with v > 0 (last nonzero coordinate positive) and exact norm <=
+    max_norm.
+
+    norms holds their exact int64 norms.  Their coordinates are read back
+    along links: coordinate j of leaf r is x[rows[r]] for (parent, x) =
+    links[n - 1 - j], and the next coordinate's row is parent[rows[r]].
+
+    A breadth-first frontier of partial vectors (coordinates n-1 .. i
+    fixed) is expanded one coordinate at a time, at most BLOCK_ROWS
+    children at a time.  A frontier row keeps its parent's index and its
+    new coordinate, the float bounds' partial R @ x (R the Cholesky
+    factor) and remaining budget, and its exact int64 partial norm with a
+    running gram @ x over the coordinates still open: fixing x_i adds
+    x_i (g_ii x_i + 2 sum_{j>i} g_ij x_j), so no matrix product runs at
+    the leaves.  A bound whose ellipsoid holds more than about ENUM_BUDGET
+    vectors, by its volume V_n max_norm^{n/2} / sqrt(det G), raises
+    ValueError unwalked.
+
+    The one frontier row whose fixed coordinates are all zero takes x_i >=
+    0 only (x_0 >= 1 at the last step), so of each pair v, -v only one is
+    expanded.  The float bounds of -v are those of v negated, bit for bit,
+    so these leaves are exactly half of a full walk's.
     """
     n = L.rank
-    if max_norm < 0:
-        return np.zeros(0, np.int64), np.zeros((0, n), np.int64)
-    g = L.gram_float
-    R = np.linalg.cholesky(g).T          # upper triangular, g = R^T R
+    G = L.gram
+    R = np.linalg.cholesky(L.gram_float).T    # upper triangular, g = R^T R
     bound = float(max_norm) + 1e-9
     # log of the volume; sqrt(det G) is the product of R's diagonal
     log_count = (n / 2 * math.log(math.pi * bound) - math.lgamma(n / 2 + 1)
@@ -266,70 +313,96 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
             f"lattice {L.name}: norms up to {max_norm} hold about "
             f"10^{log_count / math.log(10):.1f} vectors, more than the "
             f"enumeration budget of {ENUM_BUDGET}")
-    # |x_i| <= sqrt(bound (g^-1)_ii) on the ellipsoid
-    reach = np.sqrt(bound * np.diag(np.linalg.inv(g))).max() + 2
-    dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
-    # a block: (coordinate i, rows, partial R @ x over coordinates <= i,
-    # remaining norm budget, whether its row 0 has all fixed coordinates
+    # a block: (coordinate i, links, partial R @ x over coordinates <= i,
+    # remaining norm budget, exact partial norm numerators, exact gram @ x
+    # over coordinates <= i, whether its row 0 has all fixed coordinates
     # zero); that row's first child, x_i = 0, is again row 0
-    stack = [(n - 1, np.zeros((1, n), dtype), np.zeros((1, n)),
-              np.array([bound]), True)]
-    leaves = []
+    stack = [(n - 1, (), np.zeros((1, n)), np.array([bound]),
+              np.zeros(1, np.int64), np.zeros((1, n), np.int64), True)]
     while stack:
-        i, X, P, rem, zero_first = stack.pop()
+        i, links, P, rem, nrm, S, zero_first = stack.pop()
         if i < 0:
-            X64 = X.astype(np.int64)
             # exact: the norm form is integer-valued, so gram_den divides
-            norms = np.einsum("ij,ij->i", X64 @ L.gram, X64) // L.gram_den
-            keep = norms <= max_norm
-            leaves.append((X[keep], norms[keep]))
+            norms = nrm // L.gram_den
+            rows = np.flatnonzero(norms <= max_norm)
+            yield norms[rows], rows, links
             continue
         rii = R[i, i]
         center = -P[:, i] / rii
         radius = np.sqrt(np.maximum(rem, 0.0)) / rii
-        lo = np.ceil(center - radius - 1e-9)
-        hi = np.floor(center + radius + 1e-9)
+        lo = np.ceil(center - radius - 1e-9).astype(np.int64)
+        hi = np.floor(center + radius + 1e-9).astype(np.int64)
         if zero_first:
             # the half space; at x_0 it also leaves out the zero vector
-            lo[0] = max(lo[0], 0.0 if i else 1.0)
-        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+            lo[0] = max(lo[0], 0 if i else 1)
+        counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
-        if total > BLOCK_ROWS and len(X) > 1:
-            h = len(X) // 2
-            stack.append((i, X[h:], P[h:], rem[h:], False))
-            stack.append((i, X[:h], P[:h], rem[:h], zero_first))
+        if total > BLOCK_ROWS and len(P) > 1:
+            h = len(P) // 2
+            *up, (parent, x) = links
+            for part, first in ((slice(h, None), False),
+                                (slice(h), zero_first)):
+                stack.append((i, (*up, (parent[part], x[part])), P[part],
+                              rem[part], nrm[part], S[part], first))
             continue
-        parent = np.repeat(np.arange(len(X)), counts)
+        parent = np.repeat(np.arange(len(P)), counts)
         first = np.cumsum(counts) - counts
-        xi = lo[parent] + (np.arange(total) - first[parent])
-        t = rii * (xi - center[parent])
-        X = X[parent]
-        X[:, i] = xi
+        x = lo[parent] + (np.arange(total) - first[parent])
+        t = rii * (x - center[parent])
+        S = S[parent]
         # only the partial sums of the coordinates still open are kept
-        stack.append((i - 1, X, P[parent, :i] + xi[:, None] * R[:i, i],
-                      rem[parent] - t * t, zero_first))
-    # row 0 is the zero vector, then the leaves, then their mirror images
-    m = sum(len(x) for x, _ in leaves)
-    X = np.zeros((2 * m + 1, n), dtype)
-    norms = np.zeros(2 * m + 1, np.int64)
-    a = 1
-    for x, nrm in leaves:
-        b = a + len(x)
-        X[a:b] = x
-        np.negative(x, out=X[m + a:m + b])
-        norms[a:b] = norms[m + a:m + b] = nrm
-        a = b
-    del leaves                           # free the blocks before sorting
-    key = _packed_key(norms, X)
-    if key is None:
-        order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
-    else:
-        order = np.argsort(key)
-        del key
-    # one gather at a time, each freeing its source: the peak stays below
-    # that of sorting the full walk's leaves
-    X = X[order]
-    return norms[order], X
+        stack.append((i - 1, (*links, (parent, x)),
+                      P[parent, :i] + x[:, None] * R[:i, i],
+                      rem[parent] - t * t,
+                      nrm[parent] + x * (G[i, i] * x + 2 * S[:, i]),
+                      S[:, :i] + x[:, None] * G[:i, i], zero_first))
+
+
+def _read_back(rows: np.ndarray, links, dtype) -> np.ndarray:
+    """The coordinates, in dtype, of the leaves rows of a _half_walk block
+    with these links."""
+    X = np.empty((len(rows), len(links)), dtype)
+    for j, (parent, x) in enumerate(reversed(links)):
+        X[:, j] = x[rows]
+        rows = parent[rows]
+    return X
+
+
+def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray]:
+    """(norms, rows) of every lattice vector with <v,v> <= max_norm.
+
+    rows holds basis coefficients, one vector per row, sorted by exact
+    norm (the int64 array norms) and then lexicographically, so the zero
+    vector comes first; a negative bound gives no rows.  The leaves of
+    _half_walk are read back along their parent links, block by block, in
+    the rows' dtype (int16 when every coefficient the ellipsoid reaches
+    fits, else int64).  The zero vector and the leaves are then ordered
+    together with the leaves' mirror images -v by one int64 key each
+    (_key_sorted: the norm followed by the coordinates, sorted in place
+    and decoded); a set whose key would need more than 63 bits is ordered
+    by np.lexsort over the norm and the columns instead.
+    """
+    n = L.rank
+    if max_norm < 0:
+        return np.zeros(0, np.int64), np.zeros((0, n), np.int64)
+    # |x_i| <= sqrt(bound (g^-1)_ii) on the ellipsoid
+    reach = np.sqrt((float(max_norm) + 1e-9)
+                    * np.diag(np.linalg.inv(L.gram_float))).max() + 2
+    dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
+    leaves = [(nrm, _read_back(rows, links, dtype))
+              for nrm, rows, links in _half_walk(L, max_norm)]
+    # row 0 is the zero vector, then the leaves
+    norms = np.concatenate([np.zeros(1, np.int64)]
+                           + [nrm for nrm, _ in leaves])
+    X = np.concatenate([np.zeros((1, n), dtype)] + [x for _, x in leaves])
+    del leaves
+    shells = _key_sorted(norms, X)
+    if shells is not None:
+        return shells
+    norms = np.concatenate([norms, norms[1:]])
+    X = np.concatenate([X, -X[1:]])
+    order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
+    return norms[order], X[order]
 
 
 def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int, ...]]]:
@@ -469,5 +542,13 @@ def anomaly_exponents(case: str) -> Tuple[int, int, int, int]:
 
 def theta_counts(L: IntegralLattice, max_norm: int) -> Dict[int, int]:
     """Vector counts per norm (the theta-series coefficients)."""
-    keys, counts = np.unique(_sorted_shells(L, max_norm)[0], return_counts=True)
+    if max_norm < 0:
+        return {}
+    # each leaf of the half walk counts for itself and its mirror image;
+    # the zero vector, its own mirror, once
+    keys, counts = np.unique(np.concatenate(
+        [np.zeros(1, np.int64)] + [nrm for nrm, _, _ in _half_walk(L, max_norm)]),
+        return_counts=True)
+    counts = 2 * counts
+    counts[0] -= 1
     return dict(zip(keys.tolist(), counts.tolist()))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gerbekit import modform
+from gerbekit import lattice, modform
 from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _packed_key,
                               _sorted_shells, anomaly_exponents, builtin,
                               class_sizes_mod_2, coxeter_from_roots,
@@ -335,6 +335,13 @@ def test_a_gram_that_is_not_symmetric_positive_definite_is_refused(gram):
         IntegralLattice("bad", gram)
 
 
+@pytest.mark.parametrize("gram", [[], [[]], [[2, 1], [1]]])
+def test_an_empty_or_ragged_gram_is_refused(gram):
+    with pytest.raises(ValueError, match="lattice bad: the Gram matrix has "
+                       "no entries or rows of unequal lengths"):
+        IntegralLattice("bad", gram)
+
+
 @pytest.mark.parametrize("den", [0, -2])
 def test_a_gram_denominator_below_1_is_refused(den):
     with pytest.raises(ValueError, match=f"lattice bad: the Gram denominator "
@@ -418,12 +425,16 @@ def sorted_shells_reference(L, max_norm):
 
 
 def assert_same_shells(L, max_norm):
-    """_sorted_shells gives the reference's arrays, dtype and bytes; returns
-    whether its rows were ordered by the packed key."""
+    """_sorted_shells gives the reference's arrays, dtype and bytes, and
+    theta_counts, which counts the half walk's norms alone, the sizes of
+    its shells; returns whether its rows were ordered by the packed key."""
     got, ref = _sorted_shells(L, max_norm), sorted_shells_reference(L, max_norm)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+    keys, counts = np.unique(got[0], return_counts=True)
+    assert theta_counts(L, max_norm) == dict(zip(keys.tolist(),
+                                                 counts.tolist()))
     return _packed_key(*got) is not None
 
 
@@ -453,6 +464,40 @@ def test_sorted_shells_match_the_full_walk_bit_for_bit():
 def test_sorted_shells_match_the_full_walk_on_small_grams(gram_over, max_norm):
     num, den = gram_over
     assert_same_shells(IntegralLattice("g", num, den), max_norm)
+
+
+# E8 at 4, the skew int64 case and the half-integral Gram at 60
+SPLIT_CASES = [SHELL_CASES[1], SHELL_CASES[9], SHELL_CASES[11]]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_the_block_split_leaves_the_shells_unchanged(rows, monkeypatch):
+    # the reference keeps the BLOCK_ROWS it imported
+    monkeypatch.setattr(lattice, "BLOCK_ROWS", rows)
+    for L, max_norm in SPLIT_CASES:
+        assert_same_shells(L, max_norm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_grams_over(), st.integers(0, 9), st.sampled_from([1, 7, 64]))
+def test_the_block_split_leaves_small_grams_unchanged(gram_over, max_norm,
+                                                      rows):
+    num, den = gram_over
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "BLOCK_ROWS", rows)
+        assert_same_shells(IntegralLattice("g", num, den), max_norm)
+
+
+def test_the_e8_walk_to_norm_14_holds_less_than_the_gathering_sort(e8):
+    _sorted_shells(e8, 2)
+    tracemalloc.start()
+    _sorted_shells(e8, 14)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the walk that carried whole rows, normed its leaves by a matrix
+    # product and ordered them by argsort and a row gather peaked at
+    # 10.45 MiB (CPython 3.11, numpy 2.4); this one at 7.1 MiB
+    assert peak <= 10.45 * (1 << 20)
 
 
 def test_packed_key_orders_as_lexsort_up_to_63_bits():
