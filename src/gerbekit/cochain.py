@@ -178,7 +178,7 @@ class DiffCochain:
         for r in range(self.degree + 3):
             if self.level_degree(r) > self.ambient_dim:
                 continue
-            for idx in walk(r) if r else [()]:
+            for idx in walk(r):
                 value = self.component(idx)
                 if not _magnitude(value) <= 0.0:
                     yield idx, value

@@ -91,7 +91,7 @@ class Cover:
         self.cover_id = ""      # set by serialize.cover_from_id
         self.factor_covers: Tuple[Cover, ...] = ()   # set by product_cover
         self._tuple_cache: Dict[int, List[Tuple[int, ...]]] = {}
-        self._support_cache = {1: [(i,) for i in self.indices]}
+        self._support_cache = {0: [()], 1: [(i,) for i in self.indices]}
         # a factor cover's meeting answers, keyed by the projection asked
         self._meeting_cache: Dict[frozenset, List[int]] = {}
 
@@ -134,7 +134,11 @@ class Cover:
         combinations.  meeting lists the pieces in order (on a product,
         in product_index's numbering x * nb + e), so the supports come in
         lexicographic order.  Factor covers keep their answers for good.
+        The one 0-support is the empty index set; a negative size is
+        refused.
         """
+        if size < 0:
+            raise ValueError(f"support size {size} is negative")
         if size not in self._support_cache:
             self._support_cache[size] = [
                 s + (j,) for s in self.supports(size - 1)

@@ -6,6 +6,9 @@ record per sorted support, strictly increasing; it loads back as the
 alternating cochain of those values, any other ordering reading as the
 sorted value times the sign of the permutation.  A file without the key
 (such as a push-forward's, which is not alternating) lists every ordering.
+A file is written as one line of JSON with sorted keys; it loads whatever
+its JSON whitespace, so older indented files load too.  Saving refuses a
+NaN or infinite coefficient with the message the loader gives on one.
 
 Cover ids: "circle:N:OVERLAP", "torus:N:M:OVERLAP" (the product of
 "circle:N:OVERLAP" and "circle:M:OVERLAP"), or "product:ID|ID" for a
@@ -93,14 +96,31 @@ def _field(rec, key: str, kind, where: str):
     return value
 
 
-def _form_record(f: TrigForm) -> Dict:
+def _refuse_non_finite(form: TrigForm, idx) -> None:
+    """Raise on the NaN or infinite coefficient of form with the least key
+    (in a file save_cochain writes, the first such term), naming the form
+    as the component at index idx, or as the field strength if idx is
+    None: the loader's message, which saving gives too."""
+    if all(map(cmath.isfinite, form.terms.values())):
+        return
+    freq, axes = min(k for k, c in form.terms.items()
+                     if not cmath.isfinite(c))
+    c = form.terms[freq, axes]
+    name = ("the field strength" if idx is None
+            else f"the component at index {list(idx)}")
+    raise ValueError(f"{name} has a non-finite coefficient {c} at "
+                     f"frequency {list(freq)}, axes {list(axes)}")
+
+
+def _form_record(f: TrigForm, idx) -> Dict:
+    _refuse_non_finite(f, idx)
     return {"ambient_dim": f.ambient_dim, "degree": f.degree,
             "terms": f.to_records()}
 
 
-def _form_from_record(rec, where: str, name: str) -> TrigForm:
+def _form_from_record(rec, where: str, idx) -> TrigForm:
     """The form of a file record; `where` names the record in the messages
-    on malformed fields, `name` in the one on a non-finite coefficient."""
+    on malformed fields, idx as _refuse_non_finite does."""
     ambient_dim = _field(rec, "ambient_dim", int, where)
     degree = _field(rec, "degree", int, where)
     terms = _field(rec, "terms", list, where)
@@ -108,11 +128,7 @@ def _form_from_record(rec, where: str, name: str) -> TrigForm:
         form = TrigForm.from_records(ambient_dim, degree, terms)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: malformed term ({exc!r})") from exc
-    if not all(map(cmath.isfinite, form.terms.values())):
-        (freq, axes), c = next(t for t in form.terms.items()
-                               if not cmath.isfinite(t[1]))
-        raise ValueError(f"{name} has a non-finite coefficient {c} at "
-                         f"frequency {list(freq)}, axes {list(axes)}")
+    _refuse_non_finite(form, idx)
     return form
 
 
@@ -120,7 +136,9 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     """The file record of omega under cover_id, which must name its cover:
     under another id the file would load as another cochain.  A flagged
     cochain is written on its sorted supports with `"alternating": true`;
-    any other with every ordering of every support, and no such key."""
+    any other with every ordering of every support, and no such key.  A
+    NaN or infinite coefficient is refused, as the loader would refuse it,
+    the field strength's first and then the components' in file order."""
     if omega.degree < -1:
         # below degree -1 the empty index holds no field strength, and the
         # loader reads every other index as a nonempty one
@@ -129,19 +147,20 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
     if cover_from_id(cover_id).pieces != omega.cover.pieces:
         raise ValueError(f"cover id {cover_id} names another cover than the "
                          f"cochain's")
+    fs = _form_record(omega.field_strength, None)
     # the field strength (index ()) and the integer row (index length n+2)
     # are listed apart from the forms
     mat = omega.materialize().components
     mat.pop((), None)
     levels = sorted(mat.items())
     top = omega.degree + 2
-    comps = [{"indices": list(idx), "form": _form_record(f)}
+    comps = [{"indices": list(idx), "form": _form_record(f, idx)}
              for idx, f in levels if len(idx) < top]
     ints = [{"indices": list(idx), "m": m} for idx, m in levels
             if len(idx) == top]
     rec = {"degree": omega.degree, "cover_id": cover_id,
-           "field_strength": _form_record(omega.field_strength),
-           "components": comps, "integer_components": ints}
+           "field_strength": fs, "components": comps,
+           "integer_components": ints}
     if omega.alternating:
         rec["alternating"] = True
     return rec
@@ -156,7 +175,7 @@ def cochain_from_dict(data) -> DiffCochain:
                    and _field(data, "alternating", bool, "cochain file"))
     fs = data.get("field_strength")
     if fs is not None:
-        fs = _form_from_record(fs, "field_strength", "the field strength")
+        fs = _form_from_record(fs, "field_strength", None)
     comps: Dict = {}
     for key in ("components", "integer_components"):
         records = _field(data, key, list, "cochain file") if key in data else []
@@ -178,8 +197,7 @@ def cochain_from_dict(data) -> DiffCochain:
                 comps[idx] = _field(rec, "m", int, where)
             else:
                 comps[idx] = _form_from_record(
-                    _field(rec, "form", dict, where), where,
-                    f"the component at index {list(idx)}")
+                    _field(rec, "form", dict, where), where, idx)
     if fs is not None:
         # after the component records: a bad one is reported before a bad H
         comps[()] = fs
@@ -189,9 +207,13 @@ def cochain_from_dict(data) -> DiffCochain:
 
 
 def save_cochain(path: str, omega: DiffCochain, cover_id: str) -> None:
-    data = cochain_to_dict(omega, cover_id)     # refused before path opens
+    # refused before the path opens; without an indent, dumps runs json's
+    # C encoder and the file is one write.  The record is a fresh tree, so
+    # it has no cycle to look for.
+    text = json.dumps(cochain_to_dict(omega, cover_id), sort_keys=True,
+                      check_circular=False)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write(text)
 
 
 def load_cochain(path: str) -> DiffCochain:

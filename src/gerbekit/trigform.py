@@ -293,12 +293,9 @@ class TrigForm:
                 f"{len(self.terms)} terms)")
 
     def to_records(self) -> list:
-        recs = []
-        for (freq, axes) in sorted(self.terms):
-            c = self.terms[(freq, axes)]
-            recs.append({"freq": list(freq), "axes": list(axes),
-                         "re": c.real, "im": c.imag})
-        return recs
+        return [{"freq": list(freq), "axes": list(axes),
+                 "re": c.real, "im": c.imag}
+                for (freq, axes), c in sorted(self.terms.items())]
 
     @staticmethod
     def from_records(ambient_dim: int, degree: int, records: Iterable[Mapping]) -> "TrigForm":

@@ -292,15 +292,20 @@ def test_the_loader_refuses_a_malformed_alternating_file(tmp_path, capsys,
     assert out == "" and err.startswith("error: ") and message in err
 
 
+def _legacy_text(om, cover_id) -> str:
+    """om's file in the indented layout files were once written in."""
+    return json.dumps(serialize.cochain_to_dict(om, cover_id), indent=1,
+                      sort_keys=True)
+
+
 def test_a_file_listing_every_ordering_still_loads(tmp_path, capsys):
     # the pinned `holonomy-circle:20` input as it was written before the
-    # flag existed: every ordering, no "alternating" key; it loads and
-    # prints the pinned stdout
+    # flag existed: every ordering, no "alternating" key, indented; it
+    # loads and prints the pinned stdout
     om = random_cocycle(np.random.default_rng(5),
                         serialize.cover_from_id("circle:4:0.7"), 1)
     path = tmp_path / "in.json"
-    serialize.save_cochain(str(path), every_ordering_cochain(om),
-                           "circle:4:0.7")
+    path.write_text(_legacy_text(every_ordering_cochain(om), "circle:4:0.7"))
     assert "alternating" not in json.loads(path.read_text())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "d46bb70afb2653cb369ead4fb981fc50fb99a64cbb7e62d7e586cc6de18f81a9"
@@ -308,3 +313,23 @@ def test_a_file_listing_every_ordering_still_loads(tmp_path, capsys):
                      "--decomposition", "circle:20"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "0f1a2a02eefba8a89159b76b49963a01b5a7b667fcc4596a41d09858099c495d"
+
+
+@pytest.mark.parametrize("cover_id", COVERS)
+def test_an_indented_file_loads_as_its_compact_file(tmp_path, cover_id):
+    # a flagged cochain saved in the old indented layout and in the one-line
+    # layout save_cochain writes: both load to the same record
+    cover = serialize.cover_from_id(cover_id)
+    om = random_alternating_cochain(np.random.default_rng(3), cover, 1,
+                                    cover.factors)
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    serialize.save_cochain(str(compact), om, cover_id)
+    indented.write_text(_legacy_text(om, cover_id))
+    assert compact.read_text().count("\n") == 0
+    assert indented.read_text().count("\n") > 0
+    rec = serialize.cochain_to_dict(om, cover_id)
+    assert rec["alternating"] is True
+    for path in (compact, indented):
+        back = serialize.load_cochain(str(path))
+        assert back.alternating
+        assert serialize.cochain_to_dict(back, cover_id) == rec

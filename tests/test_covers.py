@@ -327,6 +327,23 @@ def test_a_factor_cover_is_asked_each_projection_once():
     assert len({f for f, _ in asked}) == len(factors)
 
 
+@pytest.mark.parametrize("make", [lambda: make_circle_cover(4, 0.7),
+                                  _fresh_t2_product],
+                         ids=["circle:4:0.7",
+                              "product:circle:3:0.6|torus:3:3:0.75"])
+def test_the_empty_index_is_the_one_support_of_size_0(make):
+    # size 0 and below once recursed until RecursionError
+    cover = make()
+    assert cover.supports(0) == [()]
+    assert cover.nonempty_tuples(0) == [()]
+    for size in (-1, -3):
+        for walk in (cover.supports, cover.nonempty_tuples):
+            with pytest.raises(ValueError,
+                               match=f"support size {size} is negative"):
+                walk(size)
+    assert cover.supports(1) == [(i,) for i in cover.indices]
+
+
 def _arcs_share_a_point(arcs):
     """Do the open circle arcs (lo, hi) share a point?  A nonempty
     intersection of open arcs starts just after one of their left ends."""

@@ -63,10 +63,14 @@ def test_report_is_byte_identical(suite, trials, seed, digest):
 # The single-shot evaluators: `holonomy` on seeded cocycle files over a
 # circle and a torus cover, and `pushforward` with and without `--output` on
 # a seeded product-cover cochain.  Each case writes its input `in.json` from
-# a recipe (kind, cover id, degree, seed) and pins the SHA-256 of that file,
-# of stdout and of any `--output` file.  Paths are relative to a fresh
-# working directory, so stdout, which echoes `--output`, does not depend on
-# where the test runs.
+# a recipe (kind, cover id, degree, seed) and pins the SHA-256 of stdout and
+# of that file and any `--output` file.  A file's digest is of its JSON
+# value rendered as `json.dumps(value, indent=1, sort_keys=True)`, the
+# layout files were once written in, and the file itself must be that value
+# as `json.dumps(value, sort_keys=True)`, the layout it is written in now:
+# the two together pin its bytes.  Paths are relative to a fresh working
+# directory, so stdout, which echoes `--output`, does not depend on where
+# the test runs.
 PF_INPUT = ("alternating", "product:circle:3:0.6|circle:4:0.7", 2, 7)
 CLI_PINNED = [
     ("holonomy-circle:20", ["holonomy", "--decomposition", "circle:20"],
@@ -115,8 +119,12 @@ def test_cli_output_is_byte_identical(tmp_path, monkeypatch, capsys, argv,
     _write_input("in.json", *recipe)
     assert cli.main(argv + ["--cochain", "in.json"]) == 0
     got = {"stdout": capsys.readouterr().out.encode()}
-    got.update((name, (tmp_path / name).read_bytes())
-               for name in digests if name != "stdout")
+    for name in digests:
+        if name != "stdout":
+            text = (tmp_path / name).read_text()
+            value = json.loads(text)
+            assert text == json.dumps(value, sort_keys=True)
+            got[name] = json.dumps(value, indent=1, sort_keys=True).encode()
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in got.items()} == digests
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gerbekit import cli, liecs, serialize, suites
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
-from gerbekit.covers import make_torus_cover
+from gerbekit.covers import make_torus_cover, two_subordinations
+from gerbekit.fiberint import pushforward
 from gerbekit.holonomy import nearest_2pi_multiple_defect
 from gerbekit.suites import random_alternating_cochain, random_cocycle
 from gerbekit.trigform import TrigForm
@@ -773,6 +774,64 @@ def test_a_non_finite_coefficient_in_a_file_exits_1(tmp_path, monkeypatch,
     assert rc == 1 and out == ""
     assert err.startswith(f"error: {named}") and "non-finite" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_push_forward_with_a_non_finite_coefficient_writes_no_file(
+        tmp_path, monkeypatch, capsys):
+    # coefficients of +-1.7e308 load, but their push-forward overflows to
+    # inf - inf = NaN: saving refuses it with the message the loader gives
+    # on the file it would have written, before the file is opened
+    monkeypatch.chdir(tmp_path)
+    cover_id = "product:circle:3:0.6|circle:4:0.7"
+    om = random_alternating_cochain(np.random.default_rng(5),
+                                    serialize.cover_from_id(cover_id), 2, 2)
+    rec = serialize.cochain_to_dict(om, cover_id)
+    for entry in rec["components"]:
+        for term in entry["form"]["terms"]:
+            for part in ("re", "im"):
+                term[part] = math.copysign(1.7e308, term[part]) \
+                    if term[part] else 0.0
+    (tmp_path / "in.json").write_text(json.dumps(rec))
+    rc = cli.main(["pushforward", "--cochain", "in.json", "--decomposition",
+                   "circle:20", "--output", "out.json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert not (tmp_path / "out.json").exists()
+    omega = serialize.load_cochain("in.json")
+    dec = serialize.decomposition_from_id("circle:20")
+    pushed = pushforward(omega, dec,
+                         two_subordinations(dec, omega.cover.factor_covers[1])[0])
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_refuse_non_finite", lambda form, idx: None)
+        text = json.dumps(serialize.cochain_to_dict(pushed, "circle:3:0.6"))
+    with pytest.raises(ValueError) as refusal:
+        serialize.cochain_from_dict(json.loads(text))
+    assert "non-finite" in str(refusal.value)
+    assert err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan)])
+@pytest.mark.parametrize("where", ["field strength", "component"])
+def test_saving_refuses_a_non_finite_coefficient(tmp_path, where, bad):
+    cover = serialize.cover_from_id("circle:4:0.55")
+    if where == "field strength":
+        om = DiffCochain(-1, cover, components={
+            (0,): 2, (): TrigForm(1, 0, {((1,), ()): bad})})
+        name, freq, axes = "the field strength", [1], []
+    else:
+        om = DiffCochain(0, cover, components={(1,): TrigForm(1, 0, {
+            ((0,), ()): 1.0, ((3,), ()): bad, ((2,), ()): bad})})
+        name, freq, axes = "the component at index [1]", [2], []
+    message = (f"{name} has a non-finite coefficient {complex(bad)} at "
+               f"frequency {freq}, axes {axes}")
+    with pytest.raises(ValueError) as refusal:
+        serialize.cochain_to_dict(om, "circle:4:0.55")
+    assert str(refusal.value) == message
+    path = tmp_path / "om.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize.save_cochain(str(path), om, "circle:4:0.55")
+    assert not path.exists()
 
 
 def _paths(node, prefix=()):
