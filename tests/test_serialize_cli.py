@@ -799,8 +799,8 @@ def test_a_push_forward_with_a_non_finite_coefficient_writes_no_file(
     assert not (tmp_path / "out.json").exists()
     omega = serialize.load_cochain("in.json")
     dec = serialize.decomposition_from_id("circle:20")
-    pushed = pushforward(omega, dec,
-                         two_subordinations(dec, omega.cover.factor_covers[1])[0])
+    rho, _ = two_subordinations(dec, omega.cover.factor_covers[1])
+    pushed = pushforward(omega, dec, rho)
     with monkeypatch.context() as m:
         m.setattr(serialize, "_refuse_non_finite", lambda form, idx: None)
         text = json.dumps(serialize.cochain_to_dict(pushed, "circle:3:0.6"))
