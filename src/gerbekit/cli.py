@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -116,7 +118,7 @@ def parse_element(s: str) -> GroupElement:
 def _element_from_obj(data) -> GroupElement:
     if isinstance(data, list):
         return GroupElement.word([_element_from_obj(e) for e in data])
-    if isinstance(data, dict):
+    if isinstance(data, dict) and len(data) == 1:
         if "S" in data:
             return GroupElement.S(*_json_list(data["S"], "S", (int,), 4))
         if "T" in data:
@@ -127,14 +129,15 @@ def _element_from_obj(data) -> GroupElement:
             return GroupElement.W([_json_list(row, "a W row", (int,))
                                    for row in _json_list(data["W"], "W",
                                                          (list,))])
-    raise ValueError("element must be an object with S, T or W, or a list "
-                     "of elements")
+    raise ValueError("element must be an object with exactly one key, S, T "
+                     f"or W, or a list of elements, got {json.dumps(data)}")
 
 
 def parse_point(s: str) -> ModuliPoint:
     data = json.loads(s)
-    if not isinstance(data, dict) or not {"tau", "z"} <= data.keys():
-        raise ValueError('point must be {"tau": [re, im], "z": [[re, im], ...]}')
+    if not isinstance(data, dict) or data.keys() != {"tau", "z"}:
+        raise ValueError('point must be {"tau": [re, im], "z": [[re, im], '
+                         '...]} and nothing else, got ' + json.dumps(data))
     z = tuple(_complex(p, "z coordinate")
               for p in _json_list(data["z"], "z", (list,)))
     return ModuliPoint(_complex(data["tau"], "tau"), z)
@@ -150,26 +153,29 @@ def emit(obj: Dict) -> None:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports, seconds = [], []
-    for n in names:
-        t0 = time.time()
-        reports.append(run_suite(n, args.trials or DEFAULT_TRIALS[n],
-                                 args.seed, args.tol))
-        seconds.append(time.time() - t0)
-    payload = reports[0] if len(reports) == 1 else {"suites": reports}
-    emit(payload)
-    # wall times go to stderr only, so reports are byte-identical per
-    # (seed, flags)
-    for r, secs in zip(reports, seconds):
-        for c in r["checks"]:
-            mark = "pass" if c["pass"] else "FAIL"
-            print(f"[{mark}] {r['suite']}/{c['name']}: "
-                  f"max_defect={c['max_defect']:.3e}", file=sys.stderr)
-        print(f"suite {r['suite']}: {'PASS' if r['all_pass'] else 'FAIL'} "
-              f"({secs:.1f}s)", file=sys.stderr)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=1)
+    # a report file that cannot be opened fails before any suite runs
+    with (open(args.report, "w") if args.report
+          else contextlib.nullcontext()) as report:
+        reports, seconds = [], []
+        for n in names:
+            t0 = time.time()
+            reports.append(run_suite(n, args.trials or DEFAULT_TRIALS[n],
+                                     args.seed, args.tol))
+            seconds.append(time.time() - t0)
+        payload = reports[0] if len(reports) == 1 else {"suites": reports}
+        emit(payload)
+        # wall times go to stderr only, so reports are byte-identical per
+        # (seed, flags)
+        for r, secs in zip(reports, seconds):
+            for c in r["checks"]:
+                mark = "pass" if c["pass"] else "FAIL"
+                print(f"[{mark}] {r['suite']}/{c['name']}: "
+                      f"max_defect={c['max_defect']:.3e}", file=sys.stderr)
+            print(f"suite {r['suite']}: "
+                  f"{'PASS' if r['all_pass'] else 'FAIL'} ({secs:.1f}s)",
+                  file=sys.stderr)
+        if report:
+            json.dump(payload, report, indent=1)
     return 0 if all(r["all_pass"] for r in reports) else 1
 
 
@@ -205,17 +211,30 @@ def cmd_act(args) -> int:
     return 0
 
 
+def refuse_non_finite(path: str, **numbers: float) -> None:
+    """Raise, naming the input file, if a number computed from it is NaN or
+    infinite: such a number has no JSON spelling and is no answer."""
+    for name, x in numbers.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{path}: the {name} is {x}, not finite")
+
+
 def cmd_holonomy(args) -> int:
     omega = serialize.load_cochain(args.cochain)
     dec = serialize.decomposition_from_id(args.decomposition)
     rho, _ = two_subordinations(dec, omega.cover)
-    val = holonomy(omega, dec, rho)
+    try:
+        val = holonomy(omega, dec, rho)
+        # the value is a holonomy only for a cocycle; the defect is walked
+        # before anything is printed, and goes to stderr only
+        defect = total_d(omega).max_defect()
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{args.cochain}: {exc}") from exc
+    refuse_non_finite(args.cochain, holonomy=val, cocycle_defect=defect)
     ph = cmath.exp(1j * val)
     cells = sum(len(v) for v in dec.faces.values())
     emit({"value": val, "phase_re": ph.real, "phase_im": ph.imag,
           "cells_used": cells})
-    # the value is a holonomy only for a cocycle; stdout stays the record
-    defect = total_d(omega).max_defect()
     print(f"cocycle defect: {defect:.3e}", file=sys.stderr)
     if not defect <= COCYCLE_TOL:
         print(f"warning: the cochain is not a cocycle (defect above "
@@ -235,6 +254,11 @@ def cmd_pushforward(args) -> int:
     rho, _ = two_subordinations(dec, e_cover)
     out = pushforward(omega, dec, rho)
     defect = pushforward_commutes_defect(omega, dec, rho, out)
+    if args.output:
+        # a non-finite coefficient is refused first, with the message the
+        # loader would give on the file
+        serialize.cochain_to_dict(out, x_cover.cover_id)
+    refuse_non_finite(args.cochain, stokes_defect=defect)
     if args.output:
         serialize.save_cochain(args.output, out, x_cover.cover_id)
     emit({"output": args.output, "degree": out.degree,

@@ -1,10 +1,10 @@
 """Seeded verification suites: deterministic random instances for every
 module's identity battery, each returning (name, max_defect) records.
 
-Instance shapes are fixed: frequencies bounded by 2, at most 3 terms per
-component, alternating multi-index data (a value on the sorted tuple,
-extended by permutation sign), real-valued forms via Hermitian frequency
-pairs.
+Instance shapes are fixed: frequencies bounded by 2, at most 4 terms per
+form (FORM_TERMS = 2 monomials, each with its conjugate), alternating
+multi-index data (a value on the sorted tuple, extended by permutation
+sign), real-valued forms via Hermitian frequency pairs.
 """
 
 from __future__ import annotations
@@ -65,45 +65,56 @@ def _axes_pool(ambient_dim: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(combinations(range(ambient_dim), degree))
 
 
-def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
-    """A real-valued form: each term paired with its conjugate at -freq.
+def random_real_forms(rng, ambient_dim: int, degree: int,
+                      count: int) -> List[TrigForm]:
+    """count real-valued forms: each term paired with its conjugate at -freq.
 
-    The monomials add into one dict in draw order, a key whose running sum
-    is exactly zero dropping at once, as in signed_sum.  A term whose two
-    keys are distinct and new and whose coefficient has no zero part would
-    sum to its own coefficients, so it sets them directly.
+    The numbers of all count forms come from three vector draws, in this
+    order: rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
+    size=(count, FORM_TERMS, ambient_dim)) for the frequencies,
+    rng.integers(len(pool), size=(count, FORM_TERMS)) for the axes (not
+    drawn when the degree's axes pool has one entry) and
+    rng.standard_normal((count, FORM_TERMS, 2)) for the coefficients'
+    real and imaginary parts.
 
-    The stream is that of one rng.integers(-FORM_MAX_FREQ,
-    FORM_MAX_FREQ + 1) per frequency entry, one rng.integers(len(pool)) per
-    axes choice and one rng.normal() per coefficient part.  The parts are
-    drawn by standard_normal(): normal() returns 0.0 + 1.0 * z of the same
-    draw z, which differs from z only by turning a -0.0 into 0.0, and a
-    term with a zero part takes the running sum, whose 0.0 + does the
-    same.  A one-entry axes pool is not drawn from, as rng.integers(1)
-    draws nothing.
+    Form i takes row i of each draw.  Its monomials, each followed by its
+    conjugate, add into one dict in draw order, a key whose running sum is
+    exactly zero dropping at once, as in signed_sum.  A term whose two keys
+    are distinct and new and whose coefficient has no zero part would sum
+    to its own coefficients, so it sets them directly.
     """
-    terms: Dict[Key, complex] = {}
     axes_pool = _axes_pool(ambient_dim, degree)
-    integers, gauss = rng.integers, rng.standard_normal
-    for _ in range(FORM_TERMS):
-        freq = [int(integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
-                for _ in range(ambient_dim)]
-        axes = (axes_pool[int(integers(len(axes_pool)))]
-                if len(axes_pool) > 1 else axes_pool[0])
-        c = complex(gauss(), gauss())
-        key, conj_key = (tuple(freq), axes), (tuple([-k for k in freq]), axes)
-        # terms holds each key with its conjugate, so conj_key is new too
-        if c.real and c.imag and any(freq) and key not in terms:
-            terms[key] = c
-            terms[conj_key] = c.conjugate()
-            continue
-        for key, coeff in ((key, c), (conj_key, c.conjugate())):
-            v = terms.get(key, 0.0) + coeff
-            if v != 0.0:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return TrigForm._trusted(ambient_dim, degree, terms)
+    freqs = rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
+                         size=(count, FORM_TERMS, ambient_dim)).tolist()
+    picks = (rng.integers(len(axes_pool), size=(count, FORM_TERMS)).tolist()
+             if len(axes_pool) > 1 else [[0] * FORM_TERMS] * count)
+    parts = rng.standard_normal((count, FORM_TERMS, 2)).tolist()
+    forms = []
+    for form_freqs, form_picks, form_parts in zip(freqs, picks, parts):
+        terms: Dict[Key, complex] = {}
+        for freq, pick, (re, im) in zip(form_freqs, form_picks, form_parts):
+            axes = axes_pool[pick]
+            c = complex(re, im)
+            key = (tuple(freq), axes)
+            conj_key = (tuple([-k for k in freq]), axes)
+            # terms holds each key with its conjugate, so conj_key is new too
+            if re and im and any(freq) and key not in terms:
+                terms[key] = c
+                terms[conj_key] = c.conjugate()
+                continue
+            for key, coeff in ((key, c), (conj_key, c.conjugate())):
+                v = terms.get(key, 0.0) + coeff
+                if v != 0.0:
+                    terms[key] = v
+                else:
+                    terms.pop(key, None)
+        forms.append(TrigForm._trusted(ambient_dim, degree, terms))
+    return forms
+
+
+def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
+    """One real-valued form: random_real_forms with count 1."""
+    return random_real_forms(rng, ambient_dim, degree, 1)[0]
 
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
@@ -111,24 +122,29 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
                                with_field_strength: bool = True) -> DiffCochain:
     """Random cochain, alternating by construction.
 
-    One random value is drawn per sorted support (forms at index lengths
-    1..degree+1, an integer in [-2, 2] at degree+2), and the cochain is
-    `alternating_cochain` of those values: any other ordering of a support
-    reads as the sorted value times the sign of the permutation.
-    ambient_dim must be cover.factors: the cochain refuses forms on another
-    torus.
+    One random value is drawn per sorted support: forms at index lengths
+    1..degree+1, an integer in [-2, 2] at degree+2.  Each form level is one
+    random_real_forms call over cover.supports(r), in support order, then
+    the integer row is one rng.integers(-2, 3, size=len(supports)), and
+    the field strength is drawn last.  A zero value is left out.  The
+    cochain is `alternating_cochain` of those values: any other ordering
+    of a support reads as the sorted value times the sign of the
+    permutation.  ambient_dim must be cover.factors: the cochain refuses
+    forms on another torus.
     """
     comps: Dict[Tuple[int, ...], Level] = {}
     for r in range(1, degree + 2):
         deg = degree - (r - 1)
         if deg > ambient_dim:
             continue
-        for base in cover.supports(r):
-            f = random_real_form(rng, ambient_dim, deg)
+        supports = cover.supports(r)
+        for base, f in zip(supports, random_real_forms(
+                rng, ambient_dim, deg, len(supports))):
             if f.terms:
                 comps[base] = f
-    for base in cover.supports(degree + 2):
-        m = int(rng.integers(-2, 3))
+    supports = cover.supports(degree + 2)
+    for base, m in zip(supports,
+                       rng.integers(-2, 3, size=len(supports)).tolist()):
         if m != 0:
             comps[base] = m
     if with_field_strength and degree + 1 <= ambient_dim:

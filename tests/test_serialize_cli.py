@@ -240,8 +240,8 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 # each suite's wall time blanked: the check and summary lines are pinned,
 # and the wall time appears only there
 VERIFY_ALL_SEED_0 = {
-    "stdout": "f5489da212e145e12f0de3d49d11cec4f94d30eafe19a00d2a845b4bde77d0f9",
-    "stderr": "f4a48cb487822e829dd726f9799b5474d739d8144cb8e8f612d95e50c6daec9b"}
+    "stdout": "f15bbb80634cafb72417c310a193b632652e1f3a7d62befe84eee06d3d4b7dd6",
+    "stderr": "53ea945c91b07e0ab0590b59c6ec1361fec760498338cfbed7ef662df5e531f1"}
 
 
 def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):
@@ -283,6 +283,20 @@ def test_cli_verify_report_deterministic(tmp_path, capsys):
         assert rc == 0
     capsys.readouterr()
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_verify_opens_the_report_file_before_running_a_suite(
+        tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "lattice",
+                        lambda trials, seed: ran.append(seed) or [])
+    path = tmp_path / "no-such-dir" / "x.json"
+    assert cli.main(["verify", "--suite", "lattice",
+                     "--report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_bad_flags_usage_error(capsys):
@@ -810,6 +824,70 @@ def test_a_push_forward_with_a_non_finite_coefficient_writes_no_file(
     assert err == f"error: {refusal.value}\n"
 
 
+def _scaled_file(path, om, cover_id, scale):
+    """om's file with every nonzero coefficient part replaced by +-scale."""
+    rec = serialize.cochain_to_dict(om, cover_id)
+    for entry in rec["components"]:
+        for term in entry["form"]["terms"]:
+            for part in ("re", "im"):
+                term[part] = math.copysign(scale, term[part]) \
+                    if term[part] else 0.0
+    path.write_text(json.dumps(rec))
+
+
+def _refused_naming(capsys, argv, path):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+    return err
+
+
+def test_a_push_forward_with_a_non_finite_defect_prints_nothing(
+        tmp_path, monkeypatch, capsys):
+    # the cochain of the test above, without --output: its Stokes defect
+    # is NaN, which has no JSON spelling
+    monkeypatch.chdir(tmp_path)
+    cover_id = "product:circle:3:0.6|circle:4:0.7"
+    om = random_alternating_cochain(np.random.default_rng(5),
+                                    serialize.cover_from_id(cover_id), 2, 2)
+    _scaled_file(tmp_path / "in.json", om, cover_id, 1.7e308)
+    err = _refused_naming(capsys, ["pushforward", "--cochain", "in.json",
+                                   "--decomposition", "circle:20"],
+                          "in.json")
+    assert err == "error: in.json: the stokes_defect is nan, not finite\n"
+
+
+@pytest.mark.parametrize("scale", [1e308, 1.7e308])
+def test_a_holonomy_that_overflows_names_the_file(tmp_path, monkeypatch,
+                                                   capsys, scale):
+    # at 1e308 the cell integrals overflow to a NaN real part; at 1.7e308
+    # a coefficient's modulus is past the float range
+    monkeypatch.chdir(tmp_path)
+    om = random_cocycle(np.random.default_rng(5),
+                        serialize.cover_from_id("circle:4:0.7"), 1)
+    _scaled_file(tmp_path / "in.json", om, "circle:4:0.7", scale)
+    _refused_naming(capsys, ["holonomy", "--cochain", "in.json",
+                             "--decomposition", "circle:20"], "in.json")
+
+
+@pytest.mark.parametrize("m", [10 ** 400, 2 ** 1024],
+                         ids=["10^400", "2^1024"])
+def test_a_holonomy_input_whose_defect_overflows_prints_nothing(
+        tmp_path, monkeypatch, capsys, m):
+    # the integer row is read only by the cocycle-defect walk, which now
+    # runs before the record is printed
+    monkeypatch.chdir(tmp_path)
+    om = random_cocycle(np.random.default_rng(6),
+                        serialize.cover_from_id("torus:3:3:0.75"), 2)
+    rec = serialize.cochain_to_dict(om, "torus:3:3:0.75")
+    rec["integer_components"][0]["m"] = m
+    (tmp_path / "in.json").write_text(json.dumps(rec))
+    err = _refused_naming(capsys, ["holonomy", "--cochain", "in.json",
+                                   "--decomposition", "hex:6"], "in.json")
+    assert "too large" in err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(1.0, math.nan)])
 @pytest.mark.parametrize("where", ["field strength", "component"])
@@ -908,6 +986,24 @@ MALFORMED_MODULAR = [
                for i in range(8)]}), "--point", GOOD_POINT]),
     ("infinite-image", ["act", "--element", '{"T": [[1], [1]]}', "--point",
                         '{"tau": [1.7e308, 1], "z": [[1.7e308, 0]]}']),
+    # an element object holds one kind, and a point its two fields only
+    ("S-and-T", ["act", "--element", '{"S": [2, 1, 1, 1], "T": [[1], [0]]}',
+                 "--point", '{"tau": [0, 2], "z": [[0.1, 0]]}']),
+    ("T-and-S", ["act", "--element", '{"T": [[1], [0]], "S": [2, 1, 1, 1]}',
+                 "--point", '{"tau": [0, 2], "z": [[0.1, 0]]}']),
+    ("W-and-extra", ["act", "--element", '{"W": [[1]], "U": 1}',
+                     "--point", '{"tau": [0, 2], "z": [[0.1, 0]]}']),
+    ("empty-element", ["act", "--element", "{}", "--point", GOOD_POINT]),
+    ("word-of-two-kinds", ["act", "--element",
+                           '[{"S": [1, 1, 0, 1], "T": [[1], [0]]}]',
+                           "--point", '{"tau": [0, 2], "z": [[0.1, 0]]}']),
+    ("point-extra-key", ["act", "--element", '{"S": [1, 1, 0, 1]}',
+                         "--point", '{"tau": [0, 2], "z": [[0.1, 0]], '
+                                    '"w": 1}']),
+    ("factor-point-extra-key", ["factor", "--family", "det_u1", "--element",
+                                '{"S": [1, 1, 0, 1]}', "--point",
+                                '{"tau": [0, 2], "z": [[0.1, 0]], '
+                                '"tau2": [0, 1]}']),
 ]
 
 
@@ -918,7 +1014,8 @@ def test_cli_reports_malformed_modular_inputs(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "z.json").write_text(json.dumps(list(range(8))))
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def _non_finite_argv(where: str, number: str) -> list:

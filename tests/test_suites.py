@@ -1,7 +1,7 @@
 """The suites' recorder: every suite reports the checks it declares, in
 their order, at any trial count, and a NaN defect is never folded away.
-Random real forms are the ones a per-scalar generator draws, bit for bit,
-and leave the random stream where it leaves it."""
+Random real forms are their three vector draws read one scalar at a
+time, bit for bit, and leave the random stream where those draws leave it."""
 
 import itertools
 import math
@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from gerbekit.serialize import cover_from_id
 from gerbekit.suites import (FORM_MAX_FREQ, FORM_TERMS, SUITES, Worst,
-                             random_real_form)
+                             random_alternating_cochain, random_real_form,
+                             random_real_forms)
 from test_term_kernels import coefficient_bytes
 
 
@@ -41,24 +43,33 @@ def test_a_nan_after_a_finite_defect_is_kept():
     assert math.isnan(worst["a"]) and worst["b"] == math.inf
 
 
-def real_form_reference(rng, ambient_dim, degree):
-    """The random real form as first written: one numpy call per scalar,
-    and every monomial added into a running sum that drops exact zeros."""
-    terms = {}
+def real_forms_reference(rng, ambient_dim, degree, count):
+    """count random real forms as the three vector draws give them, read
+    one scalar at a time, every monomial added into a running sum that
+    drops exact zeros."""
     axes_pool = list(itertools.combinations(range(ambient_dim), degree))
-    for _ in range(FORM_TERMS):
-        freq = tuple(int(rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1))
-                     for _ in range(ambient_dim))
-        axes = axes_pool[int(rng.integers(len(axes_pool)))]
-        c = complex(rng.normal(), rng.normal())
-        for key, coeff in (((freq, axes), c),
-                           ((tuple(-k for k in freq), axes), c.conjugate())):
-            v = terms.get(key, 0.0) + coeff
-            if v != 0.0:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return terms
+    freqs = rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
+                         size=(count, FORM_TERMS, ambient_dim))
+    picks = (rng.integers(len(axes_pool), size=(count, FORM_TERMS))
+             if len(axes_pool) > 1 else np.zeros((count, FORM_TERMS), int))
+    parts = rng.standard_normal((count, FORM_TERMS, 2))
+    forms = []
+    for i in range(count):
+        terms = {}
+        for t in range(FORM_TERMS):
+            freq = tuple(int(freqs[i, t, j]) for j in range(ambient_dim))
+            axes = axes_pool[int(picks[i, t])]
+            c = complex(float(parts[i, t, 0]), float(parts[i, t, 1]))
+            for key, coeff in (((freq, axes), c),
+                               ((tuple(-k for k in freq), axes),
+                                c.conjugate())):
+                v = terms.get(key, 0.0) + coeff
+                if v != 0.0:
+                    terms[key] = v
+                else:
+                    terms.pop(key, None)
+        forms.append(terms)
+    return forms
 
 
 SHAPES = [(n, p) for n in (1, 2, 3) for p in range(n + 1)]
@@ -67,33 +78,44 @@ SHAPES = [(n, p) for n in (1, 2, 3) for p in range(n + 1)]
 @pytest.mark.parametrize("ambient_dim,degree", SHAPES,
                          ids=[f"T{n}-deg{p}" for n, p in SHAPES])
 def test_random_real_forms_are_the_per_scalar_draws(ambient_dim, degree):
+    # batches of 0 to 3 forms, then one form alone: the same three draws
     for seed in range(60):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(40):
-            form = random_real_form(rng, ambient_dim, degree)
-            assert (form.ambient_dim, form.degree) == (ambient_dim, degree)
-            assert coefficient_bytes(form.terms) == coefficient_bytes(
-                real_form_reference(ref, ambient_dim, degree))
+        for count in (seed % 4, 1):
+            forms = (random_real_forms(rng, ambient_dim, degree, count)
+                     if count != 1 else
+                     [random_real_form(rng, ambient_dim, degree)])
+            want = real_forms_reference(ref, ambient_dim, degree, count)
+            assert len(forms) == len(want) == count
+            for form, terms in zip(forms, want):
+                assert (form.ambient_dim, form.degree) == (ambient_dim,
+                                                           degree)
+                assert coefficient_bytes(form.terms) == \
+                    coefficient_bytes(terms)
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class ScriptedDraws:
-    """A generator that returns scripted values: normal() as numpy makes it
-    from its standard draw, 0.0 + 1.0 * z, and integers(1) without a draw."""
+    """A generator whose vector draws return scripted arrays: each call is
+    made on a seeded generator too, so the stream moves as the real call
+    moves it, and the next scripted array of the drawn shape and dtype
+    stands in for the value."""
 
-    def __init__(self, ints, floats):
-        self.ints, self.floats = list(ints), list(floats)
+    def __init__(self, *arrays):
+        self.rng = np.random.default_rng(0)
+        self.bit_generator = self.rng.bit_generator
+        self.arrays = list(arrays)
 
-    def integers(self, low, high=None):
-        if high is None:
-            low, high = 0, low
-        return low if high - low == 1 else self.ints.pop(0)
+    def _scripted(self, drawn):
+        value = np.array(self.arrays.pop(0), dtype=drawn.dtype)
+        assert value.shape == drawn.shape
+        return value
 
-    def standard_normal(self):
-        return self.floats.pop(0)
+    def integers(self, *args, **kwargs):
+        return self._scripted(self.rng.integers(*args, **kwargs))
 
-    def normal(self):
-        return 0.0 + 1.0 * self.standard_normal()
+    def standard_normal(self, *args, **kwargs):
+        return self._scripted(self.rng.standard_normal(*args, **kwargs))
 
 
 @pytest.mark.parametrize("freqs,parts", [
@@ -105,7 +127,58 @@ class ScriptedDraws:
 ])
 def test_real_forms_from_zero_parts_and_repeated_keys(freqs, parts):
     # draws that a seeded generator almost never makes; the axes pool of
-    # (T^1, degree 1) has one entry, so only the frequencies are drawn
-    got = random_real_form(ScriptedDraws(freqs, parts), 1, 1)
-    want = real_form_reference(ScriptedDraws(freqs, parts), 1, 1)
+    # (T^1, degree 1) has one entry, so only the frequencies and the parts
+    # are drawn, as one (1, FORM_TERMS, 1) and one (1, FORM_TERMS, 2) array
+    script = (np.reshape(freqs, (1, FORM_TERMS, 1)),
+              np.reshape(parts, (1, FORM_TERMS, 2)))
+    rng, ref = ScriptedDraws(*script), ScriptedDraws(*script)
+    got = random_real_form(rng, 1, 1)
+    want, = real_forms_reference(ref, 1, 1, 1)
     assert coefficient_bytes(got.terms) == coefficient_bytes(want)
+    assert rng.arrays == ref.arrays == []
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# (cover, degree) of every random alternating cochain the suites draw:
+# the cochain suite's, random_cocycle's flat cochains (one degree below
+# the cocycle), the push-forward suite's and crossmodule's
+SUITE_COCHAINS = [
+    ("circle:4:0.55", 1), ("circle:4:0.55", 2), ("circle:4:0.55", 3),
+    ("torus:3:3:0.55", 1), ("torus:3:3:0.55", 2), ("torus:3:3:0.55", 3),
+    ("circle:4:0.7", 0), ("torus:3:3:0.75", 1),
+    ("product:circle:3:0.6|circle:4:0.7", 1),
+    ("product:circle:3:0.6|circle:4:0.7", 2),
+    ("product:circle:3:0.6|torus:3:3:0.75", 2),
+    ("product:circle:3:0.6|torus:3:3:0.75", 3),
+]
+
+
+def assert_random_real_form(form, ambient_dim, degree):
+    pool = set(itertools.combinations(range(ambient_dim), degree))
+    assert (form.ambient_dim, form.degree) == (ambient_dim, degree)
+    assert 0 < len(form.terms) <= 2 * FORM_TERMS
+    for (freq, axes), c in form.terms.items():
+        assert all(-FORM_MAX_FREQ <= k <= FORM_MAX_FREQ for k in freq)
+        assert axes in pool
+        assert form.terms[tuple(-k for k in freq), axes] == c.conjugate()
+
+
+@pytest.mark.parametrize("cover_id,degree", SUITE_COCHAINS,
+                         ids=[f"{c}-{d}" for c, d in SUITE_COCHAINS])
+def test_random_cochains_have_the_suites_shapes(cover_id, degree):
+    cover = cover_from_id(cover_id)
+    amb = cover.factors
+    om = random_alternating_cochain(np.random.default_rng(11), cover,
+                                    degree, amb)
+    assert om.alternating
+    assert (() in om.components) == (degree + 1 <= amb)
+    for idx, value in om.components.items():
+        if idx == ():
+            assert_random_real_form(value, amb, degree + 1)
+        elif len(idx) == degree + 2:
+            assert type(value) is int and value in (-2, -1, 1, 2)
+        else:
+            assert_random_real_form(value, amb, degree - (len(idx) - 1))
+        # one value per support, stored on its sorted ordering
+        assert idx == tuple(sorted(set(idx)))
+        assert idx == () or idx in cover.supports(len(idx))
