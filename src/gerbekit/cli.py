@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
 import functools
 import json
 import math
@@ -153,29 +152,31 @@ def emit(obj: Dict) -> None:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # a report file that cannot be opened fails before any suite runs
-    with (open(args.report, "w") if args.report
-          else contextlib.nullcontext()) as report:
-        reports, seconds = [], []
-        for n in names:
-            t0 = time.time()
-            reports.append(run_suite(n, args.trials or DEFAULT_TRIALS[n],
-                                     args.seed, args.tol))
-            seconds.append(time.time() - t0)
-        payload = reports[0] if len(reports) == 1 else {"suites": reports}
-        emit(payload)
-        # wall times go to stderr only, so reports are byte-identical per
-        # (seed, flags)
-        for r, secs in zip(reports, seconds):
-            for c in r["checks"]:
-                mark = "pass" if c["pass"] else "FAIL"
-                print(f"[{mark}] {r['suite']}/{c['name']}: "
-                      f"max_defect={c['max_defect']:.3e}", file=sys.stderr)
-            print(f"suite {r['suite']}: "
-                  f"{'PASS' if r['all_pass'] else 'FAIL'} ({secs:.1f}s)",
-                  file=sys.stderr)
-        if report:
-            json.dump(payload, report, indent=1)
+    if args.report:
+        # a report path that cannot be written fails before any suite runs;
+        # opened to append, an old report keeps its bytes until the new one
+        # is written
+        open(args.report, "a").close()
+    reports, seconds = [], []
+    for n in names:
+        t0 = time.time()
+        reports.append(run_suite(n, args.trials or DEFAULT_TRIALS[n],
+                                 args.seed, args.tol))
+        seconds.append(time.time() - t0)
+    payload = reports[0] if len(reports) == 1 else {"suites": reports}
+    emit(payload)
+    # wall times go to stderr only, so reports are byte-identical per
+    # (seed, flags)
+    for r, secs in zip(reports, seconds):
+        for c in r["checks"]:
+            mark = "pass" if c["pass"] else "FAIL"
+            print(f"[{mark}] {r['suite']}/{c['name']}: "
+                  f"max_defect={c['max_defect']:.3e}", file=sys.stderr)
+        print(f"suite {r['suite']}: {'PASS' if r['all_pass'] else 'FAIL'} "
+              f"({secs:.1f}s)", file=sys.stderr)
+    if args.report:
+        with open(args.report, "w") as fh:
+            json.dump(payload, fh, indent=1)
     return 0 if all(r["all_pass"] for r in reports) else 1
 
 
@@ -254,9 +255,10 @@ def cmd_pushforward(args) -> int:
     rho, _ = two_subordinations(dec, e_cover)
     out = pushforward(omega, dec, rho)
     defect = pushforward_commutes_defect(omega, dec, rho, out)
-    if args.output:
-        # a non-finite coefficient is refused first, with the message the
-        # loader would give on the file
+    if args.output and not math.isfinite(defect):
+        # a non-finite coefficient, where such a defect may come from, is
+        # refused first with the message the loader would give on the file;
+        # a finite defect leaves that refusal to save_cochain
         serialize.cochain_to_dict(out, x_cover.cover_id)
     refuse_non_finite(args.cochain, stokes_defect=defect)
     if args.output:

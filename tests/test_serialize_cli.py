@@ -299,6 +299,20 @@ def test_cli_verify_opens_the_report_file_before_running_a_suite(
     assert len(err.splitlines()) == 1
 
 
+def test_cli_verify_keeps_an_old_report_when_a_suite_raises(
+        tmp_path, monkeypatch, capsys):
+    def raises(trials, seed):
+        raise OverflowError("planted")
+    monkeypatch.setitem(cli.SUITES, "lattice", raises)
+    path = tmp_path / "x.json"
+    path.write_text('{"old": 1}')
+    assert cli.main(["verify", "--suite", "lattice",
+                     "--report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: planted\n"
+    assert path.read_text() == '{"old": 1}'
+
+
 def test_cli_bad_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nope"])

@@ -73,15 +73,26 @@ def real_forms_reference(rng, ambient_dim, degree, count):
 
 
 SHAPES = [(n, p) for n in (1, 2, 3) for p in range(n + 1)]
+# the level sizes the suites draw on their product cover, next to batches
+# of 0 to 3 forms, so a fault past the first rows of a batch shows
+SUPPORT_COUNTS = sorted({
+    len(cover_from_id("product:circle:3:0.6|circle:4:0.7").supports(r))
+    for r in (1, 2, 3)})
 
 
 @pytest.mark.parametrize("ambient_dim,degree", SHAPES,
                          ids=[f"T{n}-deg{p}" for n, p in SHAPES])
 def test_random_real_forms_are_the_per_scalar_draws(ambient_dim, degree):
-    # batches of 0 to 3 forms, then one form alone: the same three draws
+    # call after call until at least 40 forms per seed are compared; a
+    # count of 1 is random_real_form, the same three draws
     for seed in range(60):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for count in (seed % 4, 1):
+        counts = itertools.cycle(
+            (seed % 4, 1, SUPPORT_COUNTS[seed % len(SUPPORT_COUNTS)],
+             3 - seed % 4))
+        compared = 0
+        while compared < 40:
+            count = next(counts)
             forms = (random_real_forms(rng, ambient_dim, degree, count)
                      if count != 1 else
                      [random_real_form(rng, ambient_dim, degree)])
@@ -93,6 +104,7 @@ def test_random_real_forms_are_the_per_scalar_draws(ambient_dim, degree):
                 assert coefficient_bytes(form.terms) == \
                     coefficient_bytes(terms)
             assert rng.bit_generator.state == ref.bit_generator.state
+            compared += count
 
 
 class ScriptedDraws:
