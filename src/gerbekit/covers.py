@@ -10,34 +10,73 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
-from typing import Callable, Collection, Dict, List, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Hashable, List, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from .trigform import signed_sum
+from .trigform import _integrate_monomial, signed_sum
 
 TWO_PI = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# oriented cells
+# oriented cells and chains
 #
 # A cell is not changed once built: its `integrals` dict memoises the
 # closed-form integrals of the monomials e^{i k.x} dx_I over it, keyed by
-# (k, I) (see trigform.cell_integral).
+# (k, I).  A chain memoises its own sums of them the same way.
 
 
 class Cell:
     """An oriented cell, given by its vertices: a point, a segment from
     vertices[0] to vertices[1], or a polygon with its vertices in
-    boundary order.  sign is a point's boundary-induced orientation."""
+    boundary order.  sign is a point's boundary-induced orientation.
+    The vertices are converted once, to tuples of Python floats."""
+
+    __slots__ = ("vertices", "dim", "sign", "integrals")
 
     def __init__(self, vertices, sign: int = 1):
-        self.vertices = [np.asarray(v, dtype=float) for v in vertices]
+        self.vertices = tuple(tuple(map(float, v)) for v in vertices)
         self.dim = min(len(self.vertices) - 1, 2)
         self.sign = sign
         self.integrals: Dict[tuple, complex] = {}
+
+    def integral(self, freq: Tuple[int, ...], axes: Tuple[int, ...]) -> complex:
+        """The integral of e^{i freq.x} dx_axes over the cell, memoised."""
+        got = self.integrals.get((freq, axes))
+        if got is None:
+            got = self.integrals[freq, axes] = _integrate_monomial(freq, axes,
+                                                                   self)
+        return got
+
+
+class Chain:
+    """The formal sum of cells of one dimension: its integral of a form is
+    the sum of theirs, a point's sign included, and `sign` is the sum of
+    its points' signs, the weight of an integer on a chain of points."""
+
+    __slots__ = ("cells", "dim", "sign", "integrals")
+
+    def __init__(self, cells: Sequence[Cell]):
+        self.cells = tuple(cells)
+        self.dim = self.cells[0].dim
+        self.sign = sum(cell.sign for cell in self.cells)
+        self.integrals: Dict[tuple, complex] = {}
+
+    def integral(self, freq: Tuple[int, ...], axes: Tuple[int, ...]) -> complex:
+        """The sum, in cell order, of the cells' integrals of
+        e^{i freq.x} dx_axes, memoised."""
+        got = self.integrals.get((freq, axes))
+        if got is None:
+            first, *rest = self.cells
+            got = first.integral(freq, axes)
+            for cell in rest:
+                got += cell.integral(freq, axes)
+            self.integrals[freq, axes] = got
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +296,10 @@ def refine(c: Cover, factor: int):
 # dual cell decompositions
 
 
+# images whose chains a decomposition keeps, the most recently used ones
+CHAIN_IMAGES = 8
+
+
 class DualCellDecomposition:
     """Oriented cell complex dual to a triangulation of S^1 or T^2.
 
@@ -271,23 +314,59 @@ class DualCellDecomposition:
         self.dim = self.top_cells[0].dim
         # admissible_pieces per cover, dropped with the cover
         self._admissible = weakref.WeakKeyDictionary()
+        # chains per image, at most CHAIN_IMAGES of them, oldest use first
+        self._chains: Dict[tuple, Dict[int, List[Tuple[tuple, Chain]]]] = {}
 
-    def layer_sum(self, p: int,
-                  value: Callable[[Tuple[int, ...], object], object], zero):
+    def chains(self, image: Sequence[Hashable]
+               ) -> Dict[int, List[Tuple[tuple, Chain]]]:
+        """Each layer's cells grouped into chains by their image.
+
+        image labels the top cells (a subordination rho, or the pairs of
+        two); the image of Delta_(i1...ik) is (image[i1], ..., image[ik]),
+        and the chain C_b of layer k is the sum of its cells with image b,
+        in cell order.  A cell whose image holds one label twice in a row
+        is dropped: every component, path-sum symbol and prism member read
+        there repeats an index, so it reads zero.  Layer k lists its
+        (b, C_b) pairs in order of first appearance.  Built in one loop
+        over the faces and kept per image for the CHAIN_IMAGES images used
+        last, so push-forwards and holonomies along one subordination
+        share the chains and their memoised integrals.
+        """
+        key = tuple(image)
+        got = self._chains.pop(key, None)
+        if got is None:
+            got = {}
+            for k, cells in self.faces.items():
+                groups: Dict[tuple, List[Cell]] = {}
+                for idx, cell in cells.items():
+                    b = tuple([key[i] for i in idx])
+                    if all(map(operator.ne, b, b[1:])):
+                        groups.setdefault(b, []).append(cell)
+                got[k] = [(b, Chain(group)) for b, group in groups.items()]
+            if len(self._chains) >= CHAIN_IMAGES:
+                del self._chains[next(iter(self._chains))]
+        self._chains[key] = got
+        return got
+
+    def layer_sum(self, p: int, image: Sequence[Hashable],
+                  value: Callable[[tuple, Chain], object], zero):
         """The signed sum over the layers of a degree-p output,
 
-            sum_{k=1}^{dim+1} (-1)^{(p+1)(k+1)}
-                sum_{i1 > ... > ik} value((i), Delta_(i)),
+            sum_{k=1}^{dim+1} (-1)^{(p+1)(k+1)} sum_b value(b, C_b),
 
-        each layer summed on its own by signed_sum, then added into the
+        C_b the chain of layer-k cells with image b (see `chains`); by
+        linearity this is the sum over the cells Delta_(i) of
+        value(image(i), Delta_(i)), with each value taken once per chain.
+        Each layer is summed on its own by signed_sum, then added into the
         total by a second signed_sum with its sign as the odd flag.  value
-        returns None for a cell that contributes nothing.  Holonomy is the
-        case p = 0; the push-forward and its homotopy use the output degree
-        on the base.
+        returns None for a chain that contributes nothing.  Holonomy is
+        the case p = 0; the push-forward and its homotopy use the output
+        degree on the base.
         """
+        chains = self.chains(image)
+
         def layer(k: int):
-            values = (value(idx, cell)
-                      for idx, cell in self.faces.get(k, {}).items())
+            values = (value(b, chain) for b, chain in chains.get(k, ()))
             return signed_sum(zero, ((0, v) for v in values if v is not None))
 
         return signed_sum(zero, ((layer_sign(p, k) < 0, layer(k))
@@ -381,9 +460,7 @@ def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
 
 
 def _cell_bounding_box(cell: Cell) -> List[Tuple[float, float]]:
-    arr = np.array(cell.vertices)
-    return [(float(lo), float(hi))
-            for lo, hi in zip(arr.min(axis=0), arr.max(axis=0))]
+    return [(min(c), max(c)) for c in zip(*cell.vertices)]
 
 
 def admissible_pieces(dec: DualCellDecomposition,

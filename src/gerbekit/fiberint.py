@@ -9,30 +9,36 @@ Components of the output are built from path-sum symbols: for multi-indices
 with A(gamma) the number of unit squares enclosed between the path and the
 b-axis (each up-step at column p contributes p - 1); this is the unique
 parity choice for which the push-forward commutes with the total
-differential.  The push-forward then integrates these mixed forms over the
-cells of a dual decomposition of E in the fiber directions only, and adds
-the cells up with DualCellDecomposition.layer_sum at the output degree.
-Its homotopy is the same sum over a different signed family of E-side
-indices per cell.
+differential.  The push-forward then integrates these mixed forms in the
+fiber directions only, over the chains of a dual decomposition of E (the
+cells that share one subordination image b), and adds the chains up with
+DualCellDecomposition.layer_sum at the output degree:
+
+    (int_E omega)_(a) = sum_k (-1)^{(p+1)(k+1)} sum_b int_{C_b} T^(a)_(b) omega.
+
+Its homotopy is the same sum over the chains of the pair image
+(rho, rho2), each integrating the signed prism family of its image.
 
 Each symbol is built once per cochain and per (a, b): the symbols live in
 a memo that lives as long as the cochain, shared by every push-forward and
-homotopy of it.  Each term's axes are split into fiber and base parts
-once per (axes, n_base), not once per cell.  A path sum walks a plan of
-its grid shape (r, k), built once per process, and a push-forward builds
-each cell's E-side family once, not once per (a).
+homotopy of it, and each is integrated once per chain.  Each term's axes
+are split into fiber and base parts once per (axes, n_base), not once per
+cell.  A path sum walks a plan of its grid shape (r, k), built once per
+process, and a push-forward builds each chain's E-side family once, not
+once per (a).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 from weakref import WeakKeyDictionary
 
 from .cochain import (DiffCochain, Level, _lazy, level_zero, prism_indices,
                       total_d)
 from .covers import DualCellDecomposition
-from .trigform import TrigForm, cell_integral, signed_sum
+from .trigform import TrigForm, signed_sum
 
 Idx = Tuple[int, ...]
 
@@ -109,7 +115,8 @@ def _split_axes(axes: Idx, n_base: int) -> Tuple[Idx, Idx]:
 
 
 def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
-    """Integrate the fiber part of a form on X x E over a cell of E.
+    """Integrate the fiber part of a form on X x E over a cell of E, or
+    over a chain of cells (covers.Chain).
 
     The fiber is the trailing axes n_base..: terms whose fiber-axis count
     differs from the cell dimension drop, and the rest integrate in closed
@@ -128,7 +135,7 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
         fib_freq = freq[n_base:]
         val = integrals.get((fib_freq, fib))
         if val is None:
-            val = cell_integral(cell, fib_freq, fib)
+            val = cell.integral(fib_freq, fib)
         if val == 0.0:
             continue
         key = (freq[:n_base], base_axes)
@@ -146,19 +153,22 @@ _SYMBOLS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
-                    e_indices: Callable[[Idx], Sequence[Tuple[int, Idx]]],
+                    image: Sequence[Hashable],
+                    e_indices: Callable[[tuple], Sequence[Tuple[int, Idx]]],
                     field_strength: TrigForm) -> DiffCochain:
     """The degree-p cochain on X whose component at (a) is the layer sum
-    over dec of int_{Delta_(i)} sum_{(odd, b) in e_indices(i)} (-1)^odd
-    T^(a)_(b) omega, the integral taken in the fiber directions only.
+    over dec's chains by image of int_{C_b} sum_{(odd, e) in e_indices(b)}
+    (-1)^odd T^(a)_(e) omega, the integral taken in the fiber directions
+    only.
 
     On the integer row (length p+2) only the point layer contributes: each
-    oriented point weighs the integer path sums with its sign.
+    chain of oriented points weighs the integer path sums with the sum of
+    its points' signs.
     """
     x_cover = omega.cover.factor_covers[0]
     n_base = x_cover.factors
     symbols = _SYMBOLS.setdefault(omega, {})
-    # a cell's family is the same for every (a): built once per cell
+    # a chain's family is the same for every (a): built once per chain
     family = lru_cache(maxsize=None)(e_indices)
 
     def symbol(a_idx: Idx, b_idx: Idx) -> TrigForm:
@@ -169,15 +179,15 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
 
     def comp(a_idx: Idx) -> Level:
         if len(a_idx) == p + 2:
-            def value(cell_idx, cell):
+            def value(b, cell):
                 if cell.dim:
                     return None
                 return cell.sign * signed_sum(0, (
                     (odd, _path_sum(omega, a_idx, b_idx, 0))
-                    for odd, b_idx in family(cell_idx)))
+                    for odd, b_idx in family(b)))
         else:
-            def value(cell_idx, cell):
-                members = family(cell_idx)
+            def value(b, cell):
+                members = family(b)
                 if len(members) == 1 and not members[0][0]:
                     # a symbol is a signed_sum result, with no exact zero
                     # and no -0.0 part, so its sum from zero would equal it
@@ -191,7 +201,8 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                 if not sym.terms:
                     return None
                 return integrate_fiber_cell(sym, cell, n_base)
-        return dec.layer_sum(p, value, level_zero(p, n_base, len(a_idx)))
+        return dec.layer_sum(p, image, value,
+                             level_zero(p, n_base, len(a_idx)))
 
     return _lazy(p, x_cover, comp, components={(): field_strength})
 
@@ -206,9 +217,8 @@ def pushforward(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError("cochain degree must be at least dim E")
     T = omega.field_strength.fiber_integrate_global(
         cover.factor_covers[0].factors)
-    return _fiber_integral(
-        omega, dec, omega.degree - dec.dim,
-        lambda cell_idx: ((0, tuple(rho[i] for i in cell_idx)),), T)
+    return _fiber_integral(omega, dec, omega.degree - dec.dim, rho,
+                           lambda b: ((0, b),), T)
 
 
 def pushforward_commutes_defect(omega: DiffCochain, dec: DualCellDecomposition,
@@ -241,15 +251,25 @@ def pushforward_homotopy(omega: DiffCochain, dec: DualCellDecomposition,
         raise ValueError("homotopy needs output degree n - d >= 1")
     n_base = omega.cover.factor_covers[0].factors
 
-    return _fiber_integral(omega, dec, m - 1,
-                           lambda cell_idx: prism_indices(cell_idx, rho, rho2),
+    # a chain of the pair image ((rho(i1), rho2(i1)), ...) reads the prism
+    # family of its two images
+    return _fiber_integral(omega, dec, m - 1, tuple(zip(rho, rho2)),
+                           lambda pairs: prism_indices(range(len(pairs)),
+                                                       *zip(*pairs)),
                            level_zero(m - 1, n_base, 0))
 
 
 def homotopy_residual(omega: DiffCochain, dec: DualCellDecomposition,
-                      rho: Sequence[int], rho2: Sequence[int]) -> float:
+                      rho: Sequence[int], rho2: Sequence[int],
+                      pushed: Optional[DiffCochain] = None) -> float:
     """Residual of pushforward(rho) - pushforward(rho2) = d(homotopy(omega)),
-    which holds for cocycles omega."""
-    lhs = pushforward(omega, dec, rho) - pushforward(omega, dec, rho2)
+    which holds for cocycles omega.
+
+    `pushed` is pushforward(omega, dec, rho) when the caller has built it
+    already; its memoised components are then reused.
+    """
+    if pushed is None:
+        pushed = pushforward(omega, dec, rho)
+    lhs = pushed - pushforward(omega, dec, rho2)
     rhs = total_d(pushforward_homotopy(omega, dec, rho, rho2))
     return (lhs - rhs).max_defect()

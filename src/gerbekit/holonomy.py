@@ -4,10 +4,12 @@ decompositions.
 For a degree-n cocycle omega, a dual cell decomposition with top cells
 Delta_i and a subordination rho,
 
-    hol(omega) = sum_{k=1}^{n+1} (-1)^{k+1}
-                 sum_{i1 > ... > ik} int_{Delta_(i)} omega^{n+1-k}_{rho(i1)...rho(ik)}
+    hol(omega) = sum_{k=1}^{n+1} (-1)^{k+1} sum_b int_{C_b} omega^{n+1-k}_b
 
-where the k = n+1 layer integrates 0-forms over oriented points (evaluation
+where C_b is the chain of the cells Delta_(i1...ik), i1 > ... > ik, with
+image rho(i1)...rho(ik) = b, the sum over chains of the sum over cells
+sum_{i1 > ... > ik} int_{Delta_(i)} omega^{n+1-k}_{rho(i1)...rho(ik)}.
+The k = n+1 layer integrates 0-forms over oriented points (evaluation
 with the boundary-induced sign).  This is DualCellDecomposition.layer_sum
 with output degree p = 0: the holonomy is the push-forward of omega along
 T^n -> point.  The value is well defined modulo 2*pi under changes of rho
@@ -16,6 +18,7 @@ and refinement of the decomposition.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
@@ -28,11 +31,14 @@ def holonomy(omega: DiffCochain, dec: DualCellDecomposition,
     if dec.dim != omega.degree:
         raise ValueError("decomposition dimension must equal cochain degree")
 
-    def value(idx, cell):
-        comp = omega.component(tuple(rho[i] for i in idx))
-        return None if comp.is_zero() else comp.integrate_cell(cell)
+    def value(b, chain):
+        # no coefficient's modulus is taken: it may lie past the float range
+        comp = omega.component(b)
+        return comp.integrate_cell(chain) if comp.terms else None
 
-    total = dec.layer_sum(0, value, 0.0 + 0.0j)
+    total = dec.layer_sum(0, rho, value, 0.0 + 0.0j)
+    if not cmath.isfinite(total):
+        raise ValueError(f"the holonomy is {total}, not finite")
     if abs(total.imag) > 1e-8:
         raise ValueError(f"holonomy came out non-real ({total}); "
                          "cochain data is not real-valued")

@@ -239,10 +239,10 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
         worst.add("stokes_s1", pushforward_commutes_defect(om, dec_s1, rho))
         if degree >= 2:
             oc = random_cocycle(rng, cover_s1, degree)
-            worst.add("cocycle_closed",
-                      total_d(pushforward(oc, dec_s1, rho)).max_defect())
+            pushed = pushforward(oc, dec_s1, rho)
+            worst.add("cocycle_closed", total_d(pushed).max_defect())
             worst.add("homotopy_residual",
-                      homotopy_residual(oc, dec_s1, rho, rho2))
+                      homotopy_residual(oc, dec_s1, rho, rho2, pushed))
     for t in range(max(trials // 2, 2)):
         om = random_alternating_cochain(rng, cover_t2, 2 + t % 2, 3)
         rho, _ = two_subordinations(dec_t2, fiber_t2, rng)

@@ -272,12 +272,14 @@ class TrigForm:
         return TrigForm._trusted(n_base, p, out)
 
     def integrate_cell(self, cell) -> complex:
-        """Integrate over an oriented point/segment/polygon in the torus."""
+        """Integrate over an oriented point/segment/polygon in the torus,
+        or over a chain of such cells (covers.Chain)."""
         if self.degree != cell.dim:
             raise ValueError("form degree must equal cell dimension")
         total = 0.0 + 0.0j
+        integral = cell.integral
         for (freq, axes), c in self.terms.items():
-            total += c * cell_integral(cell, freq, axes)
+            total += c * integral(freq, axes)
         return total
 
     # -- misc ----------------------------------------------------------------
@@ -382,37 +384,41 @@ def _simplex_exp(alpha: float, beta: float) -> complex:
     return (_phi(alpha) - _phi(beta)) / (1j * (alpha - beta))
 
 
-def cell_integral(cell, freq: Tuple[int, ...], axes: Tuple[int, ...]) -> complex:
-    """The integral of e^{i freq.x} dx_axes over cell, memoised on the cell."""
-    got = cell.integrals.get((freq, axes))
-    if got is None:
-        got = cell.integrals[freq, axes] = _integrate_monomial(
-            np.array(freq, dtype=float), axes, cell)
-    return got
+def _dot(freq: Sequence[int], point: Sequence[float]) -> float:
+    """freq . point, summed left to right in Python floats: the products of
+    frequencies |k| <= 2 with floats are exact, so the sum is np.dot's to
+    the bit there."""
+    total = freq[0] * point[0]
+    for k, x in zip(freq[1:], point[1:]):
+        total += k * x
+    return total
 
 
-def _integrate_monomial(freq: np.ndarray, axes: Tuple[int, ...], cell) -> complex:
-    # cell coordinates are numpy floats; converting them keeps the result a
-    # Python complex, which fiber integration stores as a term unchecked
+def _integrate_monomial(freq: Tuple[int, ...], axes: Tuple[int, ...],
+                        cell) -> complex:
+    """The closed-form integral of e^{i freq.x} dx_axes over one cell.
+
+    The cell's vertices are tuples of Python floats, so the result is a
+    Python complex, which fiber integration stores as a term unchecked.  A
+    polygon is a fan from its first vertex: each edge vector from it is
+    built once, and so is the phase e^{i freq.P0}.
+    """
     verts = cell.vertices
     if cell.dim == 0:
-        return cell.sign * cmath.exp(1j * float(np.dot(freq, verts[0])))
+        return cell.sign * cmath.exp(1j * _dot(freq, verts[0]))
     if cell.dim == 1:
         P, Q = verts
-        j = axes[0]
-        mu = float(np.dot(freq, Q - P))
-        return (float(Q[j] - P[j]) * cmath.exp(1j * float(np.dot(freq, P)))
-                * _phi(mu))
+        E = [q - p for p, q in zip(P, Q)]
+        return (E[axes[0]] * cmath.exp(1j * _dot(freq, P))
+                * _phi(_dot(freq, E)))
     j1, j2 = axes
-    total = 0.0 + 0.0j
     P0 = verts[0]
-    for i in range(1, len(verts) - 1):
-        E1 = verts[i] - P0
-        E2 = verts[i + 1] - P0
-        jac = float(E1[j1] * E2[j2] - E1[j2] * E2[j1])
+    phase = cmath.exp(1j * _dot(freq, P0))
+    edges = [[v - p for p, v in zip(P0, V)] for V in verts[1:]]
+    total = 0.0 + 0.0j
+    for E1, E2 in zip(edges, edges[1:]):
+        jac = E1[j1] * E2[j2] - E1[j2] * E2[j1]
         if jac == 0.0:
             continue
-        a = float(np.dot(freq, E1))
-        b = float(np.dot(freq, E2))
-        total += jac * cmath.exp(1j * float(np.dot(freq, P0))) * _simplex_exp(a, b)
+        total += jac * phase * _simplex_exp(_dot(freq, E1), _dot(freq, E2))
     return total

@@ -119,9 +119,12 @@ def test_layer_sign_table():
                          ids=["circle:5", "hex:4"])
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_layer_sum_weighs_each_layer_by_its_sign(dec, p):
-    # one unit per cell of layer k, and None (no contribution) on the rest
+    # one unit per cell of layer k, and None (no contribution) on the rest;
+    # under the identity image every chain is one cell
+    image = range(len(dec.top_cells))
     for k in dec.faces:
-        got = dec.layer_sum(p, lambda idx, cell: 1 if len(idx) == k else None, 0)
+        got = dec.layer_sum(p, image, lambda b, chain: len(chain.cells)
+                            if len(b) == k else None, 0)
         assert got == layer_sign(p, k) * len(dec.faces[k])
 
 

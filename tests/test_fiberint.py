@@ -234,13 +234,14 @@ def test_symbols_are_built_once_per_cochain_and_index_pair(monkeypatch):
 
 
 def test_a_homotopy_builds_each_cell_family_once(monkeypatch):
-    # every component (a) reads every cell's signed family of E-side
-    # indices; the family depends on the cell alone
+    # every component (a) reads every chain's signed family of E-side
+    # indices; the family depends on the chain's two images alone, so each
+    # pair of images is asked for once
     asked = []
     build = fiberint.prism_indices
 
     def counting(idx, sig, sig2):
-        asked.append(idx)
+        asked.append((tuple(sig[j] for j in idx), tuple(sig2[j] for j in idx)))
         return build(idx, sig, sig2)
 
     monkeypatch.setattr(fiberint, "prism_indices", counting)

@@ -3,8 +3,10 @@ output must already be in the normal form the public constructor produces:
 int-tuple keys of the right shape, Python complex values, no exact zeros.
 """
 
+import cmath
 import math
 import operator
+import struct
 from itertools import combinations, product
 
 import numpy as np
@@ -17,7 +19,7 @@ from gerbekit.covers import (make_circle_decomposition,
                              make_torus_hex_decomposition)
 from gerbekit.fiberint import integrate_fiber_cell
 from gerbekit.suites import random_connection, random_gauge_map
-from gerbekit.trigform import TrigForm, _integrate_monomial, cell_integral
+from gerbekit.trigform import TrigForm, _integrate_monomial
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -189,7 +191,7 @@ def fiber_cell_reference(form: TrigForm, cell, n_base: int) -> TrigForm:
         fib = tuple(a - n_base for a in axes if a >= n_base)
         if len(fib) != cell.dim:
             continue
-        val = cell_integral(cell, freq[n_base:], fib)
+        val = cell.integral(freq[n_base:], fib)
         if val == 0.0:
             continue
         key = (freq[:n_base], tuple(a for a in axes if a < n_base))
@@ -667,8 +669,59 @@ def test_memoised_cell_integrals_equal_the_closed_form(cells, amb):
     for cell in cells:
         for axes in combinations(range(amb), cell.dim):
             for freq in box:
-                direct = _integrate_monomial(np.array(freq, dtype=float),
-                                             axes, cell)
-                assert cell_integral(cell, freq, axes) == direct
+                direct = _integrate_monomial(freq, axes, cell)
+                assert cell.integral(freq, axes) == direct
                 assert cell.integrals[freq, axes] == direct
-                assert cell_integral(cell, freq, axes) == direct
+                assert cell.integral(freq, axes) == direct
+
+
+def numpy_monomial(freq: np.ndarray, axes, cell) -> complex:
+    """The closed-form cell integral as numpy dot products of float
+    frequency and vertex arrays, the reference for the Python-float kernel."""
+    verts = [np.array(v) for v in cell.vertices]
+    if cell.dim == 0:
+        return cell.sign * cmath.exp(1j * float(np.dot(freq, verts[0])))
+    if cell.dim == 1:
+        P, Q = verts
+        j = axes[0]
+        mu = float(np.dot(freq, Q - P))
+        return (float(Q[j] - P[j]) * cmath.exp(1j * float(np.dot(freq, P)))
+                * trigform._phi(mu))
+    j1, j2 = axes
+    total = 0.0 + 0.0j
+    P0 = verts[0]
+    for i in range(1, len(verts) - 1):
+        E1 = verts[i] - P0
+        E2 = verts[i + 1] - P0
+        jac = float(E1[j1] * E2[j2] - E1[j2] * E2[j1])
+        if jac == 0.0:
+            continue
+        a = float(np.dot(freq, E1))
+        b = float(np.dot(freq, E2))
+        total += (jac * cmath.exp(1j * float(np.dot(freq, P0)))
+                  * trigform._simplex_exp(a, b))
+    return total
+
+
+@pytest.mark.parametrize("cells,amb,triples",
+                         [(CIRCLE_CELLS, 1, 200), (HEX_CELLS, 2, 8100)],
+                         ids=["circle:20", "hex:6"])
+def test_the_cell_kernel_is_the_numpy_kernel(cells, amb, triples):
+    # below |k| = 3 every product k * x is exact, so the sums are the same
+    # bits however they are fused.  At |k| = 3 np.dot may fuse a
+    # multiply-add, moving a phase k.P (|k.P| < 64) by one rounding, at most
+    # 2**-47: the value moves by that much relative, plus a few roundings
+    seen = 0
+    for cell in cells:
+        for axes in combinations(range(amb), cell.dim):
+            for freq in product(range(-3, 4), repeat=amb):
+                got = _integrate_monomial(freq, axes, cell)
+                want = numpy_monomial(np.array(freq, dtype=float), axes, cell)
+                assert type(got) is complex
+                if max(map(abs, freq)) <= 2:
+                    seen += 1
+                    assert struct.pack("dd", got.real, got.imag) == \
+                        struct.pack("dd", want.real, want.imag)
+                else:
+                    assert abs(got - want) <= 2 ** -46 * abs(want)
+    assert seen == triples
