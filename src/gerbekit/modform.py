@@ -5,9 +5,12 @@ the character, determinant, adjoint and rho fibrations.
 
 Conventions.  Points live on H x C^rank with z written in lattice-basis
 coordinates; the pairing is (z, w) = z^T G w for the Gram matrix G.  All
-square roots take the principal branch, with c*tau + d evaluated in the
-upper half-plane; the eta multiplier is measured numerically and checked
-to be a 24th root of unity.
+square roots take the principal branch.  The eta multiplier of (a, b; c, d)
+in SL2(Z) is exactly e^{pi i e}: for c > 0, e = (a + d)/(12c) - s(d, c) - 1/4
+with s the Dedekind sum; for c = 0, e = b/12 (d = 1) or -b/12 - 1/2 (d = -1);
+for c < 0, e(M) = e(-M) + 1/2 (Rademacher-Grosswald, Dedekind Sums, Carus
+Monograph 16, 1972; Apostol, Modular Functions and Dirichlet Series in
+Number Theory, ch. 3).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +26,7 @@ import numpy as np
 from .lattice import BLOCK_ROWS, IntegralLattice, _sorted_shells, builtin
 
 TAU_MIN = 0.05
+EXTRA_MULTIPLIER_TOL = 1e-8  # spread of the measured extra multiplier
 TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
 
@@ -58,40 +63,33 @@ def eta(tau: complex) -> complex:
     return _eta_with_terms(tau)[0]
 
 
-def _mobius(m: Sequence[int], tau: complex) -> complex:
-    a, b, c, d = m
-    return (a * tau + b) / (c * tau + d)
-
-
-MULTIPLIER_TOL = 1e-9        # spread and |chi^24 - 1| of an eta multiplier
-EXTRA_MULTIPLIER_TOL = 1e-8  # spread of the measured extra multiplier
+def _dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) for k > 0 and gcd(h, k) = 1,
+    by reciprocity: s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12hk) - 1/4."""
+    total, sign, h = Fraction(0), 1, h % k
+    while h:
+        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        h, k, sign = k % h, h, -sign
+    return total
 
 
 def eta_multiplier(m: Sequence[int]) -> complex:
-    """The unit constant chi(m) in eta(m tau) = chi(m) sqrt(c tau + d) eta(tau).
-
-    Measured numerically with the principal square root; asserted to be a
-    24th root of unity and independent of the sample point.
-    """
+    """The unit constant chi(m) in eta(m tau) = chi(m) sqrt(c tau + d) eta(tau)
+    for every m of determinant 1, by Rademacher's formula (module docstring):
+    12e is an integer, reduced mod 24 before the exponential."""
     a, b, c, d = (int(x) for x in m)
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
-    vals = []
-    for w in (1.3j, 0.2 + 1.1j):
-        # tau0 = w, or -d/c + w/|c| so that c tau0 + d = +-w: then
-        # Im tau0 = Im w / |c| and Im m(tau0) = Im w / (|c| |w|^2), both
-        # above TAU_MIN for |c| <= 15
-        tau0 = w if c == 0 else -d / c + w / abs(c)
-        chi = eta(_mobius((a, b, c, d), tau0)) / (
-            cmath.sqrt(c * tau0 + d) * eta(tau0))
-        vals.append(chi)
-    if abs(vals[0] - vals[1]) > MULTIPLIER_TOL:
-        raise ValueError("eta multiplier not constant across sample points")
-    chi = vals[0]
-    if abs(chi ** 24 - 1) > MULTIPLIER_TOL:
-        raise ValueError("eta multiplier is not a 24th root of unity "
-                         "(branch inconsistency)")
-    return chi
+    e = Fraction(0)
+    if c < 0 or (c == 0 and d < 0):
+        # -m acts as m; sqrt(-w) = i sqrt(w) for Im w < 0, -i sqrt(w) at w = -1
+        e = Fraction(1 if c else -1, 2)
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        e += Fraction(b, 12)
+    else:
+        e += Fraction(a + d, 12 * c) - _dedekind_sum(d, c) - Fraction(1, 4)
+    return cmath.exp(PI_I * float(12 * e % 24) / 12)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +497,13 @@ def _section(family: AutomorphyFamily, x: ModuliPoint) -> complex:
 
 def transform_defect(family: AutomorphyFamily, g: GroupElement,
                      x: ModuliPoint) -> float:
-    """Relative defect |F(gx) - phi_g(x) F(x)| / |F(x)|."""
+    """Relative defect |F(gx) - phi_g F(x)| / max(|F(gx)|, |phi_g F(x)|)."""
     F = _section(family, x)
     if abs(F) < 1e-12:
         raise ValueError("sample point too close to a zero of the section")
     Fg = _section(family, act(g, x))
-    return abs(Fg - factor(family, g, x) * F) / abs(F)
+    phi_F = factor(family, g, x) * F
+    return abs(Fg - phi_F) / max(abs(Fg), abs(phi_F))
 
 
 def measure_extra_multiplier(g: GroupElement) -> complex:

@@ -360,7 +360,11 @@ def suite_modular(trials: int, seed: int) -> List[Check]:
     t = 1 + 3j
     worst.add("eta_inversion",
               abs(eta(-1 / t) / (cmath.sqrt(-1j * t) * eta(t)) - 1))
-    # chi closure
+    # the exact eta multiplier against one measured from eta, on random
+    # words, then on [[1, 0], [c, 1]] for c = 3..15, whose Dedekind sums are
+    # not zero.  tau0 = 1.3i, or -d/c + 1.3i/|c| so that c tau0 + d = +-1.3i:
+    # Im tau0 and Im m(tau0) stay above 0.051 for |c| <= 15
+    words = []
     for _ in range(max(trials, 20)):
         m = np.eye(2, dtype=np.int64)
         for _ in range(int(rng.integers(1, 5))):
@@ -369,11 +373,12 @@ def suite_modular(trials: int, seed: int) -> List[Check]:
             else:
                 g = np.array([[0, -1], [1, 0]])
             m = m @ g
-        try:
-            chi = eta_multiplier((m[0, 0], m[0, 1], m[1, 0], m[1, 1]))
-            worst.add("chi_24th_root", abs(chi ** 24 - 1))
-        except ValueError:
-            worst.add("chi_24th_root", 1.0)
+        words.append(tuple(int(x) for x in m.flat))
+    for a, b, c, d in words + [(1, 0, c, 1) for c in range(3, 16)]:
+        tau0 = 1.3j if c == 0 else -d / c + 1.3j / abs(c)
+        chi = eta((a * tau0 + b) / (c * tau0 + d)) / (
+            cmath.sqrt(c * tau0 + d) * eta(tau0))
+        worst.add("chi_24th_root", abs(chi - eta_multiplier((a, b, c, d))))
     # twisted theta
     worst.add("theta1_odd", abs(theta1(2j, 0)))
     df = AutomorphyFamily("det_u1")

@@ -10,7 +10,8 @@ from gerbekit import cli
 from gerbekit.lattice import (IntegralLattice, builtin, enumerate_by_norm,
                               roots)
 from gerbekit.modform import (PI_I, AutomorphyFamily, GroupElement,
-                              ModuliPoint, _theta_with_terms, act, character,
+                              ModuliPoint, _dedekind_sum, _theta_with_terms,
+                              act, character,
                               cocycle_defect, det_section, eta,
                               eta_multiplier, factor,
                               measure_extra_multiplier, reflection_element,
@@ -85,7 +86,8 @@ def test_eta_multiplier_is_24th_root_on_random_words():
     ((1, 0, 6, 1), -6),
 ])
 def test_eta_multiplier_of_words_that_sampled_below_tau_min(m, twelfths):
-    # tau0 = 1.3i maps below TAU_MIN under both (Im 0.049 and 0.021)
+    # a multiplier measured from eta at tau0 = 1.3i would evaluate eta below
+    # TAU_MIN under both (Im 0.049 and 0.021)
     chi = eta_multiplier(m)
     assert abs(chi - cmath.exp(1j * math.pi * twelfths / 12)) < 1e-9
 
@@ -102,6 +104,91 @@ def test_eta_multiplier_of_every_suite_word():
     for w in words:
         chi = eta_multiplier((w[0][0], w[0][1], w[1][0], w[1][1]))
         assert abs(chi ** 24 - 1) < 1e-9
+
+
+def measured_eta_multiplier(m, w):
+    """chi(m) measured from eta at tau0 = w, or at -d/c + w/|c|, where
+    c tau0 + d = +-w: then Im tau0 = Im w/|c| and Im m(tau0) = Im w/(|c||w|^2)."""
+    a, b, c, d = m
+    tau0 = w if c == 0 else -d / c + w / abs(c)
+    return eta((a * tau0 + b) / (c * tau0 + d)) / (
+        cmath.sqrt(c * tau0 + d) * eta(tau0))
+
+
+def sl2z_box(cs, d_max=30, a_max=40):
+    """Every (a, b, c, d) of determinant 1 with c in cs, c != 0, |d| <= d_max
+    and |a| <= a_max, then +-(1, b; 0, 1) for |b| <= 2 if 0 is in cs."""
+    for c in cs:
+        for d in range(-d_max, d_max + 1):
+            if c and math.gcd(c, d) == 1:
+                for a in range(-a_max, a_max + 1):
+                    if (a * d - 1) % c == 0:
+                        yield a, (a * d - 1) // c, c, d
+    if 0 in cs:
+        for b in range(-2, 3):
+            yield 1, b, 0, 1
+            yield -1, -b, 0, -1
+
+
+def test_eta_multiplier_matches_eta_on_a_box_of_matrices():
+    # both sample points of the multiplier once measured from eta; for
+    # |c| <= 15 every eta argument stays above TAU_MIN
+    box = list(sl2z_box(range(-15, 16)))
+    assert len(box) > 20000
+    for m in box:
+        chi = eta_multiplier(m)
+        for w in (1.3j, 0.2 + 1.1j):
+            assert abs(chi - measured_eta_multiplier(m, w)) < 1e-11, (m, w)
+
+
+def test_eta_multiplier_matches_eta_at_c_16():
+    # tau0 = -d/16 + i/16: Im tau0 = Im m(tau0) = 1/16
+    box = list(sl2z_box((-16, 16)))
+    assert len(box) > 100
+    for m in box:
+        assert abs(eta_multiplier(m) - measured_eta_multiplier(m, 1j)) < 1e-11
+
+
+def test_eta_multiplier_of_a_huge_translation():
+    # eta(tau + b) = e^{pi i b/12} eta(tau)
+    chi = eta_multiplier((1, 10 ** 9, 0, 1))
+    assert abs(chi - cmath.exp(1j * math.pi * (10 ** 9 % 24) / 12)) < 1e-15
+
+
+def test_dedekind_sum_matches_the_sawtooth_sum():
+    # s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) with ((x)) = x - floor(x) - 1/2
+    # off the integers; for gcd(h, k) = 1 no argument is an integer, so
+    # 4k^2 s(h, k) = sum_r (2r - k)(2(hr mod k) - k)
+    for k in range(1, 61):
+        for h in range(-k, 2 * k + 1):
+            if math.gcd(h, k) == 1:
+                direct = sum((2 * r - k) * (2 * (h * r % k) - k)
+                             for r in range(1, k))
+                assert _dedekind_sum(h, k) == Fraction(direct, 4 * k * k)
+
+
+@pytest.mark.parametrize("family, matrix", [("ad", [1, 0, 16, 1]),
+                                            ("rho", [1, 10 ** 9, 0, 1])])
+def test_cli_factor_answers_where_the_measured_multiplier_refused(
+        capsys, family, matrix):
+    z = [[0.01 * (j + 1), 0.02 * (j % 3) - 0.015] for j in range(8)]
+    rc = cli.main(["factor", "--family", family, "--lattice", "e8",
+                   "--element", json.dumps({"S": matrix}), "--point",
+                   json.dumps({"tau": [0.15, 1.2], "z": z})])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    x = ModuliPoint(0.15 + 1.2j, tuple(complex(*p) for p in z))
+    val = factor(AutomorphyFamily(family, builtin("e8")),
+                 GroupElement.S(*matrix), x)
+    assert complex(out["value_re"], out["value_im"]) == val
+
+
+def test_verify_modular_seed_218_passes(capsys):
+    # character_T_law read 2.5e-8 here when transform_defect divided by
+    # |F(x)|: at a root translation |phi_g| = 2.7e6 and |F(gx)| = 3.3e9
+    rc = cli.main(["verify", "--suite", "modular", "--seed", "218"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["all_pass"]
 
 
 def test_verify_modular_seed_that_drew_a_low_sample_point(capsys):

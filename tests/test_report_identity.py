@@ -27,7 +27,10 @@ from gerbekit.suites import random_alternating_cochain, random_cocycle
 # lattice and modular digests kept their values.  The holonomy-3-1,
 # crossmodule and pushforward digests moved again when the layer sums began
 # integrating once per chain of cells with one image: a chain's integral
-# sums its cells' integrals before the coefficient multiplies them.
+# sums its cells' integrals before the coefficient multiplies them.  The
+# modular digests moved when chi_24th_root began comparing the exact eta
+# multiplier with one measured from eta, and transform_defect began scaling
+# by the larger of the two values it compares.
 PINNED = [
     ("cochain", 3, 0, "ff7b8956a829027c2a2eb69db711e776169ec6d55285830e5b69026ef1d12aed"),
     ("chernsimons", 6, 0, "739dfa06f9f8ee3eb403854802abe1baea129b0d5bcbd155dfc817037da528b5"),
@@ -40,9 +43,9 @@ PINNED = [
     ("crossmodule", 3, 1, "8da05b525b81663ede8f5b3c4526c65b6db070b66276e2ea8c426bfac287e639"),
     ("pushforward", 1, 1, "4c9ee8ead33b5028cc624475c39cebca0e9ccf1c789ae003e23bde4252cd2946"),
     ("lattice", 1, 0, "b9323ca76ead1cace9bbd87219d3dad9c603807c35a740af81ca70cc3d159526"),
-    ("modular", 20, 0, "02bab57a418ce0745dd55eeebda98b9da66056983fb075faa773ae522a8c7910"),
+    ("modular", 20, 0, "fcf106dfd3ca1c68e9d1660bda44ea9e1d0a7868f5be8e75c1993956fe21d9c6"),
     ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
-    ("modular", 20, 1, "3a9f16b508bc0549ef3a3ff705ae38df26f96aa987916eadc2c82afc6c9d47bf"),
+    ("modular", 20, 1, "2e745a299ba42dbb767ae0e3112a71f6321448bac66a78dc20498237a279b3e9"),
     # the complex benchmark workload's chernsimons shape: 20 trials
     ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
     # ... and its cochain and crossmodule shapes: 6 and 4 trials
@@ -156,7 +159,10 @@ def test_cli_output_is_the_same_from_cold_and_warm_cells(
 # z file, `character` on the two rank-16 lattices, `factor` for each family
 # with an S, a T, a W and a word element, `act`, and `lattice` shells up to
 # norm 4.  Each case pins the SHA-256 of stdout; inputs are literals, and a
-# `--z` file is written into a fresh working directory as `z.json`.
+# `--z` file is written into a fresh working directory as `z.json`.  The
+# factor-{ad,rho,det_u1}-{S,word} digests moved in their last digits when
+# the eta multiplier became exact: the measured one carried up to about
+# 5e-13 of error into every factor that takes a power of it.
 def _z(rank):
     return [[0.01 * (j + 1), 0.02 * (j % 3) - 0.015] for j in range(rank)]
 
@@ -249,21 +255,21 @@ MODULAR_PINNED = {
     "factor-char-word":
         "1fbcbf1bbb3a5a502f68e65eebb33b6e707472f79b180e8090158d4deb847d19",
     "factor-ad-S":
-        "996a04534b4f19fa071b00ce47fae90583b9b5c7209e2ebc26a66702506fb4b9",
+        "a1a95a24503d6b9575ad012b5e2e059f8bae85a5bc1336341f40886a23c68131",
     "factor-ad-T":
         "1ae2e0daca1a9d22ebe9299a30ec9eb732cb05c2776c428a057a82eb5cdfb980",
     "factor-ad-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-ad-word":
-        "7673ad62014d7eaef9900724d3c3c34386d5dce71e50b2a6ecaf95545402fe74",
+        "9b7b37763211d999f1d32ccd2e4c0cec6749c66534e72ff72996c1b437a27d17",
     "factor-rho-S":
-        "ec118ed99ab6481cd8cc56d89f508a3d124f23ff8d00c33c5cf70fcf1d84270b",
+        "f15e493588decdb6c9223c0818d438b4478e2142fd9e15296f1b633e355255bb",
     "factor-rho-T":
         "7c42bbca8fff640c6de90061963961d1e42cbe4fbbb337c04e8206cb14ddfcd6",
     "factor-rho-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-rho-word":
-        "98cdb06d685f7a1d1c1efe571535de8f7fef7139dde928c4929870541440d3d5",
+        "e6e8ef7c1a886eee9b059f9323fe2fd21113768e788e1aac0fed38ffc674d560",
     "factor-anomaly_ad-S":
         "c4ccff2cdd639c5ba940b04746ce1a9a44db694b32d7e82c3b63a85783feeebb",
     "factor-anomaly_ad-T":
@@ -281,13 +287,13 @@ MODULAR_PINNED = {
     "factor-anomaly_rho-word":
         "6bee5ac4172e20a5985e1533739842e50a0b7625630eb819cdd98a1c1b0ffa49",
     "factor-det_u1-S":
-        "5694a7645a5efdbf72ad277c47095435cdc45911f6253479ccf90d6c7dec8da0",
+        "a55ebf5022f67226a22f12e5972d9d547cc3d6fdfa4574c23979a20340405e63",
     "factor-det_u1-T":
         "f390dafa3c1200f001de11cc45ad5b9ec687516bae36d6295f0dbc1d5c8ed165",
     "factor-det_u1-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-det_u1-word":
-        "828e68869f3b0ca5bfa3348db9addc21a18a94c3622cd5a04c74eb51fb9f0ebb",
+        "39b8360a91b191a5711fcfa6ec7f65f72b96765ecb100ff87caf94f683e25048",
     "act-S":
         "60675ba49bd7c44a8af892383a0e4c4461aed583f4f635baaed16f26c3d646b1",
     "act-T":

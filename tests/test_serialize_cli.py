@@ -240,8 +240,8 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 # each suite's wall time blanked: the check and summary lines are pinned,
 # and the wall time appears only there
 VERIFY_ALL_SEED_0 = {
-    "stdout": "2b801d68487348ce5231376ff8131efa5858564e3a2ef6912f4ecbd89325ab82",
-    "stderr": "c6e322fbaa3033d4aeaf2fa466d4f8d18f476a1601674de12120a2169689894d"}
+    "stdout": "a43e40c400c6554bdbc1961beeb4239af69b29e1eb2c58ba9a051df16eddf1da",
+    "stderr": "14e6f0c050205c40a2df3877a44dae120167f5463c5ddae4a5bb3ef568c31c26"}
 
 
 def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):
