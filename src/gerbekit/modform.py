@@ -4,8 +4,10 @@ lattice theta series, the rank-16 character function, the group of
 the character, determinant, adjoint and rho fibrations.
 
 Conventions.  Points live on H x C^rank with z written in lattice-basis
-coordinates; the pairing is (z, w) = z^T G w for the Gram matrix G.  All
-square roots take the principal branch.  The eta multiplier of (a, b; c, d)
+coordinates; the pairing is (z, w) = z^T G w for the Gram matrix G.  A
+group element is one normal form (m, w, t), a matrix of SL2(Z), an
+isometry and a translation; products reduce to it in exact integers, and
+it acts and factors part by part.  Square roots take the principal branch.  The eta multiplier of (a, b; c, d)
 in SL2(Z) is exactly e^{pi i e}: for c > 0, e = (a + d)/(12c) - s(d, c) - 1/4
 with s the Dedekind sum; for c = 0, e = b/12 (d = 1) or -b/12 - 1/2 (d = -1);
 for c < 0, e(M) = e(-M) + 1/2 (Rademacher-Grosswald, Dedekind Sums, Carus
@@ -16,7 +18,9 @@ Number Theory, ch. 3).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -275,44 +279,67 @@ class ModuliPoint:
                 raise ValueError(f"z coordinate {c} is not finite")
 
 
+@dataclass(frozen=True)
 class GroupElement:
-    """S (Mobius), T (lattice translation), W (isometry), or a word.
-
-    Words compose left-to-right as written and act right-to-left:
-    word([g, h]) acts as x -> g(h(x)).
-    """
-
-    def __init__(self, kind: str, data):
-        if kind not in ("S", "T", "W", "word"):
-            raise ValueError(f"unknown group element kind {kind!r}")
-        self.kind = kind
-        self.data = data
+    """An element of SL2(Z) x| (Lambda + Lambda) and the isometries in normal
+    form, x -> t(w(m(x))): m = (a, b, c, d) sends (tau, z) to
+    ((a tau + b)/(c tau + d), z/(c tau + d)), w is an integer matrix on z,
+    and t = (q1, q2) moves z by q1 + tau q2; a part it lacks is None.  S, T
+    and W build one part each, and g @ h = word([g, h]) acts as g(h(x))."""
+    m: Optional[Tuple[int, int, int, int]] = None
+    w: Optional[Tuple[Tuple[int, ...], ...]] = None
+    t: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     @staticmethod
     def S(a: int, b: int, c: int, d: int) -> "GroupElement":
         if a * d - b * c != 1:
             raise ValueError("S element must be unimodular")
-        return GroupElement("S", (a, b, c, d))
+        return GroupElement(m=(int(a), int(b), int(c), int(d)))
 
     @staticmethod
     def T(q1: Sequence[int], q2: Sequence[int]) -> "GroupElement":
-        return GroupElement("T", (tuple(int(x) for x in q1),
-                                  tuple(int(x) for x in q2)))
+        return GroupElement(t=(tuple(map(int, q1)), tuple(map(int, q2))))
 
     @staticmethod
     def W(matrix: Sequence[Sequence[int]]) -> "GroupElement":
         if any(len(row) != len(matrix) for row in matrix):
             raise ValueError(f"W must be a square matrix, got rows of "
                              f"lengths {[len(row) for row in matrix]}")
-        return GroupElement("W", tuple(tuple(int(x) for x in row)
-                                       for row in matrix))
+        return GroupElement(w=tuple(tuple(map(int, row)) for row in matrix))
 
     @staticmethod
     def word(elems: Sequence["GroupElement"]) -> "GroupElement":
-        return GroupElement("word", tuple(elems))
+        return functools.reduce(operator.matmul, elems, GroupElement())
 
-    def __repr__(self):
-        return f"GroupElement({self.kind}, {self.data})"
+    @property
+    def data(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The W part's rows, read by the requests benchmark workload as a
+        reflection_element's matrix."""
+        return self.w
+
+    def __matmul__(self, h: "GroupElement") -> "GroupElement":
+        """The semidirect-product law in exact integers: h's translation
+        (r1, r2) moves past m and w as w (a r1 - b r2, d r2 - c r1)."""
+        ranks = sorted({len(v) for k in (self, h)
+                        for v in (k.w,) + (k.t or ()) if v is not None})
+        if len(ranks) > 1:
+            raise ValueError(f"a word mixes parts of ranks {ranks}")
+        (a, b, c, d), (e, f, p, q) = (k.m or (1, 0, 0, 1) for k in (self, h))
+        m = (a * e + b * p, a * f + b * q, c * e + d * p, c * f + d * q)
+        w, t = self.w, self.t
+        if h.w is not None:
+            w = h.w if w is None else _dots(w, tuple(zip(*h.w)))
+        if h.t is not None:
+            r = _dots(((a, -b), (-c, d)), tuple(zip(*h.t)))
+            r = r if self.w is None else _dots(r, self.w)
+            t = r if t is None else tuple(tuple(map(operator.add, u, v))
+                                          for u, v in zip(t, r))
+        return GroupElement(m if self.m or h.m else None, w, t)
+
+
+def _dots(A, B) -> Tuple[Tuple[int, ...], ...]:
+    """The integer matrix A B^T: each row of A dotted with each row of B."""
+    return tuple(tuple(sum(map(operator.mul, a, b)) for b in B) for a in A)
 
 
 def reflection_element(L: IntegralLattice, root: Sequence[int]) -> GroupElement:
@@ -336,32 +363,27 @@ def _check_isometry(L: IntegralLattice, mat) -> np.ndarray:
 
 
 def act(g: GroupElement, x: ModuliPoint) -> ModuliPoint:
-    """The group action on (tau, z); words act right-to-left."""
-    if g.kind == "word":
-        for e in reversed(g.data):
-            x = act(e, x)
-        return x
+    """The group action on (tau, z): g's m, then its w, then its t, each
+    only where g has that part."""
     tau, z = x.tau, np.array(x.z, dtype=complex)
     # an image past the float range is refused by ModuliPoint, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        if g.kind == "S":
-            a, b, c, d = g.data
+        if g.m is not None:
+            a, b, c, d = g.m
             denom = c * tau + d
-            return ModuliPoint((a * tau + b) / denom, tuple(z / denom))
-        if g.kind == "T":
-            q1, q2 = g.data
-            if len(q1) != len(z) or len(q2) != len(z):
+            tau, z = (a * tau + b) / denom, z / denom
+        if g.w is not None:
+            if len(g.w) != len(z):
+                raise ValueError(f"a {len(g.w)}x{len(g.w)} W matrix acts on "
+                                 f"points of rank {len(g.w)}, got a point of "
+                                 f"rank {len(z)}")
+            z = np.array(g.w, dtype=np.int64) @ z
+        if g.t is not None:
+            if any(len(q) != len(z) for q in g.t):
                 raise ValueError("translation rank mismatch")
-            new_z = (z + np.array(q1, dtype=float)
-                     + tau * np.array(q2, dtype=float))
-            return ModuliPoint(tau, tuple(new_z))
-        # W
-        if len(g.data) != len(z):
-            raise ValueError(f"a {len(g.data)}x{len(g.data)} W matrix acts "
-                             f"on points of rank {len(g.data)}, got a point "
-                             f"of rank {len(z)}")
-        M = np.array(g.data, dtype=np.int64)
-        return ModuliPoint(tau, tuple(M @ z))
+            q1, q2 = (np.array(q, dtype=float) for q in g.t)
+            z = z + q1 + tau * q2
+    return ModuliPoint(tau, tuple(z))
 
 
 # ---------------------------------------------------------------------------
@@ -402,81 +424,58 @@ def _pair(L: IntegralLattice, u, v) -> complex:
 
 
 def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex:
-    """phi_g(x) for the family; words via phi_{gh}(x) = phi_g(hx) phi_h(x)."""
-    if g.kind == "word":
-        val = 1.0 + 0j
-        for e in reversed(g.data):
-            val = factor(family, e, x) * val
-            x = act(e, x)
-        return val
-    tau, z = x.tau, x.z
-    if family.name == "det_u1":
-        if len(z) != 1:
-            raise ValueError("det_u1 expects a single coordinate u")
-        u = z[0]
-        if g.kind == "T":
-            if any(len(q) != 1 for q in g.data):
+    """phi_g(x) = phi_t(w m x) (phi_w phi_m(x)) by the cocycle rule: each
+    part g has gives its generator's factor where it acts."""
+    det, L = family.name == "det_u1", family.lattice
+    if det and len(x.z) != 1:
+        raise ValueError("det_u1 expects a single coordinate u")
+    if not det and len(x.z) != L.rank:
+        raise ValueError(f"family {family.name} on lattice {L.name} needs a "
+                         f"point of rank {L.rank}, got rank {len(x.z)}")
+    cg, chi_pow = _LATTICE_FAMILIES.get(family.name, (0, 0))
+    vals = []
+    if g.m is not None:
+        (a, b, c, d), tau, z = g.m, x.tau, x.z
+        if det:
+            vals.append(eta_multiplier(g.m) ** 2 * cmath.exp(
+                PI_I * c * z[0] * z[0] / (c * tau + d)))
+        else:
+            val = cmath.exp(cg * PI_I * c * _pair(L, z, z) / (c * tau + d))
+            vals.append(val * eta_multiplier(g.m) ** chi_pow if chi_pow
+                        else val)
+    if g.w is not None:
+        # the isometries of the scalar model are u -> u and u -> -u;
+        # the det section is odd in u
+        if not det:
+            _check_isometry(L, g.w)
+        elif g.w not in (((1,),), ((-1,),)):
+            raise ValueError("W matrix does not preserve the Gram matrix")
+        vals.append(complex(g.w[0][0]) if det else 1.0 + 0j)
+    if g.t is not None:
+        if g.m is not None or g.w is not None:
+            x = act(GroupElement(m=g.m, w=g.w), x)
+        (q1, q2), tau, z = g.t, x.tau, x.z
+        if det:
+            if any(len(q) != 1 for q in g.t):
                 raise ValueError(f"family det_u1 has rank 1: T needs q1 and "
                                  f"q2 of length 1, got lengths "
-                                 f"{[len(q) for q in g.data]}")
-            (q1,), (q2,) = g.data
-            return ((-1) ** (q1 + q2)) * cmath.exp(
-                PI_I * (-2 * u * q2 - tau * q2 * q2))
-        if g.kind == "S":
-            a, b, c, d = g.data
-            return eta_multiplier(g.data) ** 2 * cmath.exp(
-                PI_I * c * u * u / (c * tau + d))
-        # W: the isometries of the scalar model are u -> u and u -> -u;
-        # the det section is odd in u
-        if g.data not in (((1,),), ((-1,),)):
-            raise ValueError("W matrix does not preserve the Gram matrix")
-        return complex(g.data[0][0])
-    L = family.lattice
-    if len(z) != L.rank:
-        raise ValueError(f"family {family.name} on lattice {L.name} needs a "
-                         f"point of rank {L.rank}, got rank {len(z)}")
-    cg, chi_pow = _LATTICE_FAMILIES[family.name]
-    if g.kind == "T":
-        q1, q2 = g.data
-        if len(q1) != L.rank or len(q2) != L.rank:
+                                 f"{[len(q) for q in g.t]}")
+            (q1,), (q2,) = g.t
+            vals.append(((-1) ** (q1 + q2)) * cmath.exp(
+                PI_I * (-2 * z[0] * q2 - tau * q2 * q2)))
+        elif len(q1) != L.rank or len(q2) != L.rank:
             raise ValueError("family/lattice rank mismatch")
-        return cmath.exp(cg * PI_I * (-2 * _pair(L, z, q2)
-                                      - tau * _pair(L, q2, q2)))
-    if g.kind == "S":
-        a, b, c, d = g.data
-        val = cmath.exp(cg * PI_I * c * _pair(L, z, z) / (c * tau + d))
-        if chi_pow:
-            val *= eta_multiplier(g.data) ** chi_pow
-        return val
-    # W
-    _check_isometry(L, g.data)
-    return 1.0 + 0j
-
-
-def _compose_generators(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Closed-form product of two like generators, else raises."""
-    if g.kind == "S" and h.kind == "S":
-        a, b, c, d = g.data
-        e, f, p, q = h.data
-        return GroupElement.S(a * e + b * p, a * f + b * q,
-                              c * e + d * p, c * f + d * q)
-    if g.kind == "T" and h.kind == "T":
-        q1, q2 = g.data
-        r1, r2 = h.data
-        return GroupElement.T([a + b for a, b in zip(q1, r1)],
-                              [a + b for a, b in zip(q2, r2)])
-    if g.kind == "W" and h.kind == "W":
-        M = np.array(g.data, dtype=np.int64) @ np.array(h.data, dtype=np.int64)
-        return GroupElement.W(M.tolist())
-    raise ValueError("no closed-form composite for these kinds")
+        else:
+            vals.append(cmath.exp(cg * PI_I * (-2 * _pair(L, z, q2)
+                                               - tau * _pair(L, q2, q2))))
+    return functools.reduce(lambda u, v: v * u, vals) if vals else 1.0 + 0j
 
 
 def cocycle_defect(family: AutomorphyFamily, g: GroupElement,
                    h: GroupElement, x: ModuliPoint) -> float:
-    """Relative size of phi_{gh}(x) - phi_g(h x) phi_h(x) for generators
-    with a closed-form composite (the factors themselves can be huge)."""
-    gh = _compose_generators(g, h)
-    lhs = factor(family, gh, x)
+    """Relative size of phi_{gh}(x) - phi_g(h x) phi_h(x) for any two
+    elements (the factors themselves can be huge)."""
+    lhs = factor(family, g @ h, x)
     rhs = factor(family, g, act(h, x)) * factor(family, h, x)
     return abs(lhs - rhs) / max(abs(lhs), 1.0)
 

@@ -362,19 +362,22 @@ def suite_modular(trials: int, seed: int) -> List[Check]:
               abs(eta(-1 / t) / (cmath.sqrt(-1j * t) * eta(t)) - 1))
     # the exact eta multiplier against one measured from eta, on random
     # words, then on [[1, 0], [c, 1]] for c = 3..15, whose Dedekind sums are
-    # not zero.  tau0 = 1.3i, or -d/c + 1.3i/|c| so that c tau0 + d = +-1.3i:
-    # Im tau0 and Im m(tau0) stay above 0.051 for |c| <= 15
+    # not zero, and on two matrices with d != +-1 (mod c), whose sums take
+    # more than one reciprocity step.  tau0 = 1.3i, or -d/c + 1.3i/|c| so
+    # that c tau0 + d = +-1.3i: Im tau0 and Im m(tau0) stay above 0.051 for
+    # |c| <= 15
     words = []
     for _ in range(max(trials, 20)):
-        m = np.eye(2, dtype=np.int64)
+        gens = []
         for _ in range(int(rng.integers(1, 5))):
             if rng.random() < 0.5:
-                g = np.array([[1, int(rng.integers(-2, 3))], [0, 1]])
+                gens.append(GroupElement.S(1, int(rng.integers(-2, 3)), 0, 1))
             else:
-                g = np.array([[0, -1], [1, 0]])
-            m = m @ g
-        words.append(tuple(int(x) for x in m.flat))
-    for a, b, c, d in words + [(1, 0, c, 1) for c in range(3, 16)]:
+                gens.append(GroupElement.S(0, -1, 1, 0))
+        words.append(GroupElement.word(gens).m)
+    words += [(1, 0, c, 1) for c in range(3, 16)]
+    words += [(2, -1, 7, -3), (3, 1, 11, 4)]
+    for a, b, c, d in words:
         tau0 = 1.3j if c == 0 else -d / c + 1.3j / abs(c)
         chi = eta((a * tau0 + b) / (c * tau0 + d)) / (
             cmath.sqrt(c * tau0 + d) * eta(tau0))

@@ -80,7 +80,7 @@ def test_reflection_preserves_norm(e8):
     for _ in range(20):
         r = rs[int(rng.integers(len(rs)))]
         v = tuple(int(x) for x in rng.integers(-3, 4, size=8))
-        M = np.array(reflection_element(e8, r).data)
+        M = np.array(reflection_element(e8, r).w)
         w = tuple(M @ v)
         assert e8.norm(w) == e8.norm(v)
         assert tuple(M @ w) == v

@@ -265,7 +265,7 @@ def test_theta_weyl_invariance(e8):
     rng = np.random.default_rng(2)
     z = rng.random(8) * 0.3 + 0.2j * rng.random(8)
     w = reflection_element(e8, roots(e8)[7])
-    M = np.array(w.data)
+    M = np.array(w.w)
     assert abs(theta_lattice(e8, 1.3j, list(z))
                - theta_lattice(e8, 1.3j, list(M @ z))) < 1e-10
 
@@ -419,13 +419,14 @@ def test_cocycle_defect_of_two_weyl_reflections_is_zero(e8e8):
     assert cocycle_defect(fam, g, h, x) == 0.0
 
 
-def test_cocycle_defect_of_unlike_kinds_is_refused(e8e8):
+def test_cocycle_defect_of_an_S_and_a_T(e8e8):
+    # S after T and T after S: the translation moves past the Mobius map
     fam = AutomorphyFamily("char", e8e8)
-    x = ModuliPoint(1.1j, (0j,) * 16)
-    with pytest.raises(ValueError,
-                       match="no closed-form composite for these kinds"):
-        cocycle_defect(fam, GroupElement.S(0, -1, 1, 0),
-                       GroupElement.T([0] * 16, [0] * 16), x)
+    rts = roots(e8e8)
+    x = ModuliPoint(0.1 + 1.1j, tuple([0.1 + 0.05j] * 16))
+    s, t = GroupElement.S(0, -1, 1, 0), GroupElement.T(rts[3], rts[90])
+    assert cocycle_defect(fam, s, t, x) < 1e-12
+    assert cocycle_defect(fam, t, s, x) < 1e-12
 
 
 def test_word_factor_follows_cocycle_rule(e8e8):
@@ -437,20 +438,38 @@ def test_word_factor_follows_cocycle_rule(e8e8):
     word = GroupElement.word([g, h])
     lhs = factor(fam, word, x)
     rhs = factor(fam, g, act(h, x)) * factor(fam, h, x)
-    assert abs(lhs - rhs) < 1e-12
+    # |lhs| is about 6e9: compared on cocycle_defect's relative scale
+    assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-12
 
 
-def _nested_factor(family, g, x):
-    """The factor of a word as a recursion on its head and its tail,
-    phi_{gh}(x) = phi_g(hx) phi_h(x): the reference that factor's single
-    loop over a word must equal exactly."""
-    if g.kind != "word":
-        return factor(family, g, x)
-    if not g.data:
+def _nested_act(word, x):
+    """A word given as a nested list of generators, acting one generator
+    at a time from the right."""
+    if not isinstance(word, list):
+        return act(word, x)
+    for e in reversed(word):
+        x = _nested_act(e, x)
+    return x
+
+
+def _nested_factor(family, word, x):
+    """The factor of a nested list of generators as a recursion on its head
+    and its tail, phi_{gh}(x) = phi_g(hx) phi_h(x), each generator's factor
+    taken alone: the reference for a word's factor from its normal form."""
+    if not isinstance(word, list):
+        return factor(family, word, x)
+    if not word:
         return 1.0 + 0j
-    head, rest = g.data[0], GroupElement.word(g.data[1:])
-    return (_nested_factor(family, head, act(rest, x))
+    head, rest = word[0], word[1:]
+    return (_nested_factor(family, head, _nested_act(rest, x))
             * _nested_factor(family, rest, x))
+
+
+def _element(word):
+    """The GroupElement of a nested list of generators."""
+    if not isinstance(word, list):
+        return word
+    return GroupElement.word([_element(e) for e in word])
 
 
 @pytest.mark.parametrize("name", ["char", "ad", "det_u1"])
@@ -471,16 +490,91 @@ def test_word_factor_equals_the_nested_recursion(e8, name):
             gens += [GroupElement.T(rts[3], [0] * 8),
                      GroupElement.T(rts[40], rts[7])]
         z = tuple(0.1 * (rng.random(8) - 0.5) + 0.05j * (rng.random(8) - 0.5))
-    pool = gens + [GroupElement.word([]), GroupElement.word(gens[:2]),
-                   GroupElement.word([gens[-1], GroupElement.word(gens[1:])])]
+    pool = gens + [[], gens[:2], [gens[-1], gens[1:]]]
     x = ModuliPoint(0.1 + 1.1j, z)
     for n in range(6):
         for _ in range(8):
-            g = GroupElement.word([pool[i]
-                                   for i in rng.integers(len(pool), size=n)])
-            want = _nested_factor(fam, g, x)
+            word = [pool[i] for i in rng.integers(len(pool), size=n)]
+            want = _nested_factor(fam, word, x)
             assert cmath.isfinite(want)
-            assert factor(fam, g, x) == want
+            got = factor(fam, _element(word), x)
+            assert abs(got - want) / max(abs(want), 1.0) < 1e-11
+
+
+def _random_word(rng, gens, n):
+    return [gens[i] for i in rng.integers(len(gens), size=n)]
+
+
+def _mixed_generators(L):
+    """S, T and W generators of every shape over L (None: the scalar
+    model)."""
+    gens = [GroupElement.S(1, 1, 0, 1), GroupElement.S(1, -1, 0, 1),
+            GroupElement.S(0, -1, 1, 0)]
+    if L is None:
+        return gens + [GroupElement.T([1], [0]), GroupElement.T([0], [-1]),
+                       GroupElement.W([[-1]])]
+    rts = roots(L)
+    return gens + [GroupElement.T(rts[3], [0] * L.rank),
+                   GroupElement.T([0] * L.rank, rts[40]),
+                   GroupElement.T(rts[7], rts[100]),
+                   reflection_element(L, rts[100]),
+                   reflection_element(L, rts[55])]
+
+
+def test_the_product_is_associative_and_word_of_nothing_is_the_identity(e8):
+    rng = np.random.default_rng(41)
+    gens = _mixed_generators(e8)
+    one = GroupElement.word([])
+    assert one == GroupElement()
+    x = ModuliPoint(0.1 + 1.1j, tuple([0.1 + 0.05j] * 8))
+    assert act(one, x) == x
+    for _ in range(30):
+        g, h, k = (GroupElement.word(_random_word(rng, gens,
+                                                  int(rng.integers(0, 4))))
+                   for _ in range(3))
+        assert (g @ h) @ k == g @ (h @ k)
+        assert g @ one == g == one @ g
+        assert GroupElement.word([g, h, k]) == g @ h @ k
+
+
+def test_the_product_acts_as_one_element_after_the_other(e8):
+    rng = np.random.default_rng(42)
+    gens = _mixed_generators(e8)
+    z = tuple(0.1 * (rng.random(8) - 0.5) + 0.05j * (rng.random(8) - 0.5))
+    x = ModuliPoint(0.1 + 1.1j, z)
+    for _ in range(30):
+        g, h = (GroupElement.word(_random_word(rng, gens,
+                                               int(rng.integers(0, 4))))
+                for _ in range(2))
+        y1, y2 = act(g @ h, x), act(g, act(h, x))
+        assert abs(y1.tau - y2.tau) < 1e-12
+        assert max(abs(a - b) for a, b in zip(y1.z, y2.z)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["char", "ad", "rho", "det_u1"])
+def test_cocycle_defect_of_random_mixed_words(e8, name):
+    rng = np.random.default_rng(43)
+    L = None if name == "det_u1" else e8
+    gens = _mixed_generators(L)
+    # ad's exponent is 30 times char's: a word with a few translations
+    # has a factor past the float range, generator by generator too, so an
+    # ad word holds one translation among its S and W generators
+    translations = [g for g in gens if g.t is not None and name == "ad"]
+    gens = [g for g in gens if g not in translations]
+    fam = AutomorphyFamily(name, L)
+    rank = 1 if L is None else L.rank
+    z = tuple(0.1 * (rng.random(rank) - 0.5)
+              + 0.05j * (rng.random(rank) - 0.5))
+    x = ModuliPoint(0.1 + 1.1j, z)
+    for _ in range(40):
+        n = int(rng.integers(0, 7))
+        word = _random_word(rng, gens, n - 1 if translations and n else n)
+        if translations and n:
+            word.insert(int(rng.integers(0, n)),
+                        translations[int(rng.integers(len(translations)))])
+        k = int(rng.integers(0, len(word) + 1))
+        g, h = GroupElement.word(word[:k]), GroupElement.word(word[k:])
+        assert cocycle_defect(fam, g, h, x) < 1e-11
 
 
 def test_act_group_law(e8e8):
@@ -558,9 +652,7 @@ def test_float_gram_and_basis_are_converted_once(e8e8, monkeypatch):
     assert calls == []
 
 
-def test_a_group_element_of_an_unknown_kind_is_refused_when_built():
-    with pytest.raises(ValueError, match="unknown group element kind 'X'"):
-        GroupElement("X", ())
+def test_every_constructor_builds_an_element_that_acts():
     x = ModuliPoint(0.1 + 1.3j, (0.2j,))
     for g in (GroupElement.S(0, -1, 1, 0), GroupElement.T([1], [0]),
               GroupElement.W([[-1]]), GroupElement.word([])):

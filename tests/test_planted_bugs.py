@@ -50,13 +50,18 @@ BUGS = [
      "holonomy(omega, dec, rho) % (2 * math.pi)",
      "holonomy(omega, dec, rho) % math.pi",
      "crossmodule", ("flat_class_value",)),
-    # chi_24th_root reads the Dedekind sum only through its fixed
-    # [[1, 0], [c, 1]] matrices, c = 3..15: every suite word has s(d, c) = 0
+    # chi_24th_root reads the Dedekind sum only through its fixed matrices:
+    # every suite word has s(d, c) = 0
     ("Q-eta-multiplier-without-quarter", "modform.py",
      "_dedekind_sum(d, c) - Fraction(1, 4)", "_dedekind_sum(d, c)",
      "modular", ("chi_24th_root",)),
     ("R-dedekind-sum-sign", "modform.py", "_dedekind_sum(d, c)",
      "_dedekind_sum(-d, c)", "modular", ("chi_24th_root",)),
+    # [[1, 0], [c, 1]] takes one reciprocity step; (2, -1, 7, -3) and
+    # (3, 1, 11, 4) take more
+    ("S-dedekind-reciprocity-sign", "modform.py",
+     "h, k, sign = k % h, h, -sign", "h, k, sign = k % h, h, sign",
+     "modular", ("chi_24th_root",)),
 ]
 
 

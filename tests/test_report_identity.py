@@ -30,7 +30,10 @@ from gerbekit.suites import random_alternating_cochain, random_cocycle
 # sums its cells' integrals before the coefficient multiplies them.  The
 # modular digests moved when chi_24th_root began comparing the exact eta
 # multiplier with one measured from eta, and transform_defect began scaling
-# by the larger of the two values it compares.
+# by the larger of the two values it compares; and again when
+# chi_24th_root added two matrices whose Dedekind sums take more than one
+# reciprocity step (its worst defect at seeds 0 and 1 went from 1.123e-13
+# to 1.240e-13).
 PINNED = [
     ("cochain", 3, 0, "ff7b8956a829027c2a2eb69db711e776169ec6d55285830e5b69026ef1d12aed"),
     ("chernsimons", 6, 0, "739dfa06f9f8ee3eb403854802abe1baea129b0d5bcbd155dfc817037da528b5"),
@@ -43,9 +46,9 @@ PINNED = [
     ("crossmodule", 3, 1, "8da05b525b81663ede8f5b3c4526c65b6db070b66276e2ea8c426bfac287e639"),
     ("pushforward", 1, 1, "4c9ee8ead33b5028cc624475c39cebca0e9ccf1c789ae003e23bde4252cd2946"),
     ("lattice", 1, 0, "b9323ca76ead1cace9bbd87219d3dad9c603807c35a740af81ca70cc3d159526"),
-    ("modular", 20, 0, "fcf106dfd3ca1c68e9d1660bda44ea9e1d0a7868f5be8e75c1993956fe21d9c6"),
+    ("modular", 20, 0, "7f9aeee19879488c0ba3edbac8e93f00082fc55f61ae00e7aaec686b70e15cfd"),
     ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
-    ("modular", 20, 1, "2e745a299ba42dbb767ae0e3112a71f6321448bac66a78dc20498237a279b3e9"),
+    ("modular", 20, 1, "5e8557dfffa73bbb5ff6d002176b9ebccb61662ea270745ecc5e5cb06a90ea41"),
     # the complex benchmark workload's chernsimons shape: 20 trials
     ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
     # ... and its cochain and crossmodule shapes: 6 and 4 trials
@@ -162,7 +165,10 @@ def test_cli_output_is_the_same_from_cold_and_warm_cells(
 # `--z` file is written into a fresh working directory as `z.json`.  The
 # factor-{ad,rho,det_u1}-{S,word} digests moved in their last digits when
 # the eta multiplier became exact: the measured one carried up to about
-# 5e-13 of error into every factor that takes a power of it.
+# 5e-13 of error into every factor that takes a power of it.  The
+# factor-*-word and act-word digests moved in their last digits when a word
+# began to act and factor from its normal form (m, w, t), not generator by
+# generator.
 def _z(rank):
     return [[0.01 * (j + 1), 0.02 * (j % 3) - 0.015] for j in range(rank)]
 
@@ -253,7 +259,7 @@ MODULAR_PINNED = {
     "factor-char-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-char-word":
-        "1fbcbf1bbb3a5a502f68e65eebb33b6e707472f79b180e8090158d4deb847d19",
+        "046e0ec1460c484fa72143b8db7680d269ed670f6a938affa95a3e47b11e7750",
     "factor-ad-S":
         "a1a95a24503d6b9575ad012b5e2e059f8bae85a5bc1336341f40886a23c68131",
     "factor-ad-T":
@@ -261,7 +267,7 @@ MODULAR_PINNED = {
     "factor-ad-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-ad-word":
-        "9b7b37763211d999f1d32ccd2e4c0cec6749c66534e72ff72996c1b437a27d17",
+        "c80b35420d78c154230e82b775d37f1ab7964bc40ca6b79812c5f31bc3529d46",
     "factor-rho-S":
         "f15e493588decdb6c9223c0818d438b4478e2142fd9e15296f1b633e355255bb",
     "factor-rho-T":
@@ -269,7 +275,7 @@ MODULAR_PINNED = {
     "factor-rho-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-rho-word":
-        "e6e8ef7c1a886eee9b059f9323fe2fd21113768e788e1aac0fed38ffc674d560",
+        "55bba9a65ad6cbded2da755538446ac5e3c811d43655dd11a1f0affbc1ad2f0a",
     "factor-anomaly_ad-S":
         "c4ccff2cdd639c5ba940b04746ce1a9a44db694b32d7e82c3b63a85783feeebb",
     "factor-anomaly_ad-T":
@@ -277,7 +283,7 @@ MODULAR_PINNED = {
     "factor-anomaly_ad-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-anomaly_ad-word":
-        "3c6ebc86987e3b24e951b683eb336bdb77a1555ebf3d90d5865df425616028fb",
+        "605d3f666b96d3783bccb20e3cd873d82ecbdcfcabdb52fb7909679acb8084e4",
     "factor-anomaly_rho-S":
         "a5f78478be6355bbbcdfad3d997f75038d621d8d15ddbf5806b4127100ada752",
     "factor-anomaly_rho-T":
@@ -285,7 +291,7 @@ MODULAR_PINNED = {
     "factor-anomaly_rho-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-anomaly_rho-word":
-        "6bee5ac4172e20a5985e1533739842e50a0b7625630eb819cdd98a1c1b0ffa49",
+        "aa8973d058d0eb1b595133c1d05e280ba7314c58c52f60b5de7083131b94fe32",
     "factor-det_u1-S":
         "a55ebf5022f67226a22f12e5972d9d547cc3d6fdfa4574c23979a20340405e63",
     "factor-det_u1-T":
@@ -293,7 +299,7 @@ MODULAR_PINNED = {
     "factor-det_u1-W":
         "e1c2e0d281d53d2177781407378616dc6db2c9a194576967e7899b409587633d",
     "factor-det_u1-word":
-        "39b8360a91b191a5711fcfa6ec7f65f72b96765ecb100ff87caf94f683e25048",
+        "decf004ab9a21d508f5945ba1ca43744c9ad9e2ef2ec4ec9a8d265f22e059460",
     "act-S":
         "60675ba49bd7c44a8af892383a0e4c4461aed583f4f635baaed16f26c3d646b1",
     "act-T":
@@ -301,7 +307,7 @@ MODULAR_PINNED = {
     "act-W":
         "e8f404529a2df754c22d6b7a4037b840ef3cd200a9b0a67ffbb56272e9a7b712",
     "act-word":
-        "935878909a743a3dd670615806aa5056c13e09dd494593918f35990ebee1f4ce",
+        "025002afe6bdb389aa68a75747a1c7acb846692b75e0baceb9489098d9cf6b75",
     "lattice-e8":
         "183c49cb18aa6b8e5d53c3ce24d4b6b1c8302c2be6611d5cd95d6c63cdc75c7c",
     "lattice-e8e8":

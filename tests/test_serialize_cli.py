@@ -175,7 +175,7 @@ def test_cli_factor_weyl_is_one(capsys):
     from gerbekit.lattice import builtin, roots
     from gerbekit.modform import reflection_element
     w = reflection_element(builtin("e8e8"), roots(builtin("e8e8"))[0])
-    elem = json.dumps({"W": [list(map(int, row)) for row in w.data]})
+    elem = json.dumps({"W": [list(map(int, row)) for row in w.w]})
     point = json.dumps({"tau": [0, 2], "z": [[0.0, 0.0]] * 16})
     rc = cli.main(["factor", "--family", "char", "--lattice", "e8e8",
                    "--element", elem, "--point", point])
@@ -240,8 +240,8 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 # each suite's wall time blanked: the check and summary lines are pinned,
 # and the wall time appears only there
 VERIFY_ALL_SEED_0 = {
-    "stdout": "a43e40c400c6554bdbc1961beeb4239af69b29e1eb2c58ba9a051df16eddf1da",
-    "stderr": "14e6f0c050205c40a2df3877a44dae120167f5463c5ddae4a5bb3ef568c31c26"}
+    "stdout": "0121821c488ed7a3155c5d1bd27b914ca724424983bee61b3e16f7cb367f0307",
+    "stderr": "8f5e767d981c36e14b8dea2311d39811ee2851bd7d97d5b38f3f62b126489632"}
 
 
 def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):
@@ -1135,3 +1135,13 @@ def test_cli_act_refuses_a_W_of_the_wrong_shape(capsys, element, point,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_cli_act_refuses_a_word_whose_parts_have_two_ranks(capsys):
+    word = [{"T": [[0] * 8, [1] + [0] * 7]}, {"T": [[0] * 16, [0] * 16]}]
+    point = json.dumps({"tau": [0, 2], "z": [[0.1, 0.0]] * 8})
+    assert cli.main(["act", "--element", json.dumps(word),
+                     "--point", point]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a word mixes parts of ranks [8, 16]\n"
