@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import BLOCK_ROWS, IntegralLattice, _sorted_shells, builtin
+from .lattice import IntegralLattice, _half_walk, _read_back, builtin
 
 TAU_MIN = 0.05
 EXTRA_MULTIPLIER_TOL = 1e-8  # spread of the measured extra multiplier
@@ -214,7 +214,14 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
     and, unless max_norm is given, sums the shells up to the norm past which
     the Gaussian decay of e^{-pi Im(tau) (g,g)} leaves a tail below tol.  A
     cutoff whose ellipsoid holds more than lattice.ENUM_BUDGET vectors
-    raises ValueError before any is enumerated.
+    raises ValueError before any is enumerated; a negative one sums nothing.
+
+    The sum runs over lattice._half_walk's leaves v, block by block: the
+    zero vector gives 1, and each leaf of norm N gives e^{pi i (tau N + 2p)}
+    for itself and e^{pi i (tau N - 2p)} for its mirror -v, with p = v . (G z)
+    from one real matrix product per block.  Each term is one exponential of
+    its own exponent, so none is evaluated apart from its Gaussian decay,
+    and each block's terms are added pairwise (np.sum).
     """
     G = L.gram_float
     zv = np.array(z, dtype=complex)
@@ -228,20 +235,18 @@ def _theta_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
             (2 * math.pi * znorm) ** 2 + 4 * math.pi * y * (math.log(1 / tol) + 5))) / (
             2 * math.pi * y)
         max_norm = int(math.ceil(s * s)) + 2
-    norms, X = _sorted_shells(L, max_norm)
-    total = 0j
-    for start in range(0, len(X), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        Gg = (X[block] @ G).astype(complex)
-        # a stack of (1 x n) @ (n x 1) products runs numpy's vector dot per
-        # row, bit for bit zv @ (G @ g); a matrix-vector product sums the
-        # n products in another order and moves the last digits
-        pair = np.matmul(zv, Gg[:, :, None])[:, 0]
-        terms = np.exp(PI_I * (2 * pair + tau * norms[block]))
-        # cumsum adds strictly left to right (np.sum would add pairwise), so
-        # the terms are summed in shell order one at a time
-        total = np.cumsum(np.concatenate(([total], terms)))[-1]
-    return complex(total), len(X)
+    if max_norm < 0:
+        return 0j, 0
+    # G z as (re, im) columns: a float row v times them is p's two parts
+    Gz = (G @ zv).view(np.float64).reshape(L.rank, 2)
+    total, count = 1 + 0j, 1
+    for norms, rows, links in _half_walk(L, max_norm):
+        p = (_read_back(rows, links, np.float64) @ Gz).view(complex)[:, 0]
+        decay = tau * norms
+        total += (np.sum(np.exp(PI_I * (decay + 2 * p)))
+                  + np.sum(np.exp(PI_I * (decay - 2 * p))))
+        count += 2 * len(rows)
+    return complex(total), count
 
 
 def theta_lattice_enum(L: IntegralLattice, tau: complex, z: Sequence[complex],
@@ -433,16 +438,17 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
         raise ValueError(f"family {family.name} on lattice {L.name} needs a "
                          f"point of rank {L.rank}, got rank {len(x.z)}")
     cg, chi_pow = _LATTICE_FAMILIES.get(family.name, (0, 0))
-    vals = []
+    vals = {}
     if g.m is not None:
         (a, b, c, d), tau, z = g.m, x.tau, x.z
         if det:
-            vals.append(eta_multiplier(g.m) ** 2 * cmath.exp(
-                PI_I * c * z[0] * z[0] / (c * tau + d)))
+            vals["S"] = eta_multiplier(g.m) ** 2 * _part_exp(
+                family, "S", PI_I * c * z[0] * z[0] / (c * tau + d))
         else:
-            val = cmath.exp(cg * PI_I * c * _pair(L, z, z) / (c * tau + d))
-            vals.append(val * eta_multiplier(g.m) ** chi_pow if chi_pow
-                        else val)
+            val = _part_exp(family, "S",
+                            cg * PI_I * c * _pair(L, z, z) / (c * tau + d))
+            vals["S"] = (val * eta_multiplier(g.m) ** chi_pow if chi_pow
+                         else val)
     if g.w is not None:
         # the isometries of the scalar model are u -> u and u -> -u;
         # the det section is odd in u
@@ -450,7 +456,7 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
             _check_isometry(L, g.w)
         elif g.w not in (((1,),), ((-1,),)):
             raise ValueError("W matrix does not preserve the Gram matrix")
-        vals.append(complex(g.w[0][0]) if det else 1.0 + 0j)
+        vals["W"] = complex(g.w[0][0]) if det else 1.0 + 0j
     if g.t is not None:
         if g.m is not None or g.w is not None:
             x = act(GroupElement(m=g.m, w=g.w), x)
@@ -461,14 +467,31 @@ def factor(family: AutomorphyFamily, g: GroupElement, x: ModuliPoint) -> complex
                                  f"q2 of length 1, got lengths "
                                  f"{[len(q) for q in g.t]}")
             (q1,), (q2,) = g.t
-            vals.append(((-1) ** (q1 + q2)) * cmath.exp(
-                PI_I * (-2 * z[0] * q2 - tau * q2 * q2)))
+            vals["T"] = ((-1) ** (q1 + q2)) * _part_exp(
+                family, "T", PI_I * (-2 * z[0] * q2 - tau * q2 * q2))
         elif len(q1) != L.rank or len(q2) != L.rank:
             raise ValueError("family/lattice rank mismatch")
         else:
-            vals.append(cmath.exp(cg * PI_I * (-2 * _pair(L, z, q2)
-                                               - tau * _pair(L, q2, q2))))
-    return functools.reduce(lambda u, v: v * u, vals) if vals else 1.0 + 0j
+            vals["T"] = _part_exp(family, "T", cg * PI_I * (
+                -2 * _pair(L, z, q2) - tau * _pair(L, q2, q2)))
+    val = (functools.reduce(lambda u, v: v * u, vals.values()) if vals
+           else 1.0 + 0j)
+    if not cmath.isfinite(val):
+        raise OverflowError(f"family {family.name}: the product of the "
+                            f"{' and '.join(vals)} parts' factors is past "
+                            "the float range")
+    return val
+
+
+def _part_exp(family: AutomorphyFamily, part: str, w: complex) -> complex:
+    """e^w for the factor of a group element's part (S, W or T), refused
+    with the family and the part named when it is past the float range."""
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise OverflowError(
+            f"family {family.name}: the {part} part's factor e^w, with "
+            f"Re w = {w.real:.6g}, is past the float range") from None
 
 
 def cocycle_defect(family: AutomorphyFamily, g: GroupElement,

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from gerbekit import cli
-from gerbekit.lattice import (IntegralLattice, builtin, enumerate_by_norm,
-                              roots)
+from gerbekit.lattice import (IntegralLattice, _half_walk, builtin,
+                              enumerate_by_norm, roots, theta_counts)
 from gerbekit.modform import (PI_I, AutomorphyFamily, GroupElement,
-                              ModuliPoint, _dedekind_sum, _theta_with_terms,
+                              ModuliPoint, _dedekind_sum, _theta_enum,
+                              _theta_with_terms,
                               act, character,
                               cocycle_defect, det_section, eta,
                               eta_multiplier, factor,
@@ -280,25 +281,73 @@ def test_theta_d16_against_enumeration():
 
 
 def theta_enum_term_by_term(L, tau, z, max_norm):
-    """The enumeration sum one vector at a time, in shell order."""
+    """The enumeration sum one vector at a time, in shell order, totalled
+    exactly by math.fsum over the real and the imaginary parts; also, per
+    term, |t| (4 |w| + 8 pi n a + 4) with w its exponent and
+    a = |z|^T |G| |g|, the term's share of the roundoff bound below."""
     G = np.array([[float(Fraction(int(x), L.gram_den)) for x in row]
                   for row in L.gram])
     zv = np.array(z, dtype=complex)
     zv = zv - np.round(zv.real)
-    total = 0j
+    terms, weights = [], []
     for nrm, vecs in enumerate_by_norm(L, max_norm).items():
         for g in vecs:
-            pair = complex(zv @ (G @ np.array(g, dtype=float)))
-            total += cmath.exp(PI_I * (2 * pair + tau * nrm))
-    return total
+            g = np.array(g, dtype=float)
+            w = PI_I * (2 * complex(zv @ (G @ g)) + tau * nrm)
+            terms.append(cmath.exp(w))
+            a = float(np.abs(zv) @ np.abs(G) @ np.abs(g))
+            weights.append(abs(terms[-1])
+                           * (4 * abs(w) + 8 * math.pi * L.rank * a + 4))
+    total = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms))
+    return total, math.fsum(abs(t) for t in terms), math.fsum(weights)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_theta_enum_is_bit_identical_to_the_term_by_term_sum(e8, seed):
-    # real z, as in the modular suite's theta_vs_enumeration check
+def test_theta_enum_matches_the_term_by_term_fsum(e8, seed):
+    # real z, as in the modular suite's theta_vs_enumeration check.  The
+    # bound, to first order in the unit roundoff u = 2^-53:
+    # - each side computes p = (g, z) as an n-term dot product, in its own
+    #   order, within 2 n u a of the exact value, so the two p differ by
+    #   at most 4 n u a and the terms by |t| 8 pi n u a;
+    # - forming the exponent w and taking exp each rounds a few times:
+    #   |t| u (4 |w| + 4);
+    # - np.sum adds a block of b terms pairwise down to runs of 128, which
+    #   it adds in interleaved partial sums, so a term passes through at
+    #   most ceil(log2 b) + 18 additions; the two mirror halves of a block,
+    #   the blocks and the zero vector add k + 2 more, for k blocks;
+    # - math.fsum rounds the reference once.
     z = list(0.3 * np.random.default_rng(seed).random(8))
-    assert (theta_lattice_enum(e8, 1.5j, z, max_norm=8)
-            == theta_enum_term_by_term(e8, 1.5j, z, 8))
+    want, abs_sum, weight = theta_enum_term_by_term(e8, 1.5j, z, 8)
+    blocks = [len(rows) for _, rows, _ in _half_walk(e8, 8)]
+    adds = math.ceil(math.log2(max(blocks))) + 18 + len(blocks) + 2
+    bound = 2.0 ** -53 * (weight + (adds + 1) * abs_sum)
+    assert bound <= 1e-14
+    assert abs(theta_lattice_enum(e8, 1.5j, z, max_norm=8) - want) <= bound
+
+
+@pytest.mark.parametrize("tau", [1.2j, 0.1 + 1.2j])
+@pytest.mark.parametrize("name,max_norm", [("e8", 14), ("d16plus", 4),
+                                           ("spin16_coroot", 11)])
+def test_theta_enum_at_zero_is_the_sum_over_shells(name, max_norm, tau):
+    # at z = 0 every vector of norm N gives e^{pi i tau N}: the shells'
+    # counts times those, added exactly, are the sum to roundoff
+    L = builtin(name)
+    counts = theta_counts(L, max_norm)
+    terms = [c * cmath.exp(PI_I * tau * N) for N, c in counts.items()]
+    want = complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
+    got, count = _theta_enum(L, tau, [0] * L.rank, max_norm=max_norm)
+    assert abs(got - want) <= 1e-14
+    assert count == sum(counts.values())
+    if name == "spin16_coroot":
+        # norm 11 is the cutoff `gerbekit theta` takes here (tol 1e-12)
+        assert _theta_enum(L, tau, [0] * L.rank) == (got, count)
+        assert count == 550129
+
+
+def test_theta_enum_below_norm_zero_sums_nothing(e8):
+    assert _theta_enum(e8, 1.5j, [0.1] * 8, max_norm=-1) == (0j, 0)
 
 
 def test_theta_fast_path_needs_the_builtin_gram():

@@ -240,8 +240,8 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 # each suite's wall time blanked: the check and summary lines are pinned,
 # and the wall time appears only there
 VERIFY_ALL_SEED_0 = {
-    "stdout": "0121821c488ed7a3155c5d1bd27b914ca724424983bee61b3e16f7cb367f0307",
-    "stderr": "8f5e767d981c36e14b8dea2311d39811ee2851bd7d97d5b38f3f62b126489632"}
+    "stdout": "e710d3a92450c8492338cf0b360886b205636676cfc601cf17cca1f75e26807b",
+    "stderr": "bc9de141d0e3bfd6a5649954e62d529338d5cdeaf320d3f04f5bbc3a7f428607"}
 
 
 def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):
@@ -1145,3 +1145,25 @@ def test_cli_act_refuses_a_word_whose_parts_have_two_ranks(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: a word mixes parts of ranks [8, 16]\n"
+
+
+@pytest.mark.parametrize("q1,z,message", [
+    ([6, -3, -6, -10, -11, -14, -7, -10], [0.05, 0.02],
+     "family ad: the T part's factor e^w, with Re w = 1206.06, is past the "
+     "float range"),
+    ([1, 0, 0, 0, 0, 0, 0, 0], [0.8, 0],
+     "family ad: the product of the S and T parts' factors is past the "
+     "float range"),
+], ids=["T-part", "product"])
+def test_cli_factor_past_the_float_range_names_the_family_and_part(
+        capsys, q1, z, message):
+    # the ad family's exponent is 30 times char's: after S, a translation
+    # by a few lattice vectors leaves the float range
+    element = [{"S": [0, -1, 1, 0]}, {"T": [q1, [0] * 8]}]
+    point = json.dumps({"tau": [0.1, 1.1], "z": [z] * 8})
+    assert cli.main(["factor", "--family", "ad", "--lattice", "e8",
+                     "--element", json.dumps(element),
+                     "--point", point]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
