@@ -21,11 +21,12 @@ Its homotopy is the same sum over the chains of the pair image
 
 Each symbol is built once per cochain and per (a, b): the symbols live in
 a memo that lives as long as the cochain, shared by every push-forward and
-homotopy of it, and each is integrated once per chain.  Each term's axes
-are split into fiber and base parts once per (axes, n_base), not once per
-cell.  A path sum walks a plan of its grid shape (r, k), built once per
-process, and a push-forward builds each chain's E-side family once, not
-once per (a).
+homotopy of it, and each is integrated once per chain.  Each term key is
+split into its fiber and base keys once per (key, n_base), not once per
+term and cell, and every form holding the key shares the split keys.  A
+path sum walks a plan of its grid shape (r, k), built once per process,
+and a push-forward builds each chain's E-side family once, not once per
+(a).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from weakref import WeakKeyDictionary
 from .cochain import (DiffCochain, Level, _lazy, level_zero, prism_indices,
                       total_d)
 from .covers import DualCellDecomposition
-from .trigform import TrigForm, signed_sum
+from .trigform import Key, TrigForm, signed_sum
 
 Idx = Tuple[int, ...]
 
@@ -107,11 +108,26 @@ def t_symbol_form(omega: DiffCochain, a_idx: Sequence[int],
 # fiber-cell integration of mixed forms
 
 
+Split = Tuple[Key, Key, int]
+
+
 @lru_cache(maxsize=None)
-def _split_axes(axes: Idx, n_base: int) -> Tuple[Idx, Idx]:
-    """(fiber axes shifted to E's coordinates, base axes) of sorted axes."""
-    return (tuple(a - n_base for a in axes if a >= n_base),
-            tuple(a for a in axes if a < n_base))
+def _fiber_splits(n_base: int) -> Dict[Key, Split]:
+    """term key -> (fiber key, base key, fiber dimension) at n_base, for the
+    keys met so far: the fiber key (the trailing frequencies, the fiber
+    axes shifted to E's coordinates) is the one cells memoise their
+    integrals under, and the base key is the term's key on X."""
+    return {}
+
+
+def _split_key(splits: Dict[Key, Split], key: Key, n_base: int) -> Split:
+    """Split a term key at n_base, stored in splits (see _fiber_splits)."""
+    freq, axes = key
+    fib = tuple([a - n_base for a in axes if a >= n_base])
+    splits[key] = split = ((freq[n_base:], fib),
+                           (freq[:n_base], axes[:len(axes) - len(fib)]),
+                           len(fib))
+    return split
 
 
 def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
@@ -126,20 +142,21 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
     deg = form.degree - cell.dim
     if not 0 <= n_base <= form.ambient_dim or deg > n_base:
         raise ValueError("fiber integration leaves no form on the base")
-    out: Dict[Tuple[Idx, Idx], complex] = {}
-    integrals = cell.integrals
-    for (freq, axes), c in form.terms.items():
-        fib, base_axes = _split_axes(axes, n_base)
-        if len(fib) != cell.dim:
+    out: Dict[Key, complex] = {}
+    out_get = out.get
+    dim, integrals, integral = cell.dim, cell.integrals, cell.integral
+    splits = _fiber_splits(n_base)
+    for key, c in form.terms.items():
+        fib, base, fib_dim = (splits.get(key)
+                              or _split_key(splits, key, n_base))
+        if fib_dim != dim:
             continue
-        fib_freq = freq[n_base:]
-        val = integrals.get((fib_freq, fib))
+        val = integrals.get(fib)
         if val is None:
-            val = cell.integral(fib_freq, fib)
+            val = integral(*fib)
         if val == 0.0:
             continue
-        key = (freq[:n_base], base_axes)
-        out[key] = out.get(key, 0.0) + c * val
+        out[base] = out_get(base, 0.0) + c * val
     return TrigForm._trusted(n_base, max(deg, 0), out)
 
 

@@ -23,6 +23,7 @@ import cmath
 import contextlib
 import functools
 import json
+import math
 from typing import Dict
 
 from .cochain import DiffCochain, alternating_cochain
@@ -36,6 +37,9 @@ from .trigform import TrigForm
 # (a cover's supports, a cell's monomial integrals).  An id that raises is
 # not cached, so it raises on every call.
 _ID_CACHE_SIZE = 64
+
+# the largest |m| of an integer-row entry a file may give (cochain_from_dict)
+MAX_INTEGER_ENTRY = int(2 ** 52 / (2 * math.pi))
 
 
 @contextlib.contextmanager
@@ -168,7 +172,12 @@ def cochain_to_dict(omega: DiffCochain, cover_id: str) -> Dict:
 
 def cochain_from_dict(data) -> DiffCochain:
     """Load a file record; any malformed field raises ValueError.  An
-    alternating file must give each support once, in increasing order."""
+    alternating file must give each support once, in increasing order.  An
+    integer-row entry m must have |m| <= MAX_INTEGER_ENTRY, the largest
+    with 2*pi*|m| < 2**52: the cochain reads it as the float 2*pi*m, whose
+    spacing from 2**52 on is 1 or more, so past the bound a float no longer
+    carries it to better than one unit and a cocycle defect of order 1
+    could not show."""
     degree = _field(data, "degree", int, "cochain file")
     cover = cover_from_id(_field(data, "cover_id", str, "cochain file"))
     alternating = ("alternating" in data
@@ -195,6 +204,11 @@ def cochain_from_dict(data) -> DiffCochain:
                 raise ValueError(f"index {list(idx)} is given twice")
             if key == "integer_components":
                 comps[idx] = _field(rec, "m", int, where)
+                if abs(comps[idx]) > MAX_INTEGER_ENTRY:
+                    raise ValueError(
+                        f"the integer entry at index {list(idx)} is too "
+                        f"large: 2*pi*|m| must stay below 2**52, where a "
+                        f"float still carries it to better than one unit")
             else:
                 comps[idx] = _form_from_record(
                     _field(rec, "form", dict, where), where, idx)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -61,8 +61,18 @@ LIE_DIM = 3             # random connections and gauge maps live on T^3
 
 
 @lru_cache(maxsize=None)
-def _axes_pool(ambient_dim: int, degree: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(combinations(range(ambient_dim), degree))
+def _key_table(ambient_dim: int, degree: int,
+               max_freq: int) -> List[Tuple[Key, Key, bool]]:
+    """(key, conjugate key, frequency nonzero) of every term a random real
+    form can draw, at code * len(pool) + pick: code is the frequency row
+    read as the number with digits k + max_freq in base 2 * max_freq + 1,
+    most significant first, and pick indexes the degree's axes pool.  The
+    conjugate frequency -k has code base**ambient_dim - 1 - code.  Every
+    form drawn at this shape shares these key objects."""
+    pool = list(combinations(range(ambient_dim), degree))
+    freqs = list(product(range(-max_freq, max_freq + 1), repeat=ambient_dim))
+    return [((freq, axes), (freqs[-1 - code], axes), any(freq))
+            for code, freq in enumerate(freqs) for axes in pool]
 
 
 def random_real_forms(rng, ambient_dim: int, degree: int,
@@ -75,7 +85,9 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
     rng.integers(len(pool), size=(count, FORM_TERMS)) for the axes (not
     drawn when the degree's axes pool has one entry) and
     rng.standard_normal((count, FORM_TERMS, 2)) for the coefficients'
-    real and imaginary parts.
+    real and imaginary parts.  Each drawn term is one index into the key
+    table of (ambient_dim, degree, FORM_MAX_FREQ), so its keys are looked
+    up, not built.
 
     Form i takes row i of each draw.  Its monomials, each followed by its
     conjugate, add into one dict in draw order, a key whose running sum is
@@ -83,22 +95,23 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
     are distinct and new and whose coefficient has no zero part would sum
     to its own coefficients, so it sets them directly.
     """
-    axes_pool = _axes_pool(ambient_dim, degree)
-    freqs = rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
-                         size=(count, FORM_TERMS, ambient_dim)).tolist()
-    picks = (rng.integers(len(axes_pool), size=(count, FORM_TERMS)).tolist()
-             if len(axes_pool) > 1 else [[0] * FORM_TERMS] * count)
+    table = _key_table(ambient_dim, degree, FORM_MAX_FREQ)
+    n_axes = math.comb(ambient_dim, degree)
+    digits = (2 * FORM_MAX_FREQ + 1) ** np.arange(ambient_dim - 1, -1, -1)
+    index = (rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
+                          size=(count, FORM_TERMS, ambient_dim))
+             + FORM_MAX_FREQ) @ digits * n_axes
+    if n_axes > 1:
+        index += rng.integers(n_axes, size=(count, FORM_TERMS))
     parts = rng.standard_normal((count, FORM_TERMS, 2)).tolist()
     forms = []
-    for form_freqs, form_picks, form_parts in zip(freqs, picks, parts):
+    for form_index, form_parts in zip(index.tolist(), parts):
         terms: Dict[Key, complex] = {}
-        for freq, pick, (re, im) in zip(form_freqs, form_picks, form_parts):
-            axes = axes_pool[pick]
+        for i, (re, im) in zip(form_index, form_parts):
+            key, conj_key, nonzero = table[i]
             c = complex(re, im)
-            key = (tuple(freq), axes)
-            conj_key = (tuple([-k for k in freq]), axes)
             # terms holds each key with its conjugate, so conj_key is new too
-            if re and im and any(freq) and key not in terms:
+            if re and im and nonzero and key not in terms:
                 terms[key] = c
                 terms[conj_key] = c.conjugate()
                 continue
@@ -108,7 +121,10 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
                     terms[key] = v
                 else:
                     terms.pop(key, None)
-        forms.append(TrigForm._trusted(ambient_dim, degree, terms))
+        # terms holds no exact zero, so _trusted's copy is not needed
+        form = object.__new__(TrigForm)
+        form.ambient_dim, form.degree, form.terms = ambient_dim, degree, terms
+        forms.append(form)
     return forms
 
 

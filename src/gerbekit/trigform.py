@@ -177,7 +177,8 @@ class TrigForm:
     @staticmethod
     def _trusted(ambient_dim: int, degree: int,
                  terms: Mapping[Key, complex]) -> "TrigForm":
-        """Build from terms already in normal form; only exact zeros drop.
+        """Build from terms already in normal form; only exact zeros drop,
+        and a dict with none is copied whole.
 
         For the library's own kernels, which must guarantee what __init__
         would check: keys are (freq, axes) int tuples with
@@ -187,7 +188,8 @@ class TrigForm:
         self = object.__new__(TrigForm)
         self.ambient_dim = ambient_dim
         self.degree = degree
-        self.terms = {k: v for k, v in terms.items() if v != _DROP}
+        self.terms = (dict(terms) if _DROP not in terms.values() else
+                      {k: v for k, v in terms.items() if v != _DROP})
         return self
 
     # -- constructors ------------------------------------------------------
@@ -332,25 +334,35 @@ def signed_sum(total, pairs):
     zero drops at once (a NaN stays), so a key that cancels and comes back
     is appended anew: keys, values and order are those of the chain
     total + t1 - t2 + ... of binary sums, each dropping its zeros.  An odd
-    term adds -1.0 * c, as adding (-1.0) * term would.  Any other total
-    (the integer row's ints, a holonomy's complex number) folds with plain
-    + and -.
+    term adds -1.0 * c, as adding (-1.0) * term would; odd and even terms
+    run their own loop, so no term tests its sign.  Any other total (the
+    integer row's ints, a holonomy's complex number) folds with plain + and
+    -.
     """
     if type(total) is not TrigForm:
         for odd, term in pairs:
             total = total - term if odd else total + term
         return total
     out = dict(total.terms)
+    get, pop = out.get, out.pop
     for odd, term in pairs:
         if (term.ambient_dim, term.degree) != (total.ambient_dim,
                                                total.degree):
             raise ValueError("ambient dimension or degree mismatch")
-        for k, c in term.terms.items():
-            v = out.get(k, 0.0) + (-1.0 * c if odd else c)
-            if v != _DROP:
-                out[k] = v
-            else:
-                out.pop(k, None)
+        if odd:
+            for k, c in term.terms.items():
+                v = get(k, 0.0) + -1.0 * c
+                if v != _DROP:
+                    out[k] = v
+                else:
+                    pop(k, None)
+        else:
+            for k, c in term.terms.items():
+                v = get(k, 0.0) + c
+                if v != _DROP:
+                    out[k] = v
+                else:
+                    pop(k, None)
     # out holds no exact zero, so _trusted's filtering pass is skipped
     form = object.__new__(TrigForm)
     form.ambient_dim, form.degree, form.terms = (total.ambient_dim,

@@ -888,21 +888,59 @@ def test_a_holonomy_that_overflows_names_the_file(tmp_path, monkeypatch,
     assert err.endswith(", not finite\n")
 
 
-@pytest.mark.parametrize("m", [10 ** 400, 2 ** 1024],
-                         ids=["10^400", "2^1024"])
-def test_a_holonomy_input_whose_defect_overflows_prints_nothing(
-        tmp_path, monkeypatch, capsys, m):
-    # the integer row is read only by the cocycle-defect walk, which now
-    # runs before the record is printed
-    monkeypatch.chdir(tmp_path)
-    om = random_cocycle(np.random.default_rng(6),
+def _holonomy_input_with_integer(tmp_path, seed, m):
+    """A T^2 cocycle's file, its first integer-row entry set to m; returns
+    that entry's index."""
+    om = random_cocycle(np.random.default_rng(seed),
                         serialize.cover_from_id("torus:3:3:0.75"), 2)
     rec = serialize.cochain_to_dict(om, "torus:3:3:0.75")
     rec["integer_components"][0]["m"] = m
     (tmp_path / "in.json").write_text(json.dumps(rec))
-    err = _refused_naming(capsys, ["holonomy", "--cochain", "in.json",
-                                   "--decomposition", "hex:6"], "in.json")
-    assert "too large" in err
+    return rec["integer_components"][0]["indices"]
+
+
+def _refused_integer(capsys, index):
+    rc = cli.main(["holonomy", "--cochain", "in.json",
+                   "--decomposition", "hex:6"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == (f"error: the integer entry at index {index} is too "
+                   f"large: 2*pi*|m| must stay below 2**52, where a float "
+                   f"still carries it to better than one unit\n")
+
+
+@pytest.mark.parametrize("m", [10 ** 400, 2 ** 1024],
+                         ids=["10^400", "2^1024"])
+def test_a_holonomy_input_whose_defect_overflows_prints_nothing(
+        tmp_path, monkeypatch, capsys, m):
+    # an entry whose defect walk would overflow is refused when the file
+    # loads, before anything is computed
+    monkeypatch.chdir(tmp_path)
+    _refused_integer(capsys, _holonomy_input_with_integer(tmp_path, 6, m))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_entry_a_float_cannot_carry_is_refused(
+        tmp_path, monkeypatch, capsys, sign):
+    # at 2**70 the holonomy used to exit 0, with a cocycle defect of
+    # 7.4e21 and a warning on stderr
+    monkeypatch.chdir(tmp_path)
+    _refused_integer(capsys, _holonomy_input_with_integer(tmp_path, 0,
+                                                          sign * 2 ** 70))
+
+
+def test_the_integer_entry_bound_is_where_2pi_m_reaches_2_to_the_52():
+    bound = serialize.MAX_INTEGER_ENTRY
+    assert 2 * math.pi * bound < 2 ** 52 <= 2 * math.pi * (bound + 1)
+    for m in (bound, -bound):
+        rec = _set(copy.deepcopy(GOOD_RECORD), ["integer_components", 0, "m"],
+                   m)
+        idx = tuple(rec["integer_components"][0]["indices"])
+        assert serialize.cochain_from_dict(rec).component(idx) == m
+        _set(rec, ["integer_components", 0, "m"], m + (1 if m > 0 else -1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"the integer entry at index {list(idx)} is too large")):
+            serialize.cochain_from_dict(rec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,

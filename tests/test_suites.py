@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from gerbekit import suites
 from gerbekit.serialize import cover_from_id
 from gerbekit.suites import (FORM_MAX_FREQ, FORM_TERMS, SUITES, Worst,
                              random_alternating_cochain, random_real_form,
@@ -105,6 +106,30 @@ def test_random_real_forms_are_the_per_scalar_draws(ambient_dim, degree):
                     coefficient_bytes(terms)
             assert rng.bit_generator.state == ref.bit_generator.state
             compared += count
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_random_real_forms_follow_the_frequency_bound(monkeypatch, bound):
+    # the key table of each shape is built at the default bound first, so
+    # a table kept by shape alone would hand the patched bound's draws the
+    # keys of another base
+    for ambient_dim, degree in SHAPES:
+        random_real_forms(np.random.default_rng(0), ambient_dim, degree, 2)
+    monkeypatch.setattr(suites, "FORM_MAX_FREQ", bound)
+    monkeypatch.setitem(globals(), "FORM_MAX_FREQ", bound)
+    for ambient_dim, degree in SHAPES:
+        largest = 0
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            forms = random_real_forms(rng, ambient_dim, degree, 4)
+            want = real_forms_reference(ref, ambient_dim, degree, 4)
+            assert [coefficient_bytes(form.terms) for form in forms] == \
+                [coefficient_bytes(terms) for terms in want]
+            assert rng.bit_generator.state == ref.bit_generator.state
+            largest = max([largest] + [abs(k) for form in forms
+                                       for freq, _ in form.terms
+                                       for k in freq])
+        assert largest == bound
 
 
 class ScriptedDraws:
