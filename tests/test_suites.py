@@ -116,6 +116,7 @@ def test_random_real_forms_follow_the_frequency_bound(monkeypatch, bound):
     for ambient_dim, degree in SHAPES:
         random_real_forms(np.random.default_rng(0), ambient_dim, degree, 2)
     monkeypatch.setattr(suites, "FORM_MAX_FREQ", bound)
+    # real_forms_reference reads this module's own copy of the bound
     monkeypatch.setitem(globals(), "FORM_MAX_FREQ", bound)
     for ambient_dim, degree in SHAPES:
         largest = 0
