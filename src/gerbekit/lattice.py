@@ -211,70 +211,6 @@ BLOCK_ROWS = 1 << 14
 ENUM_BUDGET = 10 ** 7
 
 
-def _key_digits(X: np.ndarray) -> Tuple[int, int]:
-    """(c, b) of _packed_key's layout for the rows X: every digit's offset
-    c = max |x|, and b the bits of 2c."""
-    c = max(int(X.max(initial=0)), -int(X.min(initial=0)))
-    return c, (2 * c).bit_length()
-
-
-def _packed_key(norms: np.ndarray, X: np.ndarray) -> Optional[np.ndarray]:
-    """One int64 per row that orders the rows as np.lexsort over (norm,
-    x_0, ..., x_{n-1}) does, or None when it would need more than 63 bits.
-
-    The key is the norm followed by n digits of b bits, digit j being
-    x_j + c (_key_digits), so that 2c fits in b bits.  Its one reader is
-    _key_sorted, which also mirrors and decodes keys of this layout.
-    """
-    c, bits = _key_digits(X)
-    if int(norms.max(initial=0)).bit_length() + X.shape[1] * bits > 63:
-        return None
-    key = norms.copy()
-    for col in X.T:
-        key <<= bits
-        key += col
-    # the offsets c of every digit, added once
-    key += sum(c << (bits * j) for j in range(X.shape[1]))
-    return key
-
-
-def _key_sorted(norms: np.ndarray, X: np.ndarray
-                ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The rows (norms, X), whose row 0 is the zero vector, and the mirror
-    images (norms, -X) of the others, in the order of their packed keys:
-    np.lexsort's over the norm and the columns, as the rows are distinct.
-    None when the key would need more than 63 bits.
-
-    The mirror -v of a row v has the digits 2c - d of its digits d, with no
-    borrow, so its key is v's less twice v's digit part, plus twice the
-    offsets.  The keys are sorted in place and decoded, digit by digit
-    from the last and BLOCK_ROWS keys at a time, into new rows: no argsort
-    runs and no row is gathered.
-    """
-    half = _packed_key(norms, X)
-    if half is None:
-        return None
-    c, bits = _key_digits(X)
-    (h, n), low = X.shape, (1 << bits) - 1
-    key = np.empty(2 * h - 1, np.int64)
-    key[:h] = half
-    mirror = key[h:]
-    np.bitwise_and(half[1:], (1 << (n * bits)) - 1, out=mirror)
-    mirror *= -2
-    mirror += half[1:]
-    mirror += 2 * sum(c << (bits * j) for j in range(n))
-    del half
-    key.sort()
-    X = np.empty((len(key), n), X.dtype)
-    for a in range(0, len(key), BLOCK_ROWS):
-        k = key[a:a + BLOCK_ROWS]
-        for col in reversed(X[a:a + BLOCK_ROWS].T):
-            col[:] = (k & low) - c
-            k >>= bits
-    # what is left of each key is its norm
-    return key, X
-
-
 def _half_walk(L: IntegralLattice, max_norm):
     """The Fincke-Pohst walk over half of the ellipsoid <v,v> <= max_norm:
     yields, per block of leaves, (norms, rows, links) for the leaves v
@@ -376,11 +312,9 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     vector comes first; a negative bound gives no rows.  The leaves of
     _half_walk are read back along their parent links, block by block, in
     the rows' dtype (int16 when every coefficient the ellipsoid reaches
-    fits, else int64).  The zero vector and the leaves are then ordered
-    together with the leaves' mirror images -v by one int64 key each
-    (_key_sorted: the norm followed by the coordinates, sorted in place
-    and decoded); a set whose key would need more than 63 bits is ordered
-    by np.lexsort over the norm and the columns instead.
+    fits, else int64).  The zero vector, the leaves and their mirror
+    images -v are written into one array and ordered by np.lexsort over
+    the norm and the columns.
     """
     n = L.rank
     if max_norm < 0:
@@ -391,18 +325,22 @@ def _sorted_shells(L: IntegralLattice, max_norm) -> Tuple[np.ndarray, np.ndarray
     dtype = np.int16 if reach < np.iinfo(np.int16).max else np.int64
     leaves = [(nrm, _read_back(rows, links, dtype))
               for nrm, rows, links in _half_walk(L, max_norm)]
-    # row 0 is the zero vector, then the leaves
-    norms = np.concatenate([np.zeros(1, np.int64)]
-                           + [nrm for nrm, _ in leaves])
-    X = np.concatenate([np.zeros((1, n), dtype)] + [x for _, x in leaves])
+    h = sum(len(nrm) for nrm, _ in leaves)
+    # row 0 is the zero vector, rows 1..h the leaves, then their mirrors
+    norms = np.empty(2 * h + 1, np.int64)
+    X = np.empty((2 * h + 1, n), dtype)
+    np.concatenate([np.zeros(1, np.int64)] + [nrm for nrm, _ in leaves],
+                   out=norms[:h + 1])
+    np.concatenate([np.zeros((1, n), dtype)] + [x for _, x in leaves],
+                   out=X[:h + 1])
     del leaves
-    shells = _key_sorted(norms, X)
-    if shells is not None:
-        return shells
-    norms = np.concatenate([norms, norms[1:]])
-    X = np.concatenate([X, -X[1:]])
+    norms[h + 1:] = norms[1:h + 1]
+    np.negative(X[1:h + 1], out=X[h + 1:])
     order = np.lexsort(tuple(X[:, j] for j in reversed(range(n))) + (norms,))
-    return norms[order], X[order]
+    # the rows are gathered first, so that the unsorted ones are freed
+    # before the norms are gathered
+    X = X[order]
+    return norms[order], X
 
 
 def enumerate_by_norm(L: IntegralLattice, max_norm) -> Dict[int, List[Tuple[int, ...]]]:

@@ -52,8 +52,9 @@ def _eta_with_terms(tau: complex, tol: float = 1e-12) -> Tuple[complex, int]:
         raise ValueError("tol must be positive")
     q = cmath.exp(TWO_PI_I * tau)
     aq = abs(q)
-    # tail of log: sum_{m>M} |q|^m / (1 - |q|) < tol
-    M = max(int(math.log(tol * (1 - aq)) / math.log(aq)) + 2, 4)
+    # tail of log: sum_{m>M} |q|^m / (1 - |q|) < tol; above Im tau of
+    # about 118.6 q underflows to 0, and every factor is exactly 1
+    M = max(int(math.log(tol * (1 - aq)) / math.log(aq)) + 2, 4) if aq else 4
     prod = 1.0 + 0j
     qm = 1.0 + 0j
     for _ in range(M):
@@ -260,7 +261,11 @@ def _character_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex]
         raise ValueError("character needs a rank-16 lattice")
     theta, terms = _theta_with_terms(L, tau, z, tol)
     e, eterms = _eta_with_terms(tau, tol)
-    return theta / e ** 16, terms + eterms
+    e16 = e ** 16
+    if e16 == 0:
+        raise ValueError(f"eta(tau)^16 underflows to 0 at Im tau = {tau.imag:g}, "
+                         f"so the character is past the float range")
+    return theta / e16, terms + eterms
 
 
 def character(L: IntegralLattice, tau: complex, z: Sequence[complex]) -> complex:

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gerbekit import lattice, modform
-from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _packed_key,
-                              _sorted_shells, anomaly_exponents, builtin,
+from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _sorted_shells,
+                              anomaly_exponents, builtin,
                               class_sizes_mod_2, coxeter_from_roots,
                               enumerate_by_norm, roots, spin16_embedding,
                               spin16_first_series, theta_counts,
@@ -379,8 +379,7 @@ def test_a_gram_alone_has_no_basis():
 
 def sorted_shells_reference(L, max_norm):
     """The full-ellipsoid walk, ordered by np.lexsort over the norm and the
-    columns: the oracle for _sorted_shells' half walk, mirror and packed
-    key."""
+    columns: the oracle for _sorted_shells' half walk and mirror."""
     g = L.gram_float
     n = L.rank
     R = np.linalg.cholesky(g).T
@@ -427,7 +426,7 @@ def sorted_shells_reference(L, max_norm):
 def assert_same_shells(L, max_norm):
     """_sorted_shells gives the reference's arrays, dtype and bytes, and
     theta_counts, which counts the half walk's norms alone, the sizes of
-    its shells; returns whether its rows were ordered by the packed key."""
+    its shells."""
     got, ref = _sorted_shells(L, max_norm), sorted_shells_reference(L, max_norm)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -435,7 +434,6 @@ def assert_same_shells(L, max_norm):
     keys, counts = np.unique(got[0], return_counts=True)
     assert theta_counts(L, max_norm) == dict(zip(keys.tolist(),
                                                  counts.tolist()))
-    return _packed_key(*got) is not None
 
 
 SHELL_CASES = [
@@ -452,9 +450,8 @@ SHELL_CASES = [
 
 
 def test_sorted_shells_match_the_full_walk_bit_for_bit():
-    packed = [assert_same_shells(L, max_norm) for L, max_norm in SHELL_CASES]
-    # both orderings are exercised: e8 packs into 63 bits, e8e8 does not
-    assert any(packed) and not all(packed)
+    for L, max_norm in SHELL_CASES:
+        assert_same_shells(L, max_norm)
     skew, bound = SHELL_CASES[9]
     assert _sorted_shells(skew, bound)[1].dtype == np.int64
 
@@ -496,26 +493,9 @@ def test_the_e8_walk_to_norm_14_holds_less_than_the_gathering_sort(e8):
     tracemalloc.stop()
     # the walk that carried whole rows, normed its leaves by a matrix
     # product and ordered them by argsort and a row gather peaked at
-    # 10.45 MiB (CPython 3.11, numpy 2.4); this one at 7.1 MiB
+    # 10.45 MiB (CPython 3.11, numpy 2.4); this one, which orders the rows
+    # by one lexsort and gathers them once, at 9.2 MiB
     assert peak <= 10.45 * (1 << 20)
-
-
-def test_packed_key_orders_as_lexsort_up_to_63_bits():
-    rng = np.random.default_rng(3)
-    X = np.unique(rng.integers(-40, 41, size=(500, 8)), axis=0)
-    rng.shuffle(X)
-    lexsort_order = np.lexsort(tuple(X[:, j] for j in reversed(range(8))))
-    # 7 bits for each coordinate plus 40 (at most 80), and 7 for a norm
-    # below 128: 63 bits, the widest key
-    norms = np.full(len(X), 127)
-    norms[::2] = rng.integers(0, 128, size=len(norms[::2]))
-    key = _packed_key(norms, X)
-    order = np.lexsort(tuple(X[:, j] for j in reversed(range(8))) + (norms,))
-    assert np.array_equal(np.argsort(key), order)
-    assert key.min() >= 0 and int(key.max()).bit_length() == 63
-    assert np.array_equal(np.argsort(_packed_key(0 * norms, X)), lexsort_order)
-    # a norm of 128 needs an 8th bit: 64 do not fit
-    assert _packed_key(norms + 1, X) is None
 
 
 def test_a_negative_bound_gives_no_vectors_and_no_warning(e8):

@@ -57,6 +57,13 @@ def test_eta_inversion_law():
     assert abs(eta(-1 / tau) / (cmath.sqrt(-1j * tau) * eta(tau)) - 1) < 1e-10
 
 
+def test_eta_past_the_underflow_of_q_is_its_prefactor():
+    # |q| = e^{-2 pi Im tau} is 0 in floating point above Im tau of about
+    # 118.6, where every factor of the product is exactly 1
+    tau = 0.1 + 150j
+    assert eta(tau) == cmath.exp(PI_I * tau / 12)
+
+
 def test_eta_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         eta(1 - 0.5j)
@@ -388,6 +395,11 @@ def test_character_definition(e8e8):
 def test_character_rank_check(e8):
     with pytest.raises(ValueError):
         character(e8, 2j, [0] * 8)
+
+
+def test_character_refuses_an_eta_power_that_underflows(e8e8):
+    with pytest.raises(ValueError, match="past the float range"):
+        character(e8e8, 200j, [0] * 16)
 
 
 def test_character_transforms_under_translations(e8e8):

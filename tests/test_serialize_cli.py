@@ -637,6 +637,39 @@ def test_cli_theta_refuses_a_malformed_z_file(tmp_path, capsys, content,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, lattice, rank", [
+    ("theta", "e8", 8), ("theta", "d16plus", 16), ("character", "e8e8", 16)])
+def test_cli_series_refuses_a_value_past_the_float_range(tmp_path, capsys,
+                                                         command, lattice,
+                                                         rank):
+    # at Im z = 9 the terms of either sign overflow, and their sum is NaN
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps([[0, 9]] * rank))
+    assert cli.main([command, "--lattice", lattice, "--tau", "0,1",
+                     "--z", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: the {command} is ")
+    assert err.endswith(", not finite: the series leaves the float range at "
+                        "this tau and z\n")
+
+
+def test_cli_character_past_the_underflow_of_q(capsys):
+    # above Im tau of about 118.6 q underflows to 0; theta is 1 there and
+    # the character is 1 / eta^16 = e^{4 pi Im tau / 3}
+    assert cli.main(["character", "--lattice", "e8e8", "--tau", "0,150"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value_im"] == 0
+    assert math.isclose(out["value_re"], math.exp(200 * math.pi),
+                        rel_tol=1e-12)
+    # eta^16 underflows to 0 from Im tau of about 177.7 on
+    assert cli.main(["character", "--lattice", "e8e8", "--tau", "0,200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: eta(tau)^16 underflows to 0 at Im "
+                                 "tau = 200, so the character is past the "
+                                 "float range\n")
+
+
 def _good_record():
     """A degree-0 cochain file record with both form and integer rows."""
     cover = serialize.cover_from_id("circle:4:0.55")
