@@ -188,10 +188,6 @@ def cmd_series(args) -> int:
         val, terms = _theta_with_terms(L, args.tau, z, args.tol)
     else:
         val, terms = _character_with_terms(L, args.tau, z, args.tol)
-    if not cmath.isfinite(val):
-        # NaN or an infinity has no JSON spelling and is no answer
-        raise ValueError(f"the {args.command} is {val}, not finite: the "
-                         f"series leaves the float range at this tau and z")
     emit({"value_re": val.real, "value_im": val.imag,
           "tol_used": args.tol, "terms_summed": terms})
     return 0

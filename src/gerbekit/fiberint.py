@@ -19,14 +19,13 @@ DualCellDecomposition.layer_sum at the output degree:
 Its homotopy is the same sum over the chains of the pair image
 (rho, rho2), each integrating the signed prism family of its image.
 
-Each symbol is built once per cochain and per (a, b): the symbols live in
-a memo that lives as long as the cochain, shared by every push-forward and
-homotopy of it, and each is integrated once per chain.  Each term key is
-split into its fiber and base keys once per (key, n_base), not once per
-term and cell, and every form holding the key shares the split keys.  A
-path sum walks a plan of its grid shape (r, k), built once per process,
-and a push-forward builds each chain's E-side family once, not once per
-(a).
+A symbol is built from omega's components, which omega memoises itself,
+when a chain's value asks for it; it is integrated once per chain and then
+dropped, so a push-forward keeps only its integrated components.  Each
+term key is split into its fiber and base keys once per (key, n_base), not
+once per term and cell, and every form holding the key shares the split
+keys.  A path sum walks a plan of its grid shape (r, k), built once per
+process.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
-from weakref import WeakKeyDictionary
 
 from .cochain import (DiffCochain, Level, _lazy, level_zero, prism_indices,
                       total_d)
@@ -164,11 +162,6 @@ def integrate_fiber_cell(form: TrigForm, cell, n_base: int) -> TrigForm:
 # push-forward
 
 
-# cochain -> {(a, b): T^(a)_(b) cochain}; an entry lives as long as its
-# cochain, so a new cochain never reads another's symbols
-_SYMBOLS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                     image: Sequence[Hashable],
                     e_indices: Callable[[tuple], Sequence[Tuple[int, Idx]]],
@@ -184,15 +177,6 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
     """
     x_cover = omega.cover.factor_covers[0]
     n_base = x_cover.factors
-    symbols = _SYMBOLS.setdefault(omega, {})
-    # a chain's family is the same for every (a): built once per chain
-    family = lru_cache(maxsize=None)(e_indices)
-
-    def symbol(a_idx: Idx, b_idx: Idx) -> TrigForm:
-        got = symbols.get((a_idx, b_idx))
-        if got is None:
-            got = symbols[a_idx, b_idx] = t_symbol_form(omega, a_idx, b_idx)
-        return got
 
     def comp(a_idx: Idx) -> Level:
         if len(a_idx) == p + 2:
@@ -201,16 +185,16 @@ def _fiber_integral(omega: DiffCochain, dec: DualCellDecomposition, p: int,
                     return None
                 return cell.sign * signed_sum(0, (
                     (odd, _path_sum(omega, a_idx, b_idx, 0))
-                    for odd, b_idx in family(b)))
+                    for odd, b_idx in e_indices(b)))
         else:
             def value(b, cell):
-                members = family(b)
+                members = e_indices(b)
                 if len(members) == 1 and not members[0][0]:
                     # a symbol is a signed_sum result, with no exact zero
                     # and no -0.0 part, so its sum from zero would equal it
-                    sym = symbol(a_idx, members[0][1])
+                    sym = t_symbol_form(omega, a_idx, members[0][1])
                 else:
-                    syms = [(odd, symbol(a_idx, b_idx))
+                    syms = [(odd, t_symbol_form(omega, a_idx, b_idx))
                             for odd, b_idx in members]
                     first = syms[0][1]
                     sym = signed_sum(TrigForm.zero(first.ambient_dim,

@@ -177,8 +177,21 @@ def _coset_builtin(L: IntegralLattice) -> Optional[IntegralLattice]:
     return None
 
 
+def _finite(series: str, val: complex, terms: int) -> Tuple[complex, int]:
+    """(val, terms), refused when val is NaN or infinite: no answer."""
+    if not cmath.isfinite(val):
+        raise ValueError(f"the {series} is {val}, not finite: the series "
+                         f"leaves the float range at this tau and z")
+    return val, terms
+
+
 def _theta_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex],
                       tol: float = 1e-12) -> Tuple[complex, int]:
+    return _finite("theta", *_theta_sum(L, tau, z, tol))
+
+
+def _theta_sum(L: IntegralLattice, tau: complex, z: Sequence[complex],
+               tol: float) -> Tuple[complex, int]:
     _check_tau(tau)
     z = list(z)
     if len(z) != L.rank:
@@ -202,7 +215,8 @@ def theta_lattice(L: IntegralLattice, tau: complex,
 
     z in lattice-basis coordinates; a lattice with the Gram matrix of a
     built-in even unimodular lattice uses a per-coordinate coset
-    factorization, others a bounded enumeration.
+    factorization, others a bounded enumeration.  A sum that leaves the
+    float range (NaN or infinite) raises ValueError.
     """
     return _theta_with_terms(L, tau, z)[0]
 
@@ -259,17 +273,19 @@ def _character_with_terms(L: IntegralLattice, tau: complex, z: Sequence[complex]
                           tol: float = 1e-12) -> Tuple[complex, int]:
     if L.rank != 16:
         raise ValueError("character needs a rank-16 lattice")
-    theta, terms = _theta_with_terms(L, tau, z, tol)
+    # theta unchecked: a theta past the float range is a character past it
+    theta, terms = _theta_sum(L, tau, z, tol)
     e, eterms = _eta_with_terms(tau, tol)
     e16 = e ** 16
     if e16 == 0:
         raise ValueError(f"eta(tau)^16 underflows to 0 at Im tau = {tau.imag:g}, "
                          f"so the character is past the float range")
-    return theta / e16, terms + eterms
+    return _finite("character", theta / e16, terms + eterms)
 
 
 def character(L: IntegralLattice, tau: complex, z: Sequence[complex]) -> complex:
-    """The rank-16 character B = Theta_Lambda / eta^16."""
+    """The rank-16 character B = Theta_Lambda / eta^16; a value past the
+    float range (NaN or infinite) raises ValueError."""
     return _character_with_terms(L, tau, z)[0]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gerbekit
-from gerbekit import cli, fiberint
+from gerbekit import cli
 from gerbekit.cochain import DiffCochain, from_global_form, total_d
 from gerbekit.covers import (make_circle_cover, make_torus_cover,
                              product_cover, product_index,
@@ -214,43 +214,6 @@ def test_pushforward_needs_product_cover():
         pushforward(om, dec, [0] * len(dec.top_cells))
 
 
-def test_symbols_are_built_once_per_cochain_and_index_pair(monkeypatch):
-    # the Stokes defect pushes omega and D omega; the homotopy residual
-    # pushes omega along rho and rho2 and builds the homotopy: one memo per
-    # cochain serves them all
-    built, cochains = [], []
-    build = fiberint.t_symbol_form
-
-    def counting(omega, a_idx, b_idx):
-        cochains.append(omega)      # held, so no two cochains share an id
-        built.append((id(omega), tuple(a_idx), tuple(b_idx)))
-        return build(omega, a_idx, b_idx)
-
-    monkeypatch.setattr(fiberint, "t_symbol_form", counting)
-    om, dec, rho, rho2, _ = _s1_instance(30, 2)
-    pushforward_commutes_defect(om, dec, rho)
-    homotopy_residual(om, dec, rho, rho2)
-    assert built and len(built) == len(set(built))
-
-
-def test_a_homotopy_builds_each_cell_family_once(monkeypatch):
-    # every component (a) reads every chain's signed family of E-side
-    # indices; the family depends on the chain's two images alone, so each
-    # pair of images is asked for once
-    asked = []
-    build = fiberint.prism_indices
-
-    def counting(idx, sig, sig2):
-        asked.append((tuple(sig[j] for j in idx), tuple(sig2[j] for j in idx)))
-        return build(idx, sig, sig2)
-
-    monkeypatch.setattr(fiberint, "prism_indices", counting)
-    om, dec, rho, rho2, _ = _s1_instance(34, 2)
-    homotopy = pushforward_homotopy(om, dec, rho, rho2)
-    assert len(homotopy.materialize().components) > 1
-    assert asked and len(asked) == len(set(asked))
-
-
 def _two_cochains():
     """omega and omega': degree 2 on one cover, with the same supports and
     different values, plus the decomposition and rho they are pushed along."""
@@ -266,6 +229,8 @@ def _pushed(omega, dec, rho) -> str:
 
 
 def test_a_cochain_never_reads_the_symbols_of_another():
+    # pushing omega first leaves nothing that pushing omega' reads: its
+    # value equals the one a fresh interpreter gives
     om, om2, dec, rho = _two_cochains()
     first = _pushed(om, dec, rho)
     second = _pushed(om2, dec, rho)

@@ -9,9 +9,9 @@ import pytest
 from gerbekit import cli
 from gerbekit.lattice import (IntegralLattice, _half_walk, builtin,
                               enumerate_by_norm, roots, theta_counts)
-from gerbekit.modform import (PI_I, AutomorphyFamily, GroupElement,
-                              ModuliPoint, _dedekind_sum, _theta_enum,
-                              _theta_with_terms,
+from gerbekit.modform import (PI_I, TWO_PI_I, AutomorphyFamily,
+                              GroupElement, ModuliPoint, _coset_factor_sums,
+                              _dedekind_sum, _theta_enum, _theta_with_terms,
                               act, character,
                               cocycle_defect, det_section, eta,
                               eta_multiplier, factor,
@@ -213,6 +213,26 @@ def test_theta1_vanishes_at_origin():
     assert abs(theta1(1.1j, 0)) < 1e-12
 
 
+def test_coset_factor_sums_match_the_sum_over_a_wide_window():
+    # the window of n must sit on the Gaussian's peak, at n + c = -Im w /
+    # Im tau; over |n| <= 80 every omitted term is below e^{-1000}
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 2))
+        w = complex(rng.uniform(-1, 1), rng.uniform(-3, 3))
+        c = (0.0, 0.5)[int(rng.integers(2))]
+        A, B, _ = _coset_factor_sums(tau, w, c, 1e-12)
+        terms = [(n, cmath.exp(TWO_PI_I * w * (n + c)
+                               + PI_I * tau * (n + c) ** 2))
+                 for n in range(-80, 81)]
+        want_a = sum(t for _, t in terms)
+        want_b = sum(t if n % 2 == 0 else -t for n, t in terms)
+        scale = sum(abs(t) for _, t in terms)
+        worst = max(worst, abs(A - want_a) / scale, abs(B - want_b) / scale)
+    assert worst <= 1e-12
+
+
 def test_det_section_translation_laws():
     tau, u = 2j, 0.3 + 0.1j
     f = det_section
@@ -254,6 +274,13 @@ def test_theta_e8_q_expansion(e8):
     q = cmath.exp(2j * math.pi * 5j)
     got = theta_lattice(e8, 5j, [0] * 8)
     assert abs(got - (1 + 240 * q + 2160 * q * q)) < 1e-11
+
+
+def test_theta_refuses_a_value_past_the_float_range(e8):
+    # at Im z = 9 the terms of either sign overflow, and their sum is NaN
+    with pytest.raises(ValueError, match=r"^the theta is \(nan.*, not finite: "
+                       "the series leaves the float range at this tau and z$"):
+        theta_lattice(e8, 1j, [9j] * 8)
 
 
 def test_theta_block_factorization(e8, e8e8):
@@ -400,6 +427,16 @@ def test_character_rank_check(e8):
 def test_character_refuses_an_eta_power_that_underflows(e8e8):
     with pytest.raises(ValueError, match="past the float range"):
         character(e8e8, 200j, [0] * 16)
+
+
+def test_character_refuses_a_value_past_the_float_range(e8e8):
+    # eta^16 is subnormal (about 5.5e-310) at Im tau = 170, and theta / eta^16
+    # overflows; a theta that is NaN is refused under the character's name
+    with pytest.raises(ValueError, match=r"^the character is \(inf\+0j\), "
+                       "not finite: the series leaves the float range"):
+        character(e8e8, 170j, [0] * 16)
+    with pytest.raises(ValueError, match=r"^the character is \(nan"):
+        character(e8e8, 1j, [9j] * 16)
 
 
 def test_character_transforms_under_translations(e8e8):
