@@ -1,10 +1,14 @@
 """Seeded verification suites: deterministic random instances for every
 module's identity battery, each returning (name, max_defect) records.
 
-Instance shapes are fixed: frequencies bounded by 2, at most 4 terms per
-form (FORM_TERMS = 2 monomials, each with its conjugate), alternating
-multi-index data (a value on the sorted tuple, extended by permutation
-sign), real-valued forms via Hermitian frequency pairs.
+Instance shapes are fixed: frequencies bounded by 2, FORM_TERMS = 2 random
+monomials per form, alternating multi-index data (a value on the sorted
+tuple, extended by permutation sign).  The holonomy and crossmodule suites
+draw real-valued forms, each monomial with its conjugate at -freq, since a
+holonomy is taken of real data only.  The cochain and push-forward suites
+draw the monomials alone (real=False): the identities they check are
+C-linear, so a complex instance tests what its real part and its
+conjugate would, at half the terms.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class Worst(dict):
 # random instances
 
 
-FORM_TERMS = 2          # terms of a random real form, each with its conjugate
-FORM_MAX_FREQ = 2       # the largest |frequency| in a random real form
+FORM_TERMS = 2          # monomials of a random form, with conjugates if real
+FORM_MAX_FREQ = 2       # the largest |frequency| in a random form
 CONNECTION_TERMS = 2    # terms of a random connection
 LIE_DIM = 3             # random connections and gauge maps live on T^3
 
@@ -63,7 +67,7 @@ LIE_DIM = 3             # random connections and gauge maps live on T^3
 @lru_cache(maxsize=None)
 def _key_table(ambient_dim: int, degree: int,
                max_freq: int) -> List[Tuple[Key, Key, bool]]:
-    """(key, conjugate key, frequency nonzero) of every term a random real
+    """(key, conjugate key, frequency nonzero) of every term a random
     form can draw, at code * len(pool) + pick: code is the frequency row
     read as the number with digits k + max_freq in base 2 * max_freq + 1,
     most significant first, and pick indexes the degree's axes pool.  The
@@ -75,9 +79,10 @@ def _key_table(ambient_dim: int, degree: int,
             for code, freq in enumerate(freqs) for axes in pool]
 
 
-def random_real_forms(rng, ambient_dim: int, degree: int,
-                      count: int) -> List[TrigForm]:
-    """count real-valued forms: each term paired with its conjugate at -freq.
+def random_real_forms(rng, ambient_dim: int, degree: int, count: int,
+                      real: bool = True) -> List[TrigForm]:
+    """count random forms: real-valued ones, each term paired with its
+    conjugate at -freq, or with real=False the drawn terms alone.
 
     The numbers of all count forms come from three vector draws, in this
     order: rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
@@ -90,10 +95,12 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
     up, not built.
 
     Form i takes row i of each draw.  Its monomials, each followed by its
-    conjugate, add into one dict in draw order, a key whose running sum is
-    exactly zero dropping at once, as in signed_sum.  A term whose two keys
-    are distinct and new and whose coefficient has no zero part would sum
-    to its own coefficients, so it sets them directly.
+    conjugate when real, add into one dict in draw order, a key whose
+    running sum is exactly zero dropping at once, as in signed_sum.  A term
+    whose keys are new (and, when real, distinct) and whose coefficient has
+    no zero part would sum to its own coefficients, so it sets them
+    directly.  Both values of real make the same draws, so the random
+    stream does not depend on it.
     """
     table = _key_table(ambient_dim, degree, FORM_MAX_FREQ)
     n_axes = math.comb(ambient_dim, degree)
@@ -110,12 +117,14 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
         for i, (re, im) in zip(form_index, form_parts):
             key, conj_key, nonzero = table[i]
             c = complex(re, im)
-            # terms holds each key with its conjugate, so conj_key is new too
-            if re and im and nonzero and key not in terms:
-                terms[key] = c
-                terms[conj_key] = c.conjugate()
+            pairs = ((key, c), (conj_key, c.conjugate())) if real else \
+                ((key, c),)
+            # a real form holds each key with its conjugate, so conj_key is
+            # new too
+            if re and im and (nonzero or not real) and key not in terms:
+                terms.update(pairs)
                 continue
-            for key, coeff in ((key, c), (conj_key, c.conjugate())):
+            for key, coeff in pairs:
                 v = terms.get(key, 0.0) + coeff
                 if v != 0.0:
                     terms[key] = v
@@ -128,15 +137,18 @@ def random_real_forms(rng, ambient_dim: int, degree: int,
     return forms
 
 
-def random_real_form(rng, ambient_dim: int, degree: int) -> TrigForm:
-    """One real-valued form: random_real_forms with count 1."""
-    return random_real_forms(rng, ambient_dim, degree, 1)[0]
+def random_real_form(rng, ambient_dim: int, degree: int,
+                     real: bool = True) -> TrigForm:
+    """One random form: random_real_forms with count 1."""
+    return random_real_forms(rng, ambient_dim, degree, 1, real)[0]
 
 
 def random_alternating_cochain(rng, cover: Cover, degree: int,
                                ambient_dim: int,
-                               with_field_strength: bool = True) -> DiffCochain:
-    """Random cochain, alternating by construction.
+                               with_field_strength: bool = True,
+                               real: bool = True) -> DiffCochain:
+    """Random cochain, alternating by construction, its forms drawn by
+    random_real_forms with the given real.
 
     One random value is drawn per sorted support: forms at index lengths
     1..degree+1, an integer in [-2, 2] at degree+2.  Each form level is one
@@ -155,7 +167,7 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
             continue
         supports = cover.supports(r)
         for base, f in zip(supports, random_real_forms(
-                rng, ambient_dim, deg, len(supports))):
+                rng, ambient_dim, deg, len(supports), real)):
             if f.terms:
                 comps[base] = f
     supports = cover.supports(degree + 2)
@@ -164,20 +176,22 @@ def random_alternating_cochain(rng, cover: Cover, degree: int,
         if m != 0:
             comps[base] = m
     if with_field_strength and degree + 1 <= ambient_dim:
-        comps[()] = random_real_form(rng, ambient_dim, degree + 1)
+        comps[()] = random_real_form(rng, ambient_dim, degree + 1, real)
     return alternating_cochain(degree, cover, comps)
 
 
-def random_cocycle(rng, cover: Cover, degree: int) -> DiffCochain:
-    """from_global_form(T) + d(random flat cochain): a real cocycle."""
+def random_cocycle(rng, cover: Cover, degree: int,
+                   real: bool = True) -> DiffCochain:
+    """from_global_form(T) + d(random flat cochain): a cocycle, real unless
+    real is False."""
     ambient_dim = cover.factors
     if degree > ambient_dim:
         base = None
     else:
-        T = random_real_form(rng, ambient_dim, degree)
+        T = random_real_form(rng, ambient_dim, degree, real)
         base = from_global_form(T, cover)
     xi = random_alternating_cochain(rng, cover, degree - 1, ambient_dim,
-                                   with_field_strength=False)
+                                   with_field_strength=False, real=real)
     out = total_d(xi) if base is None else base + total_d(xi)
     return out
 
@@ -197,7 +211,8 @@ def suite_cochain(trials: int, seed: int) -> List[Check]:
                   "dd_zero_t2", "homotopy_identity_t2")
     for t in range(trials):
         cname, cover = covers[t % 2]
-        omega = random_alternating_cochain(rng, cover, 1 + t % 3, cover.factors)
+        omega = random_alternating_cochain(rng, cover, 1 + t % 3,
+                                           cover.factors, real=False)
         worst.add(f"dd_zero_{cname}", total_d(total_d(omega)).max_defect())
         _, s1, s2 = refinements[t % 2]
         lhs = total_d(homotopy_k(omega, s1, s2)) + homotopy_k(total_d(omega), s1, s2)
@@ -250,17 +265,19 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
     for t in range(trials):
         # E = S^1
         degree = 1 + t % 2
-        om = random_alternating_cochain(rng, cover_s1, degree, 2)
+        om = random_alternating_cochain(rng, cover_s1, degree, 2,
+                                        real=False)
         rho, rho2 = two_subordinations(dec_s1, fiber_s1, rng)
         worst.add("stokes_s1", pushforward_commutes_defect(om, dec_s1, rho))
         if degree >= 2:
-            oc = random_cocycle(rng, cover_s1, degree)
+            oc = random_cocycle(rng, cover_s1, degree, real=False)
             pushed = pushforward(oc, dec_s1, rho)
             worst.add("cocycle_closed", total_d(pushed).max_defect())
             worst.add("homotopy_residual",
                       homotopy_residual(oc, dec_s1, rho, rho2, pushed))
     for t in range(max(trials // 2, 2)):
-        om = random_alternating_cochain(rng, cover_t2, 2 + t % 2, 3)
+        om = random_alternating_cochain(rng, cover_t2, 2 + t % 2, 3,
+                                        real=False)
         rho, _ = two_subordinations(dec_t2, fiber_t2, rng)
         worst.add("stokes_t2", pushforward_commutes_defect(om, dec_t2, rho))
     return list(worst.items())

@@ -35,18 +35,21 @@ from gerbekit.suites import random_alternating_cochain, random_cocycle
 # reciprocity step (its worst defect at seeds 0 and 1 went from 1.123e-13
 # to 1.240e-13).  They moved again when the enumeration oracle began summing
 # the half walk pairwise: only theta_vs_enumeration changed, 1.488e-14 ->
-# 4.441e-16 at seed 0 and 6.439e-15 -> 6.673e-19 at seed 1.
+# 4.441e-16 at seed 0 and 6.439e-15 -> 6.673e-19 at seed 1.  The cochain
+# and pushforward digests moved again when those two suites began drawing
+# their forms without conjugate partners (real=False): the same numbers
+# from the same draws, but complex instances of the C-linear identities.
 PINNED = [
-    ("cochain", 3, 0, "ff7b8956a829027c2a2eb69db711e776169ec6d55285830e5b69026ef1d12aed"),
+    ("cochain", 3, 0, "5e65da824e1eda835a27ee849a2ae2e013f822e63fc3dac76158386c49552173"),
     ("chernsimons", 6, 0, "739dfa06f9f8ee3eb403854802abe1baea129b0d5bcbd155dfc817037da528b5"),
     ("holonomy", 3, 0, "617828fa5fa76c0bb4aa5881de72b465b29ac0bd737c1b720cdf045b8f450f50"),
     ("crossmodule", 3, 0, "151bf79fbcf77713ae6613041e5eedfa33c24237b6452129569c1e8236eefcec"),
-    ("pushforward", 1, 0, "57a98ad189c87f3c0d4ac082690186e073d8eb26fa6d15343e385103e759e524"),
-    ("cochain", 3, 1, "ca34b0921b6bcca5d949f56b18fe9881ff0237dadc046006f65dc07da46ec1ff"),
+    ("pushforward", 1, 0, "e9401cf3f05d7ecbec0582b5de2a904fdf1007d651eeb3b0373e835143cc9387"),
+    ("cochain", 3, 1, "9e1254459004da224d443d39d34501d3f3d31d1ef94c26d6fee8570a83d82844"),
     ("chernsimons", 6, 1, "c78d47f7e8543f1fb7c008b0e88d769d63e2c3446b390fe02700aeeeef956e3a"),
     ("holonomy", 3, 1, "b6f7f063441c722efa548c60f8d99319ca3efd0aa1f1268d15519e37f8a3f5d9"),
     ("crossmodule", 3, 1, "8da05b525b81663ede8f5b3c4526c65b6db070b66276e2ea8c426bfac287e639"),
-    ("pushforward", 1, 1, "4c9ee8ead33b5028cc624475c39cebca0e9ccf1c789ae003e23bde4252cd2946"),
+    ("pushforward", 1, 1, "f60918071226cbbbef3b764541a159cd06f7c55ab92cf1b85fbb31d9812f0992"),
     ("lattice", 1, 0, "b9323ca76ead1cace9bbd87219d3dad9c603807c35a740af81ca70cc3d159526"),
     ("modular", 20, 0, "3e15a0cbb6a72aa9ceeb8a2eb2b154ade67fba6fdf4f2f3c9c6647f9f575dfdc"),
     ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
@@ -54,10 +57,10 @@ PINNED = [
     # the complex benchmark workload's chernsimons shape: 20 trials
     ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
     # ... and its cochain and crossmodule shapes: 6 and 4 trials
-    ("cochain", 6, 2, "5f873b8756bc2ba84a72c0edcc99055f251b9b55194ccfeb50da84868c8a3a43"),
+    ("cochain", 6, 2, "f57c9951c69ce1c9ab18e985333aa09c203bdb3bd1856a1187bc41d71df695aa"),
     ("crossmodule", 4, 2, "b600e7b26e2f65b8b343f4412fec73f5dc7cf3f59ad468a4cc329870c167c6eb"),
     # the pushforward benchmark workload's shape: 2 trials
-    ("pushforward", 2, 2, "0183e14778cf3b2915156dc1e7769fbccfc879ce2861661f9552fab853d6a899"),
+    ("pushforward", 2, 2, "749a0b10bc1beb916d9f84d9e5f3efd05aabb8096900cfa34634e44c69809b2b"),
 ]
 
 

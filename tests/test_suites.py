@@ -44,10 +44,10 @@ def test_a_nan_after_a_finite_defect_is_kept():
     assert math.isnan(worst["a"]) and worst["b"] == math.inf
 
 
-def real_forms_reference(rng, ambient_dim, degree, count):
-    """count random real forms as the three vector draws give them, read
-    one scalar at a time, every monomial added into a running sum that
-    drops exact zeros."""
+def real_forms_reference(rng, ambient_dim, degree, count, real=True):
+    """count random forms as the three vector draws give them, read one
+    scalar at a time, every monomial, and when real its conjugate, added
+    into a running sum that drops exact zeros."""
     axes_pool = list(itertools.combinations(range(ambient_dim), degree))
     freqs = rng.integers(-FORM_MAX_FREQ, FORM_MAX_FREQ + 1,
                          size=(count, FORM_TERMS, ambient_dim))
@@ -61,9 +61,11 @@ def real_forms_reference(rng, ambient_dim, degree, count):
             freq = tuple(int(freqs[i, t, j]) for j in range(ambient_dim))
             axes = axes_pool[int(picks[i, t])]
             c = complex(float(parts[i, t, 0]), float(parts[i, t, 1]))
-            for key, coeff in (((freq, axes), c),
-                               ((tuple(-k for k in freq), axes),
-                                c.conjugate())):
+            partners = [((freq, axes), c)]
+            if real:
+                partners.append(((tuple(-k for k in freq), axes),
+                                 c.conjugate()))
+            for key, coeff in partners:
                 v = terms.get(key, 0.0) + coeff
                 if v != 0.0:
                     terms[key] = v
@@ -108,8 +110,10 @@ def test_random_real_forms_are_the_per_scalar_draws(ambient_dim, degree):
             compared += count
 
 
-@pytest.mark.parametrize("bound", [1, 3])
-def test_random_real_forms_follow_the_frequency_bound(monkeypatch, bound):
+@pytest.mark.parametrize("bound,real", [(1, True), (3, True), (3, False)],
+                         ids=["1", "3", "3-without-partners"])
+def test_random_real_forms_follow_the_frequency_bound(monkeypatch, bound,
+                                                      real):
     # the key table of each shape is built at the default bound first, so
     # a table kept by shape alone would hand the patched bound's draws the
     # keys of another base
@@ -122,11 +126,15 @@ def test_random_real_forms_follow_the_frequency_bound(monkeypatch, bound):
         largest = 0
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            forms = random_real_forms(rng, ambient_dim, degree, 4)
-            want = real_forms_reference(ref, ambient_dim, degree, 4)
+            forms = random_real_forms(rng, ambient_dim, degree, 4, real)
+            want = real_forms_reference(ref, ambient_dim, degree, 4, real)
             assert [coefficient_bytes(form.terms) for form in forms] == \
                 [coefficient_bytes(terms) for terms in want]
             assert rng.bit_generator.state == ref.bit_generator.state
+            # the draw with the other value of real makes the same draws
+            other = np.random.default_rng(seed)
+            random_real_forms(other, ambient_dim, degree, 4, not real)
+            assert other.bit_generator.state == rng.bit_generator.state
             largest = max([largest] + [abs(k) for form in forms
                                        for freq, _ in form.terms
                                        for k in freq])
