@@ -170,6 +170,7 @@ class ScriptedDraws:
     ([0, 0], [1.5, -2.0, 0.5, 3.0]),         # a key that is its conjugate
     ([1, -1], [1.5, -2.0, -1.5, -2.0]),      # one term cancels the other
     ([2, 2], [1.5, -2.0, 1.5, -2.0]),        # one key drawn twice
+    ([2, 2], [1.5, -2.0, -1.5, 2.0]),        # ... and cancelling itself
 ])
 def test_real_forms_from_zero_parts_and_repeated_keys(freqs, parts):
     # draws that a seeded generator almost never makes; the axes pool of
@@ -177,12 +178,13 @@ def test_real_forms_from_zero_parts_and_repeated_keys(freqs, parts):
     # are drawn, as one (1, FORM_TERMS, 1) and one (1, FORM_TERMS, 2) array
     script = (np.reshape(freqs, (1, FORM_TERMS, 1)),
               np.reshape(parts, (1, FORM_TERMS, 2)))
-    rng, ref = ScriptedDraws(*script), ScriptedDraws(*script)
-    got = random_real_form(rng, 1, 1)
-    want, = real_forms_reference(ref, 1, 1, 1)
-    assert coefficient_bytes(got.terms) == coefficient_bytes(want)
-    assert rng.arrays == ref.arrays == []
-    assert rng.bit_generator.state == ref.bit_generator.state
+    for real in (True, False):
+        rng, ref = ScriptedDraws(*script), ScriptedDraws(*script)
+        got = random_real_form(rng, 1, 1, real)
+        want, = real_forms_reference(ref, 1, 1, 1, real)
+        assert coefficient_bytes(got.terms) == coefficient_bytes(want)
+        assert rng.arrays == ref.arrays == []
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # (cover, degree) of every random alternating cochain the suites draw:
