@@ -64,6 +64,16 @@ def series_tol(s: str) -> float:
     return value
 
 
+def check_tol(s: str) -> float:
+    """A check tolerance: a finite float no smaller than 0, as an infinite
+    one would pass an infinite defect, a NaN would pass nothing and print
+    as no JSON number, and a negative one would fail a zero defect."""
+    value = float(s)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{s} is not a finite float >= 0")
+    return value
+
+
 def parse_complex(s: str) -> complex:
     """RE,IM: the real and the imaginary part."""
     try:
@@ -290,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["all"])
     v.add_argument("--trials", type=non_negative_int, default=0,
                    help="0 = per-suite default")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--seed", type=non_negative_int, default=0)
+    v.add_argument("--tol", type=check_tol, default=1e-8)
     v.add_argument("--report", default=None, metavar="FILE")
     v.set_defaults(func=cmd_verify)
 

@@ -395,63 +395,46 @@ def make_circle_decomposition(N: int) -> DualCellDecomposition:
     return DualCellDecomposition(faces)
 
 
-_HEX_OFFSETS = np.array([
-    (2 / 3, 1 / 3), (1 / 3, 2 / 3), (-1 / 3, 1 / 3),
-    (-2 / 3, -1 / 3), (-1 / 3, -2 / 3), (1 / 3, -1 / 3),
-])
+_HEX_THIRDS = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
 
 
 def make_torus_hex_decomposition(N: int) -> DualCellDecomposition:
     """Dual of the N x N diagonal-split grid triangulation of T^2.
 
     One hexagon per grid vertex, with vertices at the barycenters of the six
-    incident triangles; 3 hexagons meet at each barycenter, 2 along each edge.
+    incident triangles, _HEX_THIRDS thirds of a grid step from it; 3
+    hexagons meet at each barycenter, 2 along each edge.  A barycenter is
+    keyed by its integer thirds mod 3N, so no float is rounded back.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     h = TWO_PI / N
-    hexes = []
-    for p in range(N):
-        for q in range(N):
-            center = np.array([p * h, q * h])
-            hexes.append(Cell([center + h * off for off in _HEX_OFFSETS]))
-
-    def canon(pt):
-        return (round((pt[0] % TWO_PI) / h * 3) % (3 * N),
-                round((pt[1] % TWO_PI) / h * 3) % (3 * N))
-
-    # collect edges: edge key -> list of (hexagon index, oriented segment)
-    edge_map: Dict[tuple, List[Tuple[int, Cell]]] = {}
-    vert_map: Dict[tuple, List[int]] = {}
-    for i, hexa in enumerate(hexes):
-        vs = hexa.vertices
+    steps = h * (np.array(_HEX_THIRDS) / 3)
+    faces = {1: {}, 2: {}, 3: {}}
+    # edge key -> (hexagon index, start, end, end key) as each of its two
+    # hexagons traverses it; vertex key -> the hexagons meeting there
+    edges: Dict[frozenset, List[tuple]] = {}
+    corners: Dict[Tuple[int, int], List[int]] = {}
+    for i, (p, q) in enumerate(itertools.product(range(N), repeat=2)):
+        hexa = faces[1][(i,)] = Cell(np.array([p * h, q * h]) + steps)
+        keys = [((3 * p + a) % (3 * N), (3 * q + b) % (3 * N))
+                for a, b in _HEX_THIRDS]
         for t in range(6):
-            a, b = vs[t], vs[(t + 1) % 6]
-            key = tuple(sorted((canon(a), canon(b))))
-            edge_map.setdefault(key, []).append((i, Cell([a, b])))
-            vkey = canon(a)
-            if i not in vert_map.setdefault(vkey, []):
-                vert_map[vkey].append(i)
+            u = (t + 1) % 6
+            edges.setdefault(frozenset((keys[t], keys[u])), []).append(
+                (i, hexa.vertices[t], hexa.vertices[u], keys[u]))
+            corners.setdefault(keys[t], []).append(i)
 
-    faces = {1: {(i,): hexa for i, hexa in enumerate(hexes)}, 2: {}, 3: {}}
-    for key, owners in edge_map.items():
-        if len(owners) != 2:
-            raise RuntimeError("each hexagon edge must be shared by exactly 2 cells")
-        (i1, seg) = max(owners, key=lambda t: t[0])
-        i2 = min(i for i, _ in owners)
-        faces[2][(i1, i2)] = seg  # oriented as traversed by the larger-index cell
-    for vkey, owners in vert_map.items():
-        if len(owners) != 3:
-            raise RuntimeError("each dual vertex must meet exactly 3 hexagons")
-        i1, i2, i3 = sorted(owners, reverse=True)
-        seg = faces[2][(i1, i2)]
-        # locate the vertex on the oriented edge Delta_(i1,i2)
-        for pt, sign in ((seg.vertices[1], +1), (seg.vertices[0], -1)):
-            if canon(pt) == vkey:
-                faces[3][(i1, i2, i3)] = Cell([pt], sign)
-                break
-        else:
-            raise RuntimeError("triple vertex not an endpoint of the shared edge")
+    end_keys = {}
+    for (i2, *_), (i1, a, b, end_key) in edges.values():
+        # oriented as traversed by the larger-index cell
+        faces[2][(i1, i2)] = Cell([a, b])
+        end_keys[(i1, i2)] = end_key
+    for key, (i3, i2, i1) in corners.items():
+        # the vertex is the end (+1) or the start (-1) of Delta_(i1,i2)
+        start, end = faces[2][(i1, i2)].vertices
+        pt, sign = (end, 1) if key == end_keys[(i1, i2)] else (start, -1)
+        faces[3][(i1, i2, i3)] = Cell([pt], sign)
     return DualCellDecomposition(faces)
 
 

@@ -66,16 +66,16 @@ LIE_DIM = 3             # random connections and gauge maps live on T^3
 
 @lru_cache(maxsize=None)
 def _key_table(ambient_dim: int, degree: int,
-               max_freq: int) -> List[Tuple[Key, Key, bool]]:
-    """(key, conjugate key, frequency nonzero) of every term a random
-    form can draw, at code * len(pool) + pick: code is the frequency row
-    read as the number with digits k + max_freq in base 2 * max_freq + 1,
-    most significant first, and pick indexes the degree's axes pool.  The
-    conjugate frequency -k has code base**ambient_dim - 1 - code.  Every
-    form drawn at this shape shares these key objects."""
+               max_freq: int) -> List[Tuple[Key, Key]]:
+    """(key, conjugate key) of every term a random form can draw, at
+    code * len(pool) + pick: code is the frequency row read as the number
+    with digits k + max_freq in base 2 * max_freq + 1, most significant
+    first, and pick indexes the degree's axes pool.  The conjugate
+    frequency -k has code base**ambient_dim - 1 - code.  Every form drawn
+    at this shape shares these key objects."""
     pool = list(combinations(range(ambient_dim), degree))
     freqs = list(product(range(-max_freq, max_freq + 1), repeat=ambient_dim))
-    return [((freq, axes), (freqs[-1 - code], axes), any(freq))
+    return [((freq, axes), (freqs[-1 - code], axes))
             for code, freq in enumerate(freqs) for axes in pool]
 
 
@@ -96,11 +96,9 @@ def random_real_forms(rng, ambient_dim: int, degree: int, count: int,
 
     Form i takes row i of each draw.  Its monomials, each followed by its
     conjugate when real, add into one dict in draw order, a key whose
-    running sum is exactly zero dropping at once, as in signed_sum.  A term
-    whose keys are new (and, when real, distinct) and whose coefficient has
-    no zero part would sum to its own coefficients, so it sets them
-    directly.  Both values of real make the same draws, so the random
-    stream does not depend on it.
+    running sum is exactly zero dropping at once, as in signed_sum.  Both
+    values of real make the same draws, so the random stream does not
+    depend on it.
     """
     table = _key_table(ambient_dim, degree, FORM_MAX_FREQ)
     n_axes = math.comb(ambient_dim, degree)
@@ -115,15 +113,10 @@ def random_real_forms(rng, ambient_dim: int, degree: int, count: int,
     for form_index, form_parts in zip(index.tolist(), parts):
         terms: Dict[Key, complex] = {}
         for i, (re, im) in zip(form_index, form_parts):
-            key, conj_key, nonzero = table[i]
+            key, conj_key = table[i]
             c = complex(re, im)
             pairs = ((key, c), (conj_key, c.conjugate())) if real else \
                 ((key, c),)
-            # a real form holds each key with its conjugate, so conj_key is
-            # new too
-            if re and im and (nonzero or not real) and key not in terms:
-                terms.update(pairs)
-                continue
             for key, coeff in pairs:
                 v = terms.get(key, 0.0) + coeff
                 if v != 0.0:

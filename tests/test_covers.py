@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -94,6 +95,64 @@ def test_a_cell_is_its_vertices(dec):
             coords = list(zip(*cell.vertices))
             assert _cell_bounding_box(cell) == [(min(c), max(c))
                                                 for c in coords]
+
+
+ORIENTED = ([make_circle_decomposition(N) for N in range(3, 9)]
+            + [make_torus_hex_decomposition(N) for N in range(3, 9)])
+
+
+@pytest.mark.parametrize("dec", ORIENTED,
+                         ids=[f"circle:{N}" for N in range(3, 9)]
+                         + [f"hex:{N}" for N in range(3, 9)])
+def test_a_point_is_plus_at_its_segments_end_and_minus_at_its_start(dec):
+    # the point at (i1, ..., i_top) is filed under the segment
+    # Delta_(i1, ..., i_{top-1}): +1 at its end, -1 at its start
+    points, segments = dec.faces[dec.dim + 1], dec.faces[dec.dim]
+    for key, cell in points.items():
+        start, end = segments[key[:-1]].vertices
+        assert cell.sign in (1, -1), key
+        assert cell.vertices[0] == (end if cell.sign == 1 else start), key
+
+
+@pytest.mark.parametrize("N", range(3, 9))
+def test_each_hexagon_boundary_closes_up(N):
+    # hexagon i's edges, +1 where i is the larger index (the edge is oriented
+    # as that hexagon traverses it) and -1 where it is the smaller, have
+    # signed endpoints that cancel mod 2pi; each sits on the thirds grid
+    dec = make_torus_hex_decomposition(N)
+    third = TWO_PI / (3 * N)
+
+    def grid_point(pt):
+        steps = [(c % TWO_PI) / third for c in pt]
+        assert all(abs(s - round(s)) < 1e-9 for s in steps), pt
+        return tuple(round(s) % (3 * N) for s in steps)
+
+    for i in range(N * N):
+        weights = {}
+        edges = [(key, seg) for key, seg in dec.faces[2].items() if i in key]
+        assert len(edges) == 6, i
+        for (i1, _), seg in edges:
+            sign = 1 if i == i1 else -1
+            for pt, s in zip(seg.vertices, (-sign, sign)):
+                g = grid_point(pt)
+                weights[g] = weights.get(g, 0) + s
+        assert set(weights.values()) == {0}, i
+
+
+def _hex_faces_digest(sizes):
+    h = hashlib.sha256()
+    for N in sizes:
+        for k, cells in make_torus_hex_decomposition(N).faces.items():
+            for key, cell in cells.items():
+                coords = " ".join(x.hex() for v in cell.vertices for x in v)
+                h.update(f"{N} {k} {key} {cell.sign} {coords}\n".encode())
+    return h.hexdigest()
+
+
+def test_hex_faces_are_pinned_cell_for_cell():
+    # keys in order, signs and every coordinate's bits of hex:3 .. hex:8
+    assert _hex_faces_digest(range(3, 9)) == (
+        "943bc24cb3ff5612b2503c94a15e78ea1ef300d7d03f46ccca02b66360c776e2")
 
 
 def _shoelace_area(cell):

@@ -596,6 +596,24 @@ def test_cli_negative_counts_are_usage_errors(capsys, argv):
     assert "is negative" in capsys.readouterr().err
 
 
+# an infinite tol would pass an infinite defect, a NaN one prints as no
+# JSON number, a negative one fails a zero defect; the lattice suite reads
+# no seed, so a negative one would pass there unseen
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "inf", "inf is not a finite float >= 0"),
+    ("--tol", "nan", "nan is not a finite float >= 0"),
+    ("--tol", "-1", "-1 is not a finite float >= 0"),
+    ("--seed", "-1", "-1 is negative"),
+], ids=["tol-inf", "tol-nan", "tol-negative", "seed-negative"])
+def test_cli_verify_refuses_a_tol_or_seed_it_cannot_mean(capsys, flag, value,
+                                                        message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "lattice", f"{flag}={value}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: {message}" in err
+
+
 @pytest.mark.parametrize("command", ["theta", "character"])
 @pytest.mark.parametrize("tol", ["0", "-0.0", "1e-400", "-1", "nan", "inf",
                                  "1e300", "1", "1e-310"])
