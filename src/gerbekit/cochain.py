@@ -45,6 +45,12 @@ def level_zero(degree: int, ambient_dim: int, idx_len: int) -> Level:
     return TrigForm.zero(ambient_dim, min(max(deg, 0), ambient_dim))
 
 
+def _is_zero(value: Level) -> bool:
+    """Whether a level value is the empty form or the int 0; a form with a
+    NaN term is not."""
+    return not (value.terms if type(value) is TrigForm else value)
+
+
 def _magnitude(value: Level) -> float:
     """Largest coefficient magnitude of a level value; m counts as 2*pi*|m|."""
     if isinstance(value, TrigForm):
@@ -122,10 +128,11 @@ class DiffCochain:
         an int at n+2.  The memo is read first, as the constructor refuses
         a stored index out of range or with a repeated entry: only a miss
         checks the index before computing it."""
-        idx = tuple(idx)
+        if type(idx) is not tuple:
+            idx = tuple(idx)
         got = self.components.get(idx)
         if got is None:
-            deg = self.level_degree(len(idx))
+            deg = self.degree - (len(idx) - 1)
             if self.component_fn is None or deg < -1 \
                     or deg > self.ambient_dim or len(set(idx)) != len(idx):
                 return level_zero(self.degree, self.ambient_dim, len(idx))
@@ -146,13 +153,19 @@ class DiffCochain:
         return self._plus(1, other)
 
     def _plus(self, odd: int, other: "DiffCochain") -> "DiffCochain":
-        """self + (-1)^odd * other, each level one signed_sum."""
+        """self + (-1)^odd * other, each level one signed_sum.  Where other
+        reads zero, the sum reads self's value itself, which signed_sum
+        would copy unchanged; a zero self is not passed over so, as
+        0.0 + c would turn a -0.0 part of c into +0.0."""
         if self.degree != other.degree or self.cover is not other.cover:
             raise ValueError("cochain addition needs matching degree and cover")
         a, b = self, other
 
         def comp(idx):
-            return signed_sum(a.component(idx), ((odd, b.component(idx)),))
+            value, term = a.component(idx), b.component(idx)
+            if _is_zero(term):
+                return value
+            return signed_sum(value, ((odd, term),))
 
         return _lazy(self.degree, self.cover, comp,
                      a.alternating and b.alternating)
@@ -180,7 +193,7 @@ class DiffCochain:
                 continue
             for idx in walk(r):
                 value = self.component(idx)
-                if not _magnitude(value) <= 0.0:
+                if not _is_zero(value) and not _magnitude(value) <= 0.0:
                     yield idx, value
 
     def materialize(self) -> "DiffCochain":
@@ -250,18 +263,19 @@ def total_d(omega: DiffCochain) -> DiffCochain:
     """
     n = omega.degree
     amb = omega.ambient_dim
+    read = omega.component
 
     def comp(idx: Idx) -> Level:
         # (delta omega)_{i0..ir} = sum_j (-1)^j omega_{i0..^ij..ir}
-        terms = [(j % 2, omega.component(idx[:j] + idx[j + 1:]))
+        terms = [(j % 2, read(idx[:j] + idx[j + 1:]))
                  for j in range(len(idx))]
         # the input slot with the same index length has r = len(idx) - 1;
         # (-1)^{r+1} is the sign of d there, and of the inclusion 2*pi*m
         odd = len(idx) % 2
         if len(idx) <= n + 1:
-            terms.append((odd, omega.component(idx).d()))
+            terms.append((odd, read(idx).d()))
         elif len(idx) == n + 2:
-            m = omega.component(idx)
+            m = read(idx)
             if m:
                 terms.append((odd, TrigForm.constant(amb, 2 * math.pi * m)))
         return signed_sum(level_zero(n + 1, amb, len(idx)), terms)
@@ -277,7 +291,7 @@ def restrict(omega: DiffCochain, s: Subordination) -> DiffCochain:
 
     def comp(idx):
         # an image with a repeated entry reads omega's shared zero, unasked
-        image = tuple(sig[j] for j in idx)
+        image = tuple([sig[j] for j in idx])
         if len(set(image)) != len(image):
             return level_zero(n, amb, len(idx))
         return omega.component(image)

@@ -256,13 +256,26 @@ def gauge_transform(A: LieValuedForm, t: GaugeMap) -> LieValuedForm:
     return t.conjugate(A) + t.maurer_cartan()
 
 
-def gauge_variation_defect(A: LieValuedForm, t: GaugeMap) -> float:
+def gauge_variation_defect(A: LieValuedForm, t: GaugeMap, *,
+                           cs_A: TrigForm | None = None,
+                           theta: LieValuedForm | None = None,
+                           theta_bracket: LieValuedForm | None = None
+                           ) -> float:
     """Residual of CS(psi*A) - CS(A) = d<t^{-1}At, theta> + t*W_G, with
-    theta = t^{-1}dt and t*W_G = -(1/6) <theta, [theta, theta]>."""
-    theta = t.maurer_cartan()
+    theta = t^{-1}dt and t*W_G = -(1/6) <theta, [theta, theta]>.
+
+    A caller that already holds cs_form(A), t.maurer_cartan() or
+    [theta, theta] may pass it, to be used as is; each one left None is
+    computed here."""
+    if theta is None:
+        theta = t.maurer_cartan()
+    if cs_A is None:
+        cs_A = cs_form(A)
+    if theta_bracket is None:
+        theta_bracket = graded_bracket(theta, theta)
     conj = t.conjugate(A)
-    lhs = cs_form(conj + theta) - cs_form(A)
-    wg = (-1.0 / 6.0) * pairing(theta, graded_bracket(theta, theta))
+    lhs = cs_form(conj + theta) - cs_A
+    wg = (-1.0 / 6.0) * pairing(theta, theta_bracket)
     rhs = pairing(conj, theta).d() + wg
     return (lhs - rhs).max_abs()
 

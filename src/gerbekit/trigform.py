@@ -86,6 +86,26 @@ def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _wedge_table(left_axes: Tuple[Tuple[int, ...], ...],
+                 right_axes: Tuple[Tuple[int, ...], ...]):
+    """The wedge's code table for two tuples of distinct axis sets, and the
+    sorted unions it numbers.  Entry (i, j) is -1 where left_axes[i] and
+    right_axes[j] share an axis, else 2 * (id of their sorted union) +
+    (sign < 0), the unions numbered in order of first appearance over the
+    rows.  Memoised on the two tuples, so the table is made read-only."""
+    out_axes: Dict[Tuple[int, ...], int] = {}
+    table = np.full((len(left_axes), len(right_axes)), -1)
+    for i, a1 in enumerate(left_axes):
+        for j, a2 in enumerate(right_axes):
+            ss = _axes_sign(a1 + a2)
+            if ss is not None:
+                axes_id = out_axes.setdefault(ss[0], len(out_axes))
+                table[i, j] = 2 * axes_id + (ss[1] < 0)
+    table.flags.writeable = False
+    return table, tuple(out_axes)
+
+
 def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
                  times: Callable[[np.ndarray, np.ndarray], np.ndarray]
                  ) -> Dict[Key, object]:
@@ -94,8 +114,9 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     Each pair of terms (left outer, right inner) contributes
     times(sign * c1, c2) at the summed frequency and the sorted union of
     the axes; pairs sharing an axis drop.  The pairs are walked as arrays.
-    Each pair of distinct axis sets is sorted once, into a code: -1 for a
-    shared axis, else 2 * (id of the sorted axes) + (sign < 0).  Gathered
+    Each pair of distinct axis sets is sorted into a code, -1 for a
+    shared axis, else 2 * (id of the sorted axes) + (sign < 0), once per
+    pair of axis-set tuples (`_wedge_table`).  Gathered
     over the grid of terms, its nonnegative entries are the surviving
     pairs in pair order.  Their keys, (axes id, summed frequency), are
     numbered by first appearance in one dict, for frequencies of any width
@@ -113,14 +134,7 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     right_axes: Dict[Tuple[int, ...], int] = {}
     li = [left_axes.setdefault(a, len(left_axes)) for _, a in left]
     ri = [right_axes.setdefault(a, len(right_axes)) for _, a in right]
-    out_axes: Dict[Tuple[int, ...], int] = {}
-    table = np.full((len(left_axes), len(right_axes)), -1)
-    for a1, i in left_axes.items():
-        for a2, j in right_axes.items():
-            ss = _axes_sign(a1 + a2)
-            if ss is not None:
-                axes_id = out_axes.setdefault(ss[0], len(out_axes))
-                table[i, j] = 2 * axes_id + (ss[1] < 0)
+    table, axes_of = _wedge_table(tuple(left_axes), tuple(right_axes))
     code = table.take(li, axis=0).take(ri, axis=1)
     I, J = np.nonzero(code >= 0)
     if not len(I):
@@ -148,7 +162,6 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
     np.add.at(acc.reshape(-1).view(float), flat.reshape(-1),
               products.reshape(-1).view(float))
     acc.flags.writeable = False
-    axes_of = list(out_axes)
     keys = [(k[1:], axes_of[k[0]]) for k in slot_of]
     return dict(zip(keys, acc.tolist() if acc.ndim == 1 else acc))
 

@@ -525,3 +525,72 @@ def test_the_homotopy_reads_no_index_with_a_repeated_entry():
     assert homotopy_k(om, s1, s2).max_defect() > 0
     assert asked
     assert [idx for idx in asked if len(set(idx)) != len(idx)] == []
+
+
+def hex_parts(value):
+    """A level value as its keys, in order, with float.hex of both parts of
+    each coefficient: a -0.0 and a NaN read as themselves."""
+    if isinstance(value, TrigForm):
+        return (value.ambient_dim, value.degree,
+                [(k, c.real.hex(), c.imag.hex())
+                 for k, c in value.terms.items()])
+    return type(value).__name__, value
+
+
+def test_a_sum_reads_its_first_summands_value_where_the_second_is_zero():
+    # a degree-0 cochain on the circle holds a 1-form H, 0-forms and ints;
+    # the public constructor would turn each -0.0 part into +0.0, the
+    # kernels' own outputs keep it
+    cover = make_circle_cover(4, 0.55)
+    signed = TrigForm._trusted(1, 0, {((1,), ()): complex(-0.0, 2.5),
+                             ((-1,), ()): complex(math.nan, -0.0),
+                             ((0,), ()): complex(1.5, math.nan)})
+    a = DiffCochain(0, cover, components={
+        (): TrigForm._trusted(1, 1, {((2,), (0,)): complex(-0.0, -1.0)}),
+        (0,): signed, (1,): signed, (0, 1): 5, (1, 2): -2})
+    # b is zero at every slot a holds: a stored empty form or int 0, or a
+    # slot it does not hold at all
+    b = DiffCochain(0, cover, components={
+        (0,): TrigForm.zero(1, 0), (0, 1): 0,
+        (2,): TrigForm(1, 0, {((1,), ()): 1.0})})
+    for total in (a + b, a - b):
+        for idx in ((), (0,), (1,), (0, 1), (1, 2)):
+            assert hex_parts(total.component(idx)) == hex_parts(
+                a.component(idx)), idx
+    assert hex_parts((a - b).component((2,))) == hex_parts(
+        TrigForm(1, 0, {((1,), ()): -1.0}))
+
+
+def test_a_zero_first_summand_still_adds_its_zero():
+    # 0.0 + (-0.0) is +0.0: where only the first summand is zero the sum is
+    # the kernel's, whose real part reads +0.0, not the second value's -0.0
+    cover = make_circle_cover(4, 0.55)
+    term = TrigForm._trusted(1, 0, {((1,), ()): complex(-0.0, 2.0)})
+    a = DiffCochain(1, cover, components={(0, 1): TrigForm.zero(1, 0)})
+    b = DiffCochain(1, cover, components={(0, 1): term, (1, 2): term})
+    for idx in ((0, 1), (1, 2)):
+        got = (a + b).component(idx)
+        assert hex_parts(got) == hex_parts(signed_sum(a.component(idx),
+                                                      ((0, term),)))
+        assert got.terms[(1,), ()].real.hex() == "0x0.0p+0"
+
+
+def test_the_cochain_suite_builds_one_total_d_per_drawn_cochain(monkeypatch):
+    from gerbekit import suites
+    drawn, asked = [], []
+    draw, differential = suites.random_alternating_cochain, suites.total_d
+
+    def random_alternating_cochain(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    def total_d(omega):
+        asked.append(omega)
+        return differential(omega)
+
+    monkeypatch.setattr(suites, "random_alternating_cochain",
+                        random_alternating_cochain)
+    monkeypatch.setattr(suites, "total_d", total_d)
+    suites.suite_cochain(4, 0)
+    assert len(drawn) == 4
+    assert [sum(x is om for x in asked) for om in drawn] == [1, 1, 1, 1]

@@ -146,3 +146,62 @@ def test_conjugation_rejects_a_form_on_another_torus():
     form = liecs.LieValuedForm(2, 1, 2, {((1, 0), (0,)): liecs.su2_basis()[0]})
     with pytest.raises(ValueError, match="mismatch"):
         t.conjugate(form)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_precomputed_forms_leave_the_gauge_variation_bit_for_bit(seed):
+    # the suite hands over CS(A), theta and [theta, theta]; each seed passes
+    # one of the eight subsets of them, and the defect must read the bits
+    # of the call that computes all three itself
+    rng = np.random.default_rng(seed)
+    A = random_connection(rng)
+    t = random_gauge_map(rng)
+    theta = t.maurer_cartan()
+    given = {"cs_A": liecs.cs_form(A), "theta": theta,
+             "theta_bracket": liecs.graded_bracket(theta, theta)}
+    subset = {k: v for i, (k, v) in enumerate(given.items())
+              if seed >> i & 1}
+    got = liecs.gauge_variation_defect(A, t, **subset)
+    assert got.hex() == liecs.gauge_variation_defect(A, t).hex()
+
+
+def test_precomputed_forms_keep_a_nan_defect():
+    rng = np.random.default_rng(7)
+    A = random_connection(rng)
+    t = random_gauge_map(rng)
+    terms = dict(A.terms)
+    key = next(iter(terms))
+    terms[key] = terms[key] + np.array([[0, np.nan], [0, 0]])
+    A = liecs.LieValuedForm(3, 1, 2, terms)
+    theta = t.maurer_cartan()
+    given = liecs.gauge_variation_defect(
+        A, t, cs_A=liecs.cs_form(A), theta=theta,
+        theta_bracket=liecs.graded_bracket(theta, theta))
+    assert given.hex() == liecs.gauge_variation_defect(A, t).hex() == "nan"
+
+
+def test_a_chernsimons_trial_builds_each_form_once(monkeypatch):
+    # per trial: CS(A) once for d_cs_equals_ff and the gauge variation and
+    # once for CS(psi*A); theta and [theta, theta] once for the gauge
+    # variation and mc_flat; ten wedge kernels, as <F, F> is a 4-form on
+    # T^3 and builds none
+    from gerbekit import suites
+    calls = dict.fromkeys(("cs_form", "maurer_cartan", "graded_bracket",
+                           "pairing", "_wedge_terms"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("cs_form", "graded_bracket", "pairing", "_wedge_terms"):
+        counted(liecs, name)
+    counted(liecs.GaugeMap, "maurer_cartan")
+    trials = 5
+    suites.suite_chernsimons(trials, 3)
+    assert {k: v / trials for k, v in calls.items()} == {
+        "cs_form": 2, "maurer_cartan": 1, "graded_bracket": 6, "pairing": 5,
+        "_wedge_terms": 10}

@@ -639,7 +639,9 @@ def test_bracket_terms_are_read_only():
 
 def test_d_and_wedge_sort_each_axis_combination_once(monkeypatch):
     # 3 axis sets on each side of a 1-form ^ 1-form on T^3: 9 sorts for the
-    # wedge, however many terms share an axis set; for d, one per (j, axes)
+    # wedge, however many terms share an axis set, and none for a second
+    # wedge of the same axis sets, which reads the memoised table; for d,
+    # one per (j, axes)
     terms = {((k1, k2, k3), (a,)): 1.0 + k1 for k1 in (-1, 1) for k2 in (0, 2)
              for k3 in (-1, 1) for a in range(3)}
     f = TrigForm(3, 1, terms)
@@ -648,8 +650,10 @@ def test_d_and_wedge_sort_each_axis_combination_once(monkeypatch):
     sign = trigform._axes_sign
     monkeypatch.setattr(trigform, "_axes_sign",
                         lambda axes: calls.append(tuple(axes)) or sign(axes))
+    trigform._wedge_table.cache_clear()
     wedge = f.wedge(g)
     assert len(calls) == 9 and len(set(calls)) == 9
+    assert f.wedge(g).terms == wedge.terms and len(calls) == 9
     del calls[:]
     d = f.d()
     assert len(calls) == len(set(calls)) == 6    # j not in axes: 3 x 2
@@ -725,3 +729,37 @@ def test_the_cell_kernel_is_the_numpy_kernel(cells, amb, triples):
                 else:
                     assert abs(got - want) <= 2 ** -46 * abs(want)
     assert seen == triples
+
+
+def wedge_table_reference(left_axes, right_axes):
+    """The wedge's code table rebuilt per call, its signs from counting
+    inversions: -1 for a shared axis, else 2 * (id of the sorted union) +
+    (odd), the unions numbered in row-major order of first appearance."""
+    unions = {}
+    table = np.full((len(left_axes), len(right_axes)), -1)
+    for i, a1 in enumerate(left_axes):
+        for j, a2 in enumerate(right_axes):
+            joined = a1 + a2
+            if len(set(joined)) < len(joined):
+                continue
+            odd = sum(x > y for k, x in enumerate(joined)
+                      for y in joined[k + 1:]) % 2
+            union = tuple(sorted(joined))
+            table[i, j] = 2 * unions.setdefault(union, len(unions)) + odd
+    return table, tuple(unions)
+
+
+@pytest.mark.parametrize("amb", [2, 3, 4])
+def test_the_cached_wedge_table_matches_a_per_call_rebuild(amb):
+    rng = np.random.default_rng(amb)
+    sets = [c for p in range(amb + 1) for c in combinations(range(amb), p)]
+    for _ in range(60):
+        left, right = ([sets[i] for i in rng.permutation(len(sets))[
+            :rng.integers(1, len(sets) + 1)]] for _ in range(2))
+        want = wedge_table_reference(left, right)
+        for _ in range(2):      # the second call reads the memo
+            table, axes = trigform._wedge_table(tuple(left), tuple(right))
+            assert table.dtype == want[0].dtype
+            assert np.array_equal(table, want[0]) and axes == want[1]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
