@@ -543,8 +543,8 @@ def test_a_sum_reads_its_first_summands_value_where_the_second_is_zero():
     # kernels' own outputs keep it
     cover = make_circle_cover(4, 0.55)
     signed = TrigForm._trusted(1, 0, {((1,), ()): complex(-0.0, 2.5),
-                             ((-1,), ()): complex(math.nan, -0.0),
-                             ((0,), ()): complex(1.5, math.nan)})
+                                      ((-1,), ()): complex(math.nan, -0.0),
+                                      ((0,), ()): complex(1.5, math.nan)})
     a = DiffCochain(0, cover, components={
         (): TrigForm._trusted(1, 1, {((2,), (0,)): complex(-0.0, -1.0)}),
         (0,): signed, (1,): signed, (0, 1): 5, (1, 2): -2})

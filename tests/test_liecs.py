@@ -150,9 +150,9 @@ def test_conjugation_rejects_a_form_on_another_torus():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_precomputed_forms_leave_the_gauge_variation_bit_for_bit(seed):
-    # the suite hands over CS(A), theta and [theta, theta]; each seed passes
-    # one of the eight subsets of them, and the defect must read the bits
-    # of the call that computes all three itself
+    # the suite hands over CS(A), theta and [theta, theta]; given all three,
+    # and given the one of their eight subsets that the seed picks, the
+    # defect must read the bits of the call that computes them itself
     rng = np.random.default_rng(seed)
     A = random_connection(rng)
     t = random_gauge_map(rng)
@@ -161,8 +161,9 @@ def test_precomputed_forms_leave_the_gauge_variation_bit_for_bit(seed):
              "theta_bracket": liecs.graded_bracket(theta, theta)}
     subset = {k: v for i, (k, v) in enumerate(given.items())
               if seed >> i & 1}
-    got = liecs.gauge_variation_defect(A, t, **subset)
-    assert got.hex() == liecs.gauge_variation_defect(A, t).hex()
+    want = liecs.gauge_variation_defect(A, t).hex()
+    assert liecs.gauge_variation_defect(A, t, **given).hex() == want
+    assert liecs.gauge_variation_defect(A, t, **subset).hex() == want
 
 
 def test_precomputed_forms_keep_a_nan_defect():
