@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from typing import Dict, List, Tuple
 
@@ -279,38 +279,43 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
 
 
 def random_connection(rng) -> liecs.LieValuedForm:
-    """A random su(2)-valued real 1-form on T^3."""
-    basis = liecs.su2_basis()
+    """A random su(2)-valued real 1-form on T^3: CONNECTION_TERMS real
+    3-vectors x, each at a key of `_key_table` (frequencies in [-1, 1]) and,
+    as conj(x) = x, at its conjugate key; drawn in two vector calls."""
+    table = _key_table(LIE_DIM, 1, 1)
     terms = {}
-    for _ in range(CONNECTION_TERMS):
-        freq = tuple(int(rng.integers(-1, 2)) for _ in range(LIE_DIM))
-        axis = (int(rng.integers(LIE_DIM)),)
-        X = sum(rng.normal() * b for b in basis)
-        key = (freq, axis)
-        kc = (tuple(-f for f in freq), axis)
-        terms[key] = terms.get(key, 0) + X
-        terms[kc] = terms.get(kc, 0) + X.conj().T * (-1)
-    # make each coefficient pair Hermitian-conjugate so A is real and su(2)
-    return liecs.LieValuedForm(LIE_DIM, 1, 2, terms)
+    for code, x in zip(rng.integers(len(table), size=CONNECTION_TERMS).tolist(),
+                       rng.standard_normal((CONNECTION_TERMS, 3))):
+        for key in table[code]:
+            terms[key] = terms.get(key, 0) + x
+    return liecs.LieValuedForm(LIE_DIM, 1, terms)
 
 
 def random_gauge_map(rng) -> liecs.GaugeMap:
-    factors = []
-    for _ in range(2):
-        theta = rng.normal(size=3)
-        U = _su2_exp(theta)
-        w = int(rng.integers(1, 3))
-        freq = tuple(int(rng.integers(-1, 2)) for _ in range(LIE_DIM))
-        if all(f == 0 for f in freq):
-            freq = (1,) + (0,) * (LIE_DIM - 1)
-        factors.append(liecs.GaugeFactor(U, (w, -w), freq))
-    return liecs.GaugeMap(factors)
+    """Two gauge factors U diag(e^{i w m.x}, e^{-i w m.x}) U^dagger, with
+    U = exp(theta . e) for a normal theta, w in {1, 2} and m in
+    {-1, 0, 1}^3 (m = 0 read as (1, 0, 0)), drawn in three vector calls."""
+    thetas = rng.standard_normal((2, 3))
+    weights = rng.integers(1, 3, size=2).tolist()
+    freqs = rng.integers(-1, 2, size=(2, LIE_DIM)).tolist()
+    return liecs.GaugeMap([
+        liecs.GaugeFactor(_ad_exp(theta), w,
+                          freq if any(freq) else (1,) + (0,) * (LIE_DIM - 1))
+        for theta, w, freq in zip(thetas.tolist(), weights, freqs)])
 
 
-def _su2_exp(theta) -> np.ndarray:
-    X = sum(t * b for t, b in zip(theta, liecs.su2_basis()))
-    w, V = np.linalg.eig(X)
-    return V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
+def _ad_exp(theta) -> List[List[float]]:
+    """Ad(exp(theta . e)) in Python floats, exp(theta . e) being
+    cos(r/2) 1 + (2 sin(r/2) / r) theta . e with r = |theta|.  As
+    [theta . e, x . e] = -(theta × x) = -K x, it is the rotation by -r about
+    theta: 1 - (sin r / r) K + (2 sin(r/2)^2 / r^2) K^2 (Rodrigues), where
+    K^2 = theta theta^T - r^2 1."""
+    r = math.hypot(*theta)
+    c, s, q = math.cos(r), math.sin(r) / r, 2 * (math.sin(r / 2) / r) ** 2
+    t1, t2, t3 = theta
+    K = [[0.0, -t3, t2], [t3, 0.0, -t1], [-t2, t1, 0.0]]
+    return [[(c if i == j else 0.0) - s * K[i][j] + q * theta[i] * theta[j]
+             for j in range(3)] for i in range(3)]
 
 
 def suite_chernsimons(trials: int, seed: int) -> List[Check]:
@@ -339,7 +344,8 @@ def suite_chernsimons(trials: int, seed: int) -> List[Check]:
             vecs = [rng.normal(size=3) for _ in range(2)]
             lhs = br.evaluate(x, vecs)
             rhs = liecs.bracket_oracle_value(A, B, x, vecs)
-            worst.add("bracket_oracle", float(np.max(np.abs(lhs - rhs))))
+            worst.add("bracket_oracle",
+                      reduce(nan_max, map(abs, (lhs - rhs).tolist()), 0.0))
     return list(worst.items())
 
 

@@ -68,10 +68,8 @@ def _normal_key(ambient_dim: int, degree: int, freq, axes) -> Key:
 
 
 def _d_terms(terms: Mapping[Key, object]) -> Dict[Key, object]:
-    """Terms of the exterior derivative of sum c e^{i k.x} dx_I.
-
-    The coefficients c may be Python complex numbers or numpy matrices.
-    """
+    """Terms of the exterior derivative of sum c e^{i k.x} dx_I, the
+    coefficients c Python complex numbers or numpy 3-vectors."""
     out: Dict[Key, object] = {}
     signs: Dict[Tuple[int, Tuple[int, ...]], object] = {}    # (j, axes) -> sort
     for (freq, axes), c in terms.items():
@@ -113,22 +111,17 @@ def _wedge_terms(left: Mapping[Key, object], right: Mapping[Key, object],
 
     Each pair of terms (left outer, right inner) contributes
     times(sign * c1, c2) at the summed frequency and the sorted union of
-    the axes; pairs sharing an axis drop.  The pairs are walked as arrays.
-    Each pair of distinct axis sets is sorted into a code, -1 for a
-    shared axis, else 2 * (id of the sorted axes) + (sign < 0), once per
-    pair of axis-set tuples (`_wedge_table`).  Gathered
-    over the grid of terms, its nonnegative entries are the surviving
-    pairs in pair order.  Their keys, (axes id, summed frequency), are
-    numbered by first appearance in one dict, for frequencies of any width
-    below 2**62, and `times` is called once, on the stacked signed left and
-    right coefficients of every surviving pair, returning their stacked
-    products.  These are summed in pair order into a zeroed
-    accumulator, so each key reads 0.0 + v1 + v2 + ..., keys in order of
-    first appearance: the bits of a per-pair loop that adds each product to
-    its key's running sum, for scalar and 2 x 2 coefficients NaNs
-    included.  Frequencies are summed in int64 (OverflowError from 2**62
-    on).  Scalar sums come back as Python complex numbers, matrix sums as
-    views into the accumulator, which is made read-only.
+    the axes; pairs sharing an axis drop.  The pairs are walked as arrays:
+    `_wedge_table`'s codes, gathered over the grid of terms, give the
+    surviving pairs in pair order, and their keys, (axes id, summed
+    frequency), are numbered by first appearance in one dict, for
+    frequencies of any width below 2**62 (summed in int64; OverflowError
+    from 2**62 on).  `times` is called once, on the stacked signed left and
+    right coefficients of every surviving pair, and the products are summed
+    in pair order into a zeroed accumulator: each key reads
+    0.0 + v1 + v2 + ..., the bits of a per-pair loop of running sums.
+    Scalar sums come back as Python complex numbers, 3-vector sums as views
+    into the accumulator, which is made read-only.
     """
     left_axes: Dict[Tuple[int, ...], int] = {}
     right_axes: Dict[Tuple[int, ...], int] = {}

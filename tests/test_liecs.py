@@ -1,8 +1,34 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gerbekit import liecs
-from gerbekit.suites import random_connection, random_gauge_map
+from gerbekit.suites import _ad_exp, random_connection, random_gauge_map
+
+BASIS = liecs.su2_basis()
+
+
+def matrix(x):
+    """The 2 x 2 matrix sum_a x_a e_a of a coefficient vector."""
+    return sum(c * e for c, e in zip(x, BASIS))
+
+
+def su2_exp(theta):
+    """exp(theta . e) = cos(r/2) 1 + (2 sin(r/2) / r) theta . e, r = |theta|."""
+    r = float(np.linalg.norm(theta))
+    return math.cos(r / 2) * np.eye(2) + (2 * math.sin(r / 2) / r) * matrix(theta)
+
+
+def adjoint(U):
+    """Ad(U) read off the matrices: U e_a U^dagger = sum_b Ad[b, a] e_b,
+    the coefficient of e_b being -2 tr(e_b M)."""
+    return np.array([[(-2 * np.trace(eb @ U @ ea @ U.conj().T)).real
+                      for ea in BASIS] for eb in BASIS])
 
 
 def test_su2_basis_is_anti_hermitian_and_orthonormal():
@@ -16,15 +42,54 @@ def test_su2_basis_is_anti_hermitian_and_orthonormal():
             assert abs(np.trace(X @ Y) - expect) < 1e-14
 
 
+def test_su2_basis_brackets_by_minus_epsilon_and_pairs_by_half_delta():
+    # [e_a, e_b] = -eps_abc e_c and -tr(e_a e_b) = delta_ab / 2, the two
+    # facts the 3-vector kernels are built on, read off the matrices
+    for ea, eb, ec in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        X, Y = BASIS[ea], BASIS[eb]
+        assert np.max(np.abs(X @ Y - Y @ X + BASIS[ec])) < 1e-15
+    for a, X in enumerate(BASIS):
+        for b, Y in enumerate(BASIS):
+            assert -np.trace(X @ Y) == (0.5 if a == b else 0.0)
+
+
+def test_the_vector_kernels_are_the_matrix_bracket_and_pairing():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    y = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+    for u, v, br, pair in zip(x, y, liecs._bracket(x, y),
+                              liecs._pairing(x, y)):
+        X, Y = matrix(u), matrix(v)
+        assert np.max(np.abs(matrix(br) - (X @ Y - Y @ X))) < 1e-14
+        assert abs(pair + np.trace(X @ Y)) < 1e-14
+
+
 def test_connection_is_algebra_valued():
-    # traceless coefficients, and the term at -k is minus the adjoint of the
+    # 3-vector coefficients, and the term at -k is the conjugate of the
     # term at k: the form is real and takes values in su(2)
     A = random_connection(np.random.default_rng(0))
     assert A.terms
-    for (freq, axes), X in A.terms.items():
-        assert abs(np.trace(X)) < 1e-14
+    for (freq, axes), x in A.terms.items():
+        assert x.shape == (3,)
         conj = A.terms[tuple(-k for k in freq), axes]
-        assert np.max(np.abs(conj + X.conj().T)) < 1e-14
+        assert np.max(np.abs(conj - x.conj())) < 1e-14
+        X = matrix(x)
+        assert abs(np.trace(X)) < 1e-14
+        assert np.max(np.abs(matrix(conj) + X.conj().T)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_rotation_of_the_draws_is_the_adjoint_of_the_exponential(seed):
+    # Ad(exp(theta . e)) is the rotation by -|theta| about theta: Rodrigues
+    # in the suites, the matrices of the closed-form exponential here
+    theta = np.random.default_rng(seed).normal(size=3)
+    R = np.array(_ad_exp(theta.tolist()))
+    U = su2_exp(theta)
+    assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-15
+    assert np.max(np.abs(R - adjoint(U))) < 1e-14
+    assert np.max(np.abs(R @ R.T - np.eye(3))) < 1e-14
+    assert abs(np.linalg.det(R) - 1) < 1e-14
+    assert np.max(np.abs(R @ theta - theta)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -87,22 +152,54 @@ def test_gauge_transform_curvature_is_conjugated():
     FB = liecs.curvature(liecs.gauge_transform(A, t))
     x = rng.random(3)
     vecs = [rng.normal(size=3) for _ in range(2)]
-    g = t.value(x).conj().T
     lhs = FB.evaluate(x, vecs)
-    rhs = g @ FA.evaluate(x, vecs) @ t.value(x)
+    rhs = np.linalg.inv(ad_value(t, x)) @ FA.evaluate(x, vecs)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def ad_value(t, x):
+    """Ad(t(x)) = Ad(f_1(x)) Ad(f_2(x)) ..., each Ad(f(x)) being
+    Ad(U) Ad(D) Ad(U)^T, Ad(D) read off the matrix
+    D = diag(e^{iw m.x}, e^{-iw m.x})."""
+    out = np.eye(3)
+    for f in t.factors:
+        phase = float(np.dot(f.freq, x))
+        D = np.diag([np.exp(1j * f.w * phase), np.exp(-1j * f.w * phase)])
+        out = out @ f.ad @ adjoint(D) @ f.ad.T
+    return out
+
+
+def test_gauge_transform_curvature_is_conjugated_as_matrices():
+    # the same law on the 2 x 2 matrices themselves: t^{-1} F_A t with t(x)
+    # multiplied out from closed-form exponentials
+    rng = np.random.default_rng(51)
+    A = random_connection(rng)
+    factors, Us = [], []
+    for w, freq in ((1, (1, 0, -1)), (2, (0, 1, 1))):
+        theta = rng.normal(size=3)
+        Us.append((su2_exp(theta), w, freq))
+        factors.append(liecs.GaugeFactor(adjoint(su2_exp(theta)), w, freq))
+    t = liecs.GaugeMap(factors)
+    x = rng.random(3)
+    vecs = [rng.normal(size=3) for _ in range(2)]
+    tx = np.eye(2)
+    for U, w, freq in Us:
+        phase = float(np.dot(freq, x))
+        D = np.diag([np.exp(1j * w * phase), np.exp(-1j * w * phase)])
+        tx = tx @ U @ D @ U.conj().T
+    FA = matrix(liecs.curvature(A).evaluate(x, vecs))
+    FB = matrix(liecs.curvature(liecs.gauge_transform(A, t)).evaluate(x, vecs))
+    assert np.max(np.abs(FB - np.linalg.inv(tx) @ FA @ tx)) < 1e-10
+
+
 def test_cs_of_zero_connection_is_zero():
-    Z = liecs.LieValuedForm.zero(3, 1, 2)
+    Z = liecs.LieValuedForm.zero(3, 1)
     assert liecs.cs_form(Z).is_zero()
 
 
 def test_nan_coefficient_is_kept_and_propagates():
-    X = liecs.su2_basis()[0].copy()
-    X[0, 1] = np.nan
-    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (0,)): liecs.su2_basis()[1],
-                                      ((0, 1, 0), (2,)): X})
+    f = liecs.LieValuedForm(3, 1, {((1, 0, 0), (0,)): [0, 1, 0],
+                                   ((0, 1, 0), (2,)): [1, np.nan, 0]})
     assert len(f.terms) == 2
     assert np.isnan(f.max_abs())
     assert not f.max_abs() <= 1.0
@@ -114,9 +211,13 @@ def test_lie_sum_rejects_mismatched_forms():
     with pytest.raises(ValueError, match="mismatch"):
         A + F
     with pytest.raises(ValueError, match="mismatch"):
-        A + liecs.LieValuedForm.zero(3, 1, 3)
-    with pytest.raises(ValueError, match="mismatch"):
-        A + liecs.LieValuedForm.zero(2, 1, 2)
+        A + liecs.LieValuedForm.zero(2, 1)
+
+
+@pytest.mark.parametrize("coefficient", [np.eye(2), [1, 0], [1, 0, 0, 0]])
+def test_lie_form_rejects_a_coefficient_that_is_not_a_3_vector(coefficient):
+    with pytest.raises(ValueError, match="3-vector"):
+        liecs.LieValuedForm(3, 1, {((1, 0, 0), (0,)): coefficient})
 
 
 @pytest.mark.parametrize("freq, axes, message", [
@@ -135,15 +236,14 @@ def test_lie_form_rejects_malformed_keys(freq, axes, message):
     # axes for a 1-form
     degree = 1 if message == "axes length" else len(axes)
     with pytest.raises(ValueError, match=message):
-        liecs.LieValuedForm(3, degree, 2,
-                            {(freq, axes): liecs.su2_basis()[0]})
+        liecs.LieValuedForm(3, degree, {(freq, axes): [1, 0, 0]})
 
 
 def test_conjugation_rejects_a_form_on_another_torus():
     # the conjugation kernel trusts its keys, so the gauge map checks the
     # form's torus before any frequency is shifted
     t = random_gauge_map(np.random.default_rng(0))
-    form = liecs.LieValuedForm(2, 1, 2, {((1, 0), (0,)): liecs.su2_basis()[0]})
+    form = liecs.LieValuedForm(2, 1, {((1, 0), (0,)): [1, 0, 0]})
     with pytest.raises(ValueError, match="mismatch"):
         t.conjugate(form)
 
@@ -172,8 +272,8 @@ def test_precomputed_forms_keep_a_nan_defect():
     t = random_gauge_map(rng)
     terms = dict(A.terms)
     key = next(iter(terms))
-    terms[key] = terms[key] + np.array([[0, np.nan], [0, 0]])
-    A = liecs.LieValuedForm(3, 1, 2, terms)
+    terms[key] = terms[key] + np.array([0, np.nan, 0])
+    A = liecs.LieValuedForm(3, 1, terms)
     theta = t.maurer_cartan()
     given = liecs.gauge_variation_defect(
         A, t, cs_A=liecs.cs_form(A), theta=theta,
@@ -183,9 +283,9 @@ def test_precomputed_forms_keep_a_nan_defect():
 
 def test_a_chernsimons_trial_builds_each_form_once(monkeypatch):
     # per trial: CS(A) once for d_cs_equals_ff and the gauge variation and
-    # once for CS(psi*A); theta and [theta, theta] once for the gauge
-    # variation and mc_flat; ten wedge kernels, as <F, F> is a 4-form on
-    # T^3 and builds none
+    # once for CS(psi*A); [A, A] once for F and CS(A); theta and
+    # [theta, theta] once for the gauge variation and mc_flat; nine wedge
+    # kernels, as <F, F> is a 4-form on T^3 and builds none
     from gerbekit import suites
     calls = dict.fromkeys(("cs_form", "maurer_cartan", "graded_bracket",
                            "pairing", "_wedge_terms"), 0)
@@ -204,5 +304,43 @@ def test_a_chernsimons_trial_builds_each_form_once(monkeypatch):
     trials = 5
     suites.suite_chernsimons(trials, 3)
     assert {k: v / trials for k, v in calls.items()} == {
-        "cs_form": 2, "maurer_cartan": 1, "graded_bracket": 6, "pairing": 5,
-        "_wedge_terms": 10}
+        "cs_form": 2, "maurer_cartan": 1, "graded_bracket": 5, "pairing": 5,
+        "_wedge_terms": 9}
+
+
+# each setting forces one BLAS core type or numpy's SIMD baseline on its
+# own process; the chernsimons reports must not move with any of them
+KERNEL_SETTINGS = {
+    "default": {},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "x86-v2": {"NPY_DISABLE_CPU_FEATURES":
+               "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+REPORTS = """
+import json
+from gerbekit.cli import run_suite
+for trials, seed in [(6, 0), (6, 1), (20, 2)] + [(20, s) for s in range(40)]:
+    print(json.dumps(run_suite("chernsimons", trials, seed, 1e-8)))
+"""
+
+
+def test_chernsimons_reports_do_not_depend_on_the_cpu_kernels():
+    # the three pinned shapes and seeds 0-39 at 20 trials, the four
+    # processes run side by side
+    src = str(Path(liecs.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = src
+    procs = {name: subprocess.Popen(
+                 [sys.executable, "-c", REPORTS], env={**env, **extra},
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for name, extra in KERNEL_SETTINGS.items()}
+    out = {}
+    for name, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        out[name] = stdout.splitlines()
+    assert len(out["default"]) == 43
+    for name in KERNEL_SETTINGS:
+        assert out[name] == out["default"], name

@@ -42,6 +42,16 @@ BUGS = [
     ("W-wedge-without-axis-sign", "trigform.py",
      "table[i, j] = 2 * axes_id + (ss[1] < 0)", "table[i, j] = 2 * axes_id",
      "chernsimons", ("bracket_oracle", "gauge_variation", "mc_flat")),
+    # one structure constant of su(2) with the wrong sign: component 1 of
+    # [x, y] reads x_0 y_2 + x_2 y_0
+    ("X-cross-product-term-sign", "liecs.py", "xy(0, 2) - xy(2, 0)",
+     "xy(0, 2) + xy(2, 0)", "chernsimons",
+     ("bianchi", "bracket_oracle", "gauge_variation", "mc_flat")),
+    # the kernels never read the basis; the bracket oracle's matrices do
+    ("U-su2-basis-s3-identity", "liecs.py",
+     "s3 = np.array([[1, 0], [0, -1]], dtype=complex)",
+     "s3 = np.array([[1, 0], [0, 1]], dtype=complex)", "chernsimons",
+     ("bracket_oracle",)),
     ("M-coxeter-exponent", "modform.py", "COXETER_EXPONENT = 30",
      "COXETER_EXPONENT = 31", "modular", ("ad_is_char_pow30",)),
     # the class is invariant under coboundaries either way; only its value

@@ -39,14 +39,18 @@ from gerbekit.suites import random_alternating_cochain, random_cocycle
 # and pushforward digests moved again when those two suites began drawing
 # their forms without conjugate partners (real=False): the same numbers
 # from the same draws, but complex instances of the C-linear identities.
+# The chernsimons digests moved when su(2) coefficients became 3-vectors
+# (no matrix products, so the same bits under every BLAS kernel and SIMD
+# level) and the connections and gauge maps began drawing their numbers in
+# vector calls: new instances of the same identities.
 PINNED = [
     ("cochain", 3, 0, "5e65da824e1eda835a27ee849a2ae2e013f822e63fc3dac76158386c49552173"),
-    ("chernsimons", 6, 0, "739dfa06f9f8ee3eb403854802abe1baea129b0d5bcbd155dfc817037da528b5"),
+    ("chernsimons", 6, 0, "ac9f5d7040188559e9d36ba6b27d11afb0c7ffced69874c407998ed63ee8d2eb"),
     ("holonomy", 3, 0, "617828fa5fa76c0bb4aa5881de72b465b29ac0bd737c1b720cdf045b8f450f50"),
     ("crossmodule", 3, 0, "151bf79fbcf77713ae6613041e5eedfa33c24237b6452129569c1e8236eefcec"),
     ("pushforward", 1, 0, "e9401cf3f05d7ecbec0582b5de2a904fdf1007d651eeb3b0373e835143cc9387"),
     ("cochain", 3, 1, "9e1254459004da224d443d39d34501d3f3d31d1ef94c26d6fee8570a83d82844"),
-    ("chernsimons", 6, 1, "c78d47f7e8543f1fb7c008b0e88d769d63e2c3446b390fe02700aeeeef956e3a"),
+    ("chernsimons", 6, 1, "6580db3461993594b9e79803888818759c80a12f720919b0480d1f1d30f2aa2e"),
     ("holonomy", 3, 1, "b6f7f063441c722efa548c60f8d99319ca3efd0aa1f1268d15519e37f8a3f5d9"),
     ("crossmodule", 3, 1, "8da05b525b81663ede8f5b3c4526c65b6db070b66276e2ea8c426bfac287e639"),
     ("pushforward", 1, 1, "f60918071226cbbbef3b764541a159cd06f7c55ab92cf1b85fbb31d9812f0992"),
@@ -55,7 +59,7 @@ PINNED = [
     ("lattice", 1, 1, "16f74f52fc6ace50d595e577f9b586718b49906aa93faf0626371062a47b1c0d"),
     ("modular", 20, 1, "2a55aa3a5cb3b783b90d222a44a684b995298941885367cc99f1d432881a7008"),
     # the complex benchmark workload's chernsimons shape: 20 trials
-    ("chernsimons", 20, 2, "95ed8e7fa3364e41d89bc1593d7f126e5ebfc9de0c5531a150e2b200e628cfe4"),
+    ("chernsimons", 20, 2, "0d326cc3c6dcf915797f129d63e3bc34d46c25a7f2e2d9babbafd25a8aebb610"),
     # ... and its cochain and crossmodule shapes: 6 and 4 trials
     ("cochain", 6, 2, "f57c9951c69ce1c9ab18e985333aa09c203bdb3bd1856a1187bc41d71df695aa"),
     ("crossmodule", 4, 2, "b600e7b26e2f65b8b343f4412fec73f5dc7cf3f59ad468a4cc329870c167c6eb"),

@@ -239,10 +239,12 @@ def test_cli_holonomy_reports_the_cocycle_defect_on_stderr(
 # SHA-256 of `verify --suite all --seed 0`'s stdout, and of its stderr with
 # each suite's wall time blanked: the check and summary lines are pinned,
 # and the wall time appears only there.  Both moved when the cochain and
-# pushforward suites began drawing their forms without conjugate partners
+# pushforward suites began drawing their forms without conjugate partners,
+# and again when su(2) coefficients became 3-vectors drawn in vector calls
+# (the stderr through the chernsimons check lines' defects)
 VERIFY_ALL_SEED_0 = {
-    "stdout": "ea6ab38729bc3528cec3c16886f57107c5bc4f490d5fd918ead92f5aae55ef2f",
-    "stderr": "94e22ebf73e060a1827f6f2d0f784f0655c7e723a002103fae84153d3bca9a0d"}
+    "stdout": "35a3652075d2988e4c91d915ae33a3300f3de9dd023071ef1aab64f24e3efa6b",
+    "stderr": "f85d0af0a3e24fd492a3224c551bf3832053d8b4b3e23c77e4d7bef1c54b206d"}
 
 
 def test_cli_verify_all_writes_the_pinned_report_and_check_lines(capsys):

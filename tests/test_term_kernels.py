@@ -18,7 +18,7 @@ from gerbekit import liecs, trigform
 from gerbekit.covers import (make_circle_decomposition,
                              make_torus_hex_decomposition)
 from gerbekit.fiberint import integrate_fiber_cell
-from gerbekit.suites import random_connection, random_gauge_map
+from gerbekit.suites import _ad_exp, random_connection, random_gauge_map
 from gerbekit.trigform import TrigForm, _integrate_monomial
 
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
@@ -219,15 +219,13 @@ def test_fiber_cell_integral_matches_the_per_term_reference(data):
 
 @st.composite
 def lie_forms(draw, deg):
-    basis = liecs.su2_basis()
     pool = list(combinations(range(3), deg))
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         freq = tuple(draw(st.integers(-1, 1)) for _ in range(3))
         axes = pool[draw(st.integers(0, len(pool) - 1))]
-        weights = [draw(st.floats(-2, 2)) for _ in basis]
-        terms[(freq, axes)] = sum(w * b for w, b in zip(weights, basis))
-    return liecs.LieValuedForm(3, deg, 2, terms)
+        terms[(freq, axes)] = [draw(st.floats(-2, 2)) for _ in range(3)]
+    return liecs.LieValuedForm(3, deg, terms)
 
 
 @KERNEL_SETTINGS
@@ -249,11 +247,10 @@ def test_fiber_cell_integral_rejects_a_base_too_small_for_the_result():
 
 
 def assert_lie_normal_form(out: liecs.LieValuedForm):
-    ref = liecs.LieValuedForm(out.ambient_dim, out.degree, out.matrix_dim,
-                              out.terms)
+    ref = liecs.LieValuedForm(out.ambient_dim, out.degree, out.terms)
     assert list(out.terms) == list(ref.terms)
     for k, X in out.terms.items():
-        assert X.dtype == complex and X.shape == (out.matrix_dim,) * 2
+        assert X.dtype == complex and X.shape == (3,)
         assert np.array_equal(X, ref.terms[k], equal_nan=True)
 
 
@@ -273,18 +270,16 @@ def test_lie_kernels_are_normal(data):
 
 
 def test_lie_kernels_keep_a_nan_coefficient():
-    X = liecs.su2_basis()[0].copy()
-    X[0, 1] = np.nan
-    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): X})
-    g = liecs.LieValuedForm(3, 1, 2, {((0, 1, 0), (2,)): liecs.su2_basis()[1]})
+    f = liecs.LieValuedForm(3, 1, {((1, 0, 0), (1,)): [1, np.nan, 0]})
+    g = liecs.LieValuedForm(3, 1, {((0, 1, 0), (2,)): [0, 1, 0]})
     for out in (f.d(), f + g, 0.5 * f, liecs.graded_bracket(f, g)):
         assert np.isnan(out.max_abs())
 
 
 def test_lie_kernels_skip_the_validating_constructor(monkeypatch):
     # d, the bracket, + and * build trusted results: no __init__ calls
-    a = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): liecs.su2_basis()[0],
-                                      ((0, 1, 1), (0,)): liecs.su2_basis()[2]})
+    a = liecs.LieValuedForm(3, 1, {((1, 0, 0), (1,)): [1, 0, 0],
+                                   ((0, 1, 1), (0,)): [0, 0, 1]})
     calls = []
     init = liecs.LieValuedForm.__init__
     monkeypatch.setattr(liecs.LieValuedForm, "__init__",
@@ -310,7 +305,8 @@ def test_gauge_kernels_skip_the_validating_constructor(monkeypatch):
 def wedge_reference(left, right, times):
     """The wedge kernel as a loop over pairs of terms (left outer, right
     inner), each pair's times(sign * c1, c2) added to its key's running sum
-    from 0.0, keys in order of first appearance."""
+    from 0.0, keys in order of first appearance.  A vector product is an
+    object array of Python complex numbers, so its sums are Python's."""
     out = {}
     for (f1, a1), c1 in left.items():
         for (f2, a2), c2 in right.items():
@@ -344,10 +340,8 @@ parts = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL_PARTS))
 special_coefficients = st.builds(complex, parts, parts)
 
 
-def special_matrices(m):
-    return st.lists(special_coefficients, min_size=m * m,
-                    max_size=m * m).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(m, m))
+special_vectors = st.lists(special_coefficients, min_size=3,
+                           max_size=3).map(lambda xs: np.array(xs))
 
 
 @st.composite
@@ -388,104 +382,122 @@ def test_wedge_matches_the_per_pair_reference_bit_for_bit(data):
     assert coefficient_bytes(got.terms) == coefficient_bytes(want.terms)
 
 
-def check_lie_kernels_against_the_reference(m, data, nan_sign):
+def product_parts(x, y):
+    """The float parts of x * y for two complex numbers, each product,
+    sum and difference one Python float operation."""
+    return (x.real * y.real - x.imag * y.imag,
+            x.real * y.imag + x.imag * y.real)
+
+
+def bracket_reference(x, y):
+    """[x, y] for one pair of 3-vectors in Python floats: component c is
+    x_b y_a - x_a y_b for (a, b, c) cyclic."""
+    x, y = x.tolist(), y.tolist()
+    out = []
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        (p_re, p_im), (q_re, q_im) = (product_parts(x[b], y[a]),
+                                      product_parts(x[a], y[b]))
+        out.append(complex(p_re - q_re, p_im - q_im))
+    return np.array(out, dtype=object)
+
+
+def pairing_reference(x, y):
+    """(x . y) / 2 for one pair of 3-vectors in Python floats, summed in
+    axis order."""
+    (r0, i0), (r1, i1), (r2, i2) = map(product_parts, x.tolist(), y.tolist())
+    return complex(0.5 * (r0 + r1 + r2), 0.5 * (i0 + i1 + i2))
+
+
+def check_lie_kernels_against_the_reference(data):
     amb, p, q, (left, right) = data
-    a = liecs.LieValuedForm(amb, p, m, left)
-    b = liecs.LieValuedForm(amb, q, m, right)
+    a = liecs.LieValuedForm(amb, p, left)
+    b = liecs.LieValuedForm(amb, q, right)
     with np.errstate(all="ignore"):
         got = [liecs.graded_bracket(a, b), liecs.pairing(a, b)]
-        want = [liecs.LieValuedForm._trusted(amb, p + q, m, wedge_reference(
-                    a.terms, b.terms, lambda X, Y: X @ Y - Y @ X)),
+        want = [liecs.LieValuedForm._trusted(amb, p + q, {
+                    k: np.array(v, dtype=complex) for k, v in wedge_reference(
+                        a.terms, b.terms, bracket_reference).items()}),
                 TrigForm._trusted(amb, p + q, wedge_reference(
-                    a.terms, b.terms, lambda X, Y: -complex(np.trace(X @ Y))))]
+                    a.terms, b.terms, pairing_reference))]
     for g, w in zip(got, want):
-        assert coefficient_bytes(g.terms, nan_sign) == coefficient_bytes(
-            w.terms, nan_sign)
+        assert coefficient_bytes(g.terms, nan_sign=False) == \
+            coefficient_bytes(w.terms, nan_sign=False)
 
 
 @ORACLE_SETTINGS
-@given(oracle_pairs(special_matrices(2)))
+@given(oracle_pairs(special_vectors))
 def test_lie_kernels_match_the_per_pair_reference_bit_for_bit(data):
-    # 2 x 2, the size of su(2)'s defining representation that the suites use
-    check_lie_kernels_against_the_reference(2, data, nan_sign=True)
-
-
-@KERNEL_SETTINGS
-@given(st.sampled_from([1, 3]).flatmap(
-    lambda m: oracle_pairs(special_matrices(m)).map(lambda d: (m, d))))
-def test_lie_kernels_of_other_sizes_match_the_reference_up_to_nan_signs(case):
-    # Which of two NaNs a sum keeps depends, in the reference, on the numpy
-    # add loop its matrix size selects: the first for 2 x 2, the second
-    # for 1 x 1 and for the last entry of 3 x 3.  The kernel's sums keep
-    # the first, so at these sizes only a NaN's sign and payload may
-    # differ; every other bit must match.
-    m, data = case
-    check_lie_kernels_against_the_reference(m, data, nan_sign=False)
+    # every bit but a NaN's sign and payload: of two NaN operands, numpy's
+    # loops and Python's float operations each keep either one, by the
+    # code path (size, stride, alignment) the operation takes, so those
+    # bits may even differ between two runs of one example
+    check_lie_kernels_against_the_reference(data)
 
 
 def conjugate_reference(form, f):
-    """f^{-1} (form) f entry by entry: per term, each weight shift's part of
-    U^dagger X U (shifts in order of first appearance), skipped when its
-    largest magnitude is 0.0, conjugated back one matrix at a time and
-    built through the validating constructor."""
-    m = form.matrix_dim
-    Ud = f.U.conj().T
+    """f^{-1} (form) f term by term in Python floats: y = R^T x, R = Ad(U),
+    split into y_3 e_3 at frequency k, b (1, i, 0) at k - 2w m and
+    a (1, -i, 0) at k + 2w m, b = (y_1 - i y_2) / 2, a = (y_1 + i y_2) / 2;
+    a part whose y_3, b or a is 0.0 is skipped, the others rotated back one
+    vector at a time and built through the validating constructor."""
+    R = f.ad.tolist()
     out = {}
-    shifts = {}
-    for i in range(m):
-        for j in range(m):
-            shifts.setdefault(f.weights[j] - f.weights[i], []).append((i, j))
-    for (freq, axes), X in form.terms.items():
-        B = Ud @ X @ f.U
-        for s, entries in shifts.items():
-            M = np.zeros((m, m), dtype=complex)
-            for (i, j) in entries:
-                M[i, j] = B[i, j]
-            if np.max(np.abs(M)) == 0.0:
+    for (freq, axes), x in form.terms.items():
+        x = x.tolist()
+        y = [(R[0][c] * x[0].real + R[1][c] * x[1].real + R[2][c] * x[2].real,
+              R[0][c] * x[0].imag + R[1][c] * x[1].imag + R[2][c] * x[2].imag)
+             for c in range(3)]
+        (y1re, y1im), (y2re, y2im), y3 = y
+        b = complex(0.5 * (y1re + y2im), 0.5 * (y1im - y2re))
+        a = complex(0.5 * (y1re - y2im), 0.5 * (y1im + y2re))
+        parts = [(0, complex(*y3), [complex(R[c][2] * y3[0], R[c][2] * y3[1])
+                                    for c in range(3)]),
+                 (-2 * f.w, b, [complex(*product_parts(
+                     b, complex(R[c][0], R[c][1]))) for c in range(3)]),
+                 (2 * f.w, a, [complex(*product_parts(
+                     a, complex(R[c][0], -R[c][1]))) for c in range(3)])]
+        for shift, part, add in parts:
+            if part == 0:
                 continue
-            new_freq = tuple(k + s * mf for k, mf in zip(freq, f.freq))
-            add = f.U @ M @ Ud
-            key = (new_freq, axes)
-            out[key] = out[key] + add if key in out else add
-    return liecs.LieValuedForm(form.ambient_dim, form.degree, m, out)
+            key = (tuple(k + shift * mf for k, mf in zip(freq, f.freq)), axes)
+            out[key] = [u + v for u, v in zip(out[key], add)] \
+                if key in out else add
+    return liecs.LieValuedForm(form.ambient_dim, form.degree,
+                               {k: np.array(v) for k, v in out.items()})
 
 
 def factor_mc_reference(f, ambient_dim):
-    """f^{-1} df built term by term through the validating constructor."""
-    K = f.U @ np.diag([1j * w for w in f.weights]) @ f.U.conj().T
+    """f^{-1} df = 2 w Ad(U) e_3 (m . dx), built term by term through the
+    validating constructor."""
     terms = {}
     zero = (0,) * ambient_dim
     for a, ma in enumerate(f.freq):
         if ma:
-            terms[(zero, (a,))] = ma * K
-    return liecs.LieValuedForm(ambient_dim, 1, f.U.shape[0], terms)
+            terms[(zero, (a,))] = [2 * f.w * ma * float(r) for r in f.ad[:, 2]]
+    return liecs.LieValuedForm(ambient_dim, 1, terms)
 
 
 @st.composite
 def conjugation_cases(draw):
-    """A Lie-valued form on T^n of 0 to 6 terms with special coefficients,
-    and a gauge factor of weights (w, -w), (1, 1) or (1, 0, -2) whose U is
-    the identity or a random unitary."""
-    weights = draw(st.one_of(st.integers(-2, 2).map(lambda w: (w, -w)),
-                             st.sampled_from([(1, 1), (1, 0, -2)])))
-    m = len(weights)
+    """An su(2)-valued form on T^n of 0 to 6 terms with special
+    coefficients, and a gauge factor of weight w in [-2, 2] whose Ad(U) is
+    the identity or the rotation of a random exp(theta . e)."""
+    w = draw(st.integers(-2, 2))
     amb = draw(st.integers(1, 3))
     deg = draw(st.integers(0, amb))
     pool = list(combinations(range(amb), deg))
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         freq = tuple(draw(st.integers(-1, 1)) for _ in range(amb))
-        terms[freq, draw(st.sampled_from(pool))] = draw(special_matrices(m))
+        terms[freq, draw(st.sampled_from(pool))] = draw(special_vectors)
     seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
     if seed is None:
-        U = np.eye(m, dtype=complex)
+        ad = np.eye(3)
     else:
-        rng = np.random.default_rng(seed)
-        U = np.linalg.qr(rng.normal(size=(m, m))
-                         + 1j * rng.normal(size=(m, m)))[0]
+        ad = _ad_exp(np.random.default_rng(seed).normal(size=3).tolist())
     freq = tuple(draw(st.integers(-2, 2)) for _ in range(amb))
-    return (liecs.LieValuedForm(amb, deg, m, terms),
-            liecs.GaugeFactor(U, weights, freq))
+    return (liecs.LieValuedForm(amb, deg, terms),
+            liecs.GaugeFactor(ad, w, freq))
 
 
 @ORACLE_SETTINGS
@@ -498,27 +510,27 @@ def test_gauge_factor_kernels_match_the_per_entry_reference(case):
         want = [conjugate_reference(form, f),
                 factor_mc_reference(f, form.ambient_dim)]
     for g, w in zip(got, want):
-        assert (g.ambient_dim, g.degree, g.matrix_dim) == (
-            w.ambient_dim, w.degree, w.matrix_dim)
-        assert coefficient_bytes(g.terms) == coefficient_bytes(w.terms)
+        assert (g.ambient_dim, g.degree) == (w.ambient_dim, w.degree)
+        assert coefficient_bytes(g.terms, nan_sign=False) == \
+            coefficient_bytes(w.terms, nan_sign=False)
 
 
 def test_conjugation_keeps_a_nan_part_and_drops_a_zero_one():
-    # U = 1, weights (1, -1): the diagonal part of B = X stays at frequency
-    # k, the off-diagonal entries move to k - 2m and k + 2m.  Off the
-    # diagonal, the first B holds -0.0 alone, so those parts drop; in the
-    # second a NaN spreads through the products, so every part is kept
-    f = liecs.GaugeFactor(np.eye(2), (1, -1), (1,))
+    # Ad(U) = 1, w = 1: the e_3 part of y = x stays at frequency k, the
+    # parts b and a move to k - 2m and k + 2m.  In the first x, y_1 and y_2
+    # come out -0.0 + -0.0i, so b and a are zeros (with -0.0 parts) and
+    # drop; in the second a NaN spreads through the products, so every
+    # part is kept
+    f = liecs.GaugeFactor(np.eye(3), 1, (1,))
     z = complex(-0.0, -0.0)
-    zeros = np.array([[1, z], [z, -1]])
-    assert np.signbit((f.U.conj().T @ zeros @ f.U)[[0, 1], [1, 0]].real).all()
-    for X, keys in [(zeros, [(0,)]),
-                    (np.array([[np.nan, 0], [0, 1]]), [(0,), (-2,), (2,)])]:
-        form = liecs.LieValuedForm(1, 0, 2, {((0,), ()): X})
+    for x, keys in [([z, z, -1], [(0,)]),
+                    ([np.nan, 0, 1], [(0,), (-2,), (2,)])]:
+        form = liecs.LieValuedForm(1, 0, {((0,), ()): x})
         got = liecs._conjugate_by_factor(form, f)
         assert list(got.terms) == [(k, ()) for k in keys]
-        assert coefficient_bytes(got.terms) == coefficient_bytes(
-            conjugate_reference(form, f).terms)
+        assert coefficient_bytes(got.terms, nan_sign=False) == \
+            coefficient_bytes(conjugate_reference(form, f).terms,
+                              nan_sign=False)
 
 
 # frequencies whose sums need 42 bits: on T^2 and T^3 a pair's key, its
@@ -539,9 +551,9 @@ def test_wedge_of_wide_frequencies_matches_the_reference_bit_for_bit(data):
 
 
 @KERNEL_SETTINGS
-@given(oracle_pairs(special_matrices(2), WIDE))
+@given(oracle_pairs(special_vectors, WIDE))
 def test_lie_kernels_of_wide_frequencies_match_the_reference(data):
-    check_lie_kernels_against_the_reference(2, data, nan_sign=True)
+    check_lie_kernels_against_the_reference(data)
 
 
 def test_wide_frequencies_sharing_a_key_sum_as_the_reference():
@@ -593,7 +605,7 @@ def test_the_suites_large_wedges_match_the_reference_bit_for_bit(seed):
     assert len(B.terms) * len(inner.terms) >= 500
     for right in (B, inner):
         check_lie_kernels_against_the_reference(
-            2, (3, 1, right.degree, (B.terms, right.terms)), nan_sign=True)
+            (3, 1, right.degree, (B.terms, right.terms)))
 
 
 def test_a_large_wedge_sorts_each_pair_of_axis_sets_at_most_once(monkeypatch):
@@ -613,11 +625,11 @@ def test_a_large_wedge_sorts_each_pair_of_axis_sets_at_most_once(monkeypatch):
 
 
 def test_wedge_kernels_of_an_empty_side_or_a_shared_axis_are_empty():
-    X = liecs.su2_basis()[0]
-    f = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (1,)): X,
-                                      ((0, 1, 0), (1,)): 2 * X})
-    g = liecs.LieValuedForm(3, 2, 2, {((0, 0, 1), (0, 1)): X})
-    empty = liecs.LieValuedForm.zero(3, 1, 2)
+    X = np.array([1, 0, 0])
+    f = liecs.LieValuedForm(3, 1, {((1, 0, 0), (1,)): X,
+                                   ((0, 1, 0), (1,)): 2 * X})
+    g = liecs.LieValuedForm(3, 2, {((0, 0, 1), (0, 1)): X})
+    empty = liecs.LieValuedForm.zero(3, 1)
     for a, b in ((f, empty), (empty, f), (f, f), (f, g)):
         assert liecs.graded_bracket(a, b).terms == {}
         assert liecs.pairing(a, b).terms == {}
@@ -627,14 +639,13 @@ def test_wedge_kernels_of_an_empty_side_or_a_shared_axis_are_empty():
 
 
 def test_bracket_terms_are_read_only():
-    basis = liecs.su2_basis()
-    a = liecs.LieValuedForm(3, 1, 2, {((1, 0, 0), (0,)): basis[0],
-                                      ((0, 1, 0), (1,)): basis[1]})
+    a = liecs.LieValuedForm(3, 1, {((1, 0, 0), (0,)): [1, 0, 0],
+                                   ((0, 1, 0), (1,)): [0, 1, 0]})
     out = liecs.graded_bracket(a, a)
     assert out.terms
     for X in out.terms.values():
         with pytest.raises(ValueError, match="read-only"):
-            X[0, 0] = 1.0
+            X[0] = 1.0
 
 
 def test_d_and_wedge_sort_each_axis_combination_once(monkeypatch):
