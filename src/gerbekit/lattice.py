@@ -10,6 +10,13 @@ from that basis; the Spin(16) coroot lattice is given by its own Gram,
 half the D8 Cartan matrix, next to the basis (1/2)(x_i - x_{i+1}),
 (1/2)(x_6 + x_7), so that the identity 2 sum_i x_i(a) x_i(b) = <a, b>
 compares two independent descriptions.
+
+The Spin(16) checks run as int64 array products on those numerators: the
+embedding of every coroot into e8 at once, confirmed exactly row by row,
+and the weight identity over one denominator.  The embedding refuses a
+coefficient past EMBED_BOUND (2^20 in absolute value), under which no
+product leaves int64.  Pairings of arbitrary input (inner, norm,
+coordinates) stay in Python ints.
 """
 
 from __future__ import annotations
@@ -113,13 +120,9 @@ class IntegralLattice:
 
     def coordinates(self, v: Sequence[int]) -> List[Fraction]:
         """Ambient coordinates of the lattice vector with basis coefficients v."""
-        return [Fraction(x, self.basis_den) for x in self._numerators(v)]
-
-    def _numerators(self, v: Sequence[int]) -> List[int]:
-        """basis_den * coordinates(v), in integers."""
         rows = self._basis_rows
-        return [sum(int(c) * row[a] for c, row in zip(v, rows))
-                for a in range(len(rows[0]))]
+        return [Fraction(sum(int(c) * row[a] for c, row in zip(v, rows)),
+                         self.basis_den) for a in range(len(rows[0]))]
 
     # -- structural checks ------------------------------------------------
 
@@ -395,27 +398,57 @@ def coxeter_from_roots(L: IntegralLattice):
 # the Spin(16) coroot embedding into E8
 
 
+# the largest |coefficient| spin16_images takes.  A coroot row v maps to
+# ambient coordinates 2 v @ basis / 2 of size at most 3|v|, and the e8
+# coefficients of a point y are y @ inv(e8 basis), whose columns sum to at
+# most 10 in absolute value: the images' coefficients stay below 2^25, and
+# their norms, weighted by Gram entries summing to 30 in absolute value,
+# below 2^55.  Each is inside int64 and rounded exactly from the float solve
+EMBED_BOUND = 1 << 20
+
+
 def spin16_embedding(v: Sequence[int]) -> Tuple[int, ...]:
     """Doubling map on x-coordinates: (1/2)(+-x_i+-x_j) -> +-x_i+-x_j in e8.
 
     Input in spin16_coroot basis coefficients; output in e8 basis
-    coefficients.  Raises if the image is not an e8 vector.
+    coefficients.  Raises if the image is not an e8 vector; the one-row
+    case of spin16_images.
+    """
+    coeffs, member = spin16_images([v])
+    if not member[0]:
+        raise ValueError("vector is not in the target lattice")
+    return tuple(coeffs[0].tolist())
+
+
+def spin16_images(rows) -> Tuple[np.ndarray, np.ndarray]:
+    """The doubling map on every row of spin16_coroot basis coefficients at
+    once: (coeffs, member), coeffs the int64 e8 basis coefficients of the
+    images and member whether each was confirmed in e8 (a row that was
+    not holds a rounded guess).
+
+    A row whose entries are not integers of absolute value at most
+    EMBED_BOUND raises ValueError before any product, so no int64 product
+    wraps around.
     """
     coroot = builtin("spin16_coroot")
-    return _in_basis(builtin("e8"), [2 * x for x in coroot._numerators(v)],
+    V = np.asarray(rows).reshape(len(rows), coroot.rank)
+    if V.size and (V.dtype.kind not in "iu" or V.max() > EMBED_BOUND
+                   or V.min() < -EMBED_BOUND):
+        raise ValueError("spin16 coefficients must be integers of absolute "
+                         f"value at most {EMBED_BOUND}")
+    return _in_basis(builtin("e8"), 2 * (V.astype(np.int64) @ coroot.basis),
                      coroot.basis_den)
 
 
-def _in_basis(L: IntegralLattice, numerators: Sequence[int],
-              den: int) -> Tuple[int, ...]:
-    """Integer basis coefficients of the ambient point numerators / den:
-    solved in floats, then confirmed in integers."""
-    sol = np.linalg.solve(L.basis_float.T, np.array(numerators) / den)
-    coeffs = tuple(int(round(s)) for s in sol)
-    if [x * den for x in L._numerators(coeffs)] \
-            != [x * L.basis_den for x in numerators]:
-        raise ValueError("vector is not in the target lattice")
-    return coeffs
+def _in_basis(L: IntegralLattice, Y: np.ndarray,
+              den: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer basis coefficients of the ambient points Y / den, one per
+    row, and whether each is confirmed: solved in floats in one call,
+    rounded, then confirmed in int64."""
+    sol = np.linalg.solve(L.basis_float.T, Y.T / den).T
+    coeffs = np.rint(sol).astype(np.int64)
+    member = np.all((coeffs @ L.basis) * den == Y * L.basis_den, axis=1)
+    return coeffs, member
 
 
 def spin16_first_series() -> List[Tuple[int, ...]]:
@@ -425,18 +458,15 @@ def spin16_first_series() -> List[Tuple[int, ...]]:
 
 
 def weight_identity_check() -> Fraction:
-    """max |2 sum_i x_i(a) x_i(b) - <a,b>| over basis pairs; exact 0."""
+    """max |2 sum_i x_i(a) x_i(b) - <a,b>| over basis pairs; exact 0.
+
+    Both sides over the one denominator basis_den^2 gram_den, as the int64
+    matrix 2 (B B^T) gram_den - gram basis_den^2 of the basis numerators B;
+    the built-in numerators are single digits."""
     L = builtin("spin16_coroot")
-    units = [tuple(1 if t == i else 0 for t in range(L.rank))
-             for i in range(L.rank)]
-    xs = [L.coordinates(a) for a in units]
-    worst = Fraction(0)
-    for a, xa in zip(units, xs):
-        for b, xb in zip(units, xs):
-            lhs = 2 * sum(p * q for p, q in zip(xa, xb))
-            diff = abs(lhs - L.inner(a, b))
-            worst = max(worst, diff)
-    return worst
+    B = L._basis()
+    diff = 2 * (B @ B.T) * L.gram_den - L.gram * L.basis_den ** 2
+    return Fraction(int(np.abs(diff).max()), L.basis_den ** 2 * L.gram_den)
 
 
 # ---------------------------------------------------------------------------

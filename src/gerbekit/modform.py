@@ -126,9 +126,13 @@ def _coset_factor_sums(tau: complex, w: complex, c: float,
     c0 = int(round(-c - shift))
     A = 0j
     B = 0j
+    # the products Python would form first in TWO_PI_I * w * h and
+    # PI_I * tau * h * h, formed once: every term keeps its bits
+    tw = TWO_PI_I * w
+    pt = PI_I * tau
     for n in range(c0 - N, c0 + N + 1):
         h = n + c
-        t = cmath.exp(TWO_PI_I * w * h + PI_I * tau * h * h)
+        t = cmath.exp(tw * h + pt * h * h)
         A += t
         B += t if n % 2 == 0 else -t
     return A, B, 2 * N + 1

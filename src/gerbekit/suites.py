@@ -30,8 +30,8 @@ from .fiberint import (homotopy_residual, pushforward,
                        pushforward_commutes_defect)
 from .holonomy import holonomy, invariance_defect, nearest_2pi_multiple_defect
 from .lattice import (anomaly_exponents, builtin, class_sizes_mod_2,
-                      coxeter_from_roots, roots, spin16_embedding,
-                      spin16_first_series, weight_identity_check)
+                      coxeter_from_roots, roots, spin16_first_series,
+                      spin16_images, weight_identity_check)
 from .modform import (AutomorphyFamily, GroupElement, ModuliPoint,
                       cocycle_defect, eta, eta_multiplier, factor,
                       measure_extra_multiplier, reflection_element, theta1,
@@ -363,9 +363,10 @@ def suite_lattice(trials: int, seed: int) -> List[Check]:
     checks.append(("coxeter_e8", abs(coxeter_from_roots(e8) - 30)))
     checks.append(("coxeter_d16plus", abs(coxeter_from_roots(d16) - 30)))
     series = spin16_first_series()
-    images = {spin16_embedding(v) for v in series}
-    ok = len(series) == 112 and len(images) == 112 and all(
-        e8.norm(w) == 2 for w in images)
+    images, member = spin16_images(series)
+    ok = (len(series) == 112 and member.all()
+          and len(set(map(tuple, images.tolist()))) == 112
+          and np.all(((images @ e8.gram) * images).sum(1) == 2 * e8.gram_den))
     checks.append(("spin16_series_112", 0.0 if ok else 1.0))
     checks.append(("weight_identity", float(abs(weight_identity_check()))))
     checks.append(("weyl_index_135", abs(len(classes.get(4, ())) - 135)))

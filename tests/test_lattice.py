@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gerbekit import lattice, modform
-from gerbekit.lattice import (BLOCK_ROWS, IntegralLattice, _sorted_shells,
-                              anomaly_exponents, builtin,
-                              class_sizes_mod_2, coxeter_from_roots,
+from gerbekit.lattice import (BLOCK_ROWS, EMBED_BOUND, IntegralLattice,
+                              _in_basis, _sorted_shells, anomaly_exponents,
+                              builtin, class_sizes_mod_2, coxeter_from_roots,
                               enumerate_by_norm, roots, spin16_embedding,
-                              spin16_first_series, theta_counts,
-                              weight_identity_check)
+                              spin16_first_series, spin16_images,
+                              theta_counts, weight_identity_check)
 from gerbekit.modform import reflection_element
 
 
@@ -108,6 +108,115 @@ def test_spin16_series_has_112_distinct_norm2_images(e8):
 
 def test_weight_identity_residual_zero():
     assert weight_identity_check() == Fraction(0)
+
+
+def _exact_inverse(m):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan."""
+    n = len(m)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        p = next(r for r in range(k, n) if a[r][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for r in range(n):
+            if r != k and a[r][k] != 0:
+                a[r] = [x - a[r][k] * y for x, y in zip(a[r], a[k])]
+    return [row[n:] for row in a]
+
+
+def embedding_reference(v, coroot=None):
+    """The doubling map one row at a time in Python ints and Fractions: the
+    ambient point 2 x(v) of the coroot row, and its e8 coefficients through
+    the exact inverse of the e8 basis; None for a point outside e8."""
+    coroot = coroot or builtin("spin16_coroot")
+    e8 = builtin("e8")
+    inv = _exact_inverse([[Fraction(int(x), e8.basis_den) for x in row]
+                          for row in e8.basis])
+    point = [2 * x for x in coroot.coordinates(v)]
+    c = [sum(p * inv[a][j] for a, p in enumerate(point))
+         for j in range(e8.rank)]
+    return tuple(int(x) for x in c) if all(
+        x.denominator == 1 for x in c) else None
+
+
+def test_the_batched_embedding_matches_the_python_int_reference():
+    rng = np.random.default_rng(47)
+    series = spin16_first_series()
+    # the coroots, seeded small rows, and rows at the bound with random signs
+    rows = (series + rng.integers(-50, 51, size=(40, 8)).tolist()
+            + (EMBED_BOUND * rng.choice([-1, 1], size=(8, 8))).tolist())
+    coeffs, member = spin16_images(rows)
+    assert coeffs.dtype == np.int64 and member.all()
+    ref = [embedding_reference(v) for v in rows]
+    assert [tuple(c) for c in coeffs.tolist()] == ref
+    assert [spin16_embedding(v) for v in series] == ref[:len(series)]
+    assert spin16_images([])[0].shape == (0, 8)
+
+
+def _serving(monkeypatch, lat):
+    """builtin() serving lat as the coroot lattice, the rest unchanged."""
+    real = lattice.builtin
+    monkeypatch.setattr(lattice, "builtin", lambda name: lat
+                        if name == "spin16_coroot" else real(name))
+
+
+def test_a_non_member_row_is_refused_with_its_message(monkeypatch, e8):
+    # every integer coroot row doubles into D8, so a non-member needs a
+    # coroot basis with the glue row (1/2)(x_5 + x_6 + x_7)
+    coroot = builtin("spin16_coroot")
+    basis = coroot.basis.tolist()
+    basis[7] = [1 if a >= 5 else 0 for a in range(8)]
+    wrong = IntegralLattice("glue", coroot.gram, coroot.gram_den, basis, 2)
+    _serving(monkeypatch, wrong)
+    units = np.eye(8, dtype=np.int64)
+    coeffs, member = spin16_images(units)
+    assert member.tolist() == [True] * 7 + [False]
+    assert [embedding_reference(v, wrong) for v in units.tolist()] == [
+        tuple(c) for c in coeffs[:7].tolist()] + [None]
+    with pytest.raises(ValueError, match="not in the target lattice"):
+        spin16_embedding(units[7])
+    assert not _in_basis(e8, np.array([[1, 0, 0, 0, 0, 0, 0, 0]]), 2)[1][0]
+
+
+def weight_identity_reference(L):
+    """The Fraction double loop over basis pairs."""
+    units = [tuple(1 if t == i else 0 for t in range(L.rank))
+             for i in range(L.rank)]
+    xs = [L.coordinates(a) for a in units]
+    return max(abs(2 * sum(p * q for p, q in zip(xa, xb)) - L.inner(a, b))
+               for a, xa in zip(units, xs) for b, xb in zip(units, xs))
+
+
+def test_the_integer_weight_identity_matches_the_fraction_double_loop(
+        monkeypatch):
+    coroot = builtin("spin16_coroot")
+    assert weight_identity_check() == weight_identity_reference(coroot) == 0
+    cartan = (2 * coroot.gram).tolist()
+    cartan[5][7] = cartan[7][5] = 0
+    cartan[4][7] = cartan[7][4] = -1
+    # the Cartan edge (5, 7) moved to (4, 7), three times the Gram, and the
+    # Gram over 1 rather than 2
+    for gram, den in [(cartan, 2), (3 * coroot.gram, 2), (coroot.gram, 1)]:
+        wrong = IntegralLattice("wrong", gram, den, coroot.basis, 2)
+        _serving(monkeypatch, wrong)
+        ref = weight_identity_reference(wrong)
+        assert ref > 0
+        assert weight_identity_check() == ref
+
+
+@pytest.mark.parametrize("row", [
+    [EMBED_BOUND + 1] + [0] * 7, [0] * 7 + [-EMBED_BOUND - 1],
+    [2 ** 62] * 8, [np.iinfo(np.int64).min] + [0] * 7, [2 ** 70] + [0] * 7,
+    [1.0] * 8], ids=["above", "below", "wraps", "int64-min", "python-int",
+                     "float"])
+def test_a_row_past_the_bound_is_refused_before_any_product(monkeypatch,
+                                                            row):
+    monkeypatch.setattr(lattice, "_in_basis", None)
+    with pytest.raises(ValueError, match=f"at most {EMBED_BOUND}"):
+        spin16_images([[0] * 8, row])
+    with pytest.raises(ValueError, match=f"at most {EMBED_BOUND}"):
+        spin16_embedding(row)
 
 
 def test_weyl_index(e8):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -309,7 +310,8 @@ def test_a_chernsimons_trial_builds_each_form_once(monkeypatch):
 
 
 # each setting forces one BLAS core type or numpy's SIMD baseline on its
-# own process; the chernsimons reports must not move with any of them
+# own process; the chernsimons and lattice reports must not move with any
+# of them
 KERNEL_SETTINGS = {
     "default": {},
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
@@ -323,24 +325,46 @@ from gerbekit.cli import run_suite
 for trials, seed in [(6, 0), (6, 1), (20, 2)] + [(20, s) for s in range(40)]:
     print(json.dumps(run_suite("chernsimons", trials, seed, 1e-8)))
 """
+# the two pinned lattice reports, then the 112 images of the coroots
+LATTICE_REPORTS = """
+import json
+from gerbekit.cli import run_suite
+from gerbekit.lattice import spin16_embedding, spin16_first_series
+for seed in (0, 1):
+    print(json.dumps(run_suite("lattice", 1, seed, 1e-8), indent=1))
+print(json.dumps([spin16_embedding(v) for v in spin16_first_series()]))
+"""
 
 
-def test_chernsimons_reports_do_not_depend_on_the_cpu_kernels():
-    # the three pinned shapes and seeds 0-39 at 20 trials, the four
-    # processes run side by side
+def _under_each_kernel(script):
+    """The stdout of script under each of KERNEL_SETTINGS, the four
+    processes run side by side."""
     src = str(Path(liecs.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     env["PYTHONPATH"] = src
     procs = {name: subprocess.Popen(
-                 [sys.executable, "-c", REPORTS], env={**env, **extra},
+                 [sys.executable, "-c", script], env={**env, **extra},
                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
              for name, extra in KERNEL_SETTINGS.items()}
     out = {}
     for name, proc in procs.items():
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 0, stderr
-        out[name] = stdout.splitlines()
-    assert len(out["default"]) == 43
+        out[name] = stdout
+    return out
+
+
+def test_chernsimons_reports_do_not_depend_on_the_cpu_kernels():
+    # the three pinned shapes and seeds 0-39 at 20 trials
+    out = _under_each_kernel(REPORTS)
+    assert len(out["default"].splitlines()) == 43
+    for name in KERNEL_SETTINGS:
+        assert out[name] == out["default"], name
+
+
+def test_lattice_reports_do_not_depend_on_the_cpu_kernels():
+    out = _under_each_kernel(LATTICE_REPORTS)
+    assert len(json.loads(out["default"].splitlines()[-1])) == 112
     for name in KERNEL_SETTINGS:
         assert out[name] == out["default"], name

@@ -72,6 +72,19 @@ BUGS = [
     ("S-dedekind-reciprocity-sign", "modform.py",
      "h, k, sign = k % h, h, -sign", "h, k, sign = k % h, h, sign",
      "modular", ("chi_24th_root",)),
+    # the coroot Gram no longer matches its basis: both descriptions of the
+    # lattice are compared, and the norm-1 shell is no longer the coroots
+    ("L-coroot-cartan-edge", "lattice.py", "[(5, 7)]", "[(4, 7)]", "lattice",
+     ("spin16_series_112", "weight_identity")),
+    # the images are the coroots themselves, (1/2)(+-x_i+-x_j), not in e8:
+    # the row fails its integer confirmation and the check reads 1
+    ("L-embedding-without-doubling", "lattice.py",
+     "2 * (V.astype(np.int64) @ coroot.basis)",
+     "(V.astype(np.int64) @ coroot.basis)", "lattice",
+     ("spin16_series_112",)),
+    # the glue coroot (1/2)(x_5 + x_6 + x_7) doubles to an odd vector
+    ("L-glue-row-three-coordinates", "lattice.py", "a >= 6", "a >= 5",
+     "lattice", ("spin16_series_112", "weight_identity")),
 ]
 
 

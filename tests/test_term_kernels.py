@@ -379,7 +379,9 @@ def test_wedge_matches_the_per_pair_reference_bit_for_bit(data):
         got = a.wedge(b)
         want = TrigForm._trusted(amb, p + q, wedge_reference(
             a.terms, b.terms, operator.mul))
-    assert coefficient_bytes(got.terms) == coefficient_bytes(want.terms)
+    # numpy's loops fix neither a NaN's sign nor its payload
+    assert coefficient_bytes(got.terms, nan_sign=False) == \
+        coefficient_bytes(want.terms, nan_sign=False)
 
 
 def product_parts(x, y):
@@ -547,7 +549,9 @@ def test_wedge_of_wide_frequencies_matches_the_reference_bit_for_bit(data):
         got = a.wedge(b)
         want = TrigForm._trusted(amb, p + q, wedge_reference(
             a.terms, b.terms, operator.mul))
-    assert coefficient_bytes(got.terms) == coefficient_bytes(want.terms)
+    # numpy's loops fix neither a NaN's sign nor its payload
+    assert coefficient_bytes(got.terms, nan_sign=False) == \
+        coefficient_bytes(want.terms, nan_sign=False)
 
 
 @KERNEL_SETTINGS
