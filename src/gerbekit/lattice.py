@@ -110,6 +110,7 @@ class IntegralLattice:
 
     def inner(self, u: Sequence[int], v: Sequence[int]) -> Fraction | int:
         """<u, v>: a Python int for an integral Gram, else a Fraction."""
+        self._refuse_wrong_length(u, v)
         g = self._gram_rows
         total = sum(int(u[i]) * g[i][j] * int(v[j])
                     for i in range(self.rank) for j in range(self.rank))
@@ -120,9 +121,16 @@ class IntegralLattice:
 
     def coordinates(self, v: Sequence[int]) -> List[Fraction]:
         """Ambient coordinates of the lattice vector with basis coefficients v."""
+        self._refuse_wrong_length(v)
         rows = self._basis_rows
         return [Fraction(sum(int(c) * row[a] for c, row in zip(v, rows)),
                          self.basis_den) for a in range(len(rows[0]))]
+
+    def _refuse_wrong_length(self, *vectors: Sequence[int]) -> None:
+        for v in vectors:
+            if len(v) != self.rank:
+                raise ValueError(f"lattice {self.name}: {len(v)} basis "
+                                 f"coefficients for rank {self.rank}")
 
     # -- structural checks ------------------------------------------------
 

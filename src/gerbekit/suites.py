@@ -9,15 +9,24 @@ holonomy is taken of real data only.  The cochain and push-forward suites
 draw the monomials alone (real=False): the identities they check are
 C-linear, so a complex instance tests what its real part and its
 conjugate would, at half the terms.
+
+The cochain, push-forward and Chern-Simons suites draw every instance
+first, in one loop, and list each trial's checks as a task; `evaluate`
+then runs the tasks, on two processes when two CPUs are free, and folds
+their defects in task order, so the report does not depend on the split.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache, reduce
+import os
+import pickle
+import signal
+import warnings
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +49,10 @@ from .serialize import cover_from_id, decomposition_from_id
 from .trigform import Key, TrigForm, nan_max
 
 Check = Tuple[str, float]
+# (cost, thunk): the thunk returns the checks of one trial that share
+# intermediate results; the cost, in milliseconds measured in one process,
+# only steers which process evaluates it
+Task = Tuple[float, Callable[[], List[Check]]]
 
 
 class Worst(dict):
@@ -52,6 +65,97 @@ class Worst(dict):
 
     def add(self, name: str, defect: float) -> None:
         self[name] = nan_max(self[name], defect)
+
+
+def evaluate(worst: Worst, tasks: List[Task]) -> List[Check]:
+    """Fold every task's checks into worst, task by task in list order, and
+    return its items.
+
+    With two or more tasks and at least two CPUs in this process's
+    affinity mask, one forked child evaluates its share of the tasks while
+    this process evaluates the rest; the child's defects come back pickled,
+    type and bits intact.  If anything in that fails, the child is killed
+    and reaped and the whole list runs here, so an exception is the one the
+    serial run raises.  No child outlives the call.
+    """
+    results = None
+    if len(tasks) >= 2 and _cpus() >= 2:
+        results = _in_two_processes(tasks)
+    if results is None:
+        results = [run() for _, run in tasks]
+    for checks in results:
+        for name, defect in checks:
+            worst.add(name, defect)
+    return list(worst.items())
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call (macOS, Windows): serial
+        return 1
+
+
+def _child_share(costs: List[float]) -> List[bool]:
+    """Whether the child evaluates each task: the costliest first, each to
+    the process with the smaller total so far, the parent on a tie."""
+    load = [0.0, 0.0]
+    in_child = [False] * len(costs)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        in_child[i] = load[1] < load[0]
+        load[in_child[i]] += costs[i]
+    return in_child
+
+
+def _in_two_processes(tasks: List[Task]) -> Optional[List[List[Check]]]:
+    """Each task's checks, in list order, the child's share evaluated in a
+    forked child; None if the fork, the child or this process's share
+    failed."""
+    in_child = _child_share([cost for cost, _ in tasks])
+    read_fd, write_fd = os.pipe()
+    try:
+        # Python 3.12 warns on a fork while other threads run: numpy's
+        # OpenBLAS pool does, but the child calls no BLAS (the form kernels
+        # multiply object and int64 arrays only) and leaves by os._exit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # the child never returns into its caller's frames, and leaves
+        # without flushing the parent's buffers or running its exit hooks
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump([run() for (_, run), mine in zip(tasks, in_child)
+                             if mine], pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            ours = iter([run() for (_, run), theirs in zip(tasks, in_child)
+                         if not theirs])
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        if status == 0:
+            child = iter(pickle.loads(payload))
+            return [next(child if theirs else ours) for theirs in in_child]
+    except Exception:
+        # a raise in this share, a short read or a bad payload: the serial
+        # rerun raises it again, or computes the report if it does not recur
+        pass
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +304,29 @@ def suite_cochain(trials: int, seed: int) -> List[Check]:
     # refine draws no random numbers: one refinement per cover serves all
     # trials
     refinements = [refine(cover, 2) for _, cover in covers]
-    worst = Worst("dd_zero_s1", "homotopy_identity_s1",
-                  "dd_zero_t2", "homotopy_identity_t2")
+    tasks = []
     for t in range(trials):
         cname, cover = covers[t % 2]
-        omega = random_alternating_cochain(rng, cover, 1 + t % 3,
-                                           cover.factors, real=False)
-        # one D omega, and its memo, serves both identities
-        d_omega = total_d(omega)
-        worst.add(f"dd_zero_{cname}", total_d(d_omega).max_defect())
+        degree = 1 + t % 3
+        omega = random_alternating_cochain(rng, cover, degree, cover.factors,
+                                           real=False)
         _, s1, s2 = refinements[t % 2]
-        lhs = total_d(homotopy_k(omega, s1, s2)) + homotopy_k(d_omega, s1, s2)
-        rhs = restrict(omega, s1) - restrict(omega, s2)
-        worst.add(f"homotopy_identity_{cname}", (lhs - rhs).max_defect())
-    return list(worst.items())
+        # measured: about 1 ms a circle trial; a torus trial 18, 40 and
+        # 45 ms at degrees 1, 2 and 3
+        cost = 1 if cname == "s1" else (18, 40, 45)[degree - 1]
+        tasks.append((cost, partial(_cochain_checks, cname, omega, s1, s2)))
+    return evaluate(Worst("dd_zero_s1", "homotopy_identity_s1",
+                          "dd_zero_t2", "homotopy_identity_t2"), tasks)
+
+
+def _cochain_checks(cname: str, omega: DiffCochain, s1, s2) -> List[Check]:
+    # one D omega, and its memo, serves both identities
+    d_omega = total_d(omega)
+    dd_zero = total_d(d_omega).max_defect()
+    lhs = total_d(homotopy_k(omega, s1, s2)) + homotopy_k(d_omega, s1, s2)
+    rhs = restrict(omega, s1) - restrict(omega, s2)
+    return [(f"dd_zero_{cname}", dd_zero),
+            (f"homotopy_identity_{cname}", (lhs - rhs).max_defect())]
 
 
 def circle_setup():
@@ -253,29 +366,44 @@ def suite_pushforward(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
     fiber_s1, dec_s1 = circle_setup()
     fiber_t2, dec_t2 = torus_setup()
-    worst = Worst("cocycle_closed", "homotopy_residual", "stokes_s1",
-                  "stokes_t2")
     cover_s1 = cover_from_id("product:circle:3:0.6|circle:4:0.7")
     cover_t2 = cover_from_id("product:circle:3:0.6|torus:3:3:0.75")
+    # measured costs: about 4 ms an S^1 Stokes task, 8 ms a cocycle task
+    # and 45 ms a T^2 Stokes task
+    tasks = []
     for t in range(trials):
         # E = S^1
         degree = 1 + t % 2
         om = random_alternating_cochain(rng, cover_s1, degree, 2,
                                         real=False)
         rho, rho2 = two_subordinations(dec_s1, fiber_s1, rng)
-        worst.add("stokes_s1", pushforward_commutes_defect(om, dec_s1, rho))
+        tasks.append((4, partial(_check, "stokes_s1",
+                                 pushforward_commutes_defect, om, dec_s1,
+                                 rho)))
         if degree >= 2:
             oc = random_cocycle(rng, cover_s1, degree, real=False)
-            pushed = pushforward(oc, dec_s1, rho)
-            worst.add("cocycle_closed", total_d(pushed).max_defect())
-            worst.add("homotopy_residual",
-                      homotopy_residual(oc, dec_s1, rho, rho2, pushed))
+            tasks.append((8, partial(_pushed_cocycle_checks, oc, dec_s1,
+                                     rho, rho2)))
     for t in range(max(trials // 2, 2)):
         om = random_alternating_cochain(rng, cover_t2, 2 + t % 2, 3,
                                         real=False)
         rho, _ = two_subordinations(dec_t2, fiber_t2, rng)
-        worst.add("stokes_t2", pushforward_commutes_defect(om, dec_t2, rho))
-    return list(worst.items())
+        tasks.append((45, partial(_check, "stokes_t2",
+                                  pushforward_commutes_defect, om, dec_t2,
+                                  rho)))
+    return evaluate(Worst("cocycle_closed", "homotopy_residual", "stokes_s1",
+                          "stokes_t2"), tasks)
+
+
+def _check(name: str, defect: Callable[..., float], *args) -> List[Check]:
+    return [(name, defect(*args))]
+
+
+def _pushed_cocycle_checks(oc: DiffCochain, dec, rho, rho2) -> List[Check]:
+    pushed = pushforward(oc, dec, rho)
+    return [("cocycle_closed", total_d(pushed).max_defect()),
+            ("homotopy_residual",
+             homotopy_residual(oc, dec, rho, rho2, pushed))]
 
 
 def random_connection(rng) -> liecs.LieValuedForm:
@@ -320,33 +448,44 @@ def _ad_exp(theta) -> List[List[float]]:
 
 def suite_chernsimons(trials: int, seed: int) -> List[Check]:
     rng = np.random.default_rng(seed)
-    worst = Worst("bianchi", "bracket_oracle", "d_cs_equals_ff",
-                  "gauge_variation", "mc_flat")
+    tasks = []
     for _ in range(trials):
         A = random_connection(rng)
-        F = liecs.curvature(A)
-        cs_A = liecs.cs_form(A)
-        worst.add("d_cs_equals_ff",
-                  (cs_A.d() - liecs.pairing(F, F)).max_abs())
-        worst.add("bianchi", (F.d() - liecs.graded_bracket(F, A)).max_abs())
         t = random_gauge_map(rng)
-        # each built once: CS(A) serves d_cs_equals_ff and the gauge
-        # variation, theta and [theta, theta] the gauge variation and mc_flat
-        theta = t.maurer_cartan()
-        theta_bracket = liecs.graded_bracket(theta, theta)
-        worst.add("gauge_variation", liecs.gauge_variation_defect(
-            A, t, cs_A=cs_A, theta=theta, theta_bracket=theta_bracket))
-        worst.add("mc_flat", (theta.d() + 0.5 * theta_bracket).max_abs())
         B = random_connection(rng)
+        # the bracket is built here: a point and two vectors are drawn only
+        # when it is not zero
         br = liecs.graded_bracket(A, B)
-        if br.terms:
-            x = rng.random(3)
-            vecs = [rng.normal(size=3) for _ in range(2)]
-            lhs = br.evaluate(x, vecs)
-            rhs = liecs.bracket_oracle_value(A, B, x, vecs)
-            worst.add("bracket_oracle",
-                      reduce(nan_max, map(abs, (lhs - rhs).tolist()), 0.0))
-    return list(worst.items())
+        point = (rng.random(3), [rng.normal(size=3) for _ in range(2)]) \
+            if br.terms else None
+        # measured: 2-6 ms a trial, whatever was drawn
+        tasks.append((1, partial(_chernsimons_checks, A, t, B, br, point)))
+    return evaluate(Worst("bianchi", "bracket_oracle", "d_cs_equals_ff",
+                          "gauge_variation", "mc_flat"), tasks)
+
+
+def _chernsimons_checks(A: liecs.LieValuedForm, t: liecs.GaugeMap,
+                        B: liecs.LieValuedForm, br: liecs.LieValuedForm,
+                        point) -> List[Check]:
+    F = liecs.curvature(A)
+    # each built once: CS(A) serves d_cs_equals_ff and the gauge variation,
+    # theta and [theta, theta] the gauge variation and mc_flat
+    cs_A = liecs.cs_form(A)
+    theta = t.maurer_cartan()
+    theta_bracket = liecs.graded_bracket(theta, theta)
+    checks = [
+        ("d_cs_equals_ff", (cs_A.d() - liecs.pairing(F, F)).max_abs()),
+        ("bianchi", (F.d() - liecs.graded_bracket(F, A)).max_abs()),
+        ("gauge_variation", liecs.gauge_variation_defect(
+            A, t, cs_A=cs_A, theta=theta, theta_bracket=theta_bracket)),
+        ("mc_flat", (theta.d() + 0.5 * theta_bracket).max_abs())]
+    if point is not None:
+        x, vecs = point
+        lhs = br.evaluate(x, vecs)
+        rhs = liecs.bracket_oracle_value(A, B, x, vecs)
+        checks.append(("bracket_oracle",
+                       reduce(nan_max, map(abs, (lhs - rhs).tolist()), 0.0)))
+    return checks
 
 
 def suite_lattice(trials: int, seed: int) -> List[Check]:

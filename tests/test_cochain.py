@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -591,6 +592,8 @@ def test_the_cochain_suite_builds_one_total_d_per_drawn_cochain(monkeypatch):
     monkeypatch.setattr(suites, "random_alternating_cochain",
                         random_alternating_cochain)
     monkeypatch.setattr(suites, "total_d", total_d)
+    # on one CPU: a forked child's calls would not be counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     suites.suite_cochain(4, 0)
     assert len(drawn) == 4
     assert [sum(x is om for x in asked) for om in drawn] == [1, 1, 1, 1]

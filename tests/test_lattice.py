@@ -486,6 +486,22 @@ def test_a_gram_alone_has_no_basis():
         L.basis_float
 
 
+@pytest.mark.parametrize("call", [
+    lambda L: L.coordinates((1, 0)),
+    lambda L: L.coordinates((1,) + (0,) * 8),
+    lambda L: L.inner((1, 0), (1, 0)),
+    lambda L: L.inner((1,) + (0,) * 9, (1,) + (0,) * 8),
+    lambda L: L.inner((1,) * 8, (1,) * 7),
+    lambda L: L.norm(()),
+], ids=["coordinates-2", "coordinates-9", "inner-2", "inner-10-9",
+        "inner-8-7", "norm-0"])
+def test_coefficients_of_the_wrong_length_are_refused(e8, call):
+    # zip would cut a long tuple short, and a short one would index past
+    # its end or be read as padded with zeros
+    with pytest.raises(ValueError, match="coefficients for rank 8"):
+        call(e8)
+
+
 def sorted_shells_reference(L, max_norm):
     """The full-ellipsoid walk, ordered by np.lexsort over the norm and the
     columns: the oracle for _sorted_shells' half walk and mirror."""

@@ -302,6 +302,8 @@ def test_a_chernsimons_trial_builds_each_form_once(monkeypatch):
     for name in ("cs_form", "graded_bracket", "pairing", "_wedge_terms"):
         counted(liecs, name)
     counted(liecs.GaugeMap, "maurer_cartan")
+    # on one CPU: a forked child's calls would not be counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     trials = 5
     suites.suite_chernsimons(trials, 3)
     assert {k: v / trials for k, v in calls.items()} == {

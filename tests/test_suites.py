@@ -1,15 +1,23 @@
 """The suites' recorder: every suite reports the checks it declares, in
 their order, at any trial count, and a NaN defect is never folded away.
 Random real forms are their three vector draws read one scalar at a
-time, bit for bit, and leave the random stream where those draws leave it."""
+time, bit for bit, and leave the random stream where those draws leave it.
+A suite split across two processes reports the bytes it reports on one,
+and raises what it raises on one, leaving no child behind."""
 
+import functools
 import itertools
+import json
 import math
+import os
+import signal
+import struct
+import time
 
 import numpy as np
 import pytest
 
-from gerbekit import suites
+from gerbekit import cli, suites
 from gerbekit.serialize import cover_from_id
 from gerbekit.suites import (FORM_MAX_FREQ, FORM_TERMS, SUITES, Worst,
                              random_alternating_cochain, random_real_form,
@@ -230,3 +238,152 @@ def test_random_cochains_have_the_suites_shapes(cover_id, degree):
         # one value per support, stored on its sorted ordering
         assert idx == tuple(sorted(set(idx)))
         assert idx == () or idx in cover.supports(len(idx))
+
+
+# ---------------------------------------------------------------------------
+# the two-process split
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made, counted in this process."""
+    made, fork = [], os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+# the benchmark's trial counts (cochain 6, chernsimons 20, pushforward 2),
+# and 0 and 1: the push-forward suite always adds two T^2 tasks
+SPLIT_RUNS = [("cochain", 0), ("cochain", 1), ("cochain", 6),
+              ("pushforward", 0), ("pushforward", 1), ("pushforward", 2),
+              ("chernsimons", 0), ("chernsimons", 1), ("chernsimons", 20)]
+
+
+@pytest.mark.parametrize("suite,trials", SPLIT_RUNS,
+                         ids=[f"{s}-{t}" for s, t in SPLIT_RUNS])
+def test_one_and_two_cpus_give_the_same_report_bytes(monkeypatch, forks,
+                                                     suite, trials):
+    seeds = (0, 1, 5, 12)
+    on_cpus(monkeypatch, (0, 1))
+    two = [json.dumps(cli.run_suite(suite, trials, seed, 1e-8), indent=1)
+           for seed in seeds]
+    split = len(forks)
+    on_cpus(monkeypatch, (0,))
+    one = [json.dumps(cli.run_suite(suite, trials, seed, 1e-8), indent=1)
+           for seed in seeds]
+    assert two == one
+    # a suite with two tasks or more forked once per call, then never
+    assert len(forks) == split == (len(seeds) if trials >= 2 or
+                                   suite == "pushforward" else 0)
+    assert_no_child_left()
+
+
+def test_a_platform_without_an_affinity_call_runs_serial(monkeypatch, forks):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    report = cli.run_suite("chernsimons", 4, 0, 1e-8)
+    on_cpus(monkeypatch, (0, 1))
+    assert cli.run_suite("chernsimons", 4, 0, 1e-8) == report
+    assert len(forks) == 1
+
+
+def test_defects_come_back_from_the_child_with_their_type_and_bits(
+        monkeypatch):
+    payload_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8DEADBEEF0001))[0]
+    values = [payload_nan, -0.0, np.float64(-0.0), math.inf,
+              np.float64(payload_nan), 1e-300, np.float32(0.1)]
+    # the first task outweighs the rest: every value is the child's
+    tasks = [(len(values), list)] + [(1, functools.partial(
+        lambda v: [("x", v)], v)) for v in values]
+    assert suites._child_share([c for c, _ in tasks]) == \
+        [False] + [True] * len(values)
+    on_cpus(monkeypatch, (0, 1))
+    got = suites._in_two_processes(tasks)
+
+    def bits(results):
+        return [[(type(d), np.asarray(d).tobytes()) for _, d in checks]
+                for checks in results]
+    assert bits(got) == bits([run() for _, run in tasks])
+    assert_no_child_left()
+
+
+def test_a_raise_in_the_childs_share_is_the_serial_raise(
+        tmp_path, monkeypatch, capsys, forks):
+    # the second T^2 Stokes task, at degree 3, is in the child's share:
+    # this process meets the planted raise only in the serial rerun
+    parent, met = os.getpid(), []
+    defect = suites.pushforward_commutes_defect
+
+    def planted(om, dec, rho):
+        if om.degree == 3:
+            met.append(os.getpid())
+            raise OverflowError("planted")
+        return defect(om, dec, rho)
+    monkeypatch.setattr(suites, "pushforward_commutes_defect", planted)
+    path = tmp_path / "x.json"
+    path.write_text('{"old": 1}')
+    argv = ["verify", "--suite", "pushforward", "--trials", "2",
+            "--report", str(path)]
+    on_cpus(monkeypatch, (0,))
+    assert cli.main(argv) == 1
+    serial = capsys.readouterr()
+    on_cpus(monkeypatch, (0, 1))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == serial == ("", "error: planted\n")
+    assert met == [parent, parent] and len(forks) == 1
+    assert path.read_text() == '{"old": 1}'
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "exit", "kill"])
+def test_a_failed_child_leaves_the_report_to_the_serial_run(
+        monkeypatch, forks, failure):
+    parent = os.getpid()
+    defect = suites.pushforward_commutes_defect
+
+    def failing_in_a_child(om, dec, rho):
+        if os.getpid() != parent:
+            if failure == "raise":
+                raise OverflowError("planted")
+            if failure == "exit":
+                os._exit(0)         # a short read: nothing was written
+            os.kill(os.getpid(), signal.SIGKILL)
+        return defect(om, dec, rho)
+    on_cpus(monkeypatch, (0,))
+    serial = cli.run_suite("pushforward", 2, 3, 1e-8)
+    monkeypatch.setattr(suites, "pushforward_commutes_defect",
+                        failing_in_a_child)
+    on_cpus(monkeypatch, (0, 1))
+    assert cli.run_suite("pushforward", 2, 3, 1e-8) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_raise_in_this_processs_share_kills_the_child(monkeypatch):
+    def planted():
+        raise ZeroDivisionError("planted")
+
+    def slow():
+        time.sleep(60)
+        return []
+    tasks = [(2, planted), (1, slow)]
+    assert suites._child_share([2, 1]) == [False, True]
+    on_cpus(monkeypatch, (0, 1))
+    t0 = time.monotonic()
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        suites.evaluate(Worst(), tasks)
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()
